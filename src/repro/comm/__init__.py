@@ -23,14 +23,18 @@ algorithmic results.
 
 Execution backends
 ------------------
-Two interchangeable backends implement the communicator surface (see
-``docs/ARCHITECTURE.md`` § "Execution backends"):
+Two interchangeable backends implement the per-rank communicator surface
+(``isend`` / ``recv_ready`` / ``barrier`` / ``all_reduce``) and each
+drives a rank program written against it (see ``docs/ARCHITECTURE.md``
+§ "Execution backends"):
 
-- ``"sim"`` — the in-process lockstep :class:`World` above (deterministic,
-  models communication, measures nothing);
+- ``"sim"`` — the in-process :class:`World` above: ``run_programs`` steps
+  the ``P`` rank programs in rank order between sync points
+  (deterministic, models communication, measures nothing);
 - ``"shm"`` — :mod:`repro.comm.shm`: one OS process per rank over
-  ``multiprocessing.shared_memory`` mailboxes, for measured wall-clock
-  scaling with genuine DRPA overlap.
+  ``multiprocessing.shared_memory`` mailboxes, sync points block
+  (``ShmCommunicator.run_program``), for measured wall-clock scaling
+  with genuine DRPA overlap.
 
 :data:`BACKENDS` is the registry; trainers resolve a backend name through
 :func:`validate_backend` / :func:`create_world`.
@@ -47,7 +51,7 @@ from repro.comm.collectives import (
 from repro.comm.communicator import Communicator, World
 from repro.comm.counters import CommCounters
 from repro.comm.netmodel import NetworkModel, HDR_200G
-from repro.comm.shm import ShmCommunicator, ShmWorld, ShmWorldView
+from repro.comm.shm import ShmCommunicator, ShmWorld
 
 #: execution backend registry: name -> world factory ``(num_ranks, **kw)``.
 BACKENDS = {
@@ -75,7 +79,6 @@ __all__ = [
     "Communicator",
     "ShmWorld",
     "ShmCommunicator",
-    "ShmWorldView",
     "BACKENDS",
     "validate_backend",
     "create_world",

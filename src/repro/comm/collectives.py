@@ -14,11 +14,12 @@ standard cost of each collective on a fat network:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.comm.communicator import World
+if TYPE_CHECKING:  # communicator imports all_reduce from here
+    from repro.comm.communicator import World
 
 
 def _check(world: World, items: Sequence) -> None:
@@ -26,6 +27,26 @@ def _check(world: World, items: Sequence) -> None:
         raise ValueError(
             f"expected one entry per rank ({world.num_ranks}), got {len(items)}"
         )
+
+
+def reduce_in_rank_order(arrays: Sequence[np.ndarray], op: str = "sum") -> np.ndarray:
+    """The AllReduce reduction itself: element-wise over the per-rank
+    arrays, in rank order — the one both backends apply, so their
+    results agree to the last bit."""
+    arrays = [np.asarray(a) for a in arrays]
+    shape = arrays[0].shape
+    for a in arrays:
+        if a.shape != shape:
+            raise ValueError("all_reduce requires identical shapes")
+    if op == "sum":
+        return np.sum(arrays, axis=0)
+    if op == "mean":
+        return np.mean(arrays, axis=0)
+    if op == "max":
+        return np.max(arrays, axis=0)
+    if op == "min":
+        return np.min(arrays, axis=0)
+    raise ValueError(f"unsupported all_reduce op {op!r}")
 
 
 def all_reduce(
@@ -37,23 +58,9 @@ def all_reduce(
     parameter sync among the models, in each epoch, we use AllReduce").
     """
     _check(world, arrays)
-    arrays = [np.asarray(a) for a in arrays]
-    shape = arrays[0].shape
-    for a in arrays:
-        if a.shape != shape:
-            raise ValueError("all_reduce requires identical shapes")
-    if op == "sum":
-        total = np.sum(arrays, axis=0)
-    elif op == "mean":
-        total = np.mean(arrays, axis=0)
-    elif op == "max":
-        total = np.max(arrays, axis=0)
-    elif op == "min":
-        total = np.min(arrays, axis=0)
-    else:
-        raise ValueError(f"unsupported all_reduce op {op!r}")
+    total = reduce_in_rank_order(arrays, op)
     p = world.num_ranks
-    nbytes = int(arrays[0].nbytes)
+    nbytes = int(np.asarray(arrays[0]).nbytes)
     ring = int(2 * (p - 1) / p * nbytes) if p > 1 else 0
     world.counters.record_collective("all_reduce", [(ring, ring)] * p)
     return [total.copy() for _ in range(p)]

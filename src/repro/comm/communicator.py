@@ -3,21 +3,24 @@
 A :class:`World` owns ``num_ranks`` mailbox sets, the byte counters, and
 the delayed-delivery queue; each rank gets a :class:`Communicator` handle
 (the moral equivalent of its ``MPI_COMM_WORLD``).  All ranks execute in
-one process, driven in lockstep by the distributed trainer, so collective
-calls are implemented as functions over the world state rather than
-blocking rendezvous — the *ordering* guarantees are identical to the MPI
-program the paper runs (collectives act as epoch barriers, async messages
-deliver ``delay`` epochs later).
+one process and one thread, so a rank cannot block in a rendezvous:
+``Communicator.barrier`` / ``all_reduce`` return a :class:`SyncPoint`
+that the rank program (a generator) yields, and
+:meth:`World.run_programs` steps the ``P`` programs in rank order from
+sync point to sync point — the *ordering* guarantees are identical to
+the MPI program the paper runs (collectives act as barriers, async
+messages deliver ``delay`` epochs later).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Generator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.async_queue import DelayedQueue, Message
+from repro.comm.collectives import all_reduce
 from repro.comm.counters import CommCounters
 from repro.obs.registry import register_comm_world
 
@@ -62,6 +65,56 @@ class World:
 
     def communicators(self) -> List["Communicator"]:
         return [self.communicator(r) for r in range(self.num_ranks)]
+
+    # -- rank-program driver -----------------------------------------------------
+
+    def run_programs(self, programs: Sequence[Generator]) -> List[Any]:
+        """Run one rank program per rank to completion; returns their
+        return values in rank order.
+
+        Each program is resumed in rank order and runs until it yields
+        its next :class:`SyncPoint`; once every rank has arrived the
+        point is resolved (a barrier releases everyone, an AllReduce
+        hands every rank the reduction) and the next stretch starts,
+        again from rank 0.  Rank-order stepping is what makes mailbox
+        FIFO order, reduction order and the byte counters deterministic
+        — and equal to the shm backend, whose receivers sort by
+        ``(post_epoch, src, send order)``.
+        """
+        if len(programs) != self.num_ranks:
+            raise ValueError("need one rank program per rank")
+        replies: List[Any] = [None] * self.num_ranks
+        results: List[Any] = [None] * self.num_ranks
+        while True:
+            points, finished = [], 0
+            for rank, program in enumerate(programs):
+                try:
+                    points.append(program.send(replies[rank]))
+                except StopIteration as stop:
+                    results[rank] = stop.value
+                    finished += 1
+            if finished == self.num_ranks:
+                return results
+            reducing = [p.array is not None for p in points]
+            if finished or any(reducing) != all(reducing):
+                raise RuntimeError(
+                    "rank programs disagree on their sync points "
+                    "(SPMD code must reach the same collectives in the same order)"
+                )
+            if reducing[0]:
+                replies = all_reduce(self, [p.array for p in points], op=points[0].op)
+            else:
+                replies = [None] * self.num_ranks
+
+
+@dataclass(frozen=True)
+class SyncPoint:
+    """Where a simulated rank hands control to :meth:`World.run_programs`
+    (an shm rank blocks in the same place): a barrier when ``array`` is
+    ``None``, else this rank's AllReduce contribution."""
+
+    array: Optional[np.ndarray] = None
+    op: str = "sum"
 
 
 @dataclass
@@ -110,3 +163,15 @@ class Communicator:
     def pending_count(self, tag: Any = None) -> int:
         """Messages posted to this rank but not yet deliverable."""
         return self.world.queue.pending(self.rank, self.world.epoch, tag=tag)
+
+    # -- sync points (yield the result to World.run_programs) -----------------
+
+    @property
+    def epoch(self) -> int:
+        return self.world.epoch
+
+    def barrier(self) -> SyncPoint:
+        return SyncPoint()
+
+    def all_reduce(self, array: np.ndarray, op: str = "sum") -> SyncPoint:
+        return SyncPoint(np.asarray(array), op)

@@ -10,12 +10,10 @@ computation overlap:
   the shared byte counters, and the epoch barrier; ``run()`` forks one
   worker process per rank and collects their return values.
 - :class:`ShmCommunicator` — the per-process rank handle.  Implements the
-  simulator's surface (``isend`` / ``recv_ready`` / ``pending_count``)
-  plus the blocking collectives the SPMD trainer needs (``all_reduce``,
-  ``all_to_allv``, ``broadcast``, ``barrier``).
-- :class:`ShmWorldView` — a ``World``-shaped facade over one communicator
-  so rank-local code written against the simulator (the
-  :class:`~repro.core.drpa.DRPAExchanger`) runs unchanged inside a worker.
+  simulator's surface (``isend`` / ``recv_ready`` / ``pending_count`` /
+  ``barrier`` / ``all_reduce``) with *blocking* sync points, plus
+  ``all_to_allv`` and ``broadcast``; ``run_program`` drives a rank
+  program (the generator the simulator steps) straight through.
 
 Transport
 ---------
@@ -51,11 +49,12 @@ from __future__ import annotations
 import queue as _queue
 import threading
 import traceback
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.async_queue import Message
+from repro.comm.collectives import reduce_in_rank_order
 from repro.comm.counters import CommCounters
 from repro.obs.registry import register_comm_world
 
@@ -492,17 +491,14 @@ class ShmCommunicator:
         seq = self._coll_seq
         self._coll_seq += 1
         if p == 1:
-            total = _reduce_in_rank_order([arr], op)
+            total = reduce_in_rank_order([arr], op)
         elif self.rank == 0:
             parts: List[Optional[np.ndarray]] = [None] * p
             parts[0] = arr
             for _ in range(p - 1):
                 src, ref = self._coll_get("ar", seq)
                 parts[src] = _unpack_payload(ref)
-            for part in parts:
-                if part.shape != arr.shape:
-                    raise ValueError("all_reduce requires identical shapes")
-            total = _reduce_in_rank_order(parts, op)
+            total = reduce_in_rank_order(parts, op)
             for q in range(1, p):
                 self._coll_put(q, "ar", seq, _pack_payload(total))
         else:
@@ -566,6 +562,24 @@ class ShmCommunicator:
             )
         return out
 
+    # -- rank-program driver ----------------------------------------------------
+
+    def run_program(self, program: Generator) -> Any:
+        """Run a rank program to completion and return its value.
+
+        The program yields the result of every ``barrier`` /
+        ``all_reduce`` call; here those calls have already blocked and
+        returned the real result, so each yield is answered with the
+        value it produced (``World.run_programs`` is the simulator's
+        counterpart, which resolves the yielded sync points itself).
+        """
+        reply = None
+        try:
+            while True:
+                reply = program.send(reply)
+        except StopIteration as stop:
+            return stop.value
+
     # -- instrumentation --------------------------------------------------------
 
     def counters_snapshot(self) -> CommCounters:
@@ -575,65 +589,3 @@ class ShmCommunicator:
     def in_flight_bytes(self) -> int:
         """World-wide posted-but-undelivered payload bytes."""
         return self._state.read_inflight_bytes()
-
-
-def _reduce_in_rank_order(parts: Sequence[np.ndarray], op: str) -> np.ndarray:
-    """The exact reductions of the simulator's ``all_reduce``."""
-    arrays = [np.asarray(a) for a in parts]
-    if op == "sum":
-        return np.sum(arrays, axis=0)
-    if op == "mean":
-        return np.mean(arrays, axis=0)
-    if op == "max":
-        return np.max(arrays, axis=0)
-    if op == "min":
-        return np.min(arrays, axis=0)
-    raise ValueError(f"unsupported all_reduce op {op!r}")
-
-
-# -- World facade for rank-local code ------------------------------------------
-
-
-class ShmWorldView:
-    """A ``World``-shaped view over one rank's communicator.
-
-    Code written against the simulator accesses ``world.num_ranks``,
-    ``world.epoch`` and ``world.communicators()[rank]``; inside an SPMD
-    worker only the own-rank slot is real — touching a foreign rank's
-    communicator is a programming error and raises immediately.
-    """
-
-    def __init__(self, comm: ShmCommunicator):
-        self.comm = comm
-        self.num_ranks = comm.size
-
-    @property
-    def epoch(self) -> int:
-        return self.comm.epoch
-
-    def advance_epoch(self) -> int:
-        return self.comm.advance_epoch()
-
-    def communicator(self, rank: int):
-        return self.communicators()[rank]
-
-    def communicators(self) -> List:
-        return [
-            self.comm if r == self.comm.rank else _ForeignRankGuard(r)
-            for r in range(self.num_ranks)
-        ]
-
-
-class _ForeignRankGuard:
-    """Placeholder for a rank living in another process."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-    def __getattr__(self, name):
-        raise RuntimeError(
-            f"rank {object.__getattribute__(self, 'rank')} lives in another "
-            "process; SPMD code must only touch its own communicator"
-        )

@@ -2,18 +2,25 @@
 
 - :mod:`repro.core.config` — training configuration (paper hyper-params).
 - :mod:`repro.core.metrics` — epoch statistics, timers, results.
+- :mod:`repro.core.models` — the model and optimizer factories every
+  trainer builds through.
 - :mod:`repro.core.trainer` — single-socket full-batch trainer (the
-  paper's optimized baseline of Fig. 2).
+  paper's optimized baseline of Fig. 2), plus the epoch / periodic-eval
+  loop and split-accuracy helper the other trainers share.
 - :mod:`repro.core.drpa` — the Delayed Remote Partial Aggregates state
-  machine (paper Alg. 4): per-rank gather / async send / scatter-reduce /
-  scatter plumbing over the split-vertex trees.
+  machine (paper Alg. 4): one rank's gather / async send / scatter-reduce
+  / scatter plumbing over the split-vertex trees, with one synchronous
+  and one delayed round.
 - :mod:`repro.core.algorithms` — the three communication regimes ``0c``,
   ``cd-0``, ``cd-r`` as strategy objects configuring DRPA.
-- :mod:`repro.core.dist_trainer` — lockstep data-parallel trainer driving
-  one model replica per rank with per-layer DRPA synchronization and
-  AllReduce parameter sync.
-- :mod:`repro.core.spmd` — the same per-rank computation as an SPMD
-  worker over the multi-process shared-memory backend
+- :mod:`repro.core.sync` — one rank's side of the gradient AllReduce.
+- :mod:`repro.core.dist_trainer` — the data-parallel trainer: the rank
+  program (one rank's epoch and evaluation with per-layer DRPA
+  synchronization and AllReduce parameter sync, written once against a
+  communicator) and the ``DistributedTrainer`` that drives ``P`` copies
+  of it on the sim world.
+- :mod:`repro.core.spmd` — runs the same rank program as one worker
+  process per rank over the multi-process shared-memory backend
   (``backend="shm"``), for measured wall-clock scaling.
 - :mod:`repro.core.checkpoint` — self-describing ``.npz`` checkpoints
   (weights, optimizer slots, epoch cursor, architecture metadata) used

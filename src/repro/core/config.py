@@ -28,9 +28,10 @@ class TrainConfig:
     model: str = "sage"
     #: aggregation kernel passed to the differentiable SpMM: any name in
     #: :data:`repro.kernels.KERNELS` (``baseline``/``vectorized``/
-    #: ``reordered``/``blocked``) or ``"auto"``, which rides the vectorized
-    #: segment-reduce engine (bucketed above the cache threshold).
-    #: Validated at model build time.
+    #: ``parallel``/``reordered``/``blocked``/``reference``) or ``"auto"``,
+    #: which rides the vectorized segment-reduce engine (bucketed above
+    #: the cache threshold, the parallel engine when threads are
+    #: requested).  Validated at model build time.
     kernel: str = "auto"
     #: kernel worker threads: > 1 routes every AP (forward and backward)
     #: through the parallel execution engine (disjoint destination-row
@@ -44,11 +45,12 @@ class TrainConfig:
     #: wire precision of DRPA aggregate payloads: "none" | "fp16" | "bf16"
     #: (the paper's future-work communication-volume optimization).
     compression: str = "none"
-    #: distributed execution backend: "sim" (in-process lockstep world,
-    #: deterministic, models communication) or "shm" (one OS process per
-    #: rank over shared-memory mailboxes, measures wall-clock scaling).
-    #: Both produce identical losses/parameters/counters — see
-    #: docs/ARCHITECTURE.md § "Execution backends".
+    #: distributed execution backend: "sim" (all ranks stepped in one
+    #: process, deterministic, models communication) or "shm" (one OS
+    #: process per rank over shared-memory mailboxes, measures wall-clock
+    #: scaling).  Both run the same rank program and produce identical
+    #: losses/parameters/counters — see docs/ARCHITECTURE.md
+    #: § "Execution backends".
     backend: str = "sim"
     #: shm backend only: barrier/mailbox wait timeout.  A deadlocked
     #: exchange fails fast with an error instead of hanging the run.

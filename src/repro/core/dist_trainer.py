@@ -1,10 +1,12 @@
-"""Lockstep distributed trainer — DistGNN's data-parallel training loop.
+"""Distributed trainer — DistGNN's data-parallel training, as one rank program.
 
 One model replica per rank, the input graph vertex-cut partitioned, and
-per-layer DRPA synchronization of split-vertex partial aggregates.  All
-ranks execute in one process, phase by phase, which preserves the MPI
-program's ordering semantics (collectives as barriers, cd-r messages
-delivered ``r`` epochs late) while staying deterministic.
+per-layer DRPA synchronization of split-vertex partial aggregates.
+:class:`RankProgram` states one rank's epoch and evaluation **once**,
+against that rank's communicator (``isend`` / ``recv_ready`` /
+``barrier`` / ``all_reduce``); every ``barrier`` and ``all_reduce`` is a
+*sync point* the program yields, and two drivers run it (see
+"Execution backends" below).
 
 Per-layer segmented autograd
 ----------------------------
@@ -33,32 +35,38 @@ are documented in ``docs/ARCHITECTURE.md``.
 
 Execution backends
 ------------------
-``backend="sim"`` (default) is the lockstep in-process loop below;
-``backend="shm"`` hands ``fit()`` to :mod:`repro.core.spmd`, which runs
-the identical per-rank computation as one OS process per partition over
-the :mod:`repro.comm.shm` shared-memory world — same losses, parameters
-and byte counters (pinned by the backend-equivalence tests), but with
-measured wall-clock parallelism and genuine cd-r overlap.
+``backend="sim"`` (default) steps the ``P`` rank programs in one process,
+in rank order from sync point to sync point
+(:meth:`repro.comm.World.run_programs`) — deterministic, and collectives
+cost nothing.  ``backend="shm"`` hands ``fit()`` to
+:mod:`repro.core.spmd`, which runs the same program as one OS process
+per partition over the :mod:`repro.comm.shm` shared-memory world, where
+sync points block — same losses, parameters and byte counters (one
+program, so equal by construction; pinned by the backend-equivalence
+tests), but with measured wall-clock parallelism and genuine cd-r
+overlap.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.comm.communicator import World
 from repro.core.algorithms import AlgorithmSpec, get_algorithm
 from repro.core.config import TrainConfig
-from repro.core.drpa import DRPAExchanger, owned_mask
+from repro.core.drpa import DRPAExchanger, owned_mask, route_bins
 from repro.core.metrics import EpochStats, Stopwatch, TrainResult
-from repro.core.models import build_model, norm_from_degrees
-from repro.core.sync import allreduce_gradients
+from repro.core.models import build_model, make_optimizer, norm_from_degrees
+from repro.core.spmd import run_shm_fit
+from repro.core.sync import allreduce_gradients, grad_or_zeros
+from repro.core.trainer import SPLITS, fit_epochs
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import Dataset
-from repro.nn import Adam, GraphSAGE, SGD, Tensor, masked_cross_entropy
+from repro.nn import GraphSAGE, Tensor, masked_cross_entropy
 from repro.nn.tensor import no_grad
 from repro.partition import (
     build_partitions,
@@ -116,6 +124,141 @@ class DistTrainResult(TrainResult):
     peak_inflight_bytes: int = 0
 
 
+class RankProgram:
+    """One rank of DistGNN training (paper Alg. 4), written once.
+
+    ``train_epoch`` and ``evaluate`` are generators over one rank's
+    communicator: they yield at every sync point (the two barriers of a
+    synchronous DRPA round, each per-parameter AllReduce) and are run by
+    ``World.run_programs`` (sim: ``P`` copies stepped in rank order) or
+    ``ShmCommunicator.run_program`` (shm: one copy per process, sync
+    points block).  Phase timers go through ``Stopwatch.timed`` wherever
+    they cover a sync point, so on sim a phase never absorbs the other
+    ranks' compute.
+    """
+
+    def __init__(self, trainer: "DistributedTrainer", comm):
+        cfg = trainer.config
+        self.comm = comm
+        self.state = trainer.ranks[comm.rank]
+        self.graph = trainer.parted.parts[comm.rank].graph
+        self.spec = trainer.spec
+        self.feature_store = trainer.feature_store
+        self.global_train_count = trainer.global_train_count
+        # Forward-aggregate exchanger: delay/bins from the algorithm.
+        self.agg_exchanger = DRPAExchanger(
+            comm,
+            trainer.agg_bins,
+            delay=self.spec.delay,
+            tag_prefix="agg",
+            compression=cfg.compression,
+        )
+        # Synchronous exchangers for cd-0 gradients and for evaluation.
+        self.grad_exchanger = DRPAExchanger(comm, trainer.sync_bins, tag_prefix="grad")
+        self.eval_exchanger = DRPAExchanger(comm, trainer.sync_bins, tag_prefix="eval")
+
+    def train_epoch(self, epoch: int) -> Generator:
+        """One training epoch; returns this rank's row of the epoch
+        record: its owned-vertex loss and its phase times."""
+        state, spec, sw = self.state, self.spec, Stopwatch()
+        layers = state.model.layers
+        state.model.train()
+        state.model.zero_grad()
+
+        h = Tensor(state.ensure_features(self.feature_store), requires_grad=False)
+        records: List[Dict] = []
+        for l, layer in enumerate(layers):
+            # Segment A: local partial aggregation (the AP).
+            with sw.time("local_agg"):
+                z = layer.aggregate(self.graph, h, state.norm)
+            # DRPA: remote partial aggregates (pre/post-processing + comm).
+            if spec.is_synchronous:
+                yield from sw.timed(
+                    "remote_agg",
+                    self.agg_exchanger.synchronous_round(z.data, l, epoch),
+                )
+            elif spec.communicate:
+                with sw.time("remote_agg"):
+                    self.agg_exchanger.delayed_round(z.data, l, epoch)
+            # Segment B: combine + MLP, on detached aggregates.
+            z_leaf = Tensor(z.data, requires_grad=True)
+            h_out = layer.combine(z_leaf, h, state.norm)
+            records.append({"h_in": h, "z": z, "z_leaf": z_leaf, "h_out": h_out})
+            if l < len(layers) - 1:
+                h = Tensor(h_out.data, requires_grad=True)
+
+        # Loss over *owned* training vertices, normalized globally.
+        mask = state.train_mask & state.owned
+        local_loss = 0.0
+        if mask.any():
+            loss = masked_cross_entropy(
+                h_out, state.labels, mask, normalizer=self.global_train_count
+            )
+            local_loss = float(loss.data)
+            # Backward: segment B of the top layer via the loss...
+            loss.backward()
+        # ...then walk the layer segments down.
+        for l in range(len(layers) - 1, -1, -1):
+            rec = records[l]
+            gz = grad_or_zeros(rec["z_leaf"])
+            if spec.communicate and spec.sync_gradients:
+                # Exact adjoint of the forward sync: tree-sum the clone
+                # gradients and redistribute (root adds leaf grads to its
+                # own, then broadcasts the total back), in place.
+                yield from sw.timed(
+                    "remote_agg",
+                    self.grad_exchanger.synchronous_round(gz, l, epoch),
+                )
+            if l > 0:
+                with sw.time("local_agg"):
+                    rec["z"].backward(gz)
+                records[l - 1]["h_out"].backward(grad_or_zeros(rec["h_in"]))
+
+        # Parameter sync (AllReduce) + identical optimizer steps.
+        yield from allreduce_gradients(self.comm, state.model)
+        state.optimizer.step()
+        return {
+            "loss": local_loss,
+            "local_agg_time_s": sw.get("local_agg"),
+            "remote_agg_time_s": sw.get("remote_agg"),
+        }
+
+    def evaluate(self) -> Generator:
+        """Complete-neighbourhood inference (synchronous aggregate
+        exchange regardless of the training algorithm); returns per-split
+        ``(correct, total)`` over this rank's owned vertices."""
+        state = self.state
+        state.model.eval()
+        h = Tensor(state.ensure_features(self.feature_store))
+        for l, layer in enumerate(state.model.layers):
+            # no_grad is process-global state: never held across a sync
+            # point, where the sim driver runs the other ranks.
+            with no_grad():
+                z = layer.aggregate(self.graph, h, state.norm)
+            yield from self.eval_exchanger.synchronous_round(
+                z.data, l, self.comm.epoch
+            )
+            with no_grad():
+                h = layer.combine(z, h, state.norm)
+        state.model.train()
+        counts = {}
+        for split in SPLITS:
+            mask = getattr(state, f"{split}_mask") & state.owned
+            pred = h.data[mask].argmax(axis=1)
+            counts[split] = (int((pred == state.labels[mask]).sum()), int(mask.sum()))
+        return counts
+
+
+def merge_eval(per_rank: List[Dict[str, Tuple[int, int]]]) -> Dict[str, float]:
+    """Global accuracy from per-rank ``(correct, total)`` owned-vertex counts."""
+    out = {}
+    for split in SPLITS:
+        correct = sum(counts[split][0] for counts in per_rank)
+        total = sum(counts[split][1] for counts in per_rank)
+        out[split] = correct / total if total else 0.0
+    return out
+
+
 class DistributedTrainer:
     """Drives ``num_partitions`` simulated ranks through DRPA training."""
 
@@ -139,13 +282,10 @@ class DistributedTrainer:
         #: eagerly, exactly the old per-rank copies.  A non-resident
         #: store on the shm backend defers slicing into the forked
         #: workers so every rank reads one shared cold tier.
-        self.feature_store = (
-            feature_store
-            if feature_store is not None
-            else FeatureStore.resident(dataset.features)
-        )
-        #: execution backend: "sim" (lockstep, this class's own loop) or
-        #: "shm" (SPMD worker processes, :mod:`repro.core.spmd`).
+        self.feature_store = feature_store or FeatureStore.resident(dataset.features)
+        #: execution backend: "sim" (the rank programs stepped on
+        #: ``self.world``) or "shm" (SPMD worker processes,
+        #: :mod:`repro.core.spmd`).
         self.backend = validate_backend(backend or cfg.backend)
         self.spec = (
             algorithm
@@ -164,28 +304,18 @@ class DistributedTrainer:
             parted, seed=cfg.seed, build_tree_objects=False
         )
         self.world = World(num_partitions)
-        # Forward-aggregate exchanger: delay/bins from the algorithm.
-        self.agg_exchanger = DRPAExchanger(
-            parted,
-            self.plan,
-            self.world,
-            delay=self.spec.delay,
-            num_bins=self.spec.num_bins,
-            tag_prefix="agg",
-            compression=cfg.compression,
-        )
-        # Synchronous exchangers for cd-0 gradients and for evaluation.
-        self.grad_exchanger = DRPAExchanger(
-            parted, self.plan, self.world, delay=0, num_bins=1, tag_prefix="grad"
-        )
-        self.eval_exchanger = DRPAExchanger(
-            parted, self.plan, self.world, delay=0, num_bins=1, tag_prefix="eval"
+        #: DRPA routing tables shared by every rank's exchangers: the
+        #: algorithm's bins for forward aggregates, one bin for the
+        #: synchronous gradient and evaluation rounds.
+        self.agg_bins = route_bins(self.plan, self.spec.num_bins)
+        self.sync_bins = (
+            self.agg_bins if self.spec.num_bins == 1 else route_bins(self.plan)
         )
 
         self.global_train_count = int(np.asarray(dataset.train_mask).sum())
         global_deg = dataset.graph.in_degrees().astype(np.float32)
         # shm workers gather their slice post-fork from the shared cold
-        # tier; the lockstep simulator (and resident stores) slice here.
+        # tier; the sim backend (and resident stores) slice here.
         defer_features = (
             self.backend == "shm" and self.feature_store.tier != "resident"
         )
@@ -196,7 +326,7 @@ class DistributedTrainer:
             # Same seed across ranks -> identical replicas; dropout stays 0
             # (replica-identical forward is required for cd-0 exactness).
             model = build_model(cfg, dataset.feature_dim, dataset.num_classes)
-            optimizer = _make_optimizer(model, cfg)
+            optimizer = make_optimizer(model, cfg)
             # Clones share the *global* in-degree so normalization matches
             # the single-socket model after cd-0 synchronization.
             norm = norm_from_degrees(cfg.model, global_deg[gids])
@@ -217,56 +347,16 @@ class DistributedTrainer:
                     optimizer=optimizer,
                 )
             )
-        self.stopwatch = Stopwatch()
-
-    # -- forward -----------------------------------------------------------------
-
-    def _forward(self, epoch: int, record: bool) -> Dict:
-        """Run the segmented forward on all ranks.
-
-        Returns the per-layer tape records needed by backward when
-        ``record`` is True (training), or just the logits otherwise.
-        """
-        P = self.num_partitions
-        cfg = self.config
-        sw = self.stopwatch
-        h: List[Tensor] = [
-            Tensor(state.features, requires_grad=False) for state in self.ranks
+        #: the rank programs the sim driver steps (shm workers build
+        #: their own over their ShmCommunicator after the fork).
+        self.programs = [
+            self.rank_program(comm) for comm in self.world.communicators()
         ]
-        records = []
-        num_layers = cfg.num_layers
-        for l in range(num_layers):
-            # Segment A: local partial aggregation (the AP).
-            z: List[Tensor] = []
-            with sw.time("local_agg"):
-                for state in self.ranks:
-                    layer = state.model.layers[l]
-                    z.append(
-                        layer.aggregate(
-                            self.parted.parts[state.rank].graph,
-                            h[state.rank],
-                            state.norm,
-                        )
-                    )
-            # DRPA: remote partial aggregates (pre/post-processing + comm).
-            if self.spec.communicate:
-                vals = [t.data for t in z]
-                with sw.time("remote_agg"):
-                    if self.spec.is_synchronous:
-                        self.agg_exchanger.synchronous_round(vals, layer=l, epoch=epoch)
-                    else:
-                        self.agg_exchanger.delayed_round(vals, layer=l, epoch=epoch)
-            # Segment B: combine + MLP, on detached aggregates.
-            z_leaf = [Tensor(t.data, requires_grad=True) for t in z]
-            h_out: List[Tensor] = []
-            for state in self.ranks:
-                layer = state.model.layers[l]
-                h_out.append(layer.combine(z_leaf[state.rank], h[state.rank], state.norm))
-            if record:
-                records.append({"h_in": h, "z": z, "z_leaf": z_leaf, "h_out": h_out})
-            if l < num_layers - 1:
-                h = [Tensor(t.data, requires_grad=True) for t in h_out]
-        return {"records": records, "logits": h_out}
+        self._peak_inflight = 0
+
+    def rank_program(self, comm) -> RankProgram:
+        """The rank program of ``comm.rank`` over that communicator."""
+        return RankProgram(self, comm)
 
     # -- one training epoch ----------------------------------------------------------
 
@@ -276,132 +366,50 @@ class DistributedTrainer:
                 "train_epoch drives the lockstep (sim) path; the "
                 f"{self.backend!r} backend trains whole runs via fit()"
             )
-        P = self.num_partitions
-        cfg = self.config
-        sw = self.stopwatch
-        sw.reset()
         counters_before = self.world.counters.snapshot()
         t0 = time.perf_counter()
-
-        for state in self.ranks:
-            state.model.train()
-            state.model.zero_grad()
-
-        out = self._forward(epoch, record=True)
-        records, logits = out["records"], out["logits"]
-
-        # Per-rank loss over *owned* training vertices, normalized globally.
-        losses = []
-        loss_values = []
-        for state in self.ranks:
-            mask = state.train_mask & state.owned
-            if mask.any():
-                loss = masked_cross_entropy(
-                    logits[state.rank],
-                    state.labels,
-                    mask,
-                    normalizer=self.global_train_count,
-                )
-            else:
-                loss = None
-            losses.append(loss)
-            loss_values.append(
-                float(loss.data) if loss is not None else 0.0
-            )
-        global_loss = float(np.sum(loss_values))
-
-        # Backward: segment B of the top layer via the loss...
-        for loss in losses:
-            if loss is not None:
-                loss.backward()
-        # ...then walk the layer segments down.
-        num_layers = cfg.num_layers
-        for l in range(num_layers - 1, -1, -1):
-            rec = records[l]
-            gz = [
-                t.grad if t.grad is not None else np.zeros_like(t.data)
-                for t in rec["z_leaf"]
-            ]
-            if self.spec.communicate and self.spec.sync_gradients:
-                # Exact adjoint of the forward sync: tree-sum the clone
-                # gradients and redistribute (root adds leaf grads to its
-                # own, then broadcasts the total back).
-                with sw.time("remote_agg"):
-                    self.grad_exchanger.synchronous_round(gz, layer=l, epoch=epoch)
-            if l > 0:
-                with sw.time("local_agg"):
-                    for state in self.ranks:
-                        rec["z"][state.rank].backward(gz[state.rank])
-                prev = records[l - 1]
-                for state in self.ranks:
-                    hin = rec["h_in"][state.rank]
-                    g_hin = (
-                        hin.grad
-                        if hin.grad is not None
-                        else np.zeros_like(hin.data)
-                    )
-                    prev["h_out"][state.rank].backward(g_hin)
-
-        # Parameter sync (AllReduce) + identical optimizer steps.
-        allreduce_gradients(self.world, [s.model for s in self.ranks])
-        for state in self.ranks:
-            state.optimizer.step()
-
+        rows = self.world.run_programs(
+            [program.train_epoch(epoch) for program in self.programs]
+        )
         self.world.advance_epoch()
-        total = time.perf_counter() - t0
-        delta = self.world.counters.delta_since(counters_before)
+        measured = dict(
+            total_time_s=time.perf_counter() - t0,
+            comm_bytes=self.world.counters.delta_since(counters_before).total_bytes,
+            inflight_bytes=self.world.queue.in_flight_bytes(),
+        )
+        return self.merge_epoch(epoch, [dict(row, **measured) for row in rows])
+
+    def merge_epoch(self, epoch: int, records: List[Dict]) -> EpochStats:
+        """One epoch's per-rank records (``RankProgram.train_epoch`` rows
+        plus the driver's ``total_time_s`` and the world-wide
+        ``comm_bytes`` / ``inflight_bytes``, rank 0's being the ones
+        read) as global statistics — the same merge for both backends."""
+        self._peak_inflight = max(self._peak_inflight, records[0]["inflight_bytes"])
         return EpochStats(
             epoch=epoch,
-            loss=global_loss,
-            total_time_s=total,
-            local_agg_time_s=sw.get("local_agg") / P,
-            remote_agg_time_s=sw.get("remote_agg") / P,
-            comm_bytes=delta.total_bytes,
+            # Global loss = sum of the per-rank owned-vertex losses.
+            loss=float(np.sum([rec["loss"] for rec in records])),
+            # shm ranks run concurrently: the epoch costs as much as the
+            # slowest rank (on sim every rank reports the serial total).
+            total_time_s=max(rec["total_time_s"] for rec in records),
+            local_agg_time_s=float(
+                np.mean([rec["local_agg_time_s"] for rec in records])
+            ),
+            remote_agg_time_s=float(
+                np.mean([rec["remote_agg_time_s"] for rec in records])
+            ),
+            comm_bytes=records[0]["comm_bytes"],
         )
 
     # -- evaluation -------------------------------------------------------------------
 
     def evaluate(self) -> Dict[str, float]:
         """Global accuracy over owned vertices, complete-neighbourhood
-        inference (synchronous aggregate exchange regardless of the
-        training algorithm)."""
-        cfg = self.config
-        for state in self.ranks:
-            state.model.eval()
-            # shm runs materialize slices inside the workers; the parent
-            # copy may still be deferred when evaluation happens here.
-            state.ensure_features(self.feature_store)
-        with no_grad():
-            h = [Tensor(state.features) for state in self.ranks]
-            for l in range(cfg.num_layers):
-                z = [
-                    state.model.layers[l].aggregate(
-                        self.parted.parts[state.rank].graph, h[state.rank], state.norm
-                    )
-                    for state in self.ranks
-                ]
-                vals = [t.data for t in z]
-                self.eval_exchanger.synchronous_round(vals, layer=l, epoch=self.world.epoch)
-                h = [
-                    state.model.layers[l].combine(
-                        z[state.rank], h[state.rank], state.norm
-                    )
-                    for state in self.ranks
-                ]
-        for state in self.ranks:
-            state.model.train()
-        result = {}
-        for split in ("train", "val", "test"):
-            correct = total = 0
-            for state in self.ranks:
-                mask = getattr(state, f"{split}_mask") & state.owned
-                if not mask.any():
-                    continue
-                pred = h[state.rank].data[mask].argmax(axis=1)
-                correct += int((pred == state.labels[mask]).sum())
-                total += int(mask.sum())
-            result[split] = correct / total if total else 0.0
-        return result
+        inference (always on the in-process world; after an shm fit the
+        parent's replicas hold the trained weights)."""
+        return merge_eval(
+            self.world.run_programs([program.evaluate() for program in self.programs])
+        )
 
     # -- driver ----------------------------------------------------------------------
 
@@ -410,56 +418,37 @@ class DistributedTrainer:
     ) -> DistTrainResult:
         cfg = self.config
         num_epochs = num_epochs if num_epochs is not None else cfg.num_epochs
+        self._peak_inflight = 0
+        train_epoch, evaluate = self.train_epoch, self.evaluate
         if self.backend == "shm":
-            from repro.core.spmd import run_shm_fit
+            # The workers have run the whole fit; replay their per-rank
+            # records through the same merges and the same loop.
+            epochs, evals = run_shm_fit(self, num_epochs)
+            evals = iter(evals)
 
-            return run_shm_fit(self, num_epochs, verbose=verbose)
-        result = DistTrainResult(
-            algorithm=self.spec.display_name(),
-            num_partitions=self.num_partitions,
-            replication_factor=self.parted.replication_factor,
+            def train_epoch(epoch):
+                return self.merge_epoch(epoch, epochs[epoch])
+
+            def evaluate():
+                return merge_eval(next(evals))
+
+        name = self.spec.display_name()
+        shm = " shm" if self.backend == "shm" else ""
+        result = fit_epochs(
+            DistTrainResult(
+                algorithm=name,
+                num_partitions=self.num_partitions,
+                replication_factor=self.parted.replication_factor,
+            ),
+            train_epoch,
+            evaluate,
+            range(num_epochs),
+            cfg.eval_every,
+            log_prefix=f"[{name} P={self.num_partitions}{shm}] " if verbose else None,
         )
-        best_val = -1.0
-        peak_inflight = 0
-        for epoch in range(num_epochs):
-            stats = self.train_epoch(epoch)
-            peak_inflight = max(peak_inflight, self.world.queue.in_flight_bytes())
-            if cfg.eval_every and (
-                epoch % cfg.eval_every == 0 or epoch == num_epochs - 1
-            ):
-                accs = self.evaluate()
-                stats.train_acc = accs["train"]
-                stats.val_acc = accs["val"]
-                stats.test_acc = accs["test"]
-                best_val = max(best_val, accs["val"])
-                if verbose:
-                    print(
-                        f"[{self.spec.display_name()} P={self.num_partitions}] "
-                        f"epoch {epoch:4d} loss {stats.loss:.4f} "
-                        f"val {accs['val']:.4f} test {accs['test']:.4f}"
-                    )
-            result.epochs.append(stats)
-        final = self.evaluate()
-        result.final_test_acc = final["test"]
-        result.best_val_acc = max(best_val, final["val"])
         result.total_comm_bytes = self.world.counters.total_bytes
-        result.peak_inflight_bytes = peak_inflight
+        result.peak_inflight_bytes = self._peak_inflight
         return result
-
-
-def _make_optimizer(model: GraphSAGE, cfg: TrainConfig):
-    if cfg.optimizer == "adam":
-        return Adam(
-            model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay
-        )
-    if cfg.optimizer == "sgd":
-        return SGD(
-            model.parameters(),
-            lr=cfg.learning_rate,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-        )
-    raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
 
 
 def _run_partitioner(name: str, graph, num_partitions: int, seed: int) -> np.ndarray:

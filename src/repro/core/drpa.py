@@ -27,13 +27,11 @@ scatter sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 import numpy as np
 
-from repro.comm.communicator import World
 from repro.comm.compression import PayloadCodec
-from repro.graph.csr import INDEX_DTYPE
 from repro.partition.partition import PartitionedGraph
 from repro.partition.tree import TreeExchangePlan, bin_routes
 
@@ -87,41 +85,43 @@ class BinRouting:
         ]
 
 
+def route_bins(plan: TreeExchangePlan, num_bins: int = 1) -> List[BinRouting]:
+    """The plan's routes dealt into ``num_bins`` routing tables — built
+    once per partitioning and shared by every rank's exchangers."""
+    return [BinRouting.from_plan(sub) for sub in bin_routes(plan, num_bins)]
+
+
 class DRPAExchanger:
-    """Executes the DRPA exchange for one partitioned graph.
+    """One rank's side of the DRPA exchange, over that rank's communicator.
 
     One exchanger serves all layers (messages are tagged with layer and
-    direction) and both the forward aggregate sync and the cd-0 gradient
-    sync.
+    direction); the trainer holds one per message family (forward
+    aggregates, cd-0 gradients, evaluation) so their tags never mix.
+    The same code runs on both backends: a sim communicator's
+    ``barrier()`` is a sync point the rank program yields, an shm
+    communicator's blocks.
     """
 
     def __init__(
         self,
-        parted: PartitionedGraph,
-        plan: TreeExchangePlan,
-        world: World,
+        comm,
+        bins: List[BinRouting],
         delay: int = 0,
-        num_bins: int = 1,
         tag_prefix: str = "agg",
         compression: str = "none",
     ):
         if delay < 0:
             raise ValueError("delay must be >= 0")
-        if num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
-        self.parted = parted
-        self.plan = plan
-        self.world = world
+        if not bins:
+            raise ValueError("need at least one routing bin")
+        self.comm = comm
+        self.bins = bins
+        self.num_bins = len(bins)
         self.delay = delay
-        self.num_bins = num_bins
         self.tag_prefix = tag_prefix
         #: wire codec (fp16/bf16 halve the counted communication volume —
         #: the paper's stated future-work optimization).
         self.codec = PayloadCodec(compression)
-        self.bins: List[BinRouting] = [
-            BinRouting.from_plan(sub) for sub in bin_routes(plan, num_bins)
-        ]
-        self._comms = world.communicators()
 
     # -- epoch/bin bookkeeping -------------------------------------------------
 
@@ -131,35 +131,34 @@ class DRPAExchanger:
 
     # -- up phase (leaves -> root) -----------------------------------------------
 
-    def send_up(self, rank: int, values: np.ndarray, layer: int, epoch: int) -> int:
+    def send_up(self, values: np.ndarray, layer: int, epoch: int) -> int:
         """Gather this rank's leaf rows of the active bin and async-send.
 
         Returns the number of bytes posted (pre-processing accounting).
         """
         bin_id = self.bin_for_epoch(epoch)
-        routing = self.bins[bin_id]
-        comm = self._comms[rank]
         posted = 0
-        for q, rows_leaf, _rows_root in routing.out_buckets(rank):
+        for q, rows_leaf, _rows_root in self.bins[bin_id].out_buckets(self.comm.rank):
             payload = self.codec.encode(values[rows_leaf])  # local gather (line 10)
-            comm.isend(
+            self.comm.isend(
                 q, payload, tag=(self.tag_prefix, "up", layer, bin_id),
                 delay=self.delay,
             )
             posted += payload.nbytes
         return posted
 
-    def reduce_up(self, rank: int, values: np.ndarray, layer: int) -> List[int]:
+    def reduce_up(self, values: np.ndarray, layer: int) -> List[int]:
         """Scatter-reduce deliverable leaf partials into root rows.
 
         Returns the source ranks whose partials were applied (so the down
         phase knows which bins completed).  With delay ``r`` the arrivals
         were posted at epoch ``e - r`` — the staleness of cd-r.
         """
-        comm = self._comms[rank]
+        rank = self.comm.rank
         handled = []
         for bin_id in range(self.num_bins):
-            for msg in comm.recv_ready(tag=(self.tag_prefix, "up", layer, bin_id)):
+            tag = (self.tag_prefix, "up", layer, bin_id)
+            for msg in self.comm.recv_ready(tag=tag):
                 rows = self.bins[bin_id].buckets[(msg.src, rank)][1]
                 decoded = self.codec.decode(msg.payload, dtype=values.dtype)
                 np.add.at(values, rows, decoded)  # line 14
@@ -168,7 +167,7 @@ class DRPAExchanger:
 
     # -- down phase (root -> leaves) -----------------------------------------------
 
-    def send_down(self, rank: int, values: np.ndarray, layer: int, epoch: int) -> int:
+    def send_down(self, values: np.ndarray, layer: int, epoch: int) -> int:
         """Gather completed root rows of the bin reduced this epoch and send.
 
         With delay ``r`` the bin reduced at this epoch is the one whose up
@@ -177,122 +176,71 @@ class DRPAExchanger:
         apply.
         """
         bin_id = self.bin_for_epoch(epoch)
-        routing = self.bins[bin_id]
-        comm = self._comms[rank]
         posted = 0
-        for p, _rows_leaf, rows_root in routing.in_buckets(rank):
+        for p, _rows_leaf, rows_root in self.bins[bin_id].in_buckets(self.comm.rank):
             payload = self.codec.encode(values[rows_root])  # local gather (line 15)
-            comm.isend(
+            self.comm.isend(
                 p, payload, tag=(self.tag_prefix, "down", layer, bin_id),
                 delay=self.delay,
             )
             posted += payload.nbytes
         return posted
 
-    def apply_down(self, rank: int, values: np.ndarray, layer: int) -> int:
+    def apply_down(self, values: np.ndarray, layer: int) -> int:
         """Scatter deliverable root totals into leaf rows (replace, line 20)."""
-        comm = self._comms[rank]
+        rank = self.comm.rank
         applied = 0
         for bin_id in range(self.num_bins):
-            for msg in comm.recv_ready(tag=(self.tag_prefix, "down", layer, bin_id)):
+            tag = (self.tag_prefix, "down", layer, bin_id)
+            for msg in self.comm.recv_ready(tag=tag):
                 rows = self.bins[bin_id].buckets[(rank, msg.src)][0]
                 values[rows] = self.codec.decode(msg.payload, dtype=values.dtype)
                 applied += 1
         return applied
 
-    # -- full synchronous round (cd-0 and gradient sync) ---------------------------
+    # -- full synchronous round (cd-0, gradient sync, evaluation) ------------------
 
     def synchronous_round(
-        self, all_values: List[np.ndarray], layer: int, epoch: int = 0
-    ) -> None:
-        """Run a complete up+down exchange within one epoch (requires
-        ``delay == 0``).  After the round every clone of a split vertex
+        self, values: np.ndarray, layer: int, epoch: int = 0
+    ) -> Generator:
+        """A complete up+down exchange within one epoch (requires
+        ``delay == 0``), as a generator yielding at its two barriers: all
+        sends posted before any reduce; all root totals posted before any
+        leaf applies.  After the round every clone of a split vertex
         holds the identical fully reduced row.
         """
         if self.delay != 0:
             raise RuntimeError("synchronous_round requires delay=0 (cd-0 semantics)")
-        p = self.world.num_ranks
-        for rank in range(p):
-            self.send_up(rank, all_values[rank], layer, epoch)
-        for rank in range(p):
-            self.reduce_up(rank, all_values[rank], layer)
-        for rank in range(p):
-            self.send_down(rank, all_values[rank], layer, epoch)
-        for rank in range(p):
-            self.apply_down(rank, all_values[rank], layer)
-
-    # -- per-rank SPMD rounds (shm backend) ----------------------------------------
-    #
-    # The lockstep rounds below drive *all* ranks from one process.  When
-    # each rank runs in its own process (the shm backend), a rank executes
-    # only its own side of the exchange; barriers replace the implicit
-    # phase ordering of the lockstep loop.  The resulting message sets and
-    # reduction orders are identical — the cross-backend equivalence tests
-    # pin this.
-
-    def rank_synchronous_round(
-        self, rank: int, values: np.ndarray, layer: int, epoch: int, barrier
-    ) -> None:
-        """One rank's side of :meth:`synchronous_round`.
-
-        ``barrier`` is a zero-arg callable blocking until all ranks
-        arrive; it stands in for the lockstep driver's phase boundaries
-        (all sends posted before any reduce; all root totals posted
-        before any leaf applies).
-        """
-        if self.delay != 0:
-            raise RuntimeError("synchronous_round requires delay=0 (cd-0 semantics)")
-        self.send_up(rank, values, layer, epoch)
-        barrier()
-        self.reduce_up(rank, values, layer)
-        self.send_down(rank, values, layer, epoch)
-        barrier()
-        self.apply_down(rank, values, layer)
-
-    def rank_delayed_round(
-        self, rank: int, values: np.ndarray, layer: int, epoch: int
-    ) -> None:
-        """One rank's side of :meth:`delayed_round` — no barriers needed.
-
-        With ``delay >= 1`` every message consumed at epoch ``e`` was
-        posted at ``e - delay`` or earlier, i.e. before a previous
-        epoch-boundary barrier, so the ripe sets match the lockstep
-        driver's without intra-round synchronization.  This is the
-        genuine communication/computation overlap of cd-r: the posts of
-        this epoch travel while every rank computes on.
-        """
-        if self.delay < 1:
-            raise RuntimeError("rank_delayed_round requires delay >= 1 (cd-r)")
-        self.send_up(rank, values, layer, epoch)
-        handled = self.reduce_up(rank, values, layer)
-        if handled:
-            self.send_down(rank, values, layer, epoch)
-        self.apply_down(rank, values, layer)
+        self.send_up(values, layer, epoch)
+        yield self.comm.barrier()
+        self.reduce_up(values, layer)
+        self.send_down(values, layer, epoch)
+        yield self.comm.barrier()
+        self.apply_down(values, layer)
 
     # -- delayed round (cd-r) --------------------------------------------------------
 
-    def delayed_round(
-        self, all_values: List[np.ndarray], layer: int, epoch: int
-    ) -> None:
-        """One cd-r step: post this epoch's bin, consume what is ripe.
+    def delayed_round(self, values: np.ndarray, layer: int, epoch: int) -> None:
+        """One cd-r step: post this epoch's bin, consume what is ripe —
+        no barriers needed.
 
         Ordering follows Alg. 4 lines 10–21: send up, then (if anything
         arrived, i.e. ``e >= r``) reduce + send down, then (``e >= 2r``)
-        apply arrived root totals.
+        apply arrived root totals.  With ``delay >= 1`` every message
+        consumed at epoch ``e`` was posted at ``e - delay`` or earlier,
+        i.e. before a previous epoch boundary, so the ripe sets do not
+        depend on how far the other ranks have got.  This is the genuine
+        communication/computation overlap of cd-r: the posts of this
+        epoch travel while every rank computes on.
         """
-        p = self.world.num_ranks
-        for rank in range(p):
-            self.send_up(rank, all_values[rank], layer, epoch)
-        handled = [
-            self.reduce_up(rank, all_values[rank], layer) for rank in range(p)
-        ]
-        for rank in range(p):
-            # Alg. 4's ``e >= r`` guard: only roots that actually reduced
-            # arrivals this epoch forward totals back down.
-            if handled[rank]:
-                self.send_down(rank, all_values[rank], layer, epoch)
-        for rank in range(p):
-            self.apply_down(rank, all_values[rank], layer)
+        if self.delay < 1:
+            raise RuntimeError("delayed_round requires delay >= 1 (cd-r)")
+        self.send_up(values, layer, epoch)
+        # Alg. 4's ``e >= r`` guard: only roots that actually reduced
+        # arrivals this epoch forward totals back down.
+        if self.reduce_up(values, layer):
+            self.send_down(values, layer, epoch)
+        self.apply_down(values, layer)
 
 
 def owned_mask(parted: PartitionedGraph, plan: TreeExchangePlan, rank: int) -> np.ndarray:

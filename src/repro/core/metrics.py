@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Generator, List, Optional
 
 
 class Stopwatch:
@@ -15,6 +15,23 @@ class Stopwatch:
 
     def time(self, phase: str):
         return _PhaseContext(self, phase)
+
+    def timed(self, phase: str, steps: Generator) -> Generator:
+        """Run the generator ``steps`` (``yield from`` this), charging
+        ``phase`` for every stretch between its yields but never for the
+        suspension at a yield — where the sim driver runs the other
+        ranks.  A blocking communicator waits *inside* the stretch, so
+        on shm the phase still includes the barrier wait."""
+        reply = None
+        while True:
+            t0 = time.perf_counter()
+            try:
+                point = steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            finally:
+                self.add(phase, time.perf_counter() - t0)
+            reply = yield point
 
     def add(self, phase: str, seconds: float) -> None:
         self.totals[phase] = self.totals.get(phase, 0.0) + seconds

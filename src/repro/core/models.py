@@ -1,4 +1,4 @@
-"""Model factory shared by the trainers.
+"""Model and optimizer factories shared by the trainers.
 
 Both supported full-batch architectures expose the same two-phase layer
 API (``aggregate`` / ``combine``), so the single-socket and distributed
@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.config import TrainConfig
 from repro.nn.gcn import GCN
+from repro.nn.optim import SGD, Adam
 from repro.nn.sage import GraphSAGE
 from repro.nn.tensor import Tensor
 
@@ -48,6 +49,22 @@ def build_model(cfg: TrainConfig, feature_dim: int, num_classes: int):
             num_threads=cfg.num_threads,
         )
     raise ValueError(f"unknown model {cfg.model!r}; available: {MODEL_NAMES}")
+
+
+def make_optimizer(model, cfg: TrainConfig):
+    """The configured optimizer over ``model``'s parameters."""
+    if cfg.optimizer == "adam":
+        return Adam(
+            model.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay
+        )
+    if cfg.optimizer == "sgd":
+        return SGD(
+            model.parameters(),
+            lr=cfg.learning_rate,
+            momentum=cfg.momentum,
+            weight_decay=cfg.weight_decay,
+        )
+    raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
 
 
 def norm_from_degrees(model_name: str, degrees: np.ndarray) -> Tensor:

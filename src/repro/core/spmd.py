@@ -1,109 +1,54 @@
 """SPMD execution of the distributed trainer on the shm backend.
 
-The lockstep :class:`~repro.core.dist_trainer.DistributedTrainer` drives
-every rank from one process, phase by phase.  This module runs the *same*
-per-rank computation as a single-program-multiple-data worker, one OS
-process per Libra partition, over :class:`~repro.comm.shm.ShmWorld`:
+The sim backend steps every rank's
+:class:`~repro.core.dist_trainer.RankProgram` from one process.  This
+module runs the *same* program as a single-program-multiple-data worker,
+one OS process per Libra partition, over
+:class:`~repro.comm.shm.ShmWorld`, where its sync points block:
 
 - collectives become real blocking exchanges (gradient AllReduce through
   rank 0);
-- the DRPA rounds run per-rank (``rank_synchronous_round`` with barriers
-  for cd-0, barrier-free ``rank_delayed_round`` for cd-r — the actual
-  communication/computation overlap the paper pipelines);
+- the barriers of a synchronous DRPA round (cd-0, gradients, evaluation)
+  are real rendezvous, and the cd-r round has none — the actual
+  communication/computation overlap the paper pipelines;
 - epochs are separated by barriers, which is what keeps the delayed
-  message sets identical to the lockstep schedule.
+  message sets identical to the sim schedule.
 
 Equivalence contract (pinned by
 ``tests/integration/test_backend_equivalence.py``): for the same
 partitioned graph, config and seed, sim and shm produce identical
 per-epoch losses, identical final parameters and gradients, and identical
-communication byte counters.  Every deviation from the lockstep trainer's
-math is a bug here, not a tolerance.
+communication byte counters — there is one program, so a difference can
+only come from a communicator.
 
 Workers are *forked* from the parent after the trainer has built the
 partitions and model replicas, so each worker inherits its
 :class:`~repro.core.dist_trainer.RankState` copy-on-write and only the
-final state (rank 0's parameters/gradients, replica-identical by
-construction) travels back.
+per-epoch records and the final state (rank 0's parameters/gradients,
+replica-identical by construction) travel back.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.comm.shm import ShmCommunicator, ShmWorld, ShmWorldView
-from repro.core.drpa import DRPAExchanger
-from repro.core.metrics import EpochStats, Stopwatch
-from repro.nn.tensor import Tensor, no_grad
-
-SPLITS = ("train", "val", "test")
+from repro.comm.shm import ShmCommunicator, ShmWorld
+from repro.core.trainer import eval_due
 
 
-def run_shm_fit(trainer, num_epochs: int, verbose: bool = False):
-    """Execute ``trainer.fit`` semantics on the multi-process backend.
+def run_shm_fit(trainer, num_epochs: int) -> Tuple[List[Tuple], List[Tuple]]:
+    """Run ``num_epochs`` of ``trainer`` on the multi-process backend.
 
-    Forks one worker per partition, merges the per-rank epoch records
-    into a :class:`~repro.core.dist_trainer.DistTrainResult` identical in
-    shape (and, by the equivalence contract, in content) to the lockstep
-    result, and loads the final replica state back into the parent's
-    models so checkpointing and inspection see the trained weights.
+    Forks one worker per partition and returns their records, each a list
+    in rank order: one list of epoch records per epoch, and one list of
+    owned-vertex counts per evaluation (the final one last) — for
+    ``DistributedTrainer.fit`` to merge exactly like the sim records.
+    Loads the final replica state back into the parent's models so
+    checkpointing and inspection see the trained weights.
     """
-    from repro.core.dist_trainer import DistTrainResult
-
     world = ShmWorld(trainer.num_partitions, timeout=trainer.config.shm_timeout_s)
     per_rank = world.run(_rank_fit, trainer, num_epochs)
-
-    result = DistTrainResult(
-        algorithm=trainer.spec.display_name(),
-        num_partitions=trainer.num_partitions,
-        replication_factor=trainer.parted.replication_factor,
-    )
-    best_val = -1.0
-    peak_inflight = 0
-    for e in range(num_epochs):
-        entries = [r["epochs"][e] for r in per_rank]
-        # Global loss is the sum of per-rank owned-vertex losses, reduced
-        # in rank order exactly like the lockstep driver.
-        stats = EpochStats(
-            epoch=e,
-            loss=float(np.sum([entry["loss"] for entry in entries])),
-            # ranks run concurrently: the epoch costs as much as the
-            # slowest rank (the lockstep trainer's serial sum is the
-            # simulated analogue).
-            total_time_s=max(entry["total_time_s"] for entry in entries),
-            local_agg_time_s=float(
-                np.mean([entry["local_agg_time_s"] for entry in entries])
-            ),
-            remote_agg_time_s=float(
-                np.mean([entry["remote_agg_time_s"] for entry in entries])
-            ),
-            comm_bytes=entries[0]["comm_bytes"],  # rank 0 reads the deltas
-        )
-        peak_inflight = max(peak_inflight, entries[0]["inflight_bytes"])
-        if entries[0].get("eval") is not None:
-            accs = _merge_eval([entry["eval"] for entry in entries])
-            stats.train_acc = accs["train"]
-            stats.val_acc = accs["val"]
-            stats.test_acc = accs["test"]
-            best_val = max(best_val, accs["val"])
-            if verbose:
-                print(
-                    f"[{trainer.spec.display_name()} "
-                    f"P={trainer.num_partitions} shm] "
-                    f"epoch {e:4d} loss {stats.loss:.4f} "
-                    f"val {accs['val']:.4f} test {accs['test']:.4f}"
-                )
-        result.epochs.append(stats)
-
-    final = _merge_eval([r["final_eval"] for r in per_rank])
-    result.final_test_acc = final["test"]
-    result.best_val_acc = max(best_val, final["val"])
-    counters = world.counters
-    result.total_comm_bytes = counters.total_bytes
-    result.peak_inflight_bytes = peak_inflight
 
     # Replicas are identical by construction; propagate rank 0's final
     # state into every parent-side model so downstream code (checkpoint
@@ -114,57 +59,23 @@ def run_shm_fit(trainer, num_epochs: int, verbose: bool = False):
         rank_state.model.load_state_dict(state)
         for param, g in zip(rank_state.model.parameters(), grads):
             param.grad = None if g is None else g.copy()
-    trainer.world.counters = counters  # expose measured traffic to callers
-    return result
-
-
-def _merge_eval(per_rank_eval: List[Dict]) -> Dict[str, float]:
-    """Global accuracy from per-rank (correct, total) owned-vertex counts."""
-    out = {}
-    for split in SPLITS:
-        correct = sum(entry[split][0] for entry in per_rank_eval)
-        total = sum(entry[split][1] for entry in per_rank_eval)
-        out[split] = correct / total if total else 0.0
-    return out
-
-
-# -- the per-rank worker -------------------------------------------------------
+    trainer.world.counters = world.counters  # expose measured traffic to callers
+    epochs = list(zip(*(rank["epochs"] for rank in per_rank)))
+    evals = list(zip(*(rank["evals"] for rank in per_rank)))
+    return epochs, evals
 
 
 def _rank_fit(comm: ShmCommunicator, trainer, num_epochs: int) -> Dict:
     """One rank's whole ``fit`` (runs inside a forked worker process)."""
     rank = comm.rank
-    cfg = trainer.config
-    spec = trainer.spec
-    state = trainer.ranks[rank]
-    # Deferred feature slices (non-resident stores) materialize here,
-    # post-fork: every rank maps the same read-only cold tier, so the OS
-    # page cache backs all P workers with a single copy of the pages.
-    state.ensure_features(trainer.feature_store)
-    graph = trainer.parted.parts[rank].graph
-    view = ShmWorldView(comm)
-    # Per-rank exchangers over the shm world view — same routing tables
-    # (deterministically rebuilt from the shared plan) as the lockstep
-    # trainer's, same tags, same delays.
-    agg_ex = DRPAExchanger(
-        trainer.parted,
-        trainer.plan,
-        view,
-        delay=spec.delay,
-        num_bins=spec.num_bins,
-        tag_prefix="agg",
-        compression=cfg.compression,
-    )
-    grad_ex = DRPAExchanger(
-        trainer.parted, trainer.plan, view, delay=0, num_bins=1, tag_prefix="grad"
-    )
-    eval_ex = DRPAExchanger(
-        trainer.parted, trainer.plan, view, delay=0, num_bins=1, tag_prefix="eval"
-    )
-    sw = Stopwatch()
+    # Deferred feature slices (non-resident stores) materialize inside
+    # the program, post-fork: every rank maps the same read-only cold
+    # tier, so the OS page cache backs all P workers with a single copy
+    # of the pages.
+    program = trainer.rank_program(comm)
 
     epochs_out: List[Dict] = []
-    prev_counters = None
+    evals_out: List[Dict] = []
     for epoch in range(num_epochs):
         # Quiesced counter read: nobody may post epoch-e traffic before
         # rank 0 snapshots, and nobody may post epoch-(e+1) traffic (or
@@ -174,10 +85,7 @@ def _rank_fit(comm: ShmCommunicator, trainer, num_epochs: int) -> Dict:
         comm.barrier()
 
         t0 = time.perf_counter()
-        sw.reset()
-        local_loss = _train_epoch_rank(
-            comm, trainer, state, graph, agg_ex, grad_ex, epoch, sw
-        )
+        row = comm.run_program(program.train_epoch(epoch))
         comm.advance_epoch()
         total_time = time.perf_counter() - t0
 
@@ -185,159 +93,27 @@ def _rank_fit(comm: ShmCommunicator, trainer, num_epochs: int) -> Dict:
         comm_bytes = 0
         inflight = 0
         if rank == 0:
-            delta = comm.counters_snapshot().delta_since(before)
-            comm_bytes = delta.total_bytes
+            comm_bytes = comm.counters_snapshot().delta_since(before).total_bytes
             inflight = comm.in_flight_bytes()
         comm.barrier()
 
-        entry = {
-            "loss": local_loss,
-            "total_time_s": total_time,
-            "local_agg_time_s": sw.get("local_agg"),
-            "remote_agg_time_s": sw.get("remote_agg"),
-            "comm_bytes": comm_bytes,
-            "inflight_bytes": inflight,
-            "eval": None,
-        }
-        if cfg.eval_every and (
-            epoch % cfg.eval_every == 0 or epoch == num_epochs - 1
-        ):
-            entry["eval"] = _evaluate_rank(comm, trainer, state, graph, eval_ex)
-        epochs_out.append(entry)
+        epochs_out.append(
+            dict(
+                row,
+                total_time_s=total_time,
+                comm_bytes=comm_bytes,
+                inflight_bytes=inflight,
+            )
+        )
+        if eval_due(trainer.config.eval_every, epoch, num_epochs):
+            evals_out.append(comm.run_program(program.evaluate()))
+    evals_out.append(comm.run_program(program.evaluate()))
 
-    final_eval = _evaluate_rank(comm, trainer, state, graph, eval_ex)
-    result = {"epochs": epochs_out, "final_eval": final_eval}
+    result = {"epochs": epochs_out, "evals": evals_out}
     if rank == 0:
-        result["state_dict"] = state.model.state_dict()
+        model = program.state.model
+        result["state_dict"] = model.state_dict()
         result["grads"] = [
-            None if p.grad is None else p.grad.copy()
-            for p in state.model.parameters()
+            None if p.grad is None else p.grad.copy() for p in model.parameters()
         ]
     return result
-
-
-def _train_epoch_rank(
-    comm: ShmCommunicator,
-    trainer,
-    state,
-    graph,
-    agg_ex: DRPAExchanger,
-    grad_ex: DRPAExchanger,
-    epoch: int,
-    sw: Stopwatch,
-) -> float:
-    """One rank's side of ``DistributedTrainer.train_epoch``.
-
-    Mirrors the lockstep trainer statement for statement — segmented
-    forward, owned-vertex loss with the global normalizer, segmented
-    backward with the cd-0 gradient tree-sum, gradient AllReduce,
-    optimizer step.  Any divergence breaks the backend equivalence tests.
-    """
-    from repro.nn import masked_cross_entropy
-
-    rank = comm.rank
-    cfg = trainer.config
-    spec = trainer.spec
-    state.model.train()
-    state.model.zero_grad()
-
-    h = Tensor(state.features, requires_grad=False)
-    records: List[Dict] = []
-    num_layers = cfg.num_layers
-    h_out: Optional[Tensor] = None
-    for l in range(num_layers):
-        layer = state.model.layers[l]
-        # Segment A: local partial aggregation (the AP).
-        with sw.time("local_agg"):
-            z = layer.aggregate(graph, h, state.norm)
-        # DRPA: remote partial aggregates.
-        if spec.communicate:
-            with sw.time("remote_agg"):
-                if spec.is_synchronous:
-                    agg_ex.rank_synchronous_round(
-                        rank, z.data, l, epoch, comm.barrier
-                    )
-                else:
-                    agg_ex.rank_delayed_round(rank, z.data, l, epoch)
-        # Segment B: combine + MLP, on detached aggregates.
-        z_leaf = Tensor(z.data, requires_grad=True)
-        h_out = layer.combine(z_leaf, h, state.norm)
-        records.append({"h_in": h, "z": z, "z_leaf": z_leaf, "h_out": h_out})
-        if l < num_layers - 1:
-            h = Tensor(h_out.data, requires_grad=True)
-
-    # Loss over *owned* training vertices, normalized globally.
-    mask = state.train_mask & state.owned
-    if mask.any():
-        loss = masked_cross_entropy(
-            h_out, state.labels, mask, normalizer=trainer.global_train_count
-        )
-        local_loss = float(loss.data)
-        loss.backward()
-    else:
-        local_loss = 0.0
-
-    # Backward: walk the layer segments down.
-    for l in range(num_layers - 1, -1, -1):
-        rec = records[l]
-        z_leaf = rec["z_leaf"]
-        gz = (
-            z_leaf.grad
-            if z_leaf.grad is not None
-            else np.zeros_like(z_leaf.data)
-        )
-        if spec.communicate and spec.sync_gradients:
-            # Exact adjoint of the forward sync (tree-sum, in place).
-            with sw.time("remote_agg"):
-                grad_ex.rank_synchronous_round(rank, gz, l, epoch, comm.barrier)
-        if l > 0:
-            with sw.time("local_agg"):
-                rec["z"].backward(gz)
-            hin = rec["h_in"]
-            g_hin = (
-                hin.grad if hin.grad is not None else np.zeros_like(hin.data)
-            )
-            records[l - 1]["h_out"].backward(g_hin)
-
-    # Parameter sync (AllReduce) + identical optimizer steps.
-    for param in state.model.parameters():
-        g = param.grad if param.grad is not None else np.zeros_like(param.data)
-        param.grad = comm.all_reduce(g, op="sum")
-    state.optimizer.step()
-    return local_loss
-
-
-def _evaluate_rank(
-    comm: ShmCommunicator, trainer, state, graph, eval_ex: DRPAExchanger
-) -> Dict[str, tuple]:
-    """One rank's side of ``DistributedTrainer.evaluate``.
-
-    Complete-neighbourhood inference (synchronous exchange regardless of
-    the training algorithm); returns per-split ``(correct, total)`` over
-    owned vertices for the parent/driver to merge globally.
-    """
-    rank = comm.rank
-    cfg = trainer.config
-    state.model.eval()
-    with no_grad():
-        h = Tensor(state.features)
-        for l in range(cfg.num_layers):
-            layer = state.model.layers[l]
-            z = layer.aggregate(graph, h, state.norm)
-            eval_ex.rank_synchronous_round(
-                rank, z.data, l, comm.epoch, comm.barrier
-            )
-            h = layer.combine(z, h, state.norm)
-    state.model.train()
-    out = {}
-    for split in SPLITS:
-        split_mask = getattr(state, f"{split}_mask") & state.owned
-        if split_mask.any():
-            pred = h.data[split_mask].argmax(axis=1)
-            out[split] = (
-                int((pred == state.labels[split_mask]).sum()),
-                int(split_mask.sum()),
-            )
-        else:
-            out[split] = (0, 0)
-    return out

@@ -9,38 +9,27 @@ gradients reproduces the single-socket mean-loss gradient exactly.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
-from repro.comm.collectives import all_reduce
-from repro.comm.communicator import World
 from repro.nn.module import Module
 
 
-def allreduce_gradients(world: World, models: Sequence[Module]) -> None:
-    """Sum-AllReduce every parameter gradient across rank replicas.
+def grad_or_zeros(t) -> np.ndarray:
+    """``t.grad``, or zeros where no loss term reached ``t``."""
+    return t.grad if t.grad is not None else np.zeros_like(t.data)
 
-    Parameters with no gradient on some rank contribute zeros (that rank
-    had no loss terms touching them).
+
+def allreduce_gradients(comm, model: Module, op: str = "sum") -> Generator:
+    """One rank's side of the AllReduce of every parameter gradient
+    across the replicas — a rank program yielding at each collective.
+
+    A parameter with no gradient on this rank contributes zeros (the
+    rank had no loss terms touching it).
     """
-    if len(models) != world.num_ranks:
-        raise ValueError("need one model replica per rank")
-    param_lists = [m.parameters() for m in models]
-    n_params = len(param_lists[0])
-    for plist in param_lists:
-        if len(plist) != n_params:
-            raise ValueError("model replicas disagree on parameter count")
-    for i in range(n_params):
-        grads = [
-            plist[i].grad
-            if plist[i].grad is not None
-            else np.zeros_like(plist[i].data)
-            for plist in param_lists
-        ]
-        reduced = all_reduce(world, grads, op="sum")
-        for plist, g in zip(param_lists, reduced):
-            plist[i].grad = g
+    for param in model.parameters():
+        param.grad = yield comm.all_reduce(grad_or_zeros(param), op=op)
 
 
 def assert_replicas_in_sync(models: Sequence[Module], atol: float = 0.0) -> None:

@@ -19,18 +19,68 @@ losses and parameters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, Optional
 
+import numpy as np
 
 from repro.core.config import TrainConfig
 from repro.core.metrics import EpochStats, TrainResult
-from repro.core.models import build_model, norm_from_degrees
+from repro.core.models import build_model, make_optimizer, norm_from_degrees
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import Dataset
 from repro.kernels.instrumentation import AP_TIMER
-from repro.nn import Adam, GraphSAGE, SGD, Tensor, accuracy, masked_cross_entropy
+from repro.nn import Tensor, accuracy, masked_cross_entropy
 from repro.nn.tensor import no_grad
+
+SPLITS = ("train", "val", "test")
+
+
+def split_accuracy(logits: np.ndarray, dataset: Dataset) -> Dict[str, float]:
+    """Accuracy of full-graph ``logits`` on each of the dataset's splits."""
+    return {
+        split: accuracy(logits, dataset.labels, getattr(dataset, f"{split}_mask"))
+        for split in SPLITS
+    }
+
+
+def eval_due(eval_every: int, epoch: int, num_epochs: int) -> bool:
+    """Whether the fit loop evaluates after ``epoch`` (every
+    ``eval_every`` epochs and after the last; 0 = only at the end)."""
+    return bool(eval_every) and (
+        epoch % eval_every == 0 or epoch == num_epochs - 1
+    )
+
+
+def fit_epochs(
+    result: TrainResult,
+    train_epoch: Callable[[int], EpochStats],
+    evaluate: Callable[[], Dict[str, float]],
+    epochs: range,
+    eval_every: int,
+    log_prefix: Optional[str] = None,
+) -> TrainResult:
+    """The epoch / periodic-eval / best-val loop of every full-batch
+    ``fit``: fills ``result`` from the two callables (``log_prefix``
+    not ``None`` prints one line per evaluated epoch)."""
+    best_val = -1.0
+    for epoch in epochs:
+        stats = train_epoch(epoch)
+        if eval_due(eval_every, epoch, epochs.stop):
+            accs = evaluate()
+            stats.train_acc = accs["train"]
+            stats.val_acc = accs["val"]
+            stats.test_acc = accs["test"]
+            best_val = max(best_val, accs["val"])
+            if log_prefix is not None:
+                print(
+                    f"{log_prefix}epoch {epoch:4d} loss {stats.loss:.4f} "
+                    f"val {accs['val']:.4f} test {accs['test']:.4f}"
+                )
+        result.epochs.append(stats)
+    final = evaluate()
+    result.final_test_acc = final["test"]
+    result.best_val_acc = max(best_val, final["val"])
+    return result
 
 
 class Trainer:
@@ -54,31 +104,10 @@ class Trainer:
         self.config = config or TrainConfig().for_dataset(dataset.name)
         cfg = self.config
         self.model = build_model(cfg, dataset.feature_dim, dataset.num_classes)
-        self.feature_store = (
-            feature_store
-            if feature_store is not None
-            else FeatureStore.resident(dataset.features)
-        )
+        self.feature_store = feature_store or FeatureStore.resident(dataset.features)
         self.features = Tensor(self.feature_store.matrix())
         self.norm = norm_from_degrees(cfg.model, dataset.graph.in_degrees())
-        self.optimizer = self._make_optimizer()
-
-    def _make_optimizer(self):
-        cfg = self.config
-        if cfg.optimizer == "adam":
-            return Adam(
-                self.model.parameters(),
-                lr=cfg.learning_rate,
-                weight_decay=cfg.weight_decay,
-            )
-        if cfg.optimizer == "sgd":
-            return SGD(
-                self.model.parameters(),
-                lr=cfg.learning_rate,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-            )
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+        self.optimizer = make_optimizer(self.model, cfg)
 
     # -- epoch loop -----------------------------------------------------------
 
@@ -106,11 +135,7 @@ class Trainer:
         with no_grad():
             logits = self.model(ds.graph, self.features, self.norm)
         self.model.train()
-        return {
-            "train": accuracy(logits.data, ds.labels, ds.train_mask),
-            "val": accuracy(logits.data, ds.labels, ds.val_mask),
-            "test": accuracy(logits.data, ds.labels, ds.test_mask),
-        }
+        return split_accuracy(logits.data, ds)
 
     def fit(
         self,
@@ -128,25 +153,11 @@ class Trainer:
         """
         cfg = self.config
         num_epochs = num_epochs if num_epochs is not None else cfg.num_epochs
-        result = TrainResult()
-        best_val = -1.0
-        for epoch in range(start_epoch, num_epochs):
-            stats = self.train_epoch(epoch)
-            if cfg.eval_every and (
-                epoch % cfg.eval_every == 0 or epoch == num_epochs - 1
-            ):
-                accs = self.evaluate()
-                stats.train_acc = accs["train"]
-                stats.val_acc = accs["val"]
-                stats.test_acc = accs["test"]
-                best_val = max(best_val, accs["val"])
-                if verbose:
-                    print(
-                        f"epoch {epoch:4d} loss {stats.loss:.4f} "
-                        f"val {accs['val']:.4f} test {accs['test']:.4f}"
-                    )
-            result.epochs.append(stats)
-        final = self.evaluate()
-        result.final_test_acc = final["test"]
-        result.best_val_acc = max(best_val, final["val"])
-        return result
+        return fit_epochs(
+            TrainResult(),
+            self.train_epoch,
+            self.evaluate,
+            range(start_epoch, num_epochs),
+            cfg.eval_every,
+            log_prefix="" if verbose else None,
+        )

@@ -20,13 +20,19 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.collectives import all_reduce
 from repro.comm.communicator import World
 from repro.core.config import TrainConfig
 from repro.core.metrics import EpochStats, TrainResult
+from repro.core.models import make_optimizer
+from repro.core.sync import allreduce_gradients
 from repro.graph.csr import INDEX_DTYPE
 from repro.graph.datasets import Dataset
-from repro.nn import Adam, GraphSAGE, SGD, Tensor, accuracy, masked_cross_entropy
+from repro.nn import Tensor, masked_cross_entropy
+from repro.sampling.minibatch_trainer import (
+    build_block_model,
+    evaluate_full_graph,
+    forward_blocks,
+)
 from repro.sampling.sampler import NeighborSampler
 
 
@@ -48,11 +54,7 @@ class DistMiniBatchTrainer:
         self.config = config or TrainConfig().for_dataset(dataset.name)
         # the simulated Dist-DGL feature server reads through the store
         # (resident default = direct dataset slicing, bit-identical)
-        self.feature_store = (
-            feature_store
-            if feature_store is not None
-            else FeatureStore.resident(dataset.features)
-        )
+        self.feature_store = feature_store or FeatureStore.resident(dataset.features)
         cfg = self.config
         if len(fanouts) != cfg.num_layers:
             raise ValueError("need one fanout per layer")
@@ -69,35 +71,16 @@ class DistMiniBatchTrainer:
             for r in range(num_ranks)
         ]
         self.models = [
-            GraphSAGE(
-                in_features=dataset.feature_dim,
-                hidden_features=cfg.hidden_features,
-                num_classes=dataset.num_classes,
-                num_layers=cfg.num_layers,
-                seed=cfg.seed,
-                kernel=cfg.kernel,
-            )
+            build_block_model(cfg, dataset.feature_dim, dataset.num_classes)
             for _ in range(num_ranks)
         ]
-        self.optimizers = [self._make_optimizer(m) for m in self.models]
+        self.optimizers = [make_optimizer(m, cfg) for m in self.models]
         rng = np.random.default_rng(cfg.seed + 7)
         train = np.flatnonzero(dataset.train_mask)
         shuffled = rng.permutation(train)
         #: per-rank training shards (equal split, Dist-DGL style).
         self.shards: List[np.ndarray] = np.array_split(shuffled, num_ranks)
         self.rng = np.random.default_rng(cfg.seed + 13)
-
-    def _make_optimizer(self, model):
-        cfg = self.config
-        if cfg.optimizer == "adam":
-            return Adam(
-                model.parameters(), lr=cfg.learning_rate,
-                weight_decay=cfg.weight_decay,
-            )
-        return SGD(
-            model.parameters(), lr=cfg.learning_rate,
-            momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-        )
 
     # -- feature fetch accounting ---------------------------------------------------
 
@@ -138,11 +121,8 @@ class DistMiniBatchTrainer:
                     continue
                 batch = self.samplers[rank].sample(seeds)
                 h = Tensor(self._fetch_features(rank, batch.input_vertices))
-                for layer, block in zip(model.layers, batch.blocks):
-                    z = layer.aggregate(block.graph, h)
-                    h_self = _row_slice(h, block.num_dst)
-                    h = layer.combine(z, h_self, Tensor(block.norm()))
-                loss = masked_cross_entropy(h, ds.labels[batch.seeds])
+                logits = forward_blocks(model, h, batch.blocks)
+                loss = masked_cross_entropy(logits, ds.labels[batch.seeds])
                 loss.backward()
                 losses.append(float(loss.data))
                 grads_ready = True
@@ -158,28 +138,17 @@ class DistMiniBatchTrainer:
         )
 
     def _allreduce_step(self) -> None:
-        param_lists = [m.parameters() for m in self.models]
-        for i in range(len(param_lists[0])):
-            grads = [
-                pl[i].grad if pl[i].grad is not None else np.zeros_like(pl[i].data)
-                for pl in param_lists
+        self.world.run_programs(
+            [
+                allreduce_gradients(comm, model, op="mean")
+                for comm, model in zip(self.world.communicators(), self.models)
             ]
-            reduced = all_reduce(self.world, grads, op="mean")
-            for pl, g in zip(param_lists, reduced):
-                pl[i].grad = g
+        )
         for opt in self.optimizers:
             opt.step()
 
     def evaluate(self) -> dict:
-        from repro.serving.engine import full_graph_forward
-
-        ds = self.dataset
-        logits = full_graph_forward(self.models[0], ds.graph, ds.features)
-        return {
-            "train": accuracy(logits, ds.labels, ds.train_mask),
-            "val": accuracy(logits, ds.labels, ds.val_mask),
-            "test": accuracy(logits, ds.labels, ds.test_mask),
-        }
+        return evaluate_full_graph(self.models[0], self.dataset, self.feature_store)
 
     def fit(self, num_epochs: int, verbose: bool = False) -> TrainResult:
         result = TrainResult()
@@ -192,9 +161,3 @@ class DistMiniBatchTrainer:
         result.final_test_acc = final["test"]
         result.best_val_acc = final["val"]
         return result
-
-
-def _row_slice(t: Tensor, n: int) -> Tensor:
-    from repro.sampling.minibatch_trainer import _row_slice as impl
-
-    return impl(t, n)

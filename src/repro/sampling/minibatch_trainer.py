@@ -16,16 +16,57 @@ CSRs, which the engine handles natively).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import TrainConfig
 from repro.core.metrics import EpochStats, TrainResult
+from repro.core.models import build_model, make_optimizer
+from repro.core.trainer import split_accuracy
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import Dataset
-from repro.nn import Adam, GraphSAGE, SGD, Tensor, accuracy, masked_cross_entropy
-from repro.sampling.sampler import NeighborSampler, SampledBatch
+from repro.nn import GraphSAGE, Tensor, masked_cross_entropy
+from repro.nn.functional import _make
+from repro.sampling.sampler import MessageFlowBlock, NeighborSampler, SampledBatch
+
+
+def build_block_model(
+    cfg: TrainConfig, feature_dim: int, num_classes: int
+) -> GraphSAGE:
+    """The configured model for sampled-block training.  Only GraphSAGE
+    has a block forward (:func:`forward_blocks` feeds its self term the
+    leading row-slice of the source frontier)."""
+    if cfg.model.lower() != "sage":
+        raise ValueError(
+            f"mini-batch training supports model 'sage', not {cfg.model!r}"
+        )
+    return build_model(cfg, feature_dim, num_classes)
+
+
+def forward_blocks(
+    model: GraphSAGE, h: Tensor, blocks: Sequence[MessageFlowBlock]
+) -> Tensor:
+    """Push input-frontier features through the layer stack, one sampled
+    block per layer."""
+    for i, (layer, block) in enumerate(zip(model.layers, blocks)):
+        z = layer.aggregate(block.graph, h)
+        # self term: dst rows lead the src frontier, so a row slice
+        h = layer.combine(z, _row_slice(h, block.num_dst), Tensor(block.norm()))
+        if model.dropout is not None and i < model.num_layers - 1:
+            h = model.dropout(h)
+    return h
+
+
+def evaluate_full_graph(
+    model: GraphSAGE, dataset: Dataset, feature_store: FeatureStore
+) -> dict:
+    """Split accuracies of full-graph inference with the trained weights
+    (the single inference path shared with the serving tier)."""
+    from repro.serving.engine import full_graph_forward
+
+    logits = full_graph_forward(model, dataset.graph, feature_store.matrix())
+    return split_accuracy(logits, dataset)
 
 
 class MiniBatchTrainer:
@@ -49,55 +90,25 @@ class MiniBatchTrainer:
     ):
         self.dataset = dataset
         self.config = config or TrainConfig().for_dataset(dataset.name)
-        self.feature_store = (
-            feature_store
-            if feature_store is not None
-            else FeatureStore.resident(dataset.features)
-        )
+        self.feature_store = feature_store or FeatureStore.resident(dataset.features)
         cfg = self.config
         if len(fanouts) != cfg.num_layers:
             raise ValueError("need one fanout per layer")
         self.batch_size = int(batch_size)
         self.sampler = NeighborSampler(dataset.graph, fanouts, seed=cfg.seed)
-        self.model = GraphSAGE(
-            in_features=dataset.feature_dim,
-            hidden_features=cfg.hidden_features,
-            num_classes=dataset.num_classes,
-            num_layers=cfg.num_layers,
-            seed=cfg.seed,
-            kernel=cfg.kernel,
-        )
-        self.optimizer = self._make_optimizer()
+        self.model = build_block_model(cfg, dataset.feature_dim, dataset.num_classes)
+        self.optimizer = make_optimizer(self.model, cfg)
         self.rng = np.random.default_rng(cfg.seed + 101)
         self.train_vertices = np.flatnonzero(dataset.train_mask)
         #: cumulative paper-style sampled work (ops).
         self.total_work_ops = 0.0
-
-    def _make_optimizer(self):
-        cfg = self.config
-        if cfg.optimizer == "adam":
-            return Adam(
-                self.model.parameters(), lr=cfg.learning_rate,
-                weight_decay=cfg.weight_decay,
-            )
-        if cfg.optimizer == "sgd":
-            return SGD(
-                self.model.parameters(), lr=cfg.learning_rate,
-                momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-            )
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
 
     # -- batch forward ------------------------------------------------------------
 
     def forward_batch(self, batch: SampledBatch) -> Tensor:
         """Push one sampled batch through the layer stack."""
         h = Tensor(self.feature_store.gather(batch.input_vertices))
-        for layer, block in zip(self.model.layers, batch.blocks):
-            z = layer.aggregate(block.graph, h)
-            # self term: dst rows lead the src frontier, so a row slice
-            h_self = _row_slice(h, block.num_dst)
-            h = layer.combine(z, h_self, Tensor(block.norm()))
-        return h
+        return forward_blocks(self.model, h, batch.blocks)
 
     def train_step(self, seeds: np.ndarray) -> float:
         ds = self.dataset
@@ -131,19 +142,7 @@ class MiniBatchTrainer:
         )
 
     def evaluate(self) -> dict:
-        """Full-graph inference with the trained weights (the single
-        inference path shared with the serving tier)."""
-        from repro.serving.engine import full_graph_forward
-
-        ds = self.dataset
-        logits = full_graph_forward(
-            self.model, ds.graph, self.feature_store.matrix()
-        )
-        return {
-            "train": accuracy(logits, ds.labels, ds.train_mask),
-            "val": accuracy(logits, ds.labels, ds.val_mask),
-            "test": accuracy(logits, ds.labels, ds.test_mask),
-        }
+        return evaluate_full_graph(self.model, self.dataset, self.feature_store)
 
     def fit(self, num_epochs: int, verbose: bool = False) -> TrainResult:
         result = TrainResult()
@@ -164,8 +163,6 @@ class MiniBatchTrainer:
 
 def _row_slice(t: Tensor, n: int) -> Tensor:
     """Differentiable leading-row slice ``t[:n]``."""
-    from repro.nn.functional import _make
-
     data = t.data[:n]
 
     def backward(g):

@@ -18,7 +18,7 @@ from repro.comm import (
     create_world,
     validate_backend,
 )
-from repro.comm.shm import SHM_PAYLOAD_THRESHOLD, ShmWorldView
+from repro.comm.shm import SHM_PAYLOAD_THRESHOLD
 
 TIMEOUT = 30.0
 
@@ -244,25 +244,69 @@ def test_interleaved_collectives_and_p2p():
         assert got == [1] * 5
 
 
-# -- world view (DRPA integration) --------------------------------------------
+# -- rank programs: one generator, two drivers ---------------------------------
 
 
-def test_world_view_guards_foreign_ranks():
+def _ring_program(comm):
+    """A rank program over the shared communicator surface: p2p around a
+    ring, a barrier, then an AllReduce whose result it returns."""
+    peer = (comm.rank + 1) % comm.size
+    comm.isend(peer, np.full((2,), float(comm.rank)), tag="ring")
+    yield comm.barrier()
+    (msg,) = comm.recv_ready(tag="ring")
+    total = yield comm.all_reduce(msg.payload + comm.rank)
+    return msg.src, float(total[0]), comm.size, comm.epoch
+
+
+@pytest.mark.parametrize("num_ranks", [2, 4])
+def test_rank_program_drivers_agree(num_ranks):
+    """``ShmCommunicator.run_program`` (sync points block) and
+    ``World.run_programs`` (ranks stepped between sync points) give the
+    same results and the same counters for the same program."""
+
     def worker(comm):
-        view = ShmWorldView(comm)
-        comms = view.communicators()
-        own_ok = comms[comm.rank] is comm
-        try:
-            comms[1 - comm.rank].isend(0, np.zeros(1))
-            foreign_raises = False
-        except RuntimeError:
-            foreign_raises = True
-        return own_ok, foreign_raises, view.num_ranks, view.epoch
+        return comm.run_program(_ring_program(comm))
 
-    assert ShmWorld(2, timeout=TIMEOUT).run(worker) == [
-        (True, True, 2, 0),
-        (True, True, 2, 0),
-    ]
+    shm_world = ShmWorld(num_ranks, timeout=TIMEOUT)
+    shm_out = shm_world.run(worker)
+    sim_world = World(num_ranks)
+    sim_out = sim_world.run_programs(
+        [_ring_program(comm) for comm in sim_world.communicators()]
+    )
+    assert shm_out == sim_out
+    total = float(sum(2 * r for r in range(num_ranks)))
+    for rank, (src, value, size, epoch) in enumerate(sim_out):
+        assert src == (rank - 1) % num_ranks
+        assert (value, size, epoch) == (total, num_ranks, 0)
+    shm_c, sim_c = shm_world.counters, sim_world.counters
+    assert shm_c.bytes_sent == sim_c.bytes_sent
+    assert shm_c.bytes_received == sim_c.bytes_received
+    assert shm_c.messages_sent == sim_c.messages_sent
+    assert shm_c.collective_calls == sim_c.collective_calls
+
+
+def test_sim_driver_rejects_diverging_programs():
+    """SPMD discipline: every rank reaches the same sync points in the
+    same order — a program that does not is a programming error and
+    raises immediately instead of mis-pairing collectives."""
+
+    def program(comm):
+        if comm.rank == 0:
+            yield comm.barrier()
+        else:
+            yield comm.all_reduce(np.zeros(1))
+
+    def short(comm):
+        if comm.rank == 0:
+            yield comm.barrier()
+
+    world = World(2)
+    with pytest.raises(RuntimeError, match="disagree"):
+        world.run_programs([program(c) for c in world.communicators()])
+    with pytest.raises(RuntimeError, match="disagree"):
+        world.run_programs([short(c) for c in world.communicators()])
+    with pytest.raises(ValueError, match="one rank program per rank"):
+        world.run_programs([])
 
 
 # -- failure model -------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import World
-from repro.core.drpa import BinRouting, DRPAExchanger, owned_mask
+from repro.core.drpa import BinRouting, DRPAExchanger, owned_mask, route_bins
 from repro.kernels import aggregate
 from repro.partition import build_partitions, build_split_trees, libra_partition
 
@@ -16,6 +16,22 @@ def setup(small_rmat):
     parted = build_partitions(small_rmat, asn, P)
     plan = build_split_trees(parted, seed=0, build_tree_objects=False)
     return small_rmat, parted, plan, P
+
+
+def _exchangers(world, plan, num_bins=1, **kwargs):
+    """One per-rank exchanger per communicator, sharing the routing bins."""
+    bins = route_bins(plan, num_bins)
+    return [DRPAExchanger(comm, bins, **kwargs) for comm in world.communicators()]
+
+
+def _synchronous_round(world, plan, vals, layer=0, epoch=0, **kwargs):
+    """Every rank's side of one synchronous round, stepped by the sim driver."""
+    world.run_programs(
+        [
+            ex.synchronous_round(vals[ex.comm.rank], layer, epoch)
+            for ex in _exchangers(world, plan, **kwargs)
+        ]
+    )
 
 
 def _local_partials(graph, parted, dim=4, seed=0):
@@ -33,9 +49,7 @@ class TestSynchronousRound:
     def test_cd0_recovers_full_aggregate(self, setup):
         graph, parted, plan, P = setup
         _, full, vals = _local_partials(graph, parted)
-        world = World(P)
-        ex = DRPAExchanger(parted, plan, world, delay=0, num_bins=1)
-        ex.synchronous_round(vals, layer=0, epoch=0)
+        _synchronous_round(World(P), plan, vals, delay=0)
         for p in parted.parts:
             np.testing.assert_allclose(
                 vals[p.part_id], full[p.global_ids], atol=1e-9
@@ -44,8 +58,7 @@ class TestSynchronousRound:
     def test_clones_identical_after_sync(self, setup):
         graph, parted, plan, P = setup
         _, _, vals = _local_partials(graph, parted)
-        world = World(P)
-        DRPAExchanger(parted, plan, world).synchronous_round(vals, 0, 0)
+        _synchronous_round(World(P), plan, vals)
         for gv in parted.split_vertices[:15]:
             rows = [vals[p][l] for p, l in parted.clones_of(int(gv))]
             for r in rows[1:]:
@@ -53,29 +66,35 @@ class TestSynchronousRound:
 
     def test_requires_delay_zero(self, setup):
         _, parted, plan, P = setup
-        ex = DRPAExchanger(parted, plan, World(P), delay=2, num_bins=2)
         with pytest.raises(RuntimeError, match="delay=0"):
-            ex.synchronous_round([np.zeros((1, 1))] * P, 0, 0)
+            _synchronous_round(
+                World(P), plan, [np.zeros((1, 1))] * P, num_bins=2, delay=2
+            )
+
+    def test_delayed_round_requires_delay(self, setup):
+        _, parted, plan, P = setup
+        (ex, *_) = _exchangers(World(P), plan, delay=0)
+        with pytest.raises(RuntimeError, match="delay >= 1"):
+            ex.delayed_round(np.zeros((1, 1)), 0, 0)
 
     def test_multiple_layers_independent(self, setup):
         graph, parted, plan, P = setup
         _, full, vals0 = _local_partials(graph, parted, seed=1)
         _, full2, vals1 = _local_partials(graph, parted, seed=2)
-        world = World(P)
-        ex = DRPAExchanger(parted, plan, world)
+        exs = _exchangers(World(P), plan)
         # interleave sends of two layers; tags keep them apart
-        for r in range(P):
-            ex.send_up(r, vals0[r], layer=0, epoch=0)
-            ex.send_up(r, vals1[r], layer=1, epoch=0)
-        for r in range(P):
-            ex.reduce_up(r, vals0[r], layer=0)
-            ex.reduce_up(r, vals1[r], layer=1)
-        for r in range(P):
-            ex.send_down(r, vals0[r], layer=0, epoch=0)
-            ex.send_down(r, vals1[r], layer=1, epoch=0)
-        for r in range(P):
-            ex.apply_down(r, vals0[r], layer=0)
-            ex.apply_down(r, vals1[r], layer=1)
+        for r, ex in enumerate(exs):
+            ex.send_up(vals0[r], layer=0, epoch=0)
+            ex.send_up(vals1[r], layer=1, epoch=0)
+        for r, ex in enumerate(exs):
+            ex.reduce_up(vals0[r], layer=0)
+            ex.reduce_up(vals1[r], layer=1)
+        for r, ex in enumerate(exs):
+            ex.send_down(vals0[r], layer=0, epoch=0)
+            ex.send_down(vals1[r], layer=1, epoch=0)
+        for r, ex in enumerate(exs):
+            ex.apply_down(vals0[r], layer=0)
+            ex.apply_down(vals1[r], layer=1)
         for p in parted.parts:
             np.testing.assert_allclose(vals0[p.part_id], full[p.global_ids], atol=1e-9)
             np.testing.assert_allclose(vals1[p.part_id], full2[p.global_ids], atol=1e-9)
@@ -86,11 +105,12 @@ class TestDelayedRound:
         graph, parted, plan, P = setup
         world = World(P)
         r = 3
-        ex = DRPAExchanger(parted, plan, world, delay=r, num_bins=r)
+        exs = _exchangers(world, plan, num_bins=r, delay=r)
         _, _, vals = _local_partials(graph, parted)
         before = [v.copy() for v in vals]
         for epoch in range(r):
-            ex.delayed_round(vals, layer=0, epoch=epoch)
+            for rank, ex in enumerate(exs):
+                ex.delayed_round(vals[rank], layer=0, epoch=epoch)
             world.advance_epoch()
             if epoch < r - 1:
                 for v, b in zip(vals, before):
@@ -104,18 +124,20 @@ class TestDelayedRound:
         pristine = [v.copy() for v in vals]
         world = World(P)
         r = 2
-        ex = DRPAExchanger(parted, plan, world, delay=r, num_bins=r)
+        exs = _exchangers(world, plan, num_bins=r, delay=r)
         for epoch in range(3 * r + 1):
             # re-send pristine partials every epoch (stationary input)
             sendable = [p.copy() for p in pristine]
-            for rank in range(P):
-                ex.send_up(rank, sendable[rank], layer=0, epoch=epoch)
-            handled = [ex.reduce_up(rank, sendable[rank], layer=0) for rank in range(P)]
-            for rank in range(P):
+            for rank, ex in enumerate(exs):
+                ex.send_up(sendable[rank], layer=0, epoch=epoch)
+            handled = [
+                ex.reduce_up(sendable[rank], layer=0) for rank, ex in enumerate(exs)
+            ]
+            for rank, ex in enumerate(exs):
                 if handled[rank]:
-                    ex.send_down(rank, sendable[rank], layer=0, epoch=epoch)
-            for rank in range(P):
-                ex.apply_down(rank, vals[rank], layer=0)
+                    ex.send_down(sendable[rank], layer=0, epoch=epoch)
+            for rank, ex in enumerate(exs):
+                ex.apply_down(vals[rank], layer=0)
             world.advance_epoch()
         # leaf clones hold the root-completed rows (sum of all partials);
         # roots in this formulation kept their staging buffers separate.
@@ -130,15 +152,18 @@ class TestDelayedRound:
 
     def test_bin_rotation_covers_all_bins(self, setup):
         _, parted, plan, P = setup
-        ex = DRPAExchanger(parted, plan, World(P), delay=4, num_bins=4)
+        (ex, *_) = _exchangers(World(P), plan, num_bins=4, delay=4)
         assert [ex.bin_for_epoch(e) for e in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_invalid_params(self, setup):
         _, parted, plan, P = setup
+        comm = World(P).communicator(0)
         with pytest.raises(ValueError):
-            DRPAExchanger(parted, plan, World(P), delay=-1)
+            DRPAExchanger(comm, route_bins(plan), delay=-1)
         with pytest.raises(ValueError):
-            DRPAExchanger(parted, plan, World(P), num_bins=0)
+            DRPAExchanger(comm, [])
+        with pytest.raises(ValueError):
+            route_bins(plan, 0)
 
 
 class TestOwnership:

@@ -7,7 +7,8 @@ from repro.core import DistributedTrainer, Trainer, TrainConfig
 from repro.core.config import paper_learning_rate
 from repro.core.sync import allreduce_gradients, assert_replicas_in_sync
 from repro.comm import World
-from repro.nn import GraphSAGE
+from repro.nn import SGD, GraphSAGE
+from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer
 
 
 CFG = TrainConfig(
@@ -154,6 +155,67 @@ class TestDistributed:
         assert res.total_comm_bytes > 0
 
 
+#: name -> (constructor, its first optimizer, its first model)
+TRAINERS = {
+    "Trainer": (
+        lambda ds, cfg: Trainer(ds, cfg),
+        lambda t: (t.optimizer, t.model),
+    ),
+    "DistributedTrainer": (
+        lambda ds, cfg: DistributedTrainer(ds, 2, config=cfg),
+        lambda t: (t.ranks[0].optimizer, t.ranks[0].model),
+    ),
+    "MiniBatchTrainer": (
+        lambda ds, cfg: MiniBatchTrainer(ds, (5, 5), config=cfg),
+        lambda t: (t.optimizer, t.model),
+    ),
+    "DistMiniBatchTrainer": (
+        lambda ds, cfg: DistMiniBatchTrainer(ds, 2, (5, 5), config=cfg),
+        lambda t: (t.optimizers[0], t.models[0]),
+    ),
+}
+
+
+class TestSharedPlumbing:
+    """The factories every trainer builds through."""
+
+    @pytest.mark.parametrize("name", sorted(TRAINERS))
+    def test_unknown_optimizer_rejected(self, reddit_mini, name):
+        cfg = TrainConfig(num_layers=2, hidden_features=16, optimizer="lion")
+        with pytest.raises(ValueError, match="unknown optimizer"):
+            TRAINERS[name][0](reddit_mini, cfg)
+
+    @pytest.mark.parametrize("name", sorted(TRAINERS))
+    def test_sgd_is_sgd(self, reddit_mini, name):
+        cfg = TrainConfig(num_layers=2, hidden_features=16, optimizer="sgd")
+        build, first = TRAINERS[name]
+        optimizer, _ = first(build(reddit_mini, cfg))
+        assert isinstance(optimizer, SGD) and optimizer.momentum == cfg.momentum
+
+    @pytest.mark.parametrize("name", ["MiniBatchTrainer", "DistMiniBatchTrainer"])
+    def test_minibatch_models_come_from_the_config(self, reddit_mini, name):
+        cfg = TrainConfig(
+            num_layers=2, hidden_features=16, num_threads=2, dropout=0.5
+        )
+        build, first = TRAINERS[name]
+        _, model = first(build(reddit_mini, cfg))
+        assert all(layer.num_threads == 2 for layer in model.layers)
+        assert model.dropout is not None and model.dropout.p == 0.5
+        gcn = TrainConfig(num_layers=2, hidden_features=16, model="gcn")
+        with pytest.raises(ValueError, match="supports model 'sage'"):
+            build(reddit_mini, gcn)
+
+
+def _allreduce(world, models):
+    """Every rank's side of the gradient AllReduce, stepped by the sim driver."""
+    world.run_programs(
+        [
+            allreduce_gradients(comm, model)
+            for comm, model in zip(world.communicators(), models)
+        ]
+    )
+
+
 class TestGradientSync:
     def test_allreduce_sums_grads(self):
         world = World(2)
@@ -161,7 +223,7 @@ class TestGradientSync:
         for i, m in enumerate(models):
             for p in m.parameters():
                 p.grad = np.full_like(p.data, float(i + 1))
-        allreduce_gradients(world, models)
+        _allreduce(world, models)
         for m in models:
             for p in m.parameters():
                 assert np.all(p.grad == 3.0)
@@ -171,9 +233,21 @@ class TestGradientSync:
         models = [GraphSAGE(4, 4, 2, num_layers=1, seed=0) for _ in range(2)]
         for p in models[0].parameters():
             p.grad = np.ones_like(p.data)
-        allreduce_gradients(world, models)
+        _allreduce(world, models)
         for p in models[1].parameters():
             assert np.all(p.grad == 1.0)
+
+    def test_replica_count_and_shape_mismatch_rejected(self):
+        world = World(2)
+        one = [GraphSAGE(4, 4, 2, num_layers=1, seed=0)]
+        with pytest.raises(ValueError, match="one rank program per rank"):
+            _allreduce(world, one)
+        uneven = [  # same leading parameter shapes, different counts
+            GraphSAGE(4, 2, 2, num_layers=1, seed=0),
+            GraphSAGE(4, 2, 2, num_layers=2, seed=0),
+        ]
+        with pytest.raises(RuntimeError, match="disagree"):
+            _allreduce(world, uneven)
 
     def test_replica_divergence_detected(self):
         a = GraphSAGE(4, 4, 2, seed=0)

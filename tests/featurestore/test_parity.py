@@ -16,7 +16,7 @@ from repro.core.checkpoint import training_meta
 from repro.core.dist_trainer import DistributedTrainer
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import load_dataset
-from repro.sampling import MiniBatchTrainer
+from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer
 from repro.serving import (
     IncrementalRefresher,
     InferenceEngine,
@@ -72,6 +72,42 @@ def test_minibatch_training_is_bit_identical(tmp_path, ds, policy):
     assert [e.loss for e in ra.epochs] == [e.loss for e in rb.epochs]
     for pa, pb in zip(_params(a.model), _params(b.model)):
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_dist_minibatch_training_is_bit_identical(tmp_path, ds):
+    kw = dict(fanouts=[5, 5], batch_size=64, config=_cfg())
+    a = DistMiniBatchTrainer(ds, 2, **kw)
+    ra = a.fit(num_epochs=2)
+    b = DistMiniBatchTrainer(ds, 2, feature_store=_mmap_store(tmp_path, ds), **kw)
+    rb = b.fit(num_epochs=2)
+    assert [e.loss for e in ra.epochs] == [e.loss for e in rb.epochs]
+    assert [e.comm_bytes for e in ra.epochs] == [e.comm_bytes for e in rb.epochs]
+    for pa, pb in zip(_params(a.models[0]), _params(b.models[0])):
+        np.testing.assert_array_equal(pa, pb)
+    assert (ra.final_test_acc, ra.best_val_acc) == (rb.final_test_acc, rb.best_val_acc)
+    assert a.evaluate() == b.evaluate()
+
+
+def test_dist_minibatch_evaluate_reads_through_the_store(ds):
+    """evaluate() sees the store's rows, not ``dataset.features``: with
+    the same weights, a store of shuffled rows scores like a direct
+    forward over the shuffled matrix — and unlike the dataset's own."""
+    from repro.core.trainer import split_accuracy
+    from repro.serving import full_graph_forward
+
+    kw = dict(fanouts=[5, 5], batch_size=64, config=_cfg())
+    trained = DistMiniBatchTrainer(ds, 2, **kw)
+    trained.fit(num_epochs=2)
+    shuffled = ds.features[np.random.default_rng(0).permutation(ds.num_vertices)]
+    other = DistMiniBatchTrainer(
+        ds, 2, feature_store=FeatureStore.resident(shuffled), **kw
+    )
+    other.models[0].load_state_dict(trained.models[0].state_dict())
+    expected = split_accuracy(
+        full_graph_forward(other.models[0], ds.graph, shuffled), ds
+    )
+    assert other.evaluate() == expected
+    assert other.evaluate() != trained.evaluate()
 
 
 @pytest.mark.parametrize("backend", ["sim", "shm"])

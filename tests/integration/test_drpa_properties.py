@@ -5,11 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import World
-from repro.core.drpa import DRPAExchanger, owned_mask
+from repro.core.drpa import DRPAExchanger, owned_mask, route_bins
 from repro.graph.builders import coo_to_csr
 from repro.kernels import aggregate
 from repro.partition import build_partitions, build_split_trees
 from repro.partition.baselines import random_edge_partition
+
+
+def _synchronous_round(world, plan, vals, **kwargs):
+    """Every rank's side of one synchronous round, stepped by the sim driver."""
+    bins = route_bins(plan)
+    world.run_programs(
+        [
+            DRPAExchanger(comm, bins, **kwargs).synchronous_round(
+                vals[comm.rank], layer=0, epoch=0
+            )
+            for comm in world.communicators()
+        ]
+    )
 
 
 @st.composite
@@ -40,13 +53,11 @@ def test_cd0_sync_equals_full_aggregate(problem):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((g.num_vertices, 2))
     full = aggregate(g, h, kernel="reordered")
-    world = World(parted.num_partitions)
-    ex = DRPAExchanger(parted, plan, world, delay=0, num_bins=1)
     vals = [
         aggregate(part.graph, h[part.global_ids], kernel="reordered")
         for part in parted.parts
     ]
-    ex.synchronous_round(vals, layer=0, epoch=0)
+    _synchronous_round(World(parted.num_partitions), plan, vals, delay=0)
     for part in parted.parts:
         np.testing.assert_allclose(
             vals[part.part_id], full[part.global_ids], atol=1e-9
@@ -74,8 +85,6 @@ def test_gradient_tree_sum(problem, dim):
     holding the SUM of all clones' original rows."""
     g, parted, seed = problem
     plan = build_split_trees(parted, seed=seed, build_tree_objects=False)
-    world = World(parted.num_partitions)
-    ex = DRPAExchanger(parted, plan, world, delay=0, num_bins=1, tag_prefix="grad")
     rng = np.random.default_rng(seed + 1)
     vals = [
         rng.standard_normal((part.num_vertices, dim)) for part in parted.parts
@@ -84,7 +93,9 @@ def test_gradient_tree_sum(problem, dim):
     expected = np.zeros((g.num_vertices, dim))
     for part in parted.parts:
         np.add.at(expected, part.global_ids, vals[part.part_id])
-    ex.synchronous_round(vals, layer=0, epoch=0)
+    _synchronous_round(
+        World(parted.num_partitions), plan, vals, delay=0, tag_prefix="grad"
+    )
     for part in parted.parts:
         np.testing.assert_allclose(
             vals[part.part_id], expected[part.global_ids], atol=1e-9

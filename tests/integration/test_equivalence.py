@@ -46,16 +46,29 @@ class TestCd0Equivalence:
     def test_forward_aggregates_exact(self, reddit_mini):
         """Every clone's synced aggregate equals the full-graph value."""
         from repro.kernels import aggregate
+        from repro.nn import Tensor
 
         dt = DistributedTrainer(reddit_mini, 3, algorithm="cd-0", config=CFG)
-        out = dt._forward(epoch=0, record=True)
+        # layer 0 of the rank program, by hand: local partial aggregates,
+        # then every rank's side of the synchronous DRPA round
+        z = [
+            prog.state.model.layers[0]
+            .aggregate(prog.graph, Tensor(prog.state.features), prog.state.norm)
+            .data
+            for prog in dt.programs
+        ]
+        dt.world.run_programs(
+            [
+                prog.agg_exchanger.synchronous_round(z[prog.comm.rank], 0, 0)
+                for prog in dt.programs
+            ]
+        )
         h = reddit_mini.features
         full = aggregate(reddit_mini.graph, h, kernel="reordered")
-        z_leaf = out["records"][0]["z_leaf"]
         for state in dt.ranks:
             gids = dt.parted.parts[state.rank].global_ids
             np.testing.assert_allclose(
-                z_leaf[state.rank].data, full[gids], rtol=1e-4, atol=1e-4
+                z[state.rank], full[gids], rtol=1e-4, atol=1e-4
             )
 
 
