@@ -27,6 +27,9 @@ def _sweep(ds, name):
         t = ap_traffic(
             ds.graph, ds.feature_dim, num_blocks=nb, cache_vectors=cache
         )
+        # the first call builds and caches the nb-block plan (an O(E) sort,
+        # once per graph as in the paper); time the pass, not the build
+        aggregate(ds.graph, ds.features, kernel="blocked", num_blocks=nb)
         t0 = time.perf_counter()
         aggregate(ds.graph, ds.features, kernel="blocked", num_blocks=nb)
         wall = time.perf_counter() - t0

@@ -27,15 +27,16 @@ class TrainConfig:
     #: GNN architecture: "sage" (paper default) or "gcn".
     model: str = "sage"
     #: aggregation kernel passed to the differentiable SpMM: any name in
-    #: :data:`repro.kernels.KERNELS` (``baseline``/``vectorized``/
-    #: ``parallel``/``reordered``/``blocked``/``reference``) or ``"auto"``,
-    #: which rides the vectorized segment-reduce engine (bucketed above
-    #: the cache threshold, the parallel engine when threads are
+    #: :data:`repro.kernels.KERNELS` — the ground-truth functions
+    #: ``baseline``/``reference`` or a pass-plan preset of the one engine
+    #: (``vectorized``/``reordered``/``blocked``/``parallel``) — or
+    #: ``"auto"``, which picks plan parameters itself (row-bucketed above
+    #: the cache threshold, thread-pool row chunks when threads are
     #: requested).  Validated at model build time.
     kernel: str = "auto"
     #: kernel worker threads: > 1 routes every AP (forward and backward)
-    #: through the parallel execution engine (disjoint destination-row
-    #: chunks, bit-identical outputs — see kernels/parallel.py).  ``None``
+    #: over disjoint destination-row chunks on the engine's thread pool
+    #: (bit-identical outputs — see kernels/engine.py).  ``None``
     #: defers to the REPRO_NUM_THREADS environment variable, else 1.
     num_threads: Optional[int] = None
     #: cd-r delay (epochs); the paper uses r=5.

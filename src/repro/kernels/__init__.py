@@ -4,26 +4,28 @@ The AP is the tuple ``(f_V, f_E, ⊗, ⊕, f_O)`` of paper Section 2.1: an
 element-wise binary/unary message operator ``⊗`` combined edge-wise and an
 element-wise reducer ``⊕`` accumulating messages into destination rows.
 
-Kernel taxonomy (mirrors the paper's optimization ladder, Fig. 4):
+One engine, many iteration structures (the paper's optimization ladder,
+Fig. 4, is blocking / bucketing / threading around a single inner
+kernel):
 
+- :mod:`repro.kernels.engine` — the aggregation engine: the vectorized
+  segment-reduce pass (gather → ⊗ → ``reduceat``; our stand-in for
+  LIBXSMM JITed SIMD) and the scipy SpMM pass, a pass planner that lays
+  out source blocks (Alg. 2) × destination-row ranges (Alg. 3 buckets
+  and/or OpenMP-style static/dynamic/balanced thread chunks), and the
+  one executor that runs a plan inline or on the thread pool.
+- :mod:`repro.kernels.spmm` — the public ``aggregate`` API (the role of
+  DGL featgraph's single SpMM template) and the ``KERNELS`` table, in
+  which ``vectorized`` / ``reordered`` / ``blocked`` / ``parallel`` are
+  presets of plan parameters and ``auto`` picks the parameters itself.
 - :mod:`repro.kernels.baseline` — Alg. 1, the DGL-style per-destination
-  pull loop (our stand-in for the un-optimized DGL 0.5.3 kernel).
-- :mod:`repro.kernels.vectorized` — the array-native segment-reduce
-  engine (gather → ⊗ → ``reduceat``); the shared inner kernel of every
-  optimized variant and the ``auto`` default below the block threshold
-  (our stand-in for LIBXSMM JITed SIMD).
-- :mod:`repro.kernels.blocked` — Alg. 2, source-dimension cache blocking;
-  each per-block pass runs through the vectorized engine.
-- :mod:`repro.kernels.reordered` — Alg. 3, loop reordering: cache-sized
-  destination buckets over the vectorized engine.
-- :mod:`repro.kernels.parallel` — the thread-pool execution engine:
-  the vectorized inner kernel run over disjoint destination-row chunks
-  with real OpenMP-style static/dynamic/balanced chunking policies
-  (the paper's destination-dimension parallelization).
+  pull loop (our stand-in for the un-optimized DGL 0.5.3 kernel), and
+  the edge-at-a-time dense reference; kept apart from the engine because
+  the tests use them as ground truth.
+- :mod:`repro.kernels.blocked` — source-block construction for Alg. 2
+  (``build_blocks`` / ``BlockedGraph``).
 - :mod:`repro.kernels.scheduling` — OpenMP static/dynamic scheduling
   simulator used to quantify load imbalance on power-law graphs.
-- :mod:`repro.kernels.spmm` — the public ``aggregate`` dispatch API
-  (the role of DGL featgraph's single SpMM template).
 - :mod:`repro.kernels.tuning` — block-count and chunking-policy
   auto-tuners driven by the cache and scheduling models.
 """
@@ -36,15 +38,10 @@ from repro.kernels.operators import (
     get_binary_op,
     get_reduce_op,
 )
-from repro.kernels.parallel import (
-    aggregate_parallel,
-    plan_row_chunks,
-    resolve_num_threads,
-)
-from repro.kernels.spmm import AggregationSpec, KERNELS, aggregate, validate_kernel
+from repro.kernels.engine import plan_row_chunks, resolve_num_threads, segment_pass
+from repro.kernels.spmm import KERNELS, aggregate, validate_kernel
 from repro.kernels.scheduling import ScheduleResult, simulate_schedule
 from repro.kernels.tuning import choose_num_blocks, choose_schedule
-from repro.kernels.vectorized import aggregate_vectorized, segment_pass
 
 __all__ = [
     "BinaryOp",
@@ -54,12 +51,9 @@ __all__ = [
     "get_binary_op",
     "get_reduce_op",
     "aggregate",
-    "aggregate_parallel",
-    "aggregate_vectorized",
     "plan_row_chunks",
     "resolve_num_threads",
     "segment_pass",
-    "AggregationSpec",
     "KERNELS",
     "validate_kernel",
     "simulate_schedule",

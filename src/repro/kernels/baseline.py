@@ -18,14 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.kernels.operators import (
-    BinaryOp,
-    ReduceOp,
-    finalize_with_graph,
-    get_binary_op,
-    get_reduce_op,
-    init_output,
-)
+from repro.kernels.operators import finalize_with_graph, init_output, resolve_pass
 
 
 def aggregate_baseline(
@@ -52,10 +45,7 @@ def aggregate_baseline(
         passes).  When given, the kernel ⊕-accumulates into it and skips
         finalization; the caller finalizes after the last pass.
     """
-    bop: BinaryOp = get_binary_op(binary_op)
-    rop: ReduceOp = get_reduce_op(reduce_op)
-    dim = _feature_dim(f_v, f_e)
-    dtype = _feature_dtype(f_v, f_e)
+    bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
     created = out is None
     if created:
         out = init_output(graph.num_vertices, dim, rop, dtype)
@@ -79,15 +69,17 @@ def aggregate_dense_reference(
     f_e: Optional[np.ndarray] = None,
     binary_op="copylhs",
     reduce_op="sum",
+    out: None = None,
 ) -> np.ndarray:
     """Edge-at-a-time reference (the literal Alg. 1 inner loop).
 
-    O(E) Python iterations — test-only ground truth.
+    O(E) Python iterations — test-only ground truth.  Always allocates
+    and finalizes its own output; ``out`` exists only so every kernel
+    takes the same arguments, and must stay ``None``.
     """
-    bop = get_binary_op(binary_op)
-    rop = get_reduce_op(reduce_op)
-    dim = _feature_dim(f_v, f_e)
-    dtype = _feature_dtype(f_v, f_e)
+    if out is not None:
+        raise ValueError("the reference kernel does not accumulate into out")
+    bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
     out = init_output(graph.num_vertices, dim, rop, dtype)
     for v, nbrs, eids in graph.iter_rows():
         for u, e in zip(nbrs, eids):
@@ -95,19 +87,3 @@ def aggregate_dense_reference(
             rhs = f_e[e] if bop.uses_rhs else None
             out[v] = rop.ufunc(out[v], bop(lhs, rhs))
     return finalize_with_graph(out, rop, graph)
-
-
-def _feature_dim(f_v, f_e) -> int:
-    for f in (f_v, f_e):
-        if f is not None:
-            if f.ndim != 2:
-                raise ValueError(f"features must be 2-D, got shape {f.shape}")
-            return int(f.shape[1])
-    raise ValueError("at least one of f_v, f_e must be provided")
-
-
-def _feature_dtype(f_v, f_e):
-    for f in (f_v, f_e):
-        if f is not None:
-            return f.dtype
-    raise ValueError("at least one of f_v, f_e must be provided")

@@ -1,4 +1,4 @@
-"""Cache-blocked aggregation — paper Algorithm 2.
+"""Source-block construction for cache blocking — paper Algorithm 2.
 
 Blocking splits the *source* vertex range into ``nB`` contiguous blocks
 and makes one pass over all destinations per block, so that the active
@@ -6,22 +6,20 @@ slice of ``f_V`` stays cache-resident (the paper blocks ``f_V`` rather
 than ``f_O`` to keep destination ownership race-free, Section 4.2).
 
 ``build_blocks`` materializes the per-block CSR matrices of Alg. 2 line 2
-in a single O(E) pass; :class:`BlockedGraph` caches them so training reuses
-the block structure across layers and epochs, exactly as DistGNN builds
-them once per graph.
+in a single O(E) pass; the passes themselves are the source-block axis of
+:func:`repro.kernels.engine.plan_pass`, which builds the blocks once per
+graph and block count.  :class:`BlockedGraph` is the same block list built
+ahead of time by the caller, exactly as DistGNN builds it once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
-from repro.kernels.operators import finalize_with_graph, get_binary_op, get_reduce_op, init_output
-from repro.kernels.baseline import _feature_dim, _feature_dtype
-from repro.kernels.reordered import aggregate_reordered
 
 
 def block_bounds(num_src: int, num_blocks: int) -> np.ndarray:
@@ -96,42 +94,6 @@ class BlockedGraph:
     def block_size(self) -> int:
         return int(self.bounds[1] - self.bounds[0]) if self.num_blocks else 0
 
-
-def aggregate_blocked(
-    graph,
-    f_v: Optional[np.ndarray],
-    f_e: Optional[np.ndarray] = None,
-    binary_op="copylhs",
-    reduce_op="sum",
-    num_blocks: int = 1,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Algorithm 2: blocked passes, each lowered through the Alg. 3 kernel.
-
-    ``graph`` may be a :class:`CSRGraph` (blocks built on the fly) or a
-    pre-built :class:`BlockedGraph`.
-    """
-    if isinstance(graph, BlockedGraph):
-        blocked = graph
-    else:
-        blocked = BlockedGraph.build(graph, num_blocks)
-    bop = get_binary_op(binary_op)
-    rop = get_reduce_op(reduce_op)
-    dim = _feature_dim(f_v, f_e)
-    dtype = _feature_dtype(f_v, f_e)
-    created = out is None
-    if created:
-        out = init_output(blocked.graph.num_vertices, dim, rop, dtype)
-    for block in blocked.blocks:
-        # Accumulating into `out` across blocks relies on ⊕ associativity;
-        # each pass touches all destination rows (the nB passes of f_O the
-        # paper's traffic analysis charges for).  Each per-block pass runs
-        # through the shared vectorized inner kernel.
-        aggregate_reordered(
-            block, f_v, f_e, binary_op=bop, reduce_op=rop, out=out
-        )
-    if created:
-        # Counts come from the *original* graph: per-block degrees would
-        # under-count split rows.
-        finalize_with_graph(out, rop, blocked.graph)
-    return out
+    @property
+    def num_src(self) -> int:
+        return self.graph.num_src

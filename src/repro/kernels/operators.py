@@ -70,13 +70,6 @@ class ReduceOp:
         return self.ufunc(a, b)
 
 
-def _require(side: str):
-    def missing(*_a, **_k):  # pragma: no cover - defensive
-        raise ValueError(f"operator requires {side} operand")
-
-    return missing
-
-
 def _binary(name: str, fn) -> BinaryOp:
     def wrapped(lhs, rhs):
         if lhs is None or rhs is None:
@@ -137,6 +130,30 @@ def get_reduce_op(name) -> ReduceOp:
         raise KeyError(
             f"unknown reduce op {name!r}; available: {sorted(REDUCE_OPS)}"
         ) from None
+
+
+def resolve_pass(f_v, f_e, binary_op, reduce_op):
+    """The shared AP prologue: ``(⊗, ⊕, feature dim, feature dtype)``.
+
+    Resolves the operator names and checks that every operand ``⊗`` reads
+    was actually passed, so a missing matrix fails here with the
+    operator's name instead of deep inside a gather.
+    """
+    bop = get_binary_op(binary_op)
+    rop = get_reduce_op(reduce_op)
+    for used, operand, label in (
+        (bop.uses_lhs, f_v, "vertex features f_v"),
+        (bop.uses_rhs, f_e, "edge features f_e"),
+    ):
+        if used and operand is None:
+            raise ValueError(
+                f"binary op {bop.name!r} reads the {label}, but got None"
+            )
+    # ⊗ reads at least one operand, so one is non-None past the check
+    feats = f_v if f_v is not None else f_e
+    if feats.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {feats.shape}")
+    return bop, rop, int(feats.shape[1]), feats.dtype
 
 
 def init_output(num_rows: int, dim: int, reduce_op: ReduceOp, dtype) -> np.ndarray:

@@ -13,7 +13,7 @@ distribution (in-degree × feature dim):
 
 The resulting *imbalance factor* (makespan ÷ ideal) feeds the single-socket
 performance model used by the Fig. 4 benchmark.  The policies are not
-just simulated: :mod:`repro.kernels.parallel` executes them for real on
+just simulated: :mod:`repro.kernels.engine` executes them for real on
 a thread pool (``kernel="parallel"``), and
 :func:`repro.kernels.tuning.choose_schedule` uses this simulator to pick
 its chunking policy.

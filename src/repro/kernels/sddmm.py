@@ -14,8 +14,8 @@ The kernel is one gather per endpoint plus a fused row-wise op, i.e. it
 is memory-bound on the same ``f_V`` gather stream the AP analysis covers.
 The ``dot`` path — whose output is a single column — never materializes
 the full ``(E, d)`` endpoint gathers: it walks the edges in edge-id-
-ordered chunks of :data:`~repro.kernels.reordered.DEFAULT_CHUNK_ROWS`
-(the same bucket bound the reordered engine uses), keeping peak scratch
+ordered chunks of :data:`~repro.kernels.engine.DEFAULT_CHUNK_ROWS`
+(the same bucket bound the reordered preset uses), keeping peak scratch
 at ``2 * chunk * d`` floats instead of ``2 * E * d``.
 """
 
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.kernels.reordered import DEFAULT_CHUNK_ROWS
+from repro.kernels.engine import DEFAULT_CHUNK_ROWS
 
 SDDMM_OPS = ("dot", "add", "sub", "mul")
 

@@ -1,60 +1,56 @@
 """Public aggregation API — the featgraph-style single SpMM template.
 
-``aggregate`` dispatches one of the kernel variants over the full operator
-table.  This is the only aggregation entry point the rest of the library
-(models, trainers, distributed algorithms) uses, mirroring how DGL funnels
-all message passing through one SpMM template (paper Section 2.2).
+``aggregate`` is the only aggregation entry point the rest of the
+library (models, trainers, distributed algorithms) uses, mirroring how
+DGL funnels all message passing through one SpMM template (paper Section
+2.2).  A kernel name is either one of the two stand-alone ground-truth
+functions or a *preset*: a row of pass-plan parameters for the one
+engine (:func:`repro.kernels.engine.run_pass`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.kernels.baseline import aggregate_baseline, aggregate_dense_reference
-from repro.kernels.blocked import BlockedGraph, aggregate_blocked
-from repro.kernels.parallel import (
+from repro.kernels.blocked import BlockedGraph
+from repro.kernels.engine import (
+    DEFAULT_CHUNK_ROWS,
     SCHEDULES,
-    aggregate_parallel,
     requested_num_threads,
+    run_pass,
 )
-from repro.kernels.reordered import aggregate_reordered
-from repro.kernels.vectorized import aggregate_vectorized
-
-
-@dataclass(frozen=True)
-class AggregationSpec:
-    """A fully specified AP instance ``(⊗, ⊕, kernel, nB, threads)``."""
-
-    binary_op: str = "copylhs"
-    reduce_op: str = "sum"
-    kernel: str = "auto"
-    num_blocks: int = 1
-    num_threads: Optional[int] = None
-
-
-#: kernel name -> callable(graph, f_v, f_e, binary_op, reduce_op, **kw)
-KERNELS: Dict[str, Callable] = {
+#: kernel name -> what runs.  A callable is a stand-alone function kept
+#: apart from the engine because the tests use it as ground truth; a dict
+#: is a preset of :func:`~repro.kernels.engine.run_pass` plan parameters,
+#: in which ``None`` stands for the same-named ``aggregate`` argument
+#: (itself ``None`` when the caller leaves the choice to the tuners).
+#: Parameters a preset omits keep the engine's defaults — one block, one
+#: thread, no row chunking — so only ``parallel`` (and ``auto``) ever use
+#: the thread pool.
+KERNELS: Dict[str, Union[Callable, dict]] = {
     "baseline": aggregate_baseline,
-    "vectorized": aggregate_vectorized,
-    "parallel": aggregate_parallel,
-    "reordered": aggregate_reordered,
-    "blocked": aggregate_blocked,
+    "vectorized": {},
+    "parallel": {"num_threads": None, "schedule": None},
+    "reordered": {"row_chunk": DEFAULT_CHUNK_ROWS},
+    "blocked": {"row_chunk": DEFAULT_CHUNK_ROWS, "num_blocks": None},
     "reference": aggregate_dense_reference,
 }
 
 #: Heuristic vertex-count threshold above which the working set stops
-#: fitting in a socket-sized LLC.  Below it ``auto`` runs the unchunked
-#: vectorized engine; above it the reordered variant, which runs the same
-#: engine in cache-sized destination buckets so the per-edge message
-#: intermediate stays bounded.  Explicit source blocking (Alg. 2) is
-#: opt-in — pass ``num_blocks > 1`` or a pre-built :class:`BlockedGraph`;
-#: the benchmark baseline (``BENCH_kernels.json``) shows on-the-fly block
-#: construction costs more than one engine pass, so ``auto`` never picks
-#: it blind.
+#: fitting in a socket-sized LLC.  Below it ``auto`` runs one unchunked
+#: pass; above it the ``reordered`` preset, whose cache-sized destination
+#: buckets keep the per-edge message intermediate bounded.  That only
+#: changes execution for operators that *have* such an intermediate
+#: (GAT's ``mul``/``sum``): the ``copylhs``/add SpMM path ignores row
+#: chunking and runs the same full-matrix product either way.  Explicit
+#: source blocking (Alg. 2) is opt-in — pass ``num_blocks > 1`` or a
+#: pre-built :class:`BlockedGraph`; the benchmark baseline
+#: (``BENCH_kernels.json``) shows on-the-fly block construction costs more
+#: than one engine pass, so ``auto`` never picks it blind.
 _AUTO_BLOCK_THRESHOLD = 1 << 15
 
 
@@ -95,27 +91,34 @@ def aggregate(
     binary_op, reduce_op:
         Operator names from paper Table 1 (plus ``mean``).
     kernel:
+        A :data:`KERNELS` name or ``"auto"``.  Every name except the two
+        ground-truth functions is a preset of pass-plan parameters for
+        the one engine (:mod:`repro.kernels.engine`): a gather → ⊗ →
+        ``reduceat`` pass, or a scipy SpMM for the ``copylhs``/
+        add-accumulating workhorse, iterated over source blocks ×
+        destination-row ranges.
+
         - ``"baseline"`` — Alg. 1, the per-destination Python loop (the
           un-optimized DGL stand-in; for measurement only).
-        - ``"vectorized"`` — the array-native segment-reduce engine
-          (:mod:`repro.kernels.vectorized`): one gather → ⊗ → ``reduceat``
-          pass over the whole graph, with a scipy SpMM fast path for the
-          ``copylhs``/add-accumulating workhorse.
-        - ``"parallel"`` — the same engine over disjoint destination-row
-          chunks on a thread pool (:mod:`repro.kernels.parallel`);
-          bit-identical outputs, ``num_threads``/``schedule`` control the
-          workers and chunking policy.
-        - ``"reordered"`` — Alg. 3: the same engine run bucket-by-bucket
-          so the per-edge message intermediate stays cache-sized.
-        - ``"blocked"`` — Alg. 2 over Alg. 3: source-range blocks, each
-          pass through the shared vectorized inner kernel.
+        - ``"vectorized"`` — one pass over the whole graph.
+        - ``"parallel"`` — disjoint destination-row chunks on a thread
+          pool; bit-identical outputs, ``num_threads``/``schedule``
+          control the workers and chunking policy.
+        - ``"reordered"`` — Alg. 3: cache-sized destination buckets, so
+          the per-edge message intermediate stays bounded (the SpMM path
+          has no such intermediate and runs as ``"vectorized"``).
+        - ``"blocked"`` — Alg. 2 over Alg. 3: ``num_blocks``
+          source-range blocks, each swept bucket by bucket; blocks are
+          built once per graph and cached.
         - ``"reference"`` — edge-at-a-time dense reference (test-only).
-        - ``"auto"`` — ``parallel`` when threads were requested
-          (``num_threads > 1`` or ``REPRO_NUM_THREADS``); otherwise
-          ``vectorized`` for graphs below ``_AUTO_BLOCK_THRESHOLD``
-          sources and ``reordered`` (the bucketed engine) above it;
-          ``blocked`` whenever ``num_blocks > 1`` is requested or a
-          pre-built :class:`BlockedGraph` is passed.
+        - ``"auto"`` — the ``blocked`` parameters whenever
+          ``num_blocks > 1`` is requested; else ``parallel`` when
+          threads were requested (``num_threads > 1`` or
+          ``REPRO_NUM_THREADS``); else ``vectorized`` for graphs below
+          ``_AUTO_BLOCK_THRESHOLD`` sources and ``reordered`` above it.
+
+        A pre-built :class:`BlockedGraph` runs its own block list under
+        whatever row-range parameters the (engine) kernel name gives.
     num_blocks:
         Block count for the blocked kernel; ``None`` lets the auto-tuner
         pick (see :mod:`repro.kernels.tuning`).
@@ -154,49 +157,29 @@ def aggregate(
         )
     requested_num_threads(num_threads)
 
-    if isinstance(graph, BlockedGraph):
-        with time_ap():
-            return aggregate_blocked(
-                graph, f_v, f_e, binary_op=binary_op, reduce_op=reduce_op, out=out
-            )
-
     if kernel == "auto":
-        kernel, num_blocks = _auto_select(graph, f_v, f_e, num_blocks, num_threads)
-
-    fn = KERNELS.get(kernel)
-    if fn is None:
-        raise KeyError(f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}")
-    kwargs = dict(binary_op=binary_op, reduce_op=reduce_op)
-    if kernel != "reference":
-        kwargs["out"] = out
-    elif out is not None:
-        raise ValueError("the reference kernel does not accumulate into out")
-    if kernel == "blocked":
-        if num_blocks is None:
-            from repro.kernels.tuning import choose_num_blocks
-
-            num_blocks = choose_num_blocks(graph, _dim_of(f_v, f_e))
-        kwargs["num_blocks"] = num_blocks
-    if kernel == "parallel":
-        kwargs["num_threads"] = num_threads
-        kwargs["schedule"] = schedule
+        row = _auto_params(graph, num_blocks, num_threads)
+    else:
+        row = KERNELS[validate_kernel(kernel)]
     with time_ap():
-        return fn(graph, f_v, f_e, **kwargs)
+        if callable(row):
+            return row(graph, f_v, f_e, binary_op, reduce_op, out=out)
+        args = {
+            "num_blocks": num_blocks,
+            "num_threads": num_threads,
+            "schedule": schedule,
+        }
+        params = {k: args[k] if v is None else v for k, v in row.items()}
+        return run_pass(graph, f_v, f_e, binary_op, reduce_op, out, **params)
 
 
-def _auto_select(graph, f_v, f_e, num_blocks, num_threads=None):
+def _auto_params(graph, num_blocks, num_threads) -> dict:
+    """The plan parameters ``kernel="auto"`` runs with (a ``KERNELS`` row)."""
     if num_blocks is not None and num_blocks > 1:
-        return "blocked", num_blocks
+        return {**KERNELS["blocked"], "num_blocks": num_blocks}
     threads = requested_num_threads(num_threads)
     if threads is not None and threads > 1:
-        return "parallel", num_blocks
+        return {**KERNELS["parallel"], "num_threads": threads}
     if graph.num_src >= _AUTO_BLOCK_THRESHOLD:
-        return "reordered", num_blocks
-    return "vectorized", num_blocks
-
-
-def _dim_of(f_v, f_e) -> int:
-    for f in (f_v, f_e):
-        if f is not None:
-            return int(f.shape[1])
-    raise ValueError("at least one of f_v, f_e must be provided")
+        return KERNELS["reordered"]
+    return KERNELS["vectorized"]

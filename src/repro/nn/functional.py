@@ -165,32 +165,22 @@ def spmm(
     graph: CSRGraph,
     features: Tensor,
     kernel: str = "auto",
-    num_blocks: Optional[int] = None,
     num_threads: Optional[int] = None,
 ) -> Tensor:
     """Differentiable aggregation ``out = A @ features`` (copylhs/sum AP).
 
     ``kernel`` accepts any :data:`repro.kernels.KERNELS` name (``"auto"``
-    picks the vectorized engine — threaded over destination chunks when
-    ``num_threads > 1`` — or, above the block threshold, the bucketed
-    variant).  Backward applies the transposed adjacency:
+    runs the engine's SpMM pass — threaded over destination chunks when
+    ``num_threads > 1``).  Backward applies the transposed adjacency:
     ``d features = A^T @ g`` on the same kernel and thread count.  The
     reversed CSR is cached on the graph object after the first call so
     training reuses it every epoch.
     """
-    out = aggregate(
-        graph, features.data, kernel=kernel, num_blocks=num_blocks,
-        num_threads=num_threads,
-    )
+    out = aggregate(graph, features.data, kernel=kernel, num_threads=num_threads)
     reverse = _cached_reverse(graph)
 
     def backward(g):
-        return (
-            aggregate(
-                reverse, g, kernel=kernel, num_blocks=num_blocks,
-                num_threads=num_threads,
-            ),
-        )
+        return (aggregate(reverse, g, kernel=kernel, num_threads=num_threads),)
 
     return _make(out, (features,), backward, "spmm")
 

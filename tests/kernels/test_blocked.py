@@ -1,14 +1,14 @@
 """Cache-blocking machinery (Alg. 2)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.kernels.blocked import (
-    BlockedGraph,
-    aggregate_blocked,
-    block_bounds,
-    build_blocks,
-)
+from repro.kernels import aggregate
+from repro.kernels.blocked import BlockedGraph, block_bounds, build_blocks
+
+blocked = partial(aggregate, kernel="blocked")
 
 
 class TestBlockBounds:
@@ -65,8 +65,8 @@ class TestBuildBlocks:
 class TestBlockedGraph:
     def test_build_and_reuse(self, small_rmat, small_features):
         bg = BlockedGraph.build(small_rmat, 4)
-        out1 = aggregate_blocked(bg, small_features)
-        out2 = aggregate_blocked(small_rmat, small_features, num_blocks=4)
+        out1 = blocked(bg, small_features)
+        out2 = blocked(small_rmat, small_features, num_blocks=4)
         np.testing.assert_allclose(out1, out2, rtol=1e-6)
 
     def test_block_size(self, small_rmat):
@@ -80,7 +80,7 @@ class TestBlockedGraph:
         out = init_output(
             small_rmat.num_vertices, 8, get_reduce_op("sum"), np.float32
         )
-        aggregate_blocked(small_rmat, small_features, num_blocks=2, out=out)
+        blocked(small_rmat, small_features, num_blocks=2, out=out)
         once = out.copy()
-        aggregate_blocked(small_rmat, small_features, num_blocks=2, out=out)
+        blocked(small_rmat, small_features, num_blocks=2, out=out)
         np.testing.assert_allclose(out, 2 * once, rtol=1e-5)

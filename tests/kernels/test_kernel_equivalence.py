@@ -2,14 +2,19 @@
 full operator table — the core correctness contract of the AP.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.kernels import aggregate
 from repro.kernels.baseline import aggregate_baseline, aggregate_dense_reference
-from repro.kernels.blocked import aggregate_blocked
+from repro.kernels.engine import run_pass
 from repro.kernels.operators import finalize_output, get_reduce_op, init_output
-from repro.kernels.reordered import aggregate_reordered
-from repro.kernels.vectorized import aggregate_vectorized
+
+vectorized = partial(aggregate, kernel="vectorized")
+reordered = partial(aggregate, kernel="reordered")
+blocked = partial(aggregate, kernel="blocked")
 
 BINARY = ["add", "sub", "mul", "div", "copylhs", "copyrhs"]
 REDUCE = ["sum", "max", "min", "mean"]
@@ -36,7 +41,7 @@ def test_baseline_matches_reference(small_rmat, binary_op, reduce_op):
 def test_reordered_matches_reference(small_rmat, binary_op, reduce_op):
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = aggregate_reordered(small_rmat, f_v, f_e, binary_op, reduce_op)
+    out = reordered(small_rmat, f_v, f_e, binary_op, reduce_op)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -46,7 +51,7 @@ def test_reordered_matches_reference(small_rmat, binary_op, reduce_op):
 def test_blocked_matches_reference(small_rmat, binary_op, reduce_op, num_blocks):
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = aggregate_blocked(
+    out = blocked(
         small_rmat, f_v, f_e, binary_op, reduce_op, num_blocks=num_blocks
     )
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
@@ -57,7 +62,7 @@ def test_blocked_matches_reference(small_rmat, binary_op, reduce_op, num_blocks)
 def test_vectorized_matches_reference(small_rmat, binary_op, reduce_op):
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = aggregate_vectorized(small_rmat, f_v, f_e, binary_op, reduce_op)
+    out = vectorized(small_rmat, f_v, f_e, binary_op, reduce_op)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -67,9 +72,7 @@ def test_vectorized_chunked_matches_reference(small_rmat, binary_op, reduce_op):
     """Bucketed engine passes (the reordered iteration shape) agree too."""
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = aggregate_vectorized(
-        small_rmat, f_v, f_e, binary_op, reduce_op, row_chunk=13
-    )
+    out = run_pass(small_rmat, f_v, f_e, binary_op, reduce_op, row_chunk=13)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -77,7 +80,7 @@ def test_vectorized_chunked_matches_reference(small_rmat, binary_op, reduce_op):
 def test_empty_rows_get_zero(reduce_op, line_graph):
     """Vertices with no in-edges must produce 0, not the reducer identity."""
     f_v, _ = _features(line_graph, dim=3)
-    for fn in (aggregate_reordered, aggregate_vectorized):
+    for fn in (reordered, vectorized):
         out = fn(line_graph, f_v, None, "copylhs", reduce_op)
         assert np.array_equal(out[0], np.zeros(3))  # vertex 0 has no in-edges
 
@@ -93,7 +96,7 @@ def test_single_vertex_graph(reduce_op, num_edges):
     f_v = np.array([[3.0, -1.0]])
     f_e = np.arange(2 * num_edges, dtype=np.float64).reshape(num_edges, 2)
     ref = aggregate_dense_reference(g, f_v, f_e, "add", reduce_op)
-    out = aggregate_vectorized(g, f_v, f_e, "add", reduce_op)
+    out = vectorized(g, f_v, f_e, "add", reduce_op)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
     if num_edges == 0:
         assert np.array_equal(out, np.zeros((1, 2)))  # identity cleared
@@ -103,12 +106,12 @@ def test_single_vertex_graph(reduce_op, num_edges):
 def test_vectorized_identity_handling(line_graph, reduce_op):
     """±inf identities never leak: empty rows finalize to exactly 0."""
     f_v, _ = _features(line_graph, dim=2)
-    out = aggregate_vectorized(line_graph, f_v, None, "copylhs", reduce_op)
+    out = vectorized(line_graph, f_v, None, "copylhs", reduce_op)
     assert np.all(np.isfinite(out))
     assert np.array_equal(out[0], np.zeros(2))
 
 
-@pytest.mark.parametrize("fn", [aggregate_baseline, aggregate_vectorized])
+@pytest.mark.parametrize("fn", [aggregate_baseline, vectorized])
 @pytest.mark.parametrize("reduce_op", ["max", "min"])
 def test_nan_inf_messages_survive_finalization(line_graph, fn, reduce_op):
     """Regression: finalization used nan_to_num, which replaced NaN with
@@ -130,13 +133,13 @@ def test_vectorized_out_accumulation_contract(small_rmat, reduce_op):
     """Chaining passes into `out` + one finalize == the one-shot result."""
     f_v, f_e = _features(small_rmat)
     rop = get_reduce_op(reduce_op)
-    expected = aggregate_vectorized(small_rmat, f_v, f_e, "mul", reduce_op)
+    expected = vectorized(small_rmat, f_v, f_e, "mul", reduce_op)
     out = init_output(small_rmat.num_vertices, f_v.shape[1], rop, f_v.dtype)
     # split the source range in two and chain the partial passes
     mid = small_rmat.num_src // 2
     for lo, hi in ((0, mid), (mid, small_rmat.num_src)):
         block = small_rmat.source_block(lo, hi)
-        aggregate_vectorized(block, f_v, f_e, "mul", reduce_op, out=out)
+        vectorized(block, f_v, f_e, "mul", reduce_op, out=out)
     counts = small_rmat.in_degrees() if rop.needs_counts else None
     finalize_output(out, rop, counts=counts)
     np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-9)
@@ -144,7 +147,7 @@ def test_vectorized_out_accumulation_contract(small_rmat, reduce_op):
 
 def test_spmm_equals_scipy(small_rmat):
     f_v, _ = _features(small_rmat, dim=8)
-    out = aggregate_reordered(small_rmat, f_v, None, "copylhs", "sum")
+    out = reordered(small_rmat, f_v, None, "copylhs", "sum")
     expected = small_rmat.to_scipy() @ f_v
     np.testing.assert_allclose(out, expected, rtol=1e-10)
 
@@ -153,9 +156,7 @@ def test_chunked_general_path(small_rmat):
     """Tiny chunk size exercises the bounded-intermediate path."""
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, "mul", "max")
-    out = aggregate_reordered(
-        small_rmat, f_v, f_e, "mul", "max", chunk_rows=7
-    )
+    out = run_pass(small_rmat, f_v, f_e, "mul", "max", row_chunk=7)
     np.testing.assert_allclose(out, ref, rtol=1e-9)
 
 
@@ -168,5 +169,5 @@ def test_multigraph_edges_counted(tiny_graph):
         np.array([0, 0, 0]), np.array([1, 1, 1]), num_dst=2, num_src=2
     )
     f_v = np.array([[2.0], [0.0]])
-    out = aggregate_reordered(g, f_v, None, "copylhs", "sum")
+    out = reordered(g, f_v, None, "copylhs", "sum")
     assert out[1, 0] == 6.0

@@ -1,8 +1,10 @@
-"""Thread-pool execution engine: bit-identity with the vectorized
-engine across the full operator table, thread counts, and chunking
-policies — the core contract that lets ``kernel="parallel"`` replace the
-single-threaded engine anywhere without changing a single bit.
+"""Thread-pool execution: bit-identity with the single-thread pass
+across the full operator table, thread counts, and chunking policies —
+the core contract that lets ``kernel="parallel"`` replace the
+single-threaded presets anywhere without changing a single bit.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,13 +13,11 @@ from repro.graph.builders import coo_to_csr, from_edge_list
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
+from repro.kernels.engine import plan_row_chunks, resolve_num_threads, run_pass
 from repro.kernels.operators import finalize_output, get_reduce_op, init_output
-from repro.kernels.parallel import (
-    aggregate_parallel,
-    plan_row_chunks,
-    resolve_num_threads,
-)
-from repro.kernels.vectorized import aggregate_vectorized
+
+parallel = partial(aggregate, kernel="parallel")
+vectorized = partial(aggregate, kernel="vectorized")
 
 BINARY = ["add", "sub", "mul", "div", "copylhs", "copyrhs"]
 REDUCE = ["sum", "max", "min", "mean"]
@@ -43,8 +43,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_all_op_pairs(self, skewed_graph, binary_op, reduce_op, schedule):
         f_v, f_e = _features(skewed_graph)
-        ref = aggregate_vectorized(skewed_graph, f_v, f_e, binary_op, reduce_op)
-        out = aggregate_parallel(
+        ref = vectorized(skewed_graph, f_v, f_e, binary_op, reduce_op)
+        out = parallel(
             skewed_graph, f_v, f_e, binary_op, reduce_op,
             num_threads=4, schedule=schedule,
         )
@@ -59,8 +59,8 @@ class TestBitIdentity:
         self, small_rmat, num_threads, schedule, binary_op, reduce_op
     ):
         f_v, f_e = _features(small_rmat)
-        ref = aggregate_vectorized(small_rmat, f_v, f_e, binary_op, reduce_op)
-        out = aggregate_parallel(
+        ref = vectorized(small_rmat, f_v, f_e, binary_op, reduce_op)
+        out = parallel(
             small_rmat, f_v, f_e, binary_op, reduce_op,
             num_threads=num_threads, schedule=schedule,
         )
@@ -70,9 +70,9 @@ class TestBitIdentity:
     def test_empty_rows(self, line_graph, reduce_op):
         """Vertices with no in-edges finalize to 0 on every policy."""
         f_v, _ = _features(line_graph, dim=3)
-        ref = aggregate_vectorized(line_graph, f_v, None, "copylhs", reduce_op)
+        ref = vectorized(line_graph, f_v, None, "copylhs", reduce_op)
         for schedule in SCHEDULES:
-            out = aggregate_parallel(
+            out = parallel(
                 line_graph, f_v, None, "copylhs", reduce_op,
                 num_threads=4, schedule=schedule,
             )
@@ -83,7 +83,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_zero_vertex_graph(self, reduce_op, schedule):
         g = CSRGraph(indptr=np.array([0]), indices=np.array([], dtype=np.int64))
-        out = aggregate_parallel(
+        out = parallel(
             g, np.zeros((0, 3)), None, "copylhs", reduce_op,
             num_threads=4, schedule=schedule,
         )
@@ -96,15 +96,15 @@ class TestBitIdentity:
         )
         f_v = np.array([[3.0, -1.0]])
         f_e = np.arange(6, dtype=np.float64).reshape(3, 2)
-        ref = aggregate_vectorized(g, f_v, f_e, "add", "max")
-        out = aggregate_parallel(g, f_v, f_e, "add", "max", num_threads=8)
+        ref = vectorized(g, f_v, f_e, "add", "max")
+        out = parallel(g, f_v, f_e, "add", "max", num_threads=8)
         assert np.array_equal(out, ref)
 
     def test_more_threads_than_rows(self, tiny_graph):
         f_v, f_e = _features(tiny_graph)
-        ref = aggregate_vectorized(tiny_graph, f_v, f_e, "mul", "sum")
+        ref = vectorized(tiny_graph, f_v, f_e, "mul", "sum")
         for schedule in SCHEDULES:
-            out = aggregate_parallel(
+            out = parallel(
                 tiny_graph, f_v, f_e, "mul", "sum",
                 num_threads=16, schedule=schedule,
             )
@@ -115,9 +115,9 @@ class TestBitIdentity:
         rows: no cross-thread accumulation order to vary)."""
         f_v, f_e = _features(small_rmat)
         runs = [
-            aggregate_parallel(
+            run_pass(
                 small_rmat, f_v, f_e, "add", "sum",
-                num_threads=4, schedule="dynamic", chunk_rows=7,
+                num_threads=4, schedule="dynamic", row_chunk=7,
             )
             for _ in range(5)
         ]
@@ -133,8 +133,8 @@ class TestBitIdentity:
         g = coo_to_csr(src, dst, num_dst=32, num_src=32, edge_ids=eids)
         f_v, f_e = _features(g)
         for binary_op, reduce_op in [("copyrhs", "sum"), ("mul", "min")]:
-            ref = aggregate_vectorized(g, f_v, f_e, binary_op, reduce_op)
-            out = aggregate_parallel(
+            ref = vectorized(g, f_v, f_e, binary_op, reduce_op)
+            out = parallel(
                 g, f_v, f_e, binary_op, reduce_op, num_threads=3
             )
             assert np.array_equal(out, ref)
@@ -146,14 +146,14 @@ class TestOutContract:
         """Chained partial passes into `out` + one finalize == one-shot."""
         f_v, f_e = _features(small_rmat)
         rop = get_reduce_op(reduce_op)
-        expected = aggregate_parallel(
+        expected = parallel(
             small_rmat, f_v, f_e, "mul", reduce_op, num_threads=4
         )
         out = init_output(small_rmat.num_vertices, f_v.shape[1], rop, f_v.dtype)
         mid = small_rmat.num_src // 2
         for lo, hi in ((0, mid), (mid, small_rmat.num_src)):
             block = small_rmat.source_block(lo, hi)
-            aggregate_parallel(
+            parallel(
                 block, f_v, f_e, "mul", reduce_op, out=out, num_threads=4
             )
         counts = small_rmat.in_degrees()
@@ -206,24 +206,24 @@ class TestPlanning:
         assert chunks[0][0] == 0 and chunks[-1][1] == 8
 
     def test_plan_cached_on_graph(self, small_rmat):
-        """The chunk plan (an O(V) computation) is built once per
-        (threads, schedule, chunk_rows) and reused across calls."""
+        """The pass plan (an O(V) computation) is built once per
+        (row_chunk, blocks, threads, schedule) and reused across calls."""
         f_v, _ = _features(small_rmat)
-        aggregate_parallel(small_rmat, f_v, None, num_threads=4, schedule="balanced")
-        plans = small_rmat._parallel_plans
-        key = (4, "balanced", None)
+        parallel(small_rmat, f_v, None, num_threads=4, schedule="balanced")
+        plans = small_rmat._pass_plans
+        key = (None, 1, 4, "balanced")
         first = plans[key]
-        aggregate_parallel(small_rmat, f_v, None, num_threads=4, schedule="balanced")
-        assert small_rmat._parallel_plans[key] is first
+        parallel(small_rmat, f_v, None, num_threads=4, schedule="balanced")
+        assert small_rmat._pass_plans[key] is first
         # schedule=None resolves through choose_schedule and caches too
-        aggregate_parallel(small_rmat, f_v, None, num_threads=4)
-        assert (4, None, None) in plans
+        parallel(small_rmat, f_v, None, num_threads=4)
+        assert (None, 1, 4, None) in plans
 
     def test_unknown_schedule(self, tiny_graph):
         with pytest.raises(ValueError, match="schedule"):
             plan_row_chunks(tiny_graph, 2, "guided")
         with pytest.raises(ValueError, match="schedule"):
-            aggregate_parallel(
+            parallel(
                 tiny_graph, np.ones((5, 2)), None, num_threads=2,
                 schedule="guided",
             )
@@ -232,7 +232,7 @@ class TestPlanning:
         with pytest.raises(ValueError, match="num_threads"):
             plan_row_chunks(tiny_graph, 0, "static")
         with pytest.raises(ValueError, match="num_threads"):
-            aggregate_parallel(tiny_graph, np.ones((5, 2)), None, num_threads=0)
+            parallel(tiny_graph, np.ones((5, 2)), None, num_threads=0)
 
 
 class TestThreadResolution:
