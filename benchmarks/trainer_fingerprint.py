@@ -1,5 +1,7 @@
-"""Bit-equality fingerprint of every trainer, for refactors of the
-training stack: run it on two checkouts and ``cmp`` the outputs.
+"""Bit-equality fingerprint of every trainer and of the Libra
+partitioner, for refactors of the training stack: run THIS copy of the
+script against two checkouts' ``src`` and ``cmp`` the outputs (each
+tree's own copy would differ by construction whenever an entry is added).
 
     PYTHONPATH=<checkout>/src python benchmarks/trainer_fingerprint.py out.json
 
@@ -7,7 +9,9 @@ Records per-epoch losses, digests of the final ``state_dict`` and
 gradients, per-epoch ``comm_bytes``, accuracies and world counters for
 {0c, cd-0, cd-2, cd-5} x {sage, gcn} x {sim, shm} x P in {2, 4}, plus
 fixed-seed curves of ``Trainer``, ``MiniBatchTrainer`` and
-``DistMiniBatchTrainer``.  Uses public names only (~12 s).
+``DistMiniBatchTrainer``, plus ``libra/P{2,4,8,64}`` digests of the
+partitioner's assignments and streamed state.  Uses public names only
+(~15 s).
 """
 
 import hashlib
@@ -17,7 +21,9 @@ import sys
 import numpy as np
 
 from repro.core import DistributedTrainer, TrainConfig, Trainer
+from repro.dyngraph import LibraState
 from repro.graph.datasets import load_dataset
+from repro.partition import libra_partition
 from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer
 
 
@@ -103,6 +109,27 @@ def main(out_path):
     out["minibatch_default"] = [repr(mb2.train_epoch(e).loss) for e in range(2)]
     dmb2 = DistMiniBatchTrainer(ds, 2, [5, 5], batch_size=64)
     out["dist_minibatch_default"] = [repr(dmb2.train_epoch(e).loss) for e in range(2)]
+    # arrival order shuffled: a CSR dump piles every edge of a connected
+    # component onto one partition, which would fingerprint nothing
+    src, dst, _ = ds.graph.to_coo()
+    order = np.random.default_rng(0).permutation(src.size)
+    src, dst = src[order], dst[order]
+    for P in (2, 4, 8, 64):
+        state = LibraState(ds.num_vertices, P, seed=1)
+        streamed = [
+            state.assign(src[lo:lo + 997], dst[lo:lo + 997])
+            for lo in range(0, src.size, 997)
+        ]
+        out[f"libra/P{P}"] = {
+            "shuffled": digest([libra_partition(ds.graph, P, seed=0)]),
+            "csr_order": digest(
+                [libra_partition(ds.graph, P, seed=0, shuffle_edges=False)]
+            ),
+            "streamed": digest(streamed),
+            "member": digest([state.member]),
+            "load": digest([state.load]),
+            "rf": repr(state.replication_factor),
+        }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
     print("wrote", out_path, len(out), "entries")

@@ -816,7 +816,7 @@ def cmd_ingest(args) -> int:
     import os
     import time
 
-    from repro.dyngraph import DynamicGraph, LibraState
+    from repro.dyngraph import DynamicGraph, LibraState, LibraStateError
     from repro.graph.builders import coo_to_csr
 
     if not 0.0 < args.stream_fraction < 1.0:
@@ -843,7 +843,11 @@ def cmd_ingest(args) -> int:
         os.path.exists(args.state) or os.path.exists(args.state + ".npz")
     )
     if resumed:
-        state = LibraState.load(args.state)
+        try:
+            state = LibraState.load(args.state)
+        except LibraStateError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if (state.num_vertices, state.num_partitions) != (n, args.partitions):
             print(
                 f"error: resumed state is ({state.num_vertices} vertices, "

@@ -24,7 +24,11 @@ server.  Benchmarks: ``benchmarks/bench_streaming.py`` →
 """
 
 from repro.dyngraph.delta import DynamicGraph
-from repro.dyngraph.ingest import LibraState, streaming_libra_partition
+from repro.dyngraph.ingest import (
+    LibraState,
+    LibraStateError,
+    streaming_libra_partition,
+)
 from repro.dyngraph.serving_updates import (
     EdgeUpdateStats,
     apply_topology,
@@ -34,6 +38,7 @@ from repro.dyngraph.serving_updates import (
 __all__ = [
     "DynamicGraph",
     "LibraState",
+    "LibraStateError",
     "streaming_libra_partition",
     "EdgeUpdateStats",
     "apply_topology",

@@ -1,11 +1,21 @@
 """Resumable streaming Libra: online partition assignment for arriving edges.
 
 Libra's greedy rule (:mod:`repro.partition.libra`) is inherently
-streaming — each edge's assignment depends only on the membership matrix
-and the load vector accumulated over all *previous* edges.
+streaming — each edge's assignment depends only on the membership and
+the load vector accumulated over all *previous* edges.
 :class:`LibraState` materializes exactly that state so a service can
 assign partitions to edges as they arrive, one or a chunk at a time,
 instead of re-running the batch partitioner over the whole graph.
+
+Membership is stored packed: one Python-int bitmask per vertex (bit
+``p`` <=> partition ``p`` holds a clone; any P is one code path).  Per
+edge the rule reads two masks, takes ``(mu & mv) or (mu | mv) or ALL``
+and scans the candidate bits for the smallest ``float(load[p]) +
+tie[p]``, so ``assign`` costs O(chunk), never O(``num_vertices``); the
+bool ``(n, P)`` matrix is the derived :attr:`LibraState.member` and the
+``.npz`` layout.  The 1e-9 tie noise is rounded away by that addition
+past ~2**23 edges per partition; ties then fall to the lowest id
+(inherited behaviour, preserved bit for bit).
 
 Equivalence contract (pinned in ``tests/dyngraph/test_ingest.py``):
 feeding any prefix/suffix split of an edge sequence through one
@@ -16,21 +26,41 @@ over the concatenated sequence with ``shuffle_edges=False`` and the same
 seed.  (The batch partitioner's optional pre-shuffle is an offline
 luxury; an online stream *is* its own arrival order.)
 
-Because the state carries the membership matrix, it also knows the
-current replication factor at every step.  Streaming assignment is
-greedy and never revisits old decisions, so quality drifts as the graph
-grows: :meth:`set_baseline` + :meth:`should_repartition` implement the
-drift trigger that recommends an offline repartition once the
-replication factor has degraded past a tolerance.
+Because the state carries the membership, it also knows the current
+replication factor at every step.  Streaming assignment is greedy and
+never revisits old decisions, so quality drifts as the graph grows:
+:meth:`set_baseline` + :meth:`should_repartition` implement the drift
+trigger that recommends an offline repartition once the replication
+factor has degraded past a tolerance.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
+
+#: edges converted to Python ints at a time (bounds assign's transients)
+_SLICE = 1 << 16
+
+
+class LibraStateError(ValueError):
+    """A saved :class:`LibraState` file is truncated, corrupt or inconsistent."""
+
+
+def _endpoints(a, num_vertices: int) -> np.ndarray:
+    """One endpoint sequence as a validated int64 array."""
+    a = np.atleast_1d(np.asarray(a))
+    if a.size and a.dtype.kind not in "iu":  # asarray(dtype=int) would truncate 0.7
+        raise ValueError(f"edge endpoints must be integers, got dtype {a.dtype}")
+    a = a.astype(np.int64, copy=False)
+    # one reduction for both bounds: a negative int64 viewed unsigned is >= 2**63
+    if a.size and a.view(np.uint64).max() >= np.uint64(num_vertices):
+        raise ValueError(f"edge endpoints must be in [0, {num_vertices})")
+    return a
 
 
 class LibraState:
@@ -57,8 +87,8 @@ class LibraState:
         self.num_vertices = n
         self.num_partitions = p
         self.seed = int(seed)
-        #: vertex -> partitions holding a clone of it
-        self.member = np.zeros((n, p), dtype=bool)
+        #: vertex -> bitmask of the partitions holding a clone of it
+        self._masks = [0] * n
         #: edges per partition
         self.load = np.zeros(p, dtype=np.int64)
         # Identical draw to libra_partition(shuffle_edges=False): the
@@ -74,50 +104,37 @@ class LibraState:
         """Assign a chunk of arriving edges, in order; returns partitions.
 
         The loop is sequential by construction (each decision feeds the
-        next), exactly like the batch partitioner's.
+        next) and O(chunk): two masks, one load, one cached key per edge.
         """
-        src = np.atleast_1d(np.asarray(src, dtype=INDEX_DTYPE))
-        dst = np.atleast_1d(np.asarray(dst, dtype=INDEX_DTYPE))
+        src = _endpoints(src, self.num_vertices)
+        dst = _endpoints(dst, self.num_vertices)
         if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src/dst must be equal-length 1-D sequences")
-        if src.size and (
-            src.min() < 0
-            or dst.min() < 0
-            or src.max() >= self.num_vertices
-            or dst.max() >= self.num_vertices
-        ):
-            raise ValueError(
-                f"edge endpoints must be in [0, {self.num_vertices})"
-            )
         out = np.zeros(src.size, dtype=INDEX_DTYPE)
-        if self.num_partitions == 1:
-            self.num_assigned += src.size
-            self.load[0] += src.size
-            if src.size:
-                self.member[src, 0] = True
-                self.member[dst, 0] = True
-            return out
-        member, load, tie = self.member, self.load, self.tie
-        for i in range(src.size):
-            u = src[i]
-            v = dst[i]
-            mu = member[u]
-            mv = member[v]
-            both = mu & mv
-            if both.any():
-                cand = both
-            else:
-                either = mu | mv
-                cand = either if either.any() else None
-            if cand is None:
-                part = int(np.argmin(load + tie))
-            else:
-                masked = np.where(cand, load + tie, np.inf)
-                part = int(np.argmin(masked))
-            out[i] = part
-            member[u, part] = True
-            member[v, part] = True
-            load[part] += 1
+        masks, everywhere = self._masks, (1 << self.num_partitions) - 1
+        load, tie = self.load.tolist(), self.tie.tolist()
+        # key[p] is the IEEE double np.argmin(load + tie) would compare;
+        # derived per call because callers may swap `tie` after __init__
+        key = [float(l) + t for l, t in zip(load, tie)]
+        for lo in range(0, src.size, _SLICE):
+            hi, parts = lo + _SLICE, []
+            for u, v in zip(src[lo:hi].tolist(), dst[lo:hi].tolist()):
+                mu, mv = masks[u], masks[v]
+                cand = (mu & mv) or (mu | mv) or everywhere
+                part = (cand & -cand).bit_length() - 1
+                cand &= cand - 1  # drop the lowest set bit
+                while cand:  # ascending p, strict <: argmin's first-index ties
+                    p = (cand & -cand).bit_length() - 1
+                    cand &= cand - 1
+                    if key[p] < key[part]:
+                        part = p
+                bit = 1 << part
+                masks[u], masks[v] = mu | bit, mv | bit
+                load[part] += 1
+                key[part] = load[part] + tie[part]
+                parts.append(part)
+            out[lo:hi] = parts
+        self.load[:] = load
         self.num_assigned += src.size
         return out
 
@@ -139,13 +156,29 @@ class LibraState:
     # -- quality / drift --------------------------------------------------------
 
     @property
+    def member(self) -> np.ndarray:
+        """Bool ``(num_vertices, num_partitions)`` membership, unpacked
+        from the masks on every read: O(n * P), not for hot loops."""
+        width = (self.num_partitions + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in self._masks)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+        return np.unpackbits(
+            rows, axis=1, count=self.num_partitions, bitorder="little"
+        ).view(bool)
+
+    @member.setter
+    def member(self, member: np.ndarray) -> None:
+        width = (self.num_partitions + 7) // 8
+        raw = np.packbits(member, axis=1, bitorder="little").tobytes()
+        rows = range(0, len(raw), width)
+        self._masks = [int.from_bytes(raw[i:i + width], "little") for i in rows]
+
+    @property
     def replication_factor(self) -> float:
         """Average clones per present vertex (paper Table 4 metric)."""
-        clones = self.member.sum(axis=1)
-        present = clones > 0
-        if not present.any():
-            return 0.0
-        return float(clones[present].mean())
+        present = self.num_vertices - self._masks.count(0)
+        clones = sum(map(int.bit_count, self._masks))  # exact ints: == the mean
+        return clones / present if present else 0.0
 
     def set_baseline(self, rf: Optional[float] = None) -> float:
         """Record the reference replication factor drift is measured from
@@ -185,31 +218,56 @@ class LibraState:
         }
 
     def save(self, path: str) -> None:
-        """Persist to ``.npz`` so ingestion survives a process restart."""
-        np.savez_compressed(path, **self.state_dict())
+        """Persist to ``.npz`` so ingestion survives a process restart (temp
+        file + ``os.replace``: a crash mid-save keeps the previous file)."""
+        path = os.fspath(path)
+        path = path if path.endswith(".npz") else path + ".npz"
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(fh, **self.state_dict())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path: str) -> "LibraState":
-        import os
+        """Resume from :meth:`save`; a truncated, corrupt or inconsistent
+        file raises :class:`LibraStateError`."""
+        import zipfile  # deferred like numpy's own: ~10 ms only a resume needs
+        import zlib
 
         if not os.path.exists(path) and os.path.exists(path + ".npz"):
             path = path + ".npz"
-        with np.load(path) as data:
-            state = cls(
-                int(data["num_vertices"]),
-                int(data["num_partitions"]),
-                seed=int(data["seed"]),
-            )
-            state.member = (
-                np.unpackbits(
-                    data["member"], axis=0, count=state.num_vertices
-                ).astype(bool)
-            )
-            state.load = data["load"].astype(np.int64)
-            state.tie = data["tie"]  # resumed verbatim, not re-drawn
-            state.num_assigned = int(data["num_assigned"])
-            baseline = float(data["baseline_rf"])
-            state.baseline_rf = None if np.isnan(baseline) else baseline
+        with open(path, "rb") as fh:
+            try:
+                with np.load(fh) as data:
+                    f = dict(data)
+                state = cls(
+                    int(f["num_vertices"]), int(f["num_partitions"]),
+                    seed=int(f["seed"]),
+                )
+                n, p = state.num_vertices, state.num_partitions
+                state.load = f["load"].astype(np.int64)
+                state.tie = f["tie"]  # resumed verbatim, not re-drawn
+                state.num_assigned = int(f["num_assigned"])
+                shapes = [f["member"].shape, state.load.shape, state.tie.shape]
+                if shapes != [((n + 7) // 8, p), (p,), (p,)]:
+                    raise ValueError(f"member/load/tie shapes {shapes} do not"
+                                     f" fit {n} vertices x {p} partitions")
+                if state.load.sum() != state.num_assigned:
+                    raise ValueError("load does not sum to num_assigned")
+                state.member = np.unpackbits(f["member"], axis=0, count=n)
+                baseline = float(f["baseline_rf"])
+                state.baseline_rf = None if np.isnan(baseline) else baseline
+            except (OSError, ValueError, KeyError, TypeError, EOFError,
+                    NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
+                # everything np.load / zipfile raise on a damaged archive
+                raise LibraStateError(f"{path}: not a usable LibraState "
+                                      f"file ({exc!r})") from exc
         return state
 
     def stats(self) -> dict:

@@ -15,13 +15,13 @@ Load is the partition's edge count, which is why Libra "produces highly
 balanced partitions in terms of the number of edges" despite having no
 hard balance constraint (Section 6.3).
 
-Membership is tracked as a dense boolean matrix ``(num_vertices,
-num_partitions)`` so each step is a couple of NumPy row reads; the edge
-loop itself is sequential because each decision depends on all previous
-ones (the algorithm is inherently streaming).  The loop lives in
-:class:`repro.dyngraph.ingest.LibraState` — this batch entry point is a
-replay of the streaming state over one (optionally shuffled) edge
-sequence, so streaming-vs-batch equivalence holds by construction.
+Membership is one packed bitmask per vertex (bit ``p`` <=> partition
+``p`` holds a clone), so each step is two integer reads and a scan of
+the candidate bits; the edge loop is sequential because each decision
+depends on all previous ones.  It lives in
+:class:`repro.dyngraph.ingest.LibraState` (which documents the tie-noise
+limit) — this batch entry point replays that state over one (optionally
+shuffled) edge sequence, so streaming ≡ batch holds by construction.
 """
 
 from __future__ import annotations

@@ -239,6 +239,17 @@ def test_ingest_resume_rejects_mismatched_seed(capsys, tmp_path):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_ingest_reports_corrupt_state_file(capsys, tmp_path):
+    state = tmp_path / "libra_state.npz"
+    state.write_bytes(b"PK\x03\x04 not a complete archive")
+    argv = [
+        "ingest", "--dataset", "reddit", "--scale", "0.05", "--state", str(state),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "libra_state.npz" in err
+
+
 def test_ingest_validates_arguments(capsys):
     assert main(["ingest", "--scale", "0.05", "--stream-fraction", "1.5"]) == 2
     assert "--stream-fraction" in capsys.readouterr().err

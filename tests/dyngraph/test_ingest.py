@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dyngraph import LibraState, streaming_libra_partition
+from repro.dyngraph import LibraState, LibraStateError, streaming_libra_partition
 from repro.graph.generators import rmat_graph, sbm_graph
 from repro.partition.libra import libra_partition, replication_factor_of_assignment
 
@@ -94,6 +94,82 @@ def test_load_accepts_extensionless_path(tmp_path):
     state.save(path + ".npz")
     again = LibraState.load(path)
     assert again.num_assigned == 2
+    state.save(path)  # ".npz" is appended when missing, as np.savez does
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["st.npz"]
+
+
+def _saved_state(tmp_path, small_rmat):
+    src, dst, _ = small_rmat.to_coo()
+    state = LibraState(small_rmat.num_vertices, 4, seed=1)
+    state.assign(src[:500], dst[:500])
+    path = str(tmp_path / "state.npz")
+    state.save(path)
+    return state, path
+
+
+def test_truncated_state_file_raises_named_error(tmp_path, small_rmat):
+    """A half-written file is one named error at load, whatever the
+    offset (zipfile / zlib / numpy each fail differently underneath)."""
+    _, path = _saved_state(tmp_path, small_rmat)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    for cut in (0, 1, 10, len(raw) // 3, len(raw) // 2, len(raw) - 30, len(raw) - 1):
+        with open(path, "wb") as fh:
+            fh.write(raw[:cut])
+        with pytest.raises(LibraStateError, match="state.npz"):
+            LibraState.load(path)
+    flipped = bytearray(raw)
+    flipped[len(raw) // 2] ^= 0xFF  # corrupt, not short
+    with open(path, "wb") as fh:
+        fh.write(bytes(flipped))
+    with pytest.raises(LibraStateError):
+        LibraState.load(path)
+    with pytest.raises(FileNotFoundError):  # absent is not "corrupt"
+        LibraState.load(str(tmp_path / "missing.npz"))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("load", np.zeros(3, dtype=np.int64)),       # wrong length
+    ("tie", np.zeros(5)),
+    ("member", np.zeros((1, 4), dtype=np.uint8)),
+    ("num_assigned", np.asarray(499)),           # load.sum() disagrees
+])
+def test_inconsistent_state_file_raises_named_error(
+    tmp_path, small_rmat, field, value
+):
+    """Validated on open, not at the first later ``assign``."""
+    state, path = _saved_state(tmp_path, small_rmat)
+    fields = state.state_dict()
+    fields[field] = value
+    np.savez_compressed(path, **fields)
+    with pytest.raises(LibraStateError, match=r"shapes|num_assigned"):
+        LibraState.load(path)
+
+
+def test_crash_before_publish_keeps_previous_file(
+    tmp_path, small_rmat, monkeypatch
+):
+    """save() = temp file + os.replace: dying between the two leaves the
+    previous state file byte-equal and loadable, and no temp litter."""
+    state, path = _saved_state(tmp_path, small_rmat)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    src, dst, _ = small_rmat.to_coo()
+    state.assign(src[500:900], dst[500:900])
+
+    def crash(*_args):
+        raise OSError("simulated crash before publish")
+
+    monkeypatch.setattr("os.replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        state.save(path)
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert LibraState.load(path).num_assigned == 500
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+    state.save(path)
+    assert LibraState.load(path).num_assigned == 900
 
 
 # -- quality / drift ---------------------------------------------------------------
@@ -139,6 +215,25 @@ def test_endpoint_validation():
         state.assign([-1], [0])
     with pytest.raises(ValueError):
         LibraState(4, 0)
+
+
+def test_endpoint_dtype_validation():
+    """Float endpoints used to be truncated by ``asarray(dtype=int)``:
+    ``assign([0.7], [1.9])`` silently assigned edge (0, 1)."""
+    state = LibraState(4, 2, seed=0)
+    with pytest.raises(ValueError, match="float64"):
+        state.assign([0.7], [1.9])
+    with pytest.raises(ValueError, match="float64"):
+        state.assign([0], [1.0])
+    with pytest.raises(ValueError, match="bool"):
+        state.assign([True], [False])
+    assert state.num_assigned == 0 and not state.member.any()
+    assert state.assign([], []).shape == (0,)  # numpy types [] float64
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+        state.assign(np.array([0, 1], dtype=dtype), np.array([2, 3], dtype=dtype))
+    assert state.num_assigned == 10
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        state.assign(np.array([2**63], dtype=np.uint64), [0])
 
 
 def test_beats_replayed_quality_claim():
