@@ -1,0 +1,97 @@
+"""Diagnostic studies: one-off measurements that inform a design choice.
+
+Nothing here is a gate or a number of record — the repo benchmark is
+``benchmarks/suite``.  Each study prints a markdown table that is pasted
+into ``docs/`` with the date and box it was measured on.
+
+    PYTHONPATH=src python benchmarks/studies.py spmm-operand
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+from repro.graph.datasets import load_dataset
+from repro.perf.hardware import SocketSpec
+from repro.perf.roofline import ap_kernel_time
+
+#: the two full-batch suite graphs, each at its model's input and hidden width
+SPMM_CASES = (
+    ("reddit", 4.0, (16, 64)),  # train_dense: 2x16 over 64 input features
+    ("ogbn-products", 0.5, (50, 256)),  # train_sparse: 3x256 over 50
+)
+
+
+def _median_ms(fn, reps: int) -> float:
+    fn()
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * float(np.median(times))
+
+
+def _copy_bandwidth() -> float:
+    """Bytes/s of one thread streaming a 128 MB array into another."""
+    src = np.ones(1 << 24)
+    dst = np.empty_like(src)
+    return 2 * src.nbytes / (_median_ms(lambda: np.copyto(dst, src), 5) / 1e3)
+
+
+def _pass_bytes(graph, dim: int, value_size: int) -> int:
+    """What one CSR product moves when no gathered row is reused: every
+    edge streams its index and value and gathers a source row, every
+    destination row is written (the suite's ``kernels.pass_gbps`` model,
+    with the operand's real element sizes)."""
+    index = 4  # scipy's int32 copy
+    return (
+        graph.num_edges * (dim * value_size + index + value_size)
+        + graph.num_vertices * dim * value_size
+        + (graph.num_vertices + 1) * index
+    )
+
+
+def spmm_operand(reps: int) -> None:
+    """ROADMAP 3(b)/(d): the float64 operand the engine caches vs a float32
+    one, stand-alone (``A @ X`` only, float32 ``X``), beside the roofline."""
+    bandwidth = _copy_bandwidth()
+    # one core on its bandwidth roof; 8 fp32 adds per cycle is generous
+    # enough that no case below is compute-bound
+    box = SocketSpec("this-box", cores=1, frequency_Hz=2.5e9, mem_bw_Bps=bandwidth,
+                     simd_fp32_per_core=8, flops_efficiency=1.0, bw_efficiency=1.0)
+    print(f"one-thread copy bandwidth {bandwidth / 1e9:.1f} GB/s\n")
+    print("| graph | V | E | d | f64 operand ms | f32 operand ms | f32/f64 "
+          "| roofline f64 ms | roofline f32 ms |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    for name, scale, dims in SPMM_CASES:
+        graph = load_dataset(name, scale=scale, seed=0).graph
+        a64 = graph.to_scipy()
+        a32 = a64.astype(np.float32)
+        for dim in dims:
+            x = np.random.default_rng(dim).standard_normal(
+                (graph.num_src, dim)
+            ).astype(np.float32)
+            t64 = _median_ms(lambda: a64 @ x, reps)
+            t32 = _median_ms(lambda: a32 @ x, reps)
+            roof = [
+                1e3 * ap_kernel_time(graph.num_edges, dim,
+                                     _pass_bytes(graph, dim, size), box)
+                for size in (8, 4)
+            ]
+            print(f"| {name} {scale} | {graph.num_vertices} | {graph.num_edges} "
+                  f"| {dim} | {t64:.1f} | {t32:.1f} | {t32 / t64:.2f} "
+                  f"| {roof[0]:.1f} | {roof[1]:.1f} |")
+
+
+STUDIES = {"spmm-operand": spmm_operand}
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("study", choices=sorted(STUDIES))
+    parser.add_argument("--reps", type=int, default=9)
+    args = parser.parse_args()
+    STUDIES[args.study](args.reps)

@@ -19,6 +19,7 @@ from __future__ import annotations
 #: and flags registry drift when the function disappears.
 HANDOUT_FUNCTIONS = {
     ("repro/graph/csr.py", "CSRGraph.__post_init__"),
+    ("repro/graph/csr.py", "CSRGraph.to_scipy"),
     ("repro/serving/cache.py", "ResultCache._frozen_copy"),
     ("repro/featurestore/storage.py", "open_feature_layout"),
     ("repro/featurestore/store.py", "FeatureStore.gather"),

@@ -66,7 +66,7 @@ from repro.core.sync import allreduce_gradients, grad_or_zeros
 from repro.core.trainer import SPLITS, fit_epochs
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import Dataset
-from repro.nn import GraphSAGE, Tensor, masked_cross_entropy
+from repro.nn import GraphSAGE, InputAggregate, Tensor, masked_cross_entropy
 from repro.nn.tensor import no_grad
 from repro.partition import (
     build_partitions,
@@ -145,6 +145,7 @@ class RankProgram:
         self.spec = trainer.spec
         self.feature_store = trainer.feature_store
         self.global_train_count = trainer.global_train_count
+        self.input_aggregate = InputAggregate(self.state.model.layers[0])
         # Forward-aggregate exchanger: delay/bins from the algorithm.
         self.agg_exchanger = DRPAExchanger(
             comm,
@@ -156,6 +157,15 @@ class RankProgram:
         # Synchronous exchangers for cd-0 gradients and for evaluation.
         self.grad_exchanger = DRPAExchanger(comm, trainer.sync_bins, tag_prefix="grad")
         self.eval_exchanger = DRPAExchanger(comm, trainer.sync_bins, tag_prefix="eval")
+
+    def aggregate(self, l: int, layer, h: Tensor) -> Tensor:
+        """Segment A: layer ``l``'s local partial aggregate.  The first is
+        memoised (this rank's graph, features and norm never change) and
+        handed out as a copy: DRPA rounds sync ``z.data`` in place."""
+        if l:
+            return layer.aggregate(self.graph, h, self.state.norm)
+        z = self.input_aggregate(self.graph, h, self.state.norm)
+        return Tensor(z.data.copy())
 
     def train_epoch(self, epoch: int) -> Generator:
         """One training epoch; returns this rank's row of the epoch
@@ -170,7 +180,7 @@ class RankProgram:
         for l, layer in enumerate(layers):
             # Segment A: local partial aggregation (the AP).
             with sw.time("local_agg"):
-                z = layer.aggregate(self.graph, h, state.norm)
+                z = self.aggregate(l, layer, h)
             # DRPA: remote partial aggregates (pre/post-processing + comm).
             if spec.is_synchronous:
                 yield from sw.timed(
@@ -234,7 +244,7 @@ class RankProgram:
             # no_grad is process-global state: never held across a sync
             # point, where the sim driver runs the other ranks.
             with no_grad():
-                z = layer.aggregate(self.graph, h, state.norm)
+                z = self.aggregate(l, layer, h)
             yield from self.eval_exchanger.synchronous_round(
                 z.data, l, self.comm.epoch
             )

@@ -29,7 +29,7 @@ from repro.core.models import build_model, make_optimizer, norm_from_degrees
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import Dataset
 from repro.kernels.instrumentation import AP_TIMER
-from repro.nn import Tensor, accuracy, masked_cross_entropy
+from repro.nn import InputAggregate, Tensor, accuracy, masked_cross_entropy
 from repro.nn.tensor import no_grad
 
 SPLITS = ("train", "val", "test")
@@ -89,9 +89,11 @@ class Trainer:
     Features are read through a :class:`~repro.featurestore.FeatureStore`
     (default: a resident store over ``dataset.features`` — bit-identical
     to reading the matrix directly).  Passing an ``mmap``-tier store
-    trains out-of-core: every epoch's layer-0 aggregation gathers from
-    the read-only cold map instead of a resident copy, with identical
-    losses and parameters (``tests/featurestore/test_parity.py``).
+    trains out-of-core with identical losses and parameters
+    (``tests/featurestore/test_parity.py``).  Graph, features and norm
+    are fixed for the trainer's lifetime, so layer 0's aggregation runs
+    once per trainer, not per epoch (``nn.InputAggregate``: N x d_in
+    float32 kept, less than the two float64 transients a product makes).
     """
 
     def __init__(
@@ -107,6 +109,7 @@ class Trainer:
         self.feature_store = feature_store or FeatureStore.resident(dataset.features)
         self.features = Tensor(self.feature_store.matrix())
         self.norm = norm_from_degrees(cfg.model, dataset.graph.in_degrees())
+        self.model.input_aggregate = InputAggregate(self.model.layers[0])
         self.optimizer = make_optimizer(self.model, cfg)
 
     # -- epoch loop -----------------------------------------------------------

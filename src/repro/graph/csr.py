@@ -13,6 +13,7 @@ same pass, exactly as DGL does.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
@@ -26,6 +27,19 @@ def _as_index_array(a, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr
+
+
+_ONES = weakref.WeakValueDictionary()  # n -> ones, freed with their last graph
+
+
+def _ones(n: int) -> np.ndarray:
+    """Read-only ``(n,)`` float64 ones, one buffer per ``n``: a graph and
+    its reverse (and any other graph of ``n`` edges) share it."""
+    ones = _ONES.get(n)
+    if ones is None:
+        ones = _ONES[n] = np.ones(n, dtype=np.float64)
+        ones.setflags(write=False)
+    return ones
 
 
 @dataclass(frozen=True)
@@ -156,13 +170,21 @@ class CSRGraph:
         return dense
 
     def to_scipy(self):
-        """Return the adjacency as ``scipy.sparse.csr_matrix`` (dst x src)."""
-        import scipy.sparse as sp
+        """The adjacency as ``scipy.sparse.csr_matrix`` (dst x src): built
+        once per graph instance and shared, so its arrays are read-only
+        (scipy's int32 copy of the indices; ``data`` is :func:`_ones`)."""
+        adj = getattr(self, "_scipy", None)
+        if adj is None:
+            import scipy.sparse as sp
 
-        data = np.ones(self.num_edges, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.num_vertices, self.num_src)
-        )
+            adj = sp.csr_matrix(
+                (_ones(self.num_edges), self.indices, self.indptr),
+                shape=(self.num_vertices, self.num_src),
+            )
+            for arr in (adj.indices, adj.indptr):
+                arr.setflags(write=False)
+            object.__setattr__(self, "_scipy", adj)
+        return adj
 
     def reverse(self) -> "CSRGraph":
         """Graph with every edge direction flipped (source-major view).

@@ -206,24 +206,22 @@ def spmm_rows(
     Valid for any add-accumulating reducer (``sum`` and the ``mean``
     pre-division accumulation).  Per-row accumulation order is the same
     for a row slice as for the whole matrix, so a chunked product is
-    bit-identical to the full one; the full range reuses the graph's own
-    arrays instead of slicing them.
+    bit-identical to the full one.  No operand is built per call: the
+    full range is the graph's cached :meth:`~CSRGraph.to_scipy` matrix
+    (float64 ones over scipy's int32 copy of the indices), a plan's row
+    range views it under a rebased ``indptr`` kept in the plan cache.
     """
-    if row_lo == 0 and row_hi == graph.num_vertices:
-        adj = graph.to_scipy()
-    else:
-        import scipy.sparse as sp
-
-        indptr = graph.indptr
-        elo, ehi = int(indptr[row_lo]), int(indptr[row_hi])
-        adj = sp.csr_matrix(
-            (
-                np.ones(ehi - elo, dtype=np.float64),
-                graph.indices[elo:ehi],
-                indptr[row_lo : row_hi + 1] - elo,
-            ),
-            shape=(row_hi - row_lo, graph.num_src),
-        )
+    adj = graph.to_scipy()
+    if row_hi - row_lo < graph.num_vertices:
+        cache, key = _plan_cache(graph), ("operand", row_lo, row_hi)
+        if key not in cache:
+            elo, ehi = adj.indptr[row_lo], adj.indptr[row_hi]
+            rows = type(adj)((row_hi - row_lo, graph.num_src), dtype=adj.dtype)
+            # assigned, not passed in: the constructor would copy the views
+            rows.data, rows.indices = adj.data[elo:ehi], adj.indices[elo:ehi]
+            rows.indptr = adj.indptr[row_lo : row_hi + 1] - elo
+            cache[key] = rows
+        adj = cache[key]
     out[row_lo:row_hi] += adj @ f_v
 
 
@@ -439,6 +437,8 @@ def run_pass(
         out = init_output(n, dim, rop, dtype)
 
     if spmm:
+        # The upcast scipy would otherwise repeat on all of f_V per range.
+        f_v = f_v.astype(np.result_type(f_v, np.float64), copy=False)
 
         def run(block: CSRGraph, lo: int, hi: int) -> None:
             spmm_rows(block, f_v, out, lo, hi)

@@ -25,7 +25,7 @@ from repro.nn.gin import GIN, GINConv
 from repro.nn.init import kaiming_uniform, xavier_uniform
 from repro.nn.layers import Dropout, Linear
 from repro.nn.loss import accuracy, masked_cross_entropy
-from repro.nn.module import Module, Parameter
+from repro.nn.module import InputAggregate, Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.rgcn import RGCN, RelGraphConv
 from repro.nn.sage import GraphSAGE, SageConvGCN
@@ -37,6 +37,7 @@ __all__ = [
     "functional",
     "Module",
     "Parameter",
+    "InputAggregate",
     "Linear",
     "Dropout",
     "GraphSAGE",

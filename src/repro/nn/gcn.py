@@ -106,8 +106,12 @@ class GCN(Module):
             self.register_module(f"layer{i}", layer)
             self.layers.append(layer)
 
+    input_aggregate = None  # as GraphSAGE.input_aggregate
+
     def __call__(self, graph: CSRGraph, features: Tensor, sym_norm: Tensor) -> Tensor:
         h = features
-        for layer in self.layers:
-            h = layer(graph, h, sym_norm)
+        first = self.input_aggregate or self.layers[0].aggregate
+        for i, layer in enumerate(self.layers):
+            z = (layer.aggregate if i else first)(graph, h, sym_norm)
+            h = layer.combine(z, h, sym_norm)
         return h

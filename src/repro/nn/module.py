@@ -84,3 +84,26 @@ class Module:
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
+
+
+class InputAggregate:
+    """One-slot memo of a first layer's ``aggregate``, for an owner whose
+    graph, input features and norm stay fixed across calls (a trainer, a
+    rank program): with no tape and no dropout before it, that AP is a
+    product of constants.  The key is the identity of the three objects,
+    which the slot keeps alive; other objects recompute and take the slot.
+    It cannot see an in-place write, so paths that rewrite features
+    (serving) never go through it, and its result is read-only."""
+
+    def __init__(self, layer):
+        self.layer, self._key, self._value = layer, (None,) * 3, None
+
+    def __call__(self, graph, features: Tensor, norm: Tensor) -> Tensor:
+        if features.requires_grad or not features.is_leaf:
+            return self.layer.aggregate(graph, features, norm)
+        key = (graph, features.data, norm)
+        if any(a is not b for a, b in zip(key, self._key)):
+            value = self.layer.aggregate(graph, features, norm)
+            value.data.setflags(write=False)
+            self._key, self._value = key, value
+        return self._value

@@ -115,11 +115,16 @@ class GraphSAGE(Module):
         self.dropout = Dropout(dropout, seed=seed + 1) if dropout > 0 else None
         self.num_layers = num_layers
 
+    #: set by an owner of fixed (graph, features, norm): ``nn.InputAggregate``
+    input_aggregate = None
+
     def __call__(self, graph: CSRGraph, features: Tensor, norm: Tensor) -> Tensor:
         """Full forward pass (single-socket path)."""
         h = features
+        first = self.input_aggregate or self.layers[0].aggregate
         for i, layer in enumerate(self.layers):
-            h = layer(graph, h, norm)
+            z = (layer.aggregate if i else first)(graph, h, norm)
+            h = layer.combine(z, h, norm)
             if self.dropout is not None and i < self.num_layers - 1:
                 h = self.dropout(h)
         return h

@@ -92,6 +92,19 @@ class TestConversions:
         sp = small_rmat.to_scipy().toarray()
         assert np.array_equal(dense, sp)
 
+    def test_to_scipy_is_one_shared_read_only_operand(self, small_rmat):
+        adj = small_rmat.to_scipy()
+        assert small_rmat.to_scipy() is adj
+        for name in ("data", "indices", "indptr"):
+            arr = getattr(adj, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert adj.data.dtype == np.float64 and np.all(adj.data == 1.0)
+        # graphs of equal edge count (a graph and its reverse) share the ones
+        rev = small_rmat.reverse().to_scipy()
+        assert np.shares_memory(rev.data, adj.data)
+
     def test_reverse_transposes(self, small_rmat):
         rev = small_rmat.reverse()
         assert np.array_equal(rev.to_dense(), small_rmat.to_dense().T)

@@ -219,6 +219,44 @@ class TestPlanning:
         parallel(small_rmat, f_v, None, num_threads=4)
         assert (None, 1, 4, None) in plans
 
+    def test_spmm_operands_are_built_once_as_views(self, small_rmat, monkeypatch):
+        """The SpMM path never constructs an operand per call: the full
+        range is the graph's cached matrix, a plan's row ranges are views
+        of it under a rebased indptr, all kept on the graph."""
+        import scipy.sparse as sp
+
+        f_v = _features(small_rmat)[0].astype(np.float32)
+        want = vectorized(small_rmat, f_v, None)
+        adj = small_rmat.to_scipy()
+        got = parallel(small_rmat, f_v, None, num_threads=4, schedule="dynamic")
+        assert np.array_equal(got, want)
+        operands = {
+            k: v for k, v in small_rmat._pass_plans.items() if k[0] == "operand"
+        }
+        assert len(operands) > 4  # dynamic: a queue of chunks per thread
+        for (_, lo, hi), sub in operands.items():
+            assert sub.shape == (hi - lo, small_rmat.num_src)
+            assert np.shares_memory(sub.indices, adj.indices)
+            assert np.shares_memory(sub.data, adj.data)
+            assert np.array_equal(sub.toarray(), adj[lo:hi].toarray())
+
+        built = []
+        init = sp.csr_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append("csr_matrix")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+        monkeypatch.setattr(np, "ones", lambda *a, **kw: built.append("ones"))
+        for threads in (1, 4):
+            again = aggregate(
+                small_rmat, f_v, None, kernel="parallel",
+                num_threads=threads, schedule="dynamic",
+            )
+            assert np.array_equal(again, want)
+        assert built == []
+
     def test_unknown_schedule(self, tiny_graph):
         with pytest.raises(ValueError, match="schedule"):
             plan_row_chunks(tiny_graph, 2, "guided")
