@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from repro.graph.datasets import load_dataset
+from repro.kernels import aggregate
 from repro.perf.hardware import SocketSpec
 from repro.perf.roofline import ap_kernel_time
 
@@ -56,35 +57,49 @@ def _pass_bytes(graph, dim: int, value_size: int) -> int:
 
 
 def spmm_operand(reps: int) -> None:
-    """ROADMAP 3(b)/(d): the float64 operand the engine caches vs a float32
-    one, stand-alone (``A @ X`` only, float32 ``X``), beside the roofline."""
+    """ROADMAP 3(b)/(d): the two operands ``CSRGraph.to_scipy`` hands out,
+    float32 ``X`` throughout.  ``A @ X`` alone on the float64 operand (what
+    every pass used before ISSUE 20) and on the float32 one (what float32
+    features ride now), the whole engine pass — output included — beside
+    it, the roofline for each element size, and how far the float32 sum
+    lands from the float64 one in units of ``eps32 · Σ|x|``."""
     bandwidth = _copy_bandwidth()
     # one core on its bandwidth roof; 8 fp32 adds per cycle is generous
     # enough that no case below is compute-bound
     box = SocketSpec("this-box", cores=1, frequency_Hz=2.5e9, mem_bw_Bps=bandwidth,
                      simd_fp32_per_core=8, flops_efficiency=1.0, bw_efficiency=1.0)
+    eps32 = float(np.finfo(np.float32).eps)
     print(f"one-thread copy bandwidth {bandwidth / 1e9:.1f} GB/s\n")
-    print("| graph | V | E | d | f64 operand ms | f32 operand ms | f32/f64 "
-          "| roofline f64 ms | roofline f32 ms |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| graph | V | E | max deg | d | f64 operand ms | f32 operand ms | f32/f64 "
+          "| engine pass ms | roofline f64 ms | roofline f32 ms | max err / (eps32·Σ\\|x\\|) |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for name, scale, dims in SPMM_CASES:
         graph = load_dataset(name, scale=scale, seed=0).graph
-        a64 = graph.to_scipy()
-        a32 = a64.astype(np.float32)
+        a64, a32 = graph.to_scipy(np.float64), graph.to_scipy(np.float32)
         for dim in dims:
             x = np.random.default_rng(dim).standard_normal(
                 (graph.num_src, dim)
             ).astype(np.float32)
             t64 = _median_ms(lambda: a64 @ x, reps)
             t32 = _median_ms(lambda: a32 @ x, reps)
+
+            def engine_pass():
+                return aggregate(graph, x, None, "copylhs", "sum", num_threads=1)
+
+            t_pass = _median_ms(engine_pass, reps)
             roof = [
                 1e3 * ap_kernel_time(graph.num_edges, dim,
                                      _pass_bytes(graph, dim, size), box)
                 for size in (8, 4)
             ]
+            x64 = x.astype(np.float64)
+            err = np.abs(engine_pass() - a64 @ x64)
+            unit = eps32 * (a64 @ np.abs(x64))
+            worst = float(np.max(err[unit > 0] / unit[unit > 0]))
             print(f"| {name} {scale} | {graph.num_vertices} | {graph.num_edges} "
-                  f"| {dim} | {t64:.1f} | {t32:.1f} | {t32 / t64:.2f} "
-                  f"| {roof[0]:.1f} | {roof[1]:.1f} |")
+                  f"| {int(graph.in_degrees().max())} | {dim} | {t64:.1f} | {t32:.1f} "
+                  f"| {t32 / t64:.2f} | {t_pass:.1f} | {roof[0]:.1f} | {roof[1]:.1f} "
+                  f"| {worst:.2f} |")
 
 
 STUDIES = {"spmm-operand": spmm_operand}

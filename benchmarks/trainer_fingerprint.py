@@ -1,25 +1,37 @@
 """Bit-equality fingerprint of every trainer and of the Libra
 partitioner, for refactors of the training stack: run THIS copy of the
-script against two checkouts' ``src`` and ``cmp`` the outputs (each
+script against two checkouts' ``src`` and ``--compare`` the outputs (each
 tree's own copy would differ by construction whenever an entry is added).
 
     PYTHONPATH=<checkout>/src python benchmarks/trainer_fingerprint.py out.json
+    python benchmarks/trainer_fingerprint.py --compare base.json head.json
 
 Records per-epoch losses, digests of the final ``state_dict`` and
 gradients, per-epoch ``comm_bytes``, accuracies and world counters for
 {0c, cd-0, cd-2, cd-5} x {sage, gcn} x {sim, shm} x P in {2, 4}, plus
 fixed-seed curves of ``Trainer``, ``MiniBatchTrainer`` and
-``DistMiniBatchTrainer``, plus ``libra/P{2,4,8,64}`` digests of the
-partitioner's assignments and streamed state.  Uses public names only
-(~15 s).
+``DistMiniBatchTrainer``, plus ``f64/*`` entries on float64 features,
+plus ``libra/P{2,4,8,64}`` digests of the partitioner's assignments and
+streamed state, plus the tree's ``repro.kernels.NUMERICS_EPOCH``.  Uses
+public names only (~20 s).
+
+``--compare`` is the gate.  Two trees of one numerics epoch must agree
+byte for byte.  Across an epoch bump — a PR that changes floating-point
+arithmetic on purpose — every loss must still agree to ``LOSS_RTOL``,
+moved ``state`` / ``grads`` digests are listed, and everything else
+(accuracies, byte and message counters, replication factors, all of
+``libra/*``, and all of ``f64/*``: float64 arithmetic is never what
+moves) must still be identical.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
 
 import numpy as np
 
+import repro.kernels
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.dyngraph import LibraState
 from repro.graph.datasets import load_dataset
@@ -45,46 +57,63 @@ def cfg_for(model):
     )
 
 
+def dist_entry(ds, algo, model, backend, P):
+    tr = DistributedTrainer(
+        ds, P, algorithm=algo, config=cfg_for(model),
+        partitioner="libra", backend=backend,
+    )
+    res = tr.fit(num_epochs=12)
+    m = tr.ranks[0].model
+    c = tr.world.counters
+    return {
+        "losses": [repr(e.loss) for e in res.epochs],
+        "state": digest(m.state_dict()[k] for k in sorted(m.state_dict())),
+        "grads": digest(p.grad for p in m.parameters()),
+        "comm_bytes": [e.comm_bytes for e in res.epochs],
+        "accs": [
+            (repr(e.train_acc), repr(e.val_acc), repr(e.test_acc))
+            for e in res.epochs
+        ],
+        "final": (repr(res.final_test_acc), repr(res.best_val_acc)),
+        "total_comm_bytes": res.total_comm_bytes,
+        "peak_inflight": res.peak_inflight_bytes,
+        "bytes_sent": list(c.bytes_sent),
+        "messages_sent": list(c.messages_sent),
+        "collective_calls": dict(c.collective_calls),
+        "rf": repr(res.replication_factor),
+    }
+
+
+def single_entry(ds, model):
+    t = Trainer(ds, cfg_for(model))
+    r = t.fit(num_epochs=6)
+    return {
+        "losses": [repr(e.loss) for e in r.epochs],
+        "state": digest(t.model.state_dict()[k] for k in sorted(t.model.state_dict())),
+        "final": (repr(r.final_test_acc), repr(r.best_val_acc)),
+    }
+
+
 def main(out_path):
     ds = load_dataset("reddit", scale=0.05, seed=1)
-    out = {}
+    # a tree from before the constant existed is epoch 1
+    out = {"numerics_epoch": getattr(repro.kernels, "NUMERICS_EPOCH", 1)}
     for algo in ("0c", "cd-0", "cd-2", "cd-5"):
         for model in ("sage", "gcn"):
             for backend in ("sim", "shm"):
                 for P in (2, 4):
-                    tr = DistributedTrainer(
-                        ds, P, algorithm=algo, config=cfg_for(model),
-                        partitioner="libra", backend=backend,
+                    out[f"{algo}/{model}/{backend}/P{P}"] = dist_entry(
+                        ds, algo, model, backend, P
                     )
-                    res = tr.fit(num_epochs=12)
-                    m = tr.ranks[0].model
-                    c = tr.world.counters
-                    out[f"{algo}/{model}/{backend}/P{P}"] = {
-                        "losses": [repr(e.loss) for e in res.epochs],
-                        "state": digest(m.state_dict()[k] for k in sorted(m.state_dict())),
-                        "grads": digest(p.grad for p in m.parameters()),
-                        "comm_bytes": [e.comm_bytes for e in res.epochs],
-                        "accs": [
-                            (repr(e.train_acc), repr(e.val_acc), repr(e.test_acc))
-                            for e in res.epochs
-                        ],
-                        "final": (repr(res.final_test_acc), repr(res.best_val_acc)),
-                        "total_comm_bytes": res.total_comm_bytes,
-                        "peak_inflight": res.peak_inflight_bytes,
-                        "bytes_sent": list(c.bytes_sent),
-                        "messages_sent": list(c.messages_sent),
-                        "collective_calls": dict(c.collective_calls),
-                        "rf": repr(res.replication_factor),
-                    }
     cfg = cfg_for("sage")
     for model in ("sage", "gcn"):
-        t = Trainer(ds, cfg_for(model))
-        r = t.fit(num_epochs=6)
-        out[f"single/{model}"] = {
-            "losses": [repr(e.loss) for e in r.epochs],
-            "state": digest(t.model.state_dict()[k] for k in sorted(t.model.state_dict())),
-            "final": (repr(r.final_test_acc), repr(r.best_val_acc)),
-        }
+        out[f"single/{model}"] = single_entry(ds, model)
+    # float64 features ride the float64 operand: these entries stay put
+    # when an epoch bump moves the float32 ones
+    ds64 = dataclasses.replace(ds, features=ds.features.astype(np.float64))
+    out["f64/single/sage"] = single_entry(ds64, "sage")
+    for algo in ("cd-0", "cd-5"):
+        out[f"f64/{algo}/sage/sim/P2"] = dist_entry(ds64, algo, "sage", "sim", 2)
     mb = MiniBatchTrainer(ds, [5, 5], batch_size=64, config=cfg)
     r = mb.fit(num_epochs=3)
     out["minibatch"] = {
@@ -132,8 +161,74 @@ def main(out_path):
         }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
-    print("wrote", out_path, len(out), "entries")
+    print("wrote", out_path, len(out) - 1, "entries")
+
+
+#: how far a loss may move across a numerics-epoch bump
+LOSS_RTOL = 1e-5
+#: fields that hold digests of floating-point arrays: reported when an
+#: epoch bump moves them, not failed
+DIGESTS = ("state", "grads")
+
+
+def _loss_drift(base, head):
+    """Worst relative difference between two loss curves (inf when they
+    are not two curves of one length)."""
+    if not isinstance(base, list) or not isinstance(head, list) or len(base) != len(head):
+        return float("inf")
+    return max(
+        (abs(float(b) - float(h)) / abs(float(b)) for b, h in zip(base, head)),
+        default=0.0,
+    )
+
+
+def compare(base_path, head_path):
+    """Exit status of the gate: 0 when ``head`` is an allowed successor of
+    ``base`` (see the module docstring), 1 with the offending fields."""
+    with open(base_path) as f:
+        base = json.load(f)
+    with open(head_path) as f:
+        head = json.load(f)
+    epochs = base.pop("numerics_epoch", 1), head.pop("numerics_epoch", 1)
+    bumped = epochs[0] != epochs[1]
+    failed, moved, drift = [], [], 0.0
+    for name in sorted(set(base) | set(head)):
+        b, h = base.get(name), head.get(name)
+        if b == h:
+            continue
+        if not bumped or name.startswith(("f64/", "libra/")) or type(b) is not type(h):
+            failed.append(name)
+            continue
+        # a bare loss curve, or a dict of fields
+        fields = {"losses": (b, h)} if isinstance(b, list) else {
+            key: (b.get(key), h.get(key)) for key in sorted(set(b) | set(h))
+        }
+        for key, (bv, hv) in fields.items():
+            if bv == hv:
+                continue
+            if key in DIGESTS:
+                moved.append(f"{name}: {key}")
+                continue
+            rel = _loss_drift(bv, hv) if key == "losses" else float("inf")
+            if rel <= LOSS_RTOL:
+                drift = max(drift, rel)
+            else:
+                failed.append(f"{name}: {key}")
+    if bumped:
+        print(f"numerics epoch {epochs[0]} -> {epochs[1]}: losses within "
+              f"{LOSS_RTOL:g} (worst {drift:.2g}), {len(moved)} digests moved, "
+              "everything else must be identical")
+    else:
+        print(f"numerics epoch {epochs[0]}: must be identical byte for byte")
+    for line in moved:
+        print("  moved ", line)
+    for line in failed:
+        print("  FAILED", line)
+    print(f"{len(base)} vs {len(head)} entries: {'FAILED' if failed else 'ok'}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1] == "--compare":
+        sys.exit(compare(*sys.argv[2:]))
     main(sys.argv[1])

@@ -172,6 +172,7 @@ class RankProgram:
         record: its owned-vertex loss and its phase times."""
         state, spec, sw = self.state, self.spec, Stopwatch()
         layers = state.model.layers
+        sync_grads = spec.communicate and spec.sync_gradients
         state.model.train()
         state.model.zero_grad()
 
@@ -190,8 +191,10 @@ class RankProgram:
             elif spec.communicate:
                 with sw.time("remote_agg"):
                     self.agg_exchanger.delayed_round(z.data, l, epoch)
-            # Segment B: combine + MLP, on detached aggregates.
-            z_leaf = Tensor(z.data, requires_grad=True)
+            # Segment B: combine + MLP, on detached aggregates.  Layer 0's
+            # aggregate gradient has one reader, the cd-0 exchange: segment
+            # A there is the tapeless input aggregate.
+            z_leaf = Tensor(z.data, requires_grad=l > 0 or sync_grads)
             h_out = layer.combine(z_leaf, h, state.norm)
             records.append({"h_in": h, "z": z, "z_leaf": z_leaf, "h_out": h_out})
             if l < len(layers) - 1:
@@ -210,8 +213,10 @@ class RankProgram:
         # ...then walk the layer segments down.
         for l in range(len(layers) - 1, -1, -1):
             rec = records[l]
+            if not rec["z_leaf"].requires_grad:
+                break  # layer 0 with no exchange: its gradient has no reader
             gz = grad_or_zeros(rec["z_leaf"])
-            if spec.communicate and spec.sync_gradients:
+            if sync_grads:
                 # Exact adjoint of the forward sync: tree-sum the clone
                 # gradients and redistribute (root adds leaf grads to its
                 # own, then broadcasts the total back), in place.

@@ -29,15 +29,21 @@ def _as_index_array(a, name: str) -> np.ndarray:
     return arr
 
 
-_ONES = weakref.WeakValueDictionary()  # n -> ones, freed with their last graph
+_ONES = weakref.WeakValueDictionary()  # (n, dtype) -> ones, freed with their last graph
 
 
-def _ones(n: int) -> np.ndarray:
-    """Read-only ``(n,)`` float64 ones, one buffer per ``n``: a graph and
+def operand_dtype(dtype) -> np.dtype:
+    """The value dtype a CSR product with ``dtype`` features accumulates
+    in: float32 features stay float32, every other dtype goes to float64."""
+    return np.dtype(np.float32 if dtype == np.float32 else np.float64)
+
+
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only ``(n,)`` ones, one buffer per ``(n, dtype)``: a graph and
     its reverse (and any other graph of ``n`` edges) share it."""
-    ones = _ONES.get(n)
+    ones = _ONES.get((n, dtype))
     if ones is None:
-        ones = _ONES[n] = np.ones(n, dtype=np.float64)
+        ones = _ONES[n, dtype] = np.ones(n, dtype=dtype)
         ones.setflags(write=False)
     return ones
 
@@ -169,21 +175,31 @@ class CSRGraph:
         np.add.at(dense, (dst, src), 1.0)
         return dense
 
-    def to_scipy(self):
-        """The adjacency as ``scipy.sparse.csr_matrix`` (dst x src): built
-        once per graph instance and shared, so its arrays are read-only
-        (scipy's int32 copy of the indices; ``data`` is :func:`_ones`)."""
-        adj = getattr(self, "_scipy", None)
+    def to_scipy(self, dtype=np.float64):
+        """The adjacency as ``scipy.sparse.csr_matrix`` (dst x src) for
+        features of ``dtype``: its all-ones ``data`` (:func:`_ones`) has
+        their :func:`operand_dtype`, so the product accumulates in it.
+        Built once per graph instance and value dtype and shared, so the
+        arrays are read-only; the float32 and the float64 operand hold the
+        same (scipy's int32) copy of the indices."""
+        dtype = operand_dtype(dtype)
+        cache = self.__dict__.setdefault("_scipy", {})
+        adj = cache.get(dtype)
         if adj is None:
             import scipy.sparse as sp
 
-            adj = sp.csr_matrix(
-                (_ones(self.num_edges), self.indices, self.indptr),
-                shape=(self.num_vertices, self.num_src),
-            )
-            for arr in (adj.indices, adj.indptr):
-                arr.setflags(write=False)
-            object.__setattr__(self, "_scipy", adj)
+            data = _ones(self.num_edges, dtype)
+            shape = (self.num_vertices, self.num_src)
+            if not cache:
+                adj = sp.csr_matrix((data, self.indices, self.indptr), shape=shape)
+                for arr in (adj.indices, adj.indptr):
+                    arr.setflags(write=False)
+            else:
+                other = next(iter(cache.values()))
+                adj = sp.csr_matrix(shape, dtype=dtype)
+                # assigned, not passed in: the constructor re-views its inputs
+                adj.data, adj.indices, adj.indptr = data, other.indices, other.indptr
+            adj = cache.setdefault(dtype, adj)  # a racing builder's twin is dropped
         return adj
 
     def reverse(self) -> "CSRGraph":

@@ -43,7 +43,14 @@ from repro.kernels.spmm import KERNELS, aggregate, validate_kernel
 from repro.kernels.scheduling import ScheduleResult, simulate_schedule
 from repro.kernels.tuning import choose_num_blocks, choose_schedule
 
+#: Generation of the floating-point arithmetic behind ``aggregate``.  Bump
+#: it in the PR that changes result bits on purpose (2: the SpMM pass
+#: accumulates in the features' dtype); the fingerprint gate then bounds
+#: the losses instead of demanding identical bytes (docs/ARCHITECTURE.md §1.2).
+NUMERICS_EPOCH = 2
+
 __all__ = [
+    "NUMERICS_EPOCH",
     "BinaryOp",
     "ReduceOp",
     "BINARY_OPS",

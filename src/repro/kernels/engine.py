@@ -51,7 +51,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.sanitizers import make_lock
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, operand_dtype
 from repro.kernels.blocked import BlockedGraph, build_blocks
 from repro.kernels.operators import (
     BinaryOp,
@@ -199,21 +199,22 @@ def segment_pass(
 
 
 def spmm_rows(
-    graph: CSRGraph, f_v: np.ndarray, out: np.ndarray, row_lo: int, row_hi: int
-) -> None:
-    """``out[lo:hi] += A[lo:hi] @ f_V`` via scipy's compiled CSR kernel.
+    graph: CSRGraph, f_v: np.ndarray, row_lo: int, row_hi: int
+) -> np.ndarray:
+    """``A[lo:hi] @ f_V`` via scipy's compiled CSR kernel.
 
     Valid for any add-accumulating reducer (``sum`` and the ``mean``
     pre-division accumulation).  Per-row accumulation order is the same
     for a row slice as for the whole matrix, so a chunked product is
     bit-identical to the full one.  No operand is built per call: the
     full range is the graph's cached :meth:`~CSRGraph.to_scipy` matrix
-    (float64 ones over scipy's int32 copy of the indices), a plan's row
-    range views it under a rebased ``indptr`` kept in the plan cache.
+    for ``f_v``'s dtype (ones of the dtype the sum accumulates in, over
+    scipy's int32 copy of the indices), a plan's row range views it under
+    a rebased ``indptr`` kept in the plan cache.
     """
-    adj = graph.to_scipy()
+    adj = graph.to_scipy(f_v.dtype)
     if row_hi - row_lo < graph.num_vertices:
-        cache, key = _plan_cache(graph), ("operand", row_lo, row_hi)
+        cache, key = _plan_cache(graph), ("operand", adj.dtype, row_lo, row_hi)
         if key not in cache:
             elo, ehi = adj.indptr[row_lo], adj.indptr[row_hi]
             rows = type(adj)((row_hi - row_lo, graph.num_src), dtype=adj.dtype)
@@ -222,7 +223,7 @@ def spmm_rows(
             rows.indptr = adj.indptr[row_lo : row_hi + 1] - elo
             cache[key] = rows
         adj = cache[key]
-    out[row_lo:row_hi] += adj @ f_v
+    return adj @ f_v
 
 
 # -- pass planner ----------------------------------------------------------------
@@ -432,34 +433,44 @@ def run_pass(
         plan = plan_pass(graph, row_chunk, num_blocks, num_threads, schedule)
         graph = plan.graph
     n = graph.num_vertices
+    blocks, ranges = (plan.blocks, plan.ranges) if plan else ((graph,), ((0, n),))
     created = out is None
-    if created:
-        out = init_output(n, dim, rop, dtype)
+    # An SpMM pass over one source block into an output it creates writes
+    # each row once: the range product is assigned, not added to a
+    # zero-fill (scipy accumulates from +0.0, so the bits are the same).
+    once = created and spmm and len(blocks) == 1
 
     if spmm:
-        # The upcast scipy would otherwise repeat on all of f_V per range.
-        f_v = f_v.astype(np.result_type(f_v, np.float64), copy=False)
+        # The upcast scipy would otherwise repeat on all of f_V per range
+        # (float32 / float64 features are their own operand dtype: no copy).
+        f_v = f_v.astype(operand_dtype(f_v.dtype), copy=False)
 
         def run(block: CSRGraph, lo: int, hi: int) -> None:
-            spmm_rows(block, f_v, out, lo, hi)
+            rows = spmm_rows(block, f_v, lo, hi)
+            if once:
+                out[lo:hi] = rows
+            else:
+                out[lo:hi] += rows
 
     else:
 
         def run(block: CSRGraph, lo: int, hi: int) -> None:
             segment_pass(block, f_v, f_e, bop, rop, out, lo, hi)
 
-    if plan is None:
-        run(graph, 0, n)
+    if once and len(ranges) == 1:
+        out = spmm_rows(blocks[0], f_v, 0, n).astype(dtype, copy=False)
     else:
-        threaded = num_threads > 1 and len(plan.ranges) > 1
-        for block in plan.blocks:
+        if created:
+            out = np.empty((n, dim), dtype) if once else init_output(n, dim, rop, dtype)
+        threaded = num_threads > 1 and len(ranges) > 1
+        for block in blocks:
             if threaded:
                 pool = _get_pool(num_threads)
-                futures = [pool.submit(run, block, *r) for r in plan.ranges]
+                futures = [pool.submit(run, block, *r) for r in ranges]
                 for future in futures:
                     future.result()  # re-raises worker exceptions
             else:
-                for lo, hi in plan.ranges:
+                for lo, hi in ranges:
                     run(block, lo, hi)
 
     if created:

@@ -39,6 +39,13 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _grad_for(parent: Tensor, compute):
+    """``compute()`` if ``parent`` is on the tape, else ``None``:
+    ``Tensor.backward`` would drop a constant's gradient, so a closure
+    with several parents does not compute it."""
+    return compute() if parent.requires_grad or parent._parents else None
+
+
 def _make(data, parents, backward_fn, name=""):
     track = grad_enabled() and any(p.requires_grad or p._parents for p in parents)
     return Tensor(
@@ -57,7 +64,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _grad_for(a, lambda: _unbroadcast(g, a.shape)),
+            _grad_for(b, lambda: _unbroadcast(g, b.shape)),
+        )
 
     return _make(out, (a, b), backward, "add")
 
@@ -66,7 +76,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _grad_for(a, lambda: _unbroadcast(g, a.shape)),
+            _grad_for(b, lambda: _unbroadcast(-g, b.shape)),
+        )
 
     return _make(out, (a, b), backward, "sub")
 
@@ -76,8 +89,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _grad_for(a, lambda: _unbroadcast(g * b.data, a.shape)),
+            _grad_for(b, lambda: _unbroadcast(g * a.data, b.shape)),
         )
 
     return _make(out, (a, b), backward, "mul")
@@ -89,7 +102,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return (
+            _grad_for(a, lambda: g @ b.data.T),
+            _grad_for(b, lambda: a.data.T @ g),
+        )
 
     return _make(out, (a, b), backward, "matmul")
 
@@ -173,13 +189,14 @@ def spmm(
     runs the engine's SpMM pass — threaded over destination chunks when
     ``num_threads > 1``).  Backward applies the transposed adjacency:
     ``d features = A^T @ g`` on the same kernel and thread count.  The
-    reversed CSR is cached on the graph object after the first call so
-    training reuses it every epoch.
+    reversed CSR is built when a backward first needs it and cached on
+    the graph object, so training reuses it every epoch and a forward
+    nobody differentiates builds none.
     """
     out = aggregate(graph, features.data, kernel=kernel, num_threads=num_threads)
-    reverse = _cached_reverse(graph)
 
     def backward(g):
+        reverse = _cached_reverse(graph)
         return (aggregate(reverse, g, kernel=kernel, num_threads=num_threads),)
 
     return _make(out, (features,), backward, "spmm")
@@ -285,12 +302,11 @@ def weighted_spmm(
         graph, features.data, weights.data, binary_op="mul", reduce_op="sum",
         kernel=kernel, num_threads=num_threads,
     )
-    reverse = _cached_reverse(graph)
 
     def backward(g):
         gf = aggregate(
-            reverse, g, weights.data, binary_op="mul", reduce_op="sum",
-            kernel=kernel, num_threads=num_threads,
+            _cached_reverse(graph), g, weights.data, binary_op="mul",
+            reduce_op="sum", kernel=kernel, num_threads=num_threads,
         )
         from repro.kernels.sddmm import sddmm
 

@@ -105,6 +105,60 @@ class TestConversions:
         rev = small_rmat.reverse().to_scipy()
         assert np.shares_memory(rev.data, adj.data)
 
+    @pytest.mark.parametrize("first", [np.float32, np.float64])
+    def test_to_scipy_has_one_operand_per_value_dtype(self, small_rmat, first):
+        """float32 features get float32 ones, everything else float64
+        ones; both operands are cached, read-only and hold one copy of
+        the int32 indices, whichever is asked for first."""
+        second = np.float64 if first is np.float32 else np.float32
+        a, b = small_rmat.to_scipy(first), small_rmat.to_scipy(second)
+        assert small_rmat.to_scipy(first) is a and small_rmat.to_scipy(second) is b
+        assert (a.dtype, b.dtype) == (first, second)
+        assert a.indices is b.indices and a.indptr is b.indptr
+        assert a.indices.dtype == np.int32
+        for adj in (a, b):
+            assert adj.shape == (small_rmat.num_vertices, small_rmat.num_src)
+            assert np.all(adj.data == 1.0)
+            for name in ("data", "indices", "indptr"):
+                assert not getattr(adj, name).flags.writeable, name
+        assert np.array_equal(a.toarray(), b.toarray())
+        # no third operand: every other dtype is summed in float64
+        wide = small_rmat.to_scipy(np.float64)
+        for other in (np.float16, np.int64, np.bool_):
+            assert small_rmat.to_scipy(other) is wide
+        assert len(small_rmat._scipy) == 2
+        # the ones are shared per (edge count, dtype)
+        rev = small_rmat.reverse()
+        for dtype in (np.float32, np.float64):
+            assert np.shares_memory(
+                rev.to_scipy(dtype).data, small_rmat.to_scipy(dtype).data
+            )
+
+    def test_to_scipy_racing_first_calls_agree_on_one_operand(self, small_rmat):
+        """The first threaded pass asks for the operand from every worker
+        at once: all must end up multiplying the same matrix."""
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = 8
+        gate = threading.Barrier(workers, timeout=10)
+
+        def first_call(_):
+            gate.wait()
+            return small_rmat.to_scipy(np.float32)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                got = list(pool.map(first_call, range(workers), timeout=10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(adj is got[0] for adj in got)
+        assert small_rmat.to_scipy(np.float32) is got[0]
+        assert small_rmat.to_scipy(np.float64).indices is got[0].indices
+
     def test_reverse_transposes(self, small_rmat):
         rev = small_rmat.reverse()
         assert np.array_equal(rev.to_dense(), small_rmat.to_dense().T)

@@ -227,14 +227,15 @@ class TestPlanning:
 
         f_v = _features(small_rmat)[0].astype(np.float32)
         want = vectorized(small_rmat, f_v, None)
-        adj = small_rmat.to_scipy()
+        adj = small_rmat.to_scipy(np.float32)
         got = parallel(small_rmat, f_v, None, num_threads=4, schedule="dynamic")
         assert np.array_equal(got, want)
         operands = {
             k: v for k, v in small_rmat._pass_plans.items() if k[0] == "operand"
         }
         assert len(operands) > 4  # dynamic: a queue of chunks per thread
-        for (_, lo, hi), sub in operands.items():
+        for (_, dtype, lo, hi), sub in operands.items():
+            assert dtype == sub.dtype == np.float32  # the features' dtype
             assert sub.shape == (hi - lo, small_rmat.num_src)
             assert np.shares_memory(sub.indices, adj.indices)
             assert np.shares_memory(sub.data, adj.data)

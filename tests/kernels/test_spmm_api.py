@@ -86,9 +86,9 @@ class TestDispatch:
         calls = []
         real = engine.spmm_rows
 
-        def spy(graph, f_v, out, row_lo, row_hi):
+        def spy(graph, f_v, row_lo, row_hi):
             calls.append((graph, row_lo, row_hi))
-            real(graph, f_v, out, row_lo, row_hi)
+            return real(graph, f_v, row_lo, row_hi)
 
         monkeypatch.setattr(engine, "spmm_rows", spy)
         monkeypatch.setitem(KERNELS, "reordered", {"row_chunk": 16})
