@@ -12,10 +12,9 @@ import pytest
 from bench_utils import emit, table
 
 from repro.cachesim import cache_vectors_for
-from repro.cachesim.traffic import ap_traffic
+from repro.cachesim.traffic import DEFAULT_CANDIDATES, ap_traffic, choose_num_blocks
 from repro.core import DistributedTrainer, TrainConfig
 from repro.graph.datasets import load_dataset
-from repro.kernels.tuning import DEFAULT_CANDIDATES, choose_num_blocks
 from repro.partition import (
     build_partitions,
     hash_edge_partition,

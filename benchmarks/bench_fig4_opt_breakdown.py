@@ -11,11 +11,10 @@ import pytest
 from bench_utils import emit, table
 
 from repro.cachesim import cache_vectors_for
-from repro.cachesim.traffic import traffic_for_kernel
-from repro.kernels.scheduling import per_destination_work, simulate_schedule
-from repro.kernels.tuning import choose_num_blocks
+from repro.cachesim.traffic import choose_num_blocks, traffic_for_kernel
 from repro.perf.hardware import XEON_8280
 from repro.perf.roofline import KernelCost, SCALAR_INSTRUCTION_FACTOR, roofline_time
+from repro.perf.scheduling import per_destination_work, simulate_schedule
 
 PAPER_FV_BYTES = {"reddit": 232_965 * 602 * 4, "ogbn-products": 2_449_029 * 100 * 4}
 

@@ -1,7 +1,7 @@
 """Serving throughput/latency baseline -> ``BENCH_serving.json``.
 
-The repo's second perf-trajectory file (next to ``BENCH_kernels.json``):
-measures the online request path of :mod:`repro.serving` over a
+A repo-root perf-trajectory file: measures the online request path of
+:mod:`repro.serving` over a
 Zipf-skewed request stream (heavy-traffic workloads hit a hot vertex
 set, which is what makes the LRU result cache pay).
 

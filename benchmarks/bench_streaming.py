@@ -1,7 +1,7 @@
 """Streaming-graph baseline -> ``BENCH_streaming.json``.
 
-The repo's third perf-trajectory file (next to ``BENCH_kernels.json``
-and ``BENCH_serving.json``), opening the dynamic-topology workload axis
+A repo-root perf-trajectory file (next to ``BENCH_serving.json``),
+opening the dynamic-topology workload axis
 of :mod:`repro.dyngraph`.  Three series:
 
 - ``ingest``      edge-ingest throughput: a held-out edge suffix is

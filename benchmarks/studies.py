@@ -5,6 +5,7 @@ Nothing here is a gate or a number of record — the repo benchmark is
 into ``docs/`` with the date and box it was measured on.
 
     PYTHONPATH=src python benchmarks/studies.py spmm-operand
+    PYTHONPATH=src python benchmarks/studies.py kernel-plan
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 import numpy as np
 
 from repro.graph.datasets import load_dataset
+from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
 from repro.perf.hardware import SocketSpec
 from repro.perf.roofline import ap_kernel_time
@@ -102,7 +104,34 @@ def spmm_operand(reps: int) -> None:
                   f"| {worst:.2f} |")
 
 
-STUDIES = {"spmm-operand": spmm_operand}
+def kernel_plan(reps: int) -> None:
+    """The engine's plan rule at one and two threads beside the Alg.-1
+    ``baseline`` (a Python loop: timed once) on the rmat ladder of
+    docs/kernel-plan.md — s14 / s16 / s17, edge factor 8, d = 32 float32,
+    the SpMM pair and two that materialise messages.  Every arm is
+    checked against the one-thread pass before it is timed; the arms the
+    rule displaced were measured on the tree that had them (same doc)."""
+    print("| graph | V | E | op | rule, 1 thread ms | rule, 2 threads ms | baseline ms |")
+    print("| --- " * 7 + "|")
+    for scale in (14, 16, 17):
+        graph = rmat_graph(scale=scale, edge_factor=8.0, seed=3)
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal((graph.num_src, 32)) + 2.0).astype(np.float32)
+        w = (rng.standard_normal((graph.num_edges, 32)) + 2.0).astype(np.float32)
+        for ops in (("copylhs", "sum"), ("mul", "sum"), ("mul", "max")):
+            want = aggregate(graph, x, w, *ops, num_threads=1)
+            assert np.array_equal(aggregate(graph, x, w, *ops, num_threads=2), want)
+            t0 = time.perf_counter()
+            base = aggregate(graph, x, w, *ops, kernel="baseline")
+            t_base = 1e3 * (time.perf_counter() - t0)
+            assert np.allclose(base, want, rtol=1e-4, atol=1e-4)
+            t1, t2 = (_median_ms(lambda: aggregate(graph, x, w, *ops, num_threads=k), reps)
+                      for k in (1, 2))
+            print(f"| rmat-s{scale} | {graph.num_vertices} | {graph.num_edges} "
+                  f"| {'/'.join(ops)} | {t1:.1f} | {t2:.1f} | {t_base:.0f} |", flush=True)
+
+
+STUDIES = {"spmm-operand": spmm_operand, "kernel-plan": kernel_plan}
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -10,10 +10,10 @@ hardware these come from performance counters; here they come from:
   small benches);
 - :mod:`repro.cachesim.analytic` — a closed-form per-block model (cold
   misses + capacity-thrash term) that matches the LRU trends at zero cost,
-  used by the auto-tuner and large sweeps;
+  used by the block-count sweep and large sweeps;
 - :mod:`repro.cachesim.traffic` — per-kernel-variant byte accounting
   (f_V misses, f_O passes, edge/index streams) feeding the roofline time
-  model.
+  model, and ``choose_num_blocks``, the ``nB`` that minimizes it.
 """
 
 from repro.cachesim.lru import LRUFeatureCache, simulate_lru_reuse

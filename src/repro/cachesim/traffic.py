@@ -10,21 +10,30 @@ Breaks the AP's memory IO into the streams the paper's analysis names:
 
 ``traffic_for_kernel`` maps each optimization-ladder variant of Fig. 4 to
 its traffic profile; the time conversion lives in
-:mod:`repro.perf.roofline`.
+:mod:`repro.perf.roofline`.  ``choose_num_blocks`` is the argmin of
+``ap_traffic`` over ``nB`` — the paper "finds the best block size" where
+total memory IO is smallest (Section 4.2, Fig. 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cachesim.analytic import analytic_misses, block_access_profiles
+from repro.cachesim.analytic import (
+    analytic_misses,
+    block_access_profiles,
+    cache_vectors_for,
+)
 from repro.graph.csr import CSRGraph
 from repro.kernels.operators import get_binary_op
 
 INDEX_BYTES = 8  # int64 indices, matching CSRGraph storage
+
+#: Default nB sweep, matching the paper's Table 3 columns.
+DEFAULT_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,32 @@ def ap_traffic(
         fv_misses=fv_misses,
         num_blocks=num_blocks,
     )
+
+
+def choose_num_blocks(
+    graph: CSRGraph,
+    feature_dim: int,
+    cache_vectors: Optional[int] = None,
+    candidates: Sequence[int] = DEFAULT_CANDIDATES,
+    feature_bytes: int = 4,
+) -> int:
+    """Pick the ``nB`` minimizing predicted total memory IO (Fig. 3 criterion)."""
+    if cache_vectors is None:
+        cache_vectors = cache_vectors_for(graph.num_src, feature_dim, feature_bytes)
+    best_nb, best_io = 1, float("inf")
+    for nb in candidates:
+        if nb < 1 or nb > max(graph.num_src, 1):
+            continue
+        traffic = ap_traffic(
+            graph,
+            feature_dim,
+            num_blocks=nb,
+            cache_vectors=cache_vectors,
+            feature_bytes=feature_bytes,
+        )
+        if traffic.total < best_io:
+            best_io, best_nb = traffic.total, nb
+    return best_nb
 
 
 def traffic_for_kernel(

@@ -95,8 +95,10 @@ def peek_checkpoint(path: str) -> Tuple[int, Dict[str, np.ndarray]]:
         return int(data["epoch"]), extra
 
 
-#: ``extra`` keys that describe the model architecture.
-_META_KEYS = ("model", "num_layers", "hidden_features", "kernel")
+#: ``extra`` keys that describe the model architecture.  ``kernel`` is
+#: an execution choice of the machine that loads the file, not one: an
+#: ``extra/kernel`` entry in an existing checkpoint is ignored.
+_META_KEYS = ("model", "num_layers", "hidden_features")
 
 
 def training_meta(config) -> Dict[str, np.ndarray]:

@@ -26,13 +26,12 @@ class TrainConfig:
     seed: int = 0
     #: GNN architecture: "sage" (paper default) or "gcn".
     model: str = "sage"
-    #: aggregation kernel passed to the differentiable SpMM: any name in
-    #: :data:`repro.kernels.KERNELS` — the ground-truth functions
-    #: ``baseline``/``reference`` or a pass-plan preset of the one engine
-    #: (``vectorized``/``reordered``/``blocked``/``parallel``) — or
-    #: ``"auto"``, which picks plan parameters itself (row-bucketed above
-    #: the cache threshold, thread-pool row chunks when threads are
-    #: requested).  Validated at model build time.
+    #: aggregation kernel passed to the differentiable SpMM: ``"auto"``,
+    #: the engine (its pass plan follows from the operator, the graph
+    #: size and ``num_threads`` — kernels/engine.py), or one of the two
+    #: ground-truth functions in :data:`repro.kernels.KERNELS`,
+    #: ``baseline`` (Fig. 2's arm) / ``reference``.  Validated at model
+    #: build time.
     kernel: str = "auto"
     #: kernel worker threads: > 1 routes every AP (forward and backward)
     #: over disjoint destination-row chunks on the engine's thread pool

@@ -28,7 +28,7 @@ freshness contracts in backward (remote contributions are constants).
 
 Both the per-rank local aggregates of segment A and the segment-A
 backward APs dispatch through ``TrainConfig.kernel`` (default
-``"auto"`` → the vectorized segment-reduce engine), so every algorithm
+``"auto"``, the aggregation engine), so every algorithm
 (0c / cd-0 / cd-r) runs the same array-native hot path as single-socket
 training.  The full dispatch chain and this segmented-autograd contract
 are documented in ``docs/ARCHITECTURE.md``.

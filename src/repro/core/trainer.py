@@ -7,11 +7,11 @@ accuracy reference for the distributed algorithms (Table 5's 1-socket
 rows) and produces the Total/AP time split of Fig. 2.
 
 Every forward and backward AP of the model rides
-``TrainConfig.kernel`` (default ``"auto"`` → the vectorized
-segment-reduce engine; see ``docs/ARCHITECTURE.md``), so epoch times
-measure memory behaviour, not interpreter overhead.  Setting
-``TrainConfig.num_threads > 1`` (or ``REPRO_NUM_THREADS``) runs every
-one of those APs on the parallel execution engine — the paper's
+``TrainConfig.kernel`` (default ``"auto"``, the aggregation engine; see
+``docs/ARCHITECTURE.md``), so epoch times measure memory behaviour, not
+interpreter overhead.  Setting ``TrainConfig.num_threads > 1`` (or
+``REPRO_NUM_THREADS``) runs every one of those APs over a work-queue of
+destination-row chunks on the engine's thread pool — the paper's
 destination-dimension OpenMP parallelization — with bit-identical
 losses and parameters.
 """

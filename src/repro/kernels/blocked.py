@@ -6,10 +6,10 @@ slice of ``f_V`` stays cache-resident (the paper blocks ``f_V`` rather
 than ``f_O`` to keep destination ownership race-free, Section 4.2).
 
 ``build_blocks`` materializes the per-block CSR matrices of Alg. 2 line 2
-in a single O(E) pass; the passes themselves are the source-block axis of
-:func:`repro.kernels.engine.plan_pass`, which builds the blocks once per
-graph and block count.  :class:`BlockedGraph` is the same block list built
-ahead of time by the caller, exactly as DistGNN builds it once per graph.
+in a single O(E) pass.  :class:`BlockedGraph` is that block list built
+ahead of time by the caller, exactly as DistGNN builds it once per graph;
+passing it to ``aggregate`` makes its blocks the source-block axis of the
+pass plan (:func:`repro.kernels.engine.plan_pass`).
 """
 
 from __future__ import annotations

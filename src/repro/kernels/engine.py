@@ -1,8 +1,8 @@
-"""The aggregation engine: two inner passes, one pass planner, one executor.
+"""The aggregation engine: two inner passes, one plan rule, one executor.
 
-The paper's single-socket ladder (Section 4: Alg. 2 source blocking,
-Alg. 3 loop reordering, destination-parallel static/dynamic scheduling,
-Fig. 4) is three *iteration structures* around one inner kernel, and
+The paper's single-socket recipe (Section 4: Alg. 2 source blocking,
+Alg. 3 loop reordering, destination-parallel dynamic scheduling,
+Fig. 4) is a fixed *iteration structure* around one inner kernel, and
 this module states it that way:
 
 - **Inner passes.**  :func:`segment_pass` is the array-native kernel
@@ -11,15 +11,18 @@ this module states it that way:
   the scipy CSR product that replaces it for ``copylhs`` with an
   add-accumulating ``⊕`` (the GNN workhorse), which needs no per-edge
   message intermediate.
-- **Pass planner.**  :func:`plan_pass` turns ``(row_chunk, blocks,
-  num_threads, schedule)`` into *source blocks* (run in order, Alg. 2)
-  × *disjoint destination-row ranges* (cache-sized buckets, Alg. 3,
-  and/or per-thread chunks under an OpenMP-style policy).  The plan is a
-  pure function of the immutable graph, so it is cached on the graph.
-- **Executor.**  :func:`run_pass` is the one prologue (operator resolve,
-  operand check, output init), the one loop over blocks and ranges
-  (inline or on the thread pool) and the one epilogue (finalize against
-  the *original* graph).
+- **Plan rule.**  :func:`plan_pass` picks the plan from what it can
+  observe — does the pass materialise per-edge messages, how many rows,
+  how many threads, is the input a pre-built :class:`BlockedGraph` —
+  and nothing a caller sets (measurements: ``docs/kernel-plan.md``).  A
+  plan is *source blocks* (run in order, Alg. 2) × *disjoint
+  destination-row ranges* (cache-sized buckets, Alg. 3, and with threads
+  a work-queue of chunks, OpenMP ``schedule(dynamic)``); it is a pure
+  function of the immutable graph, so it is cached on the graph.
+- **Executor.**  :func:`execute_plan` is the one loop over blocks and
+  ranges (inline or on the thread pool) between the one prologue
+  (output init) and the one epilogue (finalize against the *original*
+  graph).
 
 Why any plan is race-free and bit-identical to the unchunked
 single-thread pass:
@@ -32,9 +35,9 @@ single-thread pass:
 - **Row-local arithmetic.**  A row's reduction only ever combines that
   row's own messages, in CSR storage order, regardless of how rows are
   grouped into ranges.  Row ranges and threads therefore never change a
-  bit, for every ``⊗``/``⊕`` pair and chunking policy; only *source
-  blocks* reassociate ``⊕`` across blocks (exact for ``max``/``min``,
-  within float tolerance for ``sum``/``mean``).
+  bit, for every ``⊗``/``⊕`` pair and every cover of the rows; only
+  *source blocks* reassociate ``⊕`` across blocks (exact for
+  ``max``/``min``, within float tolerance for ``sum``/``mean``).
 
 NumPy/scipy release the GIL inside their compiled loops (gather, ufunc,
 ``reduceat``, CSR SpMM), so plain Python threads give genuine hardware
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro.analysis.sanitizers import make_lock
 from repro.graph.csr import CSRGraph, operand_dtype
-from repro.kernels.blocked import BlockedGraph, build_blocks
+from repro.kernels.blocked import BlockedGraph
 from repro.kernels.operators import (
     BinaryOp,
     ReduceOp,
@@ -60,22 +63,14 @@ from repro.kernels.operators import (
     init_output,
     resolve_pass,
 )
-from repro.kernels.scheduling import per_destination_work
 from repro.kernels.segment import segment_reduce
-from repro.kernels.tuning import choose_num_blocks, choose_schedule
 
 #: Environment override for the default thread count (the CI matrix sets
 #: this to run the kernel suite at 1 and 4 threads).
 ENV_NUM_THREADS = "REPRO_NUM_THREADS"
 
-#: Cap on the implicit (cpu-count) default; explicit requests are uncapped.
-DEFAULT_MAX_THREADS = 8
-
-#: Valid ``schedule=`` names.
-SCHEDULES = ("static", "dynamic", "balanced")
-
-#: Rows per bucket of the ``reordered`` / ``blocked`` presets; bounds the
-#: per-edge message intermediate to roughly (bucket_avg_degree *
+#: Rows per destination bucket of a message-materialising pass; bounds
+#: the per-edge message intermediate to roughly (bucket_avg_degree *
 #: DEFAULT_CHUNK_ROWS, d) floats.
 DEFAULT_CHUNK_ROWS = 8192
 
@@ -109,20 +104,17 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - posix
     os.register_at_fork(after_in_child=_reset_pools_after_fork)
 
 
-def requested_num_threads(num_threads: Optional[int] = None) -> Optional[int]:
-    """The *explicitly requested* thread count, or ``None``.
-
-    An explicit ``num_threads`` argument wins; otherwise the
-    ``REPRO_NUM_THREADS`` environment variable.  The ``auto`` kernel
-    heuristic only goes parallel when this returns > 1 — an unconfigured
-    process keeps the single-threaded engine.
+def requested_num_threads(num_threads: Optional[int] = None) -> int:
+    """Thread count of one aggregation: an explicit ``num_threads``
+    argument, else the ``REPRO_NUM_THREADS`` environment variable, else 1
+    — an unconfigured process keeps the single-threaded engine.
     """
     if num_threads is not None:
         source, raw = "num_threads", num_threads
     elif os.environ.get(ENV_NUM_THREADS):
         source, raw = ENV_NUM_THREADS, os.environ[ENV_NUM_THREADS]
     else:
-        return None
+        return 1
     try:
         n = int(raw)
     except ValueError:
@@ -130,18 +122,6 @@ def requested_num_threads(num_threads: Optional[int] = None) -> Optional[int]:
     if n < 1:
         raise ValueError(f"{source} must be >= 1, got {n}")
     return n
-
-
-def resolve_num_threads(num_threads: Optional[int] = None) -> int:
-    """Effective thread count for one threaded aggregation.
-
-    Explicit argument, else ``REPRO_NUM_THREADS``, else the machine's
-    CPU count capped at :data:`DEFAULT_MAX_THREADS`.
-    """
-    requested = requested_num_threads(num_threads)
-    if requested is not None:
-        return requested
-    return max(1, min(os.cpu_count() or 1, DEFAULT_MAX_THREADS))
 
 
 # -- inner passes ----------------------------------------------------------------
@@ -226,81 +206,30 @@ def spmm_rows(
     return adj @ f_v
 
 
-# -- pass planner ----------------------------------------------------------------
+# -- plan rule -------------------------------------------------------------------
 
 
 def plan_row_chunks(
-    graph: CSRGraph,
-    num_threads: int,
-    schedule: str = "static",
-    chunk_rows: Optional[int] = None,
-    work: Optional[np.ndarray] = None,
+    graph: CSRGraph, num_threads: int, chunk_rows: Optional[int] = None
 ) -> List[Tuple[int, int]]:
-    """Destination-row ranges ``[(lo, hi), ...]`` for one threaded pass.
+    """Destination-row ranges ``[(lo, hi), ...]`` for one pass.
 
     The ranges are contiguous, disjoint, cover ``[0, num_vertices)``
-    exactly, and are returned in row order (empty ranges are dropped, so
-    ``num_threads > num_vertices`` is fine).
-
-    Parameters
-    ----------
-    schedule:
-        Chunking policy, mirroring the simulator in
-        :mod:`repro.kernels.scheduling`: ``"static"`` — ``num_threads``
-        equal-*count* ranges (OpenMP ``schedule(static)``); ``"dynamic"``
-        — a work-queue of fixed-size chunks that idle threads pull from
-        (OpenMP ``schedule(dynamic, chunk)``); ``"balanced"`` —
-        ``num_threads`` equal-*work* ranges, cut at prefix-sum quantiles
-        of ``work`` (degree-aware static, what dynamic converges to on
-        power-law graphs).
-    chunk_rows:
-        Dynamic policy only: rows per work-queue chunk.  Default sizes
-        chunks so each thread sees ~8 of them — enough queue depth to
-        rebalance, coarse enough to amortize dispatch.
-    work:
-        Balanced policy only: per-destination work array; defaults to
-        :func:`~repro.kernels.scheduling.per_destination_work` (in-degree).
+    exactly and are returned in row order.  One thread takes the rows
+    whole; more threads get a work-queue of fixed-size chunks that idle
+    threads pull from (OpenMP ``schedule(dynamic, chunk)``), sized so
+    each thread sees ~8 of them — enough queue depth to rebalance a
+    power-law graph, coarse enough to amortize dispatch.  ``chunk_rows``
+    caps the rows per range either way (Alg. 3's cache-sized buckets).
     """
-    if schedule not in SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; available: {list(SCHEDULES)}"
-        )
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
     n = graph.num_vertices
-    if n == 0:
-        return []
-    bounds = None
-    if schedule == "dynamic":
-        step = (
-            max(int(chunk_rows), 1)
-            if chunk_rows is not None
-            else max(1, -(-n // (num_threads * 8)))
-        )
-        bounds = np.arange(0, n + step, step, dtype=np.int64)
-        bounds[-1] = n
-    elif schedule == "balanced":
-        if work is None:
-            work = per_destination_work(graph)
-        cum = np.cumsum(np.asarray(work, dtype=np.float64))
-        total = cum[-1] if cum.size else 0.0
-        if total > 0.0:
-            # Cut after the row whose prefix sum reaches the k-th work
-            # quantile (side="right"): a single hub row heavier than a
-            # whole quantile becomes its own range instead of dragging
-            # the following rows into it.
-            targets = total * np.arange(1, num_threads) / num_threads
-            cuts = np.searchsorted(cum, targets, side="right")
-            bounds = np.concatenate(
-                ([0], np.clip(cuts, 0, n), [n])
-            ).astype(np.int64)
-    if bounds is None:  # static, or balanced with no edges to weigh
-        bounds = np.linspace(0, n, num_threads + 1).astype(np.int64)
-    return [
-        (int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    step = n if num_threads == 1 else -(-n // (num_threads * 8))
+    if chunk_rows is not None:
+        step = min(step, int(chunk_rows))
+    step = max(step, 1)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 class PassPlan(NamedTuple):
@@ -326,114 +255,74 @@ def _plan_cache(graph) -> dict:
 
 
 def plan_pass(
-    graph: Union[CSRGraph, BlockedGraph],
-    row_chunk: Optional[int] = None,
-    blocks: int = 1,
-    num_threads: int = 1,
-    schedule: Optional[str] = None,
+    graph: Union[CSRGraph, BlockedGraph], materialises: bool, num_threads: int = 1
 ) -> PassPlan:
-    """Source blocks × destination-row ranges for one aggregation.
+    """The plan rule: source blocks × destination-row ranges for one pass.
 
     Parameters
     ----------
     graph:
-        The CSR adjacency, or a pre-built :class:`BlockedGraph` — a plan
-        whose block list already exists (``blocks`` is then ignored).
-    row_chunk:
-        Upper bound on rows per range (Alg. 3's cache-sized buckets);
-        ``None`` leaves the per-thread ranges whole.
-    blocks:
-        Source block count (Alg. 2); 1 means no blocking.
-    num_threads, schedule:
-        Worker count and chunking policy for the row ranges; ``None``
-        lets :func:`~repro.kernels.tuning.choose_schedule` pick.
+        The CSR adjacency, or a pre-built :class:`BlockedGraph`, whose
+        block list is then the plan's (Alg. 2, built once per graph by
+        the caller as DistGNN does); a plain graph is one block.
+    materialises:
+        Whether the pass builds a per-edge message intermediate (every
+        ``⊗``/``⊕`` pair but ``copylhs`` with an add-accumulating
+        reducer).  Such a pass is always cut into buckets of at most
+        :data:`DEFAULT_CHUNK_ROWS` rows, which keeps the intermediate
+        cache-sized; an SpMM pass has nothing to bound and keeps its
+        rows whole.
+    num_threads:
+        Above 1 the ranges become :func:`plan_row_chunks`' work-queue.
 
-    The plan (block construction is an O(E) sort, the policy choice an
-    O(V) work-distribution pass) is too expensive to repay on every
-    forward/backward AP of every epoch, so it is built once per parameter
-    tuple and cached on ``graph``.
+    ``docs/kernel-plan.md`` holds the measurements behind each branch.
     """
-    key = (row_chunk, blocks, num_threads, schedule)
-    cache = _plan_cache(graph)
+    blocked = isinstance(graph, BlockedGraph)
+    base = graph.graph if blocked else graph
+    n = base.num_vertices
+    chunk_rows = DEFAULT_CHUNK_ROWS if materialises else None
+    if not blocked and num_threads == 1 and (chunk_rows is None or chunk_rows >= n):
+        # One whole-graph pass is not worth a cache entry, so the hundreds
+        # of tiny one-shot sampled blocks of mini-batch training pay no
+        # lookup.
+        return PassPlan(base, (base,), ((0, n),))
+    cache, key = _plan_cache(graph), (num_threads, chunk_rows)
     plan = cache.get(key)
     if plan is None:
-        if isinstance(graph, BlockedGraph):
-            block_list, graph = graph.blocks, graph.graph
-        else:
-            block_list = build_blocks(graph, blocks)
-        ranges = plan_row_chunks(
-            graph, num_threads, schedule or choose_schedule(graph, num_threads)
+        plan = cache[key] = PassPlan(
+            base,
+            graph.blocks if blocked else (base,),
+            plan_row_chunks(base, num_threads, chunk_rows),
         )
-        if row_chunk:
-            step = max(int(row_chunk), 1)
-            ranges = [
-                (lo, min(lo + step, stop))
-                for start, stop in ranges
-                for lo in range(start, stop, step)
-            ]
-        plan = cache[key] = PassPlan(graph, block_list, ranges)
     return plan
-
-
-def _tuned_num_blocks(graph: CSRGraph, dim: int) -> int:
-    """The traffic-model block count for ``dim``-wide features, swept once
-    per graph and feature width."""
-    cache = _plan_cache(graph)
-    key = ("num_blocks", dim)
-    if key not in cache:
-        cache[key] = choose_num_blocks(graph, dim)
-    return cache[key]
 
 
 # -- executor --------------------------------------------------------------------
 
 
-def run_pass(
-    graph: Union[CSRGraph, BlockedGraph],
-    f_v: Optional[np.ndarray],
-    f_e: Optional[np.ndarray] = None,
-    binary_op="copylhs",
-    reduce_op="sum",
-    out: Optional[np.ndarray] = None,
-    row_chunk: Optional[int] = None,
-    num_blocks: Optional[int] = 1,
-    num_threads: Optional[int] = 1,
-    schedule: Optional[str] = None,
-) -> np.ndarray:
-    """The AP ``f_O[v] = ⊕_u (f_V[u] ⊗ f_E[e_uv])`` under one pass plan.
+def _is_spmm(bop: BinaryOp, rop: ReduceOp) -> bool:
+    return bop.name == "copylhs" and rop.ufunc is np.add
 
-    ``graph``, ``f_v``, ``f_e``, the operator names and the ``out=``
-    accumulate-without-finalize contract are those of
-    :func:`repro.kernels.spmm.aggregate`; the remaining arguments are the
-    plan parameters its kernel names stand for (see :func:`plan_pass`).
-    For each, ``None`` means "pick for me": ``num_blocks`` from the
-    traffic model (:func:`~repro.kernels.tuning.choose_num_blocks`),
-    ``num_threads`` from :func:`resolve_num_threads`, ``schedule`` from
-    the simulated load imbalance.  ``row_chunk`` bounds the per-edge
-    message intermediate, so the SpMM path (which has none) ignores it.
+
+def execute_plan(
+    plan: PassPlan,
+    f_v: Optional[np.ndarray],
+    f_e: Optional[np.ndarray],
+    bop: BinaryOp,
+    rop: ReduceOp,
+    dim: int,
+    dtype,
+    out: Optional[np.ndarray] = None,
+    num_threads: int = 1,
+) -> np.ndarray:
+    """Run one resolved AP (:func:`~repro.kernels.operators.resolve_pass`'s
+    tuple) over ``plan``: each source block in order, its row ranges
+    inline or — with ``num_threads > 1`` — on the thread pool.  Any
+    ``plan.ranges`` that cover the rows disjointly give the same bytes.
     """
-    bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
-    spmm = bop.name == "copylhs" and rop.ufunc is np.add
-    if spmm:
-        row_chunk = None
-    if num_threads is None:
-        num_threads = resolve_num_threads()
-    blocked = isinstance(graph, BlockedGraph)
-    if num_blocks is None and not blocked:
-        num_blocks = _tuned_num_blocks(graph, dim)
-    # One whole-graph pass needs no plan, so the hundreds of tiny one-shot
-    # sampled blocks of mini-batch training pay no cache lookup.
-    plan = None
-    if (
-        blocked
-        or num_blocks != 1
-        or num_threads != 1
-        or (row_chunk is not None and row_chunk < graph.num_vertices)
-    ):
-        plan = plan_pass(graph, row_chunk, num_blocks, num_threads, schedule)
-        graph = plan.graph
+    graph, blocks, ranges = plan
     n = graph.num_vertices
-    blocks, ranges = (plan.blocks, plan.ranges) if plan else ((graph,), ((0, n),))
+    spmm = _is_spmm(bop, rop)
     created = out is None
     # An SpMM pass over one source block into an output it creates writes
     # each row once: the range product is assigned, not added to a
@@ -476,3 +365,23 @@ def run_pass(
     if created:
         finalize_with_graph(out, rop, graph)
     return out
+
+
+def run_pass(
+    graph: Union[CSRGraph, BlockedGraph],
+    f_v: Optional[np.ndarray],
+    f_e: Optional[np.ndarray] = None,
+    binary_op="copylhs",
+    reduce_op="sum",
+    out: Optional[np.ndarray] = None,
+    num_threads: int = 1,
+) -> np.ndarray:
+    """The AP ``f_O[v] = ⊕_u (f_V[u] ⊗ f_E[e_uv])`` under the plan rule.
+
+    ``graph``, ``f_v``, ``f_e``, the operator names and the ``out=``
+    accumulate-without-finalize contract are those of
+    :func:`repro.kernels.spmm.aggregate`, whose ``kernel="auto"`` this is.
+    """
+    bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
+    plan = plan_pass(graph, not _is_spmm(bop, rop), num_threads)
+    return execute_plan(plan, f_v, f_e, bop, rop, dim, dtype, out, num_threads)

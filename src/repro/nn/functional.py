@@ -185,10 +185,11 @@ def spmm(
 ) -> Tensor:
     """Differentiable aggregation ``out = A @ features`` (copylhs/sum AP).
 
-    ``kernel`` accepts any :data:`repro.kernels.KERNELS` name (``"auto"``
-    runs the engine's SpMM pass — threaded over destination chunks when
-    ``num_threads > 1``).  Backward applies the transposed adjacency:
-    ``d features = A^T @ g`` on the same kernel and thread count.  The
+    ``kernel`` is ``"auto"`` (the engine's SpMM pass — threaded over
+    destination chunks when ``num_threads > 1``) or a
+    :data:`repro.kernels.KERNELS` ground-truth name.  Backward applies
+    the transposed adjacency: ``d features = A^T @ g`` on the same
+    kernel and thread count.  The
     reversed CSR is built when a backward first needs it and cached on
     the graph object, so training reuses it every epoch and a forward
     nobody differentiates builds none.

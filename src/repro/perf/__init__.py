@@ -14,6 +14,9 @@ byte/op counts) and converting those counts into modelled time with:
 - :mod:`repro.perf.memory` — per-partition peak memory (Table 6).
 - :mod:`repro.perf.minibatch` — the Dist-DGL neighbourhood-sampling work
   model used in the comparison tables (7 and 9).
+- :mod:`repro.perf.scheduling` — OpenMP static/dynamic scheduling
+  simulator quantifying load imbalance on power-law graphs (Fig. 4's
+  "DS" bar).
 """
 
 from repro.perf.hardware import SocketSpec, XEON_8280, XEON_9242
@@ -26,6 +29,7 @@ from repro.perf.minibatch import (
     minibatch_epoch_work,
     sampled_frontier_sizes,
 )
+from repro.perf.scheduling import ScheduleResult, scheduling_gain, simulate_schedule
 
 __all__ = [
     "SocketSpec",
@@ -44,4 +48,7 @@ __all__ = [
     "MinibatchHop",
     "minibatch_epoch_work",
     "sampled_frontier_sizes",
+    "ScheduleResult",
+    "simulate_schedule",
+    "scheduling_gain",
 ]

@@ -12,11 +12,10 @@ distribution (in-degree × feature dim):
   (list-scheduling), which is exactly OpenMP ``schedule(dynamic, chunk)``.
 
 The resulting *imbalance factor* (makespan ÷ ideal) feeds the single-socket
-performance model used by the Fig. 4 benchmark.  The policies are not
-just simulated: :mod:`repro.kernels.engine` executes them for real on
-a thread pool (``kernel="parallel"``), and
-:func:`repro.kernels.tuning.choose_schedule` uses this simulator to pick
-its chunking policy.
+performance model used by the Fig. 4 benchmark.  Like the roofline it is
+a hypothesis, not a decision input: :mod:`repro.kernels.engine` always
+runs the dynamic work-queue (``docs/kernel-plan.md`` has it best at
+every measured size).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ weights full-graph, as Dist-DGL does for test accuracy.
 
 Per-block aggregation dispatches through ``TrainConfig.kernel`` exactly
 like the full-batch path, so sampled message-flow blocks ride the
-vectorized segment-reduce engine too (sampled blocks are rectangular
-CSRs, which the engine handles natively).
+aggregation engine too (sampled blocks are rectangular CSRs, which the
+engine handles natively, one whole-block pass each with no plan cached).
 """
 
 from __future__ import annotations

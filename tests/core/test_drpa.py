@@ -37,9 +37,9 @@ def _synchronous_round(world, plan, vals, layer=0, epoch=0, **kwargs):
 def _local_partials(graph, parted, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((graph.num_vertices, dim))
-    full = aggregate(graph, h, kernel="reordered")
+    full = aggregate(graph, h)
     vals = [
-        aggregate(p.graph, h[p.global_ids], kernel="reordered")
+        aggregate(p.graph, h[p.global_ids])
         for p in parted.parts
     ]
     return h, full, vals

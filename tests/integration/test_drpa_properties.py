@@ -52,9 +52,9 @@ def test_cd0_sync_equals_full_aggregate(problem):
     plan = build_split_trees(parted, seed=seed, build_tree_objects=False)
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((g.num_vertices, 2))
-    full = aggregate(g, h, kernel="reordered")
+    full = aggregate(g, h)
     vals = [
-        aggregate(part.graph, h[part.global_ids], kernel="reordered")
+        aggregate(part.graph, h[part.global_ids])
         for part in parted.parts
     ]
     _synchronous_round(World(parted.num_partitions), plan, vals, delay=0)

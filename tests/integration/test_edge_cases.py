@@ -38,12 +38,12 @@ def _dataset_from_graph(g, num_classes=3, dim=6, seed=0):
 class TestDegenerateGraphs:
     def test_aggregate_empty_graph(self):
         g = from_edge_list([], num_vertices=5)
-        out = aggregate(g, np.ones((5, 3), dtype=np.float32), kernel="reordered")
+        out = aggregate(g, np.ones((5, 3), dtype=np.float32))
         assert np.all(out == 0)
 
     def test_aggregate_single_vertex_self_loop(self):
         g = from_edge_list([(0, 0)], num_vertices=1)
-        out = aggregate(g, np.array([[2.0]]), kernel="reordered")
+        out = aggregate(g, np.array([[2.0]]))
         assert out[0, 0] == 2.0
 
     def test_train_on_graph_with_isolated_vertices(self):

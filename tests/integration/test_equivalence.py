@@ -64,7 +64,7 @@ class TestCd0Equivalence:
             ]
         )
         h = reddit_mini.features
-        full = aggregate(reddit_mini.graph, h, kernel="reordered")
+        full = aggregate(reddit_mini.graph, h)
         for state in dt.ranks:
             gids = dt.parted.parts[state.rank].global_ids
             np.testing.assert_allclose(

@@ -1,30 +1,27 @@
-"""All kernel variants must agree with the dense reference across the
-full operator table — the core correctness contract of the AP.
+"""The engine, under every plan shape, must agree with the dense
+reference across the full operator table — the core correctness contract
+of the AP.  (``vectorized`` / ``reordered`` / ``blocked`` in the test
+names are the plan shapes: one whole-graph pass, destination buckets,
+source blocks.)
 """
 
 from functools import partial
 
 import numpy as np
 import pytest
+from covers import op_features as _features, run_cover
 
-from repro.kernels import aggregate
+from repro.kernels import aggregate, engine
 from repro.kernels.baseline import aggregate_baseline, aggregate_dense_reference
-from repro.kernels.engine import run_pass
+from repro.kernels.blocked import BlockedGraph
+from repro.kernels.engine import plan_row_chunks
 from repro.kernels.operators import finalize_output, get_reduce_op, init_output
 
-vectorized = partial(aggregate, kernel="vectorized")
-reordered = partial(aggregate, kernel="reordered")
-blocked = partial(aggregate, kernel="blocked")
+vectorized = partial(aggregate, kernel="auto")  # small graphs: one whole-graph pass
+
 
 BINARY = ["add", "sub", "mul", "div", "copylhs", "copyrhs"]
 REDUCE = ["sum", "max", "min", "mean"]
-
-
-def _features(graph, dim=5, seed=0):
-    rng = np.random.default_rng(seed)
-    f_v = rng.standard_normal((graph.num_src, dim)) + 2.0  # avoid div-by-0
-    f_e = rng.standard_normal((graph.num_edges, dim)) + 2.0
-    return f_v, f_e
 
 
 @pytest.mark.parametrize("binary_op", BINARY)
@@ -38,10 +35,14 @@ def test_baseline_matches_reference(small_rmat, binary_op, reduce_op):
 
 @pytest.mark.parametrize("binary_op", BINARY)
 @pytest.mark.parametrize("reduce_op", REDUCE)
-def test_reordered_matches_reference(small_rmat, binary_op, reduce_op):
+def test_reordered_matches_reference(small_rmat, binary_op, reduce_op, monkeypatch):
+    """The rule's bucketed plan (Alg. 3), through the public entry point."""
+    monkeypatch.setattr(engine, "DEFAULT_CHUNK_ROWS", 16)  # bucket a 256-row graph
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = reordered(small_rmat, f_v, f_e, binary_op, reduce_op)
+    out = aggregate(small_rmat, f_v, f_e, binary_op, reduce_op, num_threads=1)
+    spmm = binary_op == "copylhs" and reduce_op in ("sum", "mean")
+    assert spmm or len(small_rmat._pass_plans[(1, 16)].ranges) == 16
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -51,9 +52,8 @@ def test_reordered_matches_reference(small_rmat, binary_op, reduce_op):
 def test_blocked_matches_reference(small_rmat, binary_op, reduce_op, num_blocks):
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = blocked(
-        small_rmat, f_v, f_e, binary_op, reduce_op, num_blocks=num_blocks
-    )
+    bg = BlockedGraph.build(small_rmat, num_blocks)
+    out = aggregate(bg, f_v, f_e, binary_op, reduce_op)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -69,10 +69,12 @@ def test_vectorized_matches_reference(small_rmat, binary_op, reduce_op):
 @pytest.mark.parametrize("binary_op", BINARY)
 @pytest.mark.parametrize("reduce_op", REDUCE)
 def test_vectorized_chunked_matches_reference(small_rmat, binary_op, reduce_op):
-    """Bucketed engine passes (the reordered iteration shape) agree too."""
+    """An explicit 13-row cover handed to the executor agrees too (the
+    SpMM path included, which the rule itself never buckets)."""
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, binary_op, reduce_op)
-    out = run_pass(small_rmat, f_v, f_e, binary_op, reduce_op, row_chunk=13)
+    cover = plan_row_chunks(small_rmat, 1, chunk_rows=13)
+    out = run_cover(small_rmat, cover, f_v, f_e, binary_op, reduce_op)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -80,8 +82,8 @@ def test_vectorized_chunked_matches_reference(small_rmat, binary_op, reduce_op):
 def test_empty_rows_get_zero(reduce_op, line_graph):
     """Vertices with no in-edges must produce 0, not the reducer identity."""
     f_v, _ = _features(line_graph, dim=3)
-    for fn in (reordered, vectorized):
-        out = fn(line_graph, f_v, None, "copylhs", reduce_op)
+    for cover in ([(0, 4)], [(0, 1), (1, 4)]):
+        out = run_cover(line_graph, cover, f_v, None, "copylhs", reduce_op)
         assert np.array_equal(out[0], np.zeros(3))  # vertex 0 has no in-edges
 
 
@@ -147,7 +149,7 @@ def test_vectorized_out_accumulation_contract(small_rmat, reduce_op):
 
 def test_spmm_equals_scipy(small_rmat):
     f_v, _ = _features(small_rmat, dim=8)
-    out = reordered(small_rmat, f_v, None, "copylhs", "sum")
+    out = aggregate(small_rmat, f_v, None, "copylhs", "sum")
     expected = small_rmat.to_scipy() @ f_v
     np.testing.assert_allclose(out, expected, rtol=1e-10)
 
@@ -156,18 +158,18 @@ def test_chunked_general_path(small_rmat):
     """Tiny chunk size exercises the bounded-intermediate path."""
     f_v, f_e = _features(small_rmat)
     ref = aggregate_dense_reference(small_rmat, f_v, f_e, "mul", "max")
-    out = run_pass(small_rmat, f_v, f_e, "mul", "max", row_chunk=7)
+    cover = plan_row_chunks(small_rmat, 1, chunk_rows=7)
+    out = run_cover(small_rmat, cover, f_v, f_e, "mul", "max")
     np.testing.assert_allclose(out, ref, rtol=1e-9)
 
 
 def test_multigraph_edges_counted(tiny_graph):
     """Parallel edges contribute once each under sum."""
-    import numpy as np
     from repro.graph.builders import coo_to_csr
 
     g = coo_to_csr(
         np.array([0, 0, 0]), np.array([1, 1, 1]), num_dst=2, num_src=2
     )
     f_v = np.array([[2.0], [0.0]])
-    out = reordered(g, f_v, None, "copylhs", "sum")
+    out = aggregate(g, f_v, None, "copylhs", "sum")
     assert out[1, 0] == 6.0

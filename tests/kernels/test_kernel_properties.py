@@ -1,19 +1,17 @@
-"""Property-based kernel tests: every pass plan equals the reference for
-random graphs, operators, block counts, thread counts and policies."""
-
-from functools import partial
+"""Property-based kernel tests: the executor gives the whole-graph
+pass's bytes under any row cover, thread count and source blocking, and
+the reference's values, for random graphs and operators."""
 
 import numpy as np
+from covers import COVERS, cover_from_bounds, run_cover
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builders import coo_to_csr
-from repro.kernels import BINARY_OPS, KERNELS, REDUCE_OPS, aggregate
+from repro.kernels import BINARY_OPS, REDUCE_OPS, aggregate
 from repro.kernels.baseline import aggregate_dense_reference
-from repro.kernels.engine import SCHEDULES, plan_pass, run_pass
-
-reordered = partial(aggregate, kernel="reordered")
-blocked = partial(aggregate, kernel="blocked")
+from repro.kernels.blocked import BlockedGraph
+from repro.kernels.operators import get_reduce_op, init_output
 
 
 @st.composite
@@ -22,6 +20,8 @@ def graph_and_features(draw):
     m = draw(st.integers(min_value=0, max_value=60))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    if draw(st.booleans()):  # a hub row: one destination pulls from every source
+        src, dst = src + list(range(n)), dst + [draw(st.integers(0, n - 1))] * n
     dim = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(0, 1000))
     g = coo_to_csr(
@@ -32,8 +32,20 @@ def graph_and_features(draw):
     )
     rng = np.random.default_rng(seed)
     f_v = rng.standard_normal((n, dim)) + 2.0
-    f_e = rng.standard_normal((max(m, 1), dim))[: g.num_edges] + 2.0
+    f_e = rng.standard_normal((max(g.num_edges, 1), dim))[: g.num_edges] + 2.0
     return g, f_v, f_e
+
+
+@st.composite
+def row_cover(draw, graph):
+    """Any contiguous disjoint cover of the rows: arbitrary cut points
+    (single-row ranges, a hub row alone, ranges without an edge), or one
+    of the displaced static / balanced / dynamic chunkers."""
+    n = graph.num_vertices
+    if draw(st.booleans()):
+        return COVERS[draw(st.sampled_from(sorted(COVERS)))](graph, draw(st.integers(1, 6)))
+    cuts = draw(st.lists(st.integers(0, n), max_size=n))
+    return cover_from_bounds([0] + sorted(cuts) + [n])
 
 
 @given(
@@ -45,7 +57,9 @@ def graph_and_features(draw):
 def test_reordered_equals_reference(data, bop, rop):
     g, f_v, f_e = data
     ref = aggregate_dense_reference(g, f_v, f_e, bop, rop)
-    out = run_pass(g, f_v, f_e, bop, rop, row_chunk=3)
+    n = g.num_vertices
+    cover = [(lo, min(lo + 3, n)) for lo in range(0, n, 3)]
+    out = run_cover(g, cover, f_v, f_e, bop, rop)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
@@ -57,8 +71,8 @@ def test_reordered_equals_reference(data, bop, rop):
 @settings(max_examples=60, deadline=None)
 def test_blocked_invariant_to_num_blocks(data, nb, rop):
     g, f_v, f_e = data
-    one = blocked(g, f_v, f_e, "copylhs", rop, num_blocks=1)
-    many = blocked(g, f_v, f_e, "copylhs", rop, num_blocks=nb)
+    one = aggregate(BlockedGraph.build(g, 1), f_v, f_e, "copylhs", rop)
+    many = aggregate(BlockedGraph.build(g, nb), f_v, f_e, "copylhs", rop)
     np.testing.assert_allclose(many, one, rtol=1e-9, atol=1e-9)
 
 
@@ -67,8 +81,8 @@ def test_blocked_invariant_to_num_blocks(data, nb, rop):
 def test_sum_linearity(data):
     """AP(a*x) == a*AP(x) for the sum reducer (linearity of SpMM)."""
     g, f_v, _ = data
-    out1 = reordered(g, 3.0 * f_v, None, "copylhs", "sum")
-    out2 = 3.0 * reordered(g, f_v, None, "copylhs", "sum")
+    out1 = aggregate(g, 3.0 * f_v, None, "copylhs", "sum")
+    out2 = 3.0 * aggregate(g, f_v, None, "copylhs", "sum")
     np.testing.assert_allclose(out1, out2, rtol=1e-9, atol=1e-9)
 
 
@@ -77,68 +91,69 @@ def test_sum_linearity(data):
 def test_max_idempotent_under_duplication(data):
     """Aggregating twice into the same output is a no-op for max."""
     g, f_v, _ = data
-    from repro.kernels.operators import get_reduce_op, init_output
-
     rop = get_reduce_op("max")
     out = init_output(g.num_vertices, f_v.shape[1], rop, f_v.dtype)
-    reordered(g, f_v, None, "copylhs", rop, out=out)
+    aggregate(g, f_v, None, "copylhs", rop, out=out)
     once = out.copy()
-    reordered(g, f_v, None, "copylhs", rop, out=out)
+    aggregate(g, f_v, None, "copylhs", rop, out=out)
     np.testing.assert_array_equal(out, once)
 
 
-#: the engine presets of the ``KERNELS`` table (rows that are plan
-#: parameters, not ground-truth functions), plus a bucket size small
-#: enough to actually split the ≤20-row hypothesis graphs
-PRESETS = {k: row for k, row in KERNELS.items() if isinstance(row, dict)}
-PRESETS["tiny-buckets"] = {**KERNELS["blocked"], "row_chunk": 3}
-
-
-@given(graph_and_features(), st.integers(min_value=1, max_value=4))
-@settings(max_examples=25, deadline=None)
-def test_row_ranges_never_change_a_bit(data, nb):
-    """For every preset × threads × schedule: the plan's ranges are
-    disjoint, in row order and cover [0, n), and — ranges and threads
-    being row-local — the output is bit-identical to the unchunked
-    single-thread pass over the same source blocks, for every ⊗/⊕."""
-    g, f_v, f_e = data
-    n = g.num_vertices
-    for name, row in PRESETS.items():
-        blocks = nb if "num_blocks" in row else 1
-        for threads in (1, 3):
-            for schedule in SCHEDULES:
-                plan = plan_pass(g, row.get("row_chunk"), blocks, threads, schedule)
-                assert len(plan.blocks) == blocks
-                assert all(hi > lo for lo, hi in plan.ranges)
-                edges = [lo for lo, _ in plan.ranges] + [n]
-                assert edges[0] == 0
-                assert edges[1:] == [hi for _, hi in plan.ranges]
-                for bop in BINARY_OPS:
-                    for rop in REDUCE_OPS:
-                        want = run_pass(g, f_v, f_e, bop, rop, num_blocks=blocks)
-                        got = run_pass(
-                            g, f_v, f_e, bop, rop,
-                            row_chunk=row.get("row_chunk"), num_blocks=blocks,
-                            num_threads=threads, schedule=schedule,
-                        )
-                        assert np.array_equal(got, want), (name, bop, rop)
+@given(
+    st.data(),
+    graph_and_features(),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([1, 2, 4]),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_row_ranges_never_change_a_bit(data, drawn, dtype, threads, nb):
+    """The one property behind every plan the rule can pick: for every
+    ⊗/⊕ pair and feature dtype, ANY contiguous disjoint cover of the
+    destination rows × threads × (the graph | a BlockedGraph of it) is
+    byte-identical to the single whole-graph pass over the same source
+    blocks, with ``out=`` given (accumulate, no finalize) and not.  Only
+    source blocks reassociate ⊕: exact for max/min, float tolerance for
+    sum/mean."""
+    g, f_v, f_e = drawn
+    f_v, f_e = f_v.astype(dtype), f_e.astype(dtype)
+    n, dim = g.num_vertices, f_v.shape[1]
+    cover = data.draw(row_cover(g))
+    blocked = BlockedGraph.build(g, nb)
+    tol = 1e-4 if dtype == np.float32 else 1e-9
+    for bop in BINARY_OPS:
+        for rop in REDUCE_OPS:
+            for target in (g, blocked):
+                want = run_cover(target, [(0, n)], f_v, f_e, bop, rop)
+                got = run_cover(target, cover, f_v, f_e, bop, rop, num_threads=threads)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes(), (bop, rop, cover)
+                outs = [init_output(n, dim, REDUCE_OPS[rop], dtype) for _ in range(2)]
+                run_cover(target, [(0, n)], f_v, f_e, bop, rop, out=outs[0])
+                assert run_cover(target, cover, f_v, f_e, bop, rop, out=outs[1],
+                                 num_threads=threads) is outs[1]
+                assert outs[1].tobytes() == outs[0].tobytes(), (bop, rop, cover)
+            plain = run_cover(g, [(0, n)], f_v, f_e, bop, rop)
+            if rop in ("max", "min"):
+                assert np.array_equal(got, plain)
+            else:
+                np.testing.assert_allclose(got, plain, rtol=tol, atol=tol)
 
 
 @given(
     graph_and_features(),
     st.integers(min_value=2, max_value=8),
-    st.sampled_from(sorted(SCHEDULES)),
+    st.sampled_from(sorted(COVERS)),
     st.sampled_from(["copylhs", "mul"]),
     st.sampled_from(sorted(REDUCE_OPS)),
 )
 @settings(max_examples=60, deadline=None)
 def test_blocks_with_threaded_ranges_equal_reference(data, nb, schedule, bop, rop):
-    """Source blocks × threaded row ranges — a combination the old
-    one-function-per-kernel stack could not express."""
+    """Source blocks × threaded row ranges against the dense reference."""
     g, f_v, f_e = data
     ref = aggregate_dense_reference(g, f_v, f_e, bop, rop)
-    out = run_pass(
-        g, f_v, f_e, bop, rop,
-        row_chunk=3, num_blocks=nb, num_threads=3, schedule=schedule,
+    out = run_cover(
+        BlockedGraph.build(g, nb), COVERS[schedule](g, 3), f_v, f_e, bop, rop,
+        num_threads=3,
     )
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)

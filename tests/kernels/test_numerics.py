@@ -14,6 +14,7 @@ from repro.core import TrainConfig, Trainer
 from repro.graph import csr
 from repro.graph.builders import coo_to_csr
 from repro.kernels import NUMERICS_EPOCH, aggregate, engine
+from repro.kernels.blocked import BlockedGraph
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -40,8 +41,7 @@ def test_float32_pass_error_bound_on_a_hub_row(reduce_op, threads):
     deg = graph.in_degrees().astype(np.float64)[:, None]
     assert deg.max() >= 10_000
     x = np.random.default_rng(1).standard_normal((graph.num_src, 24)).astype(np.float32)
-    got = aggregate(graph, x, None, "copylhs", reduce_op, kernel="parallel",
-                    num_threads=threads, schedule="dynamic")
+    got = aggregate(graph, x, None, "copylhs", reduce_op, num_threads=threads)
     assert got.dtype == np.float32
     adj64 = graph.to_scipy(np.float64)
     want = adj64 @ x.astype(np.float64)
@@ -61,7 +61,7 @@ def test_float64_features_ride_the_float64_operand(small_rmat):
     x = np.random.default_rng(2).standard_normal((small_rmat.num_src, 8))
     want = small_rmat.to_scipy(np.float64) @ x
     for threads in (1, 4):
-        got = aggregate(small_rmat, x, kernel="parallel", num_threads=threads)
+        got = aggregate(small_rmat, x, num_threads=threads)
         assert got.dtype == np.float64 and np.array_equal(got, want)
     half = x.astype(np.float16)
     got = aggregate(small_rmat, half)
@@ -93,8 +93,7 @@ def _record_operand_requests(monkeypatch):
 
 def test_float32_threaded_pass_builds_nothing_float64(small_rmat, small_features, monkeypatch):
     ones, f_vs = _record_operand_requests(monkeypatch)
-    aggregate(small_rmat, small_features, kernel="parallel", num_threads=4,
-              schedule="dynamic")
+    aggregate(small_rmat, small_features, num_threads=4)
     assert len(f_vs) > 4 and all(f_v is small_features for f_v in f_vs)
     assert set(ones) == {np.dtype(np.float32)}
     assert list(small_rmat._scipy) == [np.float32]
@@ -122,9 +121,7 @@ def test_float32_trainer_epoch_builds_nothing_float64(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("reduce_op", ["sum", "mean"])
-@pytest.mark.parametrize(
-    "plan", [{}, {"kernel": "parallel", "num_threads": 4, "schedule": "dynamic"}]
-)
+@pytest.mark.parametrize("plan", [{}, {"num_threads": 4}])
 def test_assigned_output_is_the_accumulated_one(small_rmat, dtype, reduce_op, plan):
     """``out=None`` (assign the product) ≡ accumulate into zeros and
     finalize by hand, the contract ``out=`` keeps."""
@@ -143,13 +140,13 @@ def test_source_blocks_still_accumulate(small_rmat, small_features):
     """More than one source block sums partial products, so that pass
     keeps zero-fill + ``+=`` (float tolerance against the single write)."""
     whole = aggregate(small_rmat, small_features)
-    blocked = aggregate(small_rmat, small_features, kernel="blocked", num_blocks=3)
+    blocked = aggregate(BlockedGraph.build(small_rmat, 3), small_features)
     assert np.allclose(blocked, whole, rtol=1e-5, atol=1e-5)
-    one_block = aggregate(small_rmat, small_features, kernel="blocked", num_blocks=1)
+    one_block = aggregate(BlockedGraph.build(small_rmat, 1), small_features)
     assert np.array_equal(one_block, whole)
 
 
-@pytest.mark.parametrize("plan", [{}, {"kernel": "parallel", "num_threads": 2}])
+@pytest.mark.parametrize("plan", [{}, {"num_threads": 2}])
 def test_integer_mean_is_still_refused(small_rmat, plan):
     counts = np.ones((small_rmat.num_src, 2), np.int64)
     with pytest.raises(ValueError, match="mean requires floating-point"):

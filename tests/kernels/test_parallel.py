@@ -1,27 +1,28 @@
 """Thread-pool execution: bit-identity with the single-thread pass
-across the full operator table, thread counts, and chunking policies —
-the core contract that lets ``kernel="parallel"`` replace the
-single-threaded presets anywhere without changing a single bit.
+across the full operator table, thread counts, and row covers — the core
+contract that lets ``num_threads`` go up anywhere without changing a
+single bit.  (The ``static`` / ``balanced`` names are cover generators
+of ``covers.py``, not engine options.)
 """
 
 from functools import partial
 
 import numpy as np
 import pytest
+from covers import COVERS, op_features as _features, run_cover
 
-from repro.graph.builders import coo_to_csr, from_edge_list
+from repro.graph.builders import coo_to_csr
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
-from repro.kernels.engine import plan_row_chunks, resolve_num_threads, run_pass
+from repro.kernels.engine import plan_row_chunks, requested_num_threads
 from repro.kernels.operators import finalize_output, get_reduce_op, init_output
 
-parallel = partial(aggregate, kernel="parallel")
-vectorized = partial(aggregate, kernel="vectorized")
+whole = partial(aggregate, num_threads=1)
 
 BINARY = ["add", "sub", "mul", "div", "copylhs", "copyrhs"]
 REDUCE = ["sum", "max", "min", "mean"]
-SCHEDULES = ["static", "dynamic", "balanced"]
+SCHEDULES = sorted(COVERS)
 
 
 @pytest.fixture
@@ -30,23 +31,16 @@ def skewed_graph() -> CSRGraph:
     return rmat_graph(scale=6, edge_factor=8.0, seed=5)
 
 
-def _features(graph, dim=5, seed=0):
-    rng = np.random.default_rng(seed)
-    f_v = rng.standard_normal((graph.num_src, dim)) + 2.0  # avoid div-by-0
-    f_e = rng.standard_normal((graph.num_edges, dim)) + 2.0
-    return f_v, f_e
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("binary_op", BINARY)
     @pytest.mark.parametrize("reduce_op", REDUCE)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_all_op_pairs(self, skewed_graph, binary_op, reduce_op, schedule):
         f_v, f_e = _features(skewed_graph)
-        ref = vectorized(skewed_graph, f_v, f_e, binary_op, reduce_op)
-        out = parallel(
-            skewed_graph, f_v, f_e, binary_op, reduce_op,
-            num_threads=4, schedule=schedule,
+        ref = whole(skewed_graph, f_v, f_e, binary_op, reduce_op)
+        out = run_cover(
+            skewed_graph, COVERS[schedule](skewed_graph, 4),
+            f_v, f_e, binary_op, reduce_op, num_threads=4,
         )
         assert np.array_equal(out, ref)
 
@@ -59,22 +53,22 @@ class TestBitIdentity:
         self, small_rmat, num_threads, schedule, binary_op, reduce_op
     ):
         f_v, f_e = _features(small_rmat)
-        ref = vectorized(small_rmat, f_v, f_e, binary_op, reduce_op)
-        out = parallel(
-            small_rmat, f_v, f_e, binary_op, reduce_op,
-            num_threads=num_threads, schedule=schedule,
+        ref = whole(small_rmat, f_v, f_e, binary_op, reduce_op)
+        out = run_cover(
+            small_rmat, COVERS[schedule](small_rmat, num_threads),
+            f_v, f_e, binary_op, reduce_op, num_threads=num_threads,
         )
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("reduce_op", REDUCE)
     def test_empty_rows(self, line_graph, reduce_op):
-        """Vertices with no in-edges finalize to 0 on every policy."""
+        """Vertices with no in-edges finalize to 0 under every cover."""
         f_v, _ = _features(line_graph, dim=3)
-        ref = vectorized(line_graph, f_v, None, "copylhs", reduce_op)
+        ref = whole(line_graph, f_v, None, "copylhs", reduce_op)
         for schedule in SCHEDULES:
-            out = parallel(
-                line_graph, f_v, None, "copylhs", reduce_op,
-                num_threads=4, schedule=schedule,
+            out = run_cover(
+                line_graph, COVERS[schedule](line_graph, 4),
+                f_v, None, "copylhs", reduce_op, num_threads=4,
             )
             assert np.array_equal(out, ref)
             assert np.array_equal(out[0], np.zeros(3))  # vertex 0: no in-edges
@@ -83,11 +77,12 @@ class TestBitIdentity:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_zero_vertex_graph(self, reduce_op, schedule):
         g = CSRGraph(indptr=np.array([0]), indices=np.array([], dtype=np.int64))
-        out = parallel(
-            g, np.zeros((0, 3)), None, "copylhs", reduce_op,
-            num_threads=4, schedule=schedule,
-        )
-        assert out.shape == (0, 3)
+        assert COVERS[schedule](g, 4) == []
+        for out in (
+            run_cover(g, [], np.zeros((0, 3)), None, "copylhs", reduce_op, num_threads=4),
+            aggregate(g, np.zeros((0, 3)), None, "copylhs", reduce_op, num_threads=4),
+        ):
+            assert out.shape == (0, 3)
 
     def test_single_vertex_graph(self):
         g = coo_to_csr(
@@ -96,17 +91,18 @@ class TestBitIdentity:
         )
         f_v = np.array([[3.0, -1.0]])
         f_e = np.arange(6, dtype=np.float64).reshape(3, 2)
-        ref = vectorized(g, f_v, f_e, "add", "max")
-        out = parallel(g, f_v, f_e, "add", "max", num_threads=8)
+        ref = whole(g, f_v, f_e, "add", "max")
+        out = aggregate(g, f_v, f_e, "add", "max", num_threads=8)
         assert np.array_equal(out, ref)
 
     def test_more_threads_than_rows(self, tiny_graph):
         f_v, f_e = _features(tiny_graph)
-        ref = vectorized(tiny_graph, f_v, f_e, "mul", "sum")
+        ref = whole(tiny_graph, f_v, f_e, "mul", "sum")
+        assert np.array_equal(aggregate(tiny_graph, f_v, f_e, "mul", "sum", num_threads=16), ref)
         for schedule in SCHEDULES:
-            out = parallel(
-                tiny_graph, f_v, f_e, "mul", "sum",
-                num_threads=16, schedule=schedule,
+            out = run_cover(
+                tiny_graph, COVERS[schedule](tiny_graph, 16),
+                f_v, f_e, "mul", "sum", num_threads=16,
             )
             assert np.array_equal(out, ref)
 
@@ -114,11 +110,9 @@ class TestBitIdentity:
         """Repeated parallel runs are bit-for-bit reproducible (disjoint
         rows: no cross-thread accumulation order to vary)."""
         f_v, f_e = _features(small_rmat)
+        cover = plan_row_chunks(small_rmat, 4, chunk_rows=7)
         runs = [
-            run_pass(
-                small_rmat, f_v, f_e, "add", "sum",
-                num_threads=4, schedule="dynamic", row_chunk=7,
-            )
+            run_cover(small_rmat, cover, f_v, f_e, "add", "sum", num_threads=4)
             for _ in range(5)
         ]
         for other in runs[1:]:
@@ -133,8 +127,8 @@ class TestBitIdentity:
         g = coo_to_csr(src, dst, num_dst=32, num_src=32, edge_ids=eids)
         f_v, f_e = _features(g)
         for binary_op, reduce_op in [("copyrhs", "sum"), ("mul", "min")]:
-            ref = vectorized(g, f_v, f_e, binary_op, reduce_op)
-            out = parallel(
+            ref = whole(g, f_v, f_e, binary_op, reduce_op)
+            out = aggregate(
                 g, f_v, f_e, binary_op, reduce_op, num_threads=3
             )
             assert np.array_equal(out, ref)
@@ -146,14 +140,14 @@ class TestOutContract:
         """Chained partial passes into `out` + one finalize == one-shot."""
         f_v, f_e = _features(small_rmat)
         rop = get_reduce_op(reduce_op)
-        expected = parallel(
+        expected = aggregate(
             small_rmat, f_v, f_e, "mul", reduce_op, num_threads=4
         )
         out = init_output(small_rmat.num_vertices, f_v.shape[1], rop, f_v.dtype)
         mid = small_rmat.num_src // 2
         for lo, hi in ((0, mid), (mid, small_rmat.num_src)):
             block = small_rmat.source_block(lo, hi)
-            parallel(
+            aggregate(
                 block, f_v, f_e, "mul", reduce_op, out=out, num_threads=4
             )
         counts = small_rmat.in_degrees()
@@ -165,59 +159,36 @@ class TestPlanning:
     def test_chunks_cover_rows_disjointly(self, small_rmat):
         n = small_rmat.num_vertices
         for schedule in SCHEDULES:
-            chunks = plan_row_chunks(small_rmat, 4, schedule)
+            chunks = COVERS[schedule](small_rmat, 4)
             assert chunks[0][0] == 0 and chunks[-1][1] == n
             for (_, hi), (lo, _) in zip(chunks[:-1], chunks[1:]):
                 assert hi == lo  # contiguous, disjoint
             assert all(hi > lo for lo, hi in chunks)
 
-    def test_static_gives_num_threads_ranges(self, small_rmat):
-        assert len(plan_row_chunks(small_rmat, 4, "static")) == 4
-
     def test_dynamic_queue_depth(self, small_rmat):
-        chunks = plan_row_chunks(small_rmat, 4, "dynamic")
-        assert len(chunks) > 4  # more chunks than threads: a real queue
+        chunks = plan_row_chunks(small_rmat, 4)
+        assert 4 * 8 - 4 <= len(chunks) <= 4 * 8  # ~8 chunks per thread
         sizes = {hi - lo for lo, hi in chunks[:-1]}
         assert len(sizes) == 1  # fixed-size apart from the tail
+        assert plan_row_chunks(small_rmat, 1) == [(0, small_rmat.num_vertices)]
 
     def test_dynamic_respects_chunk_rows(self, small_rmat):
-        chunks = plan_row_chunks(small_rmat, 2, "dynamic", chunk_rows=10)
-        assert all(hi - lo <= 10 for lo, hi in chunks)
-
-    def test_balanced_equalizes_edge_work(self):
-        """One hub row: balanced isolates it, static would lump rows."""
-        edges = [(u, 0) for u in range(1, 64)]  # vertex 0: in-degree 63
-        edges += [(0, v) for v in range(1, 64)]  # everyone else: 1
-        g = from_edge_list(edges, num_vertices=64)
-        chunks = plan_row_chunks(g, 4, "balanced")
-        degrees = g.in_degrees()
-        loads = [degrees[lo:hi].sum() for lo, hi in chunks]
-        # the hub chunk carries the hub only; the rest split the light rows
-        assert max(loads) < degrees.sum()  # static with 4 threads: 63+15=78
-        assert chunks[0] == (0, 1)
-
-    def test_balanced_no_edges_falls_back(self):
-        g = CSRGraph(
-            indptr=np.zeros(9, dtype=np.int64),
-            indices=np.array([], dtype=np.int64),
-            num_src=8,
-        )
-        chunks = plan_row_chunks(g, 4, "balanced")
-        assert chunks[0][0] == 0 and chunks[-1][1] == 8
+        for threads in (1, 2):
+            chunks = plan_row_chunks(small_rmat, threads, chunk_rows=10)
+            assert all(hi - lo <= 10 for lo, hi in chunks)
+        # a cap above the queue's own chunk size changes nothing
+        assert plan_row_chunks(small_rmat, 2, chunk_rows=10**6) == plan_row_chunks(small_rmat, 2)
 
     def test_plan_cached_on_graph(self, small_rmat):
-        """The pass plan (an O(V) computation) is built once per
-        (row_chunk, blocks, threads, schedule) and reused across calls."""
+        """The pass plan is built once per (threads, bucket rows) and
+        reused across calls."""
         f_v, _ = _features(small_rmat)
-        parallel(small_rmat, f_v, None, num_threads=4, schedule="balanced")
-        plans = small_rmat._pass_plans
-        key = (None, 1, 4, "balanced")
-        first = plans[key]
-        parallel(small_rmat, f_v, None, num_threads=4, schedule="balanced")
+        aggregate(small_rmat, f_v, None, num_threads=4)
+        key = (4, None)  # copylhs/sum: no message intermediate to bucket
+        first = small_rmat._pass_plans[key]
+        aggregate(small_rmat, f_v, None, num_threads=4)
         assert small_rmat._pass_plans[key] is first
-        # schedule=None resolves through choose_schedule and caches too
-        parallel(small_rmat, f_v, None, num_threads=4)
-        assert (None, 1, 4, None) in plans
+        assert first.ranges == plan_row_chunks(small_rmat, 4)
 
     def test_spmm_operands_are_built_once_as_views(self, small_rmat, monkeypatch):
         """The SpMM path never constructs an operand per call: the full
@@ -226,14 +197,14 @@ class TestPlanning:
         import scipy.sparse as sp
 
         f_v = _features(small_rmat)[0].astype(np.float32)
-        want = vectorized(small_rmat, f_v, None)
+        want = whole(small_rmat, f_v, None)
         adj = small_rmat.to_scipy(np.float32)
-        got = parallel(small_rmat, f_v, None, num_threads=4, schedule="dynamic")
+        got = aggregate(small_rmat, f_v, None, num_threads=4)
         assert np.array_equal(got, want)
         operands = {
             k: v for k, v in small_rmat._pass_plans.items() if k[0] == "operand"
         }
-        assert len(operands) > 4  # dynamic: a queue of chunks per thread
+        assert len(operands) > 4  # a queue of chunks per thread
         for (_, dtype, lo, hi), sub in operands.items():
             assert dtype == sub.dtype == np.float32  # the features' dtype
             assert sub.shape == (hi - lo, small_rmat.num_src)
@@ -251,61 +222,40 @@ class TestPlanning:
         monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
         monkeypatch.setattr(np, "ones", lambda *a, **kw: built.append("ones"))
         for threads in (1, 4):
-            again = aggregate(
-                small_rmat, f_v, None, kernel="parallel",
-                num_threads=threads, schedule="dynamic",
-            )
+            again = aggregate(small_rmat, f_v, None, num_threads=threads)
             assert np.array_equal(again, want)
         assert built == []
 
     def test_unknown_schedule(self, tiny_graph):
-        with pytest.raises(ValueError, match="schedule"):
-            plan_row_chunks(tiny_graph, 2, "guided")
-        with pytest.raises(ValueError, match="schedule"):
-            parallel(
-                tiny_graph, np.ones((5, 2)), None, num_threads=2,
-                schedule="guided",
-            )
+        """The rule has one chunking policy: ``schedule`` is not a
+        parameter of the planner or of ``aggregate`` any more."""
+        with pytest.raises(TypeError, match="schedule"):
+            plan_row_chunks(tiny_graph, 2, schedule="dynamic")
+        with pytest.raises(TypeError, match="schedule"):
+            aggregate(tiny_graph, np.ones((5, 2)), None, num_threads=2, schedule="dynamic")
 
     def test_invalid_threads(self, tiny_graph):
         with pytest.raises(ValueError, match="num_threads"):
-            plan_row_chunks(tiny_graph, 0, "static")
+            plan_row_chunks(tiny_graph, 0)
         with pytest.raises(ValueError, match="num_threads"):
-            parallel(tiny_graph, np.ones((5, 2)), None, num_threads=0)
+            aggregate(tiny_graph, np.ones((5, 2)), None, num_threads=0)
 
 
 class TestThreadResolution:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-        assert resolve_num_threads(4) == 4
+        assert requested_num_threads(4) == 4
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        assert resolve_num_threads(None) == 3
+        assert requested_num_threads(None) == 3
 
     def test_bad_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "lots")
         with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
-            resolve_num_threads(None)
+            requested_num_threads(None)
 
     def test_default_is_positive(self, monkeypatch):
+        """An unconfigured process is single-threaded, whatever the machine."""
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        assert resolve_num_threads(None) >= 1
-
-
-class TestScheduleChoice:
-    def test_skewed_graph_prefers_balanced(self):
-        from repro.kernels.tuning import choose_schedule
-
-        edges = [(u, 0) for u in range(1, 512)]
-        edges += [(0, v) for v in range(1, 512)]
-        hub = from_edge_list(edges, num_vertices=512)
-        assert choose_schedule(hub, 8) == "balanced"
-
-    def test_uniform_graph_prefers_static(self):
-        from repro.graph.generators import sbm_graph
-        from repro.kernels.tuning import choose_schedule
-
-        uniform = sbm_graph([512], p_in=0.05, p_out=0.0, seed=0)
-        assert choose_schedule(uniform, 4) == "static"
-        assert choose_schedule(uniform, 1) == "static"
+        assert requested_num_threads(None) == 1

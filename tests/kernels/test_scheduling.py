@@ -1,10 +1,10 @@
-"""OpenMP scheduling simulator."""
+"""OpenMP scheduling simulator (``repro.perf.scheduling``, the Fig. 4 "DS" model)."""
 
 import numpy as np
 import pytest
 
 from repro.graph.generators import rmat_graph, sbm_graph
-from repro.kernels.scheduling import (
+from repro.perf.scheduling import (
     per_destination_work,
     scheduling_gain,
     simulate_schedule,

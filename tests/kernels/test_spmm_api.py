@@ -1,71 +1,46 @@
-"""Public aggregate() dispatch and instrumentation."""
+"""Public aggregate() dispatch, the plan rule, and instrumentation."""
+
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.graph.csr import CSRGraph
 from repro.kernels import KERNELS, aggregate, engine
 from repro.kernels.blocked import BlockedGraph
 from repro.kernels.instrumentation import AP_TIMER
-from repro.kernels.spmm import _AUTO_BLOCK_THRESHOLD, _auto_params
+
+REMOVED_KERNELS = ("vectorized", "reordered", "blocked", "parallel")
 
 
 class TestDispatch:
     def test_all_kernels_registered(self):
-        assert set(KERNELS) == {
-            "baseline",
-            "vectorized",
-            "parallel",
-            "reordered",
-            "blocked",
-            "reference",
-        }
+        """The engine is ``"auto"``; the table holds the ground truths."""
+        assert set(KERNELS) == {"baseline", "reference"}
 
-    @pytest.mark.parametrize(
-        "kernel", ["baseline", "vectorized", "parallel", "reordered", "blocked"]
-    )
+    @pytest.mark.parametrize("kernel", ["auto", "baseline"])
     def test_kernels_agree(self, small_rmat, small_features, kernel):
-        out = aggregate(small_rmat, small_features, kernel=kernel, num_blocks=2)
+        out = aggregate(small_rmat, small_features, kernel=kernel)
         ref = aggregate(small_rmat, small_features, kernel="reference")
         np.testing.assert_allclose(out, ref, rtol=1e-4)
 
     def test_auto_small_graph_uses_vectorized(self, small_rmat, small_features):
-        out = aggregate(small_rmat, small_features, kernel="auto")
-        ref = aggregate(small_rmat, small_features, kernel="vectorized")
-        np.testing.assert_allclose(out, ref, rtol=1e-6)
+        """At one thread a graph of at most one bucket is one whole-graph
+        vectorized pass, message intermediate or not: no plan is cached."""
+        for reduce_op in ("sum", "max"):
+            aggregate(small_rmat, small_features, None, "copylhs", reduce_op,
+                      num_threads=1)
+        assert not hasattr(small_rmat, "_pass_plans")
 
     def test_auto_with_threads_is_bit_identical(self, small_rmat, small_features):
-        """auto + num_threads > 1 dispatches the parallel engine, whose
-        output is bit-identical to the single-threaded one."""
-        out = aggregate(small_rmat, small_features, kernel="auto", num_threads=4)
-        ref = aggregate(small_rmat, small_features, kernel="vectorized")
+        """num_threads > 1 puts the pass on the thread pool, whose output
+        is bit-identical to the single-threaded one."""
+        out = aggregate(small_rmat, small_features, num_threads=4)
+        ref = aggregate(small_rmat, small_features, num_threads=1)
         assert np.array_equal(out, ref)
-
-    @pytest.mark.parametrize(
-        "num_src,num_blocks,num_threads,env,expected",
-        [
-            (100, None, None, None, {}),
-            (100, 1, 1, "1", {}),
-            (_AUTO_BLOCK_THRESHOLD, None, None, None, {"row_chunk": 8192}),
-            (100, None, 4, None, {"num_threads": 4, "schedule": None}),
-            (100, None, None, "4", {"num_threads": 4, "schedule": None}),
-            (100, None, 1, "4", {}),  # the explicit argument beats the env
-            (_AUTO_BLOCK_THRESHOLD, None, 2, None,
-             {"num_threads": 2, "schedule": None}),
-            (100, 8, 4, "4", {"row_chunk": 8192, "num_blocks": 8}),
-        ],
-    )
-    def test_auto_plan_parameters(
-        self, monkeypatch, num_src, num_blocks, num_threads, env, expected
-    ):
-        """``auto`` returns pass-plan parameters, not a kernel name:
-        blocks beat threads beat the vertex threshold."""
-        from types import SimpleNamespace
-
-        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("REPRO_NUM_THREADS", env)
-        graph = SimpleNamespace(num_src=num_src)
-        assert _auto_params(graph, num_blocks, num_threads) == expected
 
     def test_auto_env_threads_is_bit_identical(
         self, small_rmat, small_features, monkeypatch
@@ -73,16 +48,16 @@ class TestDispatch:
         """REPRO_NUM_THREADS puts auto on the thread pool; same bits."""
         monkeypatch.setenv("REPRO_NUM_THREADS", "4")
         out = aggregate(small_rmat, small_features, kernel="auto")
-        assert (None, 1, 4, None) in small_rmat._pass_plans
-        ref = aggregate(small_rmat, small_features, kernel="vectorized")
+        assert (4, None) in small_rmat._pass_plans
+        ref = aggregate(small_rmat, small_features, num_threads=1)
         assert np.array_equal(out, ref)
 
     def test_spmm_path_ignores_row_chunk(
         self, small_rmat, small_features, monkeypatch
     ):
-        """On the copylhs/add path ``reordered`` and ``vectorized`` (the
-        two names ``auto`` chooses between by vertex count) issue the same
-        single whole-graph SpMM call and build no plan."""
+        """The copylhs/add path has no message intermediate to bound: at
+        one thread it is a single whole-graph SpMM call that builds no
+        plan, however small the bucket."""
         calls = []
         real = engine.spmm_rows
 
@@ -91,58 +66,76 @@ class TestDispatch:
             return real(graph, f_v, row_lo, row_hi)
 
         monkeypatch.setattr(engine, "spmm_rows", spy)
-        monkeypatch.setitem(KERNELS, "reordered", {"row_chunk": 16})
+        monkeypatch.setattr(engine, "DEFAULT_CHUNK_ROWS", 16)
         n = small_rmat.num_vertices
-        for kernel in ("vectorized", "reordered"):
-            for reduce_op in ("sum", "mean"):
-                aggregate(small_rmat, small_features, None, "copylhs", reduce_op,
-                          kernel=kernel)
-        assert calls == [(small_rmat, 0, n)] * 4
+        for reduce_op in ("sum", "mean"):
+            aggregate(small_rmat, small_features, None, "copylhs", reduce_op,
+                      num_threads=1)
+        assert calls == [(small_rmat, 0, n)] * 2
         assert not hasattr(small_rmat, "_pass_plans")
-        # the same preset does bucket an operator with a message intermediate
-        aggregate(small_rmat, small_features, None, "copylhs", "max",
-                  kernel="reordered")
-        assert (16, 1, 1, None) in small_rmat._pass_plans
+        # the same rule does bucket an operator with a message intermediate
+        aggregate(small_rmat, small_features, None, "copylhs", "max", num_threads=1)
+        plan = small_rmat._pass_plans[(1, 16)]
+        assert plan.ranges == [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+
+    def test_plan_rule(self, small_rmat):
+        """What the rule reads — message intermediate?, rows, threads, a
+        pre-built BlockedGraph — and the ranges it yields for each."""
+        bucket = engine.DEFAULT_CHUNK_ROWS
+        big = CSRGraph(np.zeros(40 * bucket + 1, np.int64), np.zeros(0, np.int64))
+        n = big.num_vertices
+
+        def sizes(materialises, threads):
+            plan = engine.plan_pass(big, materialises, threads)
+            return [hi - lo for lo, hi in plan.ranges]
+
+        assert sizes(False, 1) == [n]  # SpMM: nothing to bound, rows whole ...
+        assert not hasattr(big, "_pass_plans")  # ... and no cache entry at any size
+        assert sizes(True, 1) == [bucket] * 40  # messages: Alg. 3 buckets
+        assert sizes(False, 2) == [n // 16] * 16  # a queue of 8 chunks per thread
+        assert sizes(True, 2) == [bucket] * 40  # ... capped at the bucket
+        assert len(sizes(True, 64)) == 8 * 64  # ... finer when the threads ask
+        blocked = BlockedGraph.build(small_rmat, 3)
+        plan = engine.plan_pass(blocked, False, 1)
+        assert plan.graph is small_rmat and list(plan.blocks) == blocked.blocks
+        assert plan is engine.plan_pass(blocked, False, 1)  # cached on the BlockedGraph
 
     def test_validate_kernel(self):
         from repro.kernels import validate_kernel
 
         assert validate_kernel("auto") == "auto"
-        assert validate_kernel("vectorized") == "vectorized"
-        with pytest.raises(KeyError, match="unknown kernel"):
-            validate_kernel("cuda")
+        assert validate_kernel("baseline") == "baseline"
+        for name in REMOVED_KERNELS + ("cuda",):
+            with pytest.raises(KeyError, match="unknown kernel"):
+                validate_kernel(name)
 
     def test_unknown_kernel(self, small_rmat, small_features):
-        with pytest.raises(KeyError, match="unknown kernel"):
-            aggregate(small_rmat, small_features, kernel="cuda")
+        for name in REMOVED_KERNELS + ("cuda",):
+            with pytest.raises(KeyError, match="unknown kernel"):
+                aggregate(small_rmat, small_features, kernel=name)
 
     def test_unknown_schedule_fails_on_any_kernel(self, small_rmat, small_features):
-        """A typo'd policy must fail fast even when the resolved kernel
-        is single-threaded and would never consult it."""
-        with pytest.raises(ValueError, match="schedule"):
-            aggregate(small_rmat, small_features, kernel="vectorized",
-                      schedule="blanced")
-        with pytest.raises(ValueError, match="schedule"):
-            aggregate(small_rmat, small_features, kernel="auto",
-                      schedule="guided")
+        """The plan is nothing a caller sets: the two plan knobs are not
+        parameters of ``aggregate``, whatever the kernel."""
+        for kernel in ("auto", "baseline"):
+            with pytest.raises(TypeError, match="schedule"):
+                aggregate(small_rmat, small_features, kernel=kernel,
+                          schedule="dynamic")
+            with pytest.raises(TypeError, match="num_blocks"):
+                aggregate(small_rmat, small_features, kernel=kernel, num_blocks=2)
 
     def test_invalid_num_threads_fails_on_any_kernel(
         self, small_rmat, small_features
     ):
         with pytest.raises(ValueError, match="num_threads"):
-            aggregate(small_rmat, small_features, kernel="vectorized",
+            aggregate(small_rmat, small_features, kernel="baseline",
                       num_threads=0)
 
     def test_blockedgraph_input(self, small_rmat, small_features):
         bg = BlockedGraph.build(small_rmat, 4)
         out = aggregate(bg, small_features)
-        ref = aggregate(small_rmat, small_features, kernel="reordered")
+        ref = aggregate(small_rmat, small_features)
         np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
-
-    def test_explicit_num_blocks_forces_blocked(self, small_rmat, small_features):
-        out = aggregate(small_rmat, small_features, num_blocks=8)
-        ref = aggregate(small_rmat, small_features, kernel="reference")
-        np.testing.assert_allclose(out, ref, rtol=1e-4)
 
     def test_requires_some_features(self, small_rmat):
         with pytest.raises(ValueError):
@@ -164,47 +157,31 @@ class TestDispatch:
             aggregate(small_rmat, operands["f_v"], operands["f_e"],
                       binary_op=binary_op, kernel=kernel)
 
-    def test_blocked_builds_and_tunes_once(
-        self, small_rmat, small_features, monkeypatch
-    ):
-        """Regression: ``kernel="blocked"`` on a plain CSRGraph re-ran the
-        O(E) block build — and, untuned, the seven-candidate traffic
-        sweep — on every call; both now live in the cached plan."""
-        counts = {"build": 0, "sweep": 0}
-        real_build, real_sweep = engine.build_blocks, engine.choose_num_blocks
-
-        def build(graph, num_blocks):
-            counts["build"] += 1
-            return real_build(graph, num_blocks)
-
-        def sweep(graph, dim):
-            counts["sweep"] += 1
-            return max(real_sweep(graph, dim), 2)
-
-        monkeypatch.setattr(engine, "build_blocks", build)
-        monkeypatch.setattr(engine, "choose_num_blocks", sweep)
-        first = aggregate(small_rmat, small_features, kernel="blocked")
-        assert counts == {"build": 1, "sweep": 1}
-        again = aggregate(small_rmat, small_features, kernel="blocked")
-        assert counts == {"build": 1, "sweep": 1}
-        assert np.array_equal(first, again)
-        # an explicit count never sweeps, and builds once per count
-        for _ in range(2):
-            aggregate(small_rmat, small_features, kernel="blocked", num_blocks=3)
-        assert counts == {"build": 2, "sweep": 1}
+    def test_kernels_import_no_model(self):
+        """Layering: the engine plans from what it observes, so nothing
+        under ``repro.kernels`` names the cache or scheduling models
+        (``cachesim`` and ``perf`` import kernels, never the reverse)."""
+        for path in pathlib.Path(engine.__file__).parent.glob("*.py"):
+            assert not re.search(r"cachesim|repro\.perf", path.read_text()), path.name
+        # `import repro` itself pulls in cachesim (featurestore's LRU
+        # model), so only perf can be pinned on sys.modules
+        code = "import sys, repro.kernels; print([m for m in sys.modules if 'repro.perf' in m])"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
 
 
 class TestInstrumentation:
     def test_timer_accumulates(self, small_rmat, small_features):
         AP_TIMER.reset()
-        aggregate(small_rmat, small_features, kernel="reordered")
+        aggregate(small_rmat, small_features)
         assert AP_TIMER.calls == 1
         assert AP_TIMER.elapsed_s > 0
-        aggregate(small_rmat, small_features, kernel="reordered")
+        aggregate(small_rmat, small_features)
         assert AP_TIMER.calls == 2
 
     def test_reset(self, small_rmat, small_features):
-        aggregate(small_rmat, small_features, kernel="reordered")
+        aggregate(small_rmat, small_features)
         AP_TIMER.reset()
         assert AP_TIMER.calls == 0
         assert AP_TIMER.elapsed_s == 0.0

@@ -1,10 +1,10 @@
-"""Block-count auto-tuner."""
+"""Block-count sweep (``repro.cachesim.traffic.choose_num_blocks``, the Fig. 3 criterion)."""
 
 import numpy as np
 import pytest
 
 from repro.graph.generators import rmat_graph, sbm_graph
-from repro.kernels.tuning import choose_num_blocks
+from repro.cachesim.traffic import choose_num_blocks
 
 
 def test_returns_candidate():

@@ -84,8 +84,8 @@ def test_spmm_adjoint_identity(problem):
     y = rng.standard_normal((g.num_vertices, x.shape[1]))
     from repro.kernels import aggregate
 
-    ax = aggregate(g, x, kernel="reordered")
-    aty = aggregate(g.reverse(), y, kernel="reordered")
+    ax = aggregate(g, x)
+    aty = aggregate(g.reverse(), y)
     np.testing.assert_allclose(
         float((ax * y).sum()), float((x * aty).sum()), rtol=1e-9, atol=1e-9
     )

@@ -76,6 +76,26 @@ def test_from_checkpoint_config_override(trained, checkpoint_path):
     assert eng.config.hidden_features == cfg.hidden_features
 
 
+@pytest.mark.parametrize("recorded", ["reordered", "baseline"])
+def test_checkpoint_kernel_entry_is_ignored(trained, tmp_path, recorded):
+    """A checkpoint carries architecture, not an execution choice: an
+    ``extra/kernel`` entry — a preset name that no longer exists, or the
+    Fig. 2 per-vertex baseline the model was trained with — neither fails
+    the load nor picks the serving kernel."""
+    from repro.core.checkpoint import save_checkpoint, training_meta
+
+    ds, trainer, cfg = trained
+    assert "kernel" not in training_meta(cfg)
+    path = str(tmp_path / "legacy.npz")
+    extra = {**training_meta(cfg), "kernel": np.asarray(recorded)}
+    save_checkpoint(path, trainer.model, epoch=3, extra=extra)
+    eng = InferenceEngine.from_checkpoint(path, ds)
+    assert eng.config.kernel == "auto"
+    assert all(layer.kernel == "auto" for layer in eng.model.layers)
+    fresh = full_graph_forward(trainer.model, ds.graph, ds.features)
+    assert np.array_equal(eng.precompute().logits, fresh)
+
+
 def test_predict_labels_and_topk(engine):
     ids = np.arange(10)
     rows = engine.predict(ids)
