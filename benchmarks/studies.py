@@ -6,20 +6,29 @@ into ``docs/`` with the date and box it was measured on.
 
     PYTHONPATH=src python benchmarks/studies.py spmm-operand
     PYTHONPATH=src python benchmarks/studies.py kernel-plan
+    PYTHONPATH=src python benchmarks/studies.py minibatch-step
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
+import tempfile
 import time
 
 import numpy as np
 
+from repro.core import TrainConfig
+from repro.featurestore import FeatureStore
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
+from repro.nn import Tensor, masked_cross_entropy
 from repro.perf.hardware import SocketSpec
 from repro.perf.roofline import ap_kernel_time
+from repro.sampling import MiniBatchTrainer, NeighborSampler
+from repro.sampling.minibatch_trainer import forward_blocks
 
 #: the two full-batch suite graphs, each at its model's input and hidden width
 SPMM_CASES = (
@@ -131,7 +140,118 @@ def kernel_plan(reps: int) -> None:
                   f"| {'/'.join(ops)} | {t1:.1f} | {t2:.1f} | {t_base:.0f} |", flush=True)
 
 
-STUDIES = {"spmm-operand": spmm_operand, "kernel-plan": kernel_plan}
+HOP_STAGES = ("expand", "key-sort", "relabel", "CSR")
+
+
+def _timed_hop(graph, frontier, fanout, rng, local):
+    """``NeighborSampler._sample_hop`` with a clock between its stages (the
+    caller checks the frontiers against the real sampler's): stage seconds,
+    candidate edges, kept edges, the hop's source frontier."""
+    clock = [time.perf_counter()]
+    starts = graph.indptr[frontier]
+    deg = graph.indptr[frontier + 1] - starts
+    first = np.cumsum(deg) - deg
+    row = np.repeat(np.arange(frontier.size), deg)
+    cand = np.arange(row.size)
+    clock.append(time.perf_counter())
+    if deg.max(initial=0) > fanout:
+        order = np.argsort(row + rng.random(row.size))
+        cand = np.sort(order[cand - first[row] < fanout])
+        row = row[cand]
+    src = graph.indices[cand + (starts - first)[row]]
+    clock.append(time.perf_counter())
+    local[frontier] = np.arange(frontier.size)
+    extra = np.sort(src[local[src] < 0])
+    extra = extra[np.diff(extra, prepend=-1) > 0]
+    local[extra] = np.arange(frontier.size, frontier.size + extra.size)
+    src_global = np.concatenate([frontier, extra])
+    indices = local[src]
+    local[src_global] = -1
+    clock.append(time.perf_counter())
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=frontier.size))])
+    CSRGraph(indptr=indptr, indices=indices, num_src=src_global.size)
+    clock.append(time.perf_counter())
+    return np.diff(clock), int(deg.sum()), src.size, src_global
+
+
+def minibatch_step(reps: int) -> None:
+    """ROADMAP 1: where a ``train_minibatch`` step goes, on the suite's
+    configuration (ogbn-papers 1.0, fan-outs 10-10-10, batch 256, mmap
+    feature store, hot fraction 0.1).  Per hop: frontier rows, candidate
+    edges (sum of degrees), kept edges and the stages of the array pass;
+    then the step split.  Runs on any tree (public names only): the
+    "before" column of docs/minibatch-step.md is this script under the
+    parent's ``src``, where the hop table is skipped."""
+    fanouts, batch_size = (10, 10, 10), 256
+    ds = load_dataset("ogbn-papers", scale=1.0, seed=0)
+    train = np.flatnonzero(ds.train_mask)
+    seed_rng = np.random.default_rng([0, 3])
+    batches = [seed_rng.choice(train, size=batch_size, replace=False)
+               for _ in range(10 + reps)]
+    try:
+        from repro.sampling.sampler import sample_neighbors  # noqa: F401
+    except ImportError:
+        print("per-hop stages: skipped, this tree samples with the per-vertex loop\n")
+    else:
+        local = np.full(ds.graph.num_vertices, -1, dtype=np.int64)
+        rows = {hop: [] for hop in range(len(fanouts))}
+        for i, seeds in enumerate(batches):
+            want = NeighborSampler(ds.graph, fanouts, seed=i).sample(seeds)
+            rng, frontier = np.random.default_rng(i), want.seeds
+            for hop, fanout in enumerate(fanouts):
+                stage_s, candidates, kept, src_global = _timed_hop(
+                    ds.graph, frontier, fanout, rng, local
+                )
+                assert np.array_equal(src_global, want.blocks[-1 - hop].src_global)
+                rows[hop].append([frontier.size, candidates, kept, *(1e3 * stage_s)])
+                frontier = src_global
+        print("| hop | frontier rows | candidate edges | kept edges | "
+              + " | ".join(f"{name} ms" for name in HOP_STAGES) + " | hop ms |")
+        print("| --- " * (5 + len(HOP_STAGES)) + "|")
+        for hop, samples in rows.items():
+            med = np.median(np.array(samples[10:]), axis=0)
+            print(f"| {hop} | {med[0]:.0f} | {med[1]:.0f} | {med[2]:.0f} | "
+                  + " | ".join(f"{ms:.2f}" for ms in med[3:])
+                  + f" | {med[3:].sum():.2f} |")
+        print()
+
+    store_dir = tempfile.mkdtemp(prefix="minibatch-step-")
+    try:
+        store = FeatureStore.create(store_dir, ds.features, degrees=ds.graph.in_degrees(),
+                                    hot_fraction=0.1, policy="auto")
+        cfg = TrainConfig(num_threads=1, seed=0, eval_every=0).for_dataset(ds.name)
+        trainer = MiniBatchTrainer(ds, fanouts, batch_size=batch_size, config=cfg,
+                                   feature_store=store)
+        phases = ("sample", "gather", "forward", "backward", "optimizer")
+        split = []
+        for seeds in batches:
+            clock = [time.perf_counter()]
+            batch = trainer.sampler.sample(seeds)
+            clock.append(time.perf_counter())
+            x = store.gather(batch.input_vertices)
+            clock.append(time.perf_counter())
+            trainer.model.zero_grad()
+            logits = forward_blocks(trainer.model, Tensor(x), batch.blocks)
+            loss = masked_cross_entropy(logits, ds.labels[batch.seeds])
+            clock.append(time.perf_counter())
+            loss.backward()
+            clock.append(time.perf_counter())
+            trainer.optimizer.step()
+            clock.append(time.perf_counter())
+            split.append(1e3 * np.diff(clock))
+        med = np.median(np.array(split[10:]), axis=0)
+        print("| " + " | ".join(f"{name} ms" for name in phases) + " | step ms |")
+        print("| --- " * (len(phases) + 1) + "|")
+        print("| " + " | ".join(f"{ms:.2f}" for ms in med) + f" | {med.sum():.2f} |")
+    finally:
+        shutil.rmtree(store_dir, ignore_errors=True)
+
+
+STUDIES = {
+    "spmm-operand": spmm_operand,
+    "kernel-plan": kernel_plan,
+    "minibatch-step": minibatch_step,
+}
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

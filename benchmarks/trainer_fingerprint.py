@@ -22,6 +22,15 @@ moved ``state`` / ``grads`` digests are listed, and everything else
 (accuracies, byte and message counters, replication factors, all of
 ``libra/*``, and all of ``f64/*``: float64 arithmetic is never what
 moves) must still be identical.
+
+The sampler has its own epoch, ``repro.sampling.SAMPLER_EPOCH``: a PR
+that changes which neighbours a seed draws bumps it.  ``sampler/*``
+digests fixed batches; at equal sampler epochs they and the ``SAMPLED``
+trainers obey the rules above, across a bump they are the only entries
+that may move at all, and the trainers must still learn the same thing:
+``collective_calls`` identical, loss curves finite, falling, and within
+``SAMPLED_LOSS_RTOL`` of the base's epoch by epoch, ``final`` accuracies
+within ``SAMPLED_ACC_ATOL``.
 """
 
 import dataclasses
@@ -32,11 +41,12 @@ import sys
 import numpy as np
 
 import repro.kernels
+import repro.sampling
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.dyngraph import LibraState
 from repro.graph.datasets import load_dataset
 from repro.partition import libra_partition
-from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer
+from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer, NeighborSampler
 
 
 def digest(arrays):
@@ -97,7 +107,10 @@ def single_entry(ds, model):
 def main(out_path):
     ds = load_dataset("reddit", scale=0.05, seed=1)
     # a tree from before the constant existed is epoch 1
-    out = {"numerics_epoch": getattr(repro.kernels, "NUMERICS_EPOCH", 1)}
+    out = {
+        "numerics_epoch": getattr(repro.kernels, "NUMERICS_EPOCH", 1),
+        "sampler_epoch": getattr(repro.sampling, "SAMPLER_EPOCH", 1),
+    }
     for algo in ("0c", "cd-0", "cd-2", "cd-5"):
         for model in ("sage", "gcn"):
             for backend in ("sim", "shm"):
@@ -138,6 +151,17 @@ def main(out_path):
     out["minibatch_default"] = [repr(mb2.train_epoch(e).loss) for e in range(2)]
     dmb2 = DistMiniBatchTrainer(ds, 2, [5, 5], batch_size=64)
     out["dist_minibatch_default"] = [repr(dmb2.train_epoch(e).loss) for e in range(2)]
+    # the sampler itself: three fixed seed sets at the two usual fan-outs
+    for fanouts in ((5, 5), (10, 10, 10)):
+        for i in range(3):
+            seeds = np.random.default_rng(i).choice(ds.num_vertices, 64, replace=False)
+            batch = NeighborSampler(ds.graph, fanouts, seed=i).sample(seeds)
+            out[f"sampler/{'-'.join(map(str, fanouts))}/seeds{i}"] = digest(
+                [batch.seeds] + [
+                    a for b in batch.blocks
+                    for a in (b.graph.indptr, b.graph.indices, b.src_global)
+                ]
+            )
     # arrival order shuffled: a CSR dump piles every edge of a connected
     # component onto one partition, which would fingerprint nothing
     src, dst, _ = ds.graph.to_coo()
@@ -161,7 +185,7 @@ def main(out_path):
         }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
-    print("wrote", out_path, len(out) - 1, "entries")
+    print("wrote", out_path, len(out) - 2, "entries")
 
 
 #: how far a loss may move across a numerics-epoch bump
@@ -182,6 +206,37 @@ def _loss_drift(base, head):
     )
 
 
+#: the entries that train through ``NeighborSampler``, and how far a
+#: sampler-epoch bump may move them
+SAMPLED = ("minibatch", "dist_minibatch", "minibatch_default", "dist_minibatch_default")
+SAMPLED_LOSS_RTOL = 0.02
+SAMPLED_ACC_ATOL = 0.1
+
+
+def _sampled_failures(base, head):
+    """Fields of a ``SAMPLED`` entry outside what a sampler-epoch bump
+    allows (``state``, ``work`` and ``comm_bytes`` follow the batches)."""
+    if isinstance(base, list) and isinstance(head, list):
+        base, head = {"losses": base}, {"losses": head}
+    if not isinstance(base, dict) or not isinstance(head, dict) or set(base) != set(head):
+        return ["fields"]
+    failed = []
+    curve = [float(x) for x in head["losses"]]
+    if not (
+        _loss_drift(base["losses"], head["losses"]) <= SAMPLED_LOSS_RTOL
+        and np.all(np.isfinite(curve)) and curve[-1] < curve[0]
+    ):
+        failed.append("losses")
+    if base.get("collective_calls") != head.get("collective_calls"):
+        failed.append("collective_calls")
+    if any(
+        not abs(float(b) - float(h)) <= SAMPLED_ACC_ATOL
+        for b, h in zip(base.get("final", ()), head.get("final", ()))
+    ):
+        failed.append("final")
+    return failed
+
+
 def compare(base_path, head_path):
     """Exit status of the gate: 0 when ``head`` is an allowed successor of
     ``base`` (see the module docstring), 1 with the offending fields."""
@@ -190,11 +245,20 @@ def compare(base_path, head_path):
     with open(head_path) as f:
         head = json.load(f)
     epochs = base.pop("numerics_epoch", 1), head.pop("numerics_epoch", 1)
+    samplers = base.pop("sampler_epoch", 1), head.pop("sampler_epoch", 1)
     bumped = epochs[0] != epochs[1]
+    resampled = samplers[0] != samplers[1]
     failed, moved, drift = [], [], 0.0
     for name in sorted(set(base) | set(head)):
         b, h = base.get(name), head.get(name)
         if b == h:
+            continue
+        if resampled and name.startswith("sampler/") and None not in (b, h):
+            moved.append(name)
+            continue
+        if resampled and name in SAMPLED:
+            moved.append(name)
+            failed += [f"{name}: {key}" for key in _sampled_failures(b, h)]
             continue
         if not bumped or name.startswith(("f64/", "libra/")) or type(b) is not type(h):
             failed.append(name)
@@ -220,6 +284,10 @@ def compare(base_path, head_path):
               "everything else must be identical")
     else:
         print(f"numerics epoch {epochs[0]}: must be identical byte for byte")
+    if resampled:
+        print(f"sampler epoch {samplers[0]} -> {samplers[1]}: sampler/* and "
+              f"{', '.join(SAMPLED)} may move (losses within "
+              f"{SAMPLED_LOSS_RTOL:g}, final accuracies within {SAMPLED_ACC_ATOL:g})")
     for line in moved:
         print("  moved ", line)
     for line in failed:

@@ -13,15 +13,13 @@ graph so the closed-form de-dup model can be validated empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.perf.workmodel import (
-    LayerWork,
-    PRODUCTS_TRAIN_VERTICES,
-)
+from repro.perf.workmodel import PRODUCTS_TRAIN_VERTICES
+from repro.sampling.sampler import sample_neighbors
 
 
 @dataclass(frozen=True)
@@ -112,18 +110,8 @@ def sampled_frontier_sizes(
     frontier = np.unique(np.asarray(seeds))
     sizes = [int(frontier.size)]
     for fanout in fanouts:
-        nxt: List[np.ndarray] = []
-        for v in frontier:
-            nbrs = graph.neighbors(int(v))
-            if nbrs.size == 0:
-                continue
-            if nbrs.size > fanout:
-                nbrs = rng.choice(nbrs, size=fanout, replace=False)
-            nxt.append(nbrs)
-        if nxt:
-            frontier = np.unique(np.concatenate(nxt))
-        else:
-            frontier = np.zeros(0, dtype=np.int64)
+        _, src = sample_neighbors(graph, frontier, fanout, rng)
+        frontier = np.unique(src)
         sizes.append(int(frontier.size))
     return sizes
 

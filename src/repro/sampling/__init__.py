@@ -17,10 +17,15 @@ from repro.sampling.sampler import MessageFlowBlock, NeighborSampler, SampledBat
 from repro.sampling.minibatch_trainer import MiniBatchTrainer
 from repro.sampling.dist_minibatch import DistMiniBatchTrainer
 
+#: Generation of the sampler's RNG stream (absent = 1, the per-vertex loop):
+#: bumped when a seed stops producing the same batches (the fingerprint gate).
+SAMPLER_EPOCH = 2
+
 __all__ = [
     "NeighborSampler",
     "MessageFlowBlock",
     "SampledBatch",
     "MiniBatchTrainer",
     "DistMiniBatchTrainer",
+    "SAMPLER_EPOCH",
 ]

@@ -3,7 +3,9 @@
 One numerics epoch ⇒ byte for byte.  Across a ``NUMERICS_EPOCH`` bump ⇒
 losses within ``LOSS_RTOL``, float digests may move, and everything else
 — counters, accuracies, ``libra/*``, the float64-feature ``f64/*``
-entries — is still exact.  The rule is exercised on small hand-made
+entries — is still exact.  A ``SAMPLER_EPOCH`` bump lets ``sampler/*``
+and the four sampled trainers move, the trainers inside stated bounds,
+and nothing else.  The rule is exercised on small hand-made
 fingerprints; CI runs it on the real ones.
 """
 
@@ -109,3 +111,80 @@ def test_epoch_bump_still_fails_everything_exact(gate, tmp_path, capsys, where, 
     edit(head)
     status, out = _verdict(gate, tmp_path, BASE, head, capsys)
     assert status == 1 and f"FAILED {where}" in out
+
+
+# -- the sampler epoch: which neighbours a seed draws ------------------------------
+
+SAMPLED_BASE = {
+    **BASE,
+    "sampler_epoch": 1,
+    "single/sage": {"losses": ["2.0", "1.0"], "state": "ddd", "final": ["0.5", "0.5"]},
+    "libra/P4": {"member": "eee", "rf": "2.5"},
+    "minibatch": {"losses": ["3.0", "2.0"], "state": "fff", "final": ["0.5", "0.6"],
+                  "work": "1000.0"},
+    "dist_minibatch": {"losses": ["3.0", "2.5"], "state": "ggg", "comm_bytes": [64, 64],
+                       "final": ["0.4", "0.5"], "collective_calls": {"allreduce": 12}},
+    "sampler/5-5/seeds0": "hhh",
+}
+
+
+def _resampled():
+    """What a new sampler legitimately does to a fingerprint."""
+    head = copy.deepcopy(SAMPLED_BASE)
+    head["sampler_epoch"] = 2
+    head["sampler/5-5/seeds0"] = "moved"
+    head["minibatch"].update(losses=[_nudged("3.0", 0.01), _nudged("2.0", -0.015)],
+                             state="moved", final=["0.55", "0.52"], work="990.0")
+    head["dist_minibatch"].update(losses=[_nudged("3.0", -0.01), "2.5"], state="moved",
+                                  comm_bytes=[60, 68])
+    head["minibatch_default"] = [_nudged("3.0", 0.005), _nudged("2.0", 0.005)]
+    return head
+
+
+def test_same_sampler_epoch_is_byte_for_byte(gate, tmp_path, capsys):
+    assert _verdict(gate, tmp_path, SAMPLED_BASE, SAMPLED_BASE, capsys)[0] == 0
+    for name in ("sampler/5-5/seeds0", "minibatch", "minibatch_default"):
+        head = _resampled()
+        head["sampler_epoch"] = 1
+        status, out = _verdict(gate, tmp_path, SAMPLED_BASE, head, capsys)
+        assert status == 1 and f"FAILED {name}" in out
+    # a fingerprint that records no sampler epoch is epoch 1
+    old = {k: v for k, v in SAMPLED_BASE.items() if k != "sampler_epoch"}
+    assert _verdict(gate, tmp_path, old, SAMPLED_BASE, capsys)[0] == 0
+
+
+def test_sampler_bump_lists_the_moved_sampled_entries(gate, tmp_path, capsys):
+    status, out = _verdict(gate, tmp_path, SAMPLED_BASE, _resampled(), capsys)
+    assert status == 0
+    assert "sampler epoch 1 -> 2" in out
+    for name in ("sampler/5-5/seeds0", "minibatch", "dist_minibatch", "minibatch_default"):
+        assert f"moved  {name}\n" in out
+    assert "FAILED" not in out and out.rstrip().endswith("ok")
+
+
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("single/sage", lambda h: h["single/sage"].update(losses=["2.0", _nudged("1.0", 1e-7)])),
+        ("libra/P4", lambda h: h["libra/P4"].update(member="moved")),
+        ("cd-0/sage/sim/P2", lambda h: h["cd-0/sage/sim/P2"].update(state="moved")),
+        ("sampler/5-5/seeds0", lambda h: h.pop("sampler/5-5/seeds0")),
+        ("minibatch: losses", lambda h: h["minibatch"].update(losses=["3.0", "2.05"])),
+        ("minibatch: losses", lambda h: h["minibatch"].update(losses=["3.0"])),
+        ("minibatch: losses", lambda h: h["minibatch"].update(losses=["3.0", "nan"])),
+        ("minibatch: final", lambda h: h["minibatch"].update(final=["0.5", "0.45"])),
+        ("minibatch: fields", lambda h: h["minibatch"].pop("work")),
+        ("dist_minibatch: collective_calls",
+         lambda h: h["dist_minibatch"].update(collective_calls={"allreduce": 11})),
+    ],
+)
+def test_sampler_bump_still_fails_everything_else(gate, tmp_path, capsys, where, edit):
+    head = _resampled()
+    edit(head)
+    status, out = _verdict(gate, tmp_path, SAMPLED_BASE, head, capsys)
+    assert status == 1 and f"FAILED {where}" in out
+
+
+def test_sampled_curve_must_still_fall(gate):
+    assert gate._sampled_failures(["3.0", "2.99"], ["2.99", "2.98"]) == []
+    assert gate._sampled_failures(["3.0", "2.99"], ["2.98", "2.99"]) == ["losses"]

@@ -1,9 +1,24 @@
-"""Neighbour sampler and message-flow blocks."""
+"""Neighbour sampler and message-flow blocks.
+
+The hop is array code held to the five properties of
+``repro.sampling.sampler``'s docstring; ``loop_sampler.LoopSampler`` (the
+per-vertex loop it replaced) is the oracle wherever the two must agree
+array for array.
+"""
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+from repro.graph.builders import from_edge_list
+from repro.graph.csr import validate_graph
 from repro.sampling import NeighborSampler
+from tests.sampling.loop_sampler import LoopSampler
 
 
 @pytest.fixture
@@ -90,3 +105,156 @@ class TestSampling:
         batch = sampler.sample(np.arange(4))
         block = batch.blocks[-1]
         assert block.norm().shape == (block.num_dst, 1)
+
+
+class TestSeedValidation:
+    """Seeds index arrays now: a bad id must raise, not wrap or truncate."""
+
+    def test_negative_id_rejected(self, sampler):
+        with pytest.raises(ValueError, match=r"-1 outside \[0, 256\)"):
+            sampler.sample(np.array([-1, 5]))
+
+    def test_id_past_the_graph_rejected(self, sampler, small_rmat):
+        n = small_rmat.num_vertices
+        with pytest.raises(ValueError, match=rf"{n} outside \[0, {n}\)"):
+            sampler.sample(np.array([0, n]))
+
+    def test_float_ids_rejected(self, sampler):
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            sampler.sample(np.array([1.7, 2.2]))
+
+    def test_map_is_clean_after_a_rejected_call(self, sampler):
+        sampler.sample(np.arange(6))
+        with pytest.raises(ValueError):
+            sampler.sample(np.array([3, -2]))
+        assert np.all(sampler._local == -1)
+        assert sampler.sample(np.array([3])).seeds.tolist() == [3]
+
+
+def _star(num_dst, degree):
+    """``num_dst`` destinations, each fed by the same ``degree`` sources."""
+    sources = num_dst + np.arange(degree)
+    return from_edge_list(
+        [(s, d) for d in range(num_dst) for s in sources],
+        num_vertices=num_dst + degree,
+    )
+
+
+class TestUniformity:
+    """Property (1): every ``fanout``-subset of a row's edge positions is
+    equally likely.  Fixed seeds, so the verdicts never flake."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_subset_equally_likely(self, seed):
+        rows, rounds = 500, 12
+        graph = _star(rows, 6)
+        subsets = {c: i for i, c in enumerate(itertools.combinations(range(6), 3))}
+        counts = np.zeros(len(subsets))
+        s = NeighborSampler(graph, fanouts=(3,), seed=seed)
+        for _ in range(rounds):
+            block = s.sample(np.arange(rows)).blocks[0]
+            assert np.all(block.graph.in_degrees() == 3)
+            picked = block.src_global[block.graph.indices].reshape(rows, 3) - rows
+            for subset in map(tuple, picked.tolist()):
+                counts[subsets[subset]] += 1  # KeyError: a repeated position
+        expected = rows * rounds / len(subsets)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < stats.chi2.ppf(0.999, df=len(subsets) - 1)
+
+    def test_hub_row_includes_every_position_equally(self):
+        degree, fanout, draws = 200, 5, 4000
+        graph = _star(1, degree)
+        s = NeighborSampler(graph, fanouts=(fanout,), seed=0)
+        hits = np.zeros(degree)
+        for _ in range(draws):
+            block = s.sample(np.array([0])).blocks[0]
+            hits[block.src_global[block.graph.indices] - 1] += 1
+        p = fanout / degree
+        sigma = np.sqrt(draws * p * (1 - p))
+        assert hits.sum() == draws * fanout
+        assert np.abs(hits - draws * p).max() < 5 * sigma
+
+
+@st.composite
+def graphs(draw):
+    """Square graphs with what breaks samplers: isolated vertices,
+    multi-edges, self-loops and one hub fed by every vertex."""
+    n = draw(st.integers(2, 24))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 2), st.integers(0, n - 2)), max_size=60)
+    )
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    if draw(st.booleans()):
+        hub = draw(st.integers(0, n - 2))
+        pairs += [(s, hub) for s in range(n - 1)]
+    # vertex n - 1 is always isolated
+    return from_edge_list(pairs, num_vertices=n)
+
+
+def _row_sources(block, r):
+    lo, hi = block.graph.indptr[r], block.graph.indptr[r + 1]
+    return block.src_global[block.graph.indices[lo:hi]]
+
+
+def _assert_same_batch(got, want):
+    assert np.array_equal(got.seeds, want.seeds)
+    for a, b in zip(got.blocks, want.blocks):
+        for field in ("indptr", "indices", "edge_ids"):
+            assert np.array_equal(getattr(a.graph, field), getattr(b.graph, field))
+        assert a.graph.num_src == b.graph.num_src
+        assert np.array_equal(a.src_global, b.src_global)
+        assert np.array_equal(a.dst_global, b.dst_global)
+
+
+@given(
+    graph=graphs(),
+    fanout_kind=st.sampled_from(["1", "3", "max", "max+5"]),
+    hops=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_properties(graph, fanout_kind, hops, seed, data):
+    max_deg = max(int(graph.in_degrees().max()), 1)
+    fanout = {"1": 1, "3": 3, "max": max_deg, "max+5": max_deg + 5}[fanout_kind]
+    seeds = np.array(
+        data.draw(st.lists(st.integers(0, graph.num_vertices - 1), min_size=1, max_size=8))
+    )
+    sampler = NeighborSampler(graph, (fanout,) * hops, seed=seed)
+    batch = sampler.sample(seeds)
+    assert np.all(sampler._local == -1)
+    degrees = graph.in_degrees()
+    for block in batch.blocks:
+        validate_graph(block.graph)
+        # (2) exact edge count, and no edge position taken twice: each row's
+        # sources are a sub-multiset of the vertex's in-neighbours
+        kept = np.minimum(degrees[block.dst_global], fanout)
+        assert np.array_equal(block.graph.in_degrees(), kept)
+        for r, v in enumerate(block.dst_global.tolist()):
+            have = Counter(_row_sources(block, r).tolist())
+            assert not have - Counter(graph.neighbors(v).tolist())
+        # (4) self rows lead, new vertices ascending after them
+        new = block.src_global[block.num_dst :]
+        assert np.array_equal(block.src_global[: block.num_dst], block.dst_global)
+        assert np.all(np.diff(new) > 0) and not np.isin(new, block.dst_global).any()
+    # (5) same seed, same batch
+    _assert_same_batch(batch, NeighborSampler(graph, (fanout,) * hops, seed=seed).sample(seeds))
+    # (3) nothing to drop: the per-vertex loop's block, array for array
+    if fanout >= max_deg:
+        _assert_same_batch(batch, LoopSampler(graph, (fanout,) * hops, seed=seed).sample(seeds))
+
+
+def test_samplers_over_one_graph_do_not_interfere(small_rmat):
+    """Each sampler owns its scratch map and stream: interleaving two of
+    them changes nothing either of them returns."""
+    solo = NeighborSampler(small_rmat, (3, 3), seed=5)
+    a = NeighborSampler(small_rmat, (3, 3), seed=5)
+    b = NeighborSampler(small_rmat, (4, 2), seed=6)
+    for lo in range(0, 60, 12):
+        seeds = np.arange(lo, lo + 12)
+        want = solo.sample(seeds)
+        b.sample(seeds[::-1])
+        got = a.sample(seeds)
+        b.sample(seeds)
+        _assert_same_batch(got, want)
+    assert a._local is not b._local
