@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core import TrainConfig
 from repro.featurestore import FeatureStore
-from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
@@ -140,48 +139,15 @@ def kernel_plan(reps: int) -> None:
                   f"| {'/'.join(ops)} | {t1:.1f} | {t2:.1f} | {t_base:.0f} |", flush=True)
 
 
-HOP_STAGES = ("expand", "key-sort", "relabel", "CSR")
-
-
-def _timed_hop(graph, frontier, fanout, rng, local):
-    """``NeighborSampler._sample_hop`` with a clock between its stages (the
-    caller checks the frontiers against the real sampler's): stage seconds,
-    candidate edges, kept edges, the hop's source frontier."""
-    clock = [time.perf_counter()]
-    starts = graph.indptr[frontier]
-    deg = graph.indptr[frontier + 1] - starts
-    first = np.cumsum(deg) - deg
-    row = np.repeat(np.arange(frontier.size), deg)
-    cand = np.arange(row.size)
-    clock.append(time.perf_counter())
-    if deg.max(initial=0) > fanout:
-        order = np.argsort(row + rng.random(row.size))
-        cand = np.sort(order[cand - first[row] < fanout])
-        row = row[cand]
-    src = graph.indices[cand + (starts - first)[row]]
-    clock.append(time.perf_counter())
-    local[frontier] = np.arange(frontier.size)
-    extra = np.sort(src[local[src] < 0])
-    extra = extra[np.diff(extra, prepend=-1) > 0]
-    local[extra] = np.arange(frontier.size, frontier.size + extra.size)
-    src_global = np.concatenate([frontier, extra])
-    indices = local[src]
-    local[src_global] = -1
-    clock.append(time.perf_counter())
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=frontier.size))])
-    CSRGraph(indptr=indptr, indices=indices, num_src=src_global.size)
-    clock.append(time.perf_counter())
-    return np.diff(clock), int(deg.sum()), src.size, src_global
-
-
 def minibatch_step(reps: int) -> None:
     """ROADMAP 1: where a ``train_minibatch`` step goes, on the suite's
     configuration (ogbn-papers 1.0, fan-outs 10-10-10, batch 256, mmap
     feature store, hot fraction 0.1).  Per hop: frontier rows, candidate
-    edges (sum of degrees), kept edges and the stages of the array pass;
-    then the step split.  Runs on any tree (public names only): the
-    "before" column of docs/minibatch-step.md is this script under the
-    parent's ``src``, where the hop table is skipped."""
+    edges (sum of degrees), kept edges and the selection's ms
+    (``sample_neighbors``, the sampler's own function, on the batch's
+    frontiers); then the step split.  Runs on any tree (public names
+    only): the "before" column of docs/minibatch-step.md is this script
+    under the parent's ``src``, where the hop table is skipped."""
     fanouts, batch_size = (10, 10, 10), 256
     ds = load_dataset("ogbn-papers", scale=1.0, seed=0)
     train = np.flatnonzero(ds.train_mask)
@@ -189,30 +155,26 @@ def minibatch_step(reps: int) -> None:
     batches = [seed_rng.choice(train, size=batch_size, replace=False)
                for _ in range(10 + reps)]
     try:
-        from repro.sampling.sampler import sample_neighbors  # noqa: F401
+        from repro.sampling.sampler import sample_neighbors
     except ImportError:
-        print("per-hop stages: skipped, this tree samples with the per-vertex loop\n")
+        print("per-hop selection: skipped, this tree samples with the per-vertex loop\n")
     else:
-        local = np.full(ds.graph.num_vertices, -1, dtype=np.int64)
+        degrees = ds.graph.in_degrees()
         rows = {hop: [] for hop in range(len(fanouts))}
         for i, seeds in enumerate(batches):
-            want = NeighborSampler(ds.graph, fanouts, seed=i).sample(seeds)
-            rng, frontier = np.random.default_rng(i), want.seeds
-            for hop, fanout in enumerate(fanouts):
-                stage_s, candidates, kept, src_global = _timed_hop(
-                    ds.graph, frontier, fanout, rng, local
-                )
-                assert np.array_equal(src_global, want.blocks[-1 - hop].src_global)
-                rows[hop].append([frontier.size, candidates, kept, *(1e3 * stage_s)])
-                frontier = src_global
-        print("| hop | frontier rows | candidate edges | kept edges | "
-              + " | ".join(f"{name} ms" for name in HOP_STAGES) + " | hop ms |")
-        print("| --- " * (5 + len(HOP_STAGES)) + "|")
+            batch = NeighborSampler(ds.graph, fanouts, seed=i).sample(seeds)
+            rng = np.random.default_rng(i)
+            for hop, (fanout, block) in enumerate(zip(fanouts, batch.blocks[::-1])):
+                t0 = time.perf_counter()
+                sample_neighbors(ds.graph, block.dst_global, fanout, rng)
+                select_ms = 1e3 * (time.perf_counter() - t0)
+                rows[hop].append([block.num_dst, degrees[block.dst_global].sum(),
+                                  block.num_sampled_edges, select_ms])
+        print("| hop | frontier rows | candidate edges | kept edges | select ms |")
+        print("| --- " * 5 + "|")
         for hop, samples in rows.items():
             med = np.median(np.array(samples[10:]), axis=0)
-            print(f"| {hop} | {med[0]:.0f} | {med[1]:.0f} | {med[2]:.0f} | "
-                  + " | ".join(f"{ms:.2f}" for ms in med[3:])
-                  + f" | {med[3:].sum():.2f} |")
+            print(f"| {hop} | {med[0]:.0f} | {med[1]:.0f} | {med[2]:.0f} | {med[3]:.2f} |")
         print()
 
     store_dir = tempfile.mkdtemp(prefix="minibatch-step-")

@@ -229,9 +229,9 @@ def _sampled_failures(base, head):
         failed.append("losses")
     if base.get("collective_calls") != head.get("collective_calls"):
         failed.append("collective_calls")
-    if any(
-        not abs(float(b) - float(h)) <= SAMPLED_ACC_ATOL
-        for b, h in zip(base.get("final", ()), head.get("final", ()))
+    finals = base.get("final", ()), head.get("final", ())
+    if len(finals[0]) != len(finals[1]) or any(
+        not abs(float(b) - float(h)) <= SAMPLED_ACC_ATOL for b, h in zip(*finals)
     ):
         failed.append("final")
     return failed

@@ -13,12 +13,15 @@ graph so the closed-form de-dup model can be validated empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.perf.workmodel import PRODUCTS_TRAIN_VERTICES
+from repro.perf.workmodel import (
+    LayerWork,
+    PRODUCTS_TRAIN_VERTICES,
+)
 from repro.sampling.sampler import sample_neighbors
 
 

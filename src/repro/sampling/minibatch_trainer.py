@@ -131,7 +131,10 @@ class MiniBatchTrainer:
         order = self.rng.permutation(self.train_vertices)
         losses = []
         for lo in range(0, order.size, self.batch_size):
-            losses.append(self.train_step(order[lo : lo + self.batch_size]))
+            seeds = order[lo : lo + self.batch_size]
+            if seeds.size == 0:
+                continue
+            losses.append(self.train_step(seeds))
         return EpochStats(
             epoch=epoch,
             loss=float(np.mean(losses)) if losses else float("nan"),

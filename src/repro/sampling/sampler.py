@@ -11,11 +11,13 @@ fanout))`` edges, no position twice; (3) with no row over the fan-out the
 block is the loop's, array for array; (4) self rows lead the source
 frontier (the GCN self-connection, ``z + h`` in the combine step, is a
 plain row slice), new vertices ascending after them; (5) same seed, same
-batches.  One thread per sampler instance.
+batches.  ``sample`` holds the instance's lock: concurrent callers (the
+serving workers' deferred reads share one sampler) take turns.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -105,7 +107,12 @@ def sample_neighbors(
 class NeighborSampler:
     """Fan-out sampler over a full graph."""
 
-    def __init__(self, graph: CSRGraph, fanouts: Sequence[int], seed: int = 0):
+    def __init__(
+        self,
+        graph: CSRGraph,
+        fanouts: Sequence[int],
+        seed: int = 0,
+    ):
         if not fanouts or any(f < 1 for f in fanouts):
             raise ValueError("fanouts must be positive, one per layer")
         self.graph = graph
@@ -115,10 +122,12 @@ class NeighborSampler:
         #: global id -> row of the hop's source frontier, -1 between hops; the
         #: first ``sample`` allocates it (serving builds samplers it never calls)
         self._local: Optional[np.ndarray] = None
+        self._lock = threading.Lock()  # guards ``_local`` and ``rng``
 
     def sample(self, seeds: np.ndarray) -> SampledBatch:
         """Sample a batch: one block per fanout, seeds outward."""
-        seeds, n = np.asarray(seeds), self.graph.num_vertices
+        seeds = np.asarray(seeds)
+        n = self.graph.num_vertices
         if seeds.size == 0:
             raise ValueError("cannot sample an empty seed set")
         if not np.issubdtype(seeds.dtype, np.integer):
@@ -127,20 +136,27 @@ class NeighborSampler:
             if not 0 <= bad < n:
                 raise ValueError(f"seed vertex id {bad} outside [0, {n})")
         seeds = np.unique(seeds.astype(INDEX_DTYPE))
-        if self._local is None:
-            self._local = np.full(max(n, self.graph.num_src), -1, dtype=INDEX_DTYPE)
-        blocks: List[MessageFlowBlock] = []
+        blocks_rev: List[MessageFlowBlock] = []
         frontier = seeds
-        # iterate output-side inwards; fanouts apply innermost-last
-        for fanout in reversed(self.fanouts):
-            blocks.append(self._sample_hop(frontier, fanout))
-            frontier = blocks[-1].src_global
-        return SampledBatch(seeds=seeds, blocks=blocks[::-1])
+        with self._lock:
+            if self._local is None:
+                self._local = np.full(max(n, self.graph.num_src), -1, dtype=INDEX_DTYPE)
+            try:
+                # iterate output-side inwards; fanouts apply innermost-last
+                for fanout in reversed(self.fanouts):
+                    block = self._sample_hop(frontier, fanout)
+                    blocks_rev.append(block)
+                    frontier = block.src_global
+            except BaseException:
+                self._local = None  # a half-written map must not outlive the call
+                raise
+        return SampledBatch(seeds=seeds, blocks=list(reversed(blocks_rev)))
 
     def _sample_hop(self, dst_frontier: np.ndarray, fanout: int) -> MessageFlowBlock:
         """Select, relabel through the scratch map (restored on the way out:
         nothing per hop is O(V)), write the CSR of the row-grouped edges."""
-        num_dst, local = dst_frontier.size, self._local
+        num_dst = dst_frontier.size
+        local = self._local
         row, src = sample_neighbors(self.graph, dst_frontier, fanout, self.rng)
         local[dst_frontier] = np.arange(num_dst, dtype=INDEX_DTYPE)
         # newly discovered vertices, ascending (np.unique hashes: ~10x slower)

@@ -173,6 +173,7 @@ def test_sampler_bump_lists_the_moved_sampled_entries(gate, tmp_path, capsys):
         ("minibatch: losses", lambda h: h["minibatch"].update(losses=["3.0"])),
         ("minibatch: losses", lambda h: h["minibatch"].update(losses=["3.0", "nan"])),
         ("minibatch: final", lambda h: h["minibatch"].update(final=["0.5", "0.45"])),
+        ("minibatch: final", lambda h: h["minibatch"].update(final=["0.55"])),
         ("minibatch: fields", lambda h: h["minibatch"].pop("work")),
         ("dist_minibatch: collective_calls",
          lambda h: h["dist_minibatch"].update(collective_calls={"allreduce": 11})),

@@ -7,6 +7,7 @@ array for array.
 """
 
 import itertools
+import threading
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy import stats
 from repro.graph.builders import from_edge_list
 from repro.graph.csr import validate_graph
 from repro.sampling import NeighborSampler
+from repro.sampling import sampler as sampler_module
 from tests.sampling.loop_sampler import LoopSampler
 
 
@@ -129,6 +131,27 @@ class TestSeedValidation:
             sampler.sample(np.array([3, -2]))
         assert np.all(sampler._local == -1)
         assert sampler.sample(np.array([3])).seeds.tolist() == [3]
+
+    def test_failure_inside_a_hop_leaves_no_labels_behind(self, sampler, monkeypatch):
+        """The second hop dies after the map was written: the next call
+        must not see the dead call's labels."""
+        seeds = np.arange(10)
+        want = NeighborSampler(sampler.graph, sampler.fanouts, seed=0).sample(seeds)
+        real, calls = sampler_module.CSRGraph, []
+
+        def dying(**kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("inside the hop")
+            return real(**kwargs)
+
+        monkeypatch.setattr(sampler_module, "CSRGraph", dying)
+        with pytest.raises(MemoryError):
+            sampler.sample(seeds)
+        monkeypatch.undo()
+        assert sampler._local is None or np.all(sampler._local == -1)
+        sampler.rng = np.random.default_rng(0)
+        _assert_same_batch(sampler.sample(seeds), want)
 
 
 def _star(num_dst, degree):
@@ -258,3 +281,28 @@ def test_samplers_over_one_graph_do_not_interfere(small_rmat):
         b.sample(seeds)
         _assert_same_batch(got, want)
     assert a._local is not b._local
+
+
+def test_concurrent_callers_of_one_sampler_take_turns(small_rmat):
+    """Serving shares one sampler between its workers: at full fan-out
+    (no draws) every thread gets the batch a lone caller gets."""
+    full = int(small_rmat.in_degrees().max())
+    shared = NeighborSampler(small_rmat, (full, full), seed=0)
+    seed_sets = [np.arange(lo, lo + 24) for lo in range(0, 192, 24)]
+    want = [NeighborSampler(small_rmat, (full, full)).sample(s) for s in seed_sets]
+    got, start = {}, threading.Barrier(len(seed_sets))
+
+    def worker(i):
+        start.wait()
+        got[i] = [shared.sample(seed_sets[i]) for _ in range(20)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(seed_sets))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert sorted(got) == list(range(len(seed_sets)))
+    for i, batches in got.items():
+        for batch in batches:
+            _assert_same_batch(batch, want[i])
+    assert np.all(shared._local == -1)

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serving import ResultCache
+from repro.serving import IncrementalRefresher, ResultCache
 from repro.serving.frontend import ServingUnavailable
 
 from harness import (
@@ -245,3 +245,21 @@ def test_concurrent_updates_serialize(serving):
     before = np.array(engine.logits, copy=True)
     engine.precompute()
     assert np.array_equal(before, engine.logits)
+
+
+def test_concurrent_deferred_reads_match_a_lone_reader(engine):
+    """Deferred mode answers stale ids through one shared on-demand
+    sampler (``batch=False`` services admit readers together): every
+    concurrent response is the lone reader's, bit for bit."""
+    rng = np.random.default_rng(4)
+    ids = rng.choice(engine.num_vertices, size=3, replace=False)
+    rows = rng.standard_normal((3, engine.features.shape[1])).astype(np.float32)
+    ref = IncrementalRefresher(engine, full_threshold=0.0, deferred=True)
+    assert ref.update_features(ids, rows).mode == "deferred"
+    probes = [rng.choice(ref.stale, size=5) for _ in range(NUM_READERS)]
+    want = [ref.predict(p) for p in probes]
+
+    def read(idx: int) -> None:
+        assert np.array_equal(ref.predict(probes[idx]), want[idx])
+
+    hammer(read, num_threads=NUM_READERS, iterations=READS_PER_THREAD)
