@@ -7,6 +7,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py spmm-operand
     PYTHONPATH=src python benchmarks/studies.py kernel-plan
     PYTHONPATH=src python benchmarks/studies.py minibatch-step
+    PYTHONPATH=src python benchmarks/studies.py project-first [--part pass|bytes|accuracy]
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import time
 
 import numpy as np
 
-from repro.core import TrainConfig
+from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
+from repro.kernels.instrumentation import AP_TIMER
 from repro.nn import Tensor, masked_cross_entropy
 from repro.perf.hardware import SocketSpec
 from repro.perf.roofline import ap_kernel_time
@@ -209,15 +211,138 @@ def minibatch_step(reps: int) -> None:
         shutil.rmtree(store_dir, ignore_errors=True)
 
 
+def _suite_config(ds, seed: int, eval_every: int = 0, **kw) -> TrainConfig:
+    """The suite's training configuration for ``ds`` (paper shape, one
+    kernel thread)."""
+    cfg = TrainConfig(num_threads=1, seed=seed, eval_every=eval_every, **kw)
+    return cfg.for_dataset(ds.name)
+
+
+def _exchanged_widths(model) -> list:
+    """Per layer, the width of the rows DRPA exchanges under the tree's
+    own rule: the layer's input width — or, from ISSUE 24 on (the layer
+    has a ``project``), ``min(in, out)`` for every layer after the first."""
+    dims = [(l.linear.in_features, l.linear.out_features) for l in model.layers]
+    narrow = hasattr(model.layers[0], "project")
+    return [min(i, o) if narrow and l else i for l, (i, o) in enumerate(dims)]
+
+
+def _project_first_pass(reps: int) -> None:
+    """The engine pass at the hidden and the class width, then an epoch
+    of ``Trainer``'s arithmetic split into AP / dense / optimizer."""
+    ds = load_dataset("ogbn-products", scale=0.5, seed=0)
+    cfg = _suite_config(ds, 0)
+    print("| engine pass | ms |\n| --- | --- |")
+    for dim in (cfg.hidden_features, ds.num_classes):
+        h = np.random.default_rng(dim).standard_normal(
+            (ds.num_vertices, dim)).astype(np.float32)
+        ms = _median_ms(lambda: aggregate(ds.graph, h, kernel="auto"), reps)
+        print(f"| d = {dim} | {ms:.2f} |")
+    trainer = Trainer(ds, cfg)
+    split = []
+    for _ in range(3 + reps):
+        ap0, t0 = AP_TIMER.read(), time.perf_counter()
+        trainer.model.zero_grad()
+        logits = trainer.model(ds.graph, trainer.features, trainer.norm)
+        loss = masked_cross_entropy(logits, ds.labels, ds.train_mask)
+        loss.backward()
+        t1 = time.perf_counter()
+        trainer.optimizer.step()
+        t2 = time.perf_counter()
+        ap1 = AP_TIMER.read()
+        ap = ap1[0] - ap0[0]
+        split.append([1e3 * ap, 1e3 * (t1 - t0 - ap), 1e3 * (t2 - t1), ap1[1] - ap0[1]])
+    med = np.median(np.array(split[3:]), axis=0)
+    print("\n| AP ms | dense ms | optimizer ms | epoch ms | AP calls |\n" + "| --- " * 5 + "|")
+    print(f"| {med[0]:.1f} | {med[1]:.1f} | {med[2]:.1f} | {med[:3].sum():.1f} | {med[3]:.0f} |\n")
+
+
+def _project_first_bytes(reps: int) -> None:
+    """Exact per-epoch DRPA counts at P = 4 beside the count derived from
+    the partition plan (deterministic: ``reps`` is unused)."""
+    ds = load_dataset("ogbn-products", scale=0.5, seed=0)
+    P, warm, period = 4, 10, 10  # 10 epochs: whole cd-2 and cd-5 periods
+    print("| algorithm | compression | MB/epoch | derived MB/epoch | messages/epoch "
+          "| collectives/epoch | peak in-flight MB |\n" + "| --- " * 7 + "|")
+    for algo in ("0c", "cd-0", "cd-2", "cd-5"):
+        for compression in ("none", "fp16"):
+            cfg = _suite_config(ds, 0, compression=compression)
+            tr = DistributedTrainer(ds, P, algorithm=algo, config=cfg, partitioner="libra")
+            for epoch in range(warm):
+                tr.train_epoch(epoch)
+            before, peak, measured = tr.world.counters.snapshot(), 0, 0
+            for epoch in range(warm, warm + period):
+                measured += tr.train_epoch(epoch).comm_bytes
+                peak = max(peak, tr.world.queue.in_flight_bytes())
+            delta = tr.world.counters.delta_since(before)
+            model = tr.ranks[0].model
+            row = tr.plan.num_routes * sum(_exchanged_widths(model))  # elements, one way
+            wire = 2 if compression == "fp16" else 4
+            if algo == "0c":
+                derived = 0
+            elif algo == "cd-0":  # aggregates at the codec's width + float32 gradients
+                derived = 2 * row * (wire + 4)
+            else:  # one bin of ``delay`` per epoch, up and down
+                derived = 2 * row * wire / tr.spec.delay
+            derived += sum(
+                P * int(2 * (P - 1) / P * p.data.nbytes) for p in model.parameters())
+            print(f"| {algo} | {compression} | {measured / period / 1e6:.6f} | "
+                  f"{derived / 1e6:.6f} | {sum(delta.messages_sent) / period:g} | "
+                  f"{sum(delta.collective_calls.values()) / period:g} | {peak / 1e6:.4f} |")
+    print(f"\nsplit-vertex routes {tr.plan.num_routes}, exchanged widths "
+          f"{_exchanged_widths(model)}, rf {tr.parted.replication_factor!r}\n")
+
+
+def _project_first_accuracy(reps: int) -> None:
+    """cd-2 / cd-5 final test and best validation accuracy, seeds 0-3, 60
+    epochs at P = 4 (deterministic: ``reps`` is unused)."""
+    print("| algorithm | seed | final test acc | best val acc |\n" + "| --- " * 4 + "|")
+    for algo in ("cd-2", "cd-5"):
+        for seed in range(4):
+            ds = load_dataset("ogbn-products", scale=0.5, seed=seed)
+            trainer = DistributedTrainer(
+                ds, 4, algorithm=algo, config=_suite_config(ds, seed, eval_every=10),
+                partitioner="libra")
+            res = trainer.fit(60)
+            print(f"| {algo} | {seed} | {100 * res.final_test_acc:.2f} | "
+                  f"{100 * res.best_val_acc:.2f} |", flush=True)
+
+
+PROJECT_FIRST_PARTS = {
+    "pass": _project_first_pass,
+    "bytes": _project_first_bytes,
+    "accuracy": _project_first_accuracy,
+}
+
+
+def project_first(reps: int, parts=tuple(PROJECT_FIRST_PARTS)) -> None:
+    """ROADMAP 3 (ISSUE 24): what aggregating on the narrower side of
+    ``W`` moves, on ogbn-products 0.5 (3 x 256 over 50 features, 24
+    classes: the ``train_sparse`` / ``train_dist`` configuration).  Public
+    names only, so the "before" columns of docs/project-first.md are this
+    script under the parent's ``src``.  ``pass`` is timing (alternate the
+    trees); ``bytes`` and ``accuracy`` are deterministic, one run per tree."""
+    for part in parts:
+        PROJECT_FIRST_PARTS[part](reps)
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
     "minibatch-step": minibatch_step,
+    "project-first": project_first,
 }
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("study", choices=sorted(STUDIES))
     parser.add_argument("--reps", type=int, default=9)
+    parser.add_argument("--part", choices=sorted(PROJECT_FIRST_PARTS),
+                        help="project-first: only this table (default: all three)")
     args = parser.parse_args()
-    STUDIES[args.study](args.reps)
+    if args.part and args.study != "project-first":
+        parser.error("--part belongs to project-first")
+    if args.part:
+        project_first(args.reps, parts=(args.part,))
+    else:
+        STUDIES[args.study](args.reps)

@@ -13,10 +13,17 @@ Per-layer segmented autograd
 The forward pass of each layer is split at the aggregation output so the
 remote partials can be injected between the two autograd segments::
 
-    segment A:  z      = spmm(A_p, h_in)         (local partial aggregate)
+    project  :  x      = h_in @ W  if l > 0 and W narrows, else h_in
+    segment A:  z      = spmm(A_p, x)            (local partial aggregate)
     DRPA    :   z.data <- sync(z.data)            (0c: skip; cd-0: full;
                                                    cd-r: stale/binned)
-    segment B:  h_out  = act(((z' + h_in) * norm) @ W + b)
+    segment B:  h_out  = act(((z' + x) * norm) @ W + b)   (W once: not on a
+                                                   projected x)
+
+So every exchange of layer ``l`` moves rows of ``min(in, out)`` features
+(the input width at ``l == 0``), ``W``'s gradient arrives through both
+segments' tapes, and under cd-r the stale remote term is
+``A (h W)`` of ``r`` epochs ago — stale ``h`` *and* stale ``W``.
 
 Backward runs the segments in reverse, and for cd-0 tree-sums the
 aggregate gradients between the segments — the exact adjoint of the
@@ -179,9 +186,10 @@ class RankProgram:
         h = Tensor(state.ensure_features(self.feature_store), requires_grad=False)
         records: List[Dict] = []
         for l, layer in enumerate(layers):
+            x = layer.project(h) if l else h
             # Segment A: local partial aggregation (the AP).
             with sw.time("local_agg"):
-                z = self.aggregate(l, layer, h)
+                z = self.aggregate(l, layer, x)
             # DRPA: remote partial aggregates (pre/post-processing + comm).
             if spec.is_synchronous:
                 yield from sw.timed(
@@ -195,7 +203,7 @@ class RankProgram:
             # aggregate gradient has one reader, the cd-0 exchange: segment
             # A there is the tapeless input aggregate.
             z_leaf = Tensor(z.data, requires_grad=l > 0 or sync_grads)
-            h_out = layer.combine(z_leaf, h, state.norm)
+            h_out = layer.combine(z_leaf, x, state.norm)
             records.append({"h_in": h, "z": z, "z_leaf": z_leaf, "h_out": h_out})
             if l < len(layers) - 1:
                 h = Tensor(h_out.data, requires_grad=True)
@@ -249,12 +257,13 @@ class RankProgram:
             # no_grad is process-global state: never held across a sync
             # point, where the sim driver runs the other ranks.
             with no_grad():
-                z = self.aggregate(l, layer, h)
+                x = layer.project(h) if l else h
+                z = self.aggregate(l, layer, x)
             yield from self.eval_exchanger.synchronous_round(
                 z.data, l, self.comm.epoch
             )
             with no_grad():
-                h = layer.combine(z, h, state.norm)
+                h = layer.combine(z, x, state.norm)
         state.model.train()
         counts = {}
         for split in SPLITS:

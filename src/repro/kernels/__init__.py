@@ -39,9 +39,10 @@ from repro.kernels.spmm import KERNELS, aggregate, validate_kernel
 
 #: Generation of the floating-point arithmetic behind ``aggregate``.  Bump
 #: it in the PR that changes result bits on purpose (2: the SpMM pass
-#: accumulates in the features' dtype); the fingerprint gate then bounds
+#: accumulates in the features' dtype; 3: full-graph layers after the first
+#: aggregate ``h @ W`` where ``W`` narrows); the fingerprint gate then bounds
 #: the losses instead of demanding identical bytes (docs/ARCHITECTURE.md §1.2).
-NUMERICS_EPOCH = 2
+NUMERICS_EPOCH = 3
 
 __all__ = [
     "NUMERICS_EPOCH",

@@ -7,7 +7,10 @@ beyond GraphSAGE").  A GCN layer is
 
 which lowers to the identical copylhs/sum aggregation primitive with a
 symmetric pre/post degree normalization — demonstrating that the DistGNN
-kernel and DRPA machinery are model-agnostic.
+kernel and DRPA machinery are model-agnostic.  Same three steps as
+:mod:`repro.nn.sage` (``project`` / ``aggregate`` / ``combine``, and the
+same callers of ``project``): both scalings are row scalings, so they
+commute with ``W`` too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.nn import functional as F
-from repro.nn.layers import Linear
+from repro.nn.layers import GraphConv
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -29,25 +32,8 @@ def symmetric_norm(graph: CSRGraph) -> Tensor:
     return Tensor((1.0 / np.sqrt(deg + 1.0)).reshape(-1, 1))
 
 
-class GCNConv(Module):
+class GCNConv(GraphConv):
     """One GCN layer with implicit self loops."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        activation: bool = True,
-        rng: Optional[np.random.Generator] = None,
-        kernel: str = "auto",
-        num_threads: Optional[int] = None,
-    ):
-        super().__init__()
-        from repro.kernels import validate_kernel
-
-        self.linear = Linear(in_features, out_features, rng=rng)
-        self.activation = activation
-        self.kernel = validate_kernel(kernel)
-        self.num_threads = num_threads
 
     def aggregate(self, graph: CSRGraph, h: Tensor, sym_norm: Tensor) -> Tensor:
         """The AP over pre-scaled features: ``z = A @ (h * D^-1/2)``.
@@ -63,16 +49,9 @@ class GCNConv(Module):
         )
 
     def combine(self, z: Tensor, h: Tensor, sym_norm: Tensor) -> Tensor:
-        """Post-processing: ``act(((z + h * D^-1/2) * D^-1/2) @ W + b)``."""
-        scaled = F.mul(h, sym_norm)
-        out = self.linear(F.mul(F.add(z, scaled), sym_norm))
-        if self.activation:
-            out = F.relu(out)
-        return out
-
-    def __call__(self, graph: CSRGraph, h: Tensor, sym_norm: Tensor) -> Tensor:
-        # D^-1/2 on the way in, aggregate (+ self), D^-1/2 on the way out.
-        return self.combine(self.aggregate(graph, h, sym_norm), h, sym_norm)
+        """Post-processing: ``act(((z + h * D^-1/2) * D^-1/2) @ W + b)``
+        (D^-1/2 on the way in, aggregate (+ self), D^-1/2 on the way out)."""
+        return super().combine(z, F.mul(h, sym_norm), sym_norm)
 
 
 class GCN(Module):
@@ -112,6 +91,7 @@ class GCN(Module):
         h = features
         first = self.input_aggregate or self.layers[0].aggregate
         for i, layer in enumerate(self.layers):
-            z = (layer.aggregate if i else first)(graph, h, sym_norm)
-            h = layer.combine(z, h, sym_norm)
+            x = layer.project(h) if i else h
+            z = (layer.aggregate if i else first)(graph, x, sym_norm)
+            h = layer.combine(z, x, sym_norm)
         return h

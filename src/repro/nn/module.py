@@ -104,6 +104,7 @@ class InputAggregate:
         key = (graph, features.data, norm)
         if any(a is not b for a, b in zip(key, self._key)):
             value = self.layer.aggregate(graph, features, norm)
+            assert value.shape[-1] == features.shape[-1], "memo must be W-free"
             value.data.setflags(write=False)
             self._key, self._value = key, value
         return self._value

@@ -8,11 +8,19 @@ with respect to the in-degree of the vertex".  Per layer:
     z   = A @ h                          (aggregation primitive)
     out = act( ((z + h) * 1/(deg + 1)) @ W + b )
 
-Each layer exposes the aggregation and the post-processing **separately**
-(:meth:`SageConvGCN.aggregate` / :meth:`SageConvGCN.combine`).  The
-single-socket path runs them back to back; the distributed trainer
-inserts the DRPA split-vertex synchronization between them — exactly the
-point where DistGNN's remote partial aggregates enter.
+Each layer is three steps (:class:`~repro.nn.layers.GraphConv`):
+``project`` (``h @ W`` when ``out_features < in_features``, else ``h``),
+``aggregate`` (a pure AP over what it is handed) and ``combine`` (which
+applies ``W`` only to rows that still have the input width) — since
+``((A h + h) * norm) @ W == (A (h W) + h W) * norm``, the AP runs on the
+narrower side of ``W``.  The full-graph training stacks
+(:class:`GraphSAGE`, ``GCN``, ``core.RankProgram``) call ``project`` for
+every layer after the first; layer 0 (memoised by ``nn.InputAggregate``),
+sampled blocks and serving stay aggregate → combine.  The single-socket
+path runs the steps back to back; the distributed trainer inserts the
+DRPA split-vertex synchronization between aggregate and combine — exactly
+the point where DistGNN's remote partial aggregates enter, at the
+layer's narrower width.
 
 Model shapes follow the paper: 2 layers / 16 hidden for Reddit, 3 layers
 / 256 hidden for the other datasets.
@@ -26,34 +34,13 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.nn import functional as F
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Dropout, GraphConv
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
 
-class SageConvGCN(Module):
+class SageConvGCN(GraphConv):
     """One GraphSAGE-GCN layer (aggregate -> add self -> normalize -> MLP)."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        activation: bool = True,
-        rng: Optional[np.random.Generator] = None,
-        kernel: str = "auto",
-        num_threads: Optional[int] = None,
-    ):
-        super().__init__()
-        from repro.kernels import validate_kernel
-
-        self.linear = Linear(in_features, out_features, rng=rng)
-        self.activation = activation
-        #: aggregation kernel name forwarded to ``F.spmm`` (validated here
-        #: so a bad ``TrainConfig.kernel`` fails at model build time).
-        self.kernel = validate_kernel(kernel)
-        #: thread count forwarded to ``F.spmm``; > 1 routes the AP through
-        #: the parallel execution engine (bit-identical outputs).
-        self.num_threads = num_threads
 
     def aggregate(
         self, graph: CSRGraph, h: Tensor, norm: Optional[Tensor] = None
@@ -64,17 +51,6 @@ class SageConvGCN(Module):
         and ignored here — GraphSAGE normalizes in :meth:`combine`.
         """
         return F.spmm(graph, h, kernel=self.kernel, num_threads=self.num_threads)
-
-    def combine(self, z: Tensor, h: Tensor, norm: Tensor) -> Tensor:
-        """Post-processing: ``act(((z + h) * norm) @ W + b)``."""
-        mixed = F.mul(F.add(z, h), norm)
-        out = self.linear(mixed)
-        if self.activation:
-            out = F.relu(out)
-        return out
-
-    def __call__(self, graph: CSRGraph, h: Tensor, norm: Tensor) -> Tensor:
-        return self.combine(self.aggregate(graph, h), h, norm)
 
 
 class GraphSAGE(Module):
@@ -123,8 +99,9 @@ class GraphSAGE(Module):
         h = features
         first = self.input_aggregate or self.layers[0].aggregate
         for i, layer in enumerate(self.layers):
-            z = (layer.aggregate if i else first)(graph, h, norm)
-            h = layer.combine(z, h, norm)
+            x = layer.project(h) if i else h
+            z = (layer.aggregate if i else first)(graph, x, norm)
+            h = layer.combine(z, x, norm)
             if self.dropout is not None and i < self.num_layers - 1:
                 h = self.dropout(h)
         return h

@@ -13,6 +13,9 @@ The model composes, per layer and per partition:
 - MLP time (GEMM roofline) and the AllReduce of the weight gradients;
 - a backward multiplier (one more AP pass per layer plus GEMM adjoints).
 
+Widths are the paper's aggregate-first ones on purpose (this reproduces
+its figures); the trainers exchange ``min(in, out)`` after layer 0.
+
 Structural inputs (replication factor, split fraction, edge balance) come
 from *actually partitioning* the scaled stand-in graphs with Libra; the
 |V|/|E|/d scales come from the paper's Table 2 so the modelled times are

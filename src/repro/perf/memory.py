@@ -7,6 +7,8 @@ communication buffers, which differ per algorithm: cd-0 stages one
 layer's split-vertex exchange at a time, while cd-r keeps every layer's
 delayed messages in flight across the pipeline, so cd-r > cd-0 > 0c
 (Table 6: 311 / 199 / 180 GB at 32 partitions for OGBN-Papers).
+Aggregation outputs are sized aggregate-first, as in the paper, on
+purpose; the trainers' are ``min(in, out)`` wide after layer 0.
 """
 
 from __future__ import annotations

@@ -80,9 +80,14 @@ def full_graph_forward(
     itself), which is exactly the state the incremental refresher keeps
     up to date.
 
-    Bit-identical to ``model(graph, Tensor(features), norm)`` in eval
-    mode: the per-layer loop is the same loop the models run, and
-    dropout is the identity outside training.
+    Every layer runs aggregate → combine (``layer(graph, h, norm)``),
+    the order the refresher's row-subset recompute and on-demand
+    inference use too (they want the GEMM on the affected rows only), so
+    the three serving paths are bit-identical to one another.  Against
+    the training stack's ``model(graph, Tensor(features), norm)`` in eval
+    mode that is bit-identical where no layer after the first narrows,
+    and within float32 rounding where one does (the model aggregates
+    ``h @ W`` there: ``GraphConv.project``).
     """
     if norm is None:
         norm = norm_from_degrees(model_kind(model), graph.in_degrees())
@@ -272,8 +277,9 @@ class InferenceEngine:
         return ids
 
     def predict(self, vertex_ids) -> np.ndarray:
-        """Logit rows for ``vertex_ids`` — bit-identical to a direct
-        model forward on the same checkpoint and features."""
+        """Logit rows for ``vertex_ids`` — ``logits[ids]`` of the
+        layer-by-layer forward (:func:`full_graph_forward`, which states
+        how that relates to ``model(...)``)."""
         self.ensure_ready()
         return self.logits[self._check_ids(vertex_ids)]
 

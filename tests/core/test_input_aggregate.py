@@ -25,10 +25,13 @@ from repro.serving import IncrementalRefresher, InferenceEngine
 MODELS = ["sage", "gcn"]
 
 
-def _cfg(model="sage", **kw):
+def _cfg(model="sage", shape=(2, 16), **kw):
+    """``shape`` is (num_layers, hidden): 64 -> 16 -> 16, where only layer
+    0 narrows (and layer 0 never projects: the memo holds ``A @ X``), or
+    (3, 64): 64 -> 64 -> 64 -> 16, whose last layer aggregates ``h @ W``."""
     return TrainConfig(
-        num_layers=2, hidden_features=16, learning_rate=0.01, eval_every=0,
-        seed=0, model=model, **kw,
+        num_layers=shape[0], hidden_features=shape[1], learning_rate=0.01,
+        eval_every=0, seed=0, model=model, **kw,
     )
 
 
@@ -43,15 +46,27 @@ def _ap_calls(fn, *args):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_single_socket_ap_counts_and_untouched_losses(reddit_mini, model):
-    ds, cfg = reddit_mini, _cfg(model)
+    _check_single_socket(reddit_mini, _cfg(model))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_single_socket_where_a_later_layer_narrows(reddit_mini, model):
+    _check_single_socket(reddit_mini, _cfg(model, shape=(3, 64)))
+
+
+def _check_single_socket(ds, cfg):
+    L, model = cfg.num_layers, cfg.model
     trainer = Trainer(ds, cfg)
     counted = [_ap_calls(trainer.train_epoch, e) for e in range(6)]
-    # 2 forward + 1 backward in epoch 0, then layer 0's forward is reused
-    assert [calls for calls, _ in counted] == [3, 2, 2, 2, 2, 2]
-    assert _ap_calls(trainer.evaluate)[0] == 1  # not 2
+    # L forward + L - 1 backward in epoch 0, then layer 0's forward is
+    # reused; projecting first adds no pass
+    assert [calls for calls, _ in counted] == [2 * L - 1] + [2 * L - 2] * 5
+    assert _ap_calls(trainer.evaluate)[0] == L - 1  # not L
     # the bare model call (the benchmark's decomposed epoch) sees it too
     bare = (ds.graph, trainer.features, trainer.norm)
-    assert _ap_calls(trainer.model, *bare)[0] == 1
+    assert _ap_calls(trainer.model, *bare)[0] == L - 1
+    # what is kept is A @ X at the features' width, whatever layer 0's W does
+    assert trainer.model.input_aggregate._value.shape == ds.features.shape
 
     # the same six epochs, layer by layer, with nothing memoised
     ref = build_model(cfg, ds.feature_dim, ds.num_classes)
@@ -62,8 +77,9 @@ def test_single_socket_ap_counts_and_untouched_losses(reddit_mini, model):
     for _ in range(6):
         ref.zero_grad()
         h = x
-        for layer in ref.layers:
-            h = layer.combine(layer.aggregate(ds.graph, h, norm), h, norm)
+        for i, layer in enumerate(ref.layers):
+            inner = layer.project(h) if i else h
+            h = layer.combine(layer.aggregate(ds.graph, inner, norm), inner, norm)
         loss = masked_cross_entropy(h, ds.labels, ds.train_mask)
         loss.backward()
         optimizer.step()
@@ -92,6 +108,22 @@ def test_other_objects_recompute_and_take_the_one_slot(reddit_mini):
     x = Tensor(trainer.features.data, requires_grad=True)
     args = (trainer.dataset.graph, x, trainer.norm)
     assert [_ap_calls(trainer.model, *args)[0] for _ in range(2)] == [2, 2]
+
+
+def test_only_an_aggregate_at_the_features_width_is_memoised(reddit_mini):
+    """Were ``aggregate`` ever to project, the memo would hold a product
+    with ``W`` in it — stale after one optimizer step."""
+    from repro.nn import InputAggregate, SageConvGCN
+
+    class Projecting(SageConvGCN):
+        def aggregate(self, graph, h, norm=None):
+            return super().aggregate(graph, self.project(h), norm)
+
+    ds = reddit_mini
+    args = (ds.graph, Tensor(ds.features), norm_from_degrees("sage", ds.graph.in_degrees()))
+    with pytest.raises(AssertionError, match="W-free"):
+        InputAggregate(Projecting(ds.feature_dim, 16))(*args)
+    assert InputAggregate(SageConvGCN(ds.feature_dim, 16))(*args).shape == ds.features.shape
 
 
 def test_nothing_is_retained_for_minibatch_blocks(reddit_mini):

@@ -49,15 +49,26 @@ def _params(model):
     return [p.data.copy() for p in model.parameters()]
 
 
-def test_full_batch_training_is_bit_identical(tmp_path, ds):
-    a = Trainer(ds, _cfg())
+def _assert_full_batch_parity(tmp_path, ds, cfg):
+    a = Trainer(ds, cfg)
     ra = a.fit(num_epochs=4)
-    b = Trainer(ds, _cfg(), feature_store=_mmap_store(tmp_path, ds))
+    b = Trainer(ds, cfg, feature_store=_mmap_store(tmp_path, ds))
     rb = b.fit(num_epochs=4)
     assert [e.loss for e in ra.epochs] == [e.loss for e in rb.epochs]
     for pa, pb in zip(_params(a.model), _params(b.model)):
         np.testing.assert_array_equal(pa, pb)
     assert ra.final_test_acc == rb.final_test_acc
+
+
+def test_full_batch_training_is_bit_identical(tmp_path, ds):
+    _assert_full_batch_parity(tmp_path, ds, _cfg())
+
+
+def test_full_batch_training_is_bit_identical_where_a_later_layer_narrows(tmp_path, ds):
+    """3 x 64 ends 64 -> num_classes: that layer aggregates ``h @ W``."""
+    assert ds.num_classes < 64
+    cfg = TrainConfig(num_layers=3, hidden_features=64, eval_every=0, seed=0)
+    _assert_full_batch_parity(tmp_path, ds, cfg)
 
 
 @pytest.mark.parametrize("policy", ["static", "lru"])

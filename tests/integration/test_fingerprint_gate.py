@@ -5,8 +5,10 @@ losses within ``LOSS_RTOL``, float digests may move, and everything else
 — counters, accuracies, ``libra/*``, the float64-feature ``f64/*``
 entries — is still exact.  A ``SAMPLER_EPOCH`` bump lets ``sampler/*``
 and the four sampled trainers move, the trainers inside stated bounds,
-and nothing else.  The rule is exercised on small hand-made
-fingerprints; CI runs it on the real ones.
+and nothing else.  A numerics bump that moves fewer bytes on purpose may
+lower the byte counts of ``narrow/*`` entries, and only those.  The rule
+is exercised on small hand-made fingerprints; CI runs it on the real
+ones.
 """
 
 import copy
@@ -110,6 +112,78 @@ def test_epoch_bump_still_fails_everything_exact(gate, tmp_path, capsys, where, 
     head = _bumped()
     edit(head)
     status, out = _verdict(gate, tmp_path, BASE, head, capsys)
+    assert status == 1 and f"FAILED {where}" in out
+
+
+# -- narrow/*: a bump that moves fewer bytes on purpose ----------------------------
+
+
+def _dist_entry():
+    return {
+        **_trainer_entry(),
+        "total_comm_bytes": 4096,
+        "peak_inflight": 512,
+        "bytes_sent": [1024, 1024],
+        "messages_sent": [6, 6],
+        "collective_calls": {"all_reduce": 8},
+        "final": ["0.5", "0.5"],
+    }
+
+
+NARROW_BASE = {
+    **BASE,
+    "cd-0/sage/sim/P2": _dist_entry(),
+    "f64/cd-0/sage/sim/P2": _dist_entry(),
+    "narrow/cd-0/sage/sim/P2": _dist_entry(),
+}
+
+
+def _narrowed():
+    """What aggregating on the narrower side of W does to a fingerprint."""
+    head = copy.deepcopy(NARROW_BASE)
+    head["numerics_epoch"] = 2
+    head["narrow/cd-0/sage/sim/P2"].update(
+        losses=[_nudged("2.5", 2e-7), "1.25"], state="xxx", comm_bytes=[768, 768],
+        total_comm_bytes=3072, peak_inflight=384, bytes_sent=[768, 1024],
+    )
+    return head
+
+
+def test_narrow_entries_may_move_fewer_bytes_across_a_bump(gate, tmp_path, capsys):
+    status, out = _verdict(gate, tmp_path, NARROW_BASE, _narrowed(), capsys)
+    assert status == 0 and "FAILED" not in out
+    assert "moved  narrow/cd-0/sage/sim/P2: comm_bytes [1024, 1024] -> [768, 768]" in out
+    assert "moved  narrow/cd-0/sage/sim/P2: total_comm_bytes 4096 -> 3072" in out
+    assert "moved  narrow/cd-0/sage/sim/P2: peak_inflight 512 -> 384" in out
+    assert "moved  narrow/cd-0/sage/sim/P2: bytes_sent [1024, 1024] -> [768, 1024]" in out
+    # at one epoch nothing may move, narrow/* or not
+    head = _narrowed()
+    head["numerics_epoch"] = 1
+    status, out = _verdict(gate, tmp_path, NARROW_BASE, head, capsys)
+    assert status == 1 and "FAILED narrow/cd-0/sage/sim/P2" in out
+
+
+@pytest.mark.parametrize(
+    "where, name, edit",
+    [
+        ("narrow/cd-0/sage/sim/P2: total_comm_bytes", "narrow/cd-0/sage/sim/P2", dict(total_comm_bytes=4097)),
+        ("narrow/cd-0/sage/sim/P2: comm_bytes", "narrow/cd-0/sage/sim/P2", dict(comm_bytes=[768, 1025])),
+        ("narrow/cd-0/sage/sim/P2: comm_bytes", "narrow/cd-0/sage/sim/P2", dict(comm_bytes=[768])),
+        ("narrow/cd-0/sage/sim/P2: messages_sent", "narrow/cd-0/sage/sim/P2", dict(messages_sent=[6, 5])),
+        ("narrow/cd-0/sage/sim/P2: collective_calls", "narrow/cd-0/sage/sim/P2", dict(collective_calls={"all_reduce": 7})),
+        ("narrow/cd-0/sage/sim/P2: rf", "narrow/cd-0/sage/sim/P2", dict(rf="1.25")),
+        ("narrow/cd-0/sage/sim/P2: accs", "narrow/cd-0/sage/sim/P2", dict(accs=[["0.5", "0.5", "0.25"]])),
+        ("narrow/cd-0/sage/sim/P2: final", "narrow/cd-0/sage/sim/P2", dict(final=["0.5", "0.25"])),
+        ("narrow/cd-0/sage/sim/P2: losses", "narrow/cd-0/sage/sim/P2", dict(losses=["2.5", "1.2501"])),
+        ("cd-0/sage/sim/P2: total_comm_bytes", "cd-0/sage/sim/P2", dict(total_comm_bytes=3072)),
+        ("cd-0/sage/sim/P2: bytes_sent", "cd-0/sage/sim/P2", dict(bytes_sent=[768, 1024])),
+        ("f64/cd-0/sage/sim/P2", "f64/cd-0/sage/sim/P2", dict(comm_bytes=[768, 768])),
+    ],
+)
+def test_narrow_rule_lets_nothing_else_move(gate, tmp_path, capsys, where, name, edit):
+    head = _narrowed()
+    head[name].update(edit)
+    status, out = _verdict(gate, tmp_path, NARROW_BASE, head, capsys)
     assert status == 1 and f"FAILED {where}" in out
 
 

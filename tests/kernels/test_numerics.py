@@ -28,8 +28,8 @@ def _hub_graph(num_src=12_000, seed=0):
     return coo_to_csr(src, dst, num_dst=2_000, num_src=num_src)
 
 
-def test_numerics_epoch_is_two():
-    assert NUMERICS_EPOCH == 2
+def test_numerics_epoch_is_three():
+    assert NUMERICS_EPOCH == 3
 
 
 @pytest.mark.parametrize("reduce_op", ["sum", "mean"])

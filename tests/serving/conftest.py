@@ -10,13 +10,22 @@ from repro.core.checkpoint import training_meta
 from repro.serving import InferenceEngine
 
 
-def make_cfg(model: str) -> TrainConfig:
+#: ``(model, num_layers, hidden)`` per fixture id.  ``narrow`` is 64 -> 64
+#: -> 64 -> 16: its last layer narrows, so the training stack's
+#: ``model(...)`` aggregates ``h @ W`` there while every serving path stays
+#: aggregate -> combine (``test_engine.assert_matches_model_call``).
+SHAPES = {"sage": ("sage", 2, 16), "gcn": ("gcn", 2, 16), "narrow": ("sage", 3, 64)}
+
+
+def make_cfg(name: str) -> TrainConfig:
+    model, num_layers, hidden = SHAPES[name]
     return TrainConfig(
-        num_layers=2, hidden_features=16, eval_every=0, seed=0, model=model
+        num_layers=num_layers, hidden_features=hidden, eval_every=0, seed=0,
+        model=model,
     )
 
 
-@pytest.fixture(scope="session", params=["sage", "gcn"])
+@pytest.fixture(scope="session", params=list(SHAPES))
 def trained(request, reddit_mini):
     """(dataset, trainer, cfg) after 3 epochs, per architecture."""
     cfg = make_cfg(request.param)
