@@ -472,7 +472,7 @@ def cmd_sample(args) -> int:
 
     ds = _load(args)
     cfg = TrainConfig(
-        learning_rate=args.lr, eval_every=0, seed=args.seed
+        learning_rate=args.lr, eval_every=5, seed=args.seed
     ).for_dataset(ds.name)
     fanouts = args.fanouts or [10] * cfg.num_layers
     store = _make_feature_store(ds, args)

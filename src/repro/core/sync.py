@@ -33,9 +33,10 @@ def allreduce_gradients(comm, model: Module, op: str = "sum") -> Generator:
 
 
 def assert_replicas_in_sync(models: Sequence[Module], atol: float = 0.0) -> None:
-    """Debug check: all replicas hold identical weights."""
+    """Debug check: all replicas hold identical weights (to ``atol``,
+    absolute: the default 0 means exactly)."""
     ref = models[0].state_dict()
     for m in models[1:]:
         for name, arr in m.state_dict().items():
-            if not np.allclose(ref[name], arr, atol=atol):
+            if not np.allclose(ref[name], arr, rtol=0.0, atol=atol):
                 raise AssertionError(f"replica divergence in parameter {name}")

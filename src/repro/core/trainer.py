@@ -59,7 +59,7 @@ def fit_epochs(
     eval_every: int,
     log_prefix: Optional[str] = None,
 ) -> TrainResult:
-    """The epoch / periodic-eval / best-val loop of every full-batch
+    """The epoch / periodic-eval / best-val loop of every trainer's
     ``fit``: fills ``result`` from the two callables (``log_prefix``
     not ``None`` prints one line per evaluated epoch)."""
     best_val = -1.0

@@ -11,19 +11,21 @@ Per-block aggregation dispatches through ``TrainConfig.kernel`` exactly
 like the full-batch path, so sampled message-flow blocks ride the
 aggregation engine too (sampled blocks are rectangular CSRs, which the
 engine handles natively, one whole-block pass each with no plan cached).
+Both sampled trainers draw batches from one producer, :func:`epoch_seeds`,
+and run one step: ``compute_gradients``, then the optimizer step.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import TrainConfig
 from repro.core.metrics import EpochStats, TrainResult
 from repro.core.models import build_model, make_optimizer
-from repro.core.trainer import split_accuracy
+from repro.core.trainer import fit_epochs, split_accuracy
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import Dataset
 from repro.nn import GraphSAGE, Tensor, masked_cross_entropy
@@ -31,17 +33,17 @@ from repro.nn.functional import _make
 from repro.sampling.sampler import MessageFlowBlock, NeighborSampler, SampledBatch
 
 
-def build_block_model(
-    cfg: TrainConfig, feature_dim: int, num_classes: int
-) -> GraphSAGE:
-    """The configured model for sampled-block training.  Only GraphSAGE
-    has a block forward (:func:`forward_blocks` feeds its self term the
-    leading row-slice of the source frontier)."""
-    if cfg.model.lower() != "sage":
-        raise ValueError(
-            f"mini-batch training supports model 'sage', not {cfg.model!r}"
-        )
-    return build_model(cfg, feature_dim, num_classes)
+def epoch_seeds(
+    rng: np.random.Generator, shards: Sequence[np.ndarray], batch_size: int
+) -> Iterator[List[np.ndarray]]:
+    """One epoch's seed batches: every shard permuted by ``rng`` (in shard
+    order), then ``max ceil(len / batch_size)`` steps of one slice per
+    shard — empty once that shard has run out (the Dist-DGL producer's
+    step count is the max over ranks)."""
+    orders = [rng.permutation(shard) for shard in shards]
+    steps = max((-(-order.size // batch_size) for order in orders), default=0)
+    for lo in range(0, steps * batch_size, batch_size):
+        yield [order[lo : lo + batch_size] for order in orders]
 
 
 def forward_blocks(
@@ -56,17 +58,6 @@ def forward_blocks(
         if model.dropout is not None and i < model.num_layers - 1:
             h = model.dropout(h)
     return h
-
-
-def evaluate_full_graph(
-    model: GraphSAGE, dataset: Dataset, feature_store: FeatureStore
-) -> dict:
-    """Split accuracies of full-graph inference with the trained weights
-    (the single inference path shared with the serving tier)."""
-    from repro.serving.engine import full_graph_forward
-
-    logits = full_graph_forward(model, dataset.graph, feature_store.matrix())
-    return split_accuracy(logits, dataset)
 
 
 class MiniBatchTrainer:
@@ -94,23 +85,40 @@ class MiniBatchTrainer:
         cfg = self.config
         if len(fanouts) != cfg.num_layers:
             raise ValueError("need one fanout per layer")
+        # only GraphSAGE has a block forward (forward_blocks feeds its self
+        # term the leading row-slice of the source frontier)
+        if cfg.model.lower() != "sage":
+            raise ValueError(
+                f"mini-batch training supports model 'sage', not {cfg.model!r}"
+            )
         self.batch_size = int(batch_size)
         self.sampler = NeighborSampler(dataset.graph, fanouts, seed=cfg.seed)
-        self.model = build_block_model(cfg, dataset.feature_dim, dataset.num_classes)
+        self.model = build_model(cfg, dataset.feature_dim, dataset.num_classes)
         self.optimizer = make_optimizer(self.model, cfg)
         self.rng = np.random.default_rng(cfg.seed + 101)
         self.train_vertices = np.flatnonzero(dataset.train_mask)
         #: cumulative paper-style sampled work (ops).
         self.total_work_ops = 0.0
+        self._gather = self.feature_store.gather
 
-    # -- batch forward ------------------------------------------------------------
+    def _as_replica(self, sampler_seed: int, gather) -> "MiniBatchTrainer":
+        """Seam for ``DistMiniBatchTrainer``: one rank's replica, sampling on
+        its own stream and reading input features through ``gather``."""
+        graph, fanouts = self.sampler.graph, self.sampler.fanouts
+        self.sampler = NeighborSampler(graph, fanouts, sampler_seed)
+        self._gather = gather
+        return self
+
+    # -- one step -------------------------------------------------------------------
 
     def forward_batch(self, batch: SampledBatch) -> Tensor:
         """Push one sampled batch through the layer stack."""
-        h = Tensor(self.feature_store.gather(batch.input_vertices))
+        h = Tensor(self._gather(batch.input_vertices))
         return forward_blocks(self.model, h, batch.blocks)
 
-    def train_step(self, seeds: np.ndarray) -> float:
+    def compute_gradients(self, seeds: np.ndarray) -> float:
+        """The gradient half of a step: sample, count the work, then fresh
+        gradients from forward, loss and backward.  Returns the loss."""
         ds = self.dataset
         batch = self.sampler.sample(seeds)
         dims = [self.dataset.feature_dim] + [
@@ -121,20 +129,19 @@ class MiniBatchTrainer:
         logits = self.forward_batch(batch)
         loss = masked_cross_entropy(logits, ds.labels[batch.seeds])
         loss.backward()
-        self.optimizer.step()
         return float(loss.data)
+
+    def train_step(self, seeds: np.ndarray) -> float:
+        loss = self.compute_gradients(seeds)
+        self.optimizer.step()
+        return loss
 
     # -- epoch loop -----------------------------------------------------------------
 
     def train_epoch(self, epoch: int) -> EpochStats:
         t0 = time.perf_counter()
-        order = self.rng.permutation(self.train_vertices)
-        losses = []
-        for lo in range(0, order.size, self.batch_size):
-            seeds = order[lo : lo + self.batch_size]
-            if seeds.size == 0:
-                continue
-            losses.append(self.train_step(seeds))
+        batches = epoch_seeds(self.rng, [self.train_vertices], self.batch_size)
+        losses = [self.train_step(seeds) for (seeds,) in batches]
         return EpochStats(
             epoch=epoch,
             loss=float(np.mean(losses)) if losses else float("nan"),
@@ -142,23 +149,24 @@ class MiniBatchTrainer:
         )
 
     def evaluate(self) -> dict:
-        return evaluate_full_graph(self.model, self.dataset, self.feature_store)
+        """Split accuracies of full-graph inference with the trained weights
+        (the single inference path shared with the serving tier)."""
+        from repro.serving.engine import full_graph_forward
+
+        logits = full_graph_forward(
+            self.model, self.dataset.graph, self.feature_store.matrix()
+        )
+        return split_accuracy(logits, self.dataset)
 
     def fit(self, num_epochs: int, verbose: bool = False) -> TrainResult:
-        result = TrainResult()
-        for epoch in range(num_epochs):
-            stats = self.train_epoch(epoch)
-            result.epochs.append(stats)
-            if verbose and epoch % 5 == 0:
-                accs = self.evaluate()
-                print(
-                    f"epoch {epoch:3d} loss {stats.loss:.4f} "
-                    f"test {accs['test']:.4f}"
-                )
-        final = self.evaluate()
-        result.final_test_acc = final["test"]
-        result.best_val_acc = final["val"]
-        return result
+        return fit_epochs(
+            TrainResult(),
+            self.train_epoch,
+            self.evaluate,
+            range(num_epochs),
+            self.config.eval_every,
+            log_prefix="" if verbose else None,
+        )
 
 
 def _row_slice(t: Tensor, n: int) -> Tensor:

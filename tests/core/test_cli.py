@@ -1,5 +1,7 @@
 """CLI smoke tests (driven through main(), no subprocess)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -112,7 +114,10 @@ def test_sample(capsys):
         ]
     )
     assert rc == 0
-    assert "sampled work" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sampled work" in out
+    # progress is fit_epochs' line at the constant eval_every=5
+    assert re.search(r"^epoch +0 loss \S+ val \S+ test \S+$", out, re.M)
 
 
 def test_train_resume(capsys, tmp_path):

@@ -206,6 +206,22 @@ class TestSharedPlumbing:
             build(reddit_mini, gcn)
 
 
+class TestSharedFitLoop:
+    """Every trainer's ``fit`` is ``core.trainer.fit_epochs``."""
+
+    @pytest.mark.parametrize("name", sorted(TRAINERS))
+    def test_eval_every_and_best_val(self, reddit_mini, name):
+        cfg = TrainConfig(**{**vars(CFG), "eval_every": 2})
+        trainer = TRAINERS[name][0](reddit_mini, cfg)
+        res = trainer.fit(num_epochs=4)
+        evaluated = [e for e in res.epochs if e.val_acc is not None]
+        assert [e.epoch for e in evaluated] == [0, 2, 3]
+        assert all(None not in (e.train_acc, e.test_acc) for e in evaluated)
+        final = trainer.evaluate()
+        assert res.final_test_acc == final["test"]
+        assert res.best_val_acc == max([e.val_acc for e in evaluated] + [final["val"]])
+
+
 def _allreduce(world, models):
     """Every rank's side of the gradient AllReduce, stepped by the sim driver."""
     world.run_programs(
@@ -252,5 +268,17 @@ class TestGradientSync:
     def test_replica_divergence_detected(self):
         a = GraphSAGE(4, 4, 2, seed=0)
         b = GraphSAGE(4, 4, 2, seed=1)
+        with pytest.raises(AssertionError, match="divergence"):
+            assert_replicas_in_sync([a, b])
+
+    def test_one_ulp_divergence_detected(self):
+        """Replicas are identical by construction: one float32 ulp on one
+        element (relative ~1e-7, inside numpy's default rtol) diverges."""
+        a, b = GraphSAGE(4, 4, 2, seed=0), GraphSAGE(4, 4, 2, seed=0)
+        assert_replicas_in_sync([a, b])
+        w = next(iter(b.parameters())).data
+        old = w.flat[0]
+        w.flat[0] = np.nextafter(old, np.float32(np.inf))
+        assert 0 < abs(w.flat[0] - old) <= 2e-7 * abs(old)
         with pytest.raises(AssertionError, match="divergence"):
             assert_replicas_in_sync([a, b])

@@ -1,5 +1,7 @@
 """Distributed mini-batch (Dist-DGL stand-in)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,13 +44,18 @@ def test_remote_feature_fetches_counted(trainer):
     assert stats.comm_bytes > 0
 
 
-def test_feature_fetch_owner_accounting(reddit_mini, trainer):
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_feature_fetch_owner_accounting(reddit_mini, dtype):
+    """A remote row costs its width times the store's item size."""
+    ds = dataclasses.replace(reddit_mini, features=reddit_mini.features.astype(dtype))
+    trainer = DistMiniBatchTrainer(ds, num_ranks=3, fanouts=(5, 5), config=CFG)
     before = trainer.world.counters.snapshot()
     verts = np.arange(30)
-    trainer._fetch_features(0, verts)
+    assert trainer._fetch_features(0, verts).dtype == dtype
     delta = trainer.world.counters.delta_since(before)
     remote = int((trainer.owner[verts] != 0).sum())
-    assert sum(delta.bytes_received) == remote * reddit_mini.feature_dim * 4
+    row_bytes = ds.feature_dim * np.dtype(dtype).itemsize
+    assert sum(delta.bytes_received) == remote * row_bytes
 
 
 def test_learns(reddit_mini, trainer):
@@ -59,3 +66,16 @@ def test_learns(reddit_mini, trainer):
 def test_fanout_mismatch(reddit_mini):
     with pytest.raises(ValueError):
         DistMiniBatchTrainer(reddit_mini, 2, fanouts=(5,), config=CFG)
+
+
+def test_rank_with_an_empty_shard(reddit_mini):
+    """More ranks than training vertices: the rank with no seeds zeroes its
+    gradients into the mean and steps with the others."""
+    mask = np.zeros_like(reddit_mini.train_mask)
+    mask[np.flatnonzero(reddit_mini.train_mask)[:2]] = True
+    ds = dataclasses.replace(reddit_mini, train_mask=mask)
+    trainer = DistMiniBatchTrainer(ds, 3, fanouts=(5, 5), batch_size=48, config=CFG)
+    assert sorted(s.size for s in trainer.shards) == [0, 1, 1]
+    res = trainer.fit(num_epochs=2)
+    assert all(np.isfinite(e.loss) for e in res.epochs)
+    assert_replicas_in_sync(trainer.models)
