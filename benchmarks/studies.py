@@ -8,11 +8,13 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py kernel-plan
     PYTHONPATH=src python benchmarks/studies.py minibatch-step
     PYTHONPATH=src python benchmarks/studies.py project-first [--part pass|bytes|accuracy]
+    PYTHONPATH=src python benchmarks/studies.py subnormals
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import shutil
 import tempfile
 import time
@@ -326,11 +328,148 @@ def project_first(reps: int, parts=tuple(PROJECT_FIRST_PARTS)) -> None:
         PROJECT_FIRST_PARTS[part](reps)
 
 
+def _subnormal_count(a: np.ndarray) -> int:
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+class _BackwardSpy:
+    """Per backward sweep: subnormal counts of the ``log_softmax`` gradient
+    and of every backward GEMM operand, per layer, and those GEMMs replayed
+    inside the sweep — in the sweep's floating-point mode — and timed.  It
+    wraps ``GraphConv.project`` / ``.combine`` and ``F.log_softmax``, which
+    every tree with a ``project`` step has, so it runs under a parent's
+    ``src`` too."""
+
+    def __init__(self, models):
+        self.position = {id(l): i for m in models for i, l in enumerate(m.layers)}
+        self.layers = len(models[0].layers)
+        self.reset()
+
+    def reset(self) -> None:
+        self.softmax = np.zeros(2)  # subnormal entries, entries
+        self.grad = np.zeros((self.layers, 2))  # the upstream operand, per layer
+        self.act = np.zeros(2)  # the activation operand, all layers
+        self.gemm_s = 0.0
+
+    def _gemms(self, layer, g, a, w, input_on_tape) -> None:
+        self.grad[self.position[id(layer)]] += (_subnormal_count(g), g.size)
+        self.act += (_subnormal_count(a), a.size)
+        t0 = time.perf_counter()
+        a.T @ g
+        if input_on_tape:
+            g @ w.T
+        self.gemm_s += time.perf_counter() - t0
+
+    @staticmethod
+    def _before_backward(out: Tensor, record) -> None:
+        fn = out._backward_fn
+        if fn is not None:
+            out._backward_fn = lambda g: (record(g), fn(g))[1]
+
+    @contextlib.contextmanager
+    def installed(self):
+        from repro.nn import functional as F
+        from repro.nn.layers import GraphConv
+
+        combine, project, log_softmax = GraphConv.combine, GraphConv.project, F.log_softmax
+        spy = self
+
+        def spied_combine(layer, z, x, norm):
+            out = combine(layer, z, x, norm)
+            lin = layer.linear
+            if x.shape[-1] == lin.in_features:  # W applied here
+                mixed = (z.data + x.data) * norm.data
+                live = any(t.requires_grad or t._parents for t in (z, x, norm))
+
+                def record(g):
+                    g = g * (out.data > 0) if layer.activation else g
+                    spy._gemms(layer, g, mixed, lin.weight.data, live)
+
+                spy._before_backward(out, record)
+            return out
+
+        def spied_project(layer, h):
+            x = project(layer, h)
+            if x is not h:
+                live = h.requires_grad or bool(h._parents)
+                spy._before_backward(x, lambda g: spy._gemms(
+                    layer, g, h.data, layer.linear.weight.data, live))
+            return x
+
+        def spied_log_softmax(a):
+            out = log_softmax(a)
+            fn = out._backward_fn
+
+            def backward(g):
+                (grad,) = fn(g)
+                spy.softmax += (_subnormal_count(grad), grad.size)
+                return (grad,)
+
+            if fn is not None:
+                out._backward_fn = backward
+            return out
+
+        GraphConv.combine, GraphConv.project = spied_combine, spied_project
+        F.log_softmax = spied_log_softmax
+        try:
+            yield
+        finally:
+            GraphConv.combine, GraphConv.project = combine, project
+            F.log_softmax = log_softmax
+
+
+def subnormals(reps: int, epochs: int = 40, bucket: int = 5) -> None:
+    """Where the subnormal slow path shows: the ``train_dist`` (P = 4 cd-5,
+    sim) and ``train_sparse`` configurations on ogbn-products 0.5 over 40
+    epochs.  Per bucket of epochs: the subnormal share of the
+    ``log_softmax`` gradient and of each layer's upstream GEMM operand
+    (``l0 / l1 / l2``) and of the activation operands, the backward GEMMs
+    replayed in the sweep's mode, and the epoch (a second, unspied run of
+    the same deterministic trajectory).  Public names only: the parent's
+    rows are this script under the parent's ``src`` (``reps`` is unused)."""
+    import repro.kernels
+
+    sweep = "FTZ/DAZ" if hasattr(repro.kernels, "flush_subnormals") else "plain"
+    ds = load_dataset("ogbn-products", scale=0.5, seed=0)
+    cfg = _suite_config(ds, 0)
+    print("| config | epochs | sweep | log_softmax grad subnormal % | GEMM grad operand "
+          "subnormal % l0 / l1 / l2 | activation operand subnormal % "
+          "| backward GEMM ms | epoch ms |\n" + "| --- " * 8 + "|")
+    for name in ("train_dist", "train_sparse"):
+
+        def build():
+            if name == "train_dist":
+                tr = DistributedTrainer(ds, 4, algorithm="cd-5", config=cfg,
+                                        partitioner="libra")
+                return tr, [r.model for r in tr.ranks]
+            tr = Trainer(ds, cfg)
+            return tr, [tr.model]
+
+        trainer, _ = build()
+        epoch_ms = [1e3 * trainer.train_epoch(e).total_time_s for e in range(epochs)]
+        trainer, models = build()
+        spy, rows = _BackwardSpy(models), []
+        with spy.installed():
+            for e in range(epochs):
+                spy.reset()
+                trainer.train_epoch(e)
+                rows.append([*(100 * spy.grad[:, 0] / spy.grad[:, 1]),
+                             100 * spy.softmax[0] / spy.softmax[1],
+                             100 * spy.act[0] / spy.act[1], 1e3 * spy.gemm_s, epoch_ms[e]])
+        rows = np.array(rows)
+        for lo in range(0, epochs, bucket):
+            med = np.median(rows[lo:lo + bucket], axis=0)
+            layers = " / ".join(f"{s:.2f}" for s in med[:spy.layers])
+            print(f"| {name} | {lo}–{lo + bucket - 1} | {sweep} | {med[-4]:.2f} | {layers} "
+                  f"| {med[-3]:.3f} | {med[-2]:.1f} | {med[-1]:.0f} |", flush=True)
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
     "minibatch-step": minibatch_step,
     "project-first": project_first,
+    "subnormals": subnormals,
 }
 
 if __name__ == "__main__":

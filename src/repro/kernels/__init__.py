@@ -35,6 +35,7 @@ from repro.kernels.operators import (
     get_reduce_op,
 )
 from repro.kernels.engine import plan_row_chunks, segment_pass
+from repro.kernels.fpenv import flush_subnormals
 from repro.kernels.spmm import KERNELS, aggregate, validate_kernel
 
 #: Generation of the floating-point arithmetic behind ``aggregate``.  Bump
@@ -46,6 +47,7 @@ NUMERICS_EPOCH = 3
 
 __all__ = [
     "NUMERICS_EPOCH",
+    "flush_subnormals",
     "BinaryOp",
     "ReduceOp",
     "BINARY_OPS",

@@ -56,6 +56,7 @@ import numpy as np
 from repro.analysis.sanitizers import make_lock
 from repro.graph.csr import CSRGraph, operand_dtype
 from repro.kernels.blocked import BlockedGraph
+from repro.kernels.fpenv import in_callers_mode
 from repro.kernels.operators import (
     BinaryOp,
     ReduceOp,
@@ -354,8 +355,8 @@ def execute_plan(
         threaded = num_threads > 1 and len(ranges) > 1
         for block in blocks:
             if threaded:
-                pool = _get_pool(num_threads)
-                futures = [pool.submit(run, block, *r) for r in ranges]
+                pool, task = _get_pool(num_threads), in_callers_mode(run)  # same bits
+                futures = [pool.submit(task, block, *r) for r in ranges]
                 for future in futures:
                     future.result()  # re-raises worker exceptions
             else:

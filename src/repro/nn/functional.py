@@ -39,15 +39,19 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _on_tape(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
+
+
 def _grad_for(parent: Tensor, compute):
     """``compute()`` if ``parent`` is on the tape, else ``None``:
     ``Tensor.backward`` would drop a constant's gradient, so a closure
     with several parents does not compute it."""
-    return compute() if parent.requires_grad or parent._parents else None
+    return compute() if _on_tape(parent) else None
 
 
 def _make(data, parents, backward_fn, name=""):
-    track = grad_enabled() and any(p.requires_grad or p._parents for p in parents)
+    track = grad_enabled() and any(map(_on_tape, parents))
     return Tensor(
         data,
         requires_grad=False,
@@ -175,6 +179,39 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 # -- graph ops -------------------------------------------------------------------
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, over ``a`` if the result has its shape and dtype."""
+    fits = a.shape == np.broadcast(a, b).shape and a.dtype == np.result_type(a, b)
+    return ufunc(a, b, out=a if fits else None)
+
+
+def graph_combine(z, x, norm, weight: Optional[Tensor], bias, activation: bool) -> Tensor:
+    """``act(((z + x) * norm) @ weight + bias)`` as one tape node (``weight``
+    ``None``: it is already inside ``z`` and ``x``): the ufuncs, in order, of
+    the ``add`` / ``mul`` / ``matmul`` / ``add`` / ``relu`` chain it replaces,
+    written in place; backward keeps ``mixed`` and the ReLU mask."""
+    summed = z.data + x.data  # d norm reads it, so only a constant norm scales in place
+    mixed = summed * norm.data if _on_tape(norm) else _into(np.multiply, summed, norm.data)
+    out = _into(np.add, mixed if weight is None else mixed @ weight.data, bias.data)
+    mask = out > 0 if activation else None
+    out = _into(np.multiply, out, mask) if activation else out
+    weights = () if weight is None else (weight,)
+
+    def backward(g):
+        g = g * mask if activation else g
+        g_mixed = g
+        if weights and (_on_tape(z) or _on_tape(x) or _on_tape(norm)):
+            g_mixed = g @ weight.data.T
+        g_sum = g_mixed * norm.data if _on_tape(z) or _on_tape(x) else None
+        g_norm = _grad_for(norm, lambda: _unbroadcast(g_mixed * summed, norm.shape))
+        g_bias = _grad_for(bias, lambda: _unbroadcast(g, bias.shape))
+        return (g_sum, g_sum, g_norm, g_bias) + tuple(
+            _grad_for(w, lambda: mixed.T @ g) for w in weights
+        )
+
+    return _make(out, (z, x, norm, bias) + weights, backward, "graph_combine")
 
 
 def spmm(

@@ -77,7 +77,8 @@ class GraphConv(Module):
         return F.matmul(h, lin.weight) if lin.out_features < lin.in_features else h
 
     def combine(self, z: Tensor, x: Tensor, norm: Tensor) -> Tensor:
-        """``act(((z + x) * norm) @ W + b)``; at the projected width
+        """``act(((z + x) * norm) @ W + b)``, one tape node
+        (:func:`~repro.nn.functional.graph_combine`); at the projected width
         ``W`` is already inside ``z`` and ``x`` and only ``b`` is added."""
         lin = self.linear
         width = x.shape[-1]
@@ -88,9 +89,8 @@ class GraphConv(Module):
                 f"{type(self).__name__}.combine: in_features={lin.in_features}, "
                 f"out_features={lin.out_features}, got z {z.shape} and x {x.shape}"
             )
-        mixed = F.mul(F.add(z, x), norm)
-        out = lin(mixed) if width == lin.in_features else F.add(mixed, lin.bias)
-        return F.relu(out) if self.activation else out
+        weight = lin.weight if width == lin.in_features else None
+        return F.graph_combine(z, x, norm, weight, lin.bias, self.activation)
 
     def __call__(self, graph: CSRGraph, h: Tensor, norm: Tensor) -> Tensor:
         """Aggregate → combine: the order sampled blocks and serving use."""

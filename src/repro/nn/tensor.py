@@ -22,6 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels import flush_subnormals
+
 _grad_enabled = True
 
 
@@ -142,25 +144,26 @@ class Tensor:
         visit(self)
 
         grads = {id(self): gradient}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node.is_leaf:
-                node.accumulate_grad(g)
-            if node._backward_fn is None:
-                continue
-            parent_grads = node._backward_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None:
+        with flush_subnormals():  # subnormal gradients round away; each is a slow path
+            for node in reversed(topo):
+                g = grads.pop(id(node), None)
+                if g is None:
                     continue
-                if not (parent.requires_grad or parent._parents):
+                if node.requires_grad and node.is_leaf:
+                    node.accumulate_grad(g)
+                if node._backward_fn is None:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                parent_grads = node._backward_fn(g)
+                for parent, pg in zip(node._parents, parent_grads):
+                    if pg is None:
+                        continue
+                    if not (parent.requires_grad or parent._parents):
+                        continue
+                    key = id(parent)
+                    if key in grads:
+                        grads[key] = grads[key] + pg
+                    else:
+                        grads[key] = pg
 
     # -- operator sugar (delegates to functional) -------------------------------
 
