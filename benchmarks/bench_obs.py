@@ -2,8 +2,8 @@
 
 Measures what end-to-end request tracing (:mod:`repro.obs.trace`) costs
 on the serving hot path.  The same seeded closed-loop predict workload
-runs under three tracing modes through the full production composition
-(cache + micro-batcher + bounded frontend):
+runs under three tracing modes through the production composition
+(table-mode service + bounded frontend, as ``repro serve`` builds it):
 
 - ``off``     — tracing disabled (the default; every ``current_span()``
   site sees ``None`` and the per-request cost is one sampling check).
@@ -47,7 +47,6 @@ from repro.obs.trace import Tracer, validate_chrome_trace, chrome_trace  # noqa:
 from repro.serving import (  # noqa: E402
     InferenceEngine,
     PredictionService,
-    ResultCache,
     ServingFrontend,
 )
 
@@ -78,13 +77,7 @@ def _make_engine(args):
 
 
 def _fresh_frontend(engine, args, tracer) -> ServingFrontend:
-    service = PredictionService(
-        engine,
-        cache=ResultCache(args.cache_size),
-        batch=True,
-        max_batch=64,
-        max_wait_ms=0.5,
-    )
+    service = PredictionService(engine)
     return ServingFrontend(
         service,
         num_workers=args.workers,
@@ -145,7 +138,6 @@ def main(argv=None) -> int:
                     help="interleaved repetitions per mode")
     ap.add_argument("--sample-rate", type=float, default=0.1)
     ap.add_argument("--buffer", type=int, default=4096)
-    ap.add_argument("--cache-size", type=int, default=2048)
     ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--max-queue", type=int, default=256)
     ap.add_argument("--request-timeout", type=float, default=10.0)

@@ -9,9 +9,11 @@ Three series (schema v2):
 
 - ``results`` — closed-loop floor, as in schema v1: ``direct``
   synchronous ``predict_logits`` calls and ``batched`` micro-batcher
-  clients across (batch size, cache) cells.
+  clients across (batch size, cache) cells.  These cells run the
+  deferred read path, the only one the cache and batcher serve.
 - ``offered_load`` — **open-loop** latency-vs-offered-load curves
-  through the bounded :class:`~repro.serving.frontend.ServingFrontend`:
+  through a table-mode service behind the bounded
+  :class:`~repro.serving.frontend.ServingFrontend`:
   seeded Poisson and bursty (MMPP) arrivals swept across fractions and
   multiples of the measured closed-loop capacity, reporting offered vs
   achieved req/s, p50/p99 from scheduled arrival time (no coordinated
@@ -19,10 +21,10 @@ Three series (schema v2):
   achieved flattens and p99/rejects take off.
 - ``ingest_while_serving`` — sustained predict/topk traffic at half
   capacity while a background ingester applies a continuous stream of
-  edge updates (each one a graceful drain + incremental refresh):
+  edge updates (each one a published incremental refresh):
   the cost of mutation-while-serving in latency and shed requests.
 - ``latency_decomposition`` — a fully-traced run at half capacity:
-  per-endpoint mean queue / gate / batch / compute / feature component
+  per-endpoint mean queue / batch / compute / feature component
   latencies cross-checked against the end-to-end mean (attributed sum
   and unattributed slack), from :mod:`repro.obs.trace`.
 
@@ -67,9 +69,8 @@ from repro.serving.loadgen import (  # noqa: E402
 
 SCHEMA_VERSION = 2
 
-#: open-loop sweep mix: reads only — every update quiesces the pool, so
-#: even a 2% update share at N× capacity is a drain storm that floors
-#: the whole curve; mutation-while-serving cost is its own series.
+#: open-loop sweep mix: reads only — mutation-while-serving cost is its
+#: own series.
 SWEEP_MIX = {"predict": 0.75, "topk": 0.25}
 
 
@@ -160,16 +161,10 @@ def _make_engine(args):
 
 
 def _fresh_frontend(engine, args, tracer=None) -> ServingFrontend:
-    """The production composition behind one rate point: cache +
-    micro-batcher + incremental refresher + bounded frontend."""
-    service = PredictionService(
-        engine,
-        cache=ResultCache(args.cache_size),
-        batch=True,
-        max_batch=64,
-        max_wait_ms=0.5,
-        refresher=IncrementalRefresher(engine),
-    )
+    """The production composition behind one rate point, as ``repro
+    serve`` builds it: table-mode service (incremental refresher) +
+    bounded frontend."""
+    service = PredictionService(engine, refresher=IncrementalRefresher(engine))
     return ServingFrontend(
         service,
         num_workers=args.workers,
@@ -267,7 +262,7 @@ def _run_offered_point(engine, args, arrival: str, rate: float,
 def _run_ingest_while_serving(engine, args, rate: float,
                               duration_s: float) -> dict:
     """Read traffic at ``rate`` while a background ingester applies a
-    continuous edge-update stream (drain + incremental refresh each)."""
+    continuous edge-update stream (a published refresh each)."""
     frontend = _fresh_frontend(engine, args)
     svc = frontend.service
     stop = threading.Event()
@@ -317,7 +312,6 @@ def _run_ingest_while_serving(engine, args, rate: float,
         "update_errors": update_errors[0],
         "update_p50_ms": update_ep.get("p50_ms", 0.0),
         "update_p99_ms": update_ep.get("p99_ms", 0.0),
-        "num_drains": snap["num_drains"],
     }
 
 
@@ -408,7 +402,8 @@ def main(argv=None) -> int:
         stream = _zipf_stream(rng, ds.num_vertices, stream_len)
         for cache_on in (False, True):
             cache = ResultCache(args.cache_size) if cache_on else None
-            with PredictionService(engine, cache=cache) as svc:
+            deferred = IncrementalRefresher(engine, deferred=True)
+            with PredictionService(engine, cache=cache, refresher=deferred) as svc:
                 measured = _run_direct(svc, stream, batch_size)
                 hit_rate = cache.hit_rate if cache is not None else 0.0
                 rows.append({
@@ -421,7 +416,7 @@ def main(argv=None) -> int:
             cache = ResultCache(args.cache_size) if cache_on else None
             with PredictionService(
                 engine, cache=cache, batch=True,
-                max_batch=max(64, batch_size), max_wait_ms=0.5,
+                max_batch=max(64, batch_size), max_wait_ms=0.5, refresher=deferred,
             ) as svc:
                 measured = _run_batched(svc, stream, batch_size)
                 hit_rate = cache.hit_rate if cache is not None else 0.0
@@ -537,8 +532,7 @@ def main(argv=None) -> int:
     print(f"\nprecompute: {precompute_s:.3f}s for {ds.num_vertices} vertices")
     print(
         f"ingest-while-serving: {ingest_row['achieved_rps']:.1f} req/s with "
-        f"{ingest_row['updates_applied']} updates "
-        f"({ingest_row['num_drains']} drains), "
+        f"{ingest_row['updates_applied']} updates, "
         f"p99 {ingest_row['p99_ms']:.2f} ms"
     )
     print(f"wrote {path}")

@@ -9,13 +9,19 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py minibatch-step
     PYTHONPATH=src python benchmarks/studies.py project-first [--part pass|bytes|accuracy]
     PYTHONPATH=src python benchmarks/studies.py subnormals
+    PYTHONPATH=src python benchmarks/studies.py serving-layers [--baseline CHECKOUT]
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import datetime
+import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -464,12 +470,157 @@ def subnormals(reps: int, epochs: int = 40, bucket: int = 5) -> None:
                   f"| {med[-3]:.3f} | {med[-2]:.1f} | {med[-1]:.0f} |", flush=True)
 
 
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+SERVING_READ_DOC = os.path.join(BENCH_DIR, "..", "docs", "serving-read.md")
+#: the traced ``serve_read`` pass: papers 0.5, the first 75 x 10 requests
+SERVE_READ_SCALE, SERVE_READ_SECONDS = 0.5, 10.0
+LAYERS = (
+    ("engine", "serving.engine_p50_us"),
+    ("service", "serving.service_p50_us"),
+    ("frontend", "serving.frontend_p50_us"),
+    ("HTTP", "serving.http_p50_us"),
+    ("service − engine", "serving.service_added_us"),
+    ("frontend − service", "serving.frontend_added_us"),
+    ("HTTP − frontend", "serving.http_added_us"),
+)
+
+
+def _inline_probe(engine, requests) -> dict:
+    """Table reads over in-process HTTP: the handler hands each read to
+    the worker pool, or runs it inline on the handler thread.  One
+    keep-alive client per server; the two alternate request by request."""
+    from suite_harness import HttpClient, median
+
+    from repro.serving import PredictionServer, PredictionService, ServingFrontend
+
+    class InlineFrontend(ServingFrontend):
+        def call(self, endpoint, fn, timeout_s=None):
+            return fn()
+
+    service = PredictionService(engine)  # no cache, no batcher, no refresher
+    servers = {
+        name: PredictionServer(service, port=0, frontend=cls(service)).start_background()
+        for name, cls in (("pool", ServingFrontend), ("inline", InlineFrontend))
+    }
+    clients = {name: HttpClient(server.address[1]) for name, server in servers.items()}
+    times = {name: [] for name in servers}
+    try:
+        for req in requests:
+            for name, client in clients.items():
+                t0 = time.perf_counter()
+                client.request("POST", req.path, req.body)
+                times[name].append(time.perf_counter() - t0)
+    finally:
+        for name in servers:
+            clients[name].close()
+            servers[name].shutdown()
+    return {f"probe.{name}_p50_us": 1e6 * median(t) for name, t in times.items()}
+
+
+def _serving_layers_child() -> None:
+    """One run of one tree: its own benchmark suite's traced replay of
+    the ``serve_read`` request set (engine / service / frontend / HTTP
+    p50, a ``repro serve`` child for HTTP) and the inline probe, as one
+    JSON line.  The tree is the checkout ``repro`` was imported from."""
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))))
+    sys.path.insert(0, os.path.join(root, "benchmarks", "suite"))
+    import suite_serve
+    from suite_harness import SpanRecorder, poisson_arrivals, read_requests
+
+    rec = SpanRecorder(enabled=False)
+    inputs = suite_serve.Inputs(SERVE_READ_SCALE, 0, rec)
+    try:
+        engine, _ = inputs.oracle(rec)
+        open_s = suite_serve.OPEN_SHARE * SERVE_READ_SECONDS
+        arrivals = poisson_arrivals(np.random.default_rng([0, 0]), suite_serve.READ_RATE, open_s)
+        requests = read_requests(0, arrivals, inputs.ds.num_vertices)
+        requests = requests[: max(int(75 * SERVE_READ_SECONDS), 50)]
+        row = suite_serve._replay_layers(inputs, engine, requests, rec)
+        row.update(_inline_probe(engine, requests))
+        row["requests"] = len(requests)
+    finally:
+        inputs.cleanup()
+    print(json.dumps(row))
+
+
+def serving_layers(reps: int, baseline=None) -> None:
+    """ROADMAP 1: the ``serve_read`` request set timed at each boundary
+    of the serving stack, ``baseline`` (a checkout) beside this tree,
+    alternating child processes (BLAS pinned to one thread, as the suite
+    pins it) — so each layer's cost is a subtraction.  Plus 1(c)'s probe:
+    a table read inline on the HTTP thread against the worker-pool hop.
+    Appends a dated section to docs/serving-read.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    trees = {"change": os.path.join(BENCH_DIR, "..", "src")}
+    if baseline:
+        trees = {"parent": os.path.join(baseline, "src"), **trees}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs = {name: [] for name in trees}
+    for _ in range(reps):
+        for name, src in trees.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", "import studies; studies._serving_layers_child()"],
+                cwd=BENCH_DIR, env={**env, "PYTHONPATH": os.path.abspath(src)},
+                stdout=subprocess.PIPE, text=True, check=True, timeout=900,
+            )
+            runs[name].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+    def med(name, key):
+        return float(np.median([r[key] for r in runs[name]]))
+
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs, "
+        f"{reps} alternating runs per tree",
+        "",
+        f"`serve_read` request set: ogbn-papers {SERVE_READ_SCALE:g}, the first "
+        f"{runs['change'][0]['requests']} requests of seed 0, one caller, closed loop, "
+        "each boundary from a cold result cache (the suite's traced replay). "
+        "p50 µs, median over runs.",
+        "",
+        "| boundary | " + " | ".join(f"{name} µs" for name in trees)
+        + (" | change / parent |" if baseline else " |"),
+        "| --- " * (len(trees) + 1 + bool(baseline)) + "|",
+    ]
+    for label, key in LAYERS:
+        cells = [f"{med(name, key):.0f}" for name in trees]
+        if baseline:
+            cells.append(f"{med('change', key) / med('parent', key):.2f}")
+        lines.append(f"| {label} | " + " | ".join(cells) + " |")
+    lines += [
+        "",
+        "Probe (ROADMAP 1(c)): a table read (`PredictionService(engine)`) over "
+        "in-process HTTP, one keep-alive client, handed to the worker pool or "
+        "run inline on the handler thread; the two alternate request by request.",
+        "",
+        "| tree | pool µs | inline µs | pool − inline µs |",
+        "| --- | --- | --- | --- |",
+    ]
+    for name in trees:
+        pool, inline = med(name, "probe.pool_p50_us"), med(name, "probe.inline_p50_us")
+        lines.append(f"| {name} | {pool:.0f} | {inline:.0f} | {pool - inline:.0f} |")
+    section = "\n".join(lines) + "\n"
+    print(section)
+    fresh = not os.path.exists(SERVING_READ_DOC)
+    with open(SERVING_READ_DOC, "a") as fh:
+        fh.write("# The serving read path, layer by layer\n\n"
+                 "Sections are appended by `benchmarks/studies.py serving-layers` "
+                 "and never edited.\n\n" if fresh else "\n")
+        fh.write(section)
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
     "minibatch-step": minibatch_step,
     "project-first": project_first,
     "subnormals": subnormals,
+    "serving-layers": serving_layers,
 }
 
 if __name__ == "__main__":
@@ -478,10 +629,16 @@ if __name__ == "__main__":
     parser.add_argument("--reps", type=int, default=9)
     parser.add_argument("--part", choices=sorted(PROJECT_FIRST_PARTS),
                         help="project-first: only this table (default: all three)")
+    parser.add_argument("--baseline", metavar="CHECKOUT",
+                        help="serving-layers: a checkout to measure beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":
         parser.error("--part belongs to project-first")
+    if args.baseline and args.study != "serving-layers":
+        parser.error("--baseline belongs to serving-layers")
     if args.part:
         project_first(args.reps, parts=(args.part,))
+    elif args.study == "serving-layers":
+        serving_layers(args.reps, baseline=args.baseline)
     else:
         STUDIES[args.study](args.reps)

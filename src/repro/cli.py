@@ -9,9 +9,10 @@ Commands
                ``--resume`` continues from it.
 ``sample``     mini-batch (Dist-DGL style) training.
 ``predict``    one-shot predictions from a checkpoint.
-``serve``      HTTP prediction service (precompute + micro-batched
-               lookups + LRU result cache) over a checkpoint; accepts
-               streaming edge updates on ``POST /update_edges``.
+``serve``      HTTP prediction service over a checkpoint: precompute,
+               then every read is a row of the logits table; edge and
+               feature updates publish a refreshed table
+               (``POST /update_edges`` / ``/update_features``).
 ``ingest``     streaming topology ingestion: replay a held-out edge
                suffix through the delta-CSR dynamic graph and the
                online Libra partitioner, with drift + compaction report.
@@ -25,8 +26,8 @@ Commands
                traced in-process load run (``--checkpoint``); writes
                Chrome trace-event JSON (loadable in Perfetto /
                ``chrome://tracing``), optional JSONL, and prints the
-               per-endpoint latency decomposition (queue / gate / batch
-               / compute / feature vs end-to-end).
+               per-endpoint latency decomposition (queue / batch /
+               compute / feature vs end-to-end).
 ``check``      project-invariant static analysis: guarded-by discipline,
                blocking-under-lock, read-only hand-outs, classified
                broad excepts (REP101–REP104); text or ``--json`` report,
@@ -118,19 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--checkpoint", required=True)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
-    p_serve.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="LRU result-cache capacity in vertices (0 disables)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=256,
-        help="micro-batcher coalescing limit in vertices (0 disables batching)",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batcher window: how long the first request of a "
-        "batch is held open for followers",
-    )
     p_serve.add_argument(
         "--num-threads", type=int, default=None,
         help="worker threads for precompute and refresh passes",
@@ -518,7 +506,6 @@ def _build_service(args):
         IncrementalRefresher,
         InferenceEngine,
         PredictionService,
-        ResultCache,
     )
 
     ds = _load(args)
@@ -527,15 +514,10 @@ def _build_service(args):
         feature_store=_make_feature_store(ds, args),
     )
     engine.precompute()
-    cache_size = getattr(args, "cache_size", 4096)
-    max_batch = getattr(args, "max_batch", 256)
+    # table mode: reads are rows of the published logits table; edge and
+    # feature updates refresh incrementally below the threshold
     service = PredictionService(
         engine,
-        cache=ResultCache(cache_size) if cache_size > 0 else None,
-        batch=max_batch > 0,
-        max_batch=max(max_batch, 1),
-        max_wait_ms=getattr(args, "max_wait_ms", 2.0),
-        # edge/feature updates refresh incrementally below the threshold
         refresher=IncrementalRefresher(
             engine, full_threshold=getattr(args, "full_threshold", 0.25)
         ),
@@ -655,9 +637,8 @@ def cmd_loadgen(args) -> int:
     # quantile keys are omitted (not 0.0) when nothing was served
     print(f"latency (ok)  : p50 {_fmt_ms(s, 'p50_ms')}  "
           f"p99 {_fmt_ms(s, 'p99_ms')}  mean {s['mean_ms']:.2f} ms")
-    print(f"rejected      : {s['rejected']} ({100 * s['reject_rate']:.1f}%)  "
-          f"[queue_full {s['rejected_queue_full']}, "
-          f"draining {s['rejected_draining']}]")
+    print(f"rejected      : {s['rejected']} ({100 * s['reject_rate']:.1f}%) "
+          "[queue full]")
     print(f"timeouts      : {s['timeouts']}  errors: {s['errors']}  "
           f"bad requests: {s['bad_request']}")
     for name, ep in sorted(s["per_endpoint"].items()):

@@ -366,21 +366,3 @@ def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         return (ga,)
 
     return _make(out, (a,), backward, "pick")
-
-
-def rows_add(a: Tensor, rows: np.ndarray, values: np.ndarray) -> Tensor:
-    """Out-of-place ``out[rows] += values`` with identity backward.
-
-    Used by the distributed trainer to inject *constant* remote partial
-    aggregates into split-vertex rows: the injected values are data from
-    other ranks (their gradients are handled by the explicit tree exchange,
-    not by this tape), so backward passes the local gradient through
-    unchanged.
-    """
-    out = a.data.copy()
-    np.add.at(out, rows, values.astype(a.dtype))
-
-    def backward(g):
-        return (g,)
-
-    return _make(out, (a,), backward, "rows_add")

@@ -206,11 +206,6 @@ class Tensor:
 
         return F.mean_all(self)
 
-    def relu(self):
-        from repro.nn import functional as F
-
-        return F.relu(self)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))

@@ -276,14 +276,10 @@ def _serving_metrics(frontend) -> List[Metric]:
     out = [
         requests,
         latency,
-        Metric("repro_drains_total", "counter", "Completed drain windows")
-        .add(snap["num_drains"]),
         Metric("repro_queue_depth", "gauge", "Admitted requests waiting for a worker")
         .add(snap["queue_depth"]),
         Metric("repro_in_flight", "gauge", "Requests executing on the worker pool")
         .add(snap["in_flight"]),
-        Metric("repro_draining", "gauge", "1 while admission is closed for an update")
-        .add(1.0 if snap["draining"] else 0.0),
         Metric("repro_queue_capacity", "gauge", "Admission queue bound")
         .add(snap["max_queue"]),
         Metric("repro_workers", "gauge", "Worker pool size")
@@ -333,14 +329,9 @@ def _serving_metrics(frontend) -> List[Metric]:
 
 
 def _service_metrics(service) -> List[Metric]:
-    """Service / batcher / result-cache counters as repro_* families."""
+    """Batcher / result-cache counters (deferred path) as repro_* families."""
     stats = service.stats()
-    out = [
-        Metric(
-            "repro_service_requests_total", "counter",
-            "Prediction-service entry calls",
-        ).add(stats["requests"])
-    ]
+    out: List[Metric] = []
     batcher = stats.get("batcher")
     if batcher is not None:
         out.extend(

@@ -1,9 +1,9 @@
 """End-to-end request tracing: spans, head sampling, bounded ring export.
 
 One admitted request = one **root span**; the stages it crosses (queue
-wait, gate acquisition, batcher coalesce/flush, engine compute, feature
-gather, kernel AP passes) attach child spans and **latency components**
-to it.  Design constraints, in order:
+wait, batcher coalesce/flush, engine compute, feature gather, kernel AP
+passes) attach child spans and **latency components** to it.  Design
+constraints, in order:
 
 - **Explicit context propagation.**  A span crosses a thread-pool
   boundary only by being carried on the work item (the frontend's
@@ -30,7 +30,7 @@ to it.  Design constraints, in order:
   ``GET /trace`` serve both.
 
 Latency decomposition: component seconds accumulated on a root span
-(:data:`COMPONENTS`: queue / gate / batch / compute / feature) are
+(:data:`COMPONENTS`: queue / batch / compute / feature) are
 defined to be **non-overlapping**, so their sum is ≤ the measured
 end-to-end latency — the remainder is reported as unattributed slack,
 and ``tests/serving/test_tracing.py`` pins the inequality.
@@ -51,9 +51,9 @@ import numpy as np
 from repro.analysis.sanitizers import make_lock
 
 #: canonical latency components of one served request, in pipeline
-#: order.  Sites record others (e.g. ``drain``) too; these are the ones
-#: the decomposition cross-check sums against end-to-end latency.
-COMPONENTS = ("queue", "gate", "batch", "compute", "feature")
+#: order: the ones the decomposition cross-check sums against end-to-end
+#: latency.
+COMPONENTS = ("queue", "batch", "compute", "feature")
 
 #: outcome ascribed to a span closed by ``with`` on an exception.
 _ERROR_OUTCOME = "error"

@@ -13,21 +13,30 @@ request is a table lookup.
   affected set after feature updates, with a sampler-backed on-demand
   fallback (:class:`OnDemandInference`) for large or deferred updates.
 - :mod:`repro.serving.batcher` — :class:`MicroBatcher`: coalesces
-  concurrent lookups into one engine call.
+  concurrent deferred-mode lookups into one on-demand call.
 - :mod:`repro.serving.cache` — :class:`ResultCache`: measured-traffic
-  LRU over result rows (the real counterpart of :mod:`repro.cachesim`).
+  LRU over deferred-mode result rows (the real counterpart of
+  :mod:`repro.cachesim`).
 - :mod:`repro.serving.server` — :class:`PredictionService` composition
   and the stdlib HTTP endpoint (``repro serve``).
 - :mod:`repro.serving.frontend` — :class:`ServingFrontend`: bounded
-  admission queue + worker pool, per-endpoint deadlines, graceful drain
-  around table rewrites (429/503 + ``Retry-After`` load shedding).
-- :mod:`repro.serving.gate` — :class:`ReadWriteGate`: writer-preferred
-  reader-writer exclusion so in-place table rewrites never tear a read.
+  admission queue + worker pool, per-endpoint deadlines (429/503 +
+  ``Retry-After`` load shedding).
 - :mod:`repro.serving.metrics` — :class:`ServingMetrics`: per-endpoint
   outcome counters and latency quantiles behind ``GET /metrics``.
 - :mod:`repro.serving.loadgen` — open-loop load generator (Poisson and
   bursty MMPP arrivals, seeded schedules, coordinated-omission-free
   latency accounting); drives ``repro loadgen`` and the serving bench.
+
+Two read paths, fixed when the service is built.  In **table mode**
+(every service whose refresher is not ``deferred``) a read is one
+gather from the published logits table: no lock, cache or batcher.
+Updates serialise on one lock and **publish** — they fill a new logits
+table and assign it, never writing into one a reader can hold — so a
+read returns the latest version published before it began, or one
+published while it ran, and never waits.  In **deferred mode** the
+cache and batcher front the on-demand path, whose inputs updates
+rewrite in place, so its reads take the update lock.
 
 Topology is not frozen either: ``update_edges(add, remove)`` on the
 refresher/service (backed by :mod:`repro.dyngraph.serving_updates`)
@@ -43,11 +52,9 @@ from repro.serving.engine import InferenceEngine, full_graph_forward
 from repro.serving.frontend import (
     RequestRejected,
     RequestTimeout,
-    ServiceDraining,
     ServingFrontend,
     ServingUnavailable,
 )
-from repro.serving.gate import ReadWriteGate
 from repro.serving.loadgen import (
     FrontendTarget,
     HttpTarget,
@@ -84,8 +91,6 @@ __all__ = [
     "ServingUnavailable",
     "RequestRejected",
     "RequestTimeout",
-    "ServiceDraining",
-    "ReadWriteGate",
     "ServingMetrics",
     "percentiles_ms",
     "FrontendTarget",

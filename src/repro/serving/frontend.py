@@ -13,17 +13,17 @@ failure mode is collapse (every request slow) instead of shedding.
   :class:`RequestTimeout` (HTTP 503) — if it is still queued it is
   cancelled and never executes, if it is mid-engine the worker finishes
   the call in the background and moves on (workers never wedge);
-- **graceful drain**: table rewrites (``update_edges`` /
-  ``update_features``) quiesce through :meth:`drained` — admission
-  closes (:class:`ServiceDraining`, HTTP 503 + ``Retry-After``),
-  in-flight requests complete, the update runs alone, serving resumes;
+- **updates beside the pool**: ``update_edges`` / ``update_features``
+  run on the calling thread while reads keep flowing — the service
+  publishes each update's tables instead of rewriting the ones readers
+  hold, so admission never closes;
 - **measured**: every request lands in exactly one
   :class:`~repro.serving.metrics.ServingMetrics` outcome bucket, and
-  queue depth / in-flight count / drain state are exposed as gauges.
+  queue depth / in-flight count are exposed as gauges.
 
-The pool composes with the :class:`~repro.serving.batcher.MicroBatcher`
-underneath: workers submit into the batcher, which coalesces concurrent
-lookups into single engine gathers exactly as before.
+On the deferred path the pool composes with the
+:class:`~repro.serving.batcher.MicroBatcher` underneath: workers submit
+into the batcher, which coalesces concurrent lookups into one batch.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -61,13 +60,6 @@ class RequestRejected(ServingUnavailable):
 
     status = 429
     outcome = "rejected_queue_full"
-
-
-class ServiceDraining(ServingUnavailable):
-    """Quiesced for a table rewrite; retry after the update lands."""
-
-    status = 503
-    outcome = "rejected_draining"
 
 
 class RequestTimeout(ServingUnavailable):
@@ -110,10 +102,6 @@ class ServingFrontend:
     retry_after_s:
         Hint returned with 429/503 answers (surfaced as the HTTP
         ``Retry-After`` header, rounded up to whole seconds there).
-    drain_timeout_s:
-        Upper bound on waiting for in-flight requests during a drain; a
-        request stuck past it fails the drain rather than wedging every
-        future update.
     """
 
     def __init__(
@@ -124,7 +112,6 @@ class ServingFrontend:
         default_timeout_s: float = 30.0,
         timeouts: Optional[Dict[str, float]] = None,
         retry_after_s: float = 0.05,
-        drain_timeout_s: float = 30.0,
         metrics: Optional[ServingMetrics] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -140,7 +127,6 @@ class ServingFrontend:
         self.default_timeout_s = float(default_timeout_s)
         self.timeouts = dict(timeouts or {})
         self.retry_after_s = float(retry_after_s)
-        self.drain_timeout_s = float(drain_timeout_s)
         self.metrics = metrics if metrics is not None else ServingMetrics()
         # disabled by default (REPRO_TRACE unset): every root() is None
         # and the request path pays one branch
@@ -148,12 +134,9 @@ class ServingFrontend:
 
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = make_lock("serving.frontend")
-        self._idle = threading.Condition(self._lock)  # alias-of: _lock
         self._depth = 0       # guarded-by: _lock — admitted, waiting for a worker
         self._in_flight = 0   # guarded-by: _lock — executing on a worker
-        self._draining = False  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        self._drain_serial = make_lock("serving.frontend.drain")  # one drain at a time
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"repro-serve-worker-{i}", daemon=True
@@ -175,11 +158,6 @@ class ServingFrontend:
         with self._lock:
             return self._in_flight
 
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
     def timeout_for(self, endpoint: str) -> float:
         return float(self.timeouts.get(endpoint, self.default_timeout_s))
 
@@ -194,11 +172,6 @@ class ServingFrontend:
         with self._lock:
             if self._closed:
                 raise RuntimeError("ServingFrontend is closed")
-            if self._draining:
-                raise ServiceDraining(
-                    f"{endpoint}: serving is draining for an update",
-                    retry_after_s=self.retry_after_s,
-                )
             if self._depth >= self.max_queue:
                 raise RequestRejected(
                     f"{endpoint}: admission queue full "
@@ -213,7 +186,7 @@ class ServingFrontend:
         """Execute ``fn`` on the pool under admission control.
 
         Returns ``fn()``'s result, or raises: :class:`RequestRejected` /
-        :class:`ServiceDraining` / :class:`RequestTimeout` on shedding,
+        :class:`RequestTimeout` on shedding,
         or whatever ``fn`` raised (``ValueError`` stays a 400 upstream).
         Every path records exactly one metrics outcome, and — when
         tracing samples the request — closes exactly one root span with
@@ -273,9 +246,7 @@ class ServingFrontend:
             with self._lock:
                 self._depth -= 1
                 if not item.future.set_running_or_notify_cancel():
-                    # caller gave up while the item was queued
-                    self._idle.notify_all()
-                    continue
+                    continue  # caller gave up while the item was queued
                 self._in_flight += 1
             if item.ctx is not None:
                 # queue component: admission -> worker pickup
@@ -294,51 +265,17 @@ class ServingFrontend:
             finally:
                 with self._lock:
                     self._in_flight -= 1
-                    self._idle.notify_all()
 
-    # -- drain / updates ----------------------------------------------------------
-
-    @contextmanager
-    def drained(self):
-        """Quiesce the pool: close admission, wait for queued + in-flight
-        requests to finish, run the body alone, reopen.
-
-        New requests observe :class:`ServiceDraining` (503) for the whole
-        window, and ``/healthz`` flips to ``draining``.  Raises
-        ``TimeoutError`` if in-flight work outlives ``drain_timeout_s``
-        (admission reopens — a stuck request must not brick the server).
-        """
-        with self._drain_serial:
-            with self._lock:
-                self._draining = True
-            try:
-                deadline = time.monotonic() + self.drain_timeout_s
-                with self._idle:
-                    while self._depth or self._in_flight:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not self._idle.wait(timeout=remaining):
-                            raise TimeoutError(
-                                f"drain timed out after {self.drain_timeout_s:g}s "
-                                f"({self._depth} queued, {self._in_flight} in flight)"
-                            )
-                self.metrics.record_drain()
-                yield
-            finally:
-                with self._lock:
-                    self._draining = False
+    # -- updates ----------------------------------------------------------------
 
     def _traced_update(self, endpoint: str, body: Callable[[], object]):
-        """Shared drain/metrics/tracing wrapper for the update paths:
-        one outcome, one (optional) root span with the quiesce time in a
-        ``drain`` component."""
+        """Shared metrics/tracing wrapper for the update paths: one
+        outcome, one (optional) root span."""
         t0 = time.perf_counter()
         span = self.tracer.root(endpoint)
         try:
-            with self.drained():
-                if span is not None:
-                    span.add_component("drain", time.perf_counter() - t0)
-                with activate(span):
-                    stats = body()
+            with activate(span):
+                stats = body()
         except (ValueError, OverflowError):
             self.metrics.record(endpoint, "bad_request")
             if span is not None:
@@ -357,15 +294,14 @@ class ServingFrontend:
         return stats
 
     def update_edges(self, add=None, remove=None):
-        """Drain, apply the topology update, resume.  The quiesce means
-        the refresher's in-place table rewrite never races a reader."""
+        """Apply the topology update; reads keep being served."""
         return self._traced_update(
             "update_edges",
             lambda: self.service.update_edges(add=add, remove=remove),
         )
 
     def update_features(self, vertex_ids, new_rows):
-        """Drain, apply the feature update, resume."""
+        """Apply the feature update; reads keep being served."""
         return self._traced_update(
             "update_features",
             lambda: self.service.update_features(vertex_ids, new_rows),
@@ -373,22 +309,17 @@ class ServingFrontend:
 
     # -- introspection / lifecycle ------------------------------------------------
 
-    def healthz(self) -> dict:
-        """Liveness body; the server maps ``draining`` to 503."""
-        return {"status": "draining" if self.draining else "ok"}
-
     def metrics_snapshot(self) -> dict:
         """Counters + quantiles + live gauges (one consistent view of
         the counters; gauges are instantaneous)."""
         with self._lock:
-            depth, in_flight, draining = self._depth, self._in_flight, self._draining
+            depth, in_flight = self._depth, self._in_flight
         cache = getattr(self.service, "cache", None)
         engine = getattr(self.service, "engine", None)
         store = getattr(engine, "feature_store", None)
         return self.metrics.snapshot(
             queue_depth=depth,
             in_flight=in_flight,
-            draining=draining,
             max_queue=self.max_queue,
             num_workers=self.num_workers,
             cache_hit_rate=float(cache.hit_rate) if cache is not None else None,

@@ -303,13 +303,7 @@ def classify_exception(exc: BaseException) -> str:
         if exc.code == 429:
             return "rejected_queue_full"
         if exc.code == 503:
-            body = ""
-            try:
-                body = exc.read().decode("utf-8", "replace")
-            # audit[broad-except]: best-effort body read on an error path
-            except Exception:  # pragma: no cover
-                pass
-            return "rejected_draining" if "draining" in body else "timeout"
+            return "timeout"
         if exc.code == 400:
             return "bad_request"
         return "error"
@@ -373,7 +367,7 @@ class LoadReport:
 
     def summary(self) -> dict:
         ok = self.count("ok")
-        rejected = self.count("rejected_queue_full") + self.count("rejected_draining")
+        rejected = self.count("rejected_queue_full")
         elapsed = max(self.elapsed_s, 1e-9)
         horizon = max(self.horizon_s, 1e-9)
         return {
@@ -385,7 +379,6 @@ class LoadReport:
             "achieved_rps": ok / elapsed,
             "rejected": rejected,
             "rejected_queue_full": self.count("rejected_queue_full"),
-            "rejected_draining": self.count("rejected_draining"),
             "timeouts": self.count("timeout"),
             "errors": self.count("error"),
             "bad_request": self.count("bad_request"),

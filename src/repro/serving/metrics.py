@@ -8,10 +8,10 @@ latency from the *client* side, and these counters must agree with it —
 Per endpoint (``predict`` / ``topk`` / ``update_edges`` / ...) the
 recorder keeps monotone outcome counters plus a bounded window of
 completed-request latencies for the quantiles; gauges (queue depth,
-in-flight count, drain state) come from the front end at snapshot time.
-All counters share one lock, so a snapshot is internally consistent:
-``requests == ok + errors + bad_request + timeouts + rejected_queue_full
-+ rejected_draining`` holds at every instant.
+in-flight count) come from the front end at snapshot time.  All
+counters share one lock, so a snapshot is internally consistent:
+``requests == ok + errors + bad_request + timeouts + rejected_queue_full``
+holds at every instant.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ OUTCOMES = (
     "ok",                    # 200: computed and answered
     "bad_request",           # 400: malformed ids / payload
     "rejected_queue_full",   # 429: admission queue at capacity
-    "rejected_draining",     # 503: quiesced for an update
     "timeout",               # 503: missed its per-request deadline
     "error",                 # 500: engine/internal failure
 )
@@ -71,7 +70,6 @@ class ServingMetrics:
         self.window = int(window)
         self._lock = make_lock("serving.metrics")
         self._endpoints: Dict[str, _EndpointMetrics] = {}  # guarded-by: _lock
-        self.num_drains = 0  # guarded-by: _lock
 
     def _endpoint(self, name: str) -> _EndpointMetrics:  # requires-lock: _lock
         ep = self._endpoints.get(name)
@@ -93,10 +91,6 @@ class ServingMetrics:
                 ep.latencies.append(float(latency_s))
                 ep.latency_sum_s += float(latency_s)
                 ep.latency_count += 1
-
-    def record_drain(self) -> None:
-        with self._lock:
-            self.num_drains += 1
 
     # -- snapshot -----------------------------------------------------------------
 
@@ -123,11 +117,12 @@ class ServingMetrics:
                     "mean_ms": mean_ms,
                     **percentiles_ms(ep.latencies),
                 }
-            num_drains = self.num_drains
         return {
             "endpoints": endpoints,
-            "totals": {"requests": total_requests, **totals},
-            "num_drains": num_drains,
+            # updates publish instead of draining: the two drain counters
+            # stay on the wire at 0 for readers of the older schema
+            "totals": {"requests": total_requests, **totals, "rejected_draining": 0},
+            "num_drains": 0,
             "latency_window": self.window,
             **gauges,
         }

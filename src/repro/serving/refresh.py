@@ -101,6 +101,17 @@ def row_subgraph(graph: CSRGraph, rows: np.ndarray) -> CSRGraph:
     )
 
 
+def _combine_rows(layer, z: Tensor, x: Tensor, norm: Tensor) -> np.ndarray:
+    """``layer.combine`` over a row subset, bit-identical to those rows
+    of the full-graph pass.  A one-row product takes BLAS's GEMV path,
+    whose sums round differently from GEMM's, so a lone row is computed
+    as two copies of itself."""
+    if z.shape[0] != 1:
+        return layer.combine(z, x, norm).data
+    z, x, norm = (Tensor(np.repeat(t.data, 2, axis=0)) for t in (z, x, norm))
+    return layer.combine(z, x, norm).data[:1]
+
+
 @dataclass(frozen=True)
 class RefreshStats:
     """Outcome of one :meth:`IncrementalRefresher.update_features` call."""
@@ -164,11 +175,12 @@ class OnDemandInference:
                     z = layer.aggregate(
                         block.graph, Tensor(h), Tensor(norm[block.src_global])
                     )
-                    h = layer.combine(
+                    h = _combine_rows(
+                        layer,
                         z,
                         Tensor(h[: block.num_dst]),
                         Tensor(norm[block.dst_global]),
-                    ).data
+                    )
         finally:
             model.train(was_training)
         # sampler seeds are sorted-unique; map back to the request order
@@ -272,11 +284,17 @@ class IncrementalRefresher:
 
     def _recompute_rows(self, affected: List[np.ndarray]) -> int:
         """Row-subset recompute: layer ``l``'s affected rows against the
-        (already updated) layer-``l`` input table."""
+        (already updated) layer-``l`` input table.
+
+        The logits rows land in a copy that is assigned when the pass
+        ends: table-mode readers hold ``engine.logits`` without a lock,
+        so no array they can hold is ever written (the hidden tables
+        feed only this pass and the full precompute)."""
         engine = self.engine
         model = engine.model
         norm = engine.norm.data
-        tables = engine.layer_inputs + [engine.logits]
+        logits = engine.logits.copy()
+        tables = engine.layer_inputs + [logits]
         recomputed = 0
         was_training = model.training
         model.eval()
@@ -289,15 +307,16 @@ class IncrementalRefresher:
                     sub = row_subgraph(engine.graph, rows)
                     h_full = Tensor(tables[l])
                     z = layer.aggregate(sub, h_full, engine.norm)
-                    out = layer.combine(
+                    tables[l + 1][rows] = _combine_rows(
+                        layer,
                         z,
                         Tensor(tables[l][rows]),
                         Tensor(norm[rows]),
                     )
-                    tables[l + 1][rows] = out.data
                     recomputed += rows.size
         finally:
             model.train(was_training)
+        engine.logits = logits
         return recomputed
 
     # -- topology updates ---------------------------------------------------------

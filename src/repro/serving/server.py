@@ -1,11 +1,11 @@
 """JSON-over-HTTP prediction service (stdlib only).
 
 :class:`PredictionService` composes the serving pieces — engine lookups,
-optional LRU result cache, optional micro-batching, optional stale-aware
-refresher routing — behind one ``predict``/``topk``/``update`` surface,
-and :class:`PredictionServer` exposes that surface over HTTP with a
-:class:`~repro.serving.frontend.ServingFrontend` doing admission
-control (bounded queue, per-endpoint deadlines, graceful drain):
+optional stale-aware refresher routing, and, on the deferred path, an
+LRU result cache and micro-batching — behind one ``predict``/``topk``/
+``update`` surface, and :class:`PredictionServer` exposes that surface
+over HTTP with a :class:`~repro.serving.frontend.ServingFrontend` doing
+admission control (bounded queue, per-endpoint deadlines):
 
 - ``POST /predict``          body ``{"vertices": [..], "k": 3?}`` ->
   ``{"vertices", "labels", "topk"?}``
@@ -20,23 +20,20 @@ control (bounded queue, per-endpoint deadlines, graceful drain):
   Prometheus text exposition instead
 - ``GET /trace``             buffered request spans as Chrome
   trace-event JSON (Perfetto-loadable; ``REPRO_TRACE=1`` to record)
-- ``GET /healthz``           liveness; flips to ``draining`` (503)
-  while an update quiesces the pool
+- ``GET /healthz``           liveness; always ``200 {"status": "ok"}``
 
 Request flow: handler threads only parse and enqueue — execution happens
-on the frontend's bounded worker pool, under the service's reader-writer
-gate.  Per-request cache probe first (a full hit never queues past the
-pool), then the missing ids go through the micro-batcher, which
-coalesces misses across concurrent requests into one engine gather.
-Updates **quiesce**: the frontend drains in-flight requests, the table
-rewrite runs alone behind the write side of the gate, and serving
-resumes — a reader can never observe a torn mix of pre- and post-update
-rows.
+on the frontend's bounded worker pool.  A read is a row gather from the
+published logits table (table mode), or, with a ``deferred`` refresher,
+a cache probe and micro-batched on-demand compute under the update lock.
+Updates run on the handler thread and **publish**: the refresh fills a
+new logits table and assigns it, so reads never wait for an update and
+never see a torn mix of pre- and post-update rows.
 
 Failure modes are all structured JSON, never a traceback: malformed
 bodies answer ``400``; a full admission queue answers ``429`` with
-``Retry-After``; drain windows and missed deadlines answer ``503`` with
-``Retry-After``; engine failures answer ``500``.
+``Retry-After``; missed deadlines answer ``503`` with ``Retry-After``;
+engine failures answer ``500``.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import ResultCache
 from repro.serving.engine import InferenceEngine, topk_rows
 from repro.serving.frontend import ServingFrontend, ServingUnavailable
-from repro.serving.gate import ReadWriteGate
 from repro.serving.refresh import IncrementalRefresher, RefreshStats
 
 
@@ -115,13 +111,24 @@ def _feature_rows(value, what: str = "features") -> np.ndarray:
 
 
 class PredictionService:
-    """Cache- and batch-aware front end over an :class:`InferenceEngine`.
+    """Front end over an :class:`InferenceEngine`, with one read path per
+    refresher mode (fixed here, at construction):
 
-    Reads (``predict`` / ``topk``) share a :class:`ReadWriteGate`;
-    updates (``update_edges`` / ``update_features``) take its write side,
-    so the refresher's in-place table rewrites quiesce instead of racing
-    concurrent lookups — every response reflects exactly one table
-    version (pinned by ``tests/serving/test_concurrency.py``).
+    - **table mode** — no refresher, or one that is not ``deferred``: a
+      read is ``engine.logits[ids]``, with no lock, no cache and no
+      batcher.  No code writes into a ``logits`` array a reader can hold
+      (:meth:`~repro.serving.refresh.IncrementalRefresher._recompute_rows`
+      fills a copy and assigns it), so one attribute read is exactly one
+      published version.
+    - **deferred mode** — stale vertices are answered by on-demand
+      compute over features, graph and stale set, which updates change
+      in place.  The result cache and micro-batcher stay in front of it,
+      and every batch runs under the update lock
+      (:meth:`_rows_at_one_version`).
+
+    Updates (``update_edges`` / ``update_features``) serialise on that
+    one lock.  ``tests/serving/test_publish_machine.py`` pins the
+    contract: every response equals the rows of some published version.
     """
 
     def __init__(
@@ -135,49 +142,43 @@ class PredictionService:
     ):
         engine.ensure_ready()
         self.engine = engine
+        #: consulted on the deferred path only (table mode keeps it
+        #: unused, so callers holding the cache still find it here)
         self.cache = cache
         self.refresher = refresher
-        # stale-aware lookups when a refresher is attached (deferred
-        # updates route affected vertices through the on-demand path)
-        self._lookup = refresher.predict if refresher is not None else engine.predict
+        self._deferred = refresher is not None and refresher.deferred
+        self._lookup = refresher.predict if self._deferred else engine.predict
         self.batcher = (
-            MicroBatcher(self._lookup, max_batch=max_batch, max_wait_ms=max_wait_ms)
-            if batch
+            MicroBatcher(
+                self._rows_at_one_version, max_batch=max_batch, max_wait_ms=max_wait_ms
+            )
+            if batch and self._deferred
             else None
         )
-        self.num_requests = 0  # guarded-by: _count_lock
-        self._count_lock = make_lock("serving.service.count")
-        # Written only under the gate's read side; concurrent readers may
-        # both observe a version bump and reset the cache — idempotent.
-        self._cached_version = engine.version
-        # readers share; topology/feature updates take the write side
-        # and therefore wait out in-flight lookups before rewriting
-        self._gate = ReadWriteGate()
+        self._update_lock = make_lock("serving.service.update")
+        self._cached_version = engine.version  # guarded-by: _update_lock
 
     # -- fault-injection seam ----------------------------------------------------------
 
     def wrap_lookup(self, wrapper) -> None:
-        """Wrap the engine lookup with ``wrapper(old) -> new`` — the
+        """Wrap the row lookup with ``wrapper(old) -> new`` — the
         supported seam the fault/stress harness uses to inject failures,
-        latency, or instrumentation into the request path (covers both
-        the direct path and the micro-batcher's compute function)."""
+        latency, or instrumentation into the request path (both modes,
+        and the micro-batcher's batches, call it)."""
         self._lookup = wrapper(self._lookup)
-        if self.batcher is not None:
-            self.batcher.compute = wrapper(self.batcher.compute)
 
     # -- request path ----------------------------------------------------------------
 
-    def _compute(self, ids: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _traced(fn, ids: np.ndarray) -> np.ndarray:
+        """``fn(ids)``, recorded as the ``compute`` component and an
+        ``engine.predict`` child span when the request is traced."""
         span = current_span()
-        if self.batcher is not None:
-            # explicit ctx hand-off: the batcher worker is another
-            # thread, and the span must ride the request to reach it
-            return self.batcher.predict(ids, ctx=span)
         if span is None:
-            return self._lookup(ids)
+            return fn(ids)
         feature_before = span.component_seconds("feature")
         t0 = time.perf_counter()
-        rows = self._lookup(ids)
+        rows = fn(ids)
         elapsed = time.perf_counter() - t0
         # feature-gather time recorded inside this interval is its own
         # component; subtract it so components stay non-overlapping
@@ -188,27 +189,20 @@ class PredictionService:
         )
         return rows
 
-    def predict_logits(self, vertex_ids) -> np.ndarray:
-        """One logit row per requested vertex (request order preserved)."""
-        ids = self.engine._check_ids(vertex_ids)
-        with self._count_lock:
-            self.num_requests += 1
-        if ids.size == 0:
-            return np.zeros((0, self.engine.dataset.num_classes), dtype=np.float32)
-        span = current_span()
-        t_gate = time.perf_counter()
-        with self._gate.read():
-            if span is not None:
-                # gate component: how long the read side waited out a
-                # writer (≈0 outside update windows)
-                span.add_component("gate", time.perf_counter() - t_gate)
+    def _rows_at_one_version(self, ids: np.ndarray) -> np.ndarray:
+        """Deferred-mode rows: the cache's version check, its probe, the
+        on-demand compute of the missing ids and their insert all run
+        under the update lock, so they see one version.  The
+        micro-batcher calls this for each coalesced batch."""
+        with self._update_lock:
             if self.cache is None:
-                return self._compute(ids)
-            # a table rewrite (precompute or refresher update) invalidates
-            # every cached row — drop them rather than serve stale results
+                return self._lookup(ids)
+            # an update invalidates every cached row — drop them rather
+            # than serve stale results
             if self.engine.version != self._cached_version:
                 self.cache.reset()
                 self._cached_version = self.engine.version
+            span = current_span()
             t_probe = time.perf_counter()
             found, missing = self.cache.get_many(ids)
             if span is not None:
@@ -219,10 +213,23 @@ class PredictionService:
                     misses=int(missing.size),
                 )
             if missing.size:
-                rows = self._compute(missing)
+                rows = self._lookup(missing)
                 self.cache.put_many(missing, rows)
                 found.update(zip(missing.tolist(), rows))
             return np.stack([found[v] for v in ids.tolist()])
+
+    def predict_logits(self, vertex_ids) -> np.ndarray:
+        """One logit row per requested vertex (request order preserved)."""
+        ids = self.engine._check_ids(vertex_ids)
+        if ids.size == 0:
+            return np.zeros((0, self.engine.dataset.num_classes), dtype=np.float32)
+        if not self._deferred:
+            return self._traced(self._lookup, ids)
+        if self.batcher is not None:
+            # explicit ctx hand-off: the batcher worker is another
+            # thread, and the span must ride the request to reach it
+            return self.batcher.predict(ids, ctx=current_span())
+        return self._traced(self._rows_at_one_version, ids)
 
     def predict(self, vertex_ids) -> np.ndarray:
         """Argmax label per requested vertex."""
@@ -251,12 +258,13 @@ class PredictionService:
 
         Routes through the attached refresher's incremental / full /
         deferred policy; without one, the engine's graph is mutated and
-        fully precomputed.  Either way ``engine.version`` moves, so the
-        next request drops every cached row.  Takes the gate's write
-        side: in-flight lookups finish first, new ones wait.  Returns
+        fully precomputed.  Either way a new logits table is published
+        and ``engine.version`` moves, so the deferred path's next read
+        drops every cached row.  Table-mode reads in flight keep the
+        version they started on.  Returns
         :class:`~repro.dyngraph.serving_updates.EdgeUpdateStats`.
         """
-        with self._gate.write():
+        with self._update_lock:
             if self.refresher is not None:
                 return self.refresher.update_edges(add=add, remove=remove)
             from repro.dyngraph.serving_updates import full_topology_update
@@ -268,10 +276,10 @@ class PredictionService:
 
         With a refresher attached this is its incremental / full /
         deferred policy; without one, the engine's features are written
-        (last-wins within the batch) and fully precomputed.  Takes the
-        gate's write side, like :meth:`update_edges`.
+        (last-wins within the batch) and fully precomputed.  Publishes
+        like :meth:`update_edges`.
         """
-        with self._gate.write():
+        with self._update_lock:
             if self.refresher is not None:
                 return self.refresher.update_features(vertex_ids, new_rows)
             engine = self.engine
@@ -298,9 +306,7 @@ class PredictionService:
     # -- lifecycle / introspection ------------------------------------------------------
 
     def stats(self) -> dict:
-        with self._count_lock:
-            num_requests = self.num_requests
-        out = {"requests": num_requests, "engine": self.engine.stats()}
+        out = {"engine": self.engine.stats()}
         out["cache"] = self.cache.stats() if self.cache is not None else None
         out["batcher"] = self.batcher.stats() if self.batcher is not None else None
         out["refresher"] = (
@@ -359,13 +365,7 @@ class _PredictionHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         path, _, query = self.path.partition("?")
         if path == "/healthz":
-            health = self.frontend.healthz()
-            if health["status"] == "ok":
-                self._reply(200, health)
-            else:
-                self._reply(
-                    503, health, retry_after_s=self.frontend.retry_after_s
-                )
+            self._reply(200, {"status": "ok"})
         elif path == "/stats":
             self._reply(200, self.service.stats())
         elif path == "/metrics":
@@ -413,7 +413,7 @@ class _PredictionHandler(BaseHTTPRequestHandler):
         try:
             route()
         except ServingUnavailable as exc:
-            # backpressure / drain / deadline: 429 or 503 + Retry-After
+            # backpressure / deadline: 429 or 503 + Retry-After
             self._reply(
                 exc.status,
                 {"error": str(exc), "retry_after_s": exc.retry_after_s},

@@ -2,12 +2,13 @@
 
 These tests force the sanitizer on (private recorder), build the actual
 production objects — tiered feature store with a hot-set cache, bounded
-serving frontend, result cache — drive them from thread herds, and then
+serving frontend over the deferred read path — drive them from thread
+herds, and then
 assert the lock-order graph is (a) non-trivial (the instrumentation is
 really wired in) and (b) free of cycles and held-lock blocking calls
 (the hierarchy the code claims is the one it executes).
 
-The CI job runs the full concurrency/drain suites under
+The CI job runs the concurrency and publish-machine suites under
 ``REPRO_SANITIZE=1`` and gates on the exit report; the subprocess test
 here pins the same contract from inside the tier-1 suite.
 """
@@ -23,9 +24,16 @@ import pytest
 
 from repro.analysis import sanitizers
 from repro.analysis.sanitizers import scoped_recorder, set_force
+from repro.core import TrainConfig
+from repro.core.models import build_model
 from repro.featurestore import FeatureStore
-from repro.serving import ResultCache
-from repro.serving.frontend import ServingFrontend, ServingUnavailable
+from repro.serving import (
+    IncrementalRefresher,
+    InferenceEngine,
+    PredictionService,
+    ResultCache,
+    ServingFrontend,
+)
 
 JOIN_TIMEOUT_S = 30.0
 
@@ -79,50 +87,48 @@ def test_feature_store_stack_is_cycle_free(forced, tmp_path):
     assert forced.findings() == {"cycles": [], "blocking": []}
 
 
-def test_frontend_stack_is_cycle_free(forced):
-    cache = ResultCache(capacity=32)
-    frontend = ServingFrontend(
-        service=None, num_workers=3, max_queue=32,
-        default_timeout_s=10.0, drain_timeout_s=10.0,
+def test_frontend_stack_is_cycle_free(forced, reddit_mini):
+    """Readers through the pool, batcher, update lock and result cache of
+    the deferred path, beside an updater taking that same lock."""
+    ds = reddit_mini
+    cfg = TrainConfig(num_layers=2, hidden_features=8, seed=0)
+    engine = InferenceEngine(ds, build_model(cfg, ds.feature_dim, ds.num_classes))
+    service = PredictionService(
+        engine.precompute(), cache=ResultCache(capacity=32), batch=True,
+        max_batch=16, max_wait_ms=0.2,
+        refresher=IncrementalRefresher(engine, deferred=True),
     )
-
-    def lookup(key):
-        def compute():
-            return np.arange(4, dtype=np.float32) + key
-
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        value = compute()
-        cache.put(key, value)
-        return value
-
+    frontend = ServingFrontend(service, num_workers=3, max_queue=32,
+                               default_timeout_s=10.0)
     errors = []
 
     def client(seed):
-        for i in range(40):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            ids = rng.integers(0, ds.num_vertices, size=4)
             try:
-                frontend.call("predict", lambda k=(seed * 40 + i) % 8: lookup(k))
-            except ServingUnavailable:
-                pass  # shed during the drain window: expected
+                frontend.call("predict", lambda: service.predict_logits(ids))
             except Exception as exc:  # pragma: no cover - debugging aid
                 errors.append(exc)
 
-    def drainer():
-        for _ in range(3):
-            with frontend.drained():
-                frontend.metrics_snapshot()
+    def updater():
+        rng = np.random.default_rng(99)
+        for k in range(3):
+            rows = rng.standard_normal((1, ds.feature_dim)).astype(np.float32)
+            frontend.update_features([k], rows)
+            frontend.metrics_snapshot()
 
     threads = [threading.Thread(target=client, args=(s,)) for s in range(4)]
-    threads.append(threading.Thread(target=drainer))
+    threads.append(threading.Thread(target=updater))
     for t in threads:
         t.start()
     join_all(threads)
     frontend.close()
+    service.close()
 
     assert not errors
-    # The drain serializer holds its lock while quiescing the frontend.
-    assert ("serving.frontend.drain", "serving.frontend") in edge_pairs(forced)
+    # a deferred read probes the cache under the update lock
+    assert ("serving.service.update", "serving.cache") in edge_pairs(forced)
     assert forced.findings() == {"cycles": [], "blocking": []}
 
 

@@ -171,12 +171,16 @@ def test_parser_requires_command():
 
 def test_serve_parser_accepts_options():
     args = build_parser().parse_args(
-        ["serve", "--checkpoint", "c.npz", "--port", "0", "--cache-size", "128",
+        ["serve", "--checkpoint", "c.npz", "--port", "0",
          "--workers", "2", "--max-queue", "32", "--request-timeout", "5"]
     )
-    assert args.command == "serve" and args.cache_size == 128
+    assert args.command == "serve"
     assert args.workers == 2 and args.max_queue == 32
     assert args.request_timeout == 5.0
+    # reads are table rows: there is no cache or batcher to configure
+    for flag in ("--cache-size", "--max-batch", "--max-wait-ms"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--checkpoint", "c.npz", flag, "1"])
 
 
 def test_loadgen_cli(capsys, tmp_path):

@@ -109,12 +109,6 @@ def test_spmm_chain_through_matmul():
     )
 
 
-def test_rows_add_identity_backward():
-    rows = np.array([0, 2])
-    vals = np.ones((2, 3))
-    check(lambda t: F.rows_add(t, rows, vals).sum(), (4, 3))
-
-
 def test_dropout_backward_matches_mask():
     rng = np.random.default_rng(0)
     x = Tensor(np.ones((100, 4)), requires_grad=True)

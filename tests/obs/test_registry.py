@@ -155,7 +155,6 @@ class _StubFrontend:
         return self.metrics.snapshot(
             queue_depth=1,
             in_flight=2,
-            draining=False,
             max_queue=8,
             num_workers=4,
             cache_hit_rate=0.5,
@@ -169,7 +168,6 @@ def test_prometheus_agrees_with_json_snapshot_counter_for_counter():
     fe.metrics.record("predict", "ok", latency_s=0.030)
     fe.metrics.record("predict", "timeout")
     fe.metrics.record("topk", "rejected_queue_full")
-    fe.metrics.record_drain()
 
     reg = serving_registry(frontend=fe, include_ap=False, include_comm=False)
     parsed = parse_prometheus(render_prometheus(reg.collect()))
@@ -181,7 +179,6 @@ def test_prometheus_agrees_with_json_snapshot_counter_for_counter():
             assert parsed["repro_requests_total"][key] == float(ep[outcome]), (
                 endpoint, outcome,
             )
-    assert parsed["repro_drains_total"][()] == snap["num_drains"]
     assert parsed["repro_queue_depth"][()] == snap["queue_depth"]
     assert parsed["repro_in_flight"][()] == snap["in_flight"]
     assert parsed["repro_result_cache_hit_rate"][()] == snap["cache_hit_rate"]

@@ -5,7 +5,7 @@ path (``repro loadgen``, ``benchmarks/bench_serving.py``); this module
 is the test-suite face of the same code: seeded schedules, deterministic
 virtual-clock replays, fault-injection wrappers for the engine lookup,
 and thread-herd helpers with deadlock-safe joins.  The concurrency,
-fault, drain, and metrics suites all build on it.
+fault, publish-machine, and metrics suites all build on it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,11 @@ def make_service(
     batch: bool = True,
     refresher: bool = True,
     full_threshold: float = 0.25,
+    deferred: bool = False,
 ) -> PredictionService:
-    """The full production composition (cache + batcher + refresher)."""
+    """Cache + batcher + refresher, as the benchmarks compose it.  The
+    cache and batcher only serve with ``deferred=True``; otherwise the
+    service is in table mode and reads are rows of the logits table."""
     return PredictionService(
         engine,
         cache=ResultCache(cache_size) if cache_size > 0 else None,
@@ -52,7 +55,9 @@ def make_service(
         max_batch=64,
         max_wait_ms=0.5,
         refresher=(
-            IncrementalRefresher(engine, full_threshold=full_threshold)
+            IncrementalRefresher(
+                engine, full_threshold=full_threshold, deferred=deferred
+            )
             if refresher
             else None
         ),
@@ -63,7 +68,6 @@ def make_frontend(service, **kwargs) -> ServingFrontend:
     kwargs.setdefault("num_workers", 4)
     kwargs.setdefault("max_queue", 64)
     kwargs.setdefault("default_timeout_s", 10.0)
-    kwargs.setdefault("drain_timeout_s", 10.0)
     return ServingFrontend(service, **kwargs)
 
 
@@ -111,8 +115,8 @@ def virtual_schedule(seed: int = 0, rate: float = 100.0, duration_s: float = 2.0
 #
 # Each is a ``wrapper(old_lookup) -> new_lookup`` for
 # ``PredictionService.wrap_lookup`` — the supported seam into the
-# engine-call layer (it covers both the direct path and the
-# micro-batcher's compute function).
+# engine-call layer (both read modes and the micro-batcher's batches
+# call it).
 
 
 def slow_lookup(delay_s: float):
@@ -149,7 +153,7 @@ def flaky_lookup(message: str = "injected engine failure", every: int = 1):
 
 
 def blocking_lookup(release: threading.Event, started: Optional[threading.Event] = None):
-    """Engine calls park on ``release`` (queue-full / drain-window tests);
+    """Engine calls park on ``release`` (queue-full / publish tests);
     ``started`` fires once a call is actually in flight."""
 
     def wrapper(old):
@@ -229,11 +233,18 @@ class SnapshotChecker:
         with self._lock:
             return len(self._snapshots)
 
-    def matches(self, ids: np.ndarray, rows: np.ndarray) -> bool:
-        """True iff ``rows`` equals ``snapshot[ids]`` for some snapshot."""
+    def versions(self, ids: np.ndarray, rows: np.ndarray) -> List[int]:
+        """Registration indices of every snapshot with ``snapshot[ids]``
+        equal to ``rows`` (several when an update left these ids alone)."""
         with self._lock:
             snapshots = list(self._snapshots)
-        return any(np.array_equal(rows, snap[ids]) for snap in snapshots)
+        return [
+            i for i, snap in enumerate(snapshots) if np.array_equal(rows, snap[ids])
+        ]
+
+    def matches(self, ids: np.ndarray, rows: np.ndarray) -> bool:
+        """True iff ``rows`` equals ``snapshot[ids]`` for some snapshot."""
+        return bool(self.versions(ids, rows))
 
     def assert_consistent(self, ids: np.ndarray, rows: np.ndarray) -> None:
         assert self.matches(ids, rows), (

@@ -4,8 +4,10 @@ The contract pinned here is the serving tier's memory model:
 
 - **no torn reads** — every served response equals the corresponding
   rows of exactly one full-precompute table version (pre- or post-
-  update), never a mix (the refresher rewrites tables in place, so
-  without the reader-writer gate this genuinely fails);
+  update), never a mix: updates publish a new logits table instead of
+  rewriting the one readers hold;
+- **reads are never shed for an update** — every read is served on its
+  first try while updates land;
 - **no deadlocks** — reader herds + updater threads always join
   (enforced by the harness's deadline joins);
 - **counter conservation** — the result cache's ``hits + misses ==
@@ -14,13 +16,11 @@ The contract pinned here is the serving tier's memory model:
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.serving import IncrementalRefresher, ResultCache
-from repro.serving.frontend import ServingUnavailable
+from repro.serving import IncrementalRefresher, ResultCache, full_graph_forward
 
 from harness import (
     JOIN_TIMEOUT_S,
@@ -46,22 +46,13 @@ def serving(engine):
 
 def _collecting_reader(svc, fe, responses, responses_lock):
     """Reader body: predict a seeded batch, collect (ids, rows) for
-    post-hoc snapshot validation.  Shed requests (the updater is
-    draining) back off and retry like a well-behaved client — without
-    the backoff every read would burn out inside the first drain window
-    and the stress would observe nothing."""
+    post-hoc snapshot validation.  No retry: a read shed while an update
+    lands fails the test."""
 
     def read(idx: int) -> None:
         rng = np.random.default_rng(1000 + idx + len(responses))
         ids = rng.integers(0, svc.engine.num_vertices, size=6)
-        deadline = time.monotonic() + JOIN_TIMEOUT_S
-        while True:
-            try:
-                rows = fe.call("predict", lambda: svc.predict_logits(ids))
-                break
-            except ServingUnavailable as exc:
-                assert time.monotonic() < deadline, "reader starved out"
-                time.sleep(max(exc.retry_after_s, 0.002))
+        rows = fe.call("predict", lambda: svc.predict_logits(ids))
         with responses_lock:
             responses.append((ids, np.array(rows, copy=True)))
 
@@ -71,8 +62,9 @@ def _collecting_reader(svc, fe, responses, responses_lock):
 def _run_stress(svc, fe, engine, apply_update, num_updates):
     """Readers hammer while a writer applies ``num_updates`` updates;
     returns (responses, checker) for post-hoc torn-read validation."""
+    every = np.arange(engine.num_vertices)
     checker = SnapshotChecker()
-    checker.register(engine.logits)  # version 0
+    checker.register(svc.predict_logits(every))  # version 0
     responses, responses_lock = [], threading.Lock()
     writer_err = []
 
@@ -80,9 +72,8 @@ def _run_stress(svc, fe, engine, apply_update, num_updates):
         try:
             for k in range(num_updates):
                 apply_update(k)
-                # the update has fully landed (drain + write-gate), so
-                # this copy is a clean new table version
-                checker.register(engine.logits)
+                # the update has returned, so its version is published
+                checker.register(svc.predict_logits(every))
         except BaseException as exc:  # noqa: BLE001 — surfaced below
             writer_err.append(exc)
 
@@ -141,12 +132,41 @@ def test_no_torn_reads_under_edge_updates(serving):
         checker.assert_consistent(ids, rows)
 
 
-def test_cache_conservation_under_stress(serving):
+def test_no_torn_reads_on_the_deferred_path(trained, engine):
+    """The deferred path's cache + batcher + on-demand reads, under
+    feature updates that leave stale vertices behind."""
+    ds, _, _ = trained
+    svc = make_service(engine, deferred=True)
+    fe = make_frontend(svc)
+    rng = np.random.default_rng(44)
+    updates = [
+        (
+            rng.choice(engine.num_vertices, size=2, replace=False),
+            rng.standard_normal((2, ds.feature_dim)).astype(np.float32),
+        )
+        for _ in range(3)
+    ]
+    try:
+        responses, checker = _run_stress(
+            svc, fe, engine,
+            lambda k: fe.update_features(*updates[k]),
+            num_updates=len(updates),
+        )
+    finally:
+        fe.close()
+        svc.close()
+    assert responses, "stress run served nothing"
+    for ids, rows in responses:
+        checker.assert_consistent(ids, rows)
+
+
+def test_cache_conservation_under_stress(engine):
     """hits + misses == lookups at EVERY sampled instant while readers
-    and an updater race the cache (all three counters move inside one
-    critical section — a sampler catching them mid-update is the bug)."""
-    svc, fe = serving
-    engine = svc.engine
+    and an updater race the deferred path's cache (all three counters
+    move inside one critical section — a sampler catching them
+    mid-update is the bug)."""
+    svc = make_service(engine, deferred=True)
+    fe = make_frontend(svc)
     stop = threading.Event()
     violations = []
 
@@ -168,6 +188,8 @@ def test_cache_conservation_under_stress(serving):
     finally:
         stop.set()
         join_all([s])
+        fe.close()
+        svc.close()
     assert not violations, f"conservation violated: {violations[0]}"
     stats = svc.cache.stats()
     assert stats["lookups"] == stats["hits"] + stats["misses"]
@@ -217,8 +239,8 @@ def test_raw_cache_conservation_under_contention():
 
 def test_concurrent_updates_serialize(serving):
     """Multiple updater threads racing each other: every update lands
-    (drains serialize on the frontend), none deadlocks, and the final
-    table equals a fresh full precompute of the final state."""
+    (they serialise on the service's update lock), none deadlocks, and
+    the final table equals a fresh full precompute of the final state."""
     svc, fe = serving
     engine = svc.engine
     rng = np.random.default_rng(9)
@@ -242,9 +264,8 @@ def test_concurrent_updates_serialize(serving):
     assert fe.metrics_snapshot()["endpoints"]["update_edges"]["ok"] == len(edges)
     # the incremental path's contract: identical to a from-scratch
     # precompute of the final topology
-    before = np.array(engine.logits, copy=True)
-    engine.precompute()
-    assert np.array_equal(before, engine.logits)
+    fresh = full_graph_forward(engine.model, engine.graph, engine.features)
+    assert np.array_equal(svc.predict_logits(np.arange(engine.num_vertices)), fresh)
 
 
 def test_concurrent_deferred_reads_match_a_lone_reader(engine):

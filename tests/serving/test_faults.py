@@ -46,7 +46,7 @@ def faulty_server(engine):
     receive (service, frontend, base_url)."""
     svc = make_service(engine)
     fe = ServingFrontend(svc, num_workers=1, max_queue=1,
-                         default_timeout_s=10.0, drain_timeout_s=10.0)
+                         default_timeout_s=10.0)
     server = PredictionServer(svc, port=0, frontend=fe).start_background()
     host, port = server.address
     yield svc, fe, f"http://{host}:{port}"
@@ -152,12 +152,11 @@ def test_malformed_update_bodies_return_400_json(faulty_server):
 
 
 def test_update_failure_does_not_wedge_serving(faulty_server):
-    """A 400 update (drain + rejected payload) reopens admission."""
+    """A 400 update (rejected payload) leaves serving untouched."""
     svc, fe, base = faulty_server
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(f"{base}/update_edges", {"add": [[0, "x"]]})
     assert err.value.code == 400
-    assert not fe.draining
     status, health = _get(f"{base}/healthz")
     assert status == 200 and health == {"status": "ok"}
     status, _ = _post(f"{base}/predict", {"vertices": [0]})

@@ -2,7 +2,7 @@
 
 These run against a stub service — the pool's behaviour is independent
 of what executes on it (the engine-backed paths are covered by the
-concurrency / fault / drain suites).
+concurrency / fault / publish-machine suites).
 """
 
 import threading
@@ -10,13 +10,7 @@ import time
 
 import pytest
 
-from repro.serving import (
-    ReadWriteGate,
-    RequestRejected,
-    RequestTimeout,
-    ServiceDraining,
-    ServingFrontend,
-)
+from repro.serving import RequestRejected, RequestTimeout, ServingFrontend
 
 from harness import JOIN_TIMEOUT_S, join_all
 
@@ -41,7 +35,7 @@ class StubService:
 @pytest.fixture
 def frontend():
     fe = ServingFrontend(StubService(), num_workers=2, max_queue=4,
-                         default_timeout_s=5.0, drain_timeout_s=5.0)
+                         default_timeout_s=5.0)
     yield fe
     fe.close()
 
@@ -147,27 +141,11 @@ def test_per_endpoint_timeouts(frontend):
     assert frontend.timeout_for("predict") == 5.0
 
 
-def test_drained_context_sheds_and_reopens(frontend):
-    assert frontend.healthz() == {"status": "ok"}
-    with frontend.drained():
-        assert frontend.draining
-        assert frontend.healthz() == {"status": "draining"}
-        with pytest.raises(ServiceDraining) as err:
-            frontend.call("predict", lambda: 1)
-        assert err.value.status == 503
-    assert not frontend.draining
-    assert frontend.call("predict", lambda: 2) == 2
-    snap = frontend.metrics_snapshot()
-    assert snap["num_drains"] == 1
-    assert snap["endpoints"]["predict"]["rejected_draining"] == 1
-
-
 def test_updates_delegate_to_service(frontend):
     assert frontend.update_edges(add=[(0, 1)]) == "edges-ok"
     assert frontend.update_features([0], [[1.0]]) == "features-ok"
     assert [u[0] for u in frontend.service.updates] == ["edges", "features"]
     snap = frontend.metrics_snapshot()
-    assert snap["num_drains"] == 2
     assert snap["endpoints"]["update_edges"]["ok"] == 1
     assert snap["endpoints"]["update_features"]["ok"] == 1
 
@@ -179,14 +157,15 @@ def test_update_failure_records_and_reopens(frontend):
     frontend.service.update_edges = bad_update
     with pytest.raises(ValueError, match="malformed pairs"):
         frontend.update_edges(add=[("x", "y")])
-    assert not frontend.draining  # admission reopened despite the failure
     assert frontend.metrics_snapshot()["endpoints"]["update_edges"]["bad_request"] == 1
     assert frontend.call("predict", lambda: "served") == "served"
 
 
-def test_drain_timeout_fails_instead_of_wedging():
+def test_update_runs_while_the_pool_is_busy():
+    """Updates never wait for in-flight reads: with the only worker
+    parked inside a read, an update still runs to completion."""
     fe = ServingFrontend(StubService(), num_workers=1, max_queue=4,
-                         default_timeout_s=30.0, drain_timeout_s=0.1)
+                         default_timeout_s=30.0)
     release = threading.Event()
     running = threading.Event()
     t = threading.Thread(
@@ -196,13 +175,10 @@ def test_drain_timeout_fails_instead_of_wedging():
     )
     t.start()
     assert running.wait(JOIN_TIMEOUT_S)
-    with pytest.raises(Exception) as err:
-        fe.update_edges(add=[(0, 1)])
-    assert isinstance(err.value, TimeoutError)
-    assert not fe.draining  # a stuck request must not brick the server
+    assert fe.update_edges(add=[(0, 1)]) == "edges-ok"
+    assert fe.in_flight == 1  # the read is still parked
     release.set()
     join_all([t])
-    assert fe.call("predict", lambda: "recovered") == "recovered"
     fe.close()
 
 
@@ -222,52 +198,6 @@ def test_constructor_validation():
         ServingFrontend(StubService(), max_queue=0)
     with pytest.raises(ValueError, match="default_timeout_s"):
         ServingFrontend(StubService(), default_timeout_s=0.0)
-
-
-# -- the reader-writer gate -------------------------------------------------------
-
-
-def test_gate_readers_share_writers_exclude():
-    gate = ReadWriteGate()
-    in_read = threading.Event()
-    release_read = threading.Event()
-    write_done = threading.Event()
-
-    def reader():
-        with gate.read():
-            in_read.set()
-            release_read.wait(JOIN_TIMEOUT_S)
-
-    def writer():
-        with gate.write():
-            write_done.set()
-
-    r = threading.Thread(target=reader, daemon=True)
-    r.start()
-    assert in_read.wait(JOIN_TIMEOUT_S)
-    assert gate.active_readers == 1
-
-    w = threading.Thread(target=writer, daemon=True)
-    w.start()
-    time.sleep(0.05)
-    assert not write_done.is_set()  # writer blocked behind the reader
-
-    # writer-preference: a NEW reader queues behind the waiting writer
-    late = threading.Event()
-
-    def late_reader():
-        with gate.read():
-            late.set()
-
-    lr = threading.Thread(target=late_reader, daemon=True)
-    lr.start()
-    time.sleep(0.05)
-    assert not late.is_set()
-
-    release_read.set()
-    join_all([r, w, lr])
-    assert write_done.is_set() and late.is_set()
-    assert gate.active_readers == 0 and not gate.writer_active
 
 
 # -- exception classification through the worker pool -------------------------

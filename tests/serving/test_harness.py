@@ -7,7 +7,7 @@ model open-loop traffic correctly — this file pins those properties.
 import numpy as np
 import pytest
 
-from repro.serving.frontend import RequestRejected, RequestTimeout, ServiceDraining
+from repro.serving.frontend import RequestRejected, RequestTimeout
 from repro.serving.loadgen import (
     DEFAULT_MIX,
     LoadReport,
@@ -189,7 +189,6 @@ def test_clock_basics():
 
 def test_classify_exception_buckets():
     assert classify_exception(RequestRejected("q")) == "rejected_queue_full"
-    assert classify_exception(ServiceDraining("d")) == "rejected_draining"
     assert classify_exception(RequestTimeout("t")) == "timeout"
     assert classify_exception(ValueError("bad ids")) == "bad_request"
     assert classify_exception(OverflowError("big")) == "bad_request"

@@ -39,22 +39,38 @@ def test_service_matches_engine(engine):
         assert np.array_equal(svc.predict(ids), np.argmax(engine.logits[ids], axis=1))
 
 
+def test_table_mode_reads_skip_cache_and_batcher(engine):
+    """Without a deferred refresher a read is a table row: the cache is
+    kept but never consulted, and no batcher is built."""
+    ids = np.array([7, 3, 7, 11])
+    for refresher in (None, IncrementalRefresher(engine)):
+        with PredictionService(
+            engine, cache=ResultCache(8), batch=True, max_batch=16,
+            max_wait_ms=0.5, refresher=refresher,
+        ) as svc:
+            assert np.array_equal(svc.predict_logits(ids), engine.logits[ids])
+            assert svc.batcher is None
+            assert svc.cache.lookups == 0
+            assert svc.stats()["batcher"] is None
+
+
 def test_service_cache_and_batcher_preserve_results(engine):
     ids = np.array([7, 3, 7, 11])
+    ref = IncrementalRefresher(engine, deferred=True)
     with PredictionService(
-        engine, cache=ResultCache(8), batch=True, max_batch=16, max_wait_ms=0.5
+        engine, cache=ResultCache(8), batch=True, max_batch=16, max_wait_ms=0.5,
+        refresher=ref,
     ) as svc:
         first = svc.predict_logits(ids)
         second = svc.predict_logits(ids)  # fully cached now
         assert np.array_equal(first, engine.logits[ids])
         assert np.array_equal(second, first)
-        assert svc.cache.hits >= 4
+        assert svc.cache.hits >= 3
         topk_classes, _ = svc.topk(ids, k=2)
         assert topk_classes.shape == (4, 2)
     stats = svc.stats()
-    assert stats["requests"] == 3
     assert stats["cache"]["hits"] == svc.cache.hits
-    assert stats["batcher"]["requests"] >= 1
+    assert stats["batcher"]["requests"] == 3
 
 
 def test_service_routes_through_refresher(trained, engine):
@@ -71,10 +87,10 @@ def test_service_routes_through_refresher(trained, engine):
 
 
 def test_cache_invalidated_by_refresh(trained, engine):
-    """A refresher table rewrite must not leave stale rows in the
-    service's result cache."""
+    """A refresher update must not leave stale rows in the deferred
+    path's result cache."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=1.0)
+    ref = IncrementalRefresher(engine, full_threshold=1.0, deferred=True)
     with PredictionService(engine, cache=ResultCache(64), refresher=ref) as svc:
         ids = np.array([0, 1])
         before = svc.predict_logits(ids)  # fills the cache
@@ -125,7 +141,7 @@ def test_http_stats_and_health(live_server):
     _post(f"{base}/predict", {"vertices": [1, 2]})
     status, stats = _get(f"{base}/stats")
     assert status == 200
-    assert stats["requests"] >= 1 and stats["cache"]["capacity"] == 64
+    assert stats["cache"]["capacity"] == 64
     status, health = _get(f"{base}/healthz")
     assert status == 200 and health == {"status": "ok"}
 
@@ -207,8 +223,8 @@ def test_http_metrics_endpoint(live_server):
     assert totals["requests"] == sum(
         v for k, v in totals.items() if k != "requests"
     )
-    # live gauges ride along
-    assert snap["draining"] is False
+    # live gauges ride along; the drain counters read 0
+    assert snap["num_drains"] == totals["rejected_draining"] == 0
     assert snap["queue_depth"] >= 0 and snap["in_flight"] >= 0
     assert 0.0 <= snap["cache_hit_rate"] <= 1.0
 

@@ -52,12 +52,13 @@ def test_counters_match_client_side_exactly(trained, serving):
     # conservation on the server side
     totals = snap["totals"]
     assert totals["requests"] == sum(totals[o] for o in OUTCOMES)
-    # every update that was served drained exactly once
+    # updates publish: every update was served, and no read was shed
     updates_ok = sum(
         snap["endpoints"].get(ep, {}).get("ok", 0)
         for ep in ("update_edges", "update_features")
     )
-    assert snap["num_drains"] == updates_ok > 0
+    assert updates_ok > 0 and snap["num_drains"] == 0
+    assert totals["timeout"] == totals["rejected_queue_full"] == 0
 
 
 def test_latency_quantiles_agree_with_client(serving):

@@ -96,7 +96,6 @@ def test_serving_frontend_public_surface():
     from repro.serving import (
         RequestRejected,
         RequestTimeout,
-        ServiceDraining,
         ServingFrontend,
         ServingMetrics,
         ServingUnavailable,
@@ -106,10 +105,10 @@ def test_serving_frontend_public_surface():
         run_open_loop,
     )
 
-    for exc in (RequestRejected, RequestTimeout, ServiceDraining):
+    for exc in (RequestRejected, RequestTimeout):
         assert issubclass(exc, ServingUnavailable)
         assert exc.status in (429, 503)
-    assert hasattr(ServingFrontend, "call") and hasattr(ServingFrontend, "drained")
+    assert hasattr(ServingFrontend, "call") and hasattr(ServingFrontend, "update_edges")
     assert hasattr(ServingMetrics, "snapshot")
     for fn in (poisson_arrivals, bursty_arrivals, build_schedule, run_open_loop):
         assert callable(fn)
