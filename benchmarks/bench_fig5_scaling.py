@@ -216,7 +216,8 @@ def measured_scaling(
     lines.append(
         f"speedup is vs the same algorithm at {ranks[0]} rank(s); shm "
         "measures real multi-process parallelism (bounded by the "
-        "machine's core count above), sim executes ranks serially (its "
+        "machine's core count above), sim runs the ranks on threads in "
+        "one process (at most one per core, so past the core count its "
         "per-epoch time grows with P — use the modelled curves above "
         "for paper-scale projections)"
     )

@@ -10,6 +10,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py project-first [--part pass|bytes|accuracy]
     PYTHONPATH=src python benchmarks/studies.py subnormals
     PYTHONPATH=src python benchmarks/studies.py serving-layers [--baseline CHECKOUT]
+    PYTHONPATH=src python benchmarks/studies.py sim-threads [--baseline CHECKOUT]
 """
 
 from __future__ import annotations
@@ -545,6 +546,27 @@ def _serving_layers_child() -> None:
     print(json.dumps(row))
 
 
+def _child_json(cmd, src: str, cwd: str) -> dict:
+    """Run ``cmd`` on the tree ``src`` with BLAS pinned to one thread (as
+    the suite pins it) and no ``REPRO_*`` overrides; its last line, parsed."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True,
+                          check=True, timeout=900)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _append_section(path: str, title: str, study: str, section: str) -> None:
+    """Append a dated section to a ``docs/`` record (created with its title)."""
+    print(section)
+    fresh = not os.path.exists(path)
+    with open(path, "a") as fh:
+        fh.write(f"# {title}\n\nSections are appended by `benchmarks/studies.py {study}` "
+                 "and never edited.\n\n" if fresh else "\n")
+        fh.write(section)
+
+
 def serving_layers(reps: int, baseline=None) -> None:
     """ROADMAP 1: the ``serve_read`` request set timed at each boundary
     of the serving stack, ``baseline`` (a checkout) beside this tree,
@@ -558,17 +580,13 @@ def serving_layers(reps: int, baseline=None) -> None:
     trees = {"change": os.path.join(BENCH_DIR, "..", "src")}
     if baseline:
         trees = {"parent": os.path.join(baseline, "src"), **trees}
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     runs = {name: [] for name in trees}
     for _ in range(reps):
         for name, src in trees.items():
-            proc = subprocess.run(
+            runs[name].append(_child_json(
                 [sys.executable, "-c", "import studies; studies._serving_layers_child()"],
-                cwd=BENCH_DIR, env={**env, "PYTHONPATH": os.path.abspath(src)},
-                stdout=subprocess.PIPE, text=True, check=True, timeout=900,
-            )
-            runs[name].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+                src, cwd=BENCH_DIR,
+            ))
 
     def med(name, key):
         return float(np.median([r[key] for r in runs[name]]))
@@ -604,14 +622,100 @@ def serving_layers(reps: int, baseline=None) -> None:
     for name in trees:
         pool, inline = med(name, "probe.pool_p50_us"), med(name, "probe.inline_p50_us")
         lines.append(f"| {name} | {pool:.0f} | {inline:.0f} | {pool - inline:.0f} |")
-    section = "\n".join(lines) + "\n"
-    print(section)
-    fresh = not os.path.exists(SERVING_READ_DOC)
-    with open(SERVING_READ_DOC, "a") as fh:
-        fh.write("# The serving read path, layer by layer\n\n"
-                 "Sections are appended by `benchmarks/studies.py serving-layers` "
-                 "and never edited.\n\n" if fresh else "\n")
-        fh.write(section)
+    _append_section(SERVING_READ_DOC, "The serving read path, layer by layer",
+                    "serving-layers", "\n".join(lines) + "\n")
+
+
+SIM_THREADS_DOC = os.path.join(BENCH_DIR, "..", "docs", "sim-threads.md")
+SUITE_METRICS = (  # name, the better direction
+    ("op_p50_ms", "lower"), ("ops_per_s", "higher"), ("setup_s", "lower"), ("peak_rss_mb", "lower"),
+)
+
+
+def _sim_threads_child(reps: int) -> None:
+    """One process on this tree: the ``train_dist`` trainer (ogbn-products
+    0.5, P = 4 cd-5 Libra, sim) once its cd-5 pipeline has filled, epochs
+    alternating between the rank pool forced to one thread (rank-order
+    stepping) and its default size, the first arm swapped every rep;
+    median epoch ms per arm, as one JSON line."""
+    from repro.comm import communicator
+
+    ds = load_dataset("ogbn-products", scale=0.5, seed=0)
+    trainer = DistributedTrainer(ds, 4, algorithm="cd-5", config=_suite_config(ds, 0),
+                                 partitioner="libra")
+    for epoch in range(5):
+        trainer.train_epoch(epoch)
+    default = communicator._pool_size
+    arms = {"1": lambda num_ranks: 1, str(default(4)): default}
+    times = {name: [] for name in arms}
+    for rep in range(reps):
+        order = list(arms.items())[:: -1 if rep % 2 else 1]
+        for i, (name, size) in enumerate(order):
+            communicator._pool_size = size
+            times[name].append(trainer.train_epoch(5 + 2 * rep + i).total_time_s)
+    communicator._pool_size = default
+    print(json.dumps({name: 1e3 * float(np.median(t)) for name, t in times.items()}))
+
+
+def sim_threads(reps: int, baseline=None) -> None:
+    """The sim driver's rank threads on ``train_dist``: this tree's epoch
+    with the pool forced to one thread against its default size, and —
+    with ``baseline`` (a checkout) — ``reps`` parent / change pairs (which
+    side runs first alternates pair by pair) of each tree's own ``suite/run.py --workload train_dist``:
+    medians, the paired ratio's median and the pairs the change won.
+    Appends a dated section to docs/sim-threads.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    src = os.path.join(BENCH_DIR, "..", "src")
+    arms = _child_json([sys.executable, "-c",
+                        f"import studies; studies._sim_threads_child({reps})"], src, BENCH_DIR)
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs",
+        "",
+        f"`train_dist` epoch (ogbn-products 0.5, P = 4 cd-5, sim), {reps} epochs per arm "
+        "alternating after the cd-5 pipeline fills (the first arm swaps every rep), "
+        "BLAS on one thread; median ms.",
+        "",
+        "| rank threads | epoch ms | vs 1 thread |",
+        "| --- | --- | --- |",
+    ]
+    one = arms["1"]
+    lines += [f"| {name} | {ms:.1f} | {ms / one:.2f} |" for name, ms in arms.items()]
+    if baseline:
+        trees = {"parent": baseline, "change": os.path.join(BENCH_DIR, "..")}
+        runs = {name: [] for name in trees}
+        for rep in range(reps):
+            for name, root in list(trees.items())[:: -1 if rep % 2 else 1]:
+                runs[name].append(_child_json(
+                    [sys.executable, "benchmarks/suite/run.py", "--workload", "train_dist",
+                     "--seed", "0", "--seconds", "10", "--trace", "0"],
+                    os.path.join(root, "src"), cwd=root,
+                )["metrics"])
+        lines += [
+            "",
+            f"`suite/run.py --workload train_dist --trace 0`, {reps} parent / change "
+            "pairs, the side that runs first alternating pair by pair, each tree's own "
+            "frozen suite (`train_*` numbers are machine-speed scaled): median "
+            "[quartiles] per tree.",
+            "",
+            "| metric | parent | change | paired change / parent | change better |",
+            "| --- | --- | --- | --- | --- |",
+        ]
+
+        def quartiles(values):
+            q1, q2, q3 = np.percentile(values, [25, 50, 75])
+            return f"{q2:.4g} [{q1:.4g}–{q3:.4g}]"
+
+        for metric, better in SUITE_METRICS:
+            parent, change = ([r[metric]["value"] for r in runs[name]] for name in trees)
+            ratios = [c / p for p, c in zip(parent, change)]
+            wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+            lines.append(f"| `{metric}` | {quartiles(parent)} | {quartiles(change)} "
+                         f"| {np.median(ratios):.3f} | {wins}/{reps} |")
+    _append_section(SIM_THREADS_DOC, "Sim ranks on threads", "sim-threads",
+                    "\n".join(lines) + "\n")
 
 
 STUDIES = {
@@ -621,6 +725,7 @@ STUDIES = {
     "project-first": project_first,
     "subnormals": subnormals,
     "serving-layers": serving_layers,
+    "sim-threads": sim_threads,
 }
 
 if __name__ == "__main__":
@@ -630,15 +735,16 @@ if __name__ == "__main__":
     parser.add_argument("--part", choices=sorted(PROJECT_FIRST_PARTS),
                         help="project-first: only this table (default: all three)")
     parser.add_argument("--baseline", metavar="CHECKOUT",
-                        help="serving-layers: a checkout to measure beside this tree")
+                        help="serving-layers / sim-threads: a checkout to measure "
+                        "beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":
         parser.error("--part belongs to project-first")
-    if args.baseline and args.study != "serving-layers":
-        parser.error("--baseline belongs to serving-layers")
+    if args.baseline and args.study not in ("serving-layers", "sim-threads"):
+        parser.error("--baseline belongs to serving-layers and sim-threads")
     if args.part:
         project_first(args.reps, parts=(args.part,))
-    elif args.study == "serving-layers":
-        serving_layers(args.reps, baseline=args.baseline)
+    elif args.baseline:
+        STUDIES[args.study](args.reps, baseline=args.baseline)
     else:
         STUDIES[args.study](args.reps)

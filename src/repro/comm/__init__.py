@@ -28,8 +28,8 @@ Two interchangeable backends implement the per-rank communicator surface
 drives a rank program written against it (see ``docs/ARCHITECTURE.md``
 § "Execution backends"):
 
-- ``"sim"`` — the in-process :class:`World` above: ``run_programs`` steps
-  the ``P`` rank programs in rank order between sync points
+- ``"sim"`` — the in-process :class:`World` above: ``run_programs`` runs
+  the ``P`` rank programs side by side on threads between sync points
   (deterministic, models communication, measures nothing);
 - ``"shm"`` — :mod:`repro.comm.shm`: one OS process per rank over
   ``multiprocessing.shared_memory`` mailboxes, sync points block

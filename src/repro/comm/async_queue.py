@@ -10,9 +10,11 @@ clock reaches it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 import numpy as np
+
+from repro.analysis.sanitizers import make_lock
 
 
 @dataclass
@@ -28,45 +30,46 @@ class Message:
 
 
 class DelayedQueue:
-    """Per-destination mailboxes with epoch-gated visibility."""
+    """Per-destination mailboxes with epoch-gated visibility (thread-safe:
+    the sim driver's rank threads post and drain concurrently)."""
 
     def __init__(self, num_ranks: int):
         self.num_ranks = num_ranks
-        self._boxes: List[List[Message]] = [[] for _ in range(num_ranks)]
+        self._lock = make_lock("comm.async_queue")
+        self._boxes: List[List[Message]] = [[] for _ in range(num_ranks)]  # guarded-by: _lock
 
     def post(self, msg: Message) -> None:
         if not 0 <= msg.dst < self.num_ranks:
             raise ValueError(f"destination rank {msg.dst} out of range")
-        self._boxes[msg.dst].append(msg)
+        with self._lock:
+            self._boxes[msg.dst].append(msg)
 
     def drain(self, rank: int, epoch: int, tag: Any = None) -> List[Message]:
-        """Remove and return messages deliverable at ``epoch`` (FIFO order)."""
-        box = self._boxes[rank]
+        """Remove and return messages deliverable at ``epoch``, stably
+        sorted by ``(post_epoch, src)``.  Each sender posts in program
+        order, so this is the shm receivers' ``(post_epoch, src,
+        sender_seq)`` order, however the ranks' stretches interleaved."""
         ready, later = [], []
-        for msg in box:
-            if msg.deliver_epoch <= epoch and (tag is None or msg.tag == tag):
-                ready.append(msg)
-            else:
-                later.append(msg)
-        self._boxes[rank] = later
-        return ready
+        with self._lock:
+            for msg in self._boxes[rank]:
+                if msg.deliver_epoch <= epoch and (tag is None or msg.tag == tag):
+                    ready.append(msg)
+                else:
+                    later.append(msg)
+            self._boxes[rank] = later
+        return sorted(ready, key=lambda msg: (msg.post_epoch, msg.src))
 
     def pending(self, rank: int, epoch: int, tag: Any = None) -> int:
-        return sum(
-            1
-            for msg in self._boxes[rank]
-            if msg.deliver_epoch > epoch and (tag is None or msg.tag == tag)
-        )
-
-    def total_in_flight(self) -> int:
-        return sum(len(b) for b in self._boxes)
+        with self._lock:
+            return sum(msg.deliver_epoch > epoch and (tag is None or msg.tag == tag)
+                       for msg in self._boxes[rank])
 
     def in_flight_bytes(self) -> int:
         """Total buffered payload bytes — the cd-r memory overhead the
         paper's Table 6 charges for communication buffering."""
-        return sum(
-            int(np.asarray(m.payload).nbytes) for b in self._boxes for m in b
-        )
+        with self._lock:
+            return sum(int(np.asarray(m.payload).nbytes) for b in self._boxes for m in b)
 
     def clear(self) -> None:
-        self._boxes = [[] for _ in range(self.num_ranks)]
+        with self._lock:
+            self._boxes = [[] for _ in range(self.num_ranks)]

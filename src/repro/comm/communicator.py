@@ -3,17 +3,21 @@
 A :class:`World` owns ``num_ranks`` mailbox sets, the byte counters, and
 the delayed-delivery queue; each rank gets a :class:`Communicator` handle
 (the moral equivalent of its ``MPI_COMM_WORLD``).  All ranks execute in
-one process and one thread, so a rank cannot block in a rendezvous:
+one process and no rank ever blocks in a rendezvous:
 ``Communicator.barrier`` / ``all_reduce`` return a :class:`SyncPoint`
 that the rank program (a generator) yields, and
-:meth:`World.run_programs` steps the ``P`` programs in rank order from
-sync point to sync point — the *ordering* guarantees are identical to
+:meth:`World.run_programs` runs the ``P`` programs side by side on the
+``repro-rank`` threads from sync point to sync point, resolving each
+point on the driver thread — the *ordering* guarantees are identical to
 the MPI program the paper runs (collectives act as barriers, async
 messages deliver ``delay`` epochs later).
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Sequence
 
@@ -22,7 +26,37 @@ import numpy as np
 from repro.comm.async_queue import DelayedQueue, Message
 from repro.comm.collectives import all_reduce
 from repro.comm.counters import CommCounters
+from repro.kernels.fpenv import in_callers_mode
 from repro.obs.registry import register_comm_world
+from repro.obs.trace import activate, current_span
+
+# One rank-thread pool per size, apart from the kernel engine's ``repro-ap``
+# pools (a rank thread waits on the AP tasks it submits there).  A forked
+# child (the shm backend forks after sim runs) has none of the parent's
+# threads, so it drops the pools and builds fresh ones.
+@functools.lru_cache(maxsize=None)
+def _rank_pool(size: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(size, thread_name_prefix="repro-rank")
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - posix
+    os.register_at_fork(after_in_child=_rank_pool.cache_clear)
+
+
+def _pool_size(num_ranks: int) -> int:
+    """Rank threads: one per rank, at most one per usable core."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(num_ranks, len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
+def _stretch(program: Generator, reply: Any, span=None):
+    """``program`` run to its next sync point under ``span``: ``(point,
+    False)``, or ``(return value, True)``."""
+    with activate(span):
+        try:
+            return program.send(reply), False
+        except StopIteration as stop:
+            return stop.value, True
 
 
 class World:
@@ -72,39 +106,47 @@ class World:
         """Run one rank program per rank to completion; returns their
         return values in rank order.
 
-        Each program is resumed in rank order and runs until it yields
-        its next :class:`SyncPoint`; once every rank has arrived the
-        point is resolved (a barrier releases everyone, an AllReduce
-        hands every rank the reduction) and the next stretch starts,
-        again from rank 0.  Rank-order stepping is what makes mailbox
-        FIFO order, reduction order and the byte counters deterministic
-        — and equal to the shm backend, whose receivers sort by
-        ``(post_epoch, src, send order)``.
+        Every program runs to its next :class:`SyncPoint` side by side
+        on :func:`_pool_size` ``repro-rank`` threads (one thread steps
+        them in rank order), in the caller's floating-point mode and
+        span.  The driver gathers the points in rank order and resolves
+        them (a barrier releases everyone, an AllReduce hands every rank
+        the rank-order reduction) before the next stretch.  Interleaving
+        cannot reach a result: a stretch touches only its rank's state,
+        mailboxes drain sorted by ``(post_epoch, src)`` (shm's order) and
+        counters are sums.  A rank that raises — or an interrupt of the
+        driver — closes every program once no stretch still runs; the
+        error (the lowest raising rank's) propagates.
         """
         if len(programs) != self.num_ranks:
             raise ValueError("need one rank program per rank")
+        submit, span = _rank_pool(_pool_size(self.num_ranks)).submit, current_span()
+        task = in_callers_mode(_stretch)
         replies: List[Any] = [None] * self.num_ranks
-        results: List[Any] = [None] * self.num_ranks
-        while True:
-            points, finished = [], 0
-            for rank, program in enumerate(programs):
-                try:
-                    points.append(program.send(replies[rank]))
-                except StopIteration as stop:
-                    results[rank] = stop.value
-                    finished += 1
-            if finished == self.num_ranks:
-                return results
-            reducing = [p.array is not None for p in points]
-            if finished or any(reducing) != all(reducing):
-                raise RuntimeError(
-                    "rank programs disagree on their sync points "
-                    "(SPMD code must reach the same collectives in the same order)"
-                )
-            if reducing[0]:
-                replies = all_reduce(self, [p.array for p in points], op=points[0].op)
-            else:
-                replies = [None] * self.num_ranks
+        futures: List[Future] = []  # extended one by one: an interrupt keeps what was submitted
+        try:
+            while True:
+                futures.clear()
+                futures.extend(submit(task, p, r, span) for p, r in zip(programs, replies))
+                steps = [future.result() for future in futures]
+                points = [value for value, done in steps if not done]
+                if not points:
+                    return [value for value, _ in steps]
+                reducing = [p.array is not None for p in points]
+                if len(points) < self.num_ranks or any(reducing) != all(reducing):
+                    raise RuntimeError(
+                        "rank programs disagree on their sync points "
+                        "(SPMD code must reach the same collectives in the same order)"
+                    )
+                if reducing[0]:
+                    replies = all_reduce(self, [p.array for p in points], op=points[0].op)
+                else:
+                    replies = [None] * self.num_ranks
+        except BaseException:
+            wait(futures)  # closing a program that still runs would raise ValueError
+            for program in programs:
+                program.close()
+            raise
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ and a receiver drains its queue until it has caught up with the counter.
 Combined with the barrier-based epoch boundaries of the SPMD trainer this
 makes the *set* of deliverable messages at any drain identical to the
 lockstep simulator's, and :meth:`ShmCommunicator.recv_ready` sorts ripe
-messages by ``(post_epoch, src, sender_seq)`` — the exact FIFO order the
-lockstep driver produces — so floating-point reductions over arrivals are
+messages by ``(post_epoch, src, sender_seq)`` — the exact order the sim
+queue's sorted drain produces — so floating-point reductions over arrivals are
 bit-identical across backends.
 
 Failure model
@@ -410,7 +410,7 @@ class ShmCommunicator:
         """Drain messages deliverable at the current epoch.
 
         Returns them in ``(post_epoch, src, sender_seq)`` order — the
-        FIFO order the lockstep simulator produces — so reductions over
+        order the sim queue's sorted drain produces — so reductions over
         arrivals are deterministic and backend-independent.
         """
         self._pump()

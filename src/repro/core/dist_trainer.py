@@ -42,10 +42,10 @@ are documented in ``docs/ARCHITECTURE.md``.
 
 Execution backends
 ------------------
-``backend="sim"`` (default) steps the ``P`` rank programs in one process,
-in rank order from sync point to sync point
-(:meth:`repro.comm.World.run_programs`) — deterministic, and collectives
-cost nothing.  ``backend="shm"`` hands ``fit()`` to
+``backend="sim"`` (default) runs the ``P`` rank programs in one process,
+side by side on threads from sync point to sync point
+(:meth:`repro.comm.World.run_programs`) — deterministic (bit-identical
+to stepping them in rank order), and collectives cost nothing.  ``backend="shm"`` hands ``fit()`` to
 :mod:`repro.core.spmd`, which runs the same program as one OS process
 per partition over the :mod:`repro.comm.shm` shared-memory world, where
 sync points block — same losses, parameters and byte counters (one
@@ -137,11 +137,11 @@ class RankProgram:
     ``train_epoch`` and ``evaluate`` are generators over one rank's
     communicator: they yield at every sync point (the two barriers of a
     synchronous DRPA round, each per-parameter AllReduce) and are run by
-    ``World.run_programs`` (sim: ``P`` copies stepped in rank order) or
+    ``World.run_programs`` (sim: ``P`` copies on the rank threads) or
     ``ShmCommunicator.run_program`` (shm: one copy per process, sync
     points block).  Phase timers go through ``Stopwatch.timed`` wherever
-    they cover a sync point, so on sim a phase never absorbs the other
-    ranks' compute.
+    they cover a sync point, so on sim a phase never absorbs the wait
+    for the other ranks there.
     """
 
     def __init__(self, trainer: "DistributedTrainer", comm):
@@ -254,8 +254,8 @@ class RankProgram:
         state.model.eval()
         h = Tensor(state.ensure_features(self.feature_store))
         for l, layer in enumerate(state.model.layers):
-            # no_grad is process-global state: never held across a sync
-            # point, where the sim driver runs the other ranks.
+            # no_grad is per-thread state, never held across a sync point:
+            # after one the sim driver may resume this rank on another thread.
             with no_grad():
                 x = layer.project(h) if l else h
                 z = self.aggregate(l, layer, x)
@@ -413,8 +413,8 @@ class DistributedTrainer:
             epoch=epoch,
             # Global loss = sum of the per-rank owned-vertex losses.
             loss=float(np.sum([rec["loss"] for rec in records])),
-            # shm ranks run concurrently: the epoch costs as much as the
-            # slowest rank (on sim every rank reports the serial total).
+            # ranks run concurrently: the epoch costs as much as the
+            # slowest rank (on sim every rank reports the driver's wall time).
             total_time_s=max(rec["total_time_s"] for rec in records),
             local_agg_time_s=float(
                 np.mean([rec["local_agg_time_s"] for rec in records])

@@ -161,7 +161,7 @@ class DRPAExchanger:
             for msg in self.comm.recv_ready(tag=tag):
                 rows = self.bins[bin_id].buckets[(msg.src, rank)][1]
                 decoded = self.codec.decode(msg.payload, dtype=values.dtype)
-                np.add.at(values, rows, decoded)  # line 14
+                values[rows] += decoded  # line 14; a bucket's root rows are unique
                 handled.append(msg.src)
         return handled
 

@@ -19,7 +19,7 @@ class Stopwatch:
     def timed(self, phase: str, steps: Generator) -> Generator:
         """Run the generator ``steps`` (``yield from`` this), charging
         ``phase`` for every stretch between its yields but never for the
-        suspension at a yield — where the sim driver runs the other
+        suspension at a yield — where the sim driver waits for the other
         ranks.  A blocking communicator waits *inside* the stretch, so
         on shm the phase still includes the barrier wait."""
         reply = None

@@ -12,35 +12,40 @@ Design notes
 - The tape is per-tensor (no global state), so the distributed trainer
   can backprop independent per-layer segments (see
   :mod:`repro.core.dist_trainer`) by detaching segment boundaries.
-- ``no_grad()`` suppresses tape construction for evaluation passes.
+- ``no_grad()`` suppresses tape construction for evaluation passes, on
+  the calling thread only (the sim driver runs ranks on threads).
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import flush_subnormals
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the context (evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording on this thread inside the context (evaluation)."""
+    prev, _grad_mode.enabled = _grad_mode.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_mode.enabled
 
 
 class Tensor:
@@ -59,8 +64,8 @@ class Tensor:
         self.data = np.asarray(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents if _grad_enabled else ()
-        self._backward_fn = _backward_fn if _grad_enabled else None
+        tape = (_parents, _backward_fn) if _grad_mode.enabled else ((), None)
+        self._parents, self._backward_fn = tape
         self.name = name
 
     # -- introspection ---------------------------------------------------------

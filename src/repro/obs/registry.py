@@ -235,7 +235,7 @@ def comm_metrics() -> List[Metric]:
         "Collective invocations by name",
     )
     for name, world in sorted(_live_comm_worlds()):
-        counters = world.counters
+        counters = world.counters.snapshot()  # one instant: ranks may be recording
         for rank in range(counters.num_ranks):
             sent.add(counters.bytes_sent[rank], world=name, rank=rank)
             recv.add(counters.bytes_received[rank], world=name, rank=rank)

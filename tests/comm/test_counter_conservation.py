@@ -4,8 +4,12 @@ Every point-to-point byte a rank sends is a byte some rank receives, and
 collectives record matched (sent, received) volumes — so at any quiescent
 point ``sum(bytes_sent) == sum(bytes_received)`` must hold, *including*
 while delayed DRPA messages are still spanning epochs in flight (the
-counters record at post time, on both backends).
+counters record at post time, on both backends) — and at every instant
+a scrape can observe while the sim driver's rank threads record.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from hypothesis import strategies as st
 from repro.comm import ShmWorld, World
 from repro.core import DistributedTrainer, TrainConfig
 from repro.graph.datasets import load_dataset
+from repro.obs.registry import serving_registry
+from sim_oracle import force_pool_size
 
 #: (src, dst, words, delay) drawn over a 3-rank world, 3 epochs
 message_scripts = st.lists(
@@ -96,3 +102,45 @@ def test_trainer_counters_conserved_with_delayed_drpa(backend):
     _assert_conserved(counters)
     assert result.peak_inflight_bytes > 0, "cd-2 must have messages in flight"
     assert counters.total_bytes > 0
+
+
+def test_counters_conserved_under_a_scrape_of_a_threaded_fit(monkeypatch):
+    """A scraper thread reads ``counters.snapshot()`` and the telemetry
+    registry throughout a cd-0 fit whose three ranks record from their
+    own threads: every reading is one instant, so it is conserved."""
+    force_pool_size(monkeypatch, 3)
+    ds = load_dataset("reddit", scale=0.05, seed=1)
+    cfg = TrainConfig(
+        num_layers=2, hidden_features=16, learning_rate=0.01,
+        eval_every=1, seed=0,
+    )
+    trainer = DistributedTrainer(ds, 3, algorithm="cd-0", config=cfg)
+    world, readings = trainer.world, []
+    done = threading.Event()
+
+    def registry_totals():
+        families = {m.name: m for m in serving_registry(include_ap=False).collect()}
+        return [
+            sum(v for labels, v in families[name].samples if labels["world"] == world.obs_name)
+            for name in ("repro_comm_bytes_sent_total", "repro_comm_bytes_received_total")
+        ]
+
+    def scrape():
+        while not done.is_set():
+            snap = world.counters.snapshot()
+            readings.append((sum(snap.bytes_sent), sum(snap.bytes_received)))
+            readings.append(tuple(registry_totals()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    scraper = threading.Thread(target=scrape)
+    scraper.start()
+    try:
+        trainer.fit(num_epochs=4)
+    finally:
+        done.set()
+        scraper.join(30)
+        sys.setswitchinterval(interval)
+    assert not scraper.is_alive()
+    assert len(readings) > 2 and max(sent for sent, _ in readings) > 0
+    assert all(sent == received for sent, received in readings)

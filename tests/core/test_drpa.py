@@ -6,7 +6,13 @@ import pytest
 from repro.comm import World
 from repro.core.drpa import BinRouting, DRPAExchanger, owned_mask, route_bins
 from repro.kernels import aggregate
-from repro.partition import build_partitions, build_split_trees, libra_partition
+from repro.partition import (
+    build_partitions,
+    build_split_trees,
+    hash_edge_partition,
+    libra_partition,
+    random_edge_partition,
+)
 
 
 @pytest.fixture
@@ -201,6 +207,29 @@ class TestBinRouting:
             gl = parted.parts[p].global_ids[leaf_rows]
             gr = parted.parts[q].global_ids[root_rows]
             assert np.array_equal(gl, gr)
+
+    @pytest.mark.parametrize("P", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            lambda g, P: libra_partition(g, P, seed=0),
+            lambda g, P: random_edge_partition(g, P, seed=0),
+            hash_edge_partition,
+        ],
+        ids=["libra", "random", "hash"],
+    )
+    def test_bucket_rows_are_unique(self, reddit_mini, partition, P):
+        """``reduce_up`` adds a bucket's payload as ``values[rows] +=``,
+        which equals the unbuffered ``np.add.at`` only because no row
+        repeats in a bucket: a vertex has at most one clone per partition."""
+        parted = build_partitions(reddit_mini.graph, partition(reddit_mini.graph, P), P)
+        plan = build_split_trees(parted, seed=0, build_tree_objects=False)
+        assert plan.num_routes > 0
+        for num_bins in (1, 5):
+            for routing in route_bins(plan, num_bins):
+                for leaf_rows, root_rows in routing.buckets.values():
+                    assert np.unique(leaf_rows).size == leaf_rows.size
+                    assert np.unique(root_rows).size == root_rows.size
 
     def test_empty_plan(self):
         from repro.partition.tree import TreeExchangePlan

@@ -145,8 +145,9 @@ def test_backends_agree_when_a_rank_owns_no_training_vertex(ds, algorithm):
 
 
 def test_sim_evaluate_leaves_autograd_enabled(ds):
-    """The rank programs suspend inside evaluation; the process-wide
-    no_grad switch must not stay off once they have all finished."""
+    """The rank programs suspend inside evaluation, and resume on any
+    rank thread; no thread's no_grad switch may stay off once they have
+    all finished."""
     from repro.nn.tensor import grad_enabled
 
     trainer = DistributedTrainer(ds, 3, algorithm="cd-0", config=_config("sage"))

@@ -1,5 +1,7 @@
 """Autograd tensor mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,43 @@ class TestNoGrad:
                 raise RuntimeError
         except RuntimeError:
             pass
+        assert grad_enabled()
+
+    def test_is_per_thread(self):
+        """One thread holds ``no_grad`` while a second builds a tape (the
+        sim driver's rank threads evaluate and train side by side): the
+        tape keeps its parents, the first thread's ops record none, and
+        both threads end with the tape on."""
+        from repro.nn.tensor import grad_enabled
+
+        a = Tensor(np.ones(2), requires_grad=True)
+        entered, built, left = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluator():
+            with no_grad():
+                entered.set()
+                built.wait(10)
+                seen["no_grad op is a leaf"] = F.mul(a, a).is_leaf
+            seen["evaluator restored"] = grad_enabled()
+            left.set()
+
+        def trainer():
+            entered.wait(10)
+            seen["tape op has parents"] = not F.mul(a, a).is_leaf
+            built.set()
+            left.wait(10)
+            seen["trainer restored"] = grad_enabled()
+
+        threads = [threading.Thread(target=f) for f in (evaluator, trainer)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == dict.fromkeys(
+            ["no_grad op is a leaf", "tape op has parents",
+             "evaluator restored", "trainer restored"], True
+        )
         assert grad_enabled()
 
 

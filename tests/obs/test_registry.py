@@ -94,7 +94,8 @@ def test_to_json_mirrors_samples():
 
 
 class _StubWorld:
-    """counters-shaped object (the duck type ``comm_metrics`` reads)."""
+    """counters-shaped object (the duck type ``comm_metrics`` reads: a
+    ``snapshot()`` holding the per-rank lists)."""
 
     class counters:  # noqa: N801 — instance attribute stand-in
         num_ranks = 2
@@ -102,6 +103,10 @@ class _StubWorld:
         bytes_received = [20, 10]
         messages_sent = [1, 2]
         collective_calls = {"allreduce": 3}
+
+        @classmethod
+        def snapshot(cls):
+            return cls
 
 
 def _world_samples():
