@@ -1,16 +1,13 @@
 """Serving throughput/latency baseline -> ``BENCH_serving.json``.
 
 A repo-root perf-trajectory file: measures the online request path of
-:mod:`repro.serving` over a
-Zipf-skewed request stream (heavy-traffic workloads hit a hot vertex
-set, which is what makes the LRU result cache pay).
+:mod:`repro.serving` over a Zipf-skewed request stream.
 
-Three series (schema v2):
+Four series (schema v2):
 
-- ``results`` — closed-loop floor, as in schema v1: ``direct``
-  synchronous ``predict_logits`` calls and ``batched`` micro-batcher
-  clients across (batch size, cache) cells.  These cells run the
-  deferred read path, the only one the cache and batcher serve.
+- ``results`` — closed-loop floor: ``direct`` synchronous
+  ``predict_logits`` table reads, one cell per batch size (``cache`` is
+  ``"off"``: no read path consults a result cache).
 - ``offered_load`` — **open-loop** latency-vs-offered-load curves
   through a table-mode service behind the bounded
   :class:`~repro.serving.frontend.ServingFrontend`:
@@ -24,7 +21,7 @@ Three series (schema v2):
   edge updates (each one a published incremental refresh):
   the cost of mutation-while-serving in latency and shed requests.
 - ``latency_decomposition`` — a fully-traced run at half capacity:
-  per-endpoint mean queue / batch / compute / feature component
+  per-endpoint mean queue / compute / feature component
   latencies cross-checked against the end-to-end mean (attributed sum
   and unattributed slack), from :mod:`repro.obs.trace`.
 
@@ -57,7 +54,6 @@ from repro.serving import (  # noqa: E402
     IncrementalRefresher,
     InferenceEngine,
     PredictionService,
-    ResultCache,
     ServingFrontend,
 )
 from repro.serving.loadgen import (  # noqa: E402
@@ -104,36 +100,6 @@ def _run_direct(service, stream, batch_size: int) -> dict:
         "reqs_per_s": len(latencies) / total,
         "vertices_per_s": stream.size / total,
         **_percentiles_ms(latencies),
-    }
-
-
-def _run_batched(service, stream, batch_size: int, num_clients: int = 4) -> dict:
-    """Concurrent clients; each request's latency includes queueing."""
-    shards = [stream[c::num_clients] for c in range(num_clients)]
-    latencies = [[] for _ in range(num_clients)]
-
-    def client(c: int) -> None:
-        shard = shards[c]
-        for lo in range(0, shard.size, batch_size):
-            ids = shard[lo : lo + batch_size]
-            t1 = time.perf_counter()
-            service.predict_logits(ids)
-            latencies[c].append(time.perf_counter() - t1)
-
-    threads = [threading.Thread(target=client, args=(c,)) for c in range(num_clients)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    total = time.perf_counter() - t0
-    flat = [l for sub in latencies for l in sub]
-    return {
-        "requests": len(flat),
-        "total_s": total,
-        "reqs_per_s": len(flat) / total,
-        "vertices_per_s": stream.size / total,
-        **_percentiles_ms(flat),
     }
 
 
@@ -363,7 +329,6 @@ def main(argv=None) -> int:
     ap.add_argument("--train-epochs", type=int, default=3)
     ap.add_argument("--requests", type=int, default=2000,
                     help="request-stream length in vertices per config")
-    ap.add_argument("--cache-size", type=int, default=2048)
     ap.add_argument("--batch-sizes", type=int, nargs="+", default=[1, 16, 128])
     ap.add_argument("--workers", type=int, default=4,
                     help="frontend worker-pool size for the open-loop series")
@@ -400,33 +365,14 @@ def main(argv=None) -> int:
     for batch_size in args.batch_sizes:
         stream_len = max(args.requests * batch_size, batch_size)
         stream = _zipf_stream(rng, ds.num_vertices, stream_len)
-        for cache_on in (False, True):
-            cache = ResultCache(args.cache_size) if cache_on else None
-            deferred = IncrementalRefresher(engine, deferred=True)
-            with PredictionService(engine, cache=cache, refresher=deferred) as svc:
-                measured = _run_direct(svc, stream, batch_size)
-                hit_rate = cache.hit_rate if cache is not None else 0.0
-                rows.append({
-                    "mode": "direct",
-                    "batch_size": batch_size,
-                    "cache": "on" if cache_on else "off",
-                    "cache_hit_rate": float(hit_rate),
-                    **measured,
-                })
-            cache = ResultCache(args.cache_size) if cache_on else None
-            with PredictionService(
-                engine, cache=cache, batch=True,
-                max_batch=max(64, batch_size), max_wait_ms=0.5, refresher=deferred,
-            ) as svc:
-                measured = _run_batched(svc, stream, batch_size)
-                hit_rate = cache.hit_rate if cache is not None else 0.0
-                rows.append({
-                    "mode": "batched",
-                    "batch_size": batch_size,
-                    "cache": "on" if cache_on else "off",
-                    "cache_hit_rate": float(hit_rate),
-                    **measured,
-                })
+        with PredictionService(engine, refresher=IncrementalRefresher(engine)) as svc:
+            rows.append({
+                "mode": "direct",
+                "batch_size": batch_size,
+                "cache": "off",
+                "cache_hit_rate": 0.0,
+                **_run_direct(svc, stream, batch_size),
+            })
 
     # -- open-loop offered-load sweep (schema v2) ---------------------------------
     capacity_rps = _estimate_capacity(
@@ -480,7 +426,6 @@ def main(argv=None) -> int:
         "scale": args.scale,
         "num_vertices": ds.num_vertices,
         "num_edges": ds.num_edges,
-        "cache_size": args.cache_size,
         "precompute_s": precompute_s,
         "smoke": bool(args.smoke),
         "results": rows,

@@ -7,8 +7,8 @@ that executes the same communication *semantics* deterministically:
 
 - :mod:`repro.comm.communicator` — the :class:`World` of ranks and the
   per-rank :class:`Communicator` handles.
-- :mod:`repro.comm.collectives` — AlltoAll(v), AllReduce, AllGather,
-  Broadcast over NumPy buffers (lockstep barrier semantics).
+- :mod:`repro.comm.collectives` — AllReduce over NumPy buffers
+  (lockstep semantics, rank-order reduction).
 - :mod:`repro.comm.async_queue` — epoch-delayed message delivery: a
   message posted at epoch ``e`` becomes visible at epoch ``e + delay``,
   which is exactly the staleness contract of cd-r (Alg. 4).
@@ -41,13 +41,7 @@ drives a rank program written against it (see ``docs/ARCHITECTURE.md``
 """
 
 from repro.comm.async_queue import DelayedQueue, Message
-from repro.comm.collectives import (
-    all_gather,
-    all_reduce,
-    all_to_all,
-    all_to_allv,
-    broadcast,
-)
+from repro.comm.collectives import all_reduce
 from repro.comm.communicator import Communicator, World
 from repro.comm.counters import CommCounters
 from repro.comm.netmodel import NetworkModel, HDR_200G
@@ -83,10 +77,6 @@ __all__ = [
     "validate_backend",
     "create_world",
     "all_reduce",
-    "all_gather",
-    "all_to_all",
-    "all_to_allv",
-    "broadcast",
     "DelayedQueue",
     "Message",
     "CommCounters",

@@ -59,17 +59,8 @@ class DelayedQueue:
             self._boxes[rank] = later
         return sorted(ready, key=lambda msg: (msg.post_epoch, msg.src))
 
-    def pending(self, rank: int, epoch: int, tag: Any = None) -> int:
-        with self._lock:
-            return sum(msg.deliver_epoch > epoch and (tag is None or msg.tag == tag)
-                       for msg in self._boxes[rank])
-
     def in_flight_bytes(self) -> int:
         """Total buffered payload bytes — the cd-r memory overhead the
         paper's Table 6 charges for communication buffering."""
         with self._lock:
             return sum(int(np.asarray(m.payload).nbytes) for b in self._boxes for m in b)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._boxes = [[] for _ in range(self.num_ranks)]

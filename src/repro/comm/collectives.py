@@ -1,15 +1,12 @@
 """Collective operations over the simulated world.
 
-All collectives are *lockstep*: the caller passes the per-rank inputs for
-every rank at once and receives per-rank outputs, which is how the
-distributed trainer drives the ranks.  Byte accounting follows the
-standard cost of each collective on a fat network:
-
-- AllReduce: ring/Rabenseifner volume, ``2 * (P-1)/P * nbytes`` per rank;
-- AlltoAll(v): each rank sends its off-diagonal row;
-- AllGather: each rank sends its block to ``P - 1`` peers;
-- Broadcast: root sends ``P - 1`` copies (tree pipelining affects time,
-  not volume per link endpoint).
+The one collective the trainers use is AllReduce (parameter sync, and
+the reductions :meth:`World.run_programs` resolves at a sync point).  It
+is *lockstep*: the caller passes the per-rank inputs for every rank at
+once and receives per-rank outputs.  Byte accounting follows its
+standard cost on a fat network: ring/Rabenseifner volume,
+``2 * (P-1)/P * nbytes`` per rank.  Partial aggregates travel
+point-to-point (``Communicator.isend``), not through a collective.
 """
 
 from __future__ import annotations
@@ -64,70 +61,3 @@ def all_reduce(
     ring = int(2 * (p - 1) / p * nbytes) if p > 1 else 0
     world.counters.record_collective("all_reduce", [(ring, ring)] * p)
     return [total.copy() for _ in range(p)]
-
-
-def all_gather(world: World, arrays: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
-    """AllGather: every rank receives every rank's array."""
-    _check(world, arrays)
-    p = world.num_ranks
-    per_rank = []
-    for r in range(p):
-        sent = int(np.asarray(arrays[r]).nbytes) * (p - 1)
-        recv = sum(
-            int(np.asarray(arrays[q]).nbytes) for q in range(p) if q != r
-        )
-        per_rank.append((sent, recv))
-    world.counters.record_collective("all_gather", per_rank)
-    return [[np.asarray(a).copy() for a in arrays] for _ in range(p)]
-
-
-def all_to_all(
-    world: World, send: Sequence[Sequence[np.ndarray]]
-) -> List[List[np.ndarray]]:
-    """AlltoAll: ``send[i][j]`` goes from rank ``i`` to rank ``j``.
-
-    Returns ``recv`` with ``recv[j][i] = send[i][j]``.  This is the
-    collective DistGNN uses "for communicating the partial aggregates
-    between the root and leaves in the 1-level tree".
-    """
-    _check(world, send)
-    p = world.num_ranks
-    for row in send:
-        if len(row) != p:
-            raise ValueError("send must be a PxP matrix of buffers")
-    per_rank = []
-    for r in range(p):
-        sent = sum(
-            int(np.asarray(send[r][q]).nbytes) for q in range(p) if q != r
-        )
-        recv = sum(
-            int(np.asarray(send[q][r]).nbytes) for q in range(p) if q != r
-        )
-        per_rank.append((sent, recv))
-    world.counters.record_collective("all_to_all", per_rank)
-    return [[np.asarray(send[i][j]).copy() for i in range(p)] for j in range(p)]
-
-
-def all_to_allv(
-    world: World,
-    send_buffers: Sequence[Sequence[np.ndarray]],
-) -> List[List[np.ndarray]]:
-    """Variable-size AlltoAll (alias of :func:`all_to_all`; the simulated
-    buffers already carry their own sizes)."""
-    return all_to_all(world, send_buffers)
-
-
-def broadcast(world: World, array: np.ndarray, root: int = 0) -> List[np.ndarray]:
-    """Broadcast from ``root`` to all ranks."""
-    p = world.num_ranks
-    nbytes = int(np.asarray(array).nbytes)
-    per_rank = [
-        (nbytes * (p - 1), 0) if r == root else (0, nbytes) for r in range(p)
-    ]
-    world.counters.record_collective("broadcast", per_rank)
-    return [np.asarray(array).copy() for _ in range(p)]
-
-
-def barrier(world: World) -> None:
-    """No-op in lockstep execution; recorded for call accounting."""
-    world.counters.record_collective("barrier", [(0, 0)] * world.num_ranks)

@@ -86,10 +86,6 @@ class World:
         self._epoch += 1
         return self._epoch
 
-    def reset_epoch(self) -> None:
-        self._epoch = 0
-        self.queue.clear()
-
     # -- rank handles ----------------------------------------------------------
 
     def communicator(self, rank: int) -> "Communicator":
@@ -201,10 +197,6 @@ class Communicator:
     def recv_ready(self, tag: Any = None) -> List[Message]:
         """Drain all messages for this rank deliverable at the current epoch."""
         return self.world.queue.drain(self.rank, self.world.epoch, tag=tag)
-
-    def pending_count(self, tag: Any = None) -> int:
-        """Messages posted to this rank but not yet deliverable."""
-        return self.world.queue.pending(self.rank, self.world.epoch, tag=tag)
 
     # -- sync points (yield the result to World.run_programs) -----------------
 

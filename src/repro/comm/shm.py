@@ -10,10 +10,9 @@ computation overlap:
   the shared byte counters, and the epoch barrier; ``run()`` forks one
   worker process per rank and collects their return values.
 - :class:`ShmCommunicator` — the per-process rank handle.  Implements the
-  simulator's surface (``isend`` / ``recv_ready`` / ``pending_count`` /
-  ``barrier`` / ``all_reduce``) with *blocking* sync points, plus
-  ``all_to_allv`` and ``broadcast``; ``run_program`` drives a rank
-  program (the generator the simulator steps) straight through.
+  simulator's surface (``isend`` / ``recv_ready`` / ``barrier`` /
+  ``all_reduce``) with *blocking* sync points; ``run_program`` drives a
+  rank program (the generator the simulator steps) straight through.
 
 Transport
 ---------
@@ -49,7 +48,7 @@ from __future__ import annotations
 import queue as _queue
 import threading
 import traceback
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +63,7 @@ SHM_PAYLOAD_THRESHOLD = 1 << 14
 
 #: fixed accounting slots for collective-call counts (mirrors the names
 #: the simulator's :mod:`repro.comm.collectives` records).
-_COLLECTIVE_NAMES = ("all_reduce", "all_gather", "all_to_all", "broadcast", "barrier")
+_COLLECTIVE_NAMES = ("all_reduce",)
 
 
 def _require_fork_context():
@@ -283,8 +282,8 @@ class ShmCommunicator:
     """One rank's handle inside its own process.
 
     Implements the simulator ``Communicator`` surface (``isend`` /
-    ``recv_ready`` / ``pending_count`` with epoch-delayed visibility)
-    plus blocking collectives.  The epoch clock is rank-local; the SPMD
+    ``recv_ready`` with epoch-delayed visibility) plus blocking
+    collectives.  The epoch clock is rank-local; the SPMD
     trainer advances it at barrier-aligned epoch boundaries so all ranks
     agree on message ripeness.
     """
@@ -429,16 +428,6 @@ class ShmCommunicator:
                 self._state.inflight_bytes[self.rank] -= delivered
         return out
 
-    def pending_count(self, tag: Any = None) -> int:
-        """Messages posted to this rank but not yet deliverable."""
-        self._pump()
-        return sum(
-            1
-            for _, msg in self._store
-            if msg.deliver_epoch > self._epoch
-            and (tag is None or msg.tag == tag)
-        )
-
     # -- collectives ------------------------------------------------------------
     #
     # SPMD discipline: every rank calls the same collectives in the same
@@ -508,59 +497,6 @@ class ShmCommunicator:
         ring = int(2 * (p - 1) / p * arr.nbytes) if p > 1 else 0
         self._record_collective("all_reduce", ring, ring, count_call=self.rank == 0)
         return np.array(total, copy=True)
-
-    def all_to_allv(self, send_rows: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Variable-size AlltoAll: ``send_rows[q]`` goes to rank ``q``.
-
-        Returns ``recv`` with ``recv[q]`` = the buffer rank ``q`` sent to
-        this rank (own slot copied locally).  Byte accounting matches the
-        simulator's ``all_to_allv`` (off-diagonal volume only).
-        """
-        p = self.size
-        if len(send_rows) != p:
-            raise ValueError(f"need one send buffer per rank ({p})")
-        seq = self._coll_seq
-        self._coll_seq += 1
-        sent = 0
-        for q in range(p):
-            if q == self.rank:
-                continue
-            buf = np.asarray(send_rows[q])
-            sent += int(buf.nbytes)
-            self._coll_put(q, "a2a", seq, _pack_payload(buf))
-        recv: List[Optional[np.ndarray]] = [None] * p
-        recv[self.rank] = np.array(send_rows[self.rank], copy=True)
-        received = 0
-        for _ in range(p - 1):
-            src, ref = self._coll_get("a2a", seq)
-            recv[src] = _unpack_payload(ref)
-            received += int(recv[src].nbytes)
-        self._record_collective(
-            "all_to_all", sent, received, count_call=self.rank == 0
-        )
-        return recv
-
-    def broadcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        """Broadcast ``array`` from ``root``; other ranks may pass None."""
-        p = self.size
-        seq = self._coll_seq
-        self._coll_seq += 1
-        if self.rank == root:
-            arr = np.asarray(array)
-            for q in range(p):
-                if q != root:
-                    self._coll_put(q, "bc", seq, _pack_payload(arr))
-            out = np.array(arr, copy=True)
-            self._record_collective(
-                "broadcast", int(arr.nbytes) * (p - 1), 0, count_call=True
-            )
-        else:
-            _, ref = self._coll_get("bc", seq)
-            out = _unpack_payload(ref)
-            self._record_collective(
-                "broadcast", 0, int(out.nbytes), count_call=False
-            )
-        return out
 
     # -- rank-program driver ----------------------------------------------------
 

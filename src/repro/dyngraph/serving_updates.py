@@ -26,7 +26,7 @@ full ``precompute()`` on the compacted graph (pinned in
 ``tests/dyngraph/test_serving_updates.py``).
 
 Wired into :class:`repro.serving.refresh.IncrementalRefresher.
-update_edges` (incremental / full / deferred policy) and
+update_edges` (incremental / full policy) and
 :class:`repro.serving.server.PredictionService.update_edges` (HTTP
 ``POST /update_edges``).
 """
@@ -78,8 +78,8 @@ def as_edge_pairs(edges, what: str) -> Tuple[np.ndarray, np.ndarray]:
 class EdgeUpdateStats:
     """Outcome of one ``update_edges`` call."""
 
-    #: "incremental" (row-subset recompute), "full" (whole-graph
-    #: precompute), or "deferred" (tables left stale, on-demand serving).
+    #: "incremental" (row-subset recompute) or "full" (whole-graph
+    #: precompute).
     mode: str
     num_added: int
     num_removed: int
@@ -173,8 +173,8 @@ def full_topology_update(engine, add=None, remove=None) -> EdgeUpdateStats:
     """Edge update + whole-graph precompute (no refresher attached).
 
     The simplest correct policy: apply the mutation and rebuild every
-    table.  ``engine.version`` is bumped by the precompute, so caches
-    layered on top invalidate as usual.
+    table.  The precompute publishes a new logits table and bumps
+    ``engine.version``.
     """
     delta = apply_topology(engine, add=add, remove=remove)
     engine.precompute()

@@ -21,7 +21,6 @@ aggregation primitive.
 from repro.nn import functional
 from repro.nn.gat import GAT, GATConv
 from repro.nn.gcn import GCN, GCNConv
-from repro.nn.gin import GIN, GINConv
 from repro.nn.init import kaiming_uniform, xavier_uniform
 from repro.nn.layers import Dropout, Linear
 from repro.nn.loss import accuracy, masked_cross_entropy
@@ -46,8 +45,6 @@ __all__ = [
     "RelGraphConv",
     "GCN",
     "GCNConv",
-    "GIN",
-    "GINConv",
     "GAT",
     "GATConv",
     "masked_cross_entropy",

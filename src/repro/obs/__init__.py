@@ -5,7 +5,7 @@
   (``REPRO_TRACE=1``, ``REPRO_TRACE_SAMPLE``), a bounded span ring, and
   Chrome trace-event / JSONL export (``repro trace``, ``GET /trace``).
 - :mod:`repro.obs.registry` — one :class:`Registry` absorbing the
-  serving, batcher, cache, feature-store, kernel-timer, and comm-world
+  serving, tracer, feature-store, kernel-timer, and comm-world
   counters under consistent ``repro_*`` names, rendered as Prometheus
   text exposition (``GET /metrics?format=prom``) or JSON from a single
   ``collect()`` pass.

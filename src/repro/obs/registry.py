@@ -1,8 +1,8 @@
 """Unified telemetry registry: one snapshot, two exposition formats.
 
 Telemetry used to be island snapshots — ``ServingMetrics`` outcome
-counters, the micro-batcher's ``stats()``, ``ResultCache`` hit/miss,
-``FeatureStore.stats()``, ``AP_TIMER``, per-world ``CommCounters``.
+counters, ``FeatureStore.stats()``, ``AP_TIMER``, per-world
+``CommCounters``.
 :class:`Registry` absorbs them behind one ``collect()``:
 
 - **collectors** are named callables returning :class:`Metric`
@@ -285,13 +285,6 @@ def _serving_metrics(frontend) -> List[Metric]:
         Metric("repro_workers", "gauge", "Worker pool size")
         .add(snap["num_workers"]),
     ]
-    if snap.get("cache_hit_rate") is not None:
-        out.append(
-            Metric(
-                "repro_result_cache_hit_rate", "gauge",
-                "LRU result cache hit rate over its lifetime",
-            ).add(snap["cache_hit_rate"])
-        )
     fs = snap.get("feature_store")
     if fs is not None:
         out.append(
@@ -325,61 +318,6 @@ def _serving_metrics(frontend) -> List[Metric]:
                     "Hot-set cache hit rate",
                 ).add(fs["hit_rate"], tier=fs["tier"])
             )
-    return out
-
-
-def _service_metrics(service) -> List[Metric]:
-    """Batcher / result-cache counters (deferred path) as repro_* families."""
-    stats = service.stats()
-    out: List[Metric] = []
-    batcher = stats.get("batcher")
-    if batcher is not None:
-        out.extend(
-            [
-                Metric(
-                    "repro_batcher_requests_total", "counter",
-                    "Lookups submitted to the micro-batcher",
-                ).add(batcher["requests"]),
-                Metric(
-                    "repro_batcher_batches_total", "counter",
-                    "Coalesced batches executed",
-                ).add(batcher["batches"]),
-                Metric(
-                    "repro_batcher_vertices_submitted_total", "counter",
-                    "Vertex ids submitted across all lookups",
-                ).add(batcher["vertices_submitted"]),
-                Metric(
-                    "repro_batcher_vertices_computed_total", "counter",
-                    "Unique vertex ids actually computed",
-                ).add(batcher["vertices_computed"]),
-                Metric(
-                    "repro_batcher_pending", "gauge",
-                    "Lookups queued but not yet picked into a batch",
-                ).add(batcher["pending"]),
-            ]
-        )
-    cache = stats.get("cache")
-    if cache is not None:
-        out.extend(
-            [
-                Metric(
-                    "repro_result_cache_lookups_total", "counter",
-                    "Row lookups against the result cache",
-                ).add(cache["lookups"]),
-                Metric(
-                    "repro_result_cache_hits_total", "counter",
-                    "Result cache row hits",
-                ).add(cache["hits"]),
-                Metric(
-                    "repro_result_cache_misses_total", "counter",
-                    "Result cache row misses",
-                ).add(cache["misses"]),
-                Metric(
-                    "repro_result_cache_size", "gauge",
-                    "Rows currently cached",
-                ).add(cache["size"]),
-            ]
-        )
     return out
 
 
@@ -446,7 +384,6 @@ def _trace_metrics(tracer) -> List[Metric]:
 
 def serving_registry(
     frontend=None,
-    service=None,
     tracer=None,
     include_ap: bool = True,
     include_comm: bool = True,
@@ -455,8 +392,6 @@ def serving_registry(
     registry = Registry()
     if frontend is not None:
         registry.register("serving", lambda: _serving_metrics(frontend))
-    if service is not None:
-        registry.register("service", lambda: _service_metrics(service))
     if tracer is not None:
         registry.register("trace", lambda: _trace_metrics(tracer))
     if include_ap:

@@ -1,14 +1,12 @@
 """End-to-end request tracing: spans, head sampling, bounded ring export.
 
 One admitted request = one **root span**; the stages it crosses (queue
-wait, batcher coalesce/flush, engine compute, feature gather, kernel AP
-passes) attach child spans and **latency components** to it.  Design
+wait, engine compute, feature gather, kernel AP passes) attach child spans and **latency components** to it.  Design
 constraints, in order:
 
 - **Explicit context propagation.**  A span crosses a thread-pool
   boundary only by being carried on the work item (the frontend's
-  ``_WorkItem.ctx``, the micro-batcher's ``_Request.ctx``); the
-  executing thread then *activates* it for the duration of the work.
+  ``_WorkItem.ctx``); the executing thread then *activates* it for the duration of the work.
   The thread-local set by :func:`activate` never leaks across pools —
   it is scoped to one ``with`` block on one thread, so deep call sites
   (:class:`~repro.kernels.instrumentation.time_ap`,
@@ -30,7 +28,7 @@ constraints, in order:
   ``GET /trace`` serve both.
 
 Latency decomposition: component seconds accumulated on a root span
-(:data:`COMPONENTS`: queue / batch / compute / feature) are
+(:data:`COMPONENTS`: queue / compute / feature) are
 defined to be **non-overlapping**, so their sum is ≤ the measured
 end-to-end latency — the remainder is reported as unattributed slack,
 and ``tests/serving/test_tracing.py`` pins the inequality.
@@ -53,7 +51,7 @@ from repro.analysis.sanitizers import make_lock
 #: canonical latency components of one served request, in pipeline
 #: order: the ones the decomposition cross-check sums against end-to-end
 #: latency.
-COMPONENTS = ("queue", "batch", "compute", "feature")
+COMPONENTS = ("queue", "compute", "feature")
 
 #: outcome ascribed to a span closed by ``with`` on an exception.
 _ERROR_OUTCOME = "error"
@@ -407,10 +405,11 @@ class Tracer:
         """Per-endpoint component histograms vs end-to-end latency.
 
         Per-component summaries are normalized by that component's own
-        observation count (a ``batch`` mean is "per batched request").
+        observation count (a ``feature`` mean is "per request that
+        gathered features").
         ``component_sum_mean_ms`` is instead the total attributed time
         divided by the number of ok roots: components are conditional
-        (a full cache hit never touches the batcher), so only this
+        (a table read never gathers features), so only this
         per-request normalization is additive — it keeps the
         conservation invariant ``component_sum ≤ e2e mean``, whose slack
         is ``unattributed_mean_ms`` (clamped at the bound the tests

@@ -11,8 +11,8 @@ fanout))`` edges, no position twice; (3) with no row over the fan-out the
 block is the loop's, array for array; (4) self rows lead the source
 frontier (the GCN self-connection, ``z + h`` in the combine step, is a
 plain row slice), new vertices ascending after them; (5) same seed, same
-batches.  ``sample`` holds the instance's lock: concurrent callers (the
-serving workers' deferred reads share one sampler) take turns.
+batches.  ``sample`` holds the instance's lock: concurrent callers of
+one sampler take turns.
 """
 
 from __future__ import annotations

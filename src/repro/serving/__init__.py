@@ -10,13 +10,12 @@ request is a table lookup.
   loading, layer-wise precompute, ``predict``/``topk`` lookups; also the
   repo's single full-graph inference path (:func:`full_graph_forward`).
 - :mod:`repro.serving.refresh` — incremental recompute of the k-hop
-  affected set after feature updates, with a sampler-backed on-demand
-  fallback (:class:`OnDemandInference`) for large or deferred updates.
-- :mod:`repro.serving.batcher` — :class:`MicroBatcher`: coalesces
-  concurrent deferred-mode lookups into one on-demand call.
-- :mod:`repro.serving.cache` — :class:`ResultCache`: measured-traffic
-  LRU over deferred-mode result rows (the real counterpart of
-  :mod:`repro.cachesim`).
+  affected set after feature updates, falling back to one full
+  precompute for large ones.
+- :mod:`repro.serving.cache` — :class:`ResultCache`: a thread-safe LRU
+  over result rows.  No read path consults it (a read is a table
+  gather); :class:`PredictionService` still accepts one for callers of
+  its older signature.
 - :mod:`repro.serving.server` — :class:`PredictionService` composition
   and the stdlib HTTP endpoint (``repro serve``).
 - :mod:`repro.serving.frontend` — :class:`ServingFrontend`: bounded
@@ -28,15 +27,11 @@ request is a table lookup.
   bursty MMPP arrivals, seeded schedules, coordinated-omission-free
   latency accounting); drives ``repro loadgen`` and the serving bench.
 
-Two read paths, fixed when the service is built.  In **table mode**
-(every service whose refresher is not ``deferred``) a read is one
-gather from the published logits table: no lock, cache or batcher.
-Updates serialise on one lock and **publish** — they fill a new logits
-table and assign it, never writing into one a reader can hold — so a
-read returns the latest version published before it began, or one
-published while it ran, and never waits.  In **deferred mode** the
-cache and batcher front the on-demand path, whose inputs updates
-rewrite in place, so its reads take the update lock.
+One read path: a read is one gather from the published logits table,
+with no lock.  Updates serialise on one lock and **publish** — they fill
+a new logits table and assign it, never writing into one a reader can
+hold — so a read returns the latest version published before it began,
+or one published while it ran, and never waits.
 
 Topology is not frozen either: ``update_edges(add, remove)`` on the
 refresher/service (backed by :mod:`repro.dyngraph.serving_updates`)
@@ -46,7 +41,6 @@ the server exposes it as ``POST /update_edges``.
 """
 
 from repro.dyngraph.serving_updates import EdgeUpdateStats
-from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import ResultCache
 from repro.serving.engine import InferenceEngine, full_graph_forward
 from repro.serving.frontend import (
@@ -69,7 +63,6 @@ from repro.serving.loadgen import (
 from repro.serving.metrics import ServingMetrics, percentiles_ms
 from repro.serving.refresh import (
     IncrementalRefresher,
-    OnDemandInference,
     RefreshStats,
     affected_sets,
 )
@@ -79,10 +72,8 @@ __all__ = [
     "InferenceEngine",
     "full_graph_forward",
     "IncrementalRefresher",
-    "OnDemandInference",
     "RefreshStats",
     "affected_sets",
-    "MicroBatcher",
     "ResultCache",
     "PredictionService",
     "PredictionServer",

@@ -1,11 +1,10 @@
-"""LRU result cache for the online request path.
+"""LRU result cache over per-vertex logit rows.
 
-The real-traffic counterpart of :mod:`repro.cachesim`: where the cache
-simulator replays kernel access traces to *model* reuse, this cache
-actually holds per-vertex logit rows for the serving tier and reports
-measured hit/miss counters (surfaced by ``/stats`` and the serving
-benchmark).  Fully-associative LRU over vertex ids, thread-safe — the
-HTTP server handles requests on multiple threads.
+Fully-associative LRU over vertex ids, thread-safe, with measured
+hit/miss counters.  No serving read consults it — a read is one gather
+from the published logits table — but
+:class:`~repro.serving.server.PredictionService` still accepts one, so
+callers that build and reset a cache beside the service keep working.
 """
 
 from __future__ import annotations

@@ -81,9 +81,9 @@ def full_graph_forward(
     up to date.
 
     Every layer runs aggregate → combine (``layer(graph, h, norm)``),
-    the order the refresher's row-subset recompute and on-demand
-    inference use too (they want the GEMM on the affected rows only), so
-    the three serving paths are bit-identical to one another.  Against
+    the order the refresher's row-subset recompute uses too (it wants
+    the GEMM on the affected rows only), so the two serving paths are
+    bit-identical to one another.  Against
     the training stack's ``model(graph, Tensor(features), norm)`` in eval
     mode that is bit-identical where no layer after the first narrows,
     and within float32 rounding where one does (the model aggregates
@@ -123,9 +123,8 @@ class InferenceEngine:
     engine-owned copy), so :class:`repro.serving.refresh.
     IncrementalRefresher` can apply feature updates without mutating the
     dataset.  Passing an ``mmap``-tier store serves out-of-core graphs:
-    precompute scans the read-only cold map, the on-demand path gathers
-    through the hot-set cache, and updates land in the store's private
-    patched copy (:meth:`update_feature_rows`) — answers stay
+    precompute scans the read-only cold map and updates land in the
+    store's private patched copy (:meth:`update_feature_rows`) — answers stay
     bit-identical to the resident tier.
     """
 
@@ -149,8 +148,8 @@ class InferenceEngine:
         #: embeddings/logits, faster precompute and refresh).  When set,
         #: the engine takes ownership of the model's kernel threading:
         #: ``layer.num_threads`` is overwritten *in place* on every layer
-        #: so all engine-driven forwards — full precompute, incremental
-        #: refresh, on-demand fallback — use it.  Don't share one model
+        #: so all engine-driven forwards — full precompute and incremental
+        #: refresh — use it.  Don't share one model
         #: object between engines (or a live trainer) with different
         #: thread settings; ``from_checkpoint`` builds a private model.
         self.num_threads = num_threads
@@ -180,8 +179,7 @@ class InferenceEngine:
         self.logits: Optional[np.ndarray] = None
         self.num_precomputes = 0
         #: monotonically increasing table version: bumped by every
-        #: precompute and every refresher write, so caches layered on
-        #: top (PredictionService) can detect and drop stale rows.
+        #: precompute and every refresher write (each one a publish).
         self.version = 0
 
     # -- construction -----------------------------------------------------------

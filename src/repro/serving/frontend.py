@@ -20,10 +20,6 @@ failure mode is collapse (every request slow) instead of shedding.
 - **measured**: every request lands in exactly one
   :class:`~repro.serving.metrics.ServingMetrics` outcome bucket, and
   queue depth / in-flight count are exposed as gauges.
-
-On the deferred path the pool composes with the
-:class:`~repro.serving.batcher.MicroBatcher` underneath: workers submit
-into the batcher, which coalesces concurrent lookups into one batch.
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ class ServingFrontend:
     Parameters
     ----------
     service:
-        The composed request path (engine / cache / batcher / refresher).
+        The composed request path (engine + refresher).
     num_workers:
         Concurrent request executions (engine calls run threaded
         underneath when the kernel engine is configured for it).
@@ -314,7 +310,6 @@ class ServingFrontend:
         the counters; gauges are instantaneous)."""
         with self._lock:
             depth, in_flight = self._depth, self._in_flight
-        cache = getattr(self.service, "cache", None)
         engine = getattr(self.service, "engine", None)
         store = getattr(engine, "feature_store", None)
         return self.metrics.snapshot(
@@ -322,7 +317,6 @@ class ServingFrontend:
             in_flight=in_flight,
             max_queue=self.max_queue,
             num_workers=self.num_workers,
-            cache_hit_rate=float(cache.hit_rate) if cache is not None else None,
             # feature-tier gauges: tier, hot rows, hit rate, bytes mapped
             feature_store=store.stats() if store is not None else None,
         )

@@ -11,25 +11,21 @@ the full pass, so an incremental refresh is exactly equal to a full
 recompute.
 
 When the affected set exceeds ``full_threshold`` of the graph the
-row-subset pass stops paying for itself.  The refresher then either
-falls back to one full :meth:`~repro.serving.engine.InferenceEngine.
-precompute` (default), or — in ``deferred`` mode — leaves the tables
-stale and answers queries for affected vertices through
-:class:`OnDemandInference`, a :class:`~repro.sampling.sampler.
-NeighborSampler`-backed per-request path (exact at full fan-out).
+row-subset pass stops paying for itself, and the refresher runs one full
+:meth:`~repro.serving.engine.InferenceEngine.precompute` instead.
+Either way the refresh publishes a new logits table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 from repro.nn.functional import _cached_reverse
 from repro.nn.tensor import Tensor, no_grad
-from repro.sampling.sampler import NeighborSampler
 from repro.serving.engine import InferenceEngine
 
 
@@ -116,8 +112,8 @@ def _combine_rows(layer, z: Tensor, x: Tensor, norm: Tensor) -> np.ndarray:
 class RefreshStats:
     """Outcome of one :meth:`IncrementalRefresher.update_features` call."""
 
-    #: "incremental" (row-subset recompute), "full" (whole-graph
-    #: precompute), or "deferred" (tables left stale, on-demand serving).
+    #: "incremental" (row-subset recompute) or "full" (whole-graph
+    #: precompute).
     mode: str
     num_updated: int
     affected_per_layer: Tuple[int, ...]
@@ -125,98 +121,17 @@ class RefreshStats:
     rows_recomputed: int
 
 
-class OnDemandInference:
-    """Sampler-backed per-request inference over the engine's features.
-
-    Builds the request vertices' k-hop in-neighbourhood with
-    :class:`NeighborSampler` and pushes it through the model layer by
-    layer using the **global** degree normalizers, so at full fan-out
-    (the default: the graph's maximum in-degree) the result is exactly
-    the full-graph forward.  Smaller fan-outs trade exactness for
-    bounded per-request work — the Dist-DGL estimator.
-    """
-
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        fanouts: Optional[Sequence[int]] = None,
-        seed: int = 0,
-    ):
-        self.engine = engine
-        if fanouts is None:
-            full = max(int(engine.graph.in_degrees().max(initial=0)), 1)
-            fanouts = [full] * engine.num_layers
-        if len(fanouts) != engine.num_layers:
-            raise ValueError("need one fanout per layer")
-        self.fanouts = list(fanouts)
-        self.sampler = NeighborSampler(engine.graph, self.fanouts, seed=seed)
-        self.num_requests = 0
-        self.num_sampled_edges = 0
-
-    def predict(self, vertex_ids) -> np.ndarray:
-        """Logit rows for ``vertex_ids``, recomputed from raw features."""
-        engine = self.engine
-        ids = engine._check_ids(vertex_ids)
-        if ids.size == 0:
-            return np.zeros((0, engine.dataset.num_classes), dtype=np.float32)
-        batch = self.sampler.sample(ids)
-        self.num_requests += 1
-        self.num_sampled_edges += batch.total_sampled_edges
-        norm = engine.norm.data
-        model = engine.model
-        was_training = model.training
-        model.eval()
-        try:
-            with no_grad():
-                # rides the feature store's hot-set cache on the mmap
-                # tier (bit-identical rows either way)
-                h = engine.feature_store.gather(batch.input_vertices)
-                for layer, block in zip(model.layers, batch.blocks):
-                    z = layer.aggregate(
-                        block.graph, Tensor(h), Tensor(norm[block.src_global])
-                    )
-                    h = _combine_rows(
-                        layer,
-                        z,
-                        Tensor(h[: block.num_dst]),
-                        Tensor(norm[block.dst_global]),
-                    )
-        finally:
-            model.train(was_training)
-        # sampler seeds are sorted-unique; map back to the request order
-        seeds = batch.seeds
-        return h[np.searchsorted(seeds, ids)]
-
-
 class IncrementalRefresher:
     """Keeps an engine's embedding tables consistent under feature updates."""
 
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        full_threshold: float = 0.25,
-        deferred: bool = False,
-        fanouts: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, engine: InferenceEngine, full_threshold: float = 0.25):
         if not 0.0 <= full_threshold <= 1.0:
             raise ValueError("full_threshold must be in [0, 1]")
         self.engine = engine.ensure_ready()
         self.full_threshold = float(full_threshold)
-        self.deferred = bool(deferred)
-        #: kept so :meth:`update_edges` can rebuild the on-demand path
-        #: over the mutated topology with the same fan-out policy.
-        self._fanouts = fanouts
-        self.on_demand = OnDemandInference(engine, fanouts=fanouts)
-        #: vertices whose precomputed rows are stale (deferred mode only).
-        self._stale = np.zeros(0, dtype=INDEX_DTYPE)
         self.num_incremental = 0
         self.num_full = 0
-        self.num_deferred = 0
         self.num_topology_updates = 0
-
-    @property
-    def stale(self) -> np.ndarray:
-        return self._stale
 
     # -- updates ----------------------------------------------------------------
 
@@ -256,38 +171,25 @@ class IncrementalRefresher:
     def _apply_refresh_policy(
         self, affected: List[np.ndarray], fraction: float
     ) -> Tuple[str, int]:
-        """Shared incremental / full / deferred routing for feature and
-        topology updates: returns ``(mode, rows_recomputed)``.
-
-        A pending stale set poisons the layer tables an incremental
-        pass would read from, so while staleness is outstanding every
-        update defers (on-demand serves from raw features and the live
-        graph, which are always fresh); resolve() clears the debt in
-        one full pass.
-        """
+        """Shared incremental / full routing for feature and topology
+        updates: returns ``(mode, rows_recomputed)``.  Both paths publish
+        a new logits table and move ``engine.version``."""
         engine = self.engine
-        if fraction <= self.full_threshold and self._stale.size == 0:
+        if fraction <= self.full_threshold:
             recomputed = self._recompute_rows(affected)
             self.num_incremental += 1
-            mode = "incremental"
-        elif self.deferred:
-            self._stale = np.union1d(self._stale, affected[-1])
-            self.num_deferred += 1
-            mode, recomputed = "deferred", 0
-        else:
-            engine.precompute()
-            self.num_full += 1
-            mode, recomputed = "full", engine.num_vertices * engine.num_layers
-        if mode != "full":  # precompute() already bumped the version
-            engine.version += 1
-        return mode, recomputed
+            engine.version += 1  # precompute() bumps its own
+            return "incremental", recomputed
+        engine.precompute()
+        self.num_full += 1
+        return "full", engine.num_vertices * engine.num_layers
 
     def _recompute_rows(self, affected: List[np.ndarray]) -> int:
         """Row-subset recompute: layer ``l``'s affected rows against the
         (already updated) layer-``l`` input table.
 
         The logits rows land in a copy that is assigned when the pass
-        ends: table-mode readers hold ``engine.logits`` without a lock,
+        ends: readers hold ``engine.logits`` without a lock,
         so no array they can hold is ever written (the hidden tables
         feed only this pass and the full precompute)."""
         engine = self.engine
@@ -328,9 +230,9 @@ class IncrementalRefresher:
         :mod:`repro.dyngraph.serving_updates`).  The mutation lands on
         the engine's delta-CSR shadow graph; the refresh then reuses the
         k-hop affected-set machinery, seeded from the mutated edges'
-        endpoints, under the same incremental / full / deferred policy
-        as feature updates — and is exactly equal to a full
-        ``precompute()`` on the compacted graph.  Returns
+        endpoints, under the same incremental / full policy as feature
+        updates — and is exactly equal to a full ``precompute()`` on the
+        compacted graph.  Returns
         :class:`~repro.dyngraph.serving_updates.EdgeUpdateStats`.
         """
         from repro.dyngraph.serving_updates import EdgeUpdateStats, apply_topology
@@ -340,13 +242,6 @@ class IncrementalRefresher:
         self.num_topology_updates += 1
         affected = affected_sets(engine.graph, delta.seeds, engine.num_layers)
         fraction = affected[-1].size / max(engine.num_vertices, 1)
-        # the on-demand sampler holds the old CSR (and its full-fanout
-        # default is a property of the old topology): rebuild it over
-        # the merged view, carrying the traffic counters across
-        prev = self.on_demand
-        self.on_demand = OnDemandInference(engine, fanouts=self._fanouts)
-        self.on_demand.num_requests = prev.num_requests
-        self.on_demand.num_sampled_edges = prev.num_sampled_edges
         mode, recomputed = self._apply_refresh_policy(affected, fraction)
         dyn = engine.dynamic
         return EdgeUpdateStats(
@@ -362,44 +257,13 @@ class IncrementalRefresher:
             delta_fraction=dyn.delta_fraction,
         )
 
-    # -- stale-aware serving ------------------------------------------------------
-
-    def predict(self, vertex_ids) -> np.ndarray:
-        """Fresh logit rows: table lookups, with stale vertices (deferred
-        mode) answered through the on-demand sampler path."""
-        engine = self.engine
-        ids = engine._check_ids(vertex_ids)
-        out = engine.predict(ids)
-        if self._stale.size == 0:
-            return out
-        stale_mask = np.isin(ids, self._stale)
-        if stale_mask.any():
-            out = np.array(out, copy=True)
-            out[stale_mask] = self.on_demand.predict(ids[stale_mask])
-        return out
-
-    def resolve(self) -> RefreshStats:
-        """Clear any deferred staleness with one full precompute."""
-        engine = self.engine
-        engine.precompute()
-        self.num_full += 1
-        stale = self._stale.size
-        self._stale = np.zeros(0, dtype=INDEX_DTYPE)
-        return RefreshStats(
-            mode="full",
-            num_updated=0,
-            affected_per_layer=(stale,) * engine.num_layers,
-            affected_fraction=stale / max(engine.num_vertices, 1),
-            rows_recomputed=engine.num_vertices * engine.num_layers,
-        )
-
     def stats(self) -> dict:
         return {
             "incremental": self.num_incremental,
             "full": self.num_full,
-            "deferred": self.num_deferred,
+            # no update leaves tables stale any more; the key stays on
+            # /stats at 0 for readers of the older schema
+            "deferred": 0,
             "topology_updates": self.num_topology_updates,
-            "stale_vertices": int(self._stale.size),
-            "on_demand_requests": self.on_demand.num_requests,
             "full_threshold": self.full_threshold,
         }

@@ -1,11 +1,10 @@
 """JSON-over-HTTP prediction service (stdlib only).
 
-:class:`PredictionService` composes the serving pieces — engine lookups,
-optional stale-aware refresher routing, and, on the deferred path, an
-LRU result cache and micro-batching — behind one ``predict``/``topk``/
-``update`` surface, and :class:`PredictionServer` exposes that surface
-over HTTP with a :class:`~repro.serving.frontend.ServingFrontend` doing
-admission control (bounded queue, per-endpoint deadlines):
+:class:`PredictionService` puts engine lookups and the refresher's
+update path behind one ``predict``/``topk``/``update`` surface, and
+:class:`PredictionServer` exposes that surface over HTTP with a
+:class:`~repro.serving.frontend.ServingFrontend` doing admission control
+(bounded queue, per-endpoint deadlines):
 
 - ``POST /predict``          body ``{"vertices": [..], "k": 3?}`` ->
   ``{"vertices", "labels", "topk"?}``
@@ -13,22 +12,21 @@ admission control (bounded queue, per-endpoint deadlines):
   [[u, v], ..]?}`` -> refresh outcome (mode, affected rows, edge count)
 - ``POST /update_features``  body ``{"vertices": [..], "features":
   [[..], ..]}`` -> refresh outcome
-- ``GET /stats``             engine / cache / batcher / refresher counters
+- ``GET /stats``             engine / refresher counters
 - ``GET /metrics``           request-path metrics: per-endpoint outcome
-  counters and p50/p99, queue depth, in-flight count, cache hit rate
-  (JSON); ``?format=prom`` renders the unified telemetry registry as
-  Prometheus text exposition instead
+  counters and p50/p99, queue depth, in-flight count (JSON);
+  ``?format=prom`` renders the unified telemetry registry as Prometheus
+  text exposition instead
 - ``GET /trace``             buffered request spans as Chrome
   trace-event JSON (Perfetto-loadable; ``REPRO_TRACE=1`` to record)
 - ``GET /healthz``           liveness; always ``200 {"status": "ok"}``
 
 Request flow: handler threads only parse and enqueue — execution happens
 on the frontend's bounded worker pool.  A read is a row gather from the
-published logits table (table mode), or, with a ``deferred`` refresher,
-a cache probe and micro-batched on-demand compute under the update lock.
-Updates run on the handler thread and **publish**: the refresh fills a
-new logits table and assigns it, so reads never wait for an update and
-never see a torn mix of pre- and post-update rows.
+published logits table.  Updates run on the handler thread and
+**publish**: the refresh fills a new logits table and assigns it, so
+reads never wait for an update and never see a torn mix of pre- and
+post-update rows.
 
 Failure modes are all structured JSON, never a traceback: malformed
 bodies answer ``400``; a full admission queue answers ``429`` with
@@ -52,7 +50,6 @@ from repro.analysis.sanitizers import make_lock
 from repro.graph.csr import INDEX_DTYPE
 from repro.obs.registry import render_prometheus, serving_registry
 from repro.obs.trace import chrome_trace, current_span
-from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import ResultCache
 from repro.serving.engine import InferenceEngine, topk_rows
 from repro.serving.frontend import ServingFrontend, ServingUnavailable
@@ -111,24 +108,24 @@ def _feature_rows(value, what: str = "features") -> np.ndarray:
 
 
 class PredictionService:
-    """Front end over an :class:`InferenceEngine`, with one read path per
-    refresher mode (fixed here, at construction):
+    """Front end over an :class:`InferenceEngine`.
 
-    - **table mode** — no refresher, or one that is not ``deferred``: a
-      read is ``engine.logits[ids]``, with no lock, no cache and no
-      batcher.  No code writes into a ``logits`` array a reader can hold
-      (:meth:`~repro.serving.refresh.IncrementalRefresher._recompute_rows`
-      fills a copy and assigns it), so one attribute read is exactly one
-      published version.
-    - **deferred mode** — stale vertices are answered by on-demand
-      compute over features, graph and stale set, which updates change
-      in place.  The result cache and micro-batcher stay in front of it,
-      and every batch runs under the update lock
-      (:meth:`_rows_at_one_version`).
+    A read is a row gather from the published logits table,
+    ``engine.logits[ids]``, with no lock.  Updates (``update_edges`` /
+    ``update_features``) serialise on one lock and publish: no code
+    writes into a ``logits`` array a reader can hold (a full precompute
+    builds a new one, and
+    :meth:`~repro.serving.refresh.IncrementalRefresher._recompute_rows`
+    fills a copy and assigns it), so one attribute read is exactly one
+    published version.  That is the single-writer atomic register of
+    Hadzilacos, Hu & Toueg (arXiv:1906.00298): a read returns the latest
+    completed publish or a concurrent one.
+    ``tests/serving/test_publish_machine.py`` pins the contract.
 
-    Updates (``update_edges`` / ``update_features``) serialise on that
-    one lock.  ``tests/serving/test_publish_machine.py`` pins the
-    contract: every response equals the rows of some published version.
+    ``cache``, ``batch``, ``max_batch`` and ``max_wait_ms`` are accepted
+    and unused — a table read needs neither a result cache nor a
+    micro-batcher — so callers of the older signature keep working
+    (``cache`` stays reachable as :attr:`cache`).
     """
 
     def __init__(
@@ -142,43 +139,33 @@ class PredictionService:
     ):
         engine.ensure_ready()
         self.engine = engine
-        #: consulted on the deferred path only (table mode keeps it
-        #: unused, so callers holding the cache still find it here)
-        self.cache = cache
+        self.cache = cache  # unused, see the class docstring
         self.refresher = refresher
-        self._deferred = refresher is not None and refresher.deferred
-        self._lookup = refresher.predict if self._deferred else engine.predict
-        self.batcher = (
-            MicroBatcher(
-                self._rows_at_one_version, max_batch=max_batch, max_wait_ms=max_wait_ms
-            )
-            if batch and self._deferred
-            else None
-        )
+        self._lookup = engine.predict
         self._update_lock = make_lock("serving.service.update")
-        self._cached_version = engine.version  # guarded-by: _update_lock
 
     # -- fault-injection seam ----------------------------------------------------------
 
     def wrap_lookup(self, wrapper) -> None:
         """Wrap the row lookup with ``wrapper(old) -> new`` — the
         supported seam the fault/stress harness uses to inject failures,
-        latency, or instrumentation into the request path (both modes,
-        and the micro-batcher's batches, call it)."""
+        latency, or instrumentation into the request path (every read
+        calls it exactly once)."""
         self._lookup = wrapper(self._lookup)
 
     # -- request path ----------------------------------------------------------------
 
-    @staticmethod
-    def _traced(fn, ids: np.ndarray) -> np.ndarray:
-        """``fn(ids)``, recorded as the ``compute`` component and an
-        ``engine.predict`` child span when the request is traced."""
+    def predict_logits(self, vertex_ids) -> np.ndarray:
+        """One logit row per requested vertex (request order preserved),
+        recorded as the ``compute`` component and an ``engine.predict``
+        child span when the request is traced."""
+        ids = self.engine._check_ids(vertex_ids)
         span = current_span()
         if span is None:
-            return fn(ids)
+            return self._lookup(ids)
         feature_before = span.component_seconds("feature")
         t0 = time.perf_counter()
-        rows = fn(ids)
+        rows = self._lookup(ids)
         elapsed = time.perf_counter() - t0
         # feature-gather time recorded inside this interval is its own
         # component; subtract it so components stay non-overlapping
@@ -189,56 +176,20 @@ class PredictionService:
         )
         return rows
 
-    def _rows_at_one_version(self, ids: np.ndarray) -> np.ndarray:
-        """Deferred-mode rows: the cache's version check, its probe, the
-        on-demand compute of the missing ids and their insert all run
-        under the update lock, so they see one version.  The
-        micro-batcher calls this for each coalesced batch."""
-        with self._update_lock:
-            if self.cache is None:
-                return self._lookup(ids)
-            # an update invalidates every cached row — drop them rather
-            # than serve stale results
-            if self.engine.version != self._cached_version:
-                self.cache.reset()
-                self._cached_version = self.engine.version
-            span = current_span()
-            t_probe = time.perf_counter()
-            found, missing = self.cache.get_many(ids)
-            if span is not None:
-                span.child_complete(
-                    "cache.probe", time.perf_counter() - t_probe, cat="serving",
-                    lookups=int(ids.size),
-                    hits=int(ids.size - missing.size),
-                    misses=int(missing.size),
-                )
-            if missing.size:
-                rows = self._lookup(missing)
-                self.cache.put_many(missing, rows)
-                found.update(zip(missing.tolist(), rows))
-            return np.stack([found[v] for v in ids.tolist()])
-
-    def predict_logits(self, vertex_ids) -> np.ndarray:
-        """One logit row per requested vertex (request order preserved)."""
-        ids = self.engine._check_ids(vertex_ids)
-        if ids.size == 0:
-            return np.zeros((0, self.engine.dataset.num_classes), dtype=np.float32)
-        if not self._deferred:
-            return self._traced(self._lookup, ids)
-        if self.batcher is not None:
-            # explicit ctx hand-off: the batcher worker is another
-            # thread, and the span must ride the request to reach it
-            return self.batcher.predict(ids, ctx=current_span())
-        return self._traced(self._rows_at_one_version, ids)
-
     def predict(self, vertex_ids) -> np.ndarray:
         """Argmax label per requested vertex."""
         return np.argmax(self.predict_logits(vertex_ids), axis=1)
 
     def topk(self, vertex_ids, k: int = 5) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` ``(classes, scores)`` per requested vertex, derived
-        from the (possibly cached) logit rows."""
-        logits = self.predict_logits(vertex_ids)
+        """Top-``k`` ``(classes, scores)`` per requested vertex."""
+        return self.topk_of(self.predict_logits(vertex_ids), k)
+
+    @staticmethod
+    def topk_of(logits: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` of logit rows already read, recorded as an
+        ``engine.topk`` child span when the request is traced — so a
+        response that carries labels and top-``k`` derives both from one
+        read, and both answer the same published version."""
         span = current_span()
         if span is None:
             return topk_rows(logits, k)
@@ -256,12 +207,11 @@ class PredictionService:
         """Apply edge mutations (``(src, dst)`` pair sequences) and
         refresh the tables they invalidate.
 
-        Routes through the attached refresher's incremental / full /
-        deferred policy; without one, the engine's graph is mutated and
-        fully precomputed.  Either way a new logits table is published
-        and ``engine.version`` moves, so the deferred path's next read
-        drops every cached row.  Table-mode reads in flight keep the
-        version they started on.  Returns
+        Routes through the attached refresher's incremental / full
+        policy; without one, the engine's graph is mutated and fully
+        precomputed.  Either way a new logits table is published and
+        ``engine.version`` moves; reads in flight keep the version they
+        started on.  Returns
         :class:`~repro.dyngraph.serving_updates.EdgeUpdateStats`.
         """
         with self._update_lock:
@@ -274,8 +224,8 @@ class PredictionService:
     def update_features(self, vertex_ids, new_rows) -> RefreshStats:
         """Apply a feature update (one row per vertex) and refresh.
 
-        With a refresher attached this is its incremental / full /
-        deferred policy; without one, the engine's features are written
+        With a refresher attached this is its incremental / full
+        policy; without one, the engine's features are written
         (last-wins within the batch) and fully precomputed.  Publishes
         like :meth:`update_edges`.
         """
@@ -306,17 +256,16 @@ class PredictionService:
     # -- lifecycle / introspection ------------------------------------------------------
 
     def stats(self) -> dict:
-        out = {"engine": self.engine.stats()}
-        out["cache"] = self.cache.stats() if self.cache is not None else None
-        out["batcher"] = self.batcher.stats() if self.batcher is not None else None
-        out["refresher"] = (
-            self.refresher.stats() if self.refresher is not None else None
-        )
-        return out
+        return {
+            "engine": self.engine.stats(),
+            "refresher": (
+                self.refresher.stats() if self.refresher is not None else None
+            ),
+        }
 
     def close(self) -> None:
-        if self.batcher is not None:
-            self.batcher.close()
+        """Nothing to release (no worker thread behind a table read);
+        kept so services compose with ``with`` and server shutdown."""
 
     def __enter__(self) -> "PredictionService":
         return self
@@ -440,12 +389,14 @@ class _PredictionHandler(BaseHTTPRequestHandler):
         svc = self.service
 
         def run() -> dict:
+            # one read: labels and top-k answer the same published version
+            logits = svc.predict_logits(vertices)
             resp = {
                 "vertices": vertices.tolist(),
-                "labels": svc.predict(vertices).tolist(),
+                "labels": np.argmax(logits, axis=1).tolist(),
             }
             if k is not None:
-                classes, scores = svc.topk(vertices, k=k)
+                classes, scores = svc.topk_of(logits, k)
                 resp["topk"] = [
                     [
                         {"class": int(c), "score": float(s)}
@@ -520,9 +471,9 @@ class PredictionServer:
         if self.frontend.service is not service:
             raise ValueError("frontend must wrap the same service")
         # one unified registry behind GET /metrics?format=prom: serving
-        # counters, batcher/cache, feature store, AP timer, comm worlds
+        # counters, feature store, tracer, AP timer, comm worlds
         self.registry = serving_registry(
-            frontend=self.frontend, service=service, tracer=self.frontend.tracer
+            frontend=self.frontend, tracer=self.frontend.tracer
         )
         self.httpd = ThreadingHTTPServer((host, port), _PredictionHandler)
         self.httpd.service = service  # type: ignore[attr-defined]

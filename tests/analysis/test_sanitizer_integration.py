@@ -2,8 +2,8 @@
 
 These tests force the sanitizer on (private recorder), build the actual
 production objects — tiered feature store with a hot-set cache, bounded
-serving frontend over the deferred read path — drive them from thread
-herds, and then
+serving frontend over table reads and published updates — drive them
+from thread herds, and then
 assert the lock-order graph is (a) non-trivial (the instrumentation is
 really wired in) and (b) free of cycles and held-lock blocking calls
 (the hierarchy the code claims is the one it executes).
@@ -31,7 +31,6 @@ from repro.serving import (
     IncrementalRefresher,
     InferenceEngine,
     PredictionService,
-    ResultCache,
     ServingFrontend,
 )
 
@@ -88,15 +87,13 @@ def test_feature_store_stack_is_cycle_free(forced, tmp_path):
 
 
 def test_frontend_stack_is_cycle_free(forced, reddit_mini):
-    """Readers through the pool, batcher, update lock and result cache of
-    the deferred path, beside an updater taking that same lock."""
+    """Table readers through the pool beside an updater that publishes
+    under the service's update lock."""
     ds = reddit_mini
     cfg = TrainConfig(num_layers=2, hidden_features=8, seed=0)
     engine = InferenceEngine(ds, build_model(cfg, ds.feature_dim, ds.num_classes))
     service = PredictionService(
-        engine.precompute(), cache=ResultCache(capacity=32), batch=True,
-        max_batch=16, max_wait_ms=0.2,
-        refresher=IncrementalRefresher(engine, deferred=True),
+        engine.precompute(), refresher=IncrementalRefresher(engine)
     )
     frontend = ServingFrontend(service, num_workers=3, max_queue=32,
                                default_timeout_s=10.0)
@@ -127,8 +124,9 @@ def test_frontend_stack_is_cycle_free(forced, reddit_mini):
     service.close()
 
     assert not errors
-    # a deferred read probes the cache under the update lock
-    assert ("serving.service.update", "serving.cache") in edge_pairs(forced)
+    # an update writes feature rows through the store under the update
+    # lock; a table read takes no lock at all
+    assert ("serving.service.update", "featurestore.store.stats") in edge_pairs(forced)
     assert forced.findings() == {"cycles": [], "blocking": []}
 
 

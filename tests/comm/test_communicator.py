@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import World
+from repro.comm.communicator import SyncPoint
 
 
 class TestWorld:
@@ -16,8 +17,6 @@ class TestWorld:
         assert w.epoch == 0
         assert w.advance_epoch() == 1
         assert w.epoch == 1
-        w.reset_epoch()
-        assert w.epoch == 0
 
     def test_communicator_handles(self):
         w = World(3)
@@ -63,11 +62,6 @@ class TestPointToPoint:
         assert len(w.communicator(1).recv_ready(tag="x")) == 1
         assert w.communicator(1).recv_ready(tag="x") == []
 
-    def test_pending_count(self):
-        w = World(2)
-        w.communicator(0).isend(1, np.zeros(1), tag="x", delay=3)
-        assert w.communicator(1).pending_count(tag="x") == 1
-
     def test_bytes_counted(self):
         w = World(2)
         payload = np.zeros(10, dtype=np.float32)
@@ -87,3 +81,45 @@ class TestPointToPoint:
             w.communicator(0).isend(1, np.array([i]))
         msgs = w.communicator(1).recv_ready()
         assert [int(m.payload[0]) for m in msgs] == [0, 1, 2]
+
+    def test_drain_orders_by_post_epoch_then_source(self):
+        """Receives come sorted by ``(post_epoch, src)`` — the shm
+        backend's order — whatever order the ranks posted in."""
+        w = World(3)
+        w.communicator(2).isend(1, np.array([0]), delay=1)  # epoch 0
+        w.advance_epoch()
+        w.communicator(2).isend(1, np.array([1]))
+        w.communicator(0).isend(1, np.array([2]))
+        msgs = w.communicator(1).recv_ready()
+        assert [(m.post_epoch, m.src) for m in msgs] == [(0, 2), (1, 0), (1, 2)]
+        assert [int(m.payload[0]) for m in msgs] == [0, 2, 1]
+
+    def test_undelivered_messages_stay_buffered(self):
+        """A delayed message is in flight (charged as buffer memory)
+        until its epoch, and an earlier drain leaves it queued."""
+        w = World(2)
+        w.communicator(0).isend(1, np.zeros(4, dtype=np.float32), tag="d", delay=1)
+        w.communicator(0).isend(1, np.zeros(2, dtype=np.float32), tag="d")
+        assert w.queue.in_flight_bytes() == 24
+        assert len(w.communicator(1).recv_ready(tag="d")) == 1
+        assert w.queue.in_flight_bytes() == 16
+        w.advance_epoch()
+        assert len(w.communicator(1).recv_ready(tag="d")) == 1
+        assert w.queue.in_flight_bytes() == 0
+
+    def test_untagged_receive_takes_every_tag(self):
+        w = World(2)
+        for tag in ("a", "b", None):
+            w.communicator(0).isend(1, np.zeros(1), tag=tag)
+        assert [m.tag for m in w.communicator(1).recv_ready()] == ["a", "b", None]
+
+
+class TestSyncPoints:
+    def test_barrier_is_a_bare_sync_point(self):
+        point = World(2).communicator(1).barrier()
+        assert point == SyncPoint() and point.array is None
+
+    def test_all_reduce_carries_array_and_op(self):
+        point = World(2).communicator(0).all_reduce([1.0, 2.0], op="max")
+        assert isinstance(point.array, np.ndarray)
+        assert point.array.tolist() == [1.0, 2.0] and point.op == "max"

@@ -15,7 +15,6 @@ from repro.serving import (
     InferenceEngine,
     PredictionServer,
     PredictionService,
-    ResultCache,
 )
 
 
@@ -137,6 +136,41 @@ def test_full_fallback_matches_compacted_precompute(dyn_trained, dyn_engine):
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
 
+def test_feature_update_after_topology_update_is_exact(dyn_trained, dyn_engine):
+    """A feature refresh after an edge update runs over the mutated
+    graph and its new norms: the tables still equal a full precompute
+    on the compacted graph."""
+    ds, trainer, cfg = dyn_trained
+    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    add, remove = _mutations(ds, seed=5)
+    assert ref.update_edges(add=add, remove=remove).mode == "incremental"
+    rng = np.random.default_rng(5)
+    ids = np.array([add[0][1], 2])  # one endpoint of a new edge
+    rows = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
+    assert ref.update_features(ids, rows).mode == "incremental"
+    assert ref.num_incremental == 2
+    assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
+
+
+@pytest.mark.parametrize("full_threshold", [0.0, 1.0], ids=["full", "incremental"])
+def test_topology_publish_leaves_a_held_table_untouched(
+    dyn_trained, dyn_engine, full_threshold
+):
+    """An edge update publishes a new logits table in either mode; the
+    one a reader holds keeps its pre-update rows."""
+    ds, trainer, cfg = dyn_trained
+    held = dyn_engine.logits
+    before = held.copy()
+    add, remove = _mutations(ds, seed=6)
+    stats = IncrementalRefresher(dyn_engine, full_threshold=full_threshold).update_edges(
+        add=add, remove=remove
+    )
+    assert stats.mode == ("full" if full_threshold == 0.0 else "incremental")
+    assert dyn_engine.logits is not held
+    assert np.array_equal(held, before)
+    assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
+
+
 def test_norm_tracks_new_degrees(dyn_trained, dyn_engine):
     """Degree normalizers are topology state and must follow the update."""
     from repro.core.models import norm_from_degrees
@@ -201,46 +235,6 @@ def test_empty_update_rejected(dyn_engine):
         ref.update_edges(add=[], remove=[])
 
 
-# -- deferred mode -----------------------------------------------------------------
-
-
-def test_deferred_topology_update_serves_fresh_rows(dyn_trained, dyn_engine):
-    ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=0.0, deferred=True)
-    add, remove = _mutations(ds, seed=5)
-    stats = ref.update_edges(add=add, remove=remove)
-    assert stats.mode == "deferred"
-    assert ref.stale.size == stats.affected_per_layer[-1]
-
-    truth = _truth_engine(ds, trainer, cfg, dyn_engine)
-    seeds = np.unique(
-        np.asarray(add + remove, dtype=np.int64).ravel()
-    )
-    probe = np.concatenate([seeds[:4], [int(ref.stale[0])]])
-    # the on-demand path samples the *new* topology at full fan-out
-    assert np.array_equal(ref.predict(probe), truth.logits[probe])
-
-    ref.resolve()
-    assert ref.stale.size == 0
-    assert_tables_equal(dyn_engine, truth)
-
-
-def test_feature_update_after_deferred_topology_stays_deferred(
-    dyn_trained, dyn_engine
-):
-    ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=0.0, deferred=True)
-    assert ref.update_edges(add=[(0, 1)]).mode == "deferred"
-    ref.full_threshold = 1.0
-    rng = np.random.default_rng(6)
-    ids = np.array([2, 7])
-    rows = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
-    assert ref.update_features(ids, rows).mode == "deferred"
-    truth = _truth_engine(ds, trainer, cfg, dyn_engine)
-    probe = np.array([0, 1, 2, 7])
-    assert np.array_equal(ref.predict(probe), truth.logits[probe])
-
-
 # -- service composition -----------------------------------------------------------
 
 
@@ -248,14 +242,14 @@ def test_service_update_without_refresher_full_precompute(
     dyn_trained, dyn_engine
 ):
     ds, trainer, cfg = dyn_trained
-    with PredictionService(dyn_engine, cache=ResultCache(32)) as svc:
+    with PredictionService(dyn_engine) as svc:
         ids = np.array([0, 1, 2])
-        before = svc.predict_logits(ids)  # fills the cache
+        before = svc.predict_logits(ids)
         add, remove = _mutations(ds, seed=7)
         stats = svc.update_edges(add=add, remove=remove)
         assert stats.mode == "full"
         truth = _truth_engine(ds, trainer, cfg, dyn_engine)
-        after = svc.predict_logits(ids)  # stale cache rows must be dropped
+        after = svc.predict_logits(ids)  # the published table
         assert np.array_equal(after, truth.logits[ids])
         assert not np.array_equal(after, before)
 
@@ -287,7 +281,7 @@ def _post(url, payload):
 @pytest.fixture
 def live_update_server(dyn_engine):
     ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
-    svc = PredictionService(dyn_engine, cache=ResultCache(64), refresher=ref)
+    svc = PredictionService(dyn_engine, refresher=ref)
     server = PredictionServer(svc, port=0).start_background()
     host, port = server.address
     yield dyn_engine, f"http://{host}:{port}"

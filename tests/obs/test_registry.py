@@ -162,7 +162,6 @@ class _StubFrontend:
             in_flight=2,
             max_queue=8,
             num_workers=4,
-            cache_hit_rate=0.5,
             feature_store=None,
         )
 
@@ -186,7 +185,6 @@ def test_prometheus_agrees_with_json_snapshot_counter_for_counter():
             )
     assert parsed["repro_queue_depth"][()] == snap["queue_depth"]
     assert parsed["repro_in_flight"][()] == snap["in_flight"]
-    assert parsed["repro_result_cache_hit_rate"][()] == snap["cache_hit_rate"]
     # quantiles present exactly for endpoints with served requests
     lat = parsed["repro_request_latency_ms"]
     assert (("endpoint", "predict"), ("quantile", "p50")) in lat

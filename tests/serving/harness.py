@@ -16,12 +16,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.serving import (
-    IncrementalRefresher,
-    PredictionService,
-    ResultCache,
-    ServingFrontend,
-)
+from repro.serving import IncrementalRefresher, PredictionService, ServingFrontend
 from repro.serving.loadgen import (
     ARRIVALS,
     FrontendTarget,
@@ -37,30 +32,11 @@ JOIN_TIMEOUT_S = 30.0
 # -- service / frontend construction ----------------------------------------------
 
 
-def make_service(
-    engine,
-    cache_size: int = 128,
-    batch: bool = True,
-    refresher: bool = True,
-    full_threshold: float = 0.25,
-    deferred: bool = False,
-) -> PredictionService:
-    """Cache + batcher + refresher, as the benchmarks compose it.  The
-    cache and batcher only serve with ``deferred=True``; otherwise the
-    service is in table mode and reads are rows of the logits table."""
+def make_service(engine, full_threshold: float = 0.25) -> PredictionService:
+    """Service + incremental refresher, as ``repro serve`` composes it:
+    reads are rows of the published logits table."""
     return PredictionService(
-        engine,
-        cache=ResultCache(cache_size) if cache_size > 0 else None,
-        batch=batch,
-        max_batch=64,
-        max_wait_ms=0.5,
-        refresher=(
-            IncrementalRefresher(
-                engine, full_threshold=full_threshold, deferred=deferred
-            )
-            if refresher
-            else None
-        ),
+        engine, refresher=IncrementalRefresher(engine, full_threshold=full_threshold)
     )
 
 
@@ -115,8 +91,7 @@ def virtual_schedule(seed: int = 0, rate: float = 100.0, duration_s: float = 2.0
 #
 # Each is a ``wrapper(old_lookup) -> new_lookup`` for
 # ``PredictionService.wrap_lookup`` — the supported seam into the
-# engine-call layer (both read modes and the micro-batcher's batches
-# call it).
+# engine-call layer (every read calls it once).
 
 
 def slow_lookup(delay_s: float):

@@ -10,8 +10,8 @@ The contract pinned here is the serving tier's memory model:
   first try while updates land;
 - **no deadlocks** — reader herds + updater threads always join
   (enforced by the harness's deadline joins);
-- **counter conservation** — the result cache's ``hits + misses ==
-  lookups`` invariant holds at every observable instant under
+- **counter conservation** — the bare result cache's ``hits + misses
+  == lookups`` invariant holds at every observable instant under
   contention, not just at rest.
 """
 
@@ -20,7 +20,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serving import IncrementalRefresher, ResultCache, full_graph_forward
+from repro.serving import PredictionService, ResultCache, full_graph_forward
 
 from harness import (
     JOIN_TIMEOUT_S,
@@ -132,20 +132,47 @@ def test_no_torn_reads_under_edge_updates(serving):
         checker.assert_consistent(ids, rows)
 
 
-def test_no_torn_reads_on_the_deferred_path(trained, engine):
-    """The deferred path's cache + batcher + on-demand reads, under
-    feature updates that leave stale vertices behind."""
-    ds, _, _ = trained
-    svc = make_service(engine, deferred=True)
-    fe = make_frontend(svc)
-    rng = np.random.default_rng(44)
-    updates = [
+def _feature_updates(ds, engine, seed, num=3, size=2):
+    rng = np.random.default_rng(seed)
+    return [
         (
-            rng.choice(engine.num_vertices, size=2, replace=False),
-            rng.standard_normal((2, ds.feature_dim)).astype(np.float32),
+            rng.choice(engine.num_vertices, size=size, replace=False),
+            rng.standard_normal((size, ds.feature_dim)).astype(np.float32),
         )
-        for _ in range(3)
+        for _ in range(num)
     ]
+
+
+def test_no_torn_reads_under_full_precompute_updates(trained, engine):
+    """Every update above ``full_threshold`` is one whole-graph
+    precompute that publishes its table at the end: readers see the
+    old version or the new one, never a precompute in progress."""
+    ds, _, _ = trained
+    svc = make_service(engine, full_threshold=0.0)
+    fe = make_frontend(svc)
+    updates = _feature_updates(ds, engine, seed=44)
+    try:
+        responses, checker = _run_stress(
+            svc, fe, engine,
+            lambda k: fe.update_features(*updates[k]),
+            num_updates=len(updates),
+        )
+    finally:
+        fe.close()
+        svc.close()
+    assert svc.refresher.num_full == len(updates)
+    assert responses, "stress run served nothing"
+    for ids, rows in responses:
+        checker.assert_consistent(ids, rows)
+
+
+def test_no_torn_reads_without_a_refresher(trained, engine):
+    """A service with no refresher writes features and precomputes in
+    full under its update lock; reads still never see a mix."""
+    ds, _, _ = trained
+    svc = PredictionService(engine)
+    fe = make_frontend(svc)
+    updates = _feature_updates(ds, engine, seed=45)
     try:
         responses, checker = _run_stress(
             svc, fe, engine,
@@ -160,40 +187,23 @@ def test_no_torn_reads_on_the_deferred_path(trained, engine):
         checker.assert_consistent(ids, rows)
 
 
-def test_cache_conservation_under_stress(engine):
-    """hits + misses == lookups at EVERY sampled instant while readers
-    and an updater race the deferred path's cache (all three counters
-    move inside one critical section — a sampler catching them
-    mid-update is the bug)."""
-    svc = make_service(engine, deferred=True)
-    fe = make_frontend(svc)
-    stop = threading.Event()
-    violations = []
+def test_concurrent_reads_match_a_lone_reader(trained, serving):
+    """Reads share no mutable state: after an update, every concurrent
+    response is the lone reader's, bit for bit."""
+    ds, _, _ = trained
+    svc, fe = serving
+    fe.update_features(*_feature_updates(ds, svc.engine, seed=4, num=1, size=3)[0])
+    rng = np.random.default_rng(4)
+    probes = [
+        rng.integers(0, svc.engine.num_vertices, size=5) for _ in range(NUM_READERS)
+    ]
+    want = [svc.predict_logits(p) for p in probes]
 
-    def sampler() -> None:
-        while not stop.is_set():
-            stats = svc.cache.stats()
-            if stats["hits"] + stats["misses"] != stats["lookups"]:
-                violations.append(stats)
-                return
+    def read(idx: int) -> None:
+        got = fe.call("predict", lambda: svc.predict_logits(probes[idx]))
+        assert np.array_equal(got, want[idx])
 
-    s = threading.Thread(target=sampler, name="cache-sampler", daemon=True)
-    s.start()
-    try:
-        rng = np.random.default_rng(7)
-        upd = rng.integers(0, engine.num_vertices, size=(2, 2))
-        responses, _ = _run_stress(
-            svc, fe, engine, lambda k: fe.update_edges(add=upd), num_updates=1
-        )
-    finally:
-        stop.set()
-        join_all([s])
-        fe.close()
-        svc.close()
-    assert not violations, f"conservation violated: {violations[0]}"
-    stats = svc.cache.stats()
-    assert stats["lookups"] == stats["hits"] + stats["misses"]
-    assert stats["lookups"] > 0
+    hammer(read, num_threads=NUM_READERS, iterations=READS_PER_THREAD)
 
 
 def test_raw_cache_conservation_under_contention():
@@ -267,20 +277,3 @@ def test_concurrent_updates_serialize(serving):
     fresh = full_graph_forward(engine.model, engine.graph, engine.features)
     assert np.array_equal(svc.predict_logits(np.arange(engine.num_vertices)), fresh)
 
-
-def test_concurrent_deferred_reads_match_a_lone_reader(engine):
-    """Deferred mode answers stale ids through one shared on-demand
-    sampler (``batch=False`` services admit readers together): every
-    concurrent response is the lone reader's, bit for bit."""
-    rng = np.random.default_rng(4)
-    ids = rng.choice(engine.num_vertices, size=3, replace=False)
-    rows = rng.standard_normal((3, engine.features.shape[1])).astype(np.float32)
-    ref = IncrementalRefresher(engine, full_threshold=0.0, deferred=True)
-    assert ref.update_features(ids, rows).mode == "deferred"
-    probes = [rng.choice(ref.stale, size=5) for _ in range(NUM_READERS)]
-    want = [ref.predict(p) for p in probes]
-
-    def read(idx: int) -> None:
-        assert np.array_equal(ref.predict(probes[idx]), want[idx])
-
-    hammer(read, num_threads=NUM_READERS, iterations=READS_PER_THREAD)

@@ -18,8 +18,6 @@ from harness import JOIN_TIMEOUT_S, join_all
 class StubService:
     """Just enough surface for the frontend (no engine underneath)."""
 
-    cache = None
-
     def __init__(self):
         self.updates = []
 

@@ -8,8 +8,8 @@ overlaps it.
 
 The machine interleaves ``predict``, ``topk``, ``update_features``,
 ``update_edges``, ``dynamic.compact()`` and one update applied while
-three reader threads hammer the service, over {resident, mmap} feature
-tiers x {table, deferred} read modes.  The oracle is a from-scratch
+three reader threads hammer the service, over the {resident, mmap}
+feature tiers.  The oracle is a from-scratch
 full-graph forward over the current features and graph:
 
 - after every update the served rows equal it bit for bit;
@@ -57,7 +57,7 @@ MACHINE_SETTINGS = settings(
 def papers():
     """655 vertices, mean in-degree ~7: a one-vertex update's 2-hop
     affected set is 10 % of the graph at the median, so the 0.25
-    threshold sends some updates incremental and others full/deferred."""
+    threshold sends some updates incremental and others full."""
     return load_dataset("ogbn-papers", scale=0.02, seed=1)
 
 
@@ -79,7 +79,7 @@ def _live_edges(graph) -> np.ndarray:
     return np.stack([graph.indices, dst], axis=1)
 
 
-def _machine(ds, model, make_store, deferred: bool):
+def _machine(ds, model, make_store):
     n = ds.num_vertices
     ids = st.lists(st.integers(0, n - 1), max_size=8)
 
@@ -88,7 +88,7 @@ def _machine(ds, model, make_store, deferred: bool):
             super().__init__()
             self.engine = InferenceEngine(ds, model, feature_store=make_store())
             self.engine.precompute()
-            self.svc = make_service(self.engine, deferred=deferred)
+            self.svc = make_service(self.engine)
             self.published = SnapshotChecker()
             self._publish()
 
@@ -210,9 +210,8 @@ def _machine(ds, model, make_store, deferred: bool):
     return PublishMachine
 
 
-@pytest.mark.parametrize("mode", ["table", "deferred"])
 @pytest.mark.parametrize("tier", ["resident", "mmap"])
-def test_publish_machine(papers, model, tmp_path, tier, mode):
+def test_publish_machine(papers, model, tmp_path, tier):
     if tier == "resident":
         def make_store():
             return None  # the engine's private resident copy
@@ -224,12 +223,12 @@ def test_publish_machine(papers, model, tmp_path, tier, mode):
             # patches a private copy
             return FeatureStore.create(path, papers.features, hot_fraction=0.25)
 
-    machine = _machine(papers, model, make_store, deferred=mode == "deferred")
+    machine = _machine(papers, model, make_store)
     run_state_machine_as_test(machine, settings=MACHINE_SETTINGS)
 
 
 def test_update_publishes_while_a_table_read_is_parked(papers, model):
-    """The register, deterministically: a table-mode read parked after
+    """The register, deterministically: a table read parked after
     its gather does not hold up an incremental update, still answers the
     version it read, and the next read answers the new one.  The update
     wrote into no array a reader could hold."""

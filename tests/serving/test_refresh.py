@@ -1,16 +1,11 @@
 """Incremental refresh: affected sets, exactness vs full recompute,
-threshold fallback, deferred on-demand serving."""
+threshold fallback."""
 
 import numpy as np
 import pytest
 
 from repro.graph.builders import from_edge_list
-from repro.serving import (
-    IncrementalRefresher,
-    InferenceEngine,
-    OnDemandInference,
-    affected_sets,
-)
+from repro.serving import IncrementalRefresher, InferenceEngine, affected_sets
 from repro.serving.refresh import out_neighbors, row_subgraph
 
 
@@ -115,31 +110,78 @@ def test_duplicate_ids_in_batch_dedupe_last_wins(trained, engine):
     assert np.array_equal(engine.logits, truth.logits)
 
 
-def test_deferred_update_of_already_stale_vertex(trained, engine):
-    """Updating a vertex that is already stale must not grow the stale
-    set with duplicates, and the stale-aware path serves the newest
-    feature rows."""
+def test_update_of_already_updated_vertex(trained, engine):
+    """A second update of the same vertices refreshes from the tables
+    the first one left: the latest rows win, exactly."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=0.0, deferred=True)
+    ref = IncrementalRefresher(engine, full_threshold=1.0)
     rng = np.random.default_rng(9)
     ids = np.array([3, 6])
     rows_a = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
-    ref.update_features(ids, rows_a)
-    stale_after_first = np.array(ref.stale, copy=True)
-    assert np.isin(ids, stale_after_first).all()
-
     rows_b = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
-    stats = ref.update_features(ids, rows_b)
-    assert stats.mode == "deferred"
-    # still sorted-unique: re-updating stale vertices adds no duplicates
-    assert np.array_equal(ref.stale, np.unique(ref.stale))
-    assert np.array_equal(ref.stale, stale_after_first)
-
-    truth = _updated_copy_engine(trained, ids, rows_b)  # latest rows win
-    probe = np.concatenate([ids, [int(ref.stale[-1])]])
-    assert np.array_equal(ref.predict(probe), truth.logits[probe])
-    ref.resolve()
+    assert ref.update_features(ids, rows_a).mode == "incremental"
+    assert ref.update_features(ids, rows_b).mode == "incremental"
+    assert ref.num_incremental == 2
+    truth = _updated_copy_engine(trained, ids, rows_b)
     assert np.array_equal(engine.logits, truth.logits)
+    for got, want in zip(engine.layer_inputs, truth.layer_inputs):
+        assert np.array_equal(got, want)
+
+
+def test_small_update_after_full_goes_incremental(trained, engine):
+    """A full precompute leaves every table current, so the next small
+    update takes the row-subset path again, and the two compose
+    exactly."""
+    ds, _, _ = trained
+    ref = IncrementalRefresher(engine, full_threshold=0.0)
+    ids_a, rows_a = _rand_update(ds, seed=6)
+    assert ref.update_features(ids_a, rows_a).mode == "full"
+    ref.full_threshold = 1.0
+    ids_b, rows_b = _rand_update(ds, seed=7)
+    assert ref.update_features(ids_b, rows_b).mode == "incremental"
+    truth = _updated_copy_engine(trained, ids_a, rows_a)
+    truth.features[ids_b] = rows_b
+    truth.precompute()
+    assert np.array_equal(engine.logits, truth.logits)
+
+
+@pytest.mark.parametrize("full_threshold", [0.0, 1.0], ids=["full", "incremental"])
+def test_publish_leaves_a_held_table_untouched(trained, engine, full_threshold):
+    """Readers hold ``engine.logits`` without a lock: both refresh
+    modes publish a new table and write into none a reader holds."""
+    ds, _, _ = trained
+    held = engine.logits
+    before = held.copy()
+    ids, rows = _rand_update(ds, seed=10)
+    stats = IncrementalRefresher(engine, full_threshold=full_threshold).update_features(
+        ids, rows
+    )
+    assert stats.mode == ("full" if full_threshold == 0.0 else "incremental")
+    assert engine.logits is not held
+    assert np.array_equal(held, before)
+    assert np.array_equal(engine.logits, _updated_copy_engine(trained, ids, rows).logits)
+
+
+def test_failed_update_leaves_tables_untouched(trained, engine):
+    """An out-of-range id or a misshapen row block raises before any
+    write: features, logits and the version stay as they were."""
+    ds, _, _ = trained
+    ref = IncrementalRefresher(engine, full_threshold=1.0)
+    logits, features, version = engine.logits, engine.features.copy(), engine.version
+    rows = np.ones((2, ds.feature_dim), dtype=np.float32)
+    with pytest.raises(ValueError, match="vertex ids"):
+        ref.update_features([0, engine.num_vertices], rows)
+    with pytest.raises(ValueError, match="new_rows shape"):
+        ref.update_features([0, 1, 2], rows)
+    assert engine.logits is logits and engine.version == version
+    assert np.array_equal(engine.features, features)
+    assert ref.stats()["incremental"] == ref.stats()["full"] == 0
+
+
+def test_threshold_out_of_range_rejected(engine):
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="full_threshold"):
+            IncrementalRefresher(engine, full_threshold=bad)
 
 
 def test_update_shape_validation(engine):
@@ -147,68 +189,6 @@ def test_update_shape_validation(engine):
         IncrementalRefresher(engine).update_features(
             [0, 1], np.zeros((3, engine.features.shape[1]), dtype=np.float32)
         )
-
-
-# -- on-demand path ---------------------------------------------------------------
-
-
-def test_on_demand_exact_at_full_fanout(trained, engine):
-    ds, _, _ = trained
-    ids = np.array([5, 0, 11])  # unsorted on purpose: order must be preserved
-    od = OnDemandInference(engine)
-    assert np.array_equal(od.predict(ids), engine.logits[ids])
-    assert od.num_requests == 1 and od.num_sampled_edges > 0
-
-
-def test_on_demand_small_fanout_is_estimate(trained, engine):
-    ds, _, cfg = trained
-    od = OnDemandInference(engine, fanouts=[2] * cfg.num_layers)
-    rows = od.predict([0, 1])
-    assert rows.shape == (2, ds.num_classes)  # approximate, but well-formed
-
-
-def test_deferred_mode_serves_fresh_rows(trained, engine):
-    ds, _, _ = trained
-    ids, rows = _rand_update(ds, seed=3)
-    ref = IncrementalRefresher(engine, full_threshold=0.0, deferred=True)
-    stats = ref.update_features(ids, rows)
-    assert stats.mode == "deferred"
-    assert ref.stale.size == stats.affected_per_layer[-1]
-
-    truth = _updated_copy_engine(trained, ids, rows)
-    probe = np.concatenate([ids[:2], [int(ref.stale[0])]])
-    # stale tables still answer engine.predict; refresher.predict is fresh
-    assert np.array_equal(ref.predict(probe), truth.logits[probe])
-
-    # resolve() clears staleness with one full pass
-    ref.resolve()
-    assert ref.stale.size == 0
-    assert np.array_equal(engine.logits, truth.logits)
-
-
-def test_small_update_after_deferred_stays_deferred(trained, engine):
-    """With staleness outstanding, an incremental pass would read
-    poisoned layer tables — every further update must defer until
-    resolve() clears the debt."""
-    ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=0.5, deferred=True)
-    ids_a, rows_a = _rand_update(ds, seed=6)
-    # force staleness regardless of graph density
-    ref.full_threshold = 0.0
-    assert ref.update_features(ids_a, rows_a).mode == "deferred"
-    ref.full_threshold = 1.0  # small update would normally go incremental
-    ids_b, rows_b = _rand_update(ds, seed=7)
-    stats = ref.update_features(ids_b, rows_b)
-    assert stats.mode == "deferred"
-
-    # stale-aware predict still matches ground truth for both updates
-    truth = _updated_copy_engine(trained, ids_a, rows_a)
-    truth.features[ids_b] = rows_b
-    truth.precompute()
-    probe = np.concatenate([ids_a[:2], ids_b[:2]])
-    assert np.array_equal(ref.predict(probe), truth.logits[probe])
-    ref.resolve()
-    assert np.array_equal(engine.logits, truth.logits)
 
 
 def test_refresh_bumps_engine_version(trained, engine):
@@ -222,4 +202,5 @@ def test_refresh_bumps_engine_version(trained, engine):
 def test_stats_surface(engine):
     ref = IncrementalRefresher(engine)
     s = ref.stats()
-    assert {"incremental", "full", "deferred", "stale_vertices"} <= set(s)
+    assert {"incremental", "full", "deferred", "topology_updates"} <= set(s)
+    assert s["deferred"] == 0  # no update leaves tables stale

@@ -9,10 +9,12 @@ import pytest
 
 from repro.serving import (
     IncrementalRefresher,
+    InferenceEngine,
     PredictionServer,
     PredictionService,
     ResultCache,
 )
+from repro.serving.engine import topk_rows
 
 
 def _post(url, payload):
@@ -39,9 +41,10 @@ def test_service_matches_engine(engine):
         assert np.array_equal(svc.predict(ids), np.argmax(engine.logits[ids], axis=1))
 
 
-def test_table_mode_reads_skip_cache_and_batcher(engine):
-    """Without a deferred refresher a read is a table row: the cache is
-    kept but never consulted, and no batcher is built."""
+def test_legacy_arguments_are_accepted_and_unused(engine):
+    """``cache`` / ``batch`` / ``max_batch`` / ``max_wait_ms`` are still
+    accepted: a read is a table row either way, and the cache is kept
+    on the service but never consulted."""
     ids = np.array([7, 3, 7, 11])
     for refresher in (None, IncrementalRefresher(engine)):
         with PredictionService(
@@ -49,67 +52,80 @@ def test_table_mode_reads_skip_cache_and_batcher(engine):
             max_wait_ms=0.5, refresher=refresher,
         ) as svc:
             assert np.array_equal(svc.predict_logits(ids), engine.logits[ids])
-            assert svc.batcher is None
             assert svc.cache.lookups == 0
-            assert svc.stats()["batcher"] is None
+            assert set(svc.stats()) == {"engine", "refresher"}
 
 
-def test_service_cache_and_batcher_preserve_results(engine):
-    ids = np.array([7, 3, 7, 11])
-    ref = IncrementalRefresher(engine, deferred=True)
-    with PredictionService(
-        engine, cache=ResultCache(8), batch=True, max_batch=16, max_wait_ms=0.5,
-        refresher=ref,
-    ) as svc:
-        first = svc.predict_logits(ids)
-        second = svc.predict_logits(ids)  # fully cached now
-        assert np.array_equal(first, engine.logits[ids])
-        assert np.array_equal(second, first)
-        assert svc.cache.hits >= 3
-        topk_classes, _ = svc.topk(ids, k=2)
-        assert topk_classes.shape == (4, 2)
-    stats = svc.stats()
-    assert stats["cache"]["hits"] == svc.cache.hits
-    assert stats["batcher"]["requests"] == 3
+def test_empty_request(trained, engine):
+    ds, _, _ = trained
+    with PredictionService(engine) as svc:
+        rows = svc.predict_logits([])
+        assert rows.shape == (0, ds.num_classes)
+        assert svc.predict([]).shape == (0,)
+
+
+def test_topk_matches_engine(engine):
+    ids = np.array([9, 2, 9])
+    with PredictionService(engine) as svc:
+        classes, scores = svc.topk(ids, k=3)
+    want_classes, want_scores = engine.topk(ids, k=3)
+    assert np.array_equal(classes, want_classes)
+    assert np.array_equal(scores, want_scores)
+    assert np.array_equal(classes[:, 0], svc.predict(ids))
 
 
 def test_service_routes_through_refresher(trained, engine):
+    """With a refresher attached an update takes its policy (here the
+    row-subset pass), and the next read serves the published rows."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=0.0, deferred=True)
-    rng = np.random.default_rng(5)
+    ref = IncrementalRefresher(engine, full_threshold=1.0)
     ids = np.array([2, 8])
-    ref.update_features(ids, rng.standard_normal((2, ds.feature_dim)).astype(np.float32))
+    rows = np.random.default_rng(5).standard_normal((2, ds.feature_dim))
     with PredictionService(engine, refresher=ref) as svc:
+        before = svc.predict_logits(ids)
+        stats = svc.update_features(ids, rows.astype(np.float32))
         got = svc.predict_logits(ids)
-    # served rows reflect the update even though the tables are stale
-    assert not np.array_equal(got, engine.logits[ids])
-    assert svc.stats()["refresher"]["stale_vertices"] > 0
+    assert stats.mode == "incremental"
+    assert svc.stats()["refresher"]["incremental"] == 1
+    assert np.array_equal(got, engine.logits[ids])
+    assert not np.array_equal(got, before)
 
 
 def test_cache_invalidated_by_refresh(trained, engine):
-    """A refresher update must not leave stale rows in the deferred
-    path's result cache."""
+    """A service built with the legacy result cache never serves a row
+    from before an update: reads are table rows, not cache entries."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=1.0, deferred=True)
+    ref = IncrementalRefresher(engine, full_threshold=1.0)
     with PredictionService(engine, cache=ResultCache(64), refresher=ref) as svc:
         ids = np.array([0, 1])
-        before = svc.predict_logits(ids)  # fills the cache
+        before = svc.predict_logits(ids)
         rng = np.random.default_rng(11)
-        upd = np.array([0])
-        ref.update_features(
-            upd, rng.standard_normal((1, ds.feature_dim)).astype(np.float32)
+        svc.update_features(
+            [0], rng.standard_normal((1, ds.feature_dim)).astype(np.float32)
         )
         after = svc.predict_logits(ids)
         assert np.array_equal(after, engine.logits[ids])
         assert not np.array_equal(after[0], before[0])
+        assert svc.cache.lookups == 0
 
 
-def test_empty_request_with_cache(trained, engine):
-    ds, _, _ = trained
-    with PredictionService(engine, cache=ResultCache(8)) as svc:
-        rows = svc.predict_logits([])
-        assert rows.shape == (0, ds.num_classes)
-        assert svc.predict([]).shape == (0,)
+def test_feature_update_without_refresher_is_full_and_last_wins(trained, engine):
+    """No refresher: the write is deduplicated last-wins, one full
+    precompute publishes, and reads serve it."""
+    ds, trainer, cfg = trained
+    rows = np.random.default_rng(12).standard_normal((3, ds.feature_dim))
+    rows = rows.astype(np.float32)
+    with PredictionService(engine) as svc:
+        version = engine.version
+        stats = svc.update_features([4, 7, 4], rows)
+        served = svc.predict_logits(np.arange(engine.num_vertices))
+    assert stats.mode == "full" and stats.num_updated == 2
+    assert engine.version == version + 1
+    truth = InferenceEngine(ds, trainer.model, cfg)
+    truth.features[[4, 7]] = rows[[2, 1]]
+    assert np.array_equal(served, truth.precompute().logits)
+    with pytest.raises(ValueError, match="new_rows shape"):
+        svc.update_features([4], rows)
 
 
 # -- HTTP endpoint ----------------------------------------------------------------
@@ -117,7 +133,7 @@ def test_empty_request_with_cache(trained, engine):
 
 @pytest.fixture
 def live_server(engine):
-    svc = PredictionService(engine, cache=ResultCache(64))
+    svc = PredictionService(engine)
     server = PredictionServer(svc, port=0).start_background()
     host, port = server.address
     yield engine, f"http://{host}:{port}"
@@ -141,7 +157,7 @@ def test_http_stats_and_health(live_server):
     _post(f"{base}/predict", {"vertices": [1, 2]})
     status, stats = _get(f"{base}/stats")
     assert status == 200
-    assert stats["cache"]["capacity"] == 64
+    assert set(stats) == {"engine", "refresher"}
     status, health = _get(f"{base}/healthz")
     assert status == 200 and health == {"status": "ok"}
 
@@ -226,7 +242,6 @@ def test_http_metrics_endpoint(live_server):
     # live gauges ride along; the drain counters read 0
     assert snap["num_drains"] == totals["rejected_draining"] == 0
     assert snap["queue_depth"] >= 0 and snap["in_flight"] >= 0
-    assert 0.0 <= snap["cache_hit_rate"] <= 1.0
 
 
 def test_http_update_features(live_server):
@@ -248,3 +263,69 @@ def test_http_update_features(live_server):
     assert after == np.argmax(engine.logits[[0]], axis=1).tolist()
     assert np.array_equal(engine.features[0], rows[0])
     assert before is not None  # label may or may not move; the row must
+
+
+def test_http_update_features_validation(live_server):
+    """Every malformed feature update answers 400 JSON and publishes
+    nothing."""
+    engine, base = live_server
+    dim = engine.features.shape[1]
+    row = [0.0] * dim
+    logits, version = engine.logits, engine.version
+    cases = [
+        {},                                                     # missing keys
+        {"vertices": [0]},                                      # no features
+        {"vertices": [0], "features": [row], "extra": 1},       # unknown key
+        {"vertices": [0, 1], "features": [row]},                # row count
+        {"vertices": [0], "features": [row[:-1]]},              # row width
+        {"vertices": [0], "features": [[float("nan")] * dim]},  # not finite
+        {"vertices": [0], "features": [["a"] * dim]},           # not numeric
+        {"vertices": [engine.num_vertices], "features": [row]}, # out of range
+    ]
+    for body in cases:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{base}/update_features", body)
+        assert err.value.code == 400, body
+        assert "error" in json.load(err.value), body
+    assert engine.logits is logits and engine.version == version
+
+
+def test_predict_response_is_one_read_of_one_version(trained, engine):
+    """``labels`` and ``topk`` of one response come from one table read:
+    an update published right after that read cannot give the response
+    labels from one version and top-k from the next."""
+    ds, _, _ = trained
+    svc = PredictionService(
+        engine, refresher=IncrementalRefresher(engine, full_threshold=1.0)
+    )
+    vertices = [0, 7, 9]
+    rows = np.random.default_rng(31).standard_normal((3, ds.feature_dim))
+    reads = []
+
+    def publish_after_first_read(lookup):
+        def read(ids):
+            out = lookup(ids)
+            reads.append(ids)
+            if len(reads) == 1:
+                svc.update_features(vertices, rows.astype(np.float32))
+            return out
+
+        return read
+
+    svc.wrap_lookup(publish_after_first_read)
+    old = np.array(engine.logits[vertices], copy=True)
+    server = PredictionServer(svc, port=0).start_background()
+    host, port = server.address
+    try:
+        k = ds.num_classes
+        _, resp = _post(f"http://{host}:{port}/predict", {"vertices": vertices, "k": k})
+    finally:
+        server.shutdown()
+    assert len(reads) == 1  # one lookup per request
+    assert not np.array_equal(engine.logits[vertices], old)  # the update landed
+    classes, scores = topk_rows(old, k)
+    assert resp["labels"] == np.argmax(old, axis=1).tolist()
+    assert resp["topk"] == [
+        [{"class": int(c), "score": float(x)} for c, x in zip(crow, srow)]
+        for crow, srow in zip(classes, scores)
+    ]

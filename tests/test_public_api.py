@@ -176,7 +176,7 @@ def test_featurestore_public_surface():
 def test_nn_exports_all_models():
     from repro import nn
 
-    for model in ("GraphSAGE", "RGCN", "GCN", "GIN", "GAT"):
+    for model in ("GraphSAGE", "RGCN", "GCN", "GAT"):
         assert hasattr(nn, model)
 
 
