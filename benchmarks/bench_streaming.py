@@ -41,11 +41,7 @@ from repro.core import TrainConfig, Trainer  # noqa: E402
 from repro.dyngraph import DynamicGraph, LibraState  # noqa: E402
 from repro.graph.builders import coo_to_csr  # noqa: E402
 from repro.graph.datasets import load_dataset  # noqa: E402
-from repro.serving import (  # noqa: E402
-    IncrementalRefresher,
-    InferenceEngine,
-    PredictionService,
-)
+from repro.serving import InferenceEngine, PredictionService  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -105,9 +101,7 @@ def _make_service(ds, args):
     )
     trainer = Trainer(ds, cfg)
     trainer.fit(num_epochs=args.train_epochs)
-    engine = InferenceEngine(ds, trainer.model, cfg).precompute()
-    refresher = IncrementalRefresher(engine, full_threshold=args.full_threshold)
-    return PredictionService(engine, refresher=refresher)
+    return PredictionService(InferenceEngine(ds, trainer.model, cfg).precompute())
 
 
 def bench_update_latency(ds, args) -> list:
@@ -117,7 +111,6 @@ def bench_update_latency(ds, args) -> list:
     for batch_size in args.batch_sizes:
         svc = _make_service(ds, args)  # fresh engine per cell
         latencies = []
-        modes: dict = {}
         for _ in range(args.rounds):
             add = np.stack(
                 [rng.integers(0, n, batch_size), rng.integers(0, n, batch_size)],
@@ -125,10 +118,9 @@ def bench_update_latency(ds, args) -> list:
             )
             probe = np.unique(add[:, 1])
             t0 = time.perf_counter()
-            stats = svc.update_edges(add=add)
+            svc.update_edges(add=add)
             svc.predict_logits(probe)  # freshness: read the mutated rows
             latencies.append(time.perf_counter() - t0)
-            modes[stats.mode] = modes.get(stats.mode, 0) + 1
         svc.close()
         lat_ms = np.asarray(latencies) * 1e3
         rows.append({
@@ -137,7 +129,6 @@ def bench_update_latency(ds, args) -> list:
             "mean_ms": float(lat_ms.mean()),
             "p50_ms": float(np.percentile(lat_ms, 50)),
             "p99_ms": float(np.percentile(lat_ms, 99)),
-            "modes": modes,
         })
     return rows
 
@@ -180,7 +171,6 @@ def main(argv=None) -> int:
     ap.add_argument("--delta-fractions", type=float, nargs="+",
                     default=[0.05, 0.25, 0.5])
     ap.add_argument("--train-epochs", type=int, default=3)
-    ap.add_argument("--full-threshold", type=float, default=0.25)
     ap.add_argument("--smoke", action="store_true",
                     help="tiny run for CI schema validation")
     args = ap.parse_args(argv)
@@ -206,7 +196,6 @@ def main(argv=None) -> int:
         "num_edges": ds.num_edges,
         "partitions": args.partitions,
         "stream_fraction": args.stream_fraction,
-        "full_threshold": args.full_threshold,
         "smoke": bool(args.smoke),
         "ingest": ingest_rows,
         "update_latency": latency_rows,

@@ -11,6 +11,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py subnormals
     PYTHONPATH=src python benchmarks/studies.py serving-layers [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py sim-threads [--baseline CHECKOUT]
+    PYTHONPATH=src python benchmarks/studies.py refresh [--baseline CHECKOUT]
 """
 
 from __future__ import annotations
@@ -718,6 +719,145 @@ def sim_threads(reps: int, baseline=None) -> None:
                     "\n".join(lines) + "\n")
 
 
+REFRESH_DOC = os.path.join(BENCH_DIR, "..", "docs", "refresh.md")
+#: ``serve_mixed``'s graph and the ``serve_read`` replay's
+REFRESH_SCALES = (0.25, 0.5)
+#: affected fractions the seed sets are grown to (last layer)
+REFRESH_TARGETS = (0.05, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.85, 0.89, 0.91, 0.93, 0.96, 1.0)
+REFRESH_TIMED = 3  # updates timed per rung in one child, median kept
+
+
+def _refresh_child(scale: float) -> None:
+    """One process on one tree: the ``serve_mixed`` model (ogbn-papers at
+    ``scale``, one epoch) behind an ``IncrementalRefresher`` built as
+    ``repro serve`` builds it, fed feature updates whose seed sets are
+    prefixes of one seeded vertex order grown until the last layer's
+    affected set reaches each of ``REFRESH_TARGETS``.  Per rung: the
+    affected count per layer, the path the tree took, the median update
+    ms, and whether every table equals a from-scratch forward; plus the
+    median ``precompute()`` ms.  One JSON line."""
+    from repro.serving import IncrementalRefresher, InferenceEngine, affected_sets
+    from repro.serving.engine import full_graph_forward
+
+    ds = load_dataset("ogbn-papers", scale=scale, seed=0)
+    cfg = TrainConfig(num_threads=1, seed=0, eval_every=0).for_dataset("ogbn-papers")
+    trainer = Trainer(ds, cfg)
+    trainer.train_epoch(0)
+    engine = InferenceEngine(ds, trainer.model, cfg).precompute()
+    refresher = IncrementalRefresher(engine)
+    n, layers = engine.num_vertices, engine.num_layers
+    # fewest out-edges first (ties in seeded order): one vertex of the
+    # hub-heavy tail alone reaches a third of the graph in three hops
+    shuffled = np.random.default_rng(0).permutation(n)
+    out_degree = np.bincount(engine.graph.indices, minlength=n)
+    order = shuffled[np.argsort(out_degree[shuffled], kind="stable")]
+
+    def reach(k: int) -> list:
+        return [a.size for a in affected_sets(engine.graph, order[:k], layers)]
+
+    rng = np.random.default_rng(1)
+
+    def rows_for(ids):
+        return rng.standard_normal((ids.size, ds.feature_dim)).astype(np.float32)
+
+    refresher.update_features(order[:1], rows_for(order[:1]))  # warm-up
+    precompute_ms = _median_ms(engine.precompute, REFRESH_TIMED)
+    rungs = []
+    for target in REFRESH_TARGETS:
+        lo, hi = 1, n  # smallest prefix whose reach is at least the target
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if reach(mid)[-1] < target * n else (lo, mid)
+        if rungs and rungs[-1]["seeds"] == lo:
+            continue  # one added vertex overshot this target and the next
+        ids = order[:lo]
+        times, paths = [], set()
+        for _ in range(REFRESH_TIMED):
+            rows = rows_for(ids)
+            t0 = time.perf_counter()
+            stats = refresher.update_features(ids, rows)
+            times.append(time.perf_counter() - t0)
+            paths.add(getattr(stats, "mode", "incremental"))
+        logits, inputs = full_graph_forward(engine.model, engine.graph, engine.features,
+                                            capture_inputs=True)
+        equal = np.array_equal(engine.logits, logits) and all(
+            np.array_equal(a, b) for a, b in zip(engine.layer_inputs, inputs))
+        rungs.append({"seeds": int(lo), "per_layer": reach(lo), "path": "/".join(sorted(paths)),
+                      "ms": 1e3 * float(np.median(times)), "equal": bool(equal)})
+    print(json.dumps({"scale": scale, "N": n, "E": int(engine.graph.num_edges),
+                      "layers": layers, "precompute_ms": precompute_ms, "rungs": rungs}))
+
+
+def refresh(reps: int, baseline=None) -> None:
+    """ROADMAP 2: the refresh path over an affected-fraction ladder on
+    papers 0.25 and 0.5 — this tree beside ``baseline`` (a checkout,
+    whose refresher routes an update past ``full_threshold`` 0.25 to a
+    full precompute), alternating child processes, the side that runs
+    first swapping rep by rep.  Appends a dated section to
+    docs/refresh.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    trees = {"change": os.path.join(BENCH_DIR, "..", "src")}
+    if baseline:
+        trees = {"parent": os.path.join(baseline, "src"), **trees}
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs, "
+        f"{reps} alternating runs per tree",
+        "",
+        "Feature updates on the `serve_mixed` model (ogbn-papers, one epoch), "
+        "through `IncrementalRefresher(engine)` as `repro serve` builds it. Seed "
+        "sets are prefixes of one seeded vertex order, grown until the last "
+        "layer's affected set reaches each fraction. Each run times "
+        f"{REFRESH_TIMED} updates per rung (median); the table gives the median "
+        "over runs, the paired change / parent ratio's median and the runs the "
+        "change won. *equal*: every table equals a from-scratch forward after "
+        "the rung, in every run. *change / precompute()*: against a bare "
+        "`precompute()` on the same tree; an update also writes its feature "
+        "rows and walks its affected sets, so a whole-graph update sits above 1.",
+    ]
+    for scale in REFRESH_SCALES:
+        runs = {name: [] for name in trees}
+        for rep in range(reps):
+            for name, src in list(trees.items())[:: -1 if rep % 2 else 1]:
+                runs[name].append(_child_json(
+                    [sys.executable, "-c", f"import studies; studies._refresh_child({scale})"],
+                    src, cwd=BENCH_DIR,
+                ))
+        first = runs["change"][0]
+        full = {name: float(np.median([r["precompute_ms"] for r in rs]))
+                for name, rs in runs.items()}
+        lines += [
+            "",
+            f"### papers {scale:g}: N = {first['N']:,}, E = {first['E']:,}, "
+            f"{first['layers']} layers; `precompute()` "
+            + ", ".join(f"{name} {ms:.1f} ms" for name, ms in full.items()),
+            "",
+            "| seeds | affected fraction per layer | "
+            + " | ".join(f"{name} path | {name} ms" for name in trees)
+            + (" | change / parent | change better" if baseline else "")
+            + " | change / precompute() | equal |",
+            "| --- " * (4 + 2 * len(trees) + 2 * bool(baseline)) + "|",
+        ]
+        for i, rung in enumerate(first["rungs"]):
+            ms = {name: [r["rungs"][i]["ms"] for r in rs] for name, rs in runs.items()}
+            cells = [str(rung["seeds"]),
+                     " / ".join(f"{c / first['N']:.2f}" for c in rung["per_layer"])]
+            for name, rs in runs.items():
+                cells += [rs[0]["rungs"][i]["path"], f"{np.median(ms[name]):.1f}"]
+            if baseline:
+                ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
+                wins = sum(c < p for p, c in zip(ms["parent"], ms["change"]))
+                cells += [f"{np.median(ratios):.2f}", f"{wins}/{reps}"]
+            cells.append(f"{np.median(ms['change']) / full['change']:.2f}")
+            equal = all(r["rungs"][i]["equal"] for rs in runs.values() for r in rs)
+            cells.append("yes" if equal else "**no**")
+            lines.append("| " + " | ".join(cells) + " |")
+    _append_section(REFRESH_DOC, "One refresh path: row-subset recompute vs full precompute",
+                    "refresh", "\n".join(lines) + "\n")
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
@@ -726,6 +866,7 @@ STUDIES = {
     "subnormals": subnormals,
     "serving-layers": serving_layers,
     "sim-threads": sim_threads,
+    "refresh": refresh,
 }
 
 if __name__ == "__main__":
@@ -735,13 +876,13 @@ if __name__ == "__main__":
     parser.add_argument("--part", choices=sorted(PROJECT_FIRST_PARTS),
                         help="project-first: only this table (default: all three)")
     parser.add_argument("--baseline", metavar="CHECKOUT",
-                        help="serving-layers / sim-threads: a checkout to measure "
-                        "beside this tree")
+                        help="serving-layers / sim-threads / refresh: a checkout to "
+                        "measure beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":
         parser.error("--part belongs to project-first")
-    if args.baseline and args.study not in ("serving-layers", "sim-threads"):
-        parser.error("--baseline belongs to serving-layers and sim-threads")
+    if args.baseline and args.study not in ("serving-layers", "sim-threads", "refresh"):
+        parser.error("--baseline belongs to serving-layers, sim-threads and refresh")
     if args.part:
         project_first(args.reps, parts=(args.part,))
     elif args.baseline:

@@ -20,7 +20,6 @@ from __future__ import annotations
 HANDOUT_FUNCTIONS = {
     ("repro/graph/csr.py", "CSRGraph.__post_init__"),
     ("repro/graph/csr.py", "CSRGraph.to_scipy"),
-    ("repro/serving/cache.py", "ResultCache._frozen_copy"),
     ("repro/featurestore/storage.py", "open_feature_layout"),
     ("repro/featurestore/store.py", "FeatureStore.gather"),
     ("repro/featurestore/store.py", "FeatureStore.matrix"),
@@ -30,7 +29,6 @@ HANDOUT_FUNCTIONS = {
 #: Helper names whose invocation counts as freeze evidence inside a
 #: registered hand-out function.
 FREEZER_HELPERS = {
-    "_frozen_copy",
     "_frozen_rows",
     "_frozen_view",
     "_freeze",

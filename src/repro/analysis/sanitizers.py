@@ -25,9 +25,9 @@ set, written as JSON at interpreter exit so CI can gate on a clean run.
 
 Design notes
 ------------
-- Edges are recorded at *name* level, not object level.  Two instances of
-  the same class share a lock name (e.g. ``serving.cache``); re-acquiring
-  the same name on one thread is intentionally *not* an edge, so
+- Edges are recorded at *name* level, not object level.  Two instances
+  of the same class share a lock name (e.g. ``featurestore.hotset``);
+  re-acquiring the same name on one thread is intentionally *not* an edge, so
   per-instance locks of one class never self-report.  Cross-name cycles
   (``A -> B`` and ``B -> A``) are exactly the hierarchy violations we
   care about.

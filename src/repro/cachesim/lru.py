@@ -24,8 +24,8 @@ from repro.kernels.blocked import BlockedGraph
 class LRUFeatureCache:
     """Fully-associative LRU over integer keys (feature-vector ids).
 
-    Counter conservation (the :class:`~repro.serving.cache.ResultCache`
-    audit contract, pinned by ``tests/cachesim/test_lru_properties.py``):
+    Counter conservation (pinned by
+    ``tests/cachesim/test_lru_properties.py``):
     ``lookups == hits + misses`` and ``occupancy == misses - evictions``
     hold at every instant, under any interleaving of :meth:`access` and
     :meth:`access_many`.

@@ -124,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads for precompute and refresh passes",
     )
     p_serve.add_argument(
-        "--full-threshold", type=float, default=0.25,
-        help="edge/feature updates whose affected set exceeds this "
-        "fraction of the graph trigger a full precompute instead of an "
-        "incremental refresh",
-    )
-    p_serve.add_argument(
         "--workers", type=int, default=4,
         help="request-execution worker pool size",
     )
@@ -502,11 +496,7 @@ def cmd_predict(args) -> int:
 
 def _build_service(args):
     """Checkpoint -> (dataset, composed PredictionService) for serve/loadgen."""
-    from repro.serving import (
-        IncrementalRefresher,
-        InferenceEngine,
-        PredictionService,
-    )
+    from repro.serving import InferenceEngine, PredictionService
 
     ds = _load(args)
     engine = InferenceEngine.from_checkpoint(
@@ -514,15 +504,9 @@ def _build_service(args):
         feature_store=_make_feature_store(ds, args),
     )
     engine.precompute()
-    # table mode: reads are rows of the published logits table; edge and
-    # feature updates refresh incrementally below the threshold
-    service = PredictionService(
-        engine,
-        refresher=IncrementalRefresher(
-            engine, full_threshold=getattr(args, "full_threshold", 0.25)
-        ),
-    )
-    return ds, service
+    # reads are rows of the published logits table; the service's
+    # refresher recomputes the rows each edge / feature update reaches
+    return ds, PredictionService(engine)
 
 
 def cmd_serve(args) -> int:  # pragma: no cover - interactive loop

@@ -16,7 +16,8 @@ subsystem closes that gap in three layers:
 - :mod:`repro.dyngraph.serving_updates` — edge updates for the serving
   tier: ``update_edges(add, remove)`` on the refresher/service seeds the
   k-hop affected-set machinery from mutated-edge endpoints and refreshes
-  exactly equal to a full precompute on the compacted graph.
+  those rows (every update takes this one path), exactly equal to a full
+  precompute on the compacted graph.
 
 CLI: ``repro ingest``.  HTTP: ``POST /update_edges`` on the prediction
 server.  Benchmarks: ``benchmarks/bench_streaming.py`` →
@@ -29,11 +30,7 @@ from repro.dyngraph.ingest import (
     LibraStateError,
     streaming_libra_partition,
 )
-from repro.dyngraph.serving_updates import (
-    EdgeUpdateStats,
-    apply_topology,
-    full_topology_update,
-)
+from repro.dyngraph.serving_updates import EdgeUpdateStats, apply_topology
 
 __all__ = [
     "DynamicGraph",
@@ -42,5 +39,4 @@ __all__ = [
     "streaming_libra_partition",
     "EdgeUpdateStats",
     "apply_topology",
-    "full_topology_update",
 ]

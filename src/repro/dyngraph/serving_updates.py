@@ -21,19 +21,20 @@ over-approximates every layer-0 output the mutation can move:
   so seeding it costs a few extra rows but loses nothing.
 
 Rows outside the affected sets keep bit-identical values under the new
-topology, which is what makes the incremental path exactly equal to a
+topology, which is what makes the row-subset refresh exactly equal to a
 full ``precompute()`` on the compacted graph (pinned in
-``tests/dyngraph/test_serving_updates.py``).
+``tests/dyngraph/test_serving_updates.py``), including an update whose
+affected set is the whole graph.
 
-Wired into :class:`repro.serving.refresh.IncrementalRefresher.
-update_edges` (incremental / full policy) and
-:class:`repro.serving.server.PredictionService.update_edges` (HTTP
+Wired into :meth:`repro.serving.refresh.IncrementalRefresher.
+update_edges` (the one refresh path) and
+:meth:`repro.serving.server.PredictionService.update_edges` (HTTP
 ``POST /update_edges``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -78,9 +79,6 @@ def as_edge_pairs(edges, what: str) -> Tuple[np.ndarray, np.ndarray]:
 class EdgeUpdateStats:
     """Outcome of one ``update_edges`` call."""
 
-    #: "incremental" (row-subset recompute) or "full" (whole-graph
-    #: precompute).
-    mode: str
     num_added: int
     num_removed: int
     #: distinct mutated-edge endpoints seeding the affected sets.
@@ -96,18 +94,7 @@ class EdgeUpdateStats:
 
     def to_json(self) -> dict:
         """JSON-safe dict (the HTTP endpoint's response body)."""
-        return {
-            "mode": self.mode,
-            "num_added": self.num_added,
-            "num_removed": self.num_removed,
-            "num_seeds": self.num_seeds,
-            "affected_per_layer": list(self.affected_per_layer),
-            "affected_fraction": self.affected_fraction,
-            "rows_recomputed": self.rows_recomputed,
-            "num_edges": self.num_edges,
-            "compacted": self.compacted,
-            "delta_fraction": self.delta_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,8 +118,8 @@ def apply_topology(
     Lazily shadows ``engine.graph`` with a :class:`DynamicGraph` (kept on
     ``engine.dynamic``), applies removals then additions, and re-points
     ``engine.graph`` / ``engine.norm`` at the merged view.  The caller is
-    responsible for refreshing the embedding tables afterwards
-    (incrementally from the returned seeds, or via ``precompute()``).
+    responsible for refreshing the embedding tables afterwards, from the
+    returned seeds.
     """
     add_src, add_dst = as_edge_pairs(add, "add")
     rem_src, rem_dst = as_edge_pairs(remove, "remove")
@@ -166,28 +153,4 @@ def apply_topology(
         num_added=int(add_src.size),
         num_removed=int(rem_src.size),
         compacted=dyn.num_compactions > compactions_before,
-    )
-
-
-def full_topology_update(engine, add=None, remove=None) -> EdgeUpdateStats:
-    """Edge update + whole-graph precompute (no refresher attached).
-
-    The simplest correct policy: apply the mutation and rebuild every
-    table.  The precompute publishes a new logits table and bumps
-    ``engine.version``.
-    """
-    delta = apply_topology(engine, add=add, remove=remove)
-    engine.precompute()
-    dyn = engine.dynamic
-    return EdgeUpdateStats(
-        mode="full",
-        num_added=delta.num_added,
-        num_removed=delta.num_removed,
-        num_seeds=int(delta.seeds.size),
-        affected_per_layer=(engine.num_vertices,) * engine.num_layers,
-        affected_fraction=1.0,
-        rows_recomputed=engine.num_vertices * engine.num_layers,
-        num_edges=dyn.num_edges,
-        compacted=delta.compacted,
-        delta_fraction=dyn.delta_fraction,
     )

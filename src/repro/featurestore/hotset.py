@@ -162,8 +162,7 @@ class HotSetCache:
 
     ``gather(ids, cold_fetch)`` returns one feature row per id, serving
     hot rows from memory and delegating the misses to ``cold_fetch`` in
-    one batched call.  Counter conservation mirrors
-    :class:`~repro.serving.cache.ResultCache`:
+    one batched call.  Counter conservation:
     ``lookups == hits + misses`` at every instant, and for the LRU
     policy ``len(cache) == inserts - evictions``.
     """

@@ -9,15 +9,13 @@ request is a table lookup.
 - :mod:`repro.serving.engine` — :class:`InferenceEngine`: checkpoint
   loading, layer-wise precompute, ``predict``/``topk`` lookups; also the
   repo's single full-graph inference path (:func:`full_graph_forward`).
-- :mod:`repro.serving.refresh` — incremental recompute of the k-hop
-  affected set after feature updates, falling back to one full
-  precompute for large ones.
-- :mod:`repro.serving.cache` — :class:`ResultCache`: a thread-safe LRU
-  over result rows.  No read path consults it (a read is a table
-  gather); :class:`PredictionService` still accepts one for callers of
-  its older signature.
+- :mod:`repro.serving.refresh` — the one refresh path: every feature
+  or edge update recomputes the rows of its k-hop affected set (an
+  update that reaches every vertex runs the full pass).
 - :mod:`repro.serving.server` — :class:`PredictionService` composition
-  and the stdlib HTTP endpoint (``repro serve``).
+  and the stdlib HTTP endpoint (``repro serve``); also
+  :class:`ResultCache`, accepted and never consulted (a read is a table
+  gather), for callers of the service's older signature.
 - :mod:`repro.serving.frontend` — :class:`ServingFrontend`: bounded
   admission queue + worker pool, per-endpoint deadlines (429/503 +
   ``Retry-After`` load shedding).
@@ -41,7 +39,6 @@ the server exposes it as ``POST /update_edges``.
 """
 
 from repro.dyngraph.serving_updates import EdgeUpdateStats
-from repro.serving.cache import ResultCache
 from repro.serving.engine import InferenceEngine, full_graph_forward
 from repro.serving.frontend import (
     RequestRejected,
@@ -66,7 +63,7 @@ from repro.serving.refresh import (
     RefreshStats,
     affected_sets,
 )
-from repro.serving.server import PredictionServer, PredictionService
+from repro.serving.server import PredictionServer, PredictionService, ResultCache
 
 __all__ = [
     "InferenceEngine",

@@ -1,4 +1,4 @@
-"""Incremental embedding refresh after vertex feature updates.
+"""Incremental embedding refresh after feature and edge updates.
 
 A feature update at vertex set ``S`` invalidates exactly the k-hop
 out-neighbourhood of ``S``: layer ``l``'s output row ``v`` depends on
@@ -10,10 +10,11 @@ tables — a row-subset CSR keeps the per-row reduction order identical to
 the full pass, so an incremental refresh is exactly equal to a full
 recompute.
 
-When the affected set exceeds ``full_threshold`` of the graph the
-row-subset pass stops paying for itself, and the refresher runs one full
-:meth:`~repro.serving.engine.InferenceEngine.precompute` instead.
-Either way the refresh publishes a new logits table.
+Every update takes that one path.  An update that reaches every vertex
+is its degenerate input, not a second path: a layer whose affected set
+is the whole graph runs the full pass over ``engine.graph``, so it costs
+what a :meth:`~repro.serving.engine.InferenceEngine.precompute` does.
+Each refresh publishes a new logits table.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ def _combine_rows(layer, z: Tensor, x: Tensor, norm: Tensor) -> np.ndarray:
 class RefreshStats:
     """Outcome of one :meth:`IncrementalRefresher.update_features` call."""
 
-    #: "incremental" (row-subset recompute) or "full" (whole-graph
-    #: precompute).
-    mode: str
     num_updated: int
     affected_per_layer: Tuple[int, ...]
     affected_fraction: float
@@ -122,15 +120,15 @@ class RefreshStats:
 
 
 class IncrementalRefresher:
-    """Keeps an engine's embedding tables consistent under feature updates."""
+    """Keeps an engine's embedding tables consistent under updates.
+
+    ``full_threshold`` is accepted and unused: every update is a
+    row-subset recompute, so callers of the older signature keep working.
+    """
 
     def __init__(self, engine: InferenceEngine, full_threshold: float = 0.25):
-        if not 0.0 <= full_threshold <= 1.0:
-            raise ValueError("full_threshold must be in [0, 1]")
         self.engine = engine.ensure_ready()
-        self.full_threshold = float(full_threshold)
         self.num_incremental = 0
-        self.num_full = 0
         self.num_topology_updates = 0
 
     # -- updates ----------------------------------------------------------------
@@ -157,69 +155,59 @@ class IncrementalRefresher:
         # the original, so this is an explicit last-wins dedupe
         changed, last = np.unique(ids[::-1], return_index=True)
         engine.update_feature_rows(changed, rows[::-1][last])
-        affected = affected_sets(engine.graph, changed, engine.num_layers)
-        fraction = affected[-1].size / max(engine.num_vertices, 1)
-        mode, recomputed = self._apply_refresh_policy(affected, fraction)
-        return RefreshStats(
-            mode=mode,
-            num_updated=changed.size,
-            affected_per_layer=tuple(a.size for a in affected),
-            affected_fraction=fraction,
-            rows_recomputed=recomputed,
+        return RefreshStats(num_updated=changed.size, **self._refresh(changed))
+
+    def _refresh(self, seeds: np.ndarray) -> dict:
+        """Recompute the rows ``seeds`` reach and publish (``engine.version``
+        moves); returns the affected-set fields both stats records share."""
+        engine = self.engine
+        affected = affected_sets(engine.graph, seeds, engine.num_layers)
+        self._recompute_rows(affected)
+        self.num_incremental += 1
+        engine.version += 1
+        sizes = tuple(a.size for a in affected)
+        return dict(
+            affected_per_layer=sizes,
+            affected_fraction=sizes[-1] / max(engine.num_vertices, 1),
+            rows_recomputed=sum(sizes),
         )
 
-    def _apply_refresh_policy(
-        self, affected: List[np.ndarray], fraction: float
-    ) -> Tuple[str, int]:
-        """Shared incremental / full routing for feature and topology
-        updates: returns ``(mode, rows_recomputed)``.  Both paths publish
-        a new logits table and move ``engine.version``."""
-        engine = self.engine
-        if fraction <= self.full_threshold:
-            recomputed = self._recompute_rows(affected)
-            self.num_incremental += 1
-            engine.version += 1  # precompute() bumps its own
-            return "incremental", recomputed
-        engine.precompute()
-        self.num_full += 1
-        return "full", engine.num_vertices * engine.num_layers
+    def _recompute_rows(self, affected: List[np.ndarray]) -> None:
+        """Layer ``l``'s affected rows against the (already updated)
+        layer-``l`` input table.
 
-    def _recompute_rows(self, affected: List[np.ndarray]) -> int:
-        """Row-subset recompute: layer ``l``'s affected rows against the
-        (already updated) layer-``l`` input table.
-
-        The logits rows land in a copy that is assigned when the pass
-        ends: readers hold ``engine.logits`` without a lock,
-        so no array they can hold is ever written (the hidden tables
-        feed only this pass and the full precompute)."""
+        A layer whose affected set is every vertex is the full pass: it
+        runs over ``engine.graph`` and the whole tables, with no row
+        subgraph and no gather or scatter.  The logits land in a new
+        array assigned when the pass ends: readers hold ``engine.logits``
+        without a lock, so no array they can hold is ever written (the
+        hidden tables feed only this pass and the start-up precompute)."""
         engine = self.engine
         model = engine.model
-        norm = engine.norm.data
-        logits = engine.logits.copy()
-        tables = engine.layer_inputs + [logits]
-        recomputed = 0
+        norm = engine.norm
+        last = len(model.layers) - 1
+        tables = [*engine.layer_inputs, engine.logits]
         was_training = model.training
         model.eval()
         try:
             with no_grad():
                 for l, layer in enumerate(model.layers):
-                    rows = affected[l]
+                    rows, h = affected[l], tables[l]
+                    if rows.size == engine.num_vertices:
+                        tables[l + 1] = layer(engine.graph, Tensor(h), norm).data
+                        continue
+                    if l == last:
+                        tables[l + 1] = tables[l + 1].copy()
                     if rows.size == 0:
                         continue
-                    sub = row_subgraph(engine.graph, rows)
-                    h_full = Tensor(tables[l])
-                    z = layer.aggregate(sub, h_full, engine.norm)
+                    z = layer.aggregate(row_subgraph(engine.graph, rows), Tensor(h), norm)
                     tables[l + 1][rows] = _combine_rows(
-                        layer,
-                        z,
-                        Tensor(tables[l][rows]),
-                        Tensor(norm[rows]),
+                        layer, z, Tensor(h[rows]), Tensor(norm.data[rows])
                     )
-                    recomputed += rows.size
         finally:
             model.train(was_training)
-        engine.logits = logits
-        return recomputed
+        engine.layer_inputs[1:] = tables[1:-1]
+        engine.logits = tables[-1]
 
     # -- topology updates ---------------------------------------------------------
 
@@ -230,8 +218,7 @@ class IncrementalRefresher:
         :mod:`repro.dyngraph.serving_updates`).  The mutation lands on
         the engine's delta-CSR shadow graph; the refresh then reuses the
         k-hop affected-set machinery, seeded from the mutated edges'
-        endpoints, under the same incremental / full policy as feature
-        updates — and is exactly equal to a full ``precompute()`` on the
+        endpoints, and is exactly equal to a full ``precompute()`` on the
         compacted graph.  Returns
         :class:`~repro.dyngraph.serving_updates.EdgeUpdateStats`.
         """
@@ -240,18 +227,13 @@ class IncrementalRefresher:
         engine = self.engine
         delta = apply_topology(engine, add=add, remove=remove)
         self.num_topology_updates += 1
-        affected = affected_sets(engine.graph, delta.seeds, engine.num_layers)
-        fraction = affected[-1].size / max(engine.num_vertices, 1)
-        mode, recomputed = self._apply_refresh_policy(affected, fraction)
+        refreshed = self._refresh(delta.seeds)
         dyn = engine.dynamic
         return EdgeUpdateStats(
-            mode=mode,
             num_added=delta.num_added,
             num_removed=delta.num_removed,
             num_seeds=int(delta.seeds.size),
-            affected_per_layer=tuple(a.size for a in affected),
-            affected_fraction=fraction,
-            rows_recomputed=recomputed,
+            **refreshed,
             num_edges=dyn.num_edges,
             compacted=delta.compacted,
             delta_fraction=dyn.delta_fraction,
@@ -260,10 +242,9 @@ class IncrementalRefresher:
     def stats(self) -> dict:
         return {
             "incremental": self.num_incremental,
-            "full": self.num_full,
-            # no update leaves tables stale any more; the key stays on
-            # /stats at 0 for readers of the older schema
+            # every update is incremental and none leaves tables stale;
+            # both keys stay on /stats at 0 for readers of the older schema
+            "full": 0,
             "deferred": 0,
             "topology_updates": self.num_topology_updates,
-            "full_threshold": self.full_threshold,
         }

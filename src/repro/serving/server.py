@@ -9,7 +9,7 @@ update path behind one ``predict``/``topk``/``update`` surface, and
 - ``POST /predict``          body ``{"vertices": [..], "k": 3?}`` ->
   ``{"vertices", "labels", "topk"?}``
 - ``POST /update_edges``     body ``{"add": [[u, v], ..]?, "remove":
-  [[u, v], ..]?}`` -> refresh outcome (mode, affected rows, edge count)
+  [[u, v], ..]?}`` -> refresh outcome (affected rows, edge count)
 - ``POST /update_features``  body ``{"vertices": [..], "features":
   [[..], ..]}`` -> refresh outcome
 - ``GET /stats``             engine / refresher counters
@@ -23,10 +23,11 @@ update path behind one ``predict``/``topk``/``update`` surface, and
 
 Request flow: handler threads only parse and enqueue — execution happens
 on the frontend's bounded worker pool.  A read is a row gather from the
-published logits table.  Updates run on the handler thread and
-**publish**: the refresh fills a new logits table and assigns it, so
-reads never wait for an update and never see a torn mix of pre- and
-post-update rows.
+published logits table.  Updates run on the handler thread through the
+one refresh path (:class:`~repro.serving.refresh.IncrementalRefresher`,
+built here when the caller brings none) and **publish**: the refresh
+fills a new logits table and assigns it, so reads never wait for an
+update and never see a torn mix of pre- and post-update rows.
 
 Failure modes are all structured JSON, never a traceback: malformed
 bodies answer ``400``; a full admission queue answers ``429`` with
@@ -36,6 +37,7 @@ engine failures answer ``500``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -50,7 +52,6 @@ from repro.analysis.sanitizers import make_lock
 from repro.graph.csr import INDEX_DTYPE
 from repro.obs.registry import render_prometheus, serving_registry
 from repro.obs.trace import chrome_trace, current_span
-from repro.serving.cache import ResultCache
 from repro.serving.engine import InferenceEngine, topk_rows
 from repro.serving.frontend import ServingFrontend, ServingUnavailable
 from repro.serving.refresh import IncrementalRefresher, RefreshStats
@@ -107,17 +108,32 @@ def _feature_rows(value, what: str = "features") -> np.ndarray:
     return rows
 
 
+class ResultCache:
+    """Accepted by :class:`PredictionService` and never consulted: a read
+    is a row of the published logits table.  Kept so callers that build
+    one beside the service, and reset it, keep working."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = int(capacity)
+
+    def reset(self) -> None:
+        """Nothing to clear."""
+
+
 class PredictionService:
     """Front end over an :class:`InferenceEngine`.
 
     A read is a row gather from the published logits table,
     ``engine.logits[ids]``, with no lock.  Updates (``update_edges`` /
-    ``update_features``) serialise on one lock and publish: no code
-    writes into a ``logits`` array a reader can hold (a full precompute
-    builds a new one, and
-    :meth:`~repro.serving.refresh.IncrementalRefresher._recompute_rows`
-    fills a copy and assigns it), so one attribute read is exactly one
-    published version.  That is the single-writer atomic register of
+    ``update_features``) serialise on one lock and go through
+    ``refresher`` (an :class:`IncrementalRefresher` over ``engine`` when
+    none is given), which publishes: no code writes into a ``logits``
+    array a reader can hold
+    (:meth:`~repro.serving.refresh.IncrementalRefresher._recompute_rows`
+    builds a new one and assigns it), so one attribute read is exactly
+    one published version.  That is the single-writer atomic register of
     Hadzilacos, Hu & Toueg (arXiv:1906.00298): a read returns the latest
     completed publish or a concurrent one.
     ``tests/serving/test_publish_machine.py`` pins the contract.
@@ -140,7 +156,9 @@ class PredictionService:
         engine.ensure_ready()
         self.engine = engine
         self.cache = cache  # unused, see the class docstring
-        self.refresher = refresher
+        self.refresher = (
+            refresher if refresher is not None else IncrementalRefresher(engine)
+        )
         self._lookup = engine.predict
         self._update_lock = make_lock("serving.service.update")
 
@@ -205,62 +223,27 @@ class PredictionService:
 
     def update_edges(self, add=None, remove=None):
         """Apply edge mutations (``(src, dst)`` pair sequences) and
-        refresh the tables they invalidate.
+        refresh the rows they invalidate.
 
-        Routes through the attached refresher's incremental / full
-        policy; without one, the engine's graph is mutated and fully
-        precomputed.  Either way a new logits table is published and
-        ``engine.version`` moves; reads in flight keep the version they
-        started on.  Returns
+        A new logits table is published and ``engine.version`` moves;
+        reads in flight keep the version they started on.  Returns
         :class:`~repro.dyngraph.serving_updates.EdgeUpdateStats`.
         """
         with self._update_lock:
-            if self.refresher is not None:
-                return self.refresher.update_edges(add=add, remove=remove)
-            from repro.dyngraph.serving_updates import full_topology_update
-
-            return full_topology_update(self.engine, add=add, remove=remove)
+            return self.refresher.update_edges(add=add, remove=remove)
 
     def update_features(self, vertex_ids, new_rows) -> RefreshStats:
-        """Apply a feature update (one row per vertex) and refresh.
-
-        With a refresher attached this is its incremental / full
-        policy; without one, the engine's features are written
-        (last-wins within the batch) and fully precomputed.  Publishes
-        like :meth:`update_edges`.
-        """
+        """Apply a feature update (one row per vertex, last wins within
+        the batch) and refresh; publishes like :meth:`update_edges`."""
         with self._update_lock:
-            if self.refresher is not None:
-                return self.refresher.update_features(vertex_ids, new_rows)
-            engine = self.engine
-            ids = engine._check_ids(vertex_ids)
-            rows = np.atleast_2d(
-                np.asarray(new_rows, dtype=engine.features.dtype)
-            )
-            if rows.shape != (ids.size, engine.features.shape[1]):
-                raise ValueError(
-                    f"new_rows shape {rows.shape} does not match "
-                    f"({ids.size}, {engine.features.shape[1]})"
-                )
-            changed, last = np.unique(ids[::-1], return_index=True)
-            engine.update_feature_rows(changed, rows[::-1][last])
-            engine.precompute()
-            return RefreshStats(
-                mode="full",
-                num_updated=int(changed.size),
-                affected_per_layer=(engine.num_vertices,) * engine.num_layers,
-                affected_fraction=1.0,
-                rows_recomputed=engine.num_vertices * engine.num_layers,
-            )
+            return self.refresher.update_features(vertex_ids, new_rows)
 
     # -- lifecycle / introspection ------------------------------------------------------
 
     def stats(self) -> dict:
         return {
             "engine": self.engine.stats(),
-            "refresher": (
-                self.refresher.stats() if self.refresher is not None else None
-            ),
+            "refresher": self.refresher.stats(),
         }
 
     def close(self) -> None:
@@ -338,6 +321,9 @@ class _PredictionHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:
+            # rfile.read(-1) reads to EOF: the handler would wait forever
+            raise ValueError(f"Content-Length must be >= 0, got {length}")
         body = self.rfile.read(length) if length else b""
         try:
             req = json.loads(body or b"{}")
@@ -434,17 +420,7 @@ class _PredictionHandler(BaseHTTPRequestHandler):
                 f"features has {rows.shape[0]} rows for {vertices.size} vertices"
             )
         stats = self.frontend.update_features(vertices, rows)
-        self._reply(
-            200,
-            {
-                "status": "ok",
-                "mode": stats.mode,
-                "num_updated": stats.num_updated,
-                "affected_per_layer": list(stats.affected_per_layer),
-                "affected_fraction": stats.affected_fraction,
-                "rows_recomputed": stats.rows_recomputed,
-            },
-        )
+        self._reply(200, {"status": "ok", **dataclasses.asdict(stats)})
 
 
 class PredictionServer:

@@ -211,12 +211,12 @@ def test_registered_handout_without_freeze_is_flagged():
     source = """
         import numpy as np
 
-        class ResultCache:
-            def _frozen_copy(self, rows):
-                return np.array(rows)
+        class HotSetCache:
+            def gather(self, ids, cold_fetch):
+                return np.array(cold_fetch(ids))
     """
     violations = check_source(
-        "src/repro/serving/cache.py", textwrap.dedent(source),
+        "src/repro/featurestore/hotset.py", textwrap.dedent(source),
         [RULES_BY_CODE["REP103"]()],
     )
     assert codes(violations) == ["REP103"]
@@ -227,14 +227,14 @@ def test_registered_handout_with_freeze_is_clean():
     source = """
         import numpy as np
 
-        class ResultCache:
-            def _frozen_copy(self, rows):
-                out = np.array(rows)
+        class HotSetCache:
+            def gather(self, ids, cold_fetch):
+                out = np.array(cold_fetch(ids))
                 out.setflags(write=False)
                 return out
     """
     violations = check_source(
-        "src/repro/serving/cache.py", textwrap.dedent(source),
+        "src/repro/featurestore/hotset.py", textwrap.dedent(source),
         [RULES_BY_CODE["REP103"]()],
     )
     assert violations == []
@@ -242,7 +242,7 @@ def test_registered_handout_with_freeze_is_clean():
 
 def test_missing_registered_handout_is_registry_drift():
     violations = check_source(
-        "src/repro/serving/cache.py", "class ResultCache:\n    pass\n",
+        "src/repro/featurestore/hotset.py", "class HotSetCache:\n    pass\n",
         [RULES_BY_CODE["REP103"]()],
     )
     assert codes(violations) == ["REP103"]

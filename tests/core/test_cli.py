@@ -177,8 +177,9 @@ def test_serve_parser_accepts_options():
     assert args.command == "serve"
     assert args.workers == 2 and args.max_queue == 32
     assert args.request_timeout == 5.0
-    # reads are table rows: there is no cache or batcher to configure
-    for flag in ("--cache-size", "--max-batch", "--max-wait-ms"):
+    # reads are table rows: there is no cache or batcher to configure;
+    # every update is a row-subset refresh: there is no threshold either
+    for flag in ("--cache-size", "--max-batch", "--max-wait-ms", "--full-threshold"):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--checkpoint", "c.npz", flag, "1"])
 

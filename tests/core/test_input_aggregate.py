@@ -180,7 +180,7 @@ def test_serving_never_reads_the_memo(reddit_mini, tmp_path, model, tier):
 
     engine = InferenceEngine(ds, trainer.model, cfg, feature_store=store())
     engine.precompute()
-    refresher = IncrementalRefresher(engine, full_threshold=1.0)
+    refresher = IncrementalRefresher(engine)
     rng = np.random.default_rng(5)
     features = np.array(ds.features)
     for _ in range(2):  # the mmap tier patches a private copy on the first

@@ -1,5 +1,6 @@
 """Topology-aware serving refresh: update_edges exactness vs a full
-precompute on the compacted graph, policy routing, HTTP endpoint."""
+precompute on the compacted graph, for every update size up to one that
+reaches every vertex; service composition; HTTP endpoint."""
 
 import dataclasses
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.dyngraph.serving_updates import EdgeUpdateStats, as_edge_pairs
+from repro.featurestore import FeatureStore
 from repro.serving import (
     IncrementalRefresher,
     InferenceEngine,
@@ -33,9 +35,16 @@ def _mutations(ds, num_add=4, num_remove=3, seed=0):
     return add, remove
 
 
+def _whole_graph_add(ds):
+    """One added edge out of every vertex: every vertex is a seed, so
+    every layer's affected set is the whole graph."""
+    n = ds.num_vertices
+    return [(v, (7 * v + 1) % n) for v in range(n)]
+
+
 def _truth_engine(ds, trainer, cfg, engine):
     """Fresh engine over the engine's *compacted* graph — the ground
-    truth every refresh mode must match exactly."""
+    truth every refresh must match exactly."""
     ds2 = dataclasses.replace(ds, graph=engine.dynamic.csr())
     truth = InferenceEngine(ds2, trainer.model, cfg)
     truth.features[:] = engine.features
@@ -68,20 +77,18 @@ def test_as_edge_pairs_contract():
 
 def test_incremental_add_matches_compacted_precompute(dyn_trained, dyn_engine):
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     add, _ = _mutations(ds)
     stats = ref.update_edges(add=add)
-    assert stats.mode == "incremental"
     assert stats.num_added == len(add) and stats.num_removed == 0
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
 
 def test_incremental_remove_matches_compacted_precompute(dyn_trained, dyn_engine):
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     _, remove = _mutations(ds, seed=1)
-    stats = ref.update_edges(remove=remove)
-    assert stats.mode == "incremental"
+    ref.update_edges(remove=remove)
     assert dyn_engine.graph.num_edges < ds.graph.num_edges
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
@@ -90,17 +97,16 @@ def test_incremental_mixed_update_matches_compacted_precompute(
     dyn_trained, dyn_engine
 ):
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     add, remove = _mutations(ds, seed=2)
     stats = ref.update_edges(add=add, remove=remove)
-    assert stats.mode == "incremental"
     assert stats.num_seeds <= 2 * (len(add) + len(remove))
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
 
 def test_sequential_updates_reuse_dynamic_shadow(dyn_trained, dyn_engine):
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     ref.update_edges(add=[(0, 1)])
     dyn = dyn_engine.dynamic
     assert dyn is not None
@@ -114,7 +120,7 @@ def test_update_through_auto_compaction_stays_exact(dyn_trained, dyn_engine):
     """A batch large enough to trip auto-compaction mid-update must land
     on exactly the same tables."""
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     rng = np.random.default_rng(3)
     n = ds.num_vertices
     budget = int(ds.graph.num_edges * 0.3)  # > default 0.25 threshold
@@ -126,14 +132,28 @@ def test_update_through_auto_compaction_stays_exact(dyn_trained, dyn_engine):
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
 
-def test_full_fallback_matches_compacted_precompute(dyn_trained, dyn_engine):
+@pytest.mark.parametrize("tier", ["resident", "mmap"])
+def test_whole_graph_update_matches_compacted_precompute(
+    dyn_trained, tmp_path, tier
+):
+    """The degenerate input: an edge update whose affected set covers
+    the whole graph is the full pass over the mutated graph, bit for
+    bit, on either feature tier."""
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=0.0)
-    add, remove = _mutations(ds, seed=4)
-    stats = ref.update_edges(add=add, remove=remove)
-    assert stats.mode == "full" and ref.num_full == 1
-    assert stats.rows_recomputed == dyn_engine.num_vertices * dyn_engine.num_layers
-    assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
+    store = None
+    if tier == "mmap":
+        store = FeatureStore.create(
+            str(tmp_path / "features"), ds.features, hot_fraction=0.25
+        )
+    engine = InferenceEngine(ds, trainer.model, cfg, feature_store=store).precompute()
+    ref = IncrementalRefresher(engine)
+    _, remove = _mutations(ds, seed=4)
+    stats = ref.update_edges(add=_whole_graph_add(ds), remove=remove)
+    n, layers = engine.num_vertices, engine.num_layers
+    assert stats.affected_per_layer == (n,) * layers
+    assert stats.rows_recomputed == n * layers
+    assert ref.stats()["incremental"] == 1 and ref.stats()["full"] == 0
+    assert_tables_equal(engine, _truth_engine(ds, trainer, cfg, engine))
 
 
 def test_feature_update_after_topology_update_is_exact(dyn_trained, dyn_engine):
@@ -141,31 +161,30 @@ def test_feature_update_after_topology_update_is_exact(dyn_trained, dyn_engine):
     graph and its new norms: the tables still equal a full precompute
     on the compacted graph."""
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     add, remove = _mutations(ds, seed=5)
-    assert ref.update_edges(add=add, remove=remove).mode == "incremental"
+    ref.update_edges(add=add, remove=remove)
     rng = np.random.default_rng(5)
     ids = np.array([add[0][1], 2])  # one endpoint of a new edge
     rows = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
-    assert ref.update_features(ids, rows).mode == "incremental"
+    ref.update_features(ids, rows)
     assert ref.num_incremental == 2
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
 
-@pytest.mark.parametrize("full_threshold", [0.0, 1.0], ids=["full", "incremental"])
+@pytest.mark.parametrize("whole", [True, False], ids=["whole-graph", "row-subset"])
 def test_topology_publish_leaves_a_held_table_untouched(
-    dyn_trained, dyn_engine, full_threshold
+    dyn_trained, dyn_engine, whole
 ):
-    """An edge update publishes a new logits table in either mode; the
+    """An edge update of every size publishes a new logits table; the
     one a reader holds keeps its pre-update rows."""
     ds, trainer, cfg = dyn_trained
     held = dyn_engine.logits
     before = held.copy()
     add, remove = _mutations(ds, seed=6)
-    stats = IncrementalRefresher(dyn_engine, full_threshold=full_threshold).update_edges(
-        add=add, remove=remove
+    IncrementalRefresher(dyn_engine).update_edges(
+        add=_whole_graph_add(ds) if whole else add, remove=remove
     )
-    assert stats.mode == ("full" if full_threshold == 0.0 else "incremental")
     assert dyn_engine.logits is not held
     assert np.array_equal(held, before)
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
@@ -176,7 +195,7 @@ def test_norm_tracks_new_degrees(dyn_trained, dyn_engine):
     from repro.core.models import norm_from_degrees
 
     ds, _, _ = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     ref.update_edges(add=[(0, 1), (2, 1)])
     want = norm_from_degrees(
         dyn_engine.model_kind, dyn_engine.graph.in_degrees()
@@ -186,7 +205,7 @@ def test_norm_tracks_new_degrees(dyn_trained, dyn_engine):
 
 def test_update_edges_bumps_version_and_stats(dyn_trained, dyn_engine):
     v0 = dyn_engine.version
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     stats = ref.update_edges(add=[(3, 4)])
     assert isinstance(stats, EdgeUpdateStats)
     assert dyn_engine.version > v0
@@ -203,7 +222,7 @@ def test_failed_update_is_atomic(dyn_trained, dyn_engine):
     be published by the *next* update without seeding their endpoints,
     silently breaking the incremental == compacted-precompute contract."""
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     src0, dst0, _ = ds.graph.to_coo()
     live_pair = (int(src0[0]), int(dst0[0]))
     into_0 = set(ds.graph.neighbors(0).tolist())
@@ -222,8 +241,7 @@ def test_failed_update_is_atomic(dyn_trained, dyn_engine):
         dyn = dyn_engine.dynamic
         assert dyn is None or (dyn.num_removed == 0 and dyn.num_added == 0)
     # a subsequent valid incremental update still matches ground truth
-    stats = ref.update_edges(add=[(0, 1)])
-    assert stats.mode == "incremental"
+    ref.update_edges(add=[(0, 1)])
     assert_tables_equal(dyn_engine, _truth_engine(ds, trainer, cfg, dyn_engine))
 
 
@@ -238,16 +256,20 @@ def test_empty_update_rejected(dyn_engine):
 # -- service composition -----------------------------------------------------------
 
 
-def test_service_update_without_refresher_full_precompute(
+def test_service_without_refresher_refreshes_incrementally(
     dyn_trained, dyn_engine
 ):
+    """A service built without a refresher builds its own: its updates
+    count as ``refresher.incremental`` and none as ``full``."""
     ds, trainer, cfg = dyn_trained
     with PredictionService(dyn_engine) as svc:
         ids = np.array([0, 1, 2])
         before = svc.predict_logits(ids)
         add, remove = _mutations(ds, seed=7)
-        stats = svc.update_edges(add=add, remove=remove)
-        assert stats.mode == "full"
+        svc.update_edges(add=add, remove=remove)
+        refresher = svc.stats()["refresher"]
+        assert (refresher["incremental"], refresher["full"]) == (1, 0)
+        assert refresher["topology_updates"] == 1
         truth = _truth_engine(ds, trainer, cfg, dyn_engine)
         after = svc.predict_logits(ids)  # the published table
         assert np.array_equal(after, truth.logits[ids])
@@ -256,10 +278,9 @@ def test_service_update_without_refresher_full_precompute(
 
 def test_service_update_routes_through_refresher(dyn_trained, dyn_engine):
     ds, trainer, cfg = dyn_trained
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     with PredictionService(dyn_engine, refresher=ref) as svc:
-        stats = svc.update_edges(add=[(1, 3)])
-        assert stats.mode == "incremental"
+        svc.update_edges(add=[(1, 3)])
         assert ref.num_topology_updates == 1
         truth = _truth_engine(ds, trainer, cfg, dyn_engine)
         ids = np.array([1, 3, 5])
@@ -280,7 +301,7 @@ def _post(url, payload):
 
 @pytest.fixture
 def live_update_server(dyn_engine):
-    ref = IncrementalRefresher(dyn_engine, full_threshold=1.0)
+    ref = IncrementalRefresher(dyn_engine)
     svc = PredictionService(dyn_engine, refresher=ref)
     server = PredictionServer(svc, port=0).start_background()
     host, port = server.address
@@ -295,7 +316,7 @@ def test_http_update_edges(live_update_server):
         f"{base}/update_edges", {"add": [[0, 1], [2, 1]], "remove": []}
     )
     assert status == 200
-    assert resp["status"] == "ok" and resp["mode"] == "incremental"
+    assert resp["status"] == "ok" and "mode" not in resp
     assert resp["num_added"] == 2 and resp["num_removed"] == 0
     assert resp["num_edges"] == engine.graph.num_edges
     assert not np.array_equal(engine.logits, before)

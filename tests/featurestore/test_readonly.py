@@ -1,8 +1,7 @@
 """Read-only hand-out parity: every mmap/hot-set row batch is frozen.
 
-The CSR arrays (``graph/csr.py``) and the result cache
-(``serving/cache.py``) already hand out ``writeable=False`` arrays;
-these tests pin the same contract onto the feature store's mmap tier —
+The CSR arrays (``graph/csr.py``) already hand out ``writeable=False``
+arrays; these tests pin the same contract onto the feature store's mmap tier —
 gathers through the cold map, through the hot-set cache (both
 policies), and the full-matrix view after an update must all raise on
 caller mutation.  The resident tier stays writable: it is the

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.serving import IncrementalRefresher, PredictionService, ServingFrontend
+from repro.serving import PredictionService, ServingFrontend
 from repro.serving.loadgen import (
     ARRIVALS,
     FrontendTarget,
@@ -32,12 +32,10 @@ JOIN_TIMEOUT_S = 30.0
 # -- service / frontend construction ----------------------------------------------
 
 
-def make_service(engine, full_threshold: float = 0.25) -> PredictionService:
-    """Service + incremental refresher, as ``repro serve`` composes it:
-    reads are rows of the published logits table."""
-    return PredictionService(
-        engine, refresher=IncrementalRefresher(engine, full_threshold=full_threshold)
-    )
+def make_service(engine) -> PredictionService:
+    """The service as ``repro serve`` composes it: reads are rows of the
+    published logits table, and its own refresher applies updates."""
+    return PredictionService(engine)
 
 
 def make_frontend(service, **kwargs) -> ServingFrontend:

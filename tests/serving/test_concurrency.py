@@ -9,10 +9,7 @@ The contract pinned here is the serving tier's memory model:
 - **reads are never shed for an update** — every read is served on its
   first try while updates land;
 - **no deadlocks** — reader herds + updater threads always join
-  (enforced by the harness's deadline joins);
-- **counter conservation** — the bare result cache's ``hits + misses
-  == lookups`` invariant holds at every observable instant under
-  contention, not just at rest.
+  (enforced by the harness's deadline joins).
 """
 
 import threading
@@ -20,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serving import PredictionService, ResultCache, full_graph_forward
+from repro.serving import PredictionService, full_graph_forward
 
 from harness import (
     JOIN_TIMEOUT_S,
@@ -136,21 +133,22 @@ def _feature_updates(ds, engine, seed, num=3, size=2):
     rng = np.random.default_rng(seed)
     return [
         (
-            rng.choice(engine.num_vertices, size=size, replace=False),
+            rng.choice(engine.num_vertices, size=size, replace=False)
+            if size < engine.num_vertices else np.arange(size),
             rng.standard_normal((size, ds.feature_dim)).astype(np.float32),
         )
         for _ in range(num)
     ]
 
 
-def test_no_torn_reads_under_full_precompute_updates(trained, engine):
-    """Every update above ``full_threshold`` is one whole-graph
-    precompute that publishes its table at the end: readers see the
-    old version or the new one, never a precompute in progress."""
+def test_no_torn_reads_under_whole_graph_updates(trained, engine):
+    """Every update rewrites every vertex, so each refresh is the full
+    pass and publishes its table at the end: readers see the old
+    version or the new one, never a pass in progress."""
     ds, _, _ = trained
-    svc = make_service(engine, full_threshold=0.0)
+    svc = make_service(engine)
     fe = make_frontend(svc)
-    updates = _feature_updates(ds, engine, seed=44)
+    updates = _feature_updates(ds, engine, seed=44, size=engine.num_vertices)
     try:
         responses, checker = _run_stress(
             svc, fe, engine,
@@ -160,15 +158,15 @@ def test_no_torn_reads_under_full_precompute_updates(trained, engine):
     finally:
         fe.close()
         svc.close()
-    assert svc.refresher.num_full == len(updates)
+    assert svc.refresher.num_incremental == len(updates)
     assert responses, "stress run served nothing"
     for ids, rows in responses:
         checker.assert_consistent(ids, rows)
 
 
 def test_no_torn_reads_without_a_refresher(trained, engine):
-    """A service with no refresher writes features and precomputes in
-    full under its update lock; reads still never see a mix."""
+    """A service built with no refresher builds its own and refreshes
+    under its update lock; reads still never see a mix."""
     ds, _, _ = trained
     svc = PredictionService(engine)
     fe = make_frontend(svc)
@@ -204,47 +202,6 @@ def test_concurrent_reads_match_a_lone_reader(trained, serving):
         assert np.array_equal(got, want[idx])
 
     hammer(read, num_threads=NUM_READERS, iterations=READS_PER_THREAD)
-
-
-def test_raw_cache_conservation_under_contention():
-    """The invariant on the bare ResultCache, no serving stack around
-    it: hammering get/get_many/put/reset from many threads never lets a
-    sampler observe hits + misses != lookups."""
-    cache = ResultCache(32)
-    stop = threading.Event()
-    violations = []
-
-    def sampler() -> None:
-        # only stats() gives one consistent snapshot; comparing the raw
-        # attributes here would race between the two reads
-        while not stop.is_set():
-            stats = cache.stats()
-            if stats["hits"] + stats["misses"] != stats["lookups"]:
-                violations.append(stats)
-                return
-
-    s = threading.Thread(target=sampler, name="raw-sampler", daemon=True)
-    s.start()
-
-    def body(idx: int) -> None:
-        rng = np.random.default_rng(idx)
-        keys = rng.integers(0, 64, size=8)
-        cache.get(int(keys[0]))
-        cache.put(int(keys[0]), np.ones(4, dtype=np.float32))
-        found, missing = cache.get_many(keys)
-        if missing.size:
-            cache.put_many(missing, np.ones((missing.size, 4), dtype=np.float32))
-        if idx == 0 and rng.random() < 0.05:
-            cache.reset()
-
-    try:
-        hammer(body, num_threads=8, iterations=50)
-    finally:
-        stop.set()
-        join_all([s])
-    assert not violations, f"conservation violated: {violations[0]}"
-    # quiescent now: the raw attributes must agree too
-    assert cache.accesses == cache.lookups
 
 
 def test_concurrent_updates_serialize(serving):

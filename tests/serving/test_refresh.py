@@ -1,9 +1,12 @@
-"""Incremental refresh: affected sets, exactness vs full recompute,
-threshold fallback."""
+"""Incremental refresh: affected sets, and exactness vs a from-scratch
+precompute for every update size, up to one that reaches every vertex."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.featurestore import FeatureStore
 from repro.graph.builders import from_edge_list
 from repro.serving import IncrementalRefresher, InferenceEngine, affected_sets
 from repro.serving.refresh import out_neighbors, row_subgraph
@@ -16,6 +19,33 @@ def _updated_copy_engine(trained, ids, rows):
     eng = InferenceEngine(ds, trainer.model, cfg)
     eng.features[ids] = rows
     return eng.precompute()
+
+
+def _every_vertex_update(ds, seed=0):
+    """New feature rows for every vertex: every layer's affected set is
+    the whole graph."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(ds.num_vertices)
+    return ids, rng.standard_normal((ids.size, ds.feature_dim)).astype(np.float32)
+
+
+def assert_tables_equal(engine, truth):
+    assert np.array_equal(engine.logits, truth.logits)
+    for got, want in zip(engine.layer_inputs, truth.layer_inputs):
+        assert np.array_equal(got, want)
+
+
+@pytest.fixture(params=["resident", "mmap"])
+def tier_engine(request, trained, tmp_path):
+    """Fresh engine on each feature tier (mmap answers bit-identically
+    to resident, so one ground truth serves both)."""
+    ds, trainer, cfg = trained
+    store = None
+    if request.param == "mmap":
+        store = FeatureStore.create(
+            str(tmp_path / "features"), ds.features, hot_fraction=0.25
+        )
+    return InferenceEngine(ds, trainer.model, cfg, feature_store=store).precompute()
 
 
 def _rand_update(ds, n=3, seed=0):
@@ -56,35 +86,52 @@ def test_row_subgraph_preserves_rows(tiny_graph):
 # -- exactness -------------------------------------------------------------------
 
 
-def test_incremental_refresh_matches_full_recompute(trained, engine):
+def test_incremental_refresh_matches_full_recompute(trained, tier_engine):
     ds, _, _ = trained
     ids, rows = _rand_update(ds)
-    stats = IncrementalRefresher(engine, full_threshold=1.0).update_features(
-        ids, rows
-    )
-    assert stats.mode == "incremental"
-    truth = _updated_copy_engine(trained, ids, rows)
-    assert np.array_equal(engine.logits, truth.logits)
-    for got, want in zip(engine.layer_inputs, truth.layer_inputs):
-        assert np.array_equal(got, want)
+    stats = IncrementalRefresher(tier_engine).update_features(ids, rows)
+    assert stats.affected_per_layer[0] < tier_engine.num_vertices
+    assert_tables_equal(tier_engine, _updated_copy_engine(trained, ids, rows))
 
 
-def test_full_fallback_above_threshold(trained, engine):
+def test_every_vertex_update_matches_full_recompute(trained, tier_engine):
+    """The degenerate input: every layer's affected set is the whole
+    graph, so the refresh is the full pass, bit for bit, and the stats
+    count every row of every layer."""
     ds, _, _ = trained
-    ids, rows = _rand_update(ds, seed=1)
-    ref = IncrementalRefresher(engine, full_threshold=0.0)
+    engine = tier_engine
+    ids, rows = _every_vertex_update(ds, seed=1)
+    ref = IncrementalRefresher(engine)
     stats = ref.update_features(ids, rows)
-    assert stats.mode == "full" and ref.num_full == 1
-    truth = _updated_copy_engine(trained, ids, rows)
-    assert np.array_equal(engine.logits, truth.logits)
+    n, layers = engine.num_vertices, engine.num_layers
+    assert stats.affected_per_layer == (n,) * layers
+    assert stats.affected_fraction == 1.0
+    assert stats.rows_recomputed == n * layers
+    assert ref.stats()["incremental"] == 1 and ref.stats()["full"] == 0
+    assert_tables_equal(engine, _updated_copy_engine(trained, ids, rows))
+
+
+def test_whole_graph_edge_update_matches_full_recompute(trained, tier_engine):
+    """An edge update with an edge out of every vertex seeds the whole
+    graph: the refresh is the full pass over the mutated graph."""
+    ds, trainer, cfg = trained
+    engine = tier_engine
+    n = engine.num_vertices
+    stats = IncrementalRefresher(engine).update_edges(
+        add=[(v, (7 * v + 1) % n) for v in range(n)]
+    )
+    assert stats.affected_per_layer == (n,) * engine.num_layers
+    assert stats.rows_recomputed == n * engine.num_layers
+    truth = InferenceEngine(
+        dataclasses.replace(ds, graph=engine.dynamic.csr()), trainer.model, cfg
+    )
+    assert_tables_equal(engine, truth.precompute())
 
 
 def test_refresh_stats_accounting(trained, engine):
     ds, _, _ = trained
     ids, rows = _rand_update(ds, seed=2)
-    stats = IncrementalRefresher(engine, full_threshold=1.0).update_features(
-        ids, rows
-    )
+    stats = IncrementalRefresher(engine).update_features(ids, rows)
     assert stats.num_updated == ids.size
     assert len(stats.affected_per_layer) == engine.num_layers
     # affected sets grow monotonically and bound the recompute
@@ -100,9 +147,7 @@ def test_duplicate_ids_in_batch_dedupe_last_wins(trained, engine):
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((3, ds.feature_dim)).astype(np.float32)
     ids = np.array([5, 9, 5])  # 5 appears twice; rows[2] must win
-    stats = IncrementalRefresher(engine, full_threshold=1.0).update_features(
-        ids, rows
-    )
+    stats = IncrementalRefresher(engine).update_features(ids, rows)
     assert stats.num_updated == 2  # distinct vertices only
     assert np.array_equal(engine.features[5], rows[2])
     assert np.array_equal(engine.features[9], rows[1])
@@ -114,49 +159,42 @@ def test_update_of_already_updated_vertex(trained, engine):
     """A second update of the same vertices refreshes from the tables
     the first one left: the latest rows win, exactly."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=1.0)
+    ref = IncrementalRefresher(engine)
     rng = np.random.default_rng(9)
     ids = np.array([3, 6])
     rows_a = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
     rows_b = rng.standard_normal((2, ds.feature_dim)).astype(np.float32)
-    assert ref.update_features(ids, rows_a).mode == "incremental"
-    assert ref.update_features(ids, rows_b).mode == "incremental"
+    ref.update_features(ids, rows_a)
+    ref.update_features(ids, rows_b)
     assert ref.num_incremental == 2
-    truth = _updated_copy_engine(trained, ids, rows_b)
-    assert np.array_equal(engine.logits, truth.logits)
-    for got, want in zip(engine.layer_inputs, truth.layer_inputs):
-        assert np.array_equal(got, want)
+    assert_tables_equal(engine, _updated_copy_engine(trained, ids, rows_b))
 
 
-def test_small_update_after_full_goes_incremental(trained, engine):
-    """A full precompute leaves every table current, so the next small
-    update takes the row-subset path again, and the two compose
+def test_small_update_after_whole_graph_update_composes(trained, engine):
+    """A whole-graph refresh replaces the hidden tables; the next small
+    update recomputes its rows against those, and the two compose
     exactly."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=0.0)
-    ids_a, rows_a = _rand_update(ds, seed=6)
-    assert ref.update_features(ids_a, rows_a).mode == "full"
-    ref.full_threshold = 1.0
+    ref = IncrementalRefresher(engine)
+    ids_a, rows_a = _every_vertex_update(ds, seed=6)
+    assert ref.update_features(ids_a, rows_a).affected_fraction == 1.0
     ids_b, rows_b = _rand_update(ds, seed=7)
-    assert ref.update_features(ids_b, rows_b).mode == "incremental"
+    # layer 0 recomputes a row subset (later layers may reach everything)
+    assert ref.update_features(ids_b, rows_b).affected_per_layer[0] < ds.num_vertices
     truth = _updated_copy_engine(trained, ids_a, rows_a)
     truth.features[ids_b] = rows_b
-    truth.precompute()
-    assert np.array_equal(engine.logits, truth.logits)
+    assert_tables_equal(engine, truth.precompute())
 
 
-@pytest.mark.parametrize("full_threshold", [0.0, 1.0], ids=["full", "incremental"])
-def test_publish_leaves_a_held_table_untouched(trained, engine, full_threshold):
-    """Readers hold ``engine.logits`` without a lock: both refresh
-    modes publish a new table and write into none a reader holds."""
+@pytest.mark.parametrize("whole", [True, False], ids=["whole-graph", "row-subset"])
+def test_publish_leaves_a_held_table_untouched(trained, engine, whole):
+    """Readers hold ``engine.logits`` without a lock: a refresh of every
+    size publishes a new table and writes into none a reader holds."""
     ds, _, _ = trained
     held = engine.logits
     before = held.copy()
-    ids, rows = _rand_update(ds, seed=10)
-    stats = IncrementalRefresher(engine, full_threshold=full_threshold).update_features(
-        ids, rows
-    )
-    assert stats.mode == ("full" if full_threshold == 0.0 else "incremental")
+    ids, rows = (_every_vertex_update if whole else _rand_update)(ds, seed=10)
+    IncrementalRefresher(engine).update_features(ids, rows)
     assert engine.logits is not held
     assert np.array_equal(held, before)
     assert np.array_equal(engine.logits, _updated_copy_engine(trained, ids, rows).logits)
@@ -166,7 +204,7 @@ def test_failed_update_leaves_tables_untouched(trained, engine):
     """An out-of-range id or a misshapen row block raises before any
     write: features, logits and the version stay as they were."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=1.0)
+    ref = IncrementalRefresher(engine)
     logits, features, version = engine.logits, engine.features.copy(), engine.version
     rows = np.ones((2, ds.feature_dim), dtype=np.float32)
     with pytest.raises(ValueError, match="vertex ids"):
@@ -178,10 +216,19 @@ def test_failed_update_leaves_tables_untouched(trained, engine):
     assert ref.stats()["incremental"] == ref.stats()["full"] == 0
 
 
-def test_threshold_out_of_range_rejected(engine):
-    for bad in (-0.1, 1.5):
-        with pytest.raises(ValueError, match="full_threshold"):
-            IncrementalRefresher(engine, full_threshold=bad)
+def test_full_threshold_is_accepted_and_unused(trained, engine):
+    """The older signature still constructs, at any value, and every
+    update is the one row-subset path whatever it says."""
+    ds, _, _ = trained
+    for value in (-0.1, 0.0, 1.5):
+        IncrementalRefresher(engine, full_threshold=value)
+    ref = IncrementalRefresher(engine, full_threshold=0.0)
+    ids, rows = _rand_update(ds, seed=3)
+    ref.update_features(ids, rows)
+    assert ref.stats() == {
+        "incremental": 1, "full": 0, "deferred": 0, "topology_updates": 0
+    }
+    assert_tables_equal(engine, _updated_copy_engine(trained, ids, rows))
 
 
 def test_update_shape_validation(engine):
@@ -195,7 +242,7 @@ def test_refresh_bumps_engine_version(trained, engine):
     ds, _, _ = trained
     v0 = engine.version
     ids, rows = _rand_update(ds, seed=8)
-    IncrementalRefresher(engine, full_threshold=1.0).update_features(ids, rows)
+    IncrementalRefresher(engine).update_features(ids, rows)
     assert engine.version > v0
 
 

@@ -1,6 +1,7 @@
 """PredictionService composition and the HTTP endpoint."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -44,15 +45,19 @@ def test_service_matches_engine(engine):
 def test_legacy_arguments_are_accepted_and_unused(engine):
     """``cache`` / ``batch`` / ``max_batch`` / ``max_wait_ms`` are still
     accepted: a read is a table row either way, and the cache is kept
-    on the service but never consulted."""
+    on the service (and reset by callers) but never consulted."""
     ids = np.array([7, 3, 7, 11])
+    with pytest.raises(ValueError, match="capacity"):
+        ResultCache(0)
     for refresher in (None, IncrementalRefresher(engine)):
+        cache = ResultCache(8)
         with PredictionService(
-            engine, cache=ResultCache(8), batch=True, max_batch=16,
+            engine, cache=cache, batch=True, max_batch=16,
             max_wait_ms=0.5, refresher=refresher,
         ) as svc:
             assert np.array_equal(svc.predict_logits(ids), engine.logits[ids])
-            assert svc.cache.lookups == 0
+            assert svc.cache is cache
+            svc.cache.reset()
             assert set(svc.stats()) == {"engine", "refresher"}
 
 
@@ -75,17 +80,17 @@ def test_topk_matches_engine(engine):
 
 
 def test_service_routes_through_refresher(trained, engine):
-    """With a refresher attached an update takes its policy (here the
-    row-subset pass), and the next read serves the published rows."""
+    """With a refresher attached an update goes through it, and the next
+    read serves the published rows."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=1.0)
+    ref = IncrementalRefresher(engine)
     ids = np.array([2, 8])
     rows = np.random.default_rng(5).standard_normal((2, ds.feature_dim))
     with PredictionService(engine, refresher=ref) as svc:
         before = svc.predict_logits(ids)
         stats = svc.update_features(ids, rows.astype(np.float32))
         got = svc.predict_logits(ids)
-    assert stats.mode == "incremental"
+    assert stats.num_updated == 2
     assert svc.stats()["refresher"]["incremental"] == 1
     assert np.array_equal(got, engine.logits[ids])
     assert not np.array_equal(got, before)
@@ -95,7 +100,7 @@ def test_cache_invalidated_by_refresh(trained, engine):
     """A service built with the legacy result cache never serves a row
     from before an update: reads are table rows, not cache entries."""
     ds, _, _ = trained
-    ref = IncrementalRefresher(engine, full_threshold=1.0)
+    ref = IncrementalRefresher(engine)
     with PredictionService(engine, cache=ResultCache(64), refresher=ref) as svc:
         ids = np.array([0, 1])
         before = svc.predict_logits(ids)
@@ -106,12 +111,14 @@ def test_cache_invalidated_by_refresh(trained, engine):
         after = svc.predict_logits(ids)
         assert np.array_equal(after, engine.logits[ids])
         assert not np.array_equal(after[0], before[0])
-        assert svc.cache.lookups == 0
 
 
-def test_feature_update_without_refresher_is_full_and_last_wins(trained, engine):
-    """No refresher: the write is deduplicated last-wins, one full
-    precompute publishes, and reads serve it."""
+def test_feature_update_without_refresher_is_incremental_and_last_wins(
+    trained, engine
+):
+    """No refresher given: the service's own refresher deduplicates the
+    write last-wins, one row-subset refresh publishes, and reads serve
+    it."""
     ds, trainer, cfg = trained
     rows = np.random.default_rng(12).standard_normal((3, ds.feature_dim))
     rows = rows.astype(np.float32)
@@ -119,7 +126,8 @@ def test_feature_update_without_refresher_is_full_and_last_wins(trained, engine)
         version = engine.version
         stats = svc.update_features([4, 7, 4], rows)
         served = svc.predict_logits(np.arange(engine.num_vertices))
-    assert stats.mode == "full" and stats.num_updated == 2
+    assert stats.num_updated == 2
+    assert svc.stats()["refresher"]["incremental"] == 1
     assert engine.version == version + 1
     truth = InferenceEngine(ds, trainer.model, cfg)
     truth.features[[4, 7]] = rows[[2, 1]]
@@ -218,6 +226,27 @@ def test_http_malformed_bodies_return_400_json(live_server):
         assert "error" in json.load(err.value), payload
 
 
+def test_http_negative_content_length_answers_400(live_server):
+    """``rfile.read(-1)`` reads to EOF, so a negative Content-Length
+    would pin the handler thread on a client that keeps its socket open:
+    it answers a JSON 400 at once instead."""
+    _, base = live_server
+    host, port = base[len("http://"):].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+        )
+        reply = b""
+        while b"\r\n\r\n" not in reply:  # a hang raises socket.timeout
+            chunk = sock.recv(4096)
+            assert chunk, f"connection closed without a reply: {reply!r}"
+            reply += chunk
+    status_line = reply.split(b"\r\n", 1)[0]
+    assert status_line.split()[1] == b"400", status_line
+    assert b"Content-Type: application/json" in reply
+
+
 def test_http_valid_requests_still_pass_strict_validation(live_server):
     engine, base = live_server
     status, resp = _post(f"{base}/predict", {"vertices": []})
@@ -256,8 +285,13 @@ def test_http_update_features(live_server):
         {"vertices": [0], "features": rows.tolist()},
     )
     assert status == 200
-    assert resp["status"] == "ok" and resp["mode"] in ("incremental", "full")
+    assert resp["status"] == "ok" and "mode" not in resp
     assert resp["num_updated"] == 1
+    assert resp["rows_recomputed"] == sum(resp["affected_per_layer"])
+    # the service was built without a refresher: its own took the update
+    refresher = _get(f"{base}/stats")[1]["refresher"]
+    assert (refresher["incremental"], refresher["full"]) == (1, 0)
+    assert "full_threshold" not in refresher
     # the served row now reflects the new features (table was refreshed)
     after = _post(f"{base}/predict", {"vertices": [0]})[1]["labels"]
     assert after == np.argmax(engine.logits[[0]], axis=1).tolist()
@@ -295,9 +329,7 @@ def test_predict_response_is_one_read_of_one_version(trained, engine):
     an update published right after that read cannot give the response
     labels from one version and top-k from the next."""
     ds, _, _ = trained
-    svc = PredictionService(
-        engine, refresher=IncrementalRefresher(engine, full_threshold=1.0)
-    )
+    svc = PredictionService(engine)
     vertices = [0, 7, 9]
     rows = np.random.default_rng(31).standard_normal((3, ds.feature_dim))
     reads = []
