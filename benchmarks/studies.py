@@ -12,6 +12,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py serving-layers [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py sim-threads [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py refresh [--baseline CHECKOUT]
+    PYTHONPATH=src python benchmarks/studies.py feature-gather [--baseline CHECKOUT]
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def kernel_plan(reps: int) -> None:
 def minibatch_step(reps: int) -> None:
     """ROADMAP 1: where a ``train_minibatch`` step goes, on the suite's
     configuration (ogbn-papers 1.0, fan-outs 10-10-10, batch 256, mmap
-    feature store, hot fraction 0.1).  Per hop: frontier rows, candidate
+    feature store; a tree that still has a hot-set tier opens it at its
+    defaults).  Per hop: frontier rows, candidate
     edges (sum of degrees), kept edges and the selection's ms
     (``sample_neighbors``, the sampler's own function, on the batch's
     frontiers); then the step split.  Runs on any tree (public names
@@ -191,8 +193,7 @@ def minibatch_step(reps: int) -> None:
 
     store_dir = tempfile.mkdtemp(prefix="minibatch-step-")
     try:
-        store = FeatureStore.create(store_dir, ds.features, degrees=ds.graph.in_degrees(),
-                                    hot_fraction=0.1, policy="auto")
+        store = FeatureStore.create(store_dir, ds.features)
         cfg = TrainConfig(num_threads=1, seed=0, eval_every=0).for_dataset(ds.name)
         trainer = MiniBatchTrainer(ds, fanouts, batch_size=batch_size, config=cfg,
                                    feature_store=store)
@@ -858,6 +859,134 @@ def refresh(reps: int, baseline=None) -> None:
                     "refresh", "\n".join(lines) + "\n")
 
 
+FEATURE_GATHER_DOC = os.path.join(BENCH_DIR, "..", "docs", "feature-gather.md")
+#: ogbn-papers scales: a quarter of, equal to and four times ``train_minibatch``'s
+FEATURE_GATHER_SCALES = (0.25, 1.0, 4.0)
+#: arm -> the tree it runs on; a hot-set arm is the baseline tree's
+#: ``FeatureStore`` with that admission policy at ``train_minibatch``'s
+#: hot fraction, "mmap" is this tree's store
+FEATURE_GATHER_ARMS = {"static": "parent", "lru": "parent", "mmap": "change"}
+FEATURE_GATHER_FRONTIERS, FEATURE_GATHER_ROUNDS, FEATURE_GATHER_STEPS = 30, 3, 20
+
+
+def _feature_gather_child(scale: float, arm: str) -> None:
+    """One process on one tree: ``train_minibatch``'s trainer (ogbn-papers
+    at ``scale``, seed 0, fan-outs 10-10-10, batch 256, one kernel
+    thread) over an mmap store — the hot-set ``arm`` ("static" / "lru",
+    hot fraction 0.1) on a tree that has one, the bare map ("mmap")
+    otherwise.  Samples ``FEATURE_GATHER_FRONTIERS`` input frontiers,
+    checks every gather against ``features[ids]`` once, then times
+    ``FEATURE_GATHER_ROUNDS`` rounds of gathers of them all and
+    ``FEATURE_GATHER_STEPS`` ``train_step`` calls.  One JSON line."""
+    ds = load_dataset("ogbn-papers", scale=scale, seed=0)
+    store_dir = tempfile.mkdtemp(prefix="feature-gather-")
+    try:
+        hot_set = {} if arm == "mmap" else dict(
+            degrees=ds.graph.in_degrees(), hot_fraction=0.1, policy=arm)
+        store = FeatureStore.create(store_dir, ds.features, **hot_set)
+        cfg = TrainConfig(num_threads=1, seed=0, eval_every=0).for_dataset(ds.name)
+        trainer = MiniBatchTrainer(ds, [10, 10, 10], batch_size=256, config=cfg,
+                                   feature_store=store)
+        train = np.flatnonzero(ds.train_mask)
+        seed_rng = np.random.default_rng([0, 3])
+        frontiers = [trainer.sampler.sample(seed_rng.choice(train, size=256, replace=False))
+                     .input_vertices for _ in range(FEATURE_GATHER_FRONTIERS)]
+        features = np.asarray(ds.features)
+        equal = all(np.array_equal(store.gather(ids), features[ids]) for ids in frontiers)
+        hot0 = dict(store.stats()["hot"])
+        gather_ms = []
+        for _ in range(FEATURE_GATHER_ROUNDS):
+            for ids in frontiers:
+                t0 = time.perf_counter()
+                store.gather(ids)
+                gather_ms.append(1e3 * (time.perf_counter() - t0))
+        hot = store.stats()["hot"]
+        hit_rate = None  # a store without a hot tier has none to report
+        if arm != "mmap":
+            hit_rate = (hot["hits"] - hot0["hits"]) / max(hot["lookups"] - hot0["lookups"], 1)
+        step_ms = []
+        for i in range(5 + FEATURE_GATHER_STEPS):
+            seeds = seed_rng.choice(train, size=256, replace=False)
+            t0 = time.perf_counter()
+            trainer.train_step(seeds)
+            if i >= 5:
+                step_ms.append(1e3 * (time.perf_counter() - t0))
+        print(json.dumps({
+            "scale": scale, "arm": arm, "N": ds.num_vertices, "equal": bool(equal),
+            "gather_ms": gather_ms, "hit_rate": hit_rate,
+            "predicted_hit_rate":
+                store.decision.predicted_hit_rate if arm == "static" else None,
+            "rows": float(np.median([ids.size for ids in frontiers])),
+            "step_ms": float(np.median(step_ms)),
+        }))
+    finally:
+        shutil.rmtree(store_dir, ignore_errors=True)
+
+
+def feature_gather(reps: int, baseline=None) -> None:
+    """The mmap tier's gather with and without a hot-set row cache in
+    front of it, on ``train_minibatch``'s configuration at ogbn-papers
+    0.25, 1 and 4: ``baseline`` (a checkout that still has the hot set)
+    runs the static and LRU arms, this tree the bare map.  ``reps``
+    child processes per arm and scale, the arms alternating and the
+    first arm rotating rep by rep.  Appends a dated section to
+    docs/feature-gather.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    trees = {"change": os.path.join(BENCH_DIR, "..", "src")}
+    if baseline:
+        trees["parent"] = os.path.join(baseline, "src")
+    arms = [arm for arm, tree in FEATURE_GATHER_ARMS.items() if tree in trees]
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs, "
+        f"{reps} runs per arm",
+        "",
+        "`train_minibatch`'s configuration (ogbn-papers, seed 0, fan-outs 10-10-10, "
+        "batch 256, hot fraction 0.1 where there is a hot set). Each run samples "
+        f"{FEATURE_GATHER_FRONTIERS} input frontiers, checks every gather against "
+        f"`features[ids]`, then times {FEATURE_GATHER_ROUNDS} rounds of gathers of "
+        f"them all and {FEATURE_GATHER_STEPS} `MiniBatchTrainer.train_step` calls. "
+        "Runs alternate between arms, the first arm rotating run by run. *static* "
+        "and *lru* are the parent's `HotSetCache` policies, *mmap* this tree's "
+        "`backing[ids]`. Gather: quartiles over every timed gather of every run; "
+        "hit rate over the timed gathers (static: the cachesim prediction in "
+        "brackets); step: median over runs of each run's p50.",
+        "",
+        "| papers | N | arm | gather ms p50 [q25–q75] | vs mmap | hit rate | "
+        "rows per frontier | train_step p50 ms | equal |",
+        "| --- " * 9 + "|",
+    ]
+    for scale in FEATURE_GATHER_SCALES:
+        runs = {arm: [] for arm in arms}
+        for rep in range(reps):
+            shift = rep % len(arms)
+            for arm in arms[shift:] + arms[:shift]:
+                runs[arm].append(_child_json(
+                    [sys.executable, "-c",
+                     f"import studies; studies._feature_gather_child({scale}, {arm!r})"],
+                    trees[FEATURE_GATHER_ARMS[arm]], cwd=BENCH_DIR,
+                ))
+        mmap_p50 = float(np.median([ms for r in runs["mmap"] for ms in r["gather_ms"]]))
+        for arm in arms:
+            rs = runs[arm]
+            q1, q2, q3 = np.percentile([ms for r in rs for ms in r["gather_ms"]], [25, 50, 75])
+            hit = "—"
+            if rs[0]["hit_rate"] is not None:
+                hit = f"{np.median([r['hit_rate'] for r in rs]):.3f}"
+                if rs[0]["predicted_hit_rate"] is not None:
+                    hit += f" ({rs[0]['predicted_hit_rate']:.3f})"
+            equal = "yes" if all(r["equal"] for r in rs) else "**no**"
+            lines.append(
+                f"| {scale:g} | {rs[0]['N']:,} | {arm} | {q2:.2f} [{q1:.2f}–{q3:.2f}] "
+                f"| {q2 / mmap_p50:.2f} | {hit} | {np.median([r['rows'] for r in rs]):,.0f} "
+                f"| {np.median([r['step_ms'] for r in rs]):.1f} | {equal} |"
+            )
+    _append_section(FEATURE_GATHER_DOC, "The mmap gather with and without a hot-set tier",
+                    "feature-gather", "\n".join(lines) + "\n")
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
@@ -867,7 +996,9 @@ STUDIES = {
     "serving-layers": serving_layers,
     "sim-threads": sim_threads,
     "refresh": refresh,
+    "feature-gather": feature_gather,
 }
+BASELINE_STUDIES = ("serving-layers", "sim-threads", "refresh", "feature-gather")
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -876,13 +1007,13 @@ if __name__ == "__main__":
     parser.add_argument("--part", choices=sorted(PROJECT_FIRST_PARTS),
                         help="project-first: only this table (default: all three)")
     parser.add_argument("--baseline", metavar="CHECKOUT",
-                        help="serving-layers / sim-threads / refresh: a checkout to "
-                        "measure beside this tree")
+                        help="serving-layers / sim-threads / refresh / feature-gather: "
+                        "a checkout to measure beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":
         parser.error("--part belongs to project-first")
-    if args.baseline and args.study not in ("serving-layers", "sim-threads", "refresh"):
-        parser.error("--baseline belongs to serving-layers, sim-threads and refresh")
+    if args.baseline and args.study not in BASELINE_STUDIES:
+        parser.error("--baseline belongs to " + ", ".join(BASELINE_STUDIES))
     if args.part:
         project_first(args.reps, parts=(args.part,))
     elif args.baseline:

@@ -23,7 +23,6 @@ HANDOUT_FUNCTIONS = {
     ("repro/featurestore/storage.py", "open_feature_layout"),
     ("repro/featurestore/store.py", "FeatureStore.gather"),
     ("repro/featurestore/store.py", "FeatureStore.matrix"),
-    ("repro/featurestore/hotset.py", "HotSetCache.gather"),
 }
 
 #: Helper names whose invocation counts as freeze evidence inside a

@@ -307,12 +307,9 @@ def _feature_store_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--feature-store", choices=("resident", "mmap"), default="resident",
         help="feature tier: 'resident' keeps the matrix in memory (the "
-        "default, unchanged behaviour); 'mmap' reads a read-only on-disk "
-        "layout through the degree-pinned hot-set cache (out-of-core)",
-    )
-    p.add_argument(
-        "--hot-fraction", type=float, default=0.1,
-        help="hot-set cache capacity as a fraction of rows (mmap tier)",
+        "default, unchanged behaviour); 'mmap' reads rows straight from a "
+        "read-only on-disk layout, the OS page cache keeping the hot ones "
+        "(out-of-core)",
     )
     p.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -331,24 +328,11 @@ def _make_feature_store(ds, args):
     from repro.featurestore import FeatureStore
 
     store_dir = args.store_dir or tempfile.mkdtemp(prefix="repro-features-")
-    store = FeatureStore.create(
-        store_dir,
-        ds.features,
-        degrees=ds.graph.in_degrees(),
-        hot_fraction=args.hot_fraction,
-        policy="auto",
-    )
+    store = FeatureStore.create(store_dir, ds.features)
     print(
         f"feature store  : mmap tier at {store_dir} "
         f"({store.bytes_mapped / 1e6:.1f} MB mapped)"
     )
-    d = store.decision
-    if store.hot is not None and d is not None:
-        print(
-            f"  hot set      : {store.hot.capacity}/{store.num_rows} rows "
-            f"({100 * args.hot_fraction:.0f}%), policy {d.policy} "
-            f"(predicted hit rate {d.predicted_hit_rate:.3f})"
-        )
     return store
 
 
@@ -466,10 +450,8 @@ def cmd_sample(args) -> int:
     print(f"final test accuracy: {result.final_test_acc:.4f}")
     print(f"sampled work       : {trainer.total_work_ops / 1e9:.3f} B ops")
     if store is not None:
-        hit = store.stats().get("hit_rate")
-        print(f"feature store      : "
-              f"{'n/a' if hit is None else format(hit, '.3f')} hit rate, "
-              f"{store.cold_rows_read} cold rows read")
+        print(f"feature store      : {store.cold_rows_read} rows read from "
+              f"the {store.tier} tier")
     return 0
 
 
@@ -528,10 +510,7 @@ def cmd_serve(args) -> int:  # pragma: no cover - interactive loop
     print(f"  {args.workers} workers, queue bound {args.max_queue}, "
           f"{args.request_timeout:g}s deadline")
     fs = engine.feature_store.stats()
-    hit = fs.get("hit_rate")
     print(f"  feature store: tier {fs['tier']}, "
-          f"{fs.get('hot_rows') or 0} hot rows, "
-          f"hit rate {'n/a' if hit is None else format(hit, '.3f')}, "
           f"{fs['bytes_mapped'] / 1e6:.1f} MB mapped")
     print(f"  POST http://{host}:{port}/predict          "
           '{"vertices": [0, 1], "k": 3}')

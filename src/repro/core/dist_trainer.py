@@ -92,7 +92,7 @@ class RankState:
     ``features`` may start as ``None`` on the shm backend with a
     non-resident feature store: the per-rank slice is then gathered
     *inside* the forked worker (:meth:`ensure_features`) from the shared
-    read-only cold tier, so the parent never materializes ``P`` feature
+    read-only mapped file, so the parent never materializes ``P`` feature
     copies — the OS page cache backs all ranks with one set of pages.
     """
 
@@ -305,7 +305,7 @@ class DistributedTrainer:
         #: feature tier all ranks read from.  Resident (default) slices
         #: eagerly, exactly the old per-rank copies.  A non-resident
         #: store on the shm backend defers slicing into the forked
-        #: workers so every rank reads one shared cold tier.
+        #: workers so every rank reads one shared mapped file.
         self.feature_store = feature_store or FeatureStore.resident(dataset.features)
         #: execution backend: "sim" (the rank programs stepped on
         #: ``self.world``) or "shm" (SPMD worker processes,

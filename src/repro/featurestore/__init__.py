@@ -1,4 +1,4 @@
-"""Feature store: mmap cold tier + cachesim-driven hot-set cache.
+"""Feature store: resident matrix or read-only mmap file, one interface.
 
 The memory hierarchy for raw vertex features, threaded through every
 feature consumer in the repo (trainers, samplers, the serving engine):
@@ -7,28 +7,14 @@ feature consumer in the repo (trainers, samplers, the serving engine):
   row-major ``features.bin`` plus a dtype/shape/endianness manifest,
   opened as a zero-copy read-only ``np.memmap`` with every manifest
   field validated before the first row is read.
-- :mod:`repro.featurestore.hotset` — :class:`HotSetCache`: the pinned
-  hot set in front of the cold tier.  Degree-ordered static pinning
-  (the paper's reuse analysis) is the default policy, exact LRU the
-  fallback; :func:`choose_policy` picks between them using the
-  :mod:`repro.cachesim` machinery and the measured hit/miss/eviction
-  counters validate the prediction (``bench_featurestore.py``).
 - :mod:`repro.featurestore.store` — :class:`FeatureStore`: the tiered
   facade.  The ``resident`` tier wraps an in-memory matrix and
   preserves the pre-store behavior bit for bit (the drop-in default);
-  the ``mmap`` tier serves out-of-core graphs from the shared cold
-  file — one set of OS page-cache pages across shm SPMD ranks and
-  sampler workers instead of per-process copies.
+  the ``mmap`` tier serves out-of-core graphs straight from the mapped
+  file.  The OS page cache is its hot tier — one set of pages across
+  shm SPMD ranks and sampler workers instead of per-process copies.
 """
 
-from repro.featurestore.hotset import (
-    HotSetCache,
-    PolicyDecision,
-    choose_policy,
-    predict_lru_hit_rate,
-    predict_static_hit_rate,
-    top_rows_by_weight,
-)
 from repro.featurestore.storage import (
     FeatureLayoutError,
     open_feature_layout,
@@ -39,12 +25,6 @@ from repro.featurestore.store import FeatureStore
 
 __all__ = [
     "FeatureStore",
-    "HotSetCache",
-    "PolicyDecision",
-    "choose_policy",
-    "predict_static_hit_rate",
-    "predict_lru_hit_rate",
-    "top_rows_by_weight",
     "FeatureLayoutError",
     "write_feature_layout",
     "open_feature_layout",

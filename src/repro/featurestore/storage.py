@@ -1,13 +1,13 @@
 """On-disk feature layout: chunked row-major binary + JSON manifest.
 
-The cold tier of the feature store is one raw ``features.bin`` file
+The mmap tier of the feature store is one raw ``features.bin`` file
 (row-major, written in bounded chunks so a matrix larger than RAM can be
 spilled) plus a ``manifest.json`` describing exactly how to read it back:
 format version, NumPy dtype string *with explicit byte order*, shape,
 and total byte count.  :func:`open_feature_layout` maps the file
 read-only (``np.memmap``) — a zero-copy view whose pages the OS shares
 across every process that opens it, which is what lets shm SPMD ranks
-and sampler workers read one cold tier instead of holding per-process
+and sampler workers read one file instead of holding per-process
 copies.
 
 Every manifest field is *validated before the first row is read*: a

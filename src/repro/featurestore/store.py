@@ -1,4 +1,4 @@
-"""Tiered feature store: resident / mmap cold tier + hot-set cache.
+"""Feature store: one row-oriented view over resident or mmap features.
 
 :class:`FeatureStore` is the one abstraction every feature consumer in
 the repo reads through — both trainers, the neighbor-sampling paths, and
@@ -9,35 +9,37 @@ the serving engine's precompute/refresh.  Two tiers:
   ``gather(ids)`` is ``features[ids]``, so a store-threaded consumer is
   bit-identical to the pre-store code path (the drop-in default).
 - ``mmap`` — a read-only zero-copy :mod:`storage <repro.featurestore.
-  storage>` map as the cold tier, optionally fronted by a
-  :class:`~repro.featurestore.hotset.HotSetCache` whose admission policy
-  the cache simulator chose.  The OS page cache shares the cold tier
-  across every process that opens (or forks with) the store — shm SPMD
-  ranks read one file instead of holding per-rank feature copies.
+  storage>` map.  ``gather(ids)`` is a frozen ``backing[ids]``; there is
+  no row cache in front of it, because the OS page cache already keeps
+  the hot rows in memory and a DRAM-side slot probe costs more than the
+  reads it avoids (``docs/feature-gather.md``).  The page cache also
+  shares the file across every process that opens (or forks with) the
+  store — shm SPMD ranks read one file instead of holding per-rank
+  feature copies.
 
 Updates (``update_rows``) keep the mmap tier servable: the read-only map
 is never written; instead the first update materializes one private
 patched copy (exactly the full writable copy the serving engine used to
-hold unconditionally) and subsequent updates land in place there and in
-any cached hot rows — reads before and after an update are always
+hold unconditionally), which becomes the backing, and subsequent updates
+land in place there — reads before and after an update are always
 consistent with NumPy fancy-assignment semantics on a resident matrix.
 """
 
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from repro.analysis.sanitizers import make_lock
-from repro.featurestore.hotset import (
-    HotSetCache,
-    PolicyDecision,
-    choose_policy,
-    top_rows_by_weight,
+from repro.featurestore.storage import (
+    FeatureLayoutError,
+    open_feature_layout,
+    read_manifest,
+    write_feature_layout,
 )
-from repro.featurestore.storage import open_feature_layout, write_feature_layout
 from repro.graph.csr import INDEX_DTYPE
 from repro.obs.trace import current_span
 
@@ -61,29 +63,17 @@ def _frozen_view(matrix: np.ndarray) -> np.ndarray:
 class FeatureStore:
     """Row-oriented view over a feature matrix with tiered backing."""
 
-    def __init__(
-        self,
-        tier: str,
-        base: np.ndarray,
-        hot: Optional[HotSetCache] = None,
-        path: Optional[str] = None,
-        decision: Optional[PolicyDecision] = None,
-    ):
+    def __init__(self, tier: str, base: np.ndarray, path: Optional[str] = None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r} (one of {TIERS})")
         self.tier = tier
         self._base = base
-        self.hot = hot
         self.path = path
-        #: how the hot-set policy was chosen (mmap tier with a cache).
-        self.decision = decision
         #: private patched copy, created by the first mmap-tier update.
         self._patched: Optional[np.ndarray] = None
         self._stats_lock = make_lock("featurestore.store.stats")
         self.cold_rows_read = 0  # guarded-by: _stats_lock
         self.num_updates = 0  # guarded-by: _stats_lock
-        if hot is not None:
-            hot.warm(self._cold_fetch)
 
     # -- construction -----------------------------------------------------------
 
@@ -93,82 +83,50 @@ class FeatureStore:
         return cls("resident", np.asarray(features))
 
     @classmethod
-    def open(
-        cls,
-        path: str,
-        hot_fraction: float = 0.1,
-        policy: str = "auto",
-        degrees: Optional[np.ndarray] = None,
-        trace: Optional[np.ndarray] = None,
-        tolerance: Optional[float] = None,
-    ) -> "FeatureStore":
-        """Open an on-disk layout as the mmap cold tier.
-
-        ``hot_fraction`` of the rows are cached hot (0 disables the
-        cache); ``degrees`` (access weights) drive the paper's static
-        degree-ordered pinning, ``trace`` the LRU replay — see
-        :func:`~repro.featurestore.hotset.choose_policy`.  Without
-        ``degrees`` there is nothing to rank static pins by, so the
-        policy falls back to LRU.
-        """
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in [0, 1]")
+    def open(cls, path: str) -> "FeatureStore":
+        """Open an on-disk layout as the mmap tier."""
         base, _manifest = open_feature_layout(path)
-        num_rows = base.shape[0]
-        capacity = int(round(hot_fraction * num_rows))
-        hot = None
-        decision = None
-        if capacity >= 1:
-            if degrees is None and policy in ("auto", "static"):
-                policy = "lru"
-            weights = (
-                np.asarray(degrees, dtype=np.float64)
-                if degrees is not None
-                else np.zeros(num_rows)
-            )
-            if degrees is not None and weights.shape != (num_rows,):
-                raise ValueError(
-                    f"degrees shape {weights.shape} does not match "
-                    f"{num_rows} feature rows"
-                )
-            kwargs = {} if tolerance is None else {"tolerance": tolerance}
-            decision = choose_policy(
-                weights, capacity, trace=trace, policy=policy, **kwargs
-            )
-            hot_ids = (
-                top_rows_by_weight(weights, capacity)
-                if decision.policy == "static"
-                else None
-            )
-            hot = HotSetCache(
-                num_rows, capacity, policy=decision.policy, hot_ids=hot_ids
-            )
-        return cls("mmap", base, hot=hot, path=path, decision=decision)
+        return cls("mmap", base, path=path)
 
     @classmethod
-    def create(cls, path: str, features: np.ndarray, **open_kwargs) -> "FeatureStore":
+    def create(
+        cls,
+        path: str,
+        features: np.ndarray,
+        *,
+        degrees=None,
+        hot_fraction=None,
+        policy=None,
+    ) -> "FeatureStore":
         """Spill ``features`` to ``path`` (if no layout is there yet) and
         open the result as an mmap store.  An existing layout is reused
-        only when its shape matches — anything else fails loudly rather
-        than serving another matrix's rows."""
-        from repro.featurestore.storage import FeatureLayoutError, read_manifest
-
+        only when it holds exactly ``features`` — another shape, dtype or
+        content fails loudly rather than serving another matrix's rows.
+        ``degrees``, ``hot_fraction`` and ``policy`` are unused (see the
+        end of the class)."""
         features = np.asarray(features)
         try:
             manifest = read_manifest(path)
         except FeatureLayoutError:
             write_feature_layout(path, features)
-        else:
-            if manifest["shape"] != features.shape or (
-                manifest["dtype"] != features.dtype.newbyteorder("=")
-            ):
-                raise FeatureLayoutError(
-                    f"existing layout at {path!r} holds shape "
-                    f"{manifest['shape']} dtype {np.dtype(manifest['dtype']).str!r}, "
-                    f"requested {tuple(features.shape)} "
-                    f"{features.dtype.str!r}: refusing to reuse it"
-                )
-        return cls.open(path, **open_kwargs)
+            return cls.open(path)
+        if manifest["shape"] != features.shape or (
+            manifest["dtype"] != features.dtype.newbyteorder("=")
+        ):
+            raise FeatureLayoutError(
+                f"existing layout at {path!r} holds shape "
+                f"{manifest['shape']} dtype {np.dtype(manifest['dtype']).str!r}, "
+                f"requested {tuple(features.shape)} "
+                f"{features.dtype.str!r}: refusing to reuse it"
+            )
+        store = cls.open(path)
+        if not np.array_equal(store._base, features):
+            raise FeatureLayoutError(
+                f"existing layout at {path!r} holds a different "
+                f"{tuple(features.shape)} matrix than the one requested: "
+                "refusing to reuse it"
+            )
+        return store
 
     # -- shape ------------------------------------------------------------------
 
@@ -201,49 +159,29 @@ class FeatureStore:
     def _backing(self) -> np.ndarray:
         return self._patched if self._patched is not None else self._base
 
-    def _cold_fetch(self, ids: np.ndarray) -> np.ndarray:
-        """Internal fetch: fresh writable rows (the hot cache adopts
-        them as its own storage; ``gather`` freezes before hand-out)."""
-        with self._stats_lock:
-            self.cold_rows_read += int(ids.size)
-        return self._backing()[ids]
-
     def gather(self, ids) -> np.ndarray:
         """One feature row per id (a fresh array, request order kept) —
         bit-identical to ``features[ids]`` on the resident matrix.
-        Mmap-tier batches come back read-only, matching the CSR arrays
-        and the result cache's hand-out contract; route writes through
-        :meth:`update_rows`.
+        Mmap-tier batches come back read-only, matching the CSR arrays'
+        hand-out contract; route writes through :meth:`update_rows`.
 
         When the calling thread carries an active trace span, the
-        gather records a ``feature.gather`` child span with the hot-hit
-        vs cold-read split and charges its wall time to the request's
-        ``feature`` latency component; untraced calls take one ``None``
-        check extra."""
+        gather records a ``feature.gather`` child span and charges its
+        wall time to the request's ``feature`` latency component;
+        untraced calls take one ``None`` check extra."""
         ids = np.asarray(ids, dtype=INDEX_DTYPE)
         span = current_span()
-        fetch = self._cold_fetch
-        if span is not None:
-            t0 = time.perf_counter()
-            cold = [0]
-
-            def fetch(miss, _inner=self._cold_fetch):
-                cold[0] += int(miss.size)
-                return _inner(miss)
-
-        if self.tier == "resident":
-            rows = fetch(ids)
-        elif self.hot is None:
-            rows = _frozen_rows(fetch(ids))
-        else:
-            rows = self.hot.gather(ids, fetch)
+        t0 = time.perf_counter() if span is not None else 0.0
+        rows = self._backing()[ids]
+        if self.tier == "mmap":
+            rows = _frozen_rows(rows)
+        with self._stats_lock:
+            self.cold_rows_read += int(ids.size)
         if span is not None:
             elapsed = time.perf_counter() - t0
             span.add_component("feature", elapsed)
             span.child_complete(
-                "feature.gather", elapsed, cat="featurestore",
-                rows=int(ids.size), cold_rows=cold[0],
-                hot_rows=int(ids.size) - cold[0],
+                "feature.gather", elapsed, cat="featurestore", rows=int(ids.size)
             )
         return rows
 
@@ -265,31 +203,23 @@ class FeatureStore:
         """Overwrite rows (NumPy fancy-assignment semantics: duplicate
         ids resolve last-wins).  Resident writes in place; mmap writes
         the private patched copy (materialized on first update — the
-        read-only cold file is never touched) and refreshes any cached
-        hot rows so ``gather`` never serves a stale copy."""
+        read-only file is never touched)."""
         ids = np.asarray(ids, dtype=INDEX_DTYPE)
         rows = np.asarray(rows, dtype=self.dtype)
         if self.tier == "mmap" and self._patched is None:
             self._patched = np.array(self._base, copy=True)
         self._backing()[ids] = rows
-        if self.hot is not None:
-            self.hot.update_rows(ids, rows)
         with self._stats_lock:
             self.num_updates += 1
 
     # -- introspection ----------------------------------------------------------
 
     def stats(self) -> dict:
-        """JSON-safe gauges: tier, hot rows, hit rate, bytes mapped.
-
-        Reads the store's own counters under ``_stats_lock``, then asks
-        the hot cache *outside* it — ``hot.gather`` already calls back
-        into ``_cold_fetch`` while holding the cache lock, so nesting
-        the other way here would close a lock-order cycle."""
+        """JSON-safe gauges: tier, shape, bytes mapped, rows read, updates."""
         with self._stats_lock:
             cold_rows_read = self.cold_rows_read
             num_updates = self.num_updates
-        out = {
+        return {
             "tier": self.tier,
             "num_rows": self.num_rows,
             "dim": self.dim,
@@ -298,19 +228,25 @@ class FeatureStore:
             "cold_rows_read": cold_rows_read,
             "num_updates": num_updates,
             "patched": self._patched is not None,
-            "hot_rows": self.hot.hot_rows if self.hot is not None else 0,
-            "hit_rate": self.hot.hit_rate if self.hot is not None else None,
-            "policy": self.hot.policy if self.hot is not None else None,
+            **self._no_hot_tier(cold_rows_read),
         }
-        if self.hot is not None:
-            out["hot"] = self.hot.stats()
-        if self.decision is not None:
-            out["decision"] = self.decision.to_json()
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - logging convenience
-        hot = f", hot={self.hot.capacity} ({self.hot.policy})" if self.hot else ""
         return (
             f"FeatureStore(tier={self.tier!r}, shape={tuple(self.shape)}, "
-            f"dtype={np.dtype(self.dtype)}{hot})"
+            f"dtype={np.dtype(self.dtype)})"
         )
+
+    # -- unused: kept for benchmarks/suite/suite_train.py -----------------------
+    # The frozen benchmark suite was written against a hot-set row cache
+    # that no longer exists.  It passes ``degrees`` / ``hot_fraction`` /
+    # ``policy`` to :meth:`create` (ignored) and reads the values below,
+    # which are what a store without a hot tier truthfully reports:
+    # nothing predicted hot, no hits, every gathered row a cold read.
+
+    decision = SimpleNamespace(predicted_hit_rate=0.0)
+
+    @staticmethod
+    def _no_hot_tier(cold_rows_read: int) -> dict:
+        n = cold_rows_read
+        return {"policy": None, "hot": {"hits": 0, "misses": n, "lookups": n}}

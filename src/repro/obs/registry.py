@@ -290,7 +290,7 @@ def _serving_metrics(frontend) -> List[Metric]:
         out.append(
             Metric(
                 "repro_feature_store_cold_rows_read_total", "counter",
-                "Feature rows fetched from the cold tier",
+                "Feature rows gathered from the store",
             ).add(fs["cold_rows_read"], tier=fs["tier"])
         )
         out.append(
@@ -305,19 +305,6 @@ def _serving_metrics(frontend) -> List[Metric]:
                 "Bytes served through the zero-copy mmap view",
             ).add(fs["bytes_mapped"], tier=fs["tier"])
         )
-        out.append(
-            Metric(
-                "repro_feature_store_hot_rows", "gauge",
-                "Rows resident in the hot-set cache",
-            ).add(fs["hot_rows"], tier=fs["tier"])
-        )
-        if fs.get("hit_rate") is not None:
-            out.append(
-                Metric(
-                    "repro_feature_store_hit_rate", "gauge",
-                    "Hot-set cache hit rate",
-                ).add(fs["hit_rate"], tier=fs["tier"])
-            )
     return out
 
 

@@ -66,9 +66,9 @@ class MiniBatchTrainer:
     Per-batch feature slicing goes through a
     :class:`~repro.featurestore.FeatureStore` (default: resident over
     ``dataset.features``, bit-identical to direct slicing).  With an
-    ``mmap``-tier store the input frontier gathers ride the hot-set
-    cache — the access pattern the feature-store benchmark measures as
-    ``sampled minibatch``.
+    ``mmap``-tier store each input frontier is one gather straight from
+    the mapped file, its hot rows served by the OS page cache
+    (``docs/feature-gather.md`` times it).
     """
 
     def __init__(

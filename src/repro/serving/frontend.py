@@ -317,7 +317,7 @@ class ServingFrontend:
             in_flight=in_flight,
             max_queue=self.max_queue,
             num_workers=self.num_workers,
-            # feature-tier gauges: tier, hot rows, hit rate, bytes mapped
+            # feature-tier gauges: tier, rows read, updates, bytes mapped
             feature_store=store.stats() if store is not None else None,
         )
 

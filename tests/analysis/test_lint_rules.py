@@ -211,12 +211,15 @@ def test_registered_handout_without_freeze_is_flagged():
     source = """
         import numpy as np
 
-        class HotSetCache:
-            def gather(self, ids, cold_fetch):
-                return np.array(cold_fetch(ids))
+        class FeatureStore:
+            def gather(self, ids):
+                return self._backing()[ids]
+
+            def matrix(self):
+                return _frozen_view(self._base)
     """
     violations = check_source(
-        "src/repro/featurestore/hotset.py", textwrap.dedent(source),
+        "src/repro/featurestore/store.py", textwrap.dedent(source),
         [RULES_BY_CODE["REP103"]()],
     )
     assert codes(violations) == ["REP103"]
@@ -227,22 +230,30 @@ def test_registered_handout_with_freeze_is_clean():
     source = """
         import numpy as np
 
-        class HotSetCache:
-            def gather(self, ids, cold_fetch):
-                out = np.array(cold_fetch(ids))
-                out.setflags(write=False)
-                return out
+        class FeatureStore:
+            def gather(self, ids):
+                rows = self._backing()[ids]
+                rows.setflags(write=False)
+                return rows
+
+            def matrix(self):
+                return _frozen_view(self._base)
     """
     violations = check_source(
-        "src/repro/featurestore/hotset.py", textwrap.dedent(source),
+        "src/repro/featurestore/store.py", textwrap.dedent(source),
         [RULES_BY_CODE["REP103"]()],
     )
     assert violations == []
 
 
 def test_missing_registered_handout_is_registry_drift():
+    source = """
+        class FeatureStore:
+            def matrix(self):
+                return _frozen_view(self._base)
+    """
     violations = check_source(
-        "src/repro/featurestore/hotset.py", "class HotSetCache:\n    pass\n",
+        "src/repro/featurestore/store.py", textwrap.dedent(source),
         [RULES_BY_CODE["REP103"]()],
     )
     assert codes(violations) == ["REP103"]

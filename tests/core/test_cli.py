@@ -184,6 +184,24 @@ def test_serve_parser_accepts_options():
             build_parser().parse_args(["serve", "--checkpoint", "c.npz", flag, "1"])
 
 
+def test_feature_store_flags_have_no_hot_set_knob(capsys, tmp_path):
+    """The mmap tier reads straight from the mapped file: there is no
+    hot-set fraction to size, and a run prints the rows it read."""
+    for command in ("train", "sample", "serve", "loadgen", "trace"):
+        argv = [command, "--feature-store", "mmap"]
+        if command in ("serve", "loadgen", "trace"):
+            argv += ["--checkpoint", "c.npz"]
+        assert build_parser().parse_args(argv).feature_store == "mmap"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--hot-fraction", "0.1"])
+    capsys.readouterr()
+    assert main(["sample", "--dataset", "reddit", "--scale", "0.05", "--epochs", "1",
+                 "--feature-store", "mmap", "--store-dir", str(tmp_path / "f")]) == 0
+    out = capsys.readouterr().out
+    assert "mmap tier at" in out and "rows read from the mmap tier" in out
+    assert "hot set" not in out and "hit rate" not in out
+
+
 def test_loadgen_cli(capsys, tmp_path):
     ckpt = str(tmp_path / "lg.npz")
     base = ["--dataset", "reddit", "--scale", "0.05"]

@@ -174,9 +174,7 @@ def test_serving_never_reads_the_memo(reddit_mini, tmp_path, model, tier):
     def store():
         if tier == "resident":
             return None  # the engine's own writable copy
-        return FeatureStore.create(
-            str(tmp_path / "store"), ds.features, degrees=ds.graph.in_degrees()
-        )
+        return FeatureStore.create(str(tmp_path / "store"), ds.features)
 
     engine = InferenceEngine(ds, trainer.model, cfg, feature_store=store())
     engine.precompute()

@@ -142,9 +142,7 @@ def test_whole_graph_update_matches_compacted_precompute(
     ds, trainer, cfg = dyn_trained
     store = None
     if tier == "mmap":
-        store = FeatureStore.create(
-            str(tmp_path / "features"), ds.features, hot_fraction=0.25
-        )
+        store = FeatureStore.create(str(tmp_path / "features"), ds.features)
     engine = InferenceEngine(ds, trainer.model, cfg, feature_store=store).precompute()
     ref = IncrementalRefresher(engine)
     _, remove = _mutations(ds, seed=4)

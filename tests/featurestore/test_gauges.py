@@ -7,6 +7,7 @@ from repro.core import TrainConfig, Trainer, save_checkpoint
 from repro.core.checkpoint import training_meta
 from repro.featurestore import FeatureStore
 from repro.graph.datasets import load_dataset
+from repro.obs.registry import _serving_metrics
 from repro.serving import InferenceEngine, PredictionService, ServingFrontend
 
 
@@ -27,34 +28,39 @@ def checkpoint(ds, tmp_path_factory):
 
 
 def _snapshot(checkpoint, ds, store):
+    """(JSON metrics snapshot, Prometheus family names) of one frontend."""
     engine = InferenceEngine.from_checkpoint(checkpoint, ds, feature_store=store)
     engine.precompute()
     service = PredictionService(engine)
     frontend = ServingFrontend(service, num_workers=1)
     try:
         frontend.call("predict", lambda: service.predict_logits([0, 1, 2]))
-        return frontend.metrics_snapshot()
+        families = {m.name for m in _serving_metrics(frontend)}
+        return frontend.metrics_snapshot(), families
     finally:
         frontend.close()
         service.close()
 
 
 def test_metrics_carry_mmap_feature_store_gauges(tmp_path, checkpoint, ds):
-    store = FeatureStore.create(
-        str(tmp_path / "store"), ds.features,
-        degrees=ds.graph.in_degrees(), hot_fraction=0.1,
-    )
-    snap = _snapshot(checkpoint, ds, store)
+    store = FeatureStore.create(str(tmp_path / "store"), ds.features)
+    snap, families = _snapshot(checkpoint, ds, store)
     fs = snap["feature_store"]
     assert fs["tier"] == "mmap"
-    assert fs["hot_rows"] == store.hot.hot_rows > 0
     assert fs["bytes_mapped"] == np.asarray(ds.features).nbytes
-    assert 0.0 <= fs["hit_rate"] <= 1.0
-    assert fs["decision"]["policy"] in ("static", "lru")
+    assert fs["cold_rows_read"] == store.cold_rows_read
+    assert "hot_rows" not in fs and "hit_rate" not in fs
+    assert {
+        "repro_feature_store_cold_rows_read_total",
+        "repro_feature_store_updates_total",
+        "repro_feature_store_bytes_mapped",
+    } <= families
+    # there is no hot tier to report on
+    assert not {"repro_feature_store_hot_rows", "repro_feature_store_hit_rate"} & families
 
 
 def test_metrics_carry_resident_feature_store_gauges(checkpoint, ds):
-    snap = _snapshot(checkpoint, ds, None)
+    snap, _ = _snapshot(checkpoint, ds, None)
     fs = snap["feature_store"]
     assert fs["tier"] == "resident"
-    assert fs["bytes_mapped"] == 0 and fs["hit_rate"] is None
+    assert fs["bytes_mapped"] == 0

@@ -1,4 +1,4 @@
-"""Bit-identical parity: every consumer, mmap+hotset vs resident.
+"""Bit-identical parity: every consumer, mmap vs resident.
 
 The acceptance bar for the feature-store subsystem is *exactness*, not
 closeness: training losses, final parameters, and serving outputs must
@@ -35,14 +35,8 @@ def _cfg(seed=0, **kw):
     )
 
 
-def _mmap_store(tmp_path, ds, policy="auto", hot_fraction=0.15):
-    return FeatureStore.create(
-        str(tmp_path / "store"),
-        ds.features,
-        degrees=ds.graph.in_degrees(),
-        hot_fraction=hot_fraction,
-        policy=policy,
-    )
+def _mmap_store(tmp_path, ds):
+    return FeatureStore.create(str(tmp_path / "store"), ds.features)
 
 
 def _params(model):
@@ -71,13 +65,12 @@ def test_full_batch_training_is_bit_identical_where_a_later_layer_narrows(tmp_pa
     _assert_full_batch_parity(tmp_path, ds, cfg)
 
 
-@pytest.mark.parametrize("policy", ["static", "lru"])
-def test_minibatch_training_is_bit_identical(tmp_path, ds, policy):
+def test_minibatch_training_is_bit_identical(tmp_path, ds):
     a = MiniBatchTrainer(ds, fanouts=[5, 5], batch_size=64, config=_cfg())
     ra = a.fit(num_epochs=2)
     b = MiniBatchTrainer(
         ds, fanouts=[5, 5], batch_size=64, config=_cfg(),
-        feature_store=_mmap_store(tmp_path, ds, policy=policy),
+        feature_store=_mmap_store(tmp_path, ds),
     )
     rb = b.fit(num_epochs=2)
     assert [e.loss for e in ra.epochs] == [e.loss for e in rb.epochs]

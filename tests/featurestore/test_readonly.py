@@ -1,9 +1,9 @@
-"""Read-only hand-out parity: every mmap/hot-set row batch is frozen.
+"""Read-only hand-out parity: every mmap row batch is frozen.
 
 The CSR arrays (``graph/csr.py``) already hand out ``writeable=False``
 arrays; these tests pin the same contract onto the feature store's mmap tier —
-gathers through the cold map, through the hot-set cache (both
-policies), and the full-matrix view after an update must all raise on
+gathers through the map, gathers through the patched copy after an
+update, and the full-matrix view after an update must all raise on
 caller mutation.  The resident tier stays writable: it is the
 behavior-preserving drop-in for code that owned the matrix outright.
 """
@@ -12,17 +12,11 @@ import numpy as np
 import pytest
 
 from repro.featurestore import FeatureStore
-from repro.featurestore.hotset import HotSetCache
 
 
 @pytest.fixture
 def X():
     return np.random.default_rng(0).standard_normal((48, 6)).astype(np.float32)
-
-
-@pytest.fixture
-def degrees():
-    return np.random.default_rng(1).integers(1, 30, size=48).astype(np.float64)
 
 
 def assert_frozen(rows):
@@ -44,35 +38,17 @@ def test_resident_gather_stays_writable(X):
 # -- mmap tier freezes every hand-out ----------------------------------------
 
 
-def test_mmap_gather_without_cache_is_frozen(tmp_path, X):
-    store = FeatureStore.create(str(tmp_path / "f"), X, hot_fraction=0.0)
-    assert store.hot is None
-    rows = store.gather([0, 5, 5, 47])
-    np.testing.assert_array_equal(rows, X[[0, 5, 5, 47]])
-    assert_frozen(rows)
-
-
-@pytest.mark.parametrize("policy", ["static", "lru"])
-def test_hotset_gather_is_frozen_for_both_policies(tmp_path, X, degrees, policy):
-    store = FeatureStore.create(
-        str(tmp_path / "f"), X, hot_fraction=0.25, policy=policy, degrees=degrees
-    )
-    assert store.hot is not None and store.hot.policy == policy
-    ids = np.array([0, 13, 13, 47, 2])
-    for _ in range(2):  # second pass: cache hits must be frozen too
+def test_mmap_gather_is_frozen(tmp_path, X):
+    store = FeatureStore.create(str(tmp_path / "f"), X)
+    ids = np.array([0, 5, 5, 47])
+    for _ in range(2):  # a repeat read of the same rows is frozen too
         rows = store.gather(ids)
         np.testing.assert_array_equal(rows, X[ids])
         assert_frozen(rows)
 
 
-def test_hotset_gather_frozen_directly(X):
-    hot = HotSetCache(num_rows=48, capacity=8, policy="lru")
-    rows = hot.gather(np.array([1, 2, 3]), lambda ids: X[ids])
-    assert_frozen(rows)
-
-
 def test_mmap_matrix_is_read_only_before_and_after_update(tmp_path, X):
-    store = FeatureStore.create(str(tmp_path / "f"), X, hot_fraction=0.0)
+    store = FeatureStore.create(str(tmp_path / "f"), X)
     with pytest.raises((ValueError, RuntimeError)):
         store.matrix()[0, 0] = 1.0  # the zero-copy map is mode="r"
     store.update_rows([3], np.ones((1, 6), dtype=np.float32))
@@ -82,22 +58,20 @@ def test_mmap_matrix_is_read_only_before_and_after_update(tmp_path, X):
         patched[0, 0] = 1.0
 
 
-def test_updates_still_land_after_freezing(tmp_path, X, degrees):
+def test_updates_still_land_after_freezing(tmp_path, X):
     """Freezing hand-outs must not freeze the store's own write path."""
-    store = FeatureStore.create(
-        str(tmp_path / "f"), X, hot_fraction=0.25, policy="static", degrees=degrees
-    )
-    hot_id = int(np.argsort(degrees)[::-1][0])  # pinned: exercises cache refresh
-    before = store.gather([hot_id])
+    store = FeatureStore.create(str(tmp_path / "f"), X)
+    row_id = 13
+    before = store.gather([row_id])
     new = np.full((1, 6), 42.0, dtype=np.float32)
-    store.update_rows([hot_id], new)
-    after = store.gather([hot_id])
+    store.update_rows([row_id], new)
+    after = store.gather([row_id])  # read through the patched copy
     np.testing.assert_array_equal(after, new)
     assert not np.array_equal(before, after)
     assert_frozen(after)
     # A second update through the already-patched matrix also lands.
-    store.update_rows([hot_id], new * 2)
-    np.testing.assert_array_equal(store.gather([hot_id]), new * 2)
+    store.update_rows([row_id], new * 2)
+    np.testing.assert_array_equal(store.gather([row_id]), new * 2)
 
 
 def test_frozen_gather_feeds_tensor_math(tmp_path, X):
@@ -105,7 +79,7 @@ def test_frozen_gather_feeds_tensor_math(tmp_path, X):
     the same ops the trainers/engine apply to gathered features."""
     from repro.nn.tensor import Tensor
 
-    store = FeatureStore.create(str(tmp_path / "f"), X, hot_fraction=0.0)
+    store = FeatureStore.create(str(tmp_path / "f"), X)
     rows = store.gather([0, 1, 2])
     t = Tensor(rows)
     out = np.asarray(rows).sum(axis=1) + t.data.mean()

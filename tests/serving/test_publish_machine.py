@@ -221,7 +221,7 @@ def test_publish_machine(papers, model, tmp_path, tier):
         def make_store():
             # the layout is written once and never modified: each store
             # patches a private copy
-            return FeatureStore.create(path, papers.features, hot_fraction=0.25)
+            return FeatureStore.create(path, papers.features)
 
     machine = _machine(papers, model, make_store)
     run_state_machine_as_test(machine, settings=MACHINE_SETTINGS)

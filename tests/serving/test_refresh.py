@@ -42,9 +42,7 @@ def tier_engine(request, trained, tmp_path):
     ds, trainer, cfg = trained
     store = None
     if request.param == "mmap":
-        store = FeatureStore.create(
-            str(tmp_path / "features"), ds.features, hot_fraction=0.25
-        )
+        store = FeatureStore.create(str(tmp_path / "features"), ds.features)
     return InferenceEngine(ds, trainer.model, cfg, feature_store=store).precompute()
 
 

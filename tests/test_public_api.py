@@ -139,15 +139,11 @@ def test_featurestore_public_surface():
     """Satellite of PR 7: the feature-store subsystem's documented names."""
     import tempfile
 
+    import repro.featurestore as featurestore
     from repro.featurestore import (
         FeatureLayoutError,
         FeatureStore,
-        HotSetCache,
-        PolicyDecision,
-        choose_policy,
         open_feature_layout,
-        predict_lru_hit_rate,
-        predict_static_hit_rate,
         write_feature_layout,
     )
     # layout persistence re-exported next to save_graph/load_graph
@@ -155,12 +151,15 @@ def test_featurestore_public_surface():
 
     assert issubclass(FeatureLayoutError, ValueError)
     for fn in (
-        choose_policy, predict_static_hit_rate, predict_lru_hit_rate,
         write_feature_layout, open_feature_layout,
         save_feature_layout, load_feature_layout,
     ):
         assert callable(fn)
-    assert hasattr(HotSetCache, "gather") and hasattr(PolicyDecision, "to_json")
+    # the hot-set tier is gone: the page cache keeps the hot rows
+    for gone in ("HotSetCache", "PolicyDecision", "choose_policy",
+                 "predict_static_hit_rate", "predict_lru_hit_rate",
+                 "top_rows_by_weight"):
+        assert not hasattr(featurestore, gone)
 
     X = np.arange(12, dtype=np.float32).reshape(6, 2)
     assert FeatureStore.resident(X).matrix() is X
@@ -169,7 +168,7 @@ def test_featurestore_public_surface():
         loaded, manifest = load_feature_layout(tmp)
         np.testing.assert_array_equal(np.asarray(loaded), X)
         assert manifest["shape"] == (6, 2)
-        store = FeatureStore.open(tmp, degrees=np.arange(6.0))
+        store = FeatureStore.open(tmp)
         np.testing.assert_array_equal(store.gather([5, 0]), X[[5, 0]])
 
 
