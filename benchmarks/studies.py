@@ -13,6 +13,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py sim-threads [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py refresh [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py feature-gather [--baseline CHECKOUT]
+    PYTHONPATH=src python benchmarks/studies.py graph-build [--baseline CHECKOUT]
 """
 
 from __future__ import annotations
@@ -987,6 +988,152 @@ def feature_gather(reps: int, baseline=None) -> None:
                     "feature-gather", "\n".join(lines) + "\n")
 
 
+GRAPH_BUILD_DOC = os.path.join(BENCH_DIR, "..", "docs", "graph-build.md")
+#: ``train_dense``'s graph, and a build past 65,536 vertices (two radix digits)
+GRAPH_BUILD_CASES = (("reddit", 4.0), ("ogbn-papers", 2.5))
+#: the recipe stages, as ``repro.graph.datasets`` names them
+GRAPH_BUILD_STAGES = ("sbm_graph", "rmat_graph", "_union", "to_bidirected")
+#: serving's per-update graph work: ``serve_mixed``'s graph, 4-vertex changes
+GRAPH_BUILD_SERVE_SCALE, GRAPH_BUILD_CHANGES = 0.25, 30
+
+
+def _graph_build_child(name: str, scale: float) -> None:
+    """One process on one tree: serving's per-update graph work on papers
+    0.25 (``affected_sets`` of random 4-vertex changes, and the reverse an
+    edge update rebuilds), then ``load_dataset(name, scale)`` with each
+    recipe stage timed where the recipe calls it, ``CSRGraph.reverse``,
+    the suite trainer's epoch 0 (which builds the reverse again for its
+    backward) and a digest of the graph and its reverse.  One JSON line."""
+    import hashlib
+
+    from repro.graph import datasets
+    from repro.serving.refresh import affected_sets
+
+    serve = load_dataset("ogbn-papers", scale=GRAPH_BUILD_SERVE_SCALE, seed=0)
+    layers = _suite_config(serve, 0).num_layers
+    rng = np.random.default_rng(0)
+    affected_ms, reverse_ms, reached = [], [], 0
+    affected_sets(serve.graph, np.arange(4), layers)  # builds the cached reverse
+    for _ in range(GRAPH_BUILD_CHANGES):
+        changed = rng.choice(serve.num_vertices, 4, replace=False)
+        t0 = time.perf_counter()
+        reached += int(affected_sets(serve.graph, changed, layers)[-1].size)
+        t1 = time.perf_counter()
+        serve.graph.reverse()
+        affected_ms.append(1e3 * (t1 - t0))
+        reverse_ms.append(1e3 * (time.perf_counter() - t1))
+
+    seconds = {}
+
+    def timed(stage, fn):
+        def run(*args, **kw):
+            t0 = time.perf_counter()
+            out = fn(*args, **kw)
+            seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - t0
+            return out
+        return run
+
+    for stage in GRAPH_BUILD_STAGES:
+        setattr(datasets, stage, timed(stage, getattr(datasets, stage)))
+    ds = timed("load", load_dataset)(name, scale=scale, seed=0)
+    rev = timed("reverse", ds.graph.reverse)()
+    trainer = Trainer(ds, _suite_config(ds, 0))
+    timed("epoch0", trainer.train_epoch)(0)
+    h = hashlib.sha256()
+    for g in (ds.graph, rev):
+        for a in (g.indptr, g.indices, g.edge_ids):
+            h.update(str(a.dtype).encode() + a.tobytes())
+    print(json.dumps({
+        "N": ds.num_vertices, "E": int(ds.graph.num_edges), "seconds": seconds,
+        "digest": h.hexdigest(), "affected_ms": float(np.median(affected_ms)),
+        "update_reverse_ms": float(np.median(reverse_ms)), "reached": reached,
+    }))
+
+
+def graph_build(reps: int, baseline=None) -> None:
+    """Graph construction stage by stage on ``train_dense``'s reddit 4.0
+    and on papers 2.5, this tree beside ``baseline`` (a checkout),
+    alternating child processes with the side that runs first swapping
+    rep by rep: quartiles per stage and tree, the paired change / parent
+    ratio's median, the runs the change won, and whether every run of
+    both trees built the same bytes.  Appends a dated section to
+    docs/graph-build.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    trees = {"change": os.path.join(BENCH_DIR, "..", "src")}
+    if baseline:
+        trees = {"parent": os.path.join(baseline, "src"), **trees}
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs, "
+        f"{reps} alternating runs per tree",
+        "",
+        "`load_dataset(name, scale, seed=0)` with each recipe stage timed where "
+        "the recipe calls it (`load` is the whole call), then a bare "
+        "`CSRGraph.reverse()` and the suite trainer's epoch 0, which builds the "
+        "reverse again for its backward. Seconds, median [quartiles] over runs. "
+        "*equal*: the graph and its reverse (`indptr`, `indices`, `edge_ids`) "
+        "hash the same in every run of every tree.",
+    ]
+
+    def quartiles(values):
+        q1, q2, q3 = np.percentile(values, [25, 50, 75])
+        return f"{q2:.3g} [{q1:.3g}–{q3:.3g}]"
+
+    serving = {}
+    for name, scale in GRAPH_BUILD_CASES:
+        runs = {tree: [] for tree in trees}
+        for rep in range(reps):
+            for tree, src in list(trees.items())[:: -1 if rep % 2 else 1]:
+                runs[tree].append(_child_json(
+                    [sys.executable, "-c",
+                     f"import studies; studies._graph_build_child({name!r}, {scale})"],
+                    src, cwd=BENCH_DIR,
+                ))
+        for tree, rs in runs.items():
+            serving.setdefault(tree, []).extend(rs)
+        first = runs["change"][0]
+        equal = len({r["digest"] for rs in runs.values() for r in rs}) == 1
+        lines += [
+            "",
+            f"### {name} {scale:g}: N = {first['N']:,}, E = {first['E']:,}; "
+            f"equal: {'yes' if equal else '**no**'}",
+            "",
+            "| stage | " + " | ".join(f"{tree} s" for tree in trees)
+            + (" | change / parent | change better |" if baseline else " |"),
+            "| --- " * (1 + len(trees) + 2 * bool(baseline)) + "|",
+        ]
+        for stage in GRAPH_BUILD_STAGES + ("load", "reverse", "epoch0"):
+            if stage not in first["seconds"]:
+                continue
+            s = {tree: [r["seconds"][stage] for r in rs] for tree, rs in runs.items()}
+            cells = [quartiles(s[tree]) for tree in trees]
+            if baseline:
+                pairs = list(zip(s["parent"], s["change"]))
+                cells += [f"{np.median([c / p for p, c in pairs]):.2f}",
+                          f"{sum(c < p for p, c in pairs)}/{reps}"]
+            lines.append(f"| `{stage}` | " + " | ".join(cells) + " |")
+    reached = {r["reached"] for rs in serving.values() for r in rs}
+    lines += [
+        "",
+        f"### serving, papers {GRAPH_BUILD_SERVE_SCALE:g}: per update",
+        "",
+        f"{GRAPH_BUILD_CHANGES} random 4-vertex changes per run: `affected_sets` "
+        "over the model's layers, and the `CSRGraph.reverse()` an edge update "
+        "rebuilds. ms, median per run, then median [quartiles] over runs; "
+        f"affected rows reached equal in every run: {'yes' if len(reached) == 1 else '**no**'}.",
+        "",
+        "| step | " + " | ".join(f"{tree} ms" for tree in trees) + " |",
+        "| --- " * (1 + len(trees)) + "|",
+    ]
+    for key in ("affected_ms", "update_reverse_ms"):
+        cells = [quartiles([r[key] for r in serving[tree]]) for tree in trees]
+        lines.append(f"| `{key[:-3]}` | " + " | ".join(cells) + " |")
+    _append_section(GRAPH_BUILD_DOC, "Graph construction, stage by stage", "graph-build",
+                    "\n".join(lines) + "\n")
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
@@ -997,8 +1144,9 @@ STUDIES = {
     "sim-threads": sim_threads,
     "refresh": refresh,
     "feature-gather": feature_gather,
+    "graph-build": graph_build,
 }
-BASELINE_STUDIES = ("serving-layers", "sim-threads", "refresh", "feature-gather")
+BASELINE_STUDIES = ("serving-layers", "sim-threads", "refresh", "feature-gather", "graph-build")
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -1007,7 +1155,8 @@ if __name__ == "__main__":
     parser.add_argument("--part", choices=sorted(PROJECT_FIRST_PARTS),
                         help="project-first: only this table (default: all three)")
     parser.add_argument("--baseline", metavar="CHECKOUT",
-                        help="serving-layers / sim-threads / refresh / feature-gather: "
+                        help="serving-layers / sim-threads / refresh / feature-gather / "
+                        "graph-build: "
                         "a checkout to measure beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":

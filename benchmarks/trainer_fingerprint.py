@@ -14,7 +14,8 @@ fixed-seed curves of ``Trainer``, ``MiniBatchTrainer`` and
 plus ``narrow/*`` entries on a 3-layer / hidden-64 model whose last layer
 narrows (64 -> 16: every other entry is 2 x 16, where nothing after
 layer 0 does), plus ``libra/P{2,4,8,64}`` digests of the partitioner's
-assignments and streamed state, plus the tree's
+assignments and streamed state, plus ``graph/<name>`` digests of every
+registered dataset's CSR and its reverse at scale 0.05, plus the tree's
 ``repro.kernels.NUMERICS_EPOCH``.  Uses public names only (~25 s).
 
 ``--compare`` is the gate.  Two trees of one numerics epoch must agree
@@ -22,9 +23,9 @@ byte for byte.  Across an epoch bump — a PR that changes floating-point
 arithmetic on purpose — every loss must still agree to ``LOSS_RTOL``,
 moved ``state`` / ``grads`` digests are listed, and everything else
 (accuracies, byte and message counters, replication factors, all of
-``libra/*``, and all of ``f64/*``: float64 arithmetic is never what
-moves) must still be identical.  One exception, for a bump that moves
-fewer bytes on purpose (epoch 3: layers after the first exchange
+``libra/*`` and ``graph/*``, and all of ``f64/*``: float64 arithmetic is
+never what moves) must still be identical.  One exception, for a bump
+that moves fewer bytes on purpose (epoch 3: layers after the first exchange
 ``A (h W)`` where ``W`` narrows): on ``narrow/*`` entries only, the
 ``BYTE_FIELDS`` may move **down**, element by element, and are listed
 base -> head; their messages, collectives, ``rf`` and accuracies stay
@@ -51,7 +52,7 @@ import repro.kernels
 import repro.sampling
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.dyngraph import LibraState
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import DATASET_REGISTRY, load_dataset
 from repro.partition import libra_partition
 from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer, NeighborSampler
 
@@ -203,6 +204,13 @@ def main(out_path):
             "load": digest([state.load]),
             "rf": repr(state.replication_factor),
         }
+    # the datasets themselves: an edge reorder need not move any loss
+    for name in sorted(DATASET_REGISTRY):
+        g = load_dataset(name, scale=0.05, seed=1).graph
+        out[f"graph/{name}"] = {
+            key: digest([h.indptr, h.indices, h.edge_ids])
+            for key, h in (("graph", g), ("reverse", g.reverse()))
+        }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
     print("wrote", out_path, len(out) - 2, "entries")
@@ -290,7 +298,8 @@ def compare(base_path, head_path):
             moved.append(name)
             failed += [f"{name}: {key}" for key in _sampled_failures(b, h)]
             continue
-        if not bumped or name.startswith(("f64/", "libra/")) or type(b) is not type(h):
+        exact = name.startswith(("f64/", "libra/", "graph/"))
+        if not bumped or exact or type(b) is not type(h):
             failed.append(name)
             continue
         # a bare loss curve, or a dict of fields

@@ -24,6 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.graph.builders import sorted_unique
 from repro.graph.csr import CSRGraph
 from repro.kernels.blocked import block_bounds
 
@@ -54,8 +55,8 @@ def block_access_profiles(
         mask = block_of == b
         e_b = int(mask.sum())
         if e_b:
-            a_b = int(np.unique(src[mask]).size)
-            t_b = int(np.unique(dst[mask]).size)
+            a_b = int(sorted_unique(src[mask]).size)
+            t_b = int(sorted_unique(dst[mask]).size)
         else:
             a_b = t_b = 0
         profiles.append(BlockAccessProfile(b, e_b, a_b, t_b))

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.models import norm_from_degrees
 from repro.dyngraph.delta import DynamicGraph, _as_endpoint_arrays
+from repro.graph.builders import sorted_unique
 from repro.graph.csr import INDEX_DTYPE
 
 
@@ -147,7 +148,7 @@ def apply_topology(
     engine.norm = norm_from_degrees(
         engine.model_kind, engine.graph.in_degrees()
     )
-    seeds = np.unique(np.concatenate([add_src, add_dst, rem_src, rem_dst]))
+    seeds = sorted_unique(np.concatenate([add_src, add_dst, rem_src, rem_dst]))
     return TopologyDelta(
         seeds=seeds,
         num_added=int(add_src.size),

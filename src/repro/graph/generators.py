@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.builders import coo_to_csr, dedupe_edges, remove_self_loops
+from repro.graph.builders import sorted_unique
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 
 
@@ -127,7 +128,7 @@ def sbm_graph(
             if cnt == 0:
                 continue
             flat = rng.choice(cells, size=cnt, replace=False) if cells < 4 * cnt else (
-                np.unique(rng.integers(0, cells, size=int(cnt * 1.1) + 8))[:cnt]
+                sorted_unique(rng.integers(0, cells, size=int(cnt * 1.1) + 8))[:cnt]
             )
             s = offsets[i] + flat // nj
             t = offsets[j] + flat % nj
@@ -171,7 +172,7 @@ def preferential_attachment_graph(
     src_l: list = []
     dst_l: list = []
     for v in range(m, num_vertices):
-        chosen = np.unique(np.asarray(targets, dtype=INDEX_DTYPE))
+        chosen = sorted_unique(np.asarray(targets, dtype=INDEX_DTYPE))
         for t in chosen:
             src_l.append(v)
             dst_l.append(int(t))

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.builders import coo_to_csr, dedupe_edges
+from repro.graph.builders import coo_to_csr, dedupe_edges, sorted_unique
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 
 
@@ -53,7 +53,7 @@ def induced_subgraph(g: CSRGraph, vertices: np.ndarray) -> Tuple[CSRGraph, np.nd
     Returns the relabelled subgraph and the old->new id map (``-1`` for
     vertices not retained).
     """
-    vertices = np.unique(np.asarray(vertices, dtype=INDEX_DTYPE))
+    vertices = sorted_unique(np.asarray(vertices, dtype=INDEX_DTYPE))
     n = max(g.num_vertices, g.num_src)
     remap = np.full(n, -1, dtype=INDEX_DTYPE)
     remap[vertices] = np.arange(vertices.size, dtype=INDEX_DTYPE)
@@ -72,7 +72,7 @@ def degree_histogram(g: CSRGraph, bins: int = 32) -> Tuple[np.ndarray, np.ndarra
     """Log-spaced in-degree histogram (counts, bin_edges)."""
     deg = g.in_degrees()
     maxd = max(int(deg.max(initial=1)), 1)
-    edges = np.unique(
+    edges = sorted_unique(
         np.round(np.logspace(0, np.log10(maxd + 1), bins)).astype(np.int64)
     )
     counts, edges = np.histogram(deg, bins=edges)

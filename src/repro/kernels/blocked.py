@@ -19,6 +19,7 @@ from typing import List
 
 import numpy as np
 
+from repro.graph.builders import _stable_order
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 
 
@@ -51,7 +52,7 @@ def build_blocks(graph: CSRGraph, num_blocks: int) -> List[CSRGraph]:
     src, dst, eid = graph.to_coo()
     block_size = int(bounds[1] - bounds[0]) if num_blocks > 0 else graph.num_src
     block_of = np.minimum(src // max(block_size, 1), num_blocks - 1)
-    order = np.argsort(block_of, kind="stable")  # preserves dst-major order
+    order = _stable_order(block_of, num_blocks)  # preserves dst-major order
     src, dst, eid, block_of = src[order], dst[order], eid[order], block_of[order]
     edge_splits = np.searchsorted(block_of, np.arange(num_blocks + 1))
     blocks: List[CSRGraph] = []

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph.builders import sorted_unique
 from repro.graph.csr import CSRGraph
 from repro.perf.workmodel import (
     LayerWork,
@@ -110,11 +111,11 @@ def sampled_frontier_sizes(
     to validate :func:`expected_unique` against real graph structure.
     """
     rng = np.random.default_rng(seed)
-    frontier = np.unique(np.asarray(seeds))
+    frontier = sorted_unique(seeds)
     sizes = [int(frontier.size)]
     for fanout in fanouts:
         _, src = sample_neighbors(graph, frontier, fanout, rng)
-        frontier = np.unique(src)
+        frontier = sorted_unique(src)
         sizes.append(int(frontier.size))
     return sizes
 

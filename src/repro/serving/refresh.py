@@ -24,6 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.graph.builders import sorted_unique
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 from repro.nn.functional import _cached_reverse
 from repro.nn.tensor import Tensor, no_grad
@@ -51,7 +52,7 @@ def out_neighbors(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
     """
     rev = _cached_reverse(graph)
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
-    return np.unique(rev.indices[_multi_row_take(rev.indptr, vertices)])
+    return sorted_unique(rev.indices[_multi_row_take(rev.indptr, vertices)])
 
 
 def affected_sets(
@@ -66,14 +67,14 @@ def affected_sets(
     discovered by the previous hop, so the traversal cost is
     proportional to the reach, not layers x accumulated set.
     """
-    changed = np.unique(np.asarray(changed, dtype=INDEX_DTYPE))
+    changed = sorted_unique(np.asarray(changed, dtype=INDEX_DTYPE))
     affected: List[np.ndarray] = []
     current = changed
     fresh = changed  # vertices whose out-edges are not expanded yet
     for _ in range(num_layers):
         reach = out_neighbors(graph, fresh)
-        fresh = np.setdiff1d(reach, current, assume_unique=False)
-        current = np.union1d(current, reach)
+        fresh = np.setdiff1d(reach, current, assume_unique=True)
+        current = sorted_unique(np.concatenate((current, reach)))
         affected.append(current)
     return affected
 

@@ -2,9 +2,9 @@
 
 One numerics epoch ⇒ byte for byte.  Across a ``NUMERICS_EPOCH`` bump ⇒
 losses within ``LOSS_RTOL``, float digests may move, and everything else
-— counters, accuracies, ``libra/*``, the float64-feature ``f64/*``
-entries — is still exact.  A ``SAMPLER_EPOCH`` bump lets ``sampler/*``
-and the four sampled trainers move, the trainers inside stated bounds,
+— counters, accuracies, ``libra/*``, the dataset bytes ``graph/*``, the
+float64-feature ``f64/*`` entries — is still exact.  A ``SAMPLER_EPOCH``
+bump lets ``sampler/*`` and the four sampled trainers move, the trainers inside stated bounds,
 and nothing else.  A numerics bump that moves fewer bytes on purpose may
 lower the byte counts of ``narrow/*`` entries, and only those.  The rule
 is exercised on small hand-made fingerprints; CI runs it on the real
@@ -46,6 +46,7 @@ BASE = {
     "f64/cd-0/sage/sim/P2": _trainer_entry(),
     "minibatch_default": ["3.0", "2.0"],
     "libra/P2": {"member": "ccc", "rf": "1.5"},
+    "graph/reddit": {"graph": "ggg", "reverse": "rrr"},
 }
 
 
@@ -105,6 +106,8 @@ def test_epoch_bump_bounds_losses_and_lists_moved_digests(gate, tmp_path, capsys
         ("f64/cd-0/sage/sim/P2", lambda h: h["f64/cd-0/sage/sim/P2"].update(losses=["2.5", _nudged("1.25", 1e-7)])),
         ("libra/P2", lambda h: h["libra/P2"].update(member="moved")),
         ("libra/P2", lambda h: h.pop("libra/P2")),
+        ("graph/reddit", lambda h: h["graph/reddit"].update(reverse="moved")),
+        ("graph/reddit", lambda h: h.pop("graph/reddit")),
         ("brand/new", lambda h: h.update({"brand/new": _trainer_entry()})),
     ],
 )
@@ -241,6 +244,7 @@ def test_sampler_bump_lists_the_moved_sampled_entries(gate, tmp_path, capsys):
     [
         ("single/sage", lambda h: h["single/sage"].update(losses=["2.0", _nudged("1.0", 1e-7)])),
         ("libra/P4", lambda h: h["libra/P4"].update(member="moved")),
+        ("graph/reddit", lambda h: h["graph/reddit"].update(graph="moved")),
         ("cd-0/sage/sim/P2", lambda h: h["cd-0/sage/sim/P2"].update(state="moved")),
         ("sampler/5-5/seeds0", lambda h: h.pop("sampler/5-5/seeds0")),
         ("minibatch: losses", lambda h: h["minibatch"].update(losses=["3.0", "2.05"])),
