@@ -1,8 +1,9 @@
 """Bounded worker-pool front end for the online request path.
 
-``ThreadingHTTPServer`` spawns one thread per connection — under open-
-loop traffic that is an unbounded admission policy, and the saturation
-failure mode is collapse (every request slow) instead of shedding.
+``ThreadingHTTPServer`` runs one thread per open connection, kept alive
+across its requests — under open-loop traffic over many connections that
+is an unbounded admission policy, and the saturation failure mode is
+collapse (every request slow) instead of shedding.
 :class:`ServingFrontend` puts a real admission queue in front of the
 :class:`~repro.serving.server.PredictionService`:
 
@@ -167,7 +168,7 @@ class ServingFrontend:
         )
         with self._lock:
             if self._closed:
-                raise RuntimeError("ServingFrontend is closed")
+                raise ServingUnavailable("ServingFrontend is closed", self.retry_after_s)
             if self._depth >= self.max_queue:
                 raise RequestRejected(
                     f"{endpoint}: admission queue full "
@@ -322,7 +323,8 @@ class ServingFrontend:
         )
 
     def close(self) -> None:
-        """Stop the workers; pending requests fail with RuntimeError."""
+        """Stop the workers; pending requests fail with
+        :class:`ServingUnavailable` (a ``RuntimeError``; HTTP 503)."""
         with self._lock:
             if self._closed:
                 return
@@ -338,7 +340,9 @@ class ServingFrontend:
             except queue.Empty:
                 break
             if item is not _STOP and item.future.set_running_or_notify_cancel():
-                item.future.set_exception(RuntimeError("ServingFrontend is closed"))
+                item.future.set_exception(
+                    ServingUnavailable("ServingFrontend is closed", self.retry_after_s)
+                )
 
     def __enter__(self) -> "ServingFrontend":
         return self

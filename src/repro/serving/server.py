@@ -31,15 +31,17 @@ update and never see a torn mix of pre- and post-update rows.
 
 Failure modes are all structured JSON, never a traceback: malformed
 bodies answer ``400``; a full admission queue answers ``429`` with
-``Retry-After``; missed deadlines answer ``503`` with ``Retry-After``;
-engine failures answer ``500``.
+``Retry-After``; missed deadlines and a closed frontend answer ``503``
+with ``Retry-After``; engine failures answer ``500``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -261,6 +263,8 @@ class _PredictionHandler(BaseHTTPRequestHandler):
     """Parses requests and routes them through the server's frontend."""
 
     server_version = "repro-serve/2.0"
+    protocol_version = "HTTP/1.1"  # keep-alive: no connect + thread per request
+    timeout = 30.0  # idle seconds: a silent client cannot pin its thread
 
     @property
     def service(self) -> PredictionService:
@@ -274,25 +278,21 @@ class _PredictionHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(fmt, *args)
 
-    def _reply(self, status: int, payload: dict, retry_after_s=None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _reply(self, status: int, payload, retry_after_s=None,
+               content_type: str = "application/json") -> None:
+        # one sendall: a body sent apart waits on Nagle + the delayed ACK
+        body = (payload if isinstance(payload, str) else json.dumps(payload)).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if retry_after_s is not None:
             # Retry-After is whole seconds on the wire; round up so the
             # client never retries before the hint
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after_s))))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def do_GET(self) -> None:
         path, _, query = self.path.partition("?")
@@ -305,10 +305,10 @@ class _PredictionHandler(BaseHTTPRequestHandler):
             if fmt == "prom":
                 # the registry view; the JSON body below stays the
                 # frontend snapshot bit-for-bit
-                self._reply_text(
+                self._reply(
                     200,
                     render_prometheus(self.server.registry.collect()),  # type: ignore[attr-defined]
-                    "text/plain; version=0.0.4; charset=utf-8",
+                    content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
             elif fmt == "json":
                 self._reply(200, self.frontend.metrics_snapshot())
@@ -319,20 +319,28 @@ class _PredictionHandler(BaseHTTPRequestHandler):
         else:
             self._reply(404, {"error": f"unknown path {self.path}"})
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length < 0:
-            # rfile.read(-1) reads to EOF: the handler would wait forever
-            raise ValueError(f"Content-Length must be >= 0, got {length}")
-        body = self.rfile.read(length) if length else b""
+    def _read_body(self) -> bytes:
+        """The whole body (an unread byte would parse as the next request),
+        or a 400 that ends the connection: no length, a bad one, cut short."""
+        raw = self.headers.get("Content-Length", "")
+        length = int(raw) if raw.isdecimal() else -1
+        body = self.rfile.read(length) if length >= 0 else b""
+        if len(body) != length:
+            self.close_connection = True
+            if self.server.closing:  # shutdown cut the read short
+                raise ServingUnavailable("server is shutting down")
+            raise ValueError(f"body must be Content-Length bytes, got {raw!r}")
+        return body
+
+    def _read_json(self, keys=None) -> dict:
         try:
-            req = json.loads(body or b"{}")
+            req = json.loads(self._read_body() or b"{}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"body is not valid JSON: {exc}")
         if not isinstance(req, dict):
-            raise ValueError(
-                f"body must be a JSON object, got {type(req).__name__}"
-            )
+            raise ValueError(f"body must be a JSON object, got {type(req).__name__}")
+        if keys is not None and set(req) - keys:
+            raise ValueError(f"unknown keys {sorted(set(req) - keys)}")
         return req
 
     def do_POST(self) -> None:
@@ -341,28 +349,24 @@ class _PredictionHandler(BaseHTTPRequestHandler):
             "/update_edges": self._post_update_edges,
             "/update_features": self._post_update_features,
         }
-        route = routes.get(self.path)
-        if route is None:
-            self._reply(404, {"error": f"unknown path {self.path}"})
-            return
+        route = routes.get(self.path, self._post_unknown)
         try:
             route()
         except ServingUnavailable as exc:
-            # backpressure / deadline: 429 or 503 + Retry-After
-            self._reply(
-                exc.status,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                retry_after_s=exc.retry_after_s,
-            )
+            # backpressure / deadline / closed: 429 or 503 + Retry-After
+            body = {"error": str(exc), "retry_after_s": exc.retry_after_s}
+            self._reply(exc.status, body, retry_after_s=exc.retry_after_s)
         except (ValueError, OverflowError) as exc:
             # malformed body / ids / k / pairs (OverflowError: an id too
             # large for the index dtype is out-of-range, not a 500)
             self._reply(400, {"error": f"bad request: {exc}"})
         # audit[broad-except]: answered as a JSON 500, never a traceback page
         except Exception as exc:  # noqa: BLE001
-            self._reply(
-                500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
-            )
+            self._reply(500, {"error": f"internal error: {type(exc).__name__}: {exc}"})
+
+    def _post_unknown(self) -> None:
+        self._read_body()  # consumed, so the next request parses
+        self._reply(404, {"error": f"unknown path {self.path}"})
 
     def _post_predict(self) -> None:
         req = self._read_json()
@@ -397,20 +401,14 @@ class _PredictionHandler(BaseHTTPRequestHandler):
         self._reply(200, self.frontend.call(endpoint, run))
 
     def _post_update_edges(self) -> None:
-        req = self._read_json()
-        unknown = set(req) - {"add", "remove"}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
+        req = self._read_json(keys={"add", "remove"})
         add = _edge_pairs(req.get("add"), "add")
         remove = _edge_pairs(req.get("remove"), "remove")
         stats = self.frontend.update_edges(add=add, remove=remove)
         self._reply(200, {"status": "ok", **stats.to_json()})
 
     def _post_update_features(self) -> None:
-        req = self._read_json()
-        unknown = set(req) - {"vertices", "features"}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
+        req = self._read_json(keys={"vertices", "features"})
         if "vertices" not in req or "features" not in req:
             raise ValueError("missing required keys 'vertices' and 'features'")
         vertices = _vertex_ids(req["vertices"])
@@ -421,6 +419,37 @@ class _PredictionHandler(BaseHTTPRequestHandler):
             )
         stats = self.frontend.update_features(vertices, rows)
         self._reply(200, {"status": "ok", **dataclasses.asdict(stats)})
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """Tracks open connections, so shutdown ends the kept-alive ones."""
+
+    def __init__(self, address, owner: "PredictionServer", verbose: bool):
+        super().__init__(address, _PredictionHandler)
+        self.service, self.frontend = owner.service, owner.frontend
+        self.registry, self.verbose = owner.registry, verbose
+        self.closing = False
+        self._lock = make_lock("serving.server.connections")
+        self._open = set()  # guarded-by: _lock
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def shutdown(self) -> None:
+        super().shutdown()  # accepts nothing more
+        self.closing = True
+        # SHUT_RD: an idle handler reads EOF and exits, a busy one replies
+        with self._lock:  # held, so no handler closes a socket under us
+            for sock in self._open:
+                with contextlib.suppress(OSError):  # already gone
+                    sock.shutdown(socket.SHUT_RD)
 
 
 class PredictionServer:
@@ -451,11 +480,7 @@ class PredictionServer:
         self.registry = serving_registry(
             frontend=self.frontend, tracer=self.frontend.tracer
         )
-        self.httpd = ThreadingHTTPServer((host, port), _PredictionHandler)
-        self.httpd.service = service  # type: ignore[attr-defined]
-        self.httpd.frontend = self.frontend  # type: ignore[attr-defined]
-        self.httpd.registry = self.registry  # type: ignore[attr-defined]
-        self.httpd.verbose = verbose  # type: ignore[attr-defined]
+        self.httpd = _HTTPServer((host, port), self, verbose)
         self._thread: Optional[threading.Thread] = None
 
     @property
