@@ -489,10 +489,17 @@ LAYERS = (
 )
 
 
+#: server-side phases of one read, timed by ``_phase_split`` (all three
+#: methods exist on every tree since keep-alive HTTP).
+PHASES = ("parse_request", "frontend.call", "_reply")
+
+
 def _inline_probe(engine, requests) -> dict:
-    """Table reads over in-process HTTP: the handler hands each read to
-    the worker pool, or runs it inline on the handler thread.  One
-    keep-alive client per server; the two alternate request by request."""
+    """Table reads over in-process HTTP: the handler runs each read
+    through the tree's ``ServingFrontend.call`` (the admission gate, or
+    the worker-pool hop on a tree that still has one), or inline with no
+    frontend at all.  One keep-alive client per server; the two
+    alternate request by request."""
     from suite_harness import HttpClient, median
 
     from repro.serving import PredictionServer, PredictionService, ServingFrontend
@@ -504,7 +511,7 @@ def _inline_probe(engine, requests) -> dict:
     service = PredictionService(engine)  # no cache, no batcher, no refresher
     servers = {
         name: PredictionServer(service, port=0, frontend=cls(service)).start_background()
-        for name, cls in (("pool", ServingFrontend), ("inline", InlineFrontend))
+        for name, cls in (("gate", ServingFrontend), ("inline", InlineFrontend))
     }
     clients = {name: HttpClient(server.address[1]) for name, server in servers.items()}
     times = {name: [] for name in servers}
@@ -519,6 +526,48 @@ def _inline_probe(engine, requests) -> dict:
             clients[name].close()
             servers[name].shutdown()
     return {f"probe.{name}_p50_us": 1e6 * median(t) for name, t in times.items()}
+
+
+def _phase_split(engine, requests) -> dict:
+    """p50 µs of each server-side phase in :data:`PHASES` of one read
+    over in-process HTTP (one keep-alive client), each method wrapped by
+    a timer for the pass."""
+    from suite_harness import HttpClient, median
+
+    from repro.serving import PredictionServer, PredictionService, ServingFrontend
+    from repro.serving.server import _PredictionHandler
+
+    methods = ((_PredictionHandler, "parse_request"), (ServingFrontend, "call"),
+               (_PredictionHandler, "_reply"))
+    times = {label: [] for label in PHASES}
+    patched = []
+    for label, (cls, attr) in zip(PHASES, methods):
+        inner = getattr(cls, attr)
+
+        def timed(*args, _inner=inner, _out=times[label], **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                _out.append(time.perf_counter() - t0)
+
+        patched.append((cls, attr, vars(cls).get(attr)))
+        setattr(cls, attr, timed)
+    service = PredictionService(engine)
+    server = PredictionServer(service, port=0).start_background()
+    client = HttpClient(server.address[1])
+    try:
+        for req in requests:
+            client.request("POST", req.path, req.body)
+    finally:
+        client.close()
+        server.shutdown()
+        for cls, attr, own in reversed(patched):
+            if own is None:
+                delattr(cls, attr)  # inherited: uncover the base's
+            else:
+                setattr(cls, attr, own)
+    return {f"phase.{label}_p50_us": 1e6 * median(t) for label, t in times.items()}
 
 
 def _serving_layers_child() -> None:
@@ -543,6 +592,7 @@ def _serving_layers_child() -> None:
         requests = requests[: max(int(75 * SERVE_READ_SECONDS), 50)]
         row = suite_serve._replay_layers(inputs, engine, requests, rec)
         row.update(_inline_probe(engine, requests))
+        row.update(_phase_split(engine, requests))
         row["requests"] = len(requests)
     finally:
         inputs.cleanup()
@@ -574,9 +624,10 @@ def serving_layers(reps: int, baseline=None) -> None:
     """ROADMAP 1: the ``serve_read`` request set timed at each boundary
     of the serving stack, ``baseline`` (a checkout) beside this tree,
     alternating child processes (BLAS pinned to one thread, as the suite
-    pins it) — so each layer's cost is a subtraction.  Plus 1(c)'s probe:
-    a table read inline on the HTTP thread against the worker-pool hop.
-    Appends a dated section to docs/serving-read.md and prints it."""
+    pins it) — so each layer's cost is a subtraction.  Plus the probe: a
+    table read through the tree's frontend (gate, or pool hop) against
+    the same read inline on the HTTP thread, and the server-side phase
+    split.  Appends a dated section to docs/serving-read.md and prints it."""
     sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
     from suite_harness import environment
 
@@ -615,16 +666,29 @@ def serving_layers(reps: int, baseline=None) -> None:
         lines.append(f"| {label} | " + " | ".join(cells) + " |")
     lines += [
         "",
-        "Probe (ROADMAP 1(c)): a table read (`PredictionService(engine)`) over "
-        "in-process HTTP, one keep-alive client, handed to the worker pool or "
-        "run inline on the handler thread; the two alternate request by request.",
+        "Probe, gate vs inline: a table read (`PredictionService(engine)`) over "
+        "in-process HTTP, one keep-alive client, run through the tree's "
+        "`ServingFrontend.call` (the admission gate; on a tree with the worker "
+        "pool, the hop to a worker and back) or inline on the handler thread "
+        "with no frontend; the two alternate request by request.",
         "",
-        "| tree | pool µs | inline µs | pool − inline µs |",
+        "| tree | gate µs | inline µs | gate − inline µs |",
         "| --- | --- | --- | --- |",
     ]
     for name in trees:
-        pool, inline = med(name, "probe.pool_p50_us"), med(name, "probe.inline_p50_us")
-        lines.append(f"| {name} | {pool:.0f} | {inline:.0f} | {pool - inline:.0f} |")
+        gate, inline = med(name, "probe.gate_p50_us"), med(name, "probe.inline_p50_us")
+        lines.append(f"| {name} | {gate:.0f} | {inline:.0f} | {gate - inline:.0f} |")
+    lines += [
+        "",
+        "Server-side phases of the same reads (one keep-alive client, each "
+        "method wrapped by a timer; `frontend.call` includes the table read).",
+        "",
+        "| tree | " + " | ".join(f"`{label}` µs" for label in PHASES) + " |",
+        "| --- " * (len(PHASES) + 1) + "|",
+    ]
+    for name in trees:
+        cells = [f"{med(name, f'phase.{label}_p50_us'):.0f}" for label in PHASES]
+        lines.append(f"| {name} | " + " | ".join(cells) + " |")
     _append_section(SERVING_READ_DOC, "The serving read path, layer by layer",
                     "serving-layers", "\n".join(lines) + "\n")
 

@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=4,
-        help="request-execution worker pool size",
+        help="requests the admission gate lets run at once",
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=256,
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--k", type=int, default=3, help="top-k for topk requests")
     p_load.add_argument(
         "--workers", type=int, default=4,
-        help="in-process frontend worker pool size (--checkpoint mode)",
+        help="in-process admission gate: requests run at once (--checkpoint mode)",
     )
     p_load.add_argument(
         "--max-queue", type=int, default=256,
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--k", type=int, default=3, help="top-k for topk requests")
     p_trace.add_argument(
         "--workers", type=int, default=4,
-        help="in-process frontend worker pool size (--checkpoint mode)",
+        help="in-process admission gate: requests run at once (--checkpoint mode)",
     )
     p_trace.add_argument(
         "--max-queue", type=int, default=256,

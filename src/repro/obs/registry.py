@@ -276,13 +276,13 @@ def _serving_metrics(frontend) -> List[Metric]:
     out = [
         requests,
         latency,
-        Metric("repro_queue_depth", "gauge", "Admitted requests waiting for a worker")
+        Metric("repro_queue_depth", "gauge", "Admitted requests waiting at the admission gate")
         .add(snap["queue_depth"]),
-        Metric("repro_in_flight", "gauge", "Requests executing on the worker pool")
+        Metric("repro_in_flight", "gauge", "Requests running behind the admission gate")
         .add(snap["in_flight"]),
         Metric("repro_queue_capacity", "gauge", "Admission queue bound")
         .add(snap["max_queue"]),
-        Metric("repro_workers", "gauge", "Worker pool size")
+        Metric("repro_workers", "gauge", "Admission gate bound on running requests")
         .add(snap["num_workers"]),
     ]
     fs = snap.get("feature_store")

@@ -4,9 +4,10 @@ One admitted request = one **root span**; the stages it crosses (queue
 wait, engine compute, feature gather, kernel AP passes) attach child spans and **latency components** to it.  Design
 constraints, in order:
 
-- **Explicit context propagation.**  A span crosses a thread-pool
-  boundary only by being carried on the work item (the frontend's
-  ``_WorkItem.ctx``); the executing thread then *activates* it for the duration of the work.
+- **Explicit context propagation.**  The thread that executes a request
+  *activates* its root span for the duration of the work (the serving
+  frontend does it on the caller's thread); a span crosses a thread-pool
+  boundary only by being carried explicitly.
   The thread-local set by :func:`activate` never leaks across pools —
   it is scoped to one ``with`` block on one thread, so deep call sites
   (:class:`~repro.kernels.instrumentation.time_ap`,
@@ -101,12 +102,10 @@ class activate:
 class Span:
     """One timed interval of one request.
 
-    Component/annotation state takes the span's own lock: a root span is
-    closed by the *caller* thread (which may have timed out) while a
-    worker thread is still attaching components — both must be safe.
-    After :meth:`end` the span is immutable; late mutations are ignored
-    (the worker finishing a timed-out request in the background must not
-    corrupt the exported record).
+    Component/annotation state takes the span's own lock: one thread may
+    close a span while another still attaches components to it — both
+    must be safe.  After :meth:`end` the span is immutable; late
+    mutations are ignored (they must not corrupt the exported record).
     """
 
     __slots__ = (

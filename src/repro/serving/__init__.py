@@ -16,9 +16,10 @@ request is a table lookup.
   and the stdlib HTTP endpoint (``repro serve``); also
   :class:`ResultCache`, accepted and never consulted (a read is a table
   gather), for callers of the service's older signature.
-- :mod:`repro.serving.frontend` — :class:`ServingFrontend`: bounded
-  admission queue + worker pool, per-endpoint deadlines (429/503 +
-  ``Retry-After`` load shedding).
+- :mod:`repro.serving.frontend` — :class:`ServingFrontend`: an
+  admission gate (bounded running and waiting calls, each on its
+  caller's thread), per-endpoint deadlines (429/503 + ``Retry-After``
+  load shedding).
 - :mod:`repro.serving.metrics` — :class:`ServingMetrics`: per-endpoint
   outcome counters and latency quantiles behind ``GET /metrics``.
 - :mod:`repro.serving.loadgen` — open-loop load generator (Poisson and

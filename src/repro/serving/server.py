@@ -4,7 +4,7 @@
 update path behind one ``predict``/``topk``/``update`` surface, and
 :class:`PredictionServer` exposes that surface over HTTP with a
 :class:`~repro.serving.frontend.ServingFrontend` doing admission control
-(bounded queue, per-endpoint deadlines):
+(a bounded gate, per-endpoint deadlines):
 
 - ``POST /predict``          body ``{"vertices": [..], "k": 3?}`` ->
   ``{"vertices", "labels", "topk"?}``
@@ -21,9 +21,10 @@ update path behind one ``predict``/``topk``/``update`` surface, and
   trace-event JSON (Perfetto-loadable; ``REPRO_TRACE=1`` to record)
 - ``GET /healthz``           liveness; always ``200 {"status": "ok"}``
 
-Request flow: handler threads only parse and enqueue — execution happens
-on the frontend's bounded worker pool.  A read is a row gather from the
-published logits table.  Updates run on the handler thread through the
+Request flow: each connection's handler thread parses a request and runs
+it, a read behind the frontend's admission gate (no hand-off to another
+thread).  A read is a row gather from the published logits table.
+Updates run on the handler thread, beside the gate, through the
 one refresh path (:class:`~repro.serving.refresh.IncrementalRefresher`,
 built here when the caller brings none) and **publish**: the refresh
 fills a new logits table and assigns it, so reads never wait for an
@@ -455,8 +456,8 @@ class _HTTPServer(ThreadingHTTPServer):
 class PredictionServer:
     """``ThreadingHTTPServer`` + :class:`ServingFrontend` owning a service.
 
-    Handler threads do I/O and parsing only; the frontend's bounded
-    worker pool executes.  Pass a pre-built ``frontend`` to control
+    Handler threads parse and execute; the frontend's admission gate
+    bounds how many reads run and wait.  Pass a pre-built ``frontend`` to control
     admission limits and deadlines, or let the server build one with
     defaults.
     """

@@ -1,16 +1,22 @@
 """ServingFrontend unit tests: admission, shedding, deadlines, lifecycle.
 
-These run against a stub service — the pool's behaviour is independent
-of what executes on it (the engine-backed paths are covered by the
+These run against a stub service — the gate's behaviour is independent
+of what executes behind it (the engine-backed paths are covered by the
 concurrency / fault / publish-machine suites).
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.serving import RequestRejected, RequestTimeout, ServingFrontend
+from repro.serving import (
+    RequestRejected,
+    RequestTimeout,
+    ServingFrontend,
+    ServingUnavailable,
+)
 
 from harness import JOIN_TIMEOUT_S, join_all
 
@@ -38,14 +44,17 @@ def frontend():
     fe.close()
 
 
-def test_call_runs_on_the_pool_and_returns(frontend):
-    worker_names = []
+def test_call_runs_on_the_calling_thread_and_returns():
+    before = set(threading.enumerate())
+    frontend = ServingFrontend(StubService(), num_workers=2, max_queue=4)
+    assert set(threading.enumerate()) - before == set()  # starts no thread
+    ran_on = []
     result = frontend.call(
-        "predict",
-        lambda: worker_names.append(threading.current_thread().name) or 42,
+        "predict", lambda: ran_on.append(threading.current_thread()) or 42
     )
     assert result == 42
-    assert worker_names and worker_names[0].startswith("repro-serve-worker")
+    assert ran_on == [threading.current_thread()]
+    frontend.close()
     snap = frontend.metrics_snapshot()
     assert snap["endpoints"]["predict"]["ok"] == 1
     assert snap["totals"]["requests"] == 1
@@ -58,7 +67,7 @@ def test_exceptions_propagate_with_outcome(frontend):
         frontend.call("predict", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
     ep = frontend.metrics_snapshot()["endpoints"]["predict"]
     assert ep["bad_request"] == 1 and ep["error"] == 1 and ep["ok"] == 0
-    # the pool survives failures: the next request still executes
+    # the gate survives failures: the next request still executes
     assert frontend.call("predict", lambda: "alive") == "alive"
 
 
@@ -75,7 +84,7 @@ def test_queue_full_rejects_with_429():
 
     t1 = threading.Thread(target=occupy, daemon=True)
     t1.start()
-    assert running.wait(JOIN_TIMEOUT_S)  # worker busy, depth 0
+    assert running.wait(JOIN_TIMEOUT_S)  # the one slot busy, depth 0
 
     t2 = threading.Thread(
         target=lambda: results.append(fe.call("predict", lambda: True)),
@@ -122,8 +131,7 @@ def test_timeout_cancels_queued_work():
     assert err.value.status == 503
     release.set()
     join_all([t1])
-    # give the worker a beat to drain the queue, then check the
-    # cancelled body never ran
+    # wait for the gate to empty, then check the timed-out body never ran
     deadline = time.monotonic() + JOIN_TIMEOUT_S
     while fe.queue_depth or fe.in_flight:
         assert time.monotonic() < deadline
@@ -160,7 +168,7 @@ def test_update_failure_records_and_reopens(frontend):
 
 
 def test_update_runs_while_the_pool_is_busy():
-    """Updates never wait for in-flight reads: with the only worker
+    """Updates never wait for in-flight reads: with the only slot
     parked inside a read, an update still runs to completion."""
     fe = ServingFrontend(StubService(), num_workers=1, max_queue=4,
                          default_timeout_s=30.0)
@@ -198,15 +206,14 @@ def test_constructor_validation():
         ServingFrontend(StubService(), default_timeout_s=0.0)
 
 
-# -- exception classification through the worker pool -------------------------
+# -- exception classification through the gate -------------------------------
 
 
 def test_cancellation_exceptions_propagate_uncounted(frontend):
-    """The pool's broad handlers are classified, not absorbent: a
+    """The gate's broad handlers are classified, not absorbent: a
     ``BaseException``-derived cancellation raised by the request body
-    must reach the caller intact (the worker's ``except BaseException``
-    only re-routes it through the future; ``call``'s ``except
-    Exception`` error bucket must not see it)."""
+    must reach the caller intact (``call``'s ``except Exception`` error
+    bucket must not see it)."""
     from asyncio import CancelledError  # BaseException-derived since 3.8
 
     def cancelled():
@@ -221,8 +228,8 @@ def test_cancellation_exceptions_propagate_uncounted(frontend):
     with pytest.raises(Teardown):
         frontend.call("predict", lambda: (_ for _ in ()).throw(Teardown()))
 
-    # Neither cancellation landed in the error bucket, and the pool is
-    # still alive — a plain request afterwards succeeds.
+    # Neither cancellation landed in the error bucket, and the gate is
+    # still open — a plain request afterwards succeeds.
     assert frontend.call("predict", lambda: "ok") == "ok"
     snap = frontend.metrics_snapshot()
     assert snap["endpoints"]["predict"].get("error", 0) == 0
@@ -237,3 +244,218 @@ def test_plain_errors_are_counted_then_reraised(frontend):
         frontend.call("predict", lambda: (_ for _ in ()).throw(Boom()))
     snap = frontend.metrics_snapshot()
     assert snap["endpoints"]["predict"]["error"] == 1
+
+
+# -- the admission gate -----------------------------------------------------------
+
+
+def _wait_for(predicate, what: str) -> None:
+    deadline = time.monotonic() + JOIN_TIMEOUT_S
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
+
+
+def test_gate_bounds_running_and_waiting_calls():
+    """``num_workers + max_queue + 1`` callers released together: the
+    slots fill, the queue fills, exactly one caller is shed with 429,
+    and no more than ``num_workers`` bodies ever run at once."""
+    num_workers, max_queue = 2, 3
+    fe = ServingFrontend(StubService(), num_workers=num_workers,
+                         max_queue=max_queue, default_timeout_s=JOIN_TIMEOUT_S)
+    callers = num_workers + max_queue + 1
+    barrier = threading.Barrier(callers)
+    release = threading.Event()
+    lock = threading.Lock()
+    running, peak, outcomes = [0], [0], []
+
+    def body():
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        release.wait(JOIN_TIMEOUT_S)
+        with lock:
+            running[0] -= 1
+        return "ok"
+
+    def caller():
+        barrier.wait(JOIN_TIMEOUT_S)
+        try:
+            outcomes.append(fe.call("predict", body))
+        except RequestRejected as exc:
+            outcomes.append(exc.status)
+
+    threads = [threading.Thread(target=caller, daemon=True) for _ in range(callers)]
+    for t in threads:
+        t.start()
+    _wait_for(lambda: 429 in outcomes, "nobody was shed")
+    assert (fe.in_flight, fe.queue_depth) == (num_workers, max_queue)
+    release.set()
+    join_all(threads)
+    assert sorted(outcomes, key=str) == [429] + ["ok"] * (callers - 1)
+    assert peak[0] == num_workers
+    ep = fe.metrics_snapshot()["endpoints"]["predict"]
+    assert ep["rejected_queue_full"] == 1 and ep["ok"] == callers - 1
+    assert (fe.in_flight, fe.queue_depth) == (0, 0)
+    fe.close()
+
+
+def test_waiter_leaves_at_its_deadline_without_running():
+    """A waiter still queued at its deadline leaves the queue itself (the
+    slot is still busy) and its body never runs."""
+    fe = ServingFrontend(StubService(), num_workers=1, max_queue=4,
+                         default_timeout_s=JOIN_TIMEOUT_S)
+    release, running = threading.Event(), threading.Event()
+    t = threading.Thread(
+        target=lambda: fe.call("predict", lambda: (
+            running.set(), release.wait(JOIN_TIMEOUT_S))),
+        daemon=True,
+    )
+    t.start()
+    assert running.wait(JOIN_TIMEOUT_S)
+    executed = []
+    t0 = time.perf_counter()
+    with pytest.raises(RequestTimeout, match="timed out"):
+        fe.call("predict", lambda: executed.append(1), timeout_s=0.05)
+    assert time.perf_counter() - t0 >= 0.05
+    assert (fe.in_flight, fe.queue_depth) == (1, 0)
+    release.set()
+    join_all([t])
+    assert executed == []
+    fe.close()
+
+
+def test_close_wakes_waiters_with_serving_unavailable():
+    fe = ServingFrontend(StubService(), num_workers=1, max_queue=4,
+                         default_timeout_s=JOIN_TIMEOUT_S)
+    release, running = threading.Event(), threading.Event()
+    results, errors = [], []
+
+    def waiter():
+        try:
+            fe.call("predict", lambda: "ran")
+        except ServingUnavailable as exc:
+            errors.append(exc)
+
+    busy = threading.Thread(
+        target=lambda: results.append(fe.call("predict", lambda: (
+            running.set(), release.wait(JOIN_TIMEOUT_S))[1])),
+        daemon=True,
+    )
+    busy.start()
+    assert running.wait(JOIN_TIMEOUT_S)
+    waiters = [threading.Thread(target=waiter, daemon=True) for _ in range(2)]
+    for w in waiters:
+        w.start()
+    _wait_for(lambda: fe.queue_depth == 2, "waiters never queued")
+    fe.close()
+    join_all(waiters)  # woken by close, while the running call still runs
+    assert [type(e) for e in errors] == [ServingUnavailable] * 2
+    assert all("closed" in str(e) and e.status == 503 for e in errors)
+    assert fe.queue_depth == 0 and fe.in_flight == 1
+    release.set()
+    join_all([busy])
+    assert results == [True]  # a running call is never abandoned
+    assert fe.in_flight == 0
+
+
+def test_base_exception_leaves_the_gate_empty():
+    """A cancellation escaping ``fn`` frees its slot: the waiter behind
+    it runs, and both gauges return to 0."""
+    fe = ServingFrontend(StubService(), num_workers=1, max_queue=4,
+                         default_timeout_s=JOIN_TIMEOUT_S)
+
+    class Teardown(BaseException):
+        pass
+
+    release, running = threading.Event(), threading.Event()
+    raised, served = [], []
+
+    def torn_down():
+        running.set()
+        release.wait(JOIN_TIMEOUT_S)
+        raise Teardown()
+
+    def first():
+        try:
+            fe.call("predict", torn_down)
+        except Teardown as exc:
+            raised.append(exc)
+
+    t1 = threading.Thread(target=first, daemon=True)
+    t1.start()
+    assert running.wait(JOIN_TIMEOUT_S)
+    t2 = threading.Thread(
+        target=lambda: served.append(fe.call("predict", lambda: "next")), daemon=True
+    )
+    t2.start()
+    _wait_for(lambda: fe.queue_depth == 1, "second caller never queued")
+    release.set()
+    join_all([t1, t2])
+    assert len(raised) == 1 and served == ["next"]
+    assert (fe.in_flight, fe.queue_depth) == (0, 0)
+    with pytest.raises(Teardown):
+        fe.call("predict", lambda: (_ for _ in ()).throw(Teardown()))
+    assert (fe.in_flight, fe.queue_depth) == (0, 0)
+    fe.close()
+
+
+def test_call_finishing_past_its_deadline_times_out_once(frontend):
+    """A running call cannot be abandoned: it finishes, then answers 503
+    because its deadline passed, and counts one ``timeout``, no ``ok``."""
+    ran = []
+    with pytest.raises(RequestTimeout, match="timed out after 0.02s") as err:
+        frontend.call("predict", lambda: time.sleep(0.1) or ran.append(1),
+                      timeout_s=0.02)
+    assert err.value.status == 503 and err.value.retry_after_s > 0
+    assert ran == [1]
+    snap = frontend.metrics_snapshot()
+    ep = snap["endpoints"]["predict"]
+    assert ep["timeout"] == 1 and ep["ok"] == 0
+    assert snap["totals"]["requests"] == 1
+    assert (frontend.in_flight, frontend.queue_depth) == (0, 0)
+
+
+def test_gate_holds_its_bounds_under_a_thread_storm():
+    """16 callers (more than cores) hammering a 2-slot, 2-waiter gate
+    with a short switch interval: never more than 2 bodies at once, every
+    call counted once as ``ok`` or ``rejected_queue_full``, gauges back
+    to 0 — a lost counter update breaks one of these."""
+    fe = ServingFrontend(StubService(), num_workers=2, max_queue=2,
+                         default_timeout_s=JOIN_TIMEOUT_S)
+    lock = threading.Lock()
+    running, peak, answered = [0], [0], []
+
+    def body():
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0)
+        with lock:
+            running[0] -= 1
+
+    def caller():
+        for _ in range(200):
+            try:
+                fe.call("predict", body)
+                answered.append("ok")
+            except RequestRejected:
+                answered.append("rejected_queue_full")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(16)]
+        for t in threads:
+            t.start()
+        join_all(threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert 1 <= peak[0] <= 2
+    ep = fe.metrics_snapshot()["endpoints"]["predict"]
+    assert len(answered) == 16 * 200
+    assert ep["ok"] == answered.count("ok")
+    assert ep["rejected_queue_full"] == answered.count("rejected_queue_full")
+    assert ep["ok"] + ep["rejected_queue_full"] == 16 * 200
+    assert (fe.in_flight, fe.queue_depth) == (0, 0)
+    fe.close()

@@ -50,8 +50,8 @@ def roots(tracer):
 
 @pytest.fixture
 def traced(engine):
-    """A service behind a traced frontend: spans ride the work item
-    onto a pool worker."""
+    """A service behind a traced frontend: each call runs, with its span
+    activated, on the calling thread."""
     tracer = make_tracer()
     svc = make_service(engine)
     fe = make_frontend(svc, tracer=tracer)
@@ -167,7 +167,7 @@ def test_update_spans_close_ok_without_waiting_components(trained, traced):
     assert [r["name"] for r in rs] == ["update_edges", "update_features"]
     for r in rs:
         assert r["outcome"] == "ok"
-        # an update publishes: it never waits out the pool
+        # an update publishes: it never waits at the admission gate
         assert set(r["components_ms"]) <= set(COMPONENTS)
 
 
@@ -188,7 +188,7 @@ def test_rejected_requests_close_spans_with_outcome(engine):
         )
         blocked.start()
         assert started.wait(timeout=10.0)
-        # fills the queue behind the parked worker (blocks until release)
+        # fills the queue behind the parked call (blocks until release)
         queued = threading.Thread(
             target=lambda: fe.call("predict", lambda: svc.predict_logits([1])),
             daemon=True,
@@ -229,12 +229,12 @@ def test_timed_out_requests_close_spans_once(engine):
                 "predict", lambda: svc.predict_logits([0]), timeout_s=0.05
             )
     finally:
-        fe.close()  # joins the worker, which finishes in the background
+        fe.close()  # the slow call already finished on this thread
         svc.close()
     rs = roots(tracer)
     assert len(rs) == 1
-    # the caller's timeout close won; the worker's late component
-    # writes after end() were ignored
+    # the call finished past its deadline and closed its root once,
+    # as a timeout
     assert rs[0]["outcome"] == "timeout"
     assert tracer.decomposition() == {}  # only ok roots decompose
 
