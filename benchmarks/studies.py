@@ -14,6 +14,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py refresh [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py feature-gather [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py graph-build [--baseline CHECKOUT]
+    PYTHONPATH=src python benchmarks/studies.py reachability [--baseline CHECKOUT]
 """
 
 from __future__ import annotations
@@ -1198,6 +1199,539 @@ def graph_build(reps: int, baseline=None) -> None:
                     "\n".join(lines) + "\n")
 
 
+# -- reachability -------------------------------------------------------------------
+
+REACHABILITY_DOC = os.path.join(BENCH_DIR, "..", "docs", "reachability.md")
+
+#: ``sitecustomize`` for every interpreter a reachability run starts (it
+#: sits in the copied ``src/``, which every entry point puts on its path):
+#: a function-level profiler, ``sys.setprofile`` + ``threading.setprofile``
+#: (3.11 has no ``sys.monitoring``; line tracing is too slow), keeping each
+#: code object entered.  At exit — ``atexit``, ``os._exit`` (a forked shm
+#: worker) or SIGTERM (the suite stopping its server child) — it writes
+#: ``[file, first line]`` of each one under ``REACH_ROOT`` to ``REACH_OUT``.
+_REACH_SITE = r'''
+import atexit, json, os, signal, sys, threading
+
+_seen = {}
+
+
+def _profile(frame, event, arg):
+    if event == "call":
+        _seen[id(frame.f_code)] = frame.f_code
+
+
+def _dump():
+    sys.setprofile(None)
+    root = os.environ["REACH_ROOT"]
+    hits = sorted({(os.path.realpath(c.co_filename), c.co_firstlineno)
+                   for c in list(_seen.values())})
+    hits = [[f[len(root):], n] for f, n in hits if f.startswith(root)]
+    with open(os.path.join(os.environ["REACH_OUT"], f"{os.getpid()}.json"), "w") as fh:
+        json.dump(hits, fh)
+
+
+def _exit(code, _real=os._exit):
+    _dump()
+    _real(code)
+
+
+def _term(signum, frame):
+    _dump()
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
+
+
+if os.environ.get("REACH_OUT"):
+    os._exit = _exit
+    atexit.register(_dump)
+    if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        signal.signal(signal.SIGTERM, _term)
+    sys.setprofile(_profile)
+    threading.setprofile(_profile)
+'''
+
+#: an unreached function's owner: who keeps it although no entry point
+#: runs it — a paper table or study, a contract oracle a test compares
+#: production output against, a test seam, a configuration no entry
+#: point sets, or a protocol.  Keys: ``module:qualname`` (nested defs
+#: joined by ``.``), ``module:Class.*`` or ``*.method``.
+#: An unreached function no key claims is listed as "**none**": it is
+#: deleted, or it gets a named owner here.
+_TABLE1 = ("`aggregate()` with a message-materialising (⊗, ⊕) pair: the paper's "
+           "Table 1 operator algebra; `studies.py kernel-plan` times it")
+_LRU = ("the LRU replay tests/cachesim/test_lru*.py check the analytic traffic model "
+        "against (ROADMAP 3(a) cachesim row)")
+_REPR = "protocol: `repr()`"
+_WITH = "protocol: context manager"
+_SANITIZER_API = ("the sanitizer's reading API: tests/analysis/test_sanitizer*.py "
+                  "force it on and read its findings")
+REACHABILITY_OWNERS = {
+    # paper algebra and studies
+    "kernels/engine.py:segment_pass": _TABLE1,
+    "kernels/engine.py:execute_plan.run": _TABLE1,
+    "kernels/segment.py:segment_reduce": _TABLE1,
+    "kernels/operators.py:ReduceOp.combine": _TABLE1,
+    "kernels/operators.py:_binary.wrapped": _TABLE1,
+    "kernels/operators.py:_copyrhs": _TABLE1,
+    "graph/csr.py:CSRGraph.has_contiguous_edge_ids": _TABLE1 + " (edge-feature reads)",
+    # contract oracles: a test compares production output against them
+    "kernels/baseline.py:aggregate_dense_reference":
+        "contract oracle: tests/kernels/test_kernel_equivalence.py, test_kernel_properties.py",
+    "graph/csr.py:CSRGraph.iter_rows": "contract oracle: `aggregate_dense_reference` walks it",
+    "graph/csr.py:CSRGraph.to_dense": "contract oracle: dense adjacency in graph and kernel tests",
+    "graph/csr.py:CSRGraph.source_block":
+        "contract oracle: tests/kernels/test_parallel.py, test_kernel_equivalence.py",
+    "graph/csr.py:CSRGraph.in_degree":
+        "contract oracle accessor: tests/sampling/loop_sampler.py (per-vertex sampler)",
+    "graph/csr.py:CSRGraph.neighbors":
+        "contract oracle accessor: tests/sampling/loop_sampler.py, test_refresh.py, test_delta.py",
+    "graph/csr.py:CSRGraph.edge_ids_of":
+        "contract oracle accessor: tests/sampling/loop_sampler.py, test_refresh.py",
+    "core/sync.py:assert_replicas_in_sync":
+        "contract oracle: tests/core/test_trainers.py, tests/sampling/test_dist_minibatch.py",
+    "partition/libra.py:replication_factor_of_assignment":
+        "contract oracle: tests/partition/test_libra.py, tests/dyngraph/test_ingest.py",
+    "partition/partition.py:PartitionedGraph.clones_of":
+        "contract oracle: tests/core/test_drpa.py (clones agree after a DRPA round)",
+    "partition/partition.py:GraphPartition.local_of":
+        "contract oracle: `clones_of` resolves through it",
+    "partition/partition.py:GraphPartition.contains":
+        "contract oracle: tests/partition/test_partition_properties.py",
+    "obs/registry.py:parse_prometheus":
+        "contract oracle: tests parse the `/metrics?format=prom` text with it",
+    "dyngraph/ingest.py:streaming_libra_partition":
+        "streaming ≡ batch Libra contract: tests/dyngraph/test_ingest.py",
+    "dyngraph/ingest.py:LibraState.assign_graph":
+        "streaming ≡ batch Libra contract: tests/dyngraph/test_ingest.py",
+    "graph/builders.py:from_edge_list":
+        "test fixtures: tests/conftest.py and the graph tests build small graphs with it",
+    "cachesim/lru.py:LRUFeatureCache.*": _LRU,
+    "cachesim/lru.py:LRUReuseResult.*": _LRU,
+    # test seams: a test substitutes a fake or observes through them
+    "serving/loadgen.py:VirtualClock.*": "test seam: loadgen's injectable clock",
+    "serving/server.py:PredictionService.wrap_lookup":
+        "test seam: fault and latency injection (tests/serving/test_faults.py, ...)",
+    "serving/server.py:PredictionServer.start_background":
+        "test seam: in-process HTTP servers on a thread",
+    "serving/frontend.py:ServingFrontend.in_flight":
+        "contract: the gate's bounds, read by tests/serving/test_frontend.py",
+    "serving/frontend.py:ServingFrontend.queue_depth":
+        "contract: the gate's bounds, read by tests/serving/test_frontend.py",
+    "obs/trace.py:set_tracer": "test seam: swaps the default tracer",
+    "analysis/sanitizers.py:set_force":
+        "test seam: forces the sanitizer on without the environment",
+    "analysis/sanitizers.py:uninstall_probes": "test seam: undoes `install_probes` between tests",
+    "analysis/sanitizers.py:scoped_recorder": _SANITIZER_API,
+    "analysis/sanitizers.py:current_recorder": _SANITIZER_API,
+    "analysis/sanitizers.py:LockOrderRecorder.findings": _SANITIZER_API,
+    "analysis/sanitizers.py:LockOrderRecorder.clear": _SANITIZER_API,
+    "analysis/sanitizers.py:LockOrderRecorder.on_blocking_call":
+        "runs only on a finding: a blocking call under a sanitized lock",
+    # configuration no entry point sets
+    "nn/functional.py:dropout": "`TrainConfig.dropout` > 0",
+    "nn/functional.py:dropout.backward": "`TrainConfig.dropout` > 0",
+    "nn/layers.py:Dropout.*": "`TrainConfig.dropout` > 0",
+    "nn/optim.py:SGD.*": "`TrainConfig.optimizer = \"sgd\"`",
+    # protocols
+    "nn/optim.py:Optimizer.step": "protocol: the abstract step `Adam` / `SGD` implement",
+    "nn/tensor.py:Tensor.__add__": "protocol: operator sugar beside the reached `__mul__`",
+    "nn/tensor.py:Tensor.__sub__": "protocol: operator sugar beside the reached `__mul__`",
+    "nn/tensor.py:Tensor.__matmul__": "protocol: operator sugar beside the reached `__mul__`",
+    "nn/functional.py:sub": "protocol: `Tensor.__sub__`",
+    "nn/functional.py:sub.backward": "protocol: `Tensor.__sub__`",
+    "comm/communicator.py:Communicator.size":
+        "protocol: the communicator surface both backends share",
+    "comm/shm.py:ShmWorld.communicator": "protocol: the world surface both backends share",
+    "comm/shm.py:ShmWorld.in_flight_bytes": "protocol: the world surface both backends share",
+    "analysis/sanitizers.py:SanitizedLock.name": "protocol: the lock surface it stands in for",
+    "analysis/sanitizers.py:SanitizedLock.locked": "protocol: the lock surface it stands in for",
+    "*.__repr__": _REPR,
+    "*.__enter__": _WITH,
+    "*.__exit__": _WITH,
+}
+
+#: the suite workloads (``benchmarks/suite/run.py``'s ``SIZES``)
+REACH_WORKLOADS = ("train_sparse", "train_dense", "train_dist", "train_minibatch",
+                   "serve_read", "serve_mixed")
+REACH_PAPER_BENCHES = ("bench_fig*.py", "bench_table*.py", "bench_ablations.py",
+                       "bench_extension_compression.py")
+REACH_SMOKE_BENCHES = ("bench_obs.py", "bench_serving.py", "bench_streaming.py")
+
+
+def _reach_functions(src_root: str) -> dict:
+    """Every ``def`` under ``src_root/repro``: ``(module, first line) ->
+    (qualname, body lines)``.  The first line is ``co_firstlineno`` (the
+    first decorator's); body lines run from the first statement to the
+    end, less the lines of any nested ``def`` (counted as its own)."""
+    import ast
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def span(node):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        return first, node.end_lineno
+
+    table = {}
+    for dirpath, _, files in os.walk(os.path.join(src_root, "repro")):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            module = os.path.relpath(path, os.path.join(src_root, "repro"))
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+
+            def visit(node, prefix):
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, defs):
+                        body = set(range(child.body[0].lineno, child.end_lineno + 1))
+                        for sub in ast.walk(child):
+                            if sub is not child and isinstance(sub, defs):
+                                a, b = span(sub)
+                                body -= set(range(a, b + 1))
+                        table[(module, span(child)[0])] = (prefix + child.name, len(body))
+                        visit(child, prefix + child.name + ".")
+                    elif isinstance(child, ast.ClassDef):
+                        visit(child, prefix + child.name + ".")
+                    else:
+                        visit(child, prefix)
+
+            visit(tree, "")
+    return table
+
+
+def _reach_http_drive(tree: str, env: dict, tmp: str, ckpt: str) -> list:
+    """``repro serve`` in a child; every endpoint once over HTTP (and the
+    error answers), ``loadgen --url`` / ``trace --url`` against it, then
+    SIGINT — the server's own shutdown path.  Returns what it drove."""
+    import re
+    import signal
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", *_REACH_TINY, "--checkpoint",
+         ckpt, "--port", "0"], cwd=tree, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
+    done = []
+    try:
+        port = None
+        for line in proc.stdout:
+            match = re.search(r"http://127\.0\.0\.1:(\d+)/", line)
+            if match:
+                port = int(match.group(1))
+                break
+        if port is None:
+            raise RuntimeError("repro serve exited before it reported a port")
+        base = f"http://127.0.0.1:{port}"
+        with urlopen(base + "/stats", timeout=30) as r:
+            dim = json.load(r)["engine"]["feature_store"]["dim"]
+        calls = [("GET", p, None) for p in (
+            "/healthz", "/stats", "/metrics", "/metrics?format=prom",
+            "/metrics?format=nope", "/trace", "/nope")]
+        calls += [
+            ("POST", "/predict", {"vertices": [0, 1, 2], "k": 2}),
+            ("POST", "/predict", {"vertices": [10 ** 9]}),
+            ("POST", "/update_edges", {"add": [[0, 1], [2, 3]], "remove": [[0, 1]]}),
+            ("POST", "/update_features", {"vertices": [0], "features": [[0.5] * dim]}),
+            ("POST", "/nope", {}),
+            ("POST", "/predict", "not json"),
+        ]
+        for method, path, body in calls:
+            data = None if body is None else (
+                body if isinstance(body, str) else json.dumps(body)).encode()
+            try:
+                with urlopen(Request(base + path, data=data, method=method), timeout=30) as r:
+                    r.read()
+            except HTTPError as exc:
+                exc.read()
+            done.append(f"{method} {path}")
+        load = ["--rate", "40", "--duration", "0.5", "--url", base,
+                "--mix", "predict=1,topk=1,update_edges=1,update_features=1"]
+        for argv in (["loadgen", *load], ["trace", *load, "--out", os.path.join(tmp, "u.json")]):
+            rc = subprocess.run([sys.executable, "-m", "repro", *argv], cwd=tree, env=env,
+                                stdout=subprocess.DEVNULL, timeout=300).returncode
+            done.append(f"repro {argv[0]} --url" + (f" — **exit {rc}**" if rc else ""))
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    return done
+
+
+#: the CLI's tiny scale: reddit at 0.05 (64 features, ~1.6k vertices)
+_REACH_TINY = ("--dataset", "reddit", "--scale", "0.05")
+
+
+#: ``repro check`` bait: one finding per rule family (guarded-by, a
+#: blocking wait and sleep under a lock, a swallowed broad except), so
+#: the linter's violation, JSON and baseline paths run
+_REACH_LINT_BAIT = """
+import threading
+import time
+
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._event = threading.Event()
+        self.count = 0  # guarded-by: _lock
+
+    def bump(self):
+        self.count += 1
+
+    def slow(self):
+        with self._lock:
+            time.sleep(0.1)
+            self._event.wait()
+
+    def run(self, task):
+        try:
+            task()
+        except Exception:
+            pass
+"""
+
+
+def _reach_runs(tree: str, tmp: str) -> list:
+    """``(label, argv, extra env, exit code)`` for every non-test entry
+    point of ``tree`` in run order (the HTTP drive runs after them);
+    writes the files they read under ``tmp``."""
+    import glob
+
+    py, tiny = sys.executable, list(_REACH_TINY)
+    ckpt, state = os.path.join(tmp, "c.npz"), os.path.join(tmp, "libra.npz")
+    runs = [(f"suite {w} --trace {t}", [py, "benchmarks/suite/run.py", "--workload", w,
+                                        "--seed", "0", "--trace", t, "--smoke"], {}, 0)
+            for w in REACH_WORKLOADS for t in ("0", "1")]
+    benches = sorted({os.path.relpath(p, tree) for pat in REACH_PAPER_BENCHES
+                      for p in glob.glob(os.path.join(tree, "benchmarks", pat))})
+    runs.append(("paper benches under pytest", [py, "-m", "pytest", "-q", "-p",
+                 "no:cacheprovider", "--benchmark-disable", *benches], {}, 0))
+    for path in sorted(glob.glob(os.path.join(tree, "examples", "*.py"))):
+        with open(path) as fh:
+            scaled = '"--scale"' in fh.read()
+        runs.append((os.path.relpath(path, tree), [py, path] + (
+            ["--scale", "0.05"] if scaled else []), {}, 0))
+    bait = os.path.join(tmp, "lint")
+    os.makedirs(bait)
+    with open(os.path.join(bait, "bait.py"), "w") as fh:
+        fh.write(_REACH_LINT_BAIT)
+    suppress = os.path.join(tmp, "lint-baseline.json")
+    mix = ["--mix", "predict=1,topk=1,update_edges=1,update_features=1"]
+    load = ["--rate", "40", "--duration", "0.5", "--checkpoint", ckpt, *mix]
+    cli = [
+        (["info", *tiny], 0),
+        *((["partition", *tiny, "--partitioner", p], 0) for p in ("libra", "random", "hash")),
+        (["train", *tiny, "--epochs", "3", "--checkpoint", ckpt], 0),
+        (["train", *tiny, "--epochs", "5", "--resume", ckpt], 0),
+        (["train", *tiny, "--epochs", "2", "--feature-store", "mmap",
+          "--store-dir", os.path.join(tmp, "fs")], 0),
+        (["train", "--dataset", "am", "--scale", "0.05", "--epochs", "2"], 0),
+        (["train", *tiny, "--epochs", "3", "--partitions", "2", "--algorithm", "cd-5",
+          "--compression", "bf16", "--num-threads", "2"], 0),
+        (["train", *tiny, "--epochs", "2", "--partitions", "2", "--algorithm", "0c"], 0),
+        (["train", *tiny, "--epochs", "2", "--partitions", "2", "--backend", "shm"], 0),
+        (["sample", *tiny, "--epochs", "2"], 0),
+        (["sample", *tiny, "--epochs", "1", "--feature-store", "mmap",
+          "--store-dir", os.path.join(tmp, "fs")], 0),
+        (["predict", *tiny, "--checkpoint", ckpt, "--vertices", "0,1,2"], 0),
+        *((["ingest", *tiny, "--partitions", "2", "--stream-fraction", "0.2",
+            "--chunk-size", "500", "--state", state], 0) for _ in range(2)),
+        (["loadgen", *tiny, *load], 0),
+        (["loadgen", *tiny, *load, "--feature-store", "mmap",
+          "--store-dir", os.path.join(tmp, "fs")], 0),
+        (["trace", *tiny, *load, "--out", os.path.join(tmp, "t.json"),
+          "--jsonl", os.path.join(tmp, "t.jsonl")], 0),
+        (["check", "src"], 0),
+        (["check", "--list-rules"], 0),
+        (["check", bait], 1),
+        (["check", "--json", "--rules", "REP101,REP102", bait], 1),
+        (["check", "--baseline", suppress, "--write-baseline", bait], 0),
+        (["check", "--baseline", suppress, bait], 0),
+    ]
+    runs += [("repro " + " ".join(a).replace(tmp + os.sep, ""), [py, "-m", "repro", *a],
+              {}, code) for a, code in cli]
+    sanitized = {"REPRO_SANITIZE": "1",
+                 "REPRO_SANITIZE_REPORT": os.path.join(tmp, "sanitize.json")}
+    runs += [
+        ("REPRO_SANITIZE=1 repro loadgen", [py, "-m", "repro", "loadgen", *tiny, *load],
+         sanitized, 0),
+        ("REPRO_SANITIZE=1 repro train --partitions 2",
+         [py, "-m", "repro", "train", *tiny, "--epochs", "2", "--partitions", "2"],
+         sanitized, 0),
+        ("benchmarks/trainer_fingerprint.py",
+         [py, "benchmarks/trainer_fingerprint.py", os.path.join(tmp, "fp.json")], {}, 0),
+    ]
+    runs += [(f"benchmarks/{b} --smoke", [py, f"benchmarks/{b}", "--smoke"], {}, 0)
+             for b in REACH_SMOKE_BENCHES]
+    return runs
+
+
+def _reach_tree(root: str) -> dict:
+    """Run every entry point of the checkout ``root`` on a private copy
+    (the runs write results files) under the profiler: ``{"functions":
+    {(module, line): (qualname, lines)}, "runs": [(label, s, hits)]}``."""
+    tmp = tempfile.mkdtemp(prefix="reach-")
+    try:
+        tree = os.path.join(tmp, "tree")
+        ignore = shutil.ignore_patterns("__pycache__", "results", "*.egg-info")
+        for part in ("src", "benchmarks", "examples"):
+            shutil.copytree(os.path.join(root, part), os.path.join(tree, part), ignore=ignore)
+        shutil.copy(os.path.join(root, "BENCHMARK.json"), tree)
+        src = os.path.join(tree, "src")
+        with open(os.path.join(src, "sitecustomize.py"), "w") as fh:
+            fh.write(_REACH_SITE)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   REACH_ROOT=os.path.join(os.path.realpath(src), "repro") + os.sep)
+        work = os.path.join(tmp, "work")
+        os.makedirs(work)
+
+        def profiled(extra):
+            out = os.path.join(tmp, "out", str(len(runs)))
+            os.makedirs(out)
+            return out, dict(env, REACH_OUT=out, **extra)
+
+        def hits_in(out):
+            hits = set()
+            for name in os.listdir(out):
+                with open(os.path.join(out, name)) as fh:
+                    hits.update((m, n) for m, n in json.load(fh))
+            return hits
+
+        runs = []
+        for label, argv, extra, code in _reach_runs(tree, work):
+            out, run_env = profiled(extra)
+            t0 = time.perf_counter()
+            proc = subprocess.run(argv, cwd=tree, env=run_env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True, timeout=1800)
+            if proc.returncode != code:  # a defect of the tree: report it, keep going
+                print(proc.stderr[-3000:], file=sys.stderr)
+                label += f" — **exit {proc.returncode}**, expected {code}"
+            runs.append((label, time.perf_counter() - t0, hits_in(out)))
+            print(f"  {label:<60s} {runs[-1][1]:7.1f} s  {len(runs[-1][2]):5d} functions",
+                  flush=True)
+        out, run_env = profiled({})
+        t0 = time.perf_counter()
+        calls = _reach_http_drive(tree, run_env, work, os.path.join(work, "c.npz"))
+        runs.append(("repro serve, HTTP: " + ", ".join(calls), time.perf_counter() - t0,
+                     hits_in(out)))
+        return {"functions": _reach_functions(src), "runs": runs}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _reach_owner(module: str, qualname: str):
+    """The owner of ``module:qualname``: by exact key, class-wide
+    (``module:Class.*``) or by method name (``*.__repr__``); ``None``
+    when nothing claims it."""
+    cls, _, name = qualname.rpartition(".")
+    for key in (f"{module}:{qualname}", f"{module}:{cls}.*", f"*.{name}"):
+        if key in REACHABILITY_OWNERS:
+            return REACHABILITY_OWNERS[key]
+    return None
+
+
+def reachability(reps: int, baseline=None) -> None:
+    """ROADMAP 3(b): which ``src/repro`` functions any non-test entry
+    point runs.  Every suite workload (smoke, plain and traced), the
+    paper bench files under pytest, ``examples/``, each ``repro``
+    subcommand at reddit 0.05 (one shm world and one ``REPRO_SANITIZE=1``
+    run among them), an HTTP drive of every ``repro serve`` endpoint,
+    ``trainer_fingerprint.py`` and the three ``--smoke`` benches, each in
+    a child interpreter under a function-level profiler.  Per module,
+    function-body lines reached / total; then every unreached function
+    with its owner (``REACHABILITY_OWNERS``).  With ``baseline`` (a
+    checkout) that tree runs first and a function it has that this tree
+    lacks is listed as "deleted".  ``reps`` is unused: one run per tree
+    decides reachability.  Appends a dated section to
+    docs/reachability.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    trees = {"change": os.path.join(BENCH_DIR, "..")}
+    if baseline:
+        trees = {"parent": baseline, **trees}
+    measured = {}
+    for name, root in trees.items():
+        print(f"{name}: {os.path.abspath(root)}", flush=True)
+        measured[name] = _reach_tree(root)
+    head = measured["change"]
+    reached = set().union(*(h for _, _, h in head["runs"]))
+    suite = set().union(*(h for label, _, h in head["runs"] if label.startswith("suite ")))
+    funcs = head["functions"]
+
+    def summary(name):
+        tree_funcs = measured[name]["functions"]
+        hit = set().union(*(h for _, _, h in measured[name]["runs"]))
+        total = sum(n for _, n in tree_funcs.values())
+        got = sum(n for key, (_, n) in tree_funcs.items() if key in hit)
+        failed = [label for label, _, _ in measured[name]["runs"] if "**exit" in label]
+        return (f"- {name}: **{got:,} of {total:,} function-body lines reached** "
+                f"({got / total:.1%}); {len(hit & set(tree_funcs)):,} of "
+                f"{len(tree_funcs):,} functions"
+                + (f"; runs that failed: {'; '.join(failed)}" if failed else ""))
+
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs",
+        "",
+        f"{len(head['runs'])} entry-point runs per tree, each in a child interpreter "
+        "under `sys.setprofile` + `threading.setprofile` (forked shm workers and the "
+        "suite's server child included).",
+        "",
+        *(summary(name) for name in measured),
+        "",
+        "| entry point (change) | s | functions reached |",
+        "| --- | --- | --- |",
+    ]
+    lines += [f"| {label} | {s:.1f} | {len(h & set(funcs))} |" for label, s, h in head["runs"]]
+    lines += [
+        "",
+        "Per module: function-body lines (first statement to end, nested `def`s "
+        "counted as their own) of the functions any run entered; *suite* is the six "
+        "suite workloads alone.",
+        "",
+        "| module | functions | lines reached / total | suite lines |",
+        "| --- | --- | --- | --- |",
+    ]
+    for module in sorted({m for m, _ in funcs}):
+        keys = [k for k in funcs if k[0] == module]
+        total = sum(funcs[k][1] for k in keys)
+        got = sum(funcs[k][1] for k in keys if k in reached)
+        by_suite = sum(funcs[k][1] for k in keys if k in suite)
+        lines.append(f"| `{module}` | {sum(k in reached for k in keys)}/{len(keys)} "
+                     f"| {got}/{total} | {by_suite} |")
+
+    unreached = [(k, q, n, _reach_owner(k[0], q)) for k, (q, n) in funcs.items()
+                 if k not in reached]
+    if baseline:
+        parent = measured["parent"]
+        parent_reached = set().union(*(h for _, _, h in parent["runs"]))
+        names = {(m, q) for (m, _), (q, _) in funcs.items()}
+        unreached += [(k, q, n, "deleted" + (" (**reached** at the parent)"
+                                              if k in parent_reached else ""))
+                      for k, (q, n) in parent["functions"].items() if (k[0], q) not in names]
+    unowned = [u for u in unreached if u[3] is None]
+    lines += [
+        "",
+        f"### Unreached functions: {len(unreached)}, {sum(u[2] for u in unreached):,} "
+        f"lines; {len(unowned)} with no owner"
+        + (f", {sum(u[3].startswith('deleted') for u in unreached if u[3])} deleted"
+           if baseline else ""),
+        "",
+        "| function | lines | owner |",
+        "| --- | --- | --- |",
+    ]
+    for (module, _), qualname, n, owner in sorted(unreached, key=lambda u: (u[0][0], u[0][1])):
+        lines.append(f"| `{module}::{qualname}` | {n} | {owner or '**none**'} |")
+    _append_section(REACHABILITY_DOC, "Reachability of src/repro from the entry points",
+                    "reachability", "\n".join(lines) + "\n")
+
+
 STUDIES = {
     "spmm-operand": spmm_operand,
     "kernel-plan": kernel_plan,
@@ -1209,8 +1743,10 @@ STUDIES = {
     "refresh": refresh,
     "feature-gather": feature_gather,
     "graph-build": graph_build,
+    "reachability": reachability,
 }
-BASELINE_STUDIES = ("serving-layers", "sim-threads", "refresh", "feature-gather", "graph-build")
+BASELINE_STUDIES = ("serving-layers", "sim-threads", "refresh", "feature-gather", "graph-build",
+                    "reachability")
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -1220,7 +1756,7 @@ if __name__ == "__main__":
                         help="project-first: only this table (default: all three)")
     parser.add_argument("--baseline", metavar="CHECKOUT",
                         help="serving-layers / sim-threads / refresh / feature-gather / "
-                        "graph-build: "
+                        "graph-build / reachability: "
                         "a checkout to measure beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":

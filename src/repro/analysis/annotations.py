@@ -32,7 +32,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 #: Lock markers name identifiers; prose after the name(s) is ignored, so
 #: ``# guarded-by: _lock — why it matters`` declares just ``_lock``.
@@ -107,21 +107,3 @@ def markers_on_lines(
         if comment:
             merged.update(parse_markers(comment))
     return merged
-
-
-def has_audit_marker(
-    comments: Dict[int, str],
-    category: str,
-    first_line: int,
-    last_line: Optional[int] = None,
-) -> bool:
-    markers = markers_in_range(comments, first_line, last_line)
-    reason = markers.get(f"audit[{category}]")
-    return bool(reason)
-
-
-def lines_with_marker(comments: Dict[int, str], name: str) -> Iterable[Tuple[int, str]]:
-    for line, comment in sorted(comments.items()):
-        markers = parse_markers(comment)
-        if name in markers:
-            yield line, markers[name]

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from .annotations import comment_map, markers_in_range
+from .annotations import comment_map
 
 
 @dataclass
@@ -91,15 +91,6 @@ class FileContext:
                 stack.pop()
 
         visit(self.tree)
-
-    def markers(self, node: ast.AST) -> Dict[str, str]:
-        """Markers on the node's line span plus the line directly above."""
-        lineno = getattr(node, "lineno", None)
-        if lineno is None:
-            return {}
-        return markers_in_range(
-            self.comments, lineno, getattr(node, "end_lineno", lineno)
-        )
 
     def scope_of(self, node: ast.AST) -> str:
         cur: Optional[ast.AST] = node

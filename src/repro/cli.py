@@ -138,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _feature_store_args(p_serve)
 
     p_load = sub.add_parser("loadgen", help="open-loop serving load generator")
-    _dataset_args(p_load)
-    target = p_load.add_mutually_exclusive_group(required=True)
+    target = _load_args(p_load, duration=10.0)
     target.add_argument(
         "--url", default=None, metavar="BASE",
         help="drive a running server, e.g. http://127.0.0.1:8080",
@@ -148,42 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint", default=None,
         help="build an in-process service from this checkpoint instead",
     )
-    p_load.add_argument("--rate", type=float, default=50.0, help="offered req/s")
-    p_load.add_argument("--duration", type=float, default=10.0, help="seconds")
-    p_load.add_argument(
-        "--arrival", choices=("poisson", "bursty"), default="poisson"
-    )
-    p_load.add_argument(
-        "--mix", default=None, metavar="SPEC",
-        help="endpoint mix, e.g. predict=0.7,topk=0.25,update_edges=0.05",
-    )
-    p_load.add_argument("--clients", type=int, default=32, help="client threads")
-    p_load.add_argument("--batch-size", type=int, default=8,
-                        help="vertices per predict/topk request")
-    p_load.add_argument("--k", type=int, default=3, help="top-k for topk requests")
-    p_load.add_argument(
-        "--workers", type=int, default=4,
-        help="in-process admission gate: requests run at once (--checkpoint mode)",
-    )
-    p_load.add_argument(
-        "--max-queue", type=int, default=256,
-        help="in-process admission queue bound (--checkpoint mode)",
-    )
-    p_load.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="per-request deadline in seconds",
-    )
-    p_load.add_argument(
-        "--num-threads", type=int, default=None,
-        help="kernel worker threads for the in-process precompute",
-    )
-    _feature_store_args(p_load)
 
     p_trace = sub.add_parser(
         "trace", help="capture an end-to-end request trace (Chrome trace JSON)"
     )
-    _dataset_args(p_trace)
-    trace_target = p_trace.add_mutually_exclusive_group(required=True)
+    trace_target = _load_args(p_trace, duration=5.0)
     trace_target.add_argument(
         "--url", default=None, metavar="BASE",
         help="fetch the span buffer of a running server via GET /trace",
@@ -191,35 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_target.add_argument(
         "--checkpoint", default=None,
         help="drive a traced in-process load run from this checkpoint",
-    )
-    p_trace.add_argument("--rate", type=float, default=50.0, help="offered req/s")
-    p_trace.add_argument("--duration", type=float, default=5.0, help="seconds")
-    p_trace.add_argument(
-        "--arrival", choices=("poisson", "bursty"), default="poisson"
-    )
-    p_trace.add_argument(
-        "--mix", default=None, metavar="SPEC",
-        help="endpoint mix, e.g. predict=0.7,topk=0.25,update_edges=0.05",
-    )
-    p_trace.add_argument("--clients", type=int, default=32, help="client threads")
-    p_trace.add_argument("--batch-size", type=int, default=8,
-                         help="vertices per predict/topk request")
-    p_trace.add_argument("--k", type=int, default=3, help="top-k for topk requests")
-    p_trace.add_argument(
-        "--workers", type=int, default=4,
-        help="in-process admission gate: requests run at once (--checkpoint mode)",
-    )
-    p_trace.add_argument(
-        "--max-queue", type=int, default=256,
-        help="in-process admission queue bound (--checkpoint mode)",
-    )
-    p_trace.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="per-request deadline in seconds",
-    )
-    p_trace.add_argument(
-        "--num-threads", type=int, default=None,
-        help="kernel worker threads for the in-process precompute",
     )
     p_trace.add_argument(
         "--sample", type=float, default=1.0,
@@ -237,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jsonl", default=None, metavar="FILE",
         help="also write one span record per line here",
     )
-    _feature_store_args(p_trace)
 
     p_ing = sub.add_parser("ingest", help="streaming edge ingestion")
     _dataset_args(p_ing)
@@ -317,6 +255,43 @@ def _feature_store_args(p: argparse.ArgumentParser) -> None:
         "reused when a matching layout already exists, default a "
         "per-run temporary directory",
     )
+
+
+def _load_args(p: argparse.ArgumentParser, duration: float):
+    """The load-run flags ``loadgen`` and ``trace`` share; returns the
+    required ``--url`` / ``--checkpoint`` group for the caller to fill."""
+    _dataset_args(p)
+    _feature_store_args(p)
+    target = p.add_mutually_exclusive_group(required=True)
+    p.add_argument("--rate", type=float, default=50.0, help="offered req/s")
+    p.add_argument("--duration", type=float, default=duration, help="seconds")
+    p.add_argument("--arrival", choices=("poisson", "bursty"), default="poisson")
+    p.add_argument(
+        "--mix", default=None, metavar="SPEC",
+        help="endpoint mix over predict, topk, update_edges and "
+        "update_features, e.g. predict=0.7,topk=0.25,update_edges=0.05",
+    )
+    p.add_argument("--clients", type=int, default=32, help="client threads")
+    p.add_argument("--batch-size", type=int, default=8,
+                   help="vertices per predict/topk request")
+    p.add_argument("--k", type=int, default=3, help="top-k for topk requests")
+    p.add_argument(
+        "--workers", type=int, default=4,
+        help="in-process admission gate: requests run at once (--checkpoint mode)",
+    )
+    p.add_argument(
+        "--max-queue", type=int, default=256,
+        help="in-process admission queue bound (--checkpoint mode)",
+    )
+    p.add_argument(
+        "--request-timeout", type=float, default=30.0,
+        help="per-request deadline in seconds",
+    )
+    p.add_argument(
+        "--num-threads", type=int, default=None,
+        help="kernel worker threads for the in-process precompute",
+    )
+    return target
 
 
 def _make_feature_store(ds, args):
@@ -542,7 +517,15 @@ def _parse_mix(spec):
     return mix
 
 
-def cmd_loadgen(args) -> int:
+def _run_load(args, tracer=None):
+    """Drive one open-loop run for ``loadgen`` / ``trace --checkpoint``.
+
+    ``--url`` drives a running server; ``--checkpoint`` builds an
+    in-process service behind a ``ServingFrontend`` (traced by
+    ``tracer`` when given).  Returns the ``LoadReport``; a bad mix or
+    gate setting raises ``ValueError``, an unreachable ``--url`` or a
+    missing checkpoint ``OSError``.
+    """
     from repro.serving.loadgen import (
         ARRIVALS,
         FrontendTarget,
@@ -551,14 +534,9 @@ def cmd_loadgen(args) -> int:
         run_open_loop,
     )
 
-    try:
-        mix = _parse_mix(args.mix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mix = _parse_mix(args.mix)
     rng = np.random.default_rng(args.seed)
     arrivals = ARRIVALS[args.arrival](args.rate, args.duration, rng)
-
     frontend = None
     try:
         if args.url:
@@ -567,32 +545,43 @@ def cmd_loadgen(args) -> int:
 
             base = args.url.rstrip("/")
             with urlopen(f"{base}/stats", timeout=10.0) as resp:
-                num_vertices = json.load(resp)["engine"]["num_vertices"]
+                engine = json.load(resp)["engine"]
+            num_vertices = engine["num_vertices"]
+            feature_dim = engine["feature_store"]["dim"]
             target = HttpTarget(base, timeout_s=args.request_timeout)
         else:
             from repro.serving import ServingFrontend
 
-            _, service = _build_service(args)
+            ds, service = _build_service(args)
             frontend = ServingFrontend(
                 service,
                 num_workers=args.workers,
                 max_queue=args.max_queue,
                 default_timeout_s=args.request_timeout,
+                tracer=tracer,
             )
-            num_vertices = service.engine.num_vertices
+            num_vertices, feature_dim = service.engine.num_vertices, ds.feature_dim
             target = FrontendTarget(frontend)
 
         schedule = build_schedule(
             arrivals, num_vertices, rng, mix=mix,
-            batch_size=args.batch_size, k=args.k,
+            batch_size=args.batch_size, k=args.k, feature_dim=feature_dim,
         )
         print(f"{args.arrival} arrivals: {len(schedule)} requests over "
               f"{args.duration:g}s at {args.rate:g} req/s offered")
-        report = run_open_loop(target, schedule, num_clients=args.clients)
+        return run_open_loop(target, schedule, num_clients=args.clients)
     finally:
         if frontend is not None:
             frontend.close()
             frontend.service.close()
+
+
+def cmd_loadgen(args) -> int:
+    try:
+        report = _run_load(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     s = report.summary()
     print(f"offered       : {s['offered']} requests ({s['offered_rps']:.1f} req/s)")
@@ -628,56 +617,27 @@ def cmd_trace(args) -> int:
         from urllib.request import urlopen
 
         base = args.url.rstrip("/")
-        with urlopen(f"{base}/trace", timeout=10.0) as resp:
-            payload = json.load(resp)
+        try:
+            with urlopen(f"{base}/trace", timeout=10.0) as resp:
+                payload = json.load(resp)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         n = validate_chrome_trace(payload)
         with open(args.out, "w") as fh:
             json.dump(payload, fh)
         print(f"{n} trace event(s) from {base}/trace -> {args.out}")
         return 0
 
-    from repro.serving import ServingFrontend
-    from repro.serving.loadgen import (
-        ARRIVALS,
-        FrontendTarget,
-        build_schedule,
-        run_open_loop,
-    )
-
-    try:
-        mix = _parse_mix(args.mix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if not 0.0 < args.sample <= 1.0:
         print("error: --sample must be in (0, 1]", file=sys.stderr)
         return 2
-    tracer = Tracer(enabled=True, sample_rate=args.sample, capacity=args.buffer)
-    rng = np.random.default_rng(args.seed)
-    arrivals = ARRIVALS[args.arrival](args.rate, args.duration, rng)
-    frontend = None
     try:
-        _, service = _build_service(args)
-        frontend = ServingFrontend(
-            service,
-            num_workers=args.workers,
-            max_queue=args.max_queue,
-            default_timeout_s=args.request_timeout,
-            tracer=tracer,
-        )
-        schedule = build_schedule(
-            arrivals, service.engine.num_vertices, rng, mix=mix,
-            batch_size=args.batch_size, k=args.k,
-        )
-        print(f"tracing {len(schedule)} {args.arrival} requests over "
-              f"{args.duration:g}s (sample rate {args.sample:g})")
-        report = run_open_loop(
-            FrontendTarget(frontend), schedule, num_clients=args.clients
-        )
-    finally:
-        if frontend is not None:
-            frontend.close()
-            frontend.service.close()
+        tracer = Tracer(enabled=True, sample_rate=args.sample, capacity=args.buffer)
+        report = _run_load(args, tracer=tracer)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     spans = tracer.export()
     payload = chrome_trace(spans)

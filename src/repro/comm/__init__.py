@@ -37,7 +37,7 @@ drives a rank program written against it (see ``docs/ARCHITECTURE.md``
   with genuine DRPA overlap.
 
 :data:`BACKENDS` is the registry; trainers resolve a backend name through
-:func:`validate_backend` / :func:`create_world`.
+:func:`validate_backend`.
 """
 
 from repro.comm.async_queue import DelayedQueue, Message
@@ -63,11 +63,6 @@ def validate_backend(name: str) -> str:
     return name
 
 
-def create_world(backend: str, num_ranks: int, **kwargs):
-    """Instantiate the world of the named backend."""
-    return BACKENDS[validate_backend(backend)](num_ranks, **kwargs)
-
-
 __all__ = [
     "World",
     "Communicator",
@@ -75,7 +70,6 @@ __all__ = [
     "ShmCommunicator",
     "BACKENDS",
     "validate_backend",
-    "create_world",
     "all_reduce",
     "DelayedQueue",
     "Message",

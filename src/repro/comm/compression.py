@@ -31,11 +31,6 @@ class PayloadCodec:
             raise ValueError(f"unknown compression {mode!r}; use one of {self.VALID}")
         self.mode = mode
 
-    @property
-    def ratio(self) -> float:
-        """Wire bytes per float32 element."""
-        return 4.0 if self.mode == "none" else 2.0
-
     def encode(self, payload: np.ndarray) -> np.ndarray:
         if self.mode == "none":
             return payload
@@ -54,10 +49,3 @@ class PayloadCodec:
             return np.asarray(wire, dtype=np.float16).astype(dtype)
         bits = np.asarray(wire, dtype=np.uint16).astype(np.uint32) << np.uint32(16)
         return bits.view(np.float32).astype(dtype)
-
-    def roundtrip_error(self, payload: np.ndarray) -> float:
-        """Max relative error of one encode/decode cycle (diagnostics)."""
-        arr = np.asarray(payload, dtype=np.float32)
-        back = self.decode(self.encode(arr))
-        denom = np.maximum(np.abs(arr), 1e-12)
-        return float(np.max(np.abs(back - arr) / denom))

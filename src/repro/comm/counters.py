@@ -48,14 +48,6 @@ class CommCounters:
         with self._lock:
             return sum(self.bytes_sent)
 
-    @property
-    def max_rank_bytes(self) -> int:
-        """Busiest rank's traffic — the scaling bottleneck."""
-        with self._lock:
-            return max(
-                (s + r for s, r in zip(self.bytes_sent, self.bytes_received)), default=0
-            )
-
     def snapshot(self) -> "CommCounters":
         """Copy for before/after deltas."""
         c = CommCounters(self.num_ranks)

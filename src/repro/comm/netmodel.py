@@ -1,6 +1,6 @@
 """Latency/bandwidth network cost model.
 
-Converts counted communication into modelled wall time with the classic
+Converts communicated bytes into modelled wall time with the classic
 alpha-beta model: ``time = alpha * messages + bytes / beta``.  Defaults
 approximate the paper's fabric (Mellanox HDR, DragonFly topology): 200
 Gb/s links with ~1.5 us MPI latency, derated for collective efficiency.
@@ -9,8 +9,6 @@ Gb/s links with ~1.5 us MPI latency, derated for collective efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.comm.counters import CommCounters
 
 
 @dataclass(frozen=True)
@@ -24,25 +22,10 @@ class NetworkModel:
     #: rarely sustains full line rate).
     collective_efficiency: float = 0.7
 
-    def p2p_time(self, nbytes: float, messages: int = 1) -> float:
-        return self.latency_s * messages + nbytes / self.bandwidth_Bps
-
     def collective_time(self, max_rank_bytes: float, messages: int = 1) -> float:
         """Time of a collective dominated by its busiest rank."""
         eff = self.bandwidth_Bps * self.collective_efficiency
         return self.latency_s * messages + max_rank_bytes / eff
-
-    def epoch_comm_time(self, counters: CommCounters) -> float:
-        """Modelled time to move one epoch's counted traffic.
-
-        Uses the busiest rank (links are parallel across ranks) plus one
-        latency per recorded message.
-        """
-        if counters.num_ranks <= 1:
-            return 0.0
-        msgs = max(counters.messages_sent) if counters.messages_sent else 0
-        coll = sum(counters.collective_calls.values())
-        return self.collective_time(counters.max_rank_bytes, messages=msgs + coll)
 
 
 #: Paper cluster fabric: Mellanox HDR (200 Gb/s), DragonFly.

@@ -69,35 +69,3 @@ class TrainConfig:
 
 
 #: Learning rates of paper Table 5, keyed by (dataset, num_sockets).
-PAPER_LEARNING_RATES = {
-    ("reddit", 1): 0.01,
-    ("reddit", 2): 0.028,
-    ("reddit", 4): 0.028,
-    ("reddit", 8): 0.028,
-    ("reddit", 16): 0.028,
-    ("ogbn-products", 1): 0.01,
-    ("ogbn-products", 2): 0.05,
-    ("ogbn-products", 4): 0.05,
-    ("ogbn-products", 8): 0.08,
-    ("ogbn-products", 16): 0.08,
-    ("ogbn-products", 32): 0.07,
-    ("ogbn-products", 64): 0.07,
-    ("ogbn-papers", 1): 0.03,
-    ("ogbn-papers", 128): 0.01,
-}
-
-
-def paper_learning_rate(dataset: str, num_sockets: int, default: float = 0.01) -> float:
-    """cd-0 learning rate from Table 5 (fallback: nearest smaller socket
-    count, then ``default``)."""
-    key = (dataset.lower(), num_sockets)
-    if key in PAPER_LEARNING_RATES:
-        return PAPER_LEARNING_RATES[key]
-    candidates = [
-        (s, lr)
-        for (d, s), lr in PAPER_LEARNING_RATES.items()
-        if d == dataset.lower() and s <= num_sockets
-    ]
-    if candidates:
-        return max(candidates)[1]
-    return default

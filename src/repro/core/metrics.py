@@ -39,10 +39,6 @@ class Stopwatch:
     def get(self, phase: str) -> float:
         return self.totals.get(phase, 0.0)
 
-    def reset(self) -> None:
-        self.totals.clear()
-
-
 class _PhaseContext:
     __slots__ = ("sw", "phase", "_t0")
 
@@ -98,12 +94,6 @@ class TrainResult:
             e.ap_time_s for e in self.epochs
         ]
         return sum(times) / len(times) if times else 0.0
-
-    def avg_time_between(self, start: int, stop: int) -> float:
-        """Average epoch time over epoch index range [start, stop) — the
-        paper averages epochs 10-20 for cd-r to skip the pipeline fill."""
-        sel = [e.total_time_s for e in self.epochs if start <= e.epoch < stop]
-        return sum(sel) / len(sel) if sel else self.avg_epoch_time_s
 
     @property
     def final_loss(self) -> float:

@@ -10,8 +10,7 @@ live in a frozen CSR **base**, arriving edges append to a small COO
 **delta** buffer (O(1) amortized per edge, no CSR rebuild), and
 deletions mark **tombstones** instead of rewriting either store.
 
-The merged read view (:meth:`in_degrees`, :meth:`neighbors`,
-:meth:`edge_ids_of`, :meth:`csr`) presents exactly the graph that a
+The merged view :meth:`csr` presents exactly the graph that a
 from-scratch rebuild over the surviving edge sequence would produce:
 ``coo_to_csr`` sorts destination-major with a *stable* sort, so base
 edges keep their row order and delta edges land after them in arrival
@@ -96,23 +95,17 @@ class DynamicGraph:
         self._d_eid: List[int] = []
         self._d_alive: List[bool] = []
         self._d_dead = 0
-        #: (u, v) -> delta positions, so pair lookups (remove_edges,
-        #: has_edge) cost O(matches) instead of a full delta scan
+        #: (u, v) -> delta positions, so a remove_edges pair lookup
+        #: costs O(matches) instead of a full delta scan
         self._d_index: dict = {}
         #: next edge id to hand out (ids are never reused)
         self._next_eid = int(base.edge_ids.max(initial=-1)) + 1
-        self._deg = base.in_degrees().astype(INDEX_DTYPE)
         self._merged: Optional[CSRGraph] = None  # cached merged CSR
         self.num_compactions = 0
         self.num_added = 0
         self.num_removed = 0
 
     # -- sizes -----------------------------------------------------------------
-
-    @property
-    def base(self) -> CSRGraph:
-        """Current frozen base (replaced by :meth:`compact`)."""
-        return self._base
 
     @property
     def num_vertices(self) -> int:
@@ -168,13 +161,9 @@ class DynamicGraph:
         for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
             self._d_index.setdefault((u, v), []).append(pos + i)
         self._next_eid += src.size
-        np.add.at(self._deg, dst, 1)
         self.num_added += src.size
         self._dirty()
         return eids
-
-    def add_edge(self, u: int, v: int) -> int:
-        return int(self.add_edges([u], [v])[0])
 
     def remove_edges(self, src, dst, strict: bool = True) -> np.ndarray:
         """Tombstone every live edge matching each ``(src[i], dst[i])``.
@@ -206,14 +195,10 @@ class DynamicGraph:
                 self._d_alive[pos] = False
                 self._d_dead += 1
                 removed.append(self._d_eid[pos])
-            self._deg[v] -= 1
             self.num_removed += 1
         if removed:
             self._dirty()
         return np.asarray(removed, dtype=INDEX_DTYPE)
-
-    def remove_edge(self, u: int, v: int) -> np.ndarray:
-        return self.remove_edges([u], [v])
 
     def _live_matches(self, u: int, v: int) -> List[Tuple[str, int]]:
         """``(store, position)`` of every live edge ``u -> v``."""
@@ -237,41 +222,6 @@ class DynamicGraph:
             self.compact()
 
     # -- merged read view -------------------------------------------------------
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._live_matches(int(u), int(v)))
-
-    def in_degree(self, v: int) -> int:
-        return int(self._deg[v])
-
-    def in_degrees(self) -> np.ndarray:
-        return self._deg.copy()
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Live in-neighbours of ``v``: base row order, then arrival order."""
-        return self._row(v)[0]
-
-    def edge_ids_of(self, v: int) -> np.ndarray:
-        return self._row(v)[1]
-
-    def _row(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = int(self._base.indptr[v]), int(self._base.indptr[v + 1])
-        alive = self._base_alive[lo:hi]
-        srcs = [self._base.indices[lo:hi][alive]]
-        eids = [self._base.edge_ids[lo:hi][alive]]
-        d_src = [
-            u
-            for u, dv, a in zip(self._d_src, self._d_dst, self._d_alive)
-            if dv == v and a
-        ]
-        d_eid = [
-            e
-            for e, dv, a in zip(self._d_eid, self._d_dst, self._d_alive)
-            if dv == v and a
-        ]
-        srcs.append(np.asarray(d_src, dtype=INDEX_DTYPE))
-        eids.append(np.asarray(d_eid, dtype=INDEX_DTYPE))
-        return np.concatenate(srcs), np.concatenate(eids)
 
     def live_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Surviving ``(src, dst, edge_ids)`` — base storage order first,

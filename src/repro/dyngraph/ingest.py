@@ -138,9 +138,6 @@ class LibraState:
         self.num_assigned += src.size
         return out
 
-    def assign_one(self, u: int, v: int) -> int:
-        return int(self.assign([u], [v])[0])
-
     def assign_graph(self, graph: CSRGraph) -> np.ndarray:
         """Stream a whole graph in CSR storage order.
 
@@ -269,16 +266,6 @@ class LibraState:
                 raise LibraStateError(f"{path}: not a usable LibraState "
                                       f"file ({exc!r})") from exc
         return state
-
-    def stats(self) -> dict:
-        return {
-            "num_partitions": self.num_partitions,
-            "num_assigned": self.num_assigned,
-            "loads": self.load.tolist(),
-            "replication_factor": self.replication_factor,
-            "baseline_rf": self.baseline_rf,
-            "drift": self.drift(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -139,10 +139,6 @@ class FeatureStore:
         return int(self._base.shape[1])
 
     @property
-    def shape(self):
-        return self._base.shape
-
-    @property
     def dtype(self):
         return self._base.dtype
 
@@ -233,7 +229,7 @@ class FeatureStore:
 
     def __repr__(self) -> str:  # pragma: no cover - logging convenience
         return (
-            f"FeatureStore(tier={self.tier!r}, shape={tuple(self.shape)}, "
+            f"FeatureStore(tier={self.tier!r}, shape={(self.num_rows, self.dim)}, "
             f"dtype={np.dtype(self.dtype)})"
         )
 

@@ -7,13 +7,12 @@ other layer of the reproduction builds on:
   aggregation kernels (the role DGL's ``CSRMatrix`` plays in the paper).
 - :mod:`repro.graph.builders` — COO accumulation and conversion helpers.
 - :mod:`repro.graph.generators` — synthetic graph generators (R-MAT,
-  stochastic block model, preferential attachment) used to synthesize
+  stochastic block model, power-law cluster hybrid) used to synthesize
   structural stand-ins for the paper's datasets.
 - :mod:`repro.graph.datasets` — the five benchmark stand-ins (Reddit,
   OGBN-Products, OGBN-Papers, Proteins, AM) with matched structural
   signatures plus planted labels for accuracy experiments.
-- :mod:`repro.graph.io` — ``.npz`` persistence.
-- :mod:`repro.graph.utils` — degrees, bidirection, subgraphs, density.
+- :mod:`repro.graph.utils` — average degree, density, bidirection, splits.
 
 :class:`~repro.dyngraph.delta.DynamicGraph` (re-exported here) is the
 mutable counterpart: a frozen CSR base plus a streaming edge delta and
@@ -31,21 +30,12 @@ from repro.graph.datasets import (
 )
 from repro.graph.generators import (
     powerlaw_cluster_graph,
-    preferential_attachment_graph,
     rmat_graph,
     sbm_graph,
-)
-from repro.graph.io import (
-    load_feature_layout,
-    load_graph,
-    save_feature_layout,
-    save_graph,
 )
 from repro.graph.utils import (
     average_degree,
     density,
-    in_degrees,
-    out_degrees,
     to_bidirected,
 )
 
@@ -59,19 +49,12 @@ __all__ = [
     "from_edge_list",
     "rmat_graph",
     "sbm_graph",
-    "preferential_attachment_graph",
     "powerlaw_cluster_graph",
     "Dataset",
     "PaperDatasetStats",
     "PAPER_DATASET_STATS",
     "DATASET_REGISTRY",
     "load_dataset",
-    "save_graph",
-    "load_graph",
-    "save_feature_layout",
-    "load_feature_layout",
-    "in_degrees",
-    "out_degrees",
     "average_degree",
     "density",
     "to_bidirected",

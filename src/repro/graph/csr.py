@@ -245,17 +245,3 @@ class CSRGraph:
             f"CSRGraph(num_vertices={self.num_vertices}, num_src={self.num_src}, "
             f"num_edges={self.num_edges})"
         )
-
-
-def validate_graph(g: CSRGraph) -> None:
-    """Raise ``ValueError`` on structural inconsistencies.
-
-    The :class:`CSRGraph` constructor already checks shape invariants; this
-    re-checks them for graphs deserialized from disk.
-    """
-    CSRGraph(
-        indptr=np.asarray(g.indptr),
-        indices=np.asarray(g.indices),
-        edge_ids=np.asarray(g.edge_ids),
-        num_src=g.num_src,
-    )

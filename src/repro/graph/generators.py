@@ -10,8 +10,7 @@ The paper's datasets occupy distinct structural regimes (Section 6):
 We provide the generators needed to synthesize graphs in each regime:
 R-MAT (Kronecker-style power law used by Graph500), a stochastic block
 model (planted communities, used for Proteins-like clustering *and* to
-give datasets learnable labels), preferential attachment, and a power-law
-cluster hybrid.  All generators are deterministic given ``seed``.
+give datasets learnable labels) and a power-law cluster hybrid.  All generators are deterministic given ``seed``.
 """
 
 from __future__ import annotations
@@ -152,40 +151,6 @@ def sbm_labels(block_sizes: Sequence[int]) -> np.ndarray:
     return np.repeat(
         np.arange(len(block_sizes), dtype=INDEX_DTYPE), np.asarray(block_sizes)
     )
-
-
-def preferential_attachment_graph(
-    num_vertices: int, m: int, seed: int = 0
-) -> CSRGraph:
-    """Barabási–Albert preferential attachment (undirected, emitted both ways).
-
-    Each new vertex attaches to ``m`` existing vertices chosen proportionally
-    to degree, using the repeated-endpoints sampling trick (sampling uniformly
-    from the flat edge-endpoint list is exactly degree-proportional).
-    """
-    if m < 1 or num_vertices <= m:
-        raise ValueError("need num_vertices > m >= 1")
-    rng = np.random.default_rng(seed)
-    # endpoint pool: every endpoint appearance = one unit of degree
-    targets = list(range(m))
-    pool: list = []
-    src_l: list = []
-    dst_l: list = []
-    for v in range(m, num_vertices):
-        chosen = sorted_unique(np.asarray(targets, dtype=INDEX_DTYPE))
-        for t in chosen:
-            src_l.append(v)
-            dst_l.append(int(t))
-        pool.extend(chosen.tolist())
-        pool.extend([v] * len(chosen))
-        # degree-proportional sample (with replacement, deduped on use)
-        idx = rng.integers(0, len(pool), size=m)
-        targets = [pool[i] for i in idx]
-    src = np.asarray(src_l, dtype=INDEX_DTYPE)
-    dst = np.asarray(dst_l, dtype=INDEX_DTYPE)
-    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    src, dst = dedupe_edges(src, dst)
-    return coo_to_csr(src, dst, num_dst=num_vertices, num_src=num_vertices)
 
 
 def powerlaw_cluster_graph(

@@ -90,11 +90,3 @@ class BlockedGraph:
             blocks=build_blocks(graph, num_blocks),
             bounds=block_bounds(graph.num_src, num_blocks),
         )
-
-    @property
-    def block_size(self) -> int:
-        return int(self.bounds[1] - self.bounds[0]) if self.num_blocks else 0
-
-    @property
-    def num_src(self) -> int:
-        return self.graph.num_src

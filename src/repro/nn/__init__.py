@@ -15,13 +15,12 @@ aggregation primitive.
 - :mod:`repro.nn.rgcn` — relational GCN for the heterogeneous AM workload.
 - :mod:`repro.nn.loss` — masked cross-entropy.
 - :mod:`repro.nn.optim` — SGD / Adam with the paper's weight decay.
-- :mod:`repro.nn.init` — Xavier/Kaiming initializers.
+- :mod:`repro.nn.init` — the Xavier initializer.
 """
 
 from repro.nn import functional
-from repro.nn.gat import GAT, GATConv
 from repro.nn.gcn import GCN, GCNConv
-from repro.nn.init import kaiming_uniform, xavier_uniform
+from repro.nn.init import xavier_uniform
 from repro.nn.layers import Dropout, Linear
 from repro.nn.loss import accuracy, masked_cross_entropy
 from repro.nn.module import InputAggregate, Module, Parameter
@@ -45,13 +44,10 @@ __all__ = [
     "RelGraphConv",
     "GCN",
     "GCNConv",
-    "GAT",
-    "GATConv",
     "masked_cross_entropy",
     "accuracy",
     "Optimizer",
     "SGD",
     "Adam",
     "xavier_uniform",
-    "kaiming_uniform",
 ]

@@ -250,110 +250,6 @@ def _cached_reverse(graph: CSRGraph) -> CSRGraph:
     return rev
 
 
-def _cached_dst_map(graph: CSRGraph) -> np.ndarray:
-    """Per-edge destination ids in CSR order, cached on the graph.
-
-    ``edge_softmax`` backward needs this map every call of every epoch;
-    like :func:`_cached_reverse` it is built once per graph instance.
-    """
-    dst = getattr(graph, "_csr_dst_map", None)
-    if dst is None:
-        dst = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
-        object.__setattr__(graph, "_csr_dst_map", dst)
-    return dst
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data > 0
-    out = np.where(mask, a.data, slope * a.data)
-
-    def backward(g):
-        return (np.where(mask, g, slope * g),)
-
-    return _make(out, (a,), backward, "leaky_relu")
-
-
-def edge_scores(graph: CSRGraph, src_score: Tensor, dst_score: Tensor) -> Tensor:
-    """Per-edge score ``e_uv = s_src[u] + s_dst[v]`` (GAT logits).
-
-    Inputs are ``(N, 1)`` columns; output is ``(num_edges, 1)`` in edge-id
-    order.  This is the SDDMM-``add`` of paper Section 2.2, made
-    differentiable: backward scatter-adds edge gradients to the endpoint
-    scores.
-    """
-    src, dst, eid = graph.to_coo()
-    out = np.empty((graph.num_edges, 1), dtype=src_score.dtype)
-    out[eid] = src_score.data[src] + dst_score.data[dst]
-
-    def backward(g):
-        ge = g[eid]
-        gs = np.zeros_like(src_score.data)
-        gd = np.zeros_like(dst_score.data)
-        np.add.at(gs[:, 0], src, ge[:, 0])
-        np.add.at(gd[:, 0], dst, ge[:, 0])
-        return gs, gd
-
-    return _make(out, (src_score, dst_score), backward, "edge_scores")
-
-
-def edge_softmax(graph: CSRGraph, logits: Tensor) -> Tensor:
-    """Differentiable per-destination softmax over in-edge logits."""
-    from repro.kernels.sddmm import edge_softmax_vectorized
-
-    soft = edge_softmax_vectorized(graph, logits.data)
-    eids = graph.edge_ids
-    dtype = logits.dtype
-
-    def backward(g):
-        # d logits = s * (g - sum_per_segment(g * s)), computed in the
-        # input dtype over the cached per-edge destination map (rebuilt
-        # scratch here used to dominate the backward's allocation cost).
-        dst = _cached_dst_map(graph)
-        gs = g * soft
-        seg = np.zeros(graph.num_vertices, dtype=dtype)
-        np.add.at(seg, dst, gs[eids, 0])
-        per_edge = np.empty_like(g)
-        per_edge[eids, 0] = seg[dst]
-        return ((soft * (g - per_edge)).astype(dtype, copy=False),)
-
-    return _make(soft, (logits,), backward, "edge_softmax")
-
-
-def weighted_spmm(
-    graph: CSRGraph,
-    features: Tensor,
-    weights: Tensor,
-    kernel: str = "auto",
-    num_threads: Optional[int] = None,
-) -> Tensor:
-    """Attention-weighted aggregation ``out[v] = sum_u w_uv * h_u``.
-
-    ``weights`` is ``(num_edges, 1)`` in edge-id order.  The ``mul``/``sum``
-    AP has no SpMM lowering, so ``auto`` runs the gather → ``reduceat``
-    engine — unchunked below the cache threshold, bucketed above it so
-    the per-edge intermediate stays bounded on large graphs.
-    Gradients flow to both operands: features through the transposed
-    adjacency with the same weights, weights through the SDDMM-dot of
-    endpoint features/gradients.
-    """
-    out = aggregate(
-        graph, features.data, weights.data, binary_op="mul", reduce_op="sum",
-        kernel=kernel, num_threads=num_threads,
-    )
-
-    def backward(g):
-        gf = aggregate(
-            _cached_reverse(graph), g, weights.data, binary_op="mul",
-            reduce_op="sum", kernel=kernel, num_threads=num_threads,
-        )
-        from repro.kernels.sddmm import sddmm
-
-        gw = sddmm(graph, features.data, g, op="dot").astype(weights.dtype)
-        return gf.astype(features.dtype), gw
-
-    return _make(out, (features, weights), backward, "weighted_spmm")
-
-
 def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Element selection ``out[i] = a[rows[i], cols[i]]`` (for NLL loss)."""
     rows = np.asarray(rows)

@@ -26,12 +26,6 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
 
-def symmetric_norm(graph: CSRGraph) -> Tensor:
-    """``(deg + 1)^-1/2`` column vector (the +1 is the implicit self loop)."""
-    deg = graph.in_degrees().astype(np.float32)
-    return Tensor((1.0 / np.sqrt(deg + 1.0)).reshape(-1, 1))
-
-
 class GCNConv(GraphConv):
     """One GCN layer with implicit self loops."""
 

@@ -11,11 +11,3 @@ def xavier_uniform(
     """Glorot/Xavier uniform — DGL's default for GraphConv weights."""
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
-
-
-def kaiming_uniform(
-    fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """He/Kaiming uniform for ReLU stacks."""
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)

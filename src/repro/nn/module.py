@@ -82,10 +82,6 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}")
             own[name].data = arr.copy()
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
-
 class InputAggregate:
     """One-slot memo of a first layer's ``aggregate``, for an owner whose
     graph, input features and norm stay fixed across calls (a trainer, a

@@ -24,10 +24,6 @@ class Optimizer:
         self.lr = lr
         self.weight_decay = weight_decay
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def _grad(self, p: Parameter) -> np.ndarray:
         g = p.grad
         if g is None:

@@ -105,16 +105,3 @@ class GraphSAGE(Module):
             if self.dropout is not None and i < self.num_layers - 1:
                 h = self.dropout(h)
         return h
-
-    @staticmethod
-    def paper_config(dataset_name: str) -> dict:
-        """Layer counts / hidden sizes from paper Section 6.1."""
-        if dataset_name.lower() == "reddit":
-            return {"num_layers": 2, "hidden_features": 16}
-        return {"num_layers": 3, "hidden_features": 256}
-
-
-def gcn_norm_tensor(graph: CSRGraph) -> Tensor:
-    """``1/(in_degree + 1)`` column vector as a constant tensor."""
-    deg = graph.in_degrees().astype(np.float32)
-    return Tensor((1.0 / (deg + 1.0)).reshape(-1, 1))

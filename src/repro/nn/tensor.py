@@ -92,10 +92,6 @@ class Tensor:
 
     # -- graph manipulation ----------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        """A view of the data cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

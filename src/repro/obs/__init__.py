@@ -22,8 +22,6 @@ from repro.obs.registry import (
     register_comm_world,
     render_prometheus,
     serving_registry,
-    to_json,
-    unregister_comm_world,
 )
 from repro.obs.trace import (
     COMPONENTS,
@@ -56,6 +54,4 @@ __all__ = [
     "register_comm_world",
     "render_prometheus",
     "serving_registry",
-    "to_json",
-    "unregister_comm_world",
 ]

@@ -11,11 +11,8 @@ counters, ``FeatureStore.stats()``, ``AP_TIMER``, per-world
   edges for nothing);
 - **naming** is consistent ``repro_*`` with Prometheus conventions
   (``_total`` suffix on monotone counters, base units in the name);
-- **exposition** renders the same collected families as Prometheus
-  text (:func:`render_prometheus`, served at ``GET
-  /metrics?format=prom``) or JSON (:func:`to_json`) — both views are
-  derived from one ``collect()`` pass, so they agree counter-for-
-  counter by construction (and a CI invariant re-checks it anyway).
+- **exposition** renders the collected families as Prometheus text
+  (:func:`render_prometheus`, served at ``GET /metrics?format=prom``).
 
 The existing ``GET /metrics`` JSON body is *not* rerouted through the
 registry: it stays ``ServingFrontend.metrics_snapshot()`` bit-for-bit;
@@ -76,14 +73,6 @@ class Registry:
                 raise ValueError(f"collector {name!r} already registered")
             self._collectors[name] = collector
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._collectors.pop(name, None)
-
-    def collector_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._collectors)
-
     def collect(self) -> List[Metric]:
         """Run every collector (outside the registry lock) and return
         the families sorted by name; duplicate family names are a
@@ -135,20 +124,6 @@ def render_prometheus(metrics: List[Metric]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(metrics: List[Metric]) -> dict:
-    """The same families as a JSON object (name -> kind/help/samples)."""
-    return {
-        m.name: {
-            "kind": m.kind,
-            "help": m.help,
-            "samples": [
-                {"labels": labels, "value": value} for labels, value in m.samples
-            ],
-        }
-        for m in metrics
-    }
-
-
 def parse_prometheus(text: str) -> Dict[str, Dict[Tuple[Tuple[str, str], ...], float]]:
     """Parse exposition text back to ``{family: {labels: value}}`` —
     used by the agreement tests and the CI conservation gate, so the
@@ -192,11 +167,6 @@ def register_comm_world(world, kind: str = "world") -> str:
     with _comm_lock:
         _comm_worlds[name] = ref
     return name
-
-
-def unregister_comm_world(name: str) -> None:
-    with _comm_lock:
-        _comm_worlds.pop(name, None)
 
 
 def _live_comm_worlds() -> List[Tuple[str, object]]:

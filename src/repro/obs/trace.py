@@ -146,28 +146,14 @@ class Span:
         with self._lock:
             return self._components.get(name, 0.0)
 
-    def annotate(self, **kwargs) -> None:
-        """Attach JSON-safe key/value arguments to the span."""
-        with self._lock:
-            if not self._ended:
-                self._args.update(kwargs)
-
     # -- children -------------------------------------------------------------
-
-    def child(self, name: str, cat: str = "serving") -> "Span":
-        """Open a live child span (close it with :meth:`end` / ``with``)."""
-        return Span(
-            self.tracer, name, cat=cat,
-            trace_id=self.trace_id, parent_id=self.span_id,
-        )
 
     def child_complete(self, name: str, dur_s: float, cat: str = "serving", **args):
         """Record an already-measured child interval that ends *now*.
 
-        Cheaper than ``child()``/``end()`` for sites that timed
-        themselves anyway, and safe to call even after the parent was
-        closed by a timed-out caller (the child still lands in the ring
-        with its parent linkage).
+        Safe to call even after the parent was closed by a timed-out
+        caller (the child still lands in the ring with its parent
+        linkage).
         """
         t_end = time.perf_counter()
         self.tracer.push(
@@ -187,11 +173,6 @@ class Span:
         )
 
     # -- completion -----------------------------------------------------------
-
-    @property
-    def ended(self) -> bool:
-        with self._lock:
-            return self._ended
 
     def end(self, outcome: str = "ok", e2e_s: Optional[float] = None) -> None:
         """Close the span into the ring; first close wins (idempotent).

@@ -24,7 +24,6 @@ partitions to edges as they arrive, byte-equal to a batch replay.
 
 from repro.dyngraph.ingest import LibraState, streaming_libra_partition
 from repro.partition.baselines import hash_edge_partition, random_edge_partition
-from repro.partition.io import load_partitioning, save_partitioning
 from repro.partition.libra import libra_partition
 from repro.partition.partition import (
     GraphPartition,
@@ -47,6 +46,4 @@ __all__ = [
     "build_split_trees",
     "PartitionStats",
     "partition_stats",
-    "save_partitioning",
-    "load_partitioning",
 ]

@@ -91,15 +91,6 @@ class PartitionedGraph:
             out.append((int(p), int(part.local_of(np.array([global_vertex]))[0])))
         return out
 
-    def unified_id(self, part_id: int, local_id: int) -> int:
-        """Single integer id of a clone (paper Section 5.2 local-ID scheme)."""
-        return int(self.vertex_map[part_id] + local_id)
-
-    def locate(self, unified_id: int) -> Tuple[int, int]:
-        """Inverse of :meth:`unified_id` via the vertex_map."""
-        p = int(np.searchsorted(self.vertex_map, unified_id, side="right") - 1)
-        return p, int(unified_id - self.vertex_map[p])
-
     @property
     def replication_factor(self) -> float:
         """Average clones per present vertex (paper Table 4 metric)."""

@@ -22,13 +22,6 @@ class PartitionStats:
     max_edges: int
     min_edges: int
 
-    def row(self) -> str:
-        return (
-            f"P={self.num_partitions:<4d} rf={self.replication_factor:5.2f} "
-            f"edge_bal={self.edge_balance:5.3f} split%={100 * self.split_vertex_fraction:5.1f}"
-        )
-
-
 def partition_stats(parted: PartitionedGraph) -> PartitionStats:
     """Compute replication factor, balance, and split-vertex shares."""
     edges = np.array([p.num_edges for p in parted.parts], dtype=np.float64)

@@ -34,10 +34,6 @@ class SplitVertexTree:
     leaf_parts: np.ndarray
     leaf_locals: np.ndarray
 
-    @property
-    def num_clones(self) -> int:
-        return 1 + self.leaf_parts.size
-
 
 @dataclass
 class TreeExchangePlan:
@@ -65,13 +61,6 @@ class TreeExchangePlan:
     @property
     def num_routes(self) -> int:
         return self.leaf_part.size
-
-    def routes_between(self, src_part: int, dst_part: int) -> np.ndarray:
-        """Route indices for messages from ``src_part`` to ``dst_part``
-        in the leaf->root direction."""
-        return np.flatnonzero(
-            (self.leaf_part == src_part) & (self.root_part == dst_part)
-        )
 
     def select(self, route_indices: np.ndarray) -> "TreeExchangePlan":
         """Sub-plan containing only the given routes (used for binning)."""

@@ -22,14 +22,14 @@ byte/op counts) and converting those counts into modelled time with:
 from repro.perf.hardware import SocketSpec, XEON_8280, XEON_9242
 from repro.perf.roofline import ap_kernel_time, roofline_time
 from repro.perf.workmodel import LayerWork, full_batch_work, total_work_bops
-from repro.perf.epochmodel import EpochBreakdown, EpochModel, ScalingPoint
+from repro.perf.epochmodel import EpochBreakdown, EpochModel
 from repro.perf.memory import MemoryModel, graphsage_memory_bytes
 from repro.perf.minibatch import (
     MinibatchHop,
     minibatch_epoch_work,
     sampled_frontier_sizes,
 )
-from repro.perf.scheduling import ScheduleResult, scheduling_gain, simulate_schedule
+from repro.perf.scheduling import ScheduleResult, simulate_schedule
 
 __all__ = [
     "SocketSpec",
@@ -42,7 +42,6 @@ __all__ = [
     "total_work_bops",
     "EpochModel",
     "EpochBreakdown",
-    "ScalingPoint",
     "MemoryModel",
     "graphsage_memory_bytes",
     "MinibatchHop",
@@ -50,5 +49,4 @@ __all__ = [
     "sampled_frontier_sizes",
     "ScheduleResult",
     "simulate_schedule",
-    "scheduling_gain",
 ]

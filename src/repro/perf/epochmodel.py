@@ -120,16 +120,6 @@ class EpochBreakdown:
         )
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One point of a Fig. 5 curve."""
-
-    algorithm: str
-    num_partitions: int
-    epoch_time_s: float
-    speedup_vs_single: float
-
-
 class EpochModel:
     """Epoch-time model for one dataset across partition counts."""
 
@@ -250,25 +240,6 @@ class EpochModel:
     def single_socket_time(self) -> float:
         """Optimized single-socket epoch time (the speedup denominator)."""
         return self.breakdown(1, "0c").total
-
-    def scaling_curve(
-        self, partition_counts: Sequence[int], algorithms: Sequence[str]
-    ) -> List[ScalingPoint]:
-        base = self.single_socket_time()
-        points = []
-        for p in partition_counts:
-            for algo in algorithms:
-                t = self.breakdown(p, algo).total
-                points.append(
-                    ScalingPoint(
-                        algorithm=algo,
-                        num_partitions=p,
-                        epoch_time_s=t,
-                        speedup_vs_single=base / t if t > 0 else float("inf"),
-                    )
-                )
-        return points
-
 
 def _delay_of(algo: str) -> int:
     if algo.startswith("cd-"):

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -43,11 +41,6 @@ class ScheduleResult:
     def imbalance(self) -> float:
         """makespan / ideal; 1.0 = perfectly balanced."""
         return self.makespan / self.ideal if self.ideal > 0 else 1.0
-
-    @property
-    def efficiency(self) -> float:
-        return 1.0 / self.imbalance
-
 
 def per_destination_work(graph: CSRGraph, feature_dim: int = 1) -> np.ndarray:
     """Work per destination row: in-degree × feature width (flop-ish units)."""
@@ -102,26 +95,3 @@ def simulate_schedule(
     else:
         raise ValueError(f"unknown policy {policy!r}; use 'static' or 'dynamic'")
     return ScheduleResult(policy, num_threads, chunk, makespan, ideal)
-
-
-def scheduling_gain(
-    graph: CSRGraph,
-    num_threads: int = 28,
-    feature_dim: int = 1,
-    chunk: Optional[int] = None,
-) -> float:
-    """Speedup of dynamic over static scheduling for this graph's skew.
-
-    ~1.0 for balanced-degree graphs (Reddit), >1 for power-law graphs
-    (OGBN-Products) — the Fig. 4 "DS" bar.  ``chunk=None`` sizes chunks so
-    each thread sees ~32 of them, the regime OpenMP dynamic needs to
-    actually balance.
-    """
-    work = per_destination_work(graph, feature_dim)
-    if chunk is None:
-        chunk = max(1, work.size // (num_threads * 32))
-    static = simulate_schedule(work, num_threads, policy="static")
-    dynamic = simulate_schedule(work, num_threads, policy="dynamic", chunk=chunk)
-    if dynamic.makespan == 0:
-        return 1.0
-    return static.makespan / dynamic.makespan

@@ -70,10 +70,6 @@ class SampledBatch:
         """Global ids whose features feed the first layer."""
         return self.blocks[0].src_global
 
-    @property
-    def total_sampled_edges(self) -> int:
-        return sum(b.num_sampled_edges for b in self.blocks)
-
     def work_ops(self, feature_dims: Sequence[int]) -> float:
         """Paper Table 7 accounting: sampled edges x feature width per hop."""
         if len(feature_dims) != len(self.blocks):

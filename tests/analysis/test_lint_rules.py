@@ -204,6 +204,63 @@ def test_blocking_outside_lock_is_clean():
     assert lint(BLOCKING_GOOD, rules=["REP102"]) == []
 
 
+def test_wait_on_the_held_condition_is_clean_without_timeout():
+    # Condition.wait releases the lock it waits on: no timeout needed,
+    # whether the condition is an attribute or a local name.
+    source = """
+        import threading
+
+        class Box:
+            def __init__(self):
+                self._cond = threading.Condition()
+
+            def take(self):
+                with self._cond:
+                    self._cond.wait()
+
+        def drain():
+            cond = threading.Condition()
+            with cond:
+                cond.wait()
+    """
+    assert lint(source, rules=["REP102"]) == []
+
+
+def test_wait_on_another_object_under_a_lock_is_flagged():
+    source = """
+        import threading
+
+        class Box:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._cond = threading.Condition()
+
+            def take(self, event):
+                with self._lock:
+                    event.wait()
+                    self._cond.wait()
+    """
+    violations = lint(source, rules=["REP102"])
+    assert codes(violations) == ["REP102", "REP102"]
+    assert all("wait() without timeout" in v.message for v in violations)
+
+
+def test_wait_with_a_timeout_under_a_lock_is_clean():
+    source = """
+        import threading
+
+        class Box:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def take(self, event):
+                with self._lock:
+                    event.wait(0.5)
+                    event.wait(timeout=0.5)
+    """
+    assert lint(source, rules=["REP102"]) == []
+
+
 # -- REP103: read-only hand-out contract -------------------------------------
 
 

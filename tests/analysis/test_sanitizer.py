@@ -54,6 +54,18 @@ def test_factories_return_instrumented_primitives_when_forced(rec):
     assert rec.held() == ()
 
 
+def test_sanitized_lock_keeps_the_lock_surface(rec):
+    """``name`` / ``locked()`` / non-blocking ``acquire`` behave like the
+    ``threading.Lock`` it stands in for."""
+    lock = sanitized("engine.publish", rec)
+    assert lock.name == "engine.publish" and not lock.locked()
+    assert lock.acquire(blocking=False)
+    assert lock.locked()
+    assert not lock.acquire(blocking=False)
+    lock.release()
+    assert not lock.locked() and rec.held() == ()
+
+
 # -- held stacks and edges ---------------------------------------------------
 
 

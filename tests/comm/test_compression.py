@@ -7,29 +7,33 @@ from repro.comm.compression import PayloadCodec
 from repro.core import DistributedTrainer, TrainConfig
 
 
+def roundtrip_error(codec, x):
+    """Max relative error of one encode/decode cycle."""
+    back = codec.decode(codec.encode(x))
+    return float(np.max(np.abs(back - x) / np.maximum(np.abs(x), 1e-12)))
+
+
 class TestCodec:
     def test_none_is_identity(self):
         c = PayloadCodec("none")
         x = np.random.default_rng(0).standard_normal((4, 3)).astype(np.float32)
         assert np.array_equal(c.decode(c.encode(x)), x)
-        assert c.ratio == 4.0
 
     @pytest.mark.parametrize("mode", ["fp16", "bf16"])
     def test_halves_wire_size(self, mode):
         c = PayloadCodec(mode)
         x = np.ones((8, 4), dtype=np.float32)
         assert c.encode(x).nbytes == x.nbytes // 2
-        assert c.ratio == 2.0
 
     def test_fp16_roundtrip_accuracy(self):
         c = PayloadCodec("fp16")
         x = np.random.default_rng(1).standard_normal((64, 8)).astype(np.float32)
-        assert c.roundtrip_error(x) < 1e-2
+        assert roundtrip_error(c, x) < 1e-2
 
     def test_bf16_roundtrip_accuracy(self):
         c = PayloadCodec("bf16")
         x = np.random.default_rng(2).standard_normal((64, 8)).astype(np.float32)
-        assert c.roundtrip_error(x) < 2e-2
+        assert roundtrip_error(c, x) < 2e-2
 
     def test_bf16_preserves_float32_range(self):
         c = PayloadCodec("bf16")

@@ -14,7 +14,6 @@ from repro.comm import (
     ShmWorld,
     World,
     all_reduce,
-    create_world,
     validate_backend,
 )
 from repro.comm.shm import SHM_PAYLOAD_THRESHOLD
@@ -30,8 +29,7 @@ def test_backend_registry():
     assert validate_backend("sim") == "sim"
     with pytest.raises(KeyError, match="unknown execution backend"):
         validate_backend("mpi")
-    assert isinstance(create_world("sim", 2), World)
-    assert isinstance(create_world("shm", 2, timeout=TIMEOUT), ShmWorld)
+    assert BACKENDS["sim"] is World and BACKENDS["shm"] is ShmWorld
 
 
 def test_world_validation():

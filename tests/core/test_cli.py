@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_service, _parse_mix, build_parser, main
 
 
 def test_info(capsys):
@@ -224,6 +224,161 @@ def test_loadgen_cli_rejects_bad_mix(capsys, tmp_path):
     rc = main(["loadgen", *base, "--checkpoint", ckpt, "--mix", "nonsense"])
     assert rc == 2
     assert "bad --mix" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def load_ckpt(tmp_path_factory):
+    ckpt = str(tmp_path_factory.mktemp("load") / "lg.npz")
+    assert main(["train", "--dataset", "reddit", "--scale", "0.05",
+                 "--epochs", "1", "--checkpoint", ckpt]) == 0
+    return ckpt
+
+
+def _load_run(command, ckpt, tmp_path, *extra):
+    argv = [command, "--dataset", "reddit", "--scale", "0.05",
+            "--checkpoint", ckpt, "--rate", "40", "--duration", "0.3", *extra]
+    if command == "trace":
+        argv += ["--out", str(tmp_path / "t.json")]
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["loadgen", "trace"])
+def test_load_cli_drives_feature_updates(command, load_ckpt, tmp_path, capsys):
+    """``update_features`` traffic gets the dataset's feature width."""
+    rc = _load_run(command, load_ckpt, tmp_path, "--mix", "predict=1,update_features=1")
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "requests over" in out
+    if command == "loadgen":
+        assert "update_features" in out
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("loadgen", ["--mix", "foo=1"], "unknown endpoints"),
+        ("trace", ["--mix", "foo=1"], "unknown endpoints"),
+        ("loadgen", ["--workers", "0"], "num_workers"),
+        ("trace", ["--workers", "0"], "num_workers"),
+        ("trace", ["--buffer", "0"], "capacity"),
+    ],
+)
+def test_load_cli_rejects_bad_settings(command, extra, message, load_ckpt,
+                                       tmp_path, capsys):
+    assert _load_run(command, load_ckpt, tmp_path, *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_load_cli_mix_help_names_every_endpoint():
+    for command in ("loadgen", "trace"):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        help_text = next(a.help for a in sub._actions if a.dest == "mix")
+        for endpoint in ("predict", "topk", "update_edges", "update_features"):
+            assert endpoint in help_text
+
+
+@pytest.mark.parametrize("spec", ["nonsense", "=1", "predict=", "predict=x"])
+def test_parse_mix_rejects_malformed_entries(spec):
+    with pytest.raises(ValueError):
+        _parse_mix(spec)
+
+
+def test_parse_mix_reads_weights():
+    assert _parse_mix(None) is None
+    assert _parse_mix("predict=0.7, topk=0.3") == {"predict": 0.7, "topk": 0.3}
+
+
+@pytest.fixture
+def cli_server(load_ckpt):
+    """The service ``repro serve`` builds from ``load_ckpt``, on a thread."""
+    from repro.serving import PredictionServer
+
+    args = build_parser().parse_args(
+        ["serve", "--dataset", "reddit", "--scale", "0.05", "--checkpoint", load_ckpt]
+    )
+    _, service = _build_service(args)
+    server = PredictionServer(service, port=0).start_background()
+    host, port = server.address
+    yield f"http://{host}:{port}"
+    server.shutdown()
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["predict", "topk", "update_edges", "update_features"]
+)
+def test_loadgen_url_drives_each_endpoint(endpoint, cli_server, capsys):
+    """``--url`` traffic gets the server's vertex count and feature width
+    from ``GET /stats``; every request is served."""
+    rc = main(["loadgen", "--url", cli_server, "--rate", "40", "--duration", "0.3",
+               "--mix", f"{endpoint}=1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if line.split()[:1] == [endpoint])
+    ok, requests = map(int, re.search(r"(\d+) ok /\s+(\d+)", row).groups())
+    assert ok == requests > 0
+    assert "errors: 0" in out and "bad requests: 0" in out
+
+
+def test_trace_url_saves_the_servers_trace(cli_server, tmp_path, capsys):
+    import json
+
+    from repro.obs.trace import validate_chrome_trace
+
+    out_path = tmp_path / "server.json"
+    assert main(["trace", "--url", cli_server, "--out", str(out_path)]) == 0
+    with open(out_path) as fh:
+        n = validate_chrome_trace(json.load(fh))
+    assert f"{n} trace event(s) from {cli_server}/trace" in capsys.readouterr().out
+
+
+def _closed_port():
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("command", ["loadgen", "trace"])
+def test_load_cli_reports_an_unreachable_url(command, tmp_path, capsys):
+    argv = [command, "--url", f"http://127.0.0.1:{_closed_port()}"]
+    if command == "trace":
+        argv += ["--out", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["loadgen", "trace"])
+def test_load_cli_reports_a_missing_checkpoint(command, tmp_path, capsys):
+    missing = str(tmp_path / "absent.npz")
+    assert _load_run(command, missing, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.npz" in err
+
+
+def test_serve_lists_its_endpoints_and_stops_on_interrupt(load_ckpt, capsys,
+                                                          monkeypatch):
+    """``repro serve`` prints where it listens, serves, and shuts down on
+    Ctrl-C (raised here from inside its serve loop)."""
+    from repro.serving.server import _HTTPServer
+
+    bound = []
+
+    def interrupt(httpd):
+        bound.append(httpd.server_address[:2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_HTTPServer, "service_actions", interrupt, raising=False)
+    rc = main(["serve", "--dataset", "reddit", "--scale", "0.05",
+               "--checkpoint", load_ckpt, "--port", "0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    host, port = bound[0]
+    for path in ("/predict", "/update_edges", "/update_features", "/stats",
+                 "/metrics", "/healthz"):
+        assert f"http://{host}:{port}{path}" in out
+    assert out.startswith("serving reddit") and out.rstrip().endswith("shutting down")
 
 
 def test_loadgen_parser_requires_a_target():

@@ -25,12 +25,6 @@ class TestStopwatch:
     def test_missing_phase_zero(self):
         assert Stopwatch().get("nope") == 0.0
 
-    def test_reset(self):
-        sw = Stopwatch()
-        sw.add("a", 1.0)
-        sw.reset()
-        assert sw.get("a") == 0.0
-
 
 class TestTrainResult:
     def _result(self, times):
@@ -47,14 +41,6 @@ class TestTrainResult:
         r = self._result([2.0])
         assert r.avg_epoch_time_s == 2.0
 
-    def test_avg_between_range(self):
-        r = self._result([5.0, 1.0, 2.0, 3.0])
-        assert r.avg_time_between(1, 3) == pytest.approx(1.5)
-
-    def test_avg_between_empty_falls_back(self):
-        r = self._result([5.0, 1.0])
-        assert r.avg_time_between(10, 20) == r.avg_epoch_time_s
-
     def test_loss_curve(self):
         r = self._result([1.0, 1.0])
         assert r.loss_curve() == [1.0, 0.5]
@@ -63,3 +49,17 @@ class TestTrainResult:
         r = TrainResult()
         assert r.avg_epoch_time_s == 0.0
         assert r.loss_curve() == []
+
+    def test_avg_ap_time_skips_warmup(self):
+        """Fig. 2's AP share: the first epoch's AP time (cold caches,
+        first-call planning) is left out like its epoch time."""
+        r = TrainResult()
+        for i, ap in enumerate([4.0, 0.5, 1.5]):
+            r.epochs.append(EpochStats(epoch=i, loss=1.0, total_time_s=5.0, ap_time_s=ap))
+        assert r.avg_ap_time_s == pytest.approx(1.0)
+
+    def test_avg_ap_time_single_or_no_epoch(self):
+        r = TrainResult()
+        assert r.avg_ap_time_s == 0.0
+        r.epochs.append(EpochStats(epoch=0, loss=1.0, total_time_s=5.0, ap_time_s=3.0))
+        assert r.avg_ap_time_s == 3.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedTrainer, Trainer, TrainConfig
-from repro.core.config import paper_learning_rate
 from repro.core.sync import allreduce_gradients, assert_replicas_in_sync
 from repro.comm import World
 from repro.nn import SGD, GraphSAGE
@@ -24,13 +23,6 @@ class TestConfig:
     def test_for_dataset_other(self):
         cfg = TrainConfig().for_dataset("ogbn-products")
         assert cfg.num_layers == 3 and cfg.hidden_features == 256
-
-    def test_paper_lr_exact(self):
-        assert paper_learning_rate("reddit", 2) == 0.028
-
-    def test_paper_lr_fallback(self):
-        assert paper_learning_rate("reddit", 12) == 0.028  # nearest smaller
-        assert paper_learning_rate("unknown", 4, default=0.42) == 0.42
 
 
 class TestSingleSocket:

@@ -132,9 +132,9 @@ def test_noise_rounded_away_at_large_loads(tmp_path):
     assert np.array_equal(state.load, load)
 
 
-def test_assign_one_does_no_per_vertex_work():
+def test_one_edge_assign_does_no_per_vertex_work():
     """O(chunk) guard that is not a stopwatch: on a 2**20-vertex state a
-    single ``assign_one`` allocates well under anything proportional to
+    one-edge ``assign`` allocates well under anything proportional to
     ``num_vertices`` (one bool row per vertex would be 8 MiB)."""
     state = LibraState(2**20, 8, seed=0)
     state.assign([1, 2, 3], [4, 5, 6])  # warm: imports, caches
@@ -142,7 +142,7 @@ def test_assign_one_does_no_per_vertex_work():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        state.assign_one(7, 8)
+        state.assign([7], [8])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.builders import coo_to_csr, from_edge_list
-from repro.graph.csr import CSRGraph, validate_graph
+from repro.graph.csr import CSRGraph
 
 
 class TestConstruction:
@@ -198,4 +198,8 @@ class TestSourceBlock:
 
 
 def test_validate_graph_passes(small_rmat):
-    validate_graph(small_rmat)
+    """A built graph's own arrays pass the constructor's checks."""
+    again = CSRGraph(small_rmat.indptr, small_rmat.indices,
+                     small_rmat.edge_ids, small_rmat.num_src)
+    assert again.num_edges == small_rmat.num_edges
+    assert np.array_equal(again.to_dense(), small_rmat.to_dense())

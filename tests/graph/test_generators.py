@@ -6,13 +6,11 @@ import pytest
 from repro.graph.generators import (
     community_features,
     powerlaw_cluster_graph,
-    preferential_attachment_graph,
     random_features,
     rmat_graph,
     sbm_graph,
     sbm_labels,
 )
-from repro.graph.utils import powerlaw_exponent_estimate
 
 
 class TestRmat:
@@ -94,27 +92,6 @@ class TestSbm:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             sbm_graph([0, 10], p_in=0.1, p_out=0.1)
-
-
-class TestPreferentialAttachment:
-    def test_size(self):
-        g = preferential_attachment_graph(200, m=3, seed=0)
-        assert g.num_vertices == 200
-        assert g.num_edges > 0
-
-    def test_symmetric(self):
-        g = preferential_attachment_graph(100, m=2, seed=0)
-        dense = g.to_dense()
-        assert np.array_equal(dense, dense.T)
-
-    def test_heavy_tail(self):
-        g = preferential_attachment_graph(500, m=2, seed=0)
-        deg = g.in_degrees()
-        assert deg.max() > 5 * deg.mean()
-
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            preferential_attachment_graph(5, m=5)
 
 
 class TestPowerlawCluster:

@@ -6,12 +6,7 @@ import pytest
 from repro.graph.builders import from_edge_list
 from repro.graph.utils import (
     average_degree,
-    degree_histogram,
     density,
-    gcn_normalization,
-    in_degrees,
-    induced_subgraph,
-    out_degrees,
     split_train_val_test,
     to_bidirected,
 )
@@ -19,11 +14,12 @@ from repro.graph.utils import (
 
 class TestDegrees:
     def test_in_out_degrees(self, tiny_graph):
-        assert int(in_degrees(tiny_graph).sum()) == tiny_graph.num_edges
-        assert int(out_degrees(tiny_graph).sum()) == tiny_graph.num_edges
+        assert int(tiny_graph.in_degrees().sum()) == tiny_graph.num_edges
+        assert int(tiny_graph.reverse().in_degrees().sum()) == tiny_graph.num_edges
 
     def test_out_degree_values(self, line_graph):
-        assert out_degrees(line_graph).tolist() == [1, 1, 1, 0]
+        # a source's out-degree is its in-degree in the reverse graph
+        assert line_graph.reverse().in_degrees().tolist() == [1, 1, 1, 0]
 
     def test_average_degree(self, line_graph):
         assert average_degree(line_graph) == pytest.approx(3 / 4)
@@ -41,18 +37,6 @@ class TestBidirection:
     def test_edge_count_at_most_double(self, small_rmat):
         bi = to_bidirected(small_rmat)
         assert small_rmat.num_edges <= bi.num_edges <= 2 * small_rmat.num_edges
-
-
-class TestInducedSubgraph:
-    def test_line_sub(self, line_graph):
-        sub, remap = induced_subgraph(line_graph, np.array([1, 2]))
-        assert sub.num_vertices == 2
-        assert sub.num_edges == 1  # only 1 -> 2 survives
-        assert remap[1] == 0 and remap[2] == 1 and remap[0] == -1
-
-    def test_full_set_is_identity(self, tiny_graph):
-        sub, _ = induced_subgraph(tiny_graph, np.arange(tiny_graph.num_vertices))
-        assert sub.num_edges == tiny_graph.num_edges
 
 
 class TestSplits:
@@ -75,15 +59,3 @@ class TestSplits:
         a = split_train_val_test(50, seed=4)[0]
         b = split_train_val_test(50, seed=4)[0]
         assert np.array_equal(a, b)
-
-
-class TestMisc:
-    def test_gcn_normalization(self, line_graph):
-        norm = gcn_normalization(line_graph)
-        # in-degrees are [0,1,1,1] -> 1/(d+1)
-        assert np.allclose(norm, [1.0, 0.5, 0.5, 0.5])
-
-    def test_degree_histogram_counts(self, small_rmat):
-        counts, edges = degree_histogram(small_rmat)
-        assert counts.sum() <= small_rmat.num_vertices
-        assert len(edges) == len(counts) + 1

@@ -68,7 +68,10 @@ class TestBlockedGraph:
 
     def test_block_size(self, small_rmat):
         bg = BlockedGraph.build(small_rmat, 4)
-        assert bg.block_size == -(-small_rmat.num_src // 4)
+        width = -(-small_rmat.num_src // 4)
+        assert np.diff(bg.bounds).tolist() == [width] * 3 + [small_rmat.num_src - 3 * width]
+        for block, lo, hi in zip(bg.blocks, bg.bounds[:-1], bg.bounds[1:]):
+            assert np.all((block.indices >= lo) & (block.indices < hi))
 
     def test_accumulation_into_out(self, small_rmat, small_features):
         """Chaining two graphs into one output accumulates under sum."""

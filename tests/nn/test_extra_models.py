@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, masked_cross_entropy, Adam, accuracy
-from repro.nn.gcn import GCN, GCNConv, symmetric_norm
+from repro.core.models import norm_from_degrees
+from repro.nn.gcn import GCN, GCNConv
 
 
 class TestGCN:
     def test_forward_shape(self, small_rmat, small_features):
         model = GCN(8, 16, 5, num_layers=2)
-        out = model(small_rmat, Tensor(small_features), symmetric_norm(small_rmat))
+        out = model(small_rmat, Tensor(small_features), norm_from_degrees("gcn", small_rmat.in_degrees()))
         assert out.shape == (small_rmat.num_vertices, 5)
 
-    def test_symmetric_norm_values(self, line_graph):
-        norm = symmetric_norm(line_graph)
+    def test_gcn_norm_values(self, line_graph):
+        norm = norm_from_degrees("gcn", line_graph.in_degrees())
         # in-degrees [0,1,1,1] -> 1/sqrt(d+1)
         np.testing.assert_allclose(
             norm.data.ravel(), [1.0, 2**-0.5, 2**-0.5, 2**-0.5], rtol=1e-6
@@ -22,7 +23,7 @@ class TestGCN:
 
     def test_gradients_flow(self, small_rmat, small_features):
         model = GCN(8, 8, 3, num_layers=2)
-        out = model(small_rmat, Tensor(small_features), symmetric_norm(small_rmat))
+        out = model(small_rmat, Tensor(small_features), norm_from_degrees("gcn", small_rmat.in_degrees()))
         labels = np.zeros(small_rmat.num_vertices, dtype=np.int64)
         masked_cross_entropy(out, labels).backward()
         for name, p in model.named_parameters():
@@ -30,7 +31,7 @@ class TestGCN:
 
     def test_learns(self, reddit_mini):
         model = GCN(reddit_mini.feature_dim, 16, reddit_mini.num_classes, seed=0)
-        norm = symmetric_norm(reddit_mini.graph)
+        norm = norm_from_degrees("gcn", reddit_mini.graph.in_degrees())
         x = Tensor(reddit_mini.features)
         opt = Adam(model.parameters(), lr=0.01)
         first = None
@@ -56,7 +57,7 @@ class TestGCN:
         scalings, checked against a dense float64 evaluation."""
         layer = GCNConv(8, 5, activation=False, rng=np.random.default_rng(1))
         layer.linear.bias.data = np.linspace(-1, 1, 5).astype(np.float32)
-        norm = symmetric_norm(small_rmat)
+        norm = norm_from_degrees("gcn", small_rmat.in_degrees())
         out = layer(small_rmat, Tensor(small_features), norm).data
         n = norm.data.astype(np.float64)
         hn = small_features.astype(np.float64) * n
@@ -71,7 +72,7 @@ class TestGCN:
         feats = np.random.default_rng(2).standard_normal((5, 4)).astype(np.float32)
         layer = GCNConv(4, 3, activation=False)
         layer.linear.bias.data = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-        out = layer(tiny_graph, Tensor(feats), symmetric_norm(tiny_graph)).data
+        out = layer(tiny_graph, Tensor(feats), norm_from_degrees("gcn", tiny_graph.in_degrees())).data
         lin = layer.linear
         np.testing.assert_allclose(
             out[4], feats[4] @ lin.weight.data + lin.bias.data, rtol=1e-6
@@ -96,7 +97,7 @@ class TestGCN:
         order on its narrowing second layer matches aggregate → combine
         to float32 rounding."""
         model = GCN(8, 6, 3, num_layers=2, seed=5)
-        norm = symmetric_norm(small_rmat)
+        norm = norm_from_degrees("gcn", small_rmat.in_degrees())
         x = Tensor(small_features)
         got = model(small_rmat, x, norm).data
         h = x

@@ -123,117 +123,3 @@ def test_dropout_eval_is_identity():
     x = Tensor(np.ones((10, 2)), requires_grad=True)
     out = F.dropout(x, 0.9, rng, training=False)
     assert out is x
-
-
-# -- attention autograd path (edge_scores -> edge_softmax -> weighted_spmm) ----
-#
-# Non-uniform in-degrees on purpose: vertex 1 has in-degree 4, vertex 4
-# in-degree 1, and vertices 0 and 5 have **zero** in-edges (their softmax
-# segment is empty and their aggregate row stays zero — both must still
-# route gradients correctly).
-
-
-def attention_graph():
-    return from_edge_list(
-        [(0, 1), (2, 1), (3, 1), (5, 1), (1, 2), (0, 2), (3, 4), (1, 3)],
-        num_vertices=6,
-    )
-
-
-def test_edge_scores_grad_both_parents():
-    g = attention_graph()
-    rng = np.random.default_rng(7)
-    s = rng.standard_normal((6, 1))
-    d = rng.standard_normal((6, 1))
-    coef = rng.standard_normal((g.num_edges, 1))
-
-    def run(src_arr, dst_arr):
-        out = F.edge_scores(g, Tensor(src_arr), Tensor(dst_arr))
-        return float(F.mul(out, Tensor(coef)).sum().data)
-
-    ts, td = Tensor(s.copy(), requires_grad=True), Tensor(d.copy(), requires_grad=True)
-    F.mul(F.edge_scores(g, ts, td), Tensor(coef)).sum().backward()
-    np.testing.assert_allclose(
-        ts.grad, numeric_grad(lambda a: run(a, d), s), atol=1e-6
-    )
-    np.testing.assert_allclose(
-        td.grad, numeric_grad(lambda a: run(s, a), d), atol=1e-6
-    )
-
-
-def test_edge_softmax_grad():
-    g = attention_graph()
-    rng = np.random.default_rng(8)
-    coef = rng.standard_normal((g.num_edges, 1))
-    check(
-        lambda t: F.mul(F.edge_softmax(g, t), Tensor(coef)).sum(),
-        (g.num_edges, 1),
-        seed=8,
-        atol=1e-5,
-    )
-
-
-@pytest.mark.parametrize("kernel", ["auto", "baseline"])
-def test_weighted_spmm_grad_features(kernel):
-    g = attention_graph()
-    rng = np.random.default_rng(9)
-    w = rng.random((g.num_edges, 1)) + 0.1
-    check(
-        lambda t: F.relu(F.weighted_spmm(g, t, Tensor(w), kernel=kernel)).sum(),
-        (6, 3),
-        seed=9,
-        atol=1e-5,
-    )
-
-
-@pytest.mark.parametrize("kernel", ["auto", "baseline"])
-def test_weighted_spmm_grad_weights(kernel):
-    g = attention_graph()
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((6, 3))
-    w = rng.random((g.num_edges, 1)) + 0.1
-    tw = Tensor(w.copy(), requires_grad=True)
-    F.weighted_spmm(g, Tensor(x), tw, kernel=kernel).sum().backward()
-    num = numeric_grad(
-        lambda arr: float(
-            F.weighted_spmm(g, Tensor(x), Tensor(arr), kernel=kernel).sum().data
-        ),
-        w,
-    )
-    np.testing.assert_allclose(tw.grad, num, atol=1e-6)
-
-
-@pytest.mark.parametrize("kernel", ["auto", "baseline"])
-def test_attention_chain_grad(kernel):
-    """Full GAT-style chain: scores -> softmax -> weighted aggregation."""
-    g = attention_graph()
-    rng = np.random.default_rng(11)
-    s = rng.standard_normal((6, 1))
-    d = rng.standard_normal((6, 1))
-
-    def chain(t):
-        att = F.edge_softmax(g, F.edge_scores(g, Tensor(s), Tensor(d)))
-        return F.weighted_spmm(g, t, att, kernel=kernel).sum()
-
-    check(chain, (6, 4), seed=11, atol=1e-5)
-
-
-def test_edge_softmax_backward_honors_dtype():
-    g = attention_graph()
-    logits = Tensor(
-        np.random.default_rng(3).standard_normal((g.num_edges, 1)).astype(np.float32),
-        requires_grad=True,
-    )
-    F.edge_softmax(g, logits).sum().backward()
-    assert logits.grad.dtype == np.float32
-
-
-def test_edge_softmax_backward_caches_dst_map():
-    g = attention_graph()
-    for _ in range(2):
-        t = Tensor(np.ones((g.num_edges, 1)), requires_grad=True)
-        F.edge_softmax(g, t).sum().backward()
-    from repro.nn.functional import _cached_dst_map
-
-    assert getattr(g, "_csr_dst_map", None) is not None
-    assert _cached_dst_map(g) is g._csr_dst_map

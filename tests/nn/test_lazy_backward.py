@@ -1,9 +1,8 @@
 """Backward does no work nobody reads.
 
 Two-parent closures skip the gradient of a parent that is not on the tape
-(``Tensor.backward`` would drop it anyway), and ``F.spmm`` /
-``F.weighted_spmm`` build the reverse adjacency when a backward first
-needs it, not in forward.  Neither moves a bit of a surviving gradient.
+(``Tensor.backward`` would drop it anyway), and ``F.spmm`` builds the
+reverse adjacency when a backward first needs it, not in forward.  Neither moves a bit of a surviving gradient.
 """
 
 import numpy as np
@@ -73,34 +72,18 @@ def reversals(monkeypatch):
     return built
 
 
-def _weights(graph):
-    return Tensor(np.ones((graph.num_edges, 1), np.float32), requires_grad=True)
-
-
-@pytest.mark.parametrize("op", ["spmm", "weighted_spmm"])
-def test_forward_alone_builds_no_reverse(small_rmat, small_features, reversals, op):
-    def forward(x):
-        if op == "spmm":
-            return F.spmm(small_rmat, x)
-        return F.weighted_spmm(small_rmat, x, _weights(small_rmat))
-
+def test_forward_alone_builds_no_reverse(small_rmat, small_features, reversals):
     with no_grad():
-        forward(Tensor(small_features, requires_grad=True))
-    if op == "spmm":  # input off the tape: nothing to differentiate
-        assert forward(Tensor(small_features))._backward_fn is None
-    else:
-        forward(Tensor(small_features))
+        F.spmm(small_rmat, Tensor(small_features, requires_grad=True))
+    # input off the tape: nothing to differentiate
+    assert F.spmm(small_rmat, Tensor(small_features))._backward_fn is None
     assert reversals == [] and not hasattr(small_rmat, "_spmm_reverse")
 
 
-@pytest.mark.parametrize("op", ["spmm", "weighted_spmm"])
-def test_training_builds_one_reverse_per_graph(small_rmat, small_features, reversals, op):
+def test_training_builds_one_reverse_per_graph(small_rmat, small_features, reversals):
     x = Tensor(small_features, requires_grad=True)
     for epoch in range(3):
-        if op == "spmm":
-            out = F.spmm(small_rmat, x)
-        else:
-            out = F.weighted_spmm(small_rmat, x, _weights(small_rmat))
+        out = F.spmm(small_rmat, x)
         assert len(reversals) == min(epoch, 1)  # forward builds none
         out.backward(np.ones(out.shape, np.float32))
     assert reversals == [small_rmat]

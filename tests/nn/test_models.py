@@ -6,7 +6,8 @@ import pytest
 from repro.graph.datasets import load_dataset
 from repro.nn import GraphSAGE, RGCN, Tensor, masked_cross_entropy
 from repro.nn.rgcn import relation_norms
-from repro.nn.sage import SageConvGCN, gcn_norm_tensor
+from repro.core.models import norm_from_degrees
+from repro.nn.sage import SageConvGCN
 
 
 class TestSageConv:
@@ -23,14 +24,14 @@ class TestSageConv:
         layer.linear.bias.data = np.zeros(2, dtype=np.float32)
         h = Tensor(np.ones((4, 2), dtype=np.float32))
         z = Tensor(np.full((4, 2), 3.0, dtype=np.float32))
-        norm = gcn_norm_tensor(line_graph)
+        norm = norm_from_degrees("sage", line_graph.in_degrees())
         out = layer.combine(z, h, norm)
         expected = (3.0 + 1.0) * norm.data
         np.testing.assert_allclose(out.data, np.broadcast_to(expected, (4, 2)))
 
     def test_activation_flag(self, line_graph):
         h = Tensor(-np.ones((4, 3), dtype=np.float32))
-        norm = gcn_norm_tensor(line_graph)
+        norm = norm_from_degrees("sage", line_graph.in_degrees())
         with_act = SageConvGCN(3, 3, activation=True)(line_graph, h, norm)
         assert np.all(with_act.data >= 0)
 
@@ -38,29 +39,22 @@ class TestSageConv:
 class TestGraphSAGE:
     def test_output_shape(self, small_rmat, small_features):
         model = GraphSAGE(8, 16, 5, num_layers=3)
-        out = model(small_rmat, Tensor(small_features), gcn_norm_tensor(small_rmat))
+        out = model(small_rmat, Tensor(small_features), norm_from_degrees("sage", small_rmat.in_degrees()))
         assert out.shape == (small_rmat.num_vertices, 5)
 
     def test_single_layer(self, small_rmat, small_features):
         model = GraphSAGE(8, 16, 4, num_layers=1)
-        out = model(small_rmat, Tensor(small_features), gcn_norm_tensor(small_rmat))
+        out = model(small_rmat, Tensor(small_features), norm_from_degrees("sage", small_rmat.in_degrees()))
         assert out.shape == (small_rmat.num_vertices, 4)
 
     def test_invalid_layers(self):
         with pytest.raises(ValueError):
             GraphSAGE(4, 8, 2, num_layers=0)
 
-    def test_paper_configs(self):
-        assert GraphSAGE.paper_config("reddit") == {
-            "num_layers": 2,
-            "hidden_features": 16,
-        }
-        assert GraphSAGE.paper_config("ogbn-products")["hidden_features"] == 256
-
     def test_deterministic_replicas(self, small_rmat, small_features):
         a = GraphSAGE(8, 4, 3, seed=5)
         b = GraphSAGE(8, 4, 3, seed=5)
-        norm = gcn_norm_tensor(small_rmat)
+        norm = norm_from_degrees("sage", small_rmat.in_degrees())
         oa = a(small_rmat, Tensor(small_features), norm)
         ob = b(small_rmat, Tensor(small_features), norm)
         assert np.array_equal(oa.data, ob.data)
@@ -68,7 +62,7 @@ class TestGraphSAGE:
     def test_gradients_reach_all_layers(self, small_rmat, small_features):
         model = GraphSAGE(8, 4, 3, num_layers=2)
         out = model(
-            small_rmat, Tensor(small_features), gcn_norm_tensor(small_rmat)
+            small_rmat, Tensor(small_features), norm_from_degrees("sage", small_rmat.in_degrees())
         )
         labels = np.zeros(small_rmat.num_vertices, dtype=np.int64)
         masked_cross_entropy(out, labels).backward()

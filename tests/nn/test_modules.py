@@ -60,10 +60,6 @@ class TestModule:
         with pytest.raises(KeyError):
             a.load_state_dict({"weight": np.zeros((3, 2))})  # missing bias
 
-    def test_num_parameters(self):
-        lin = Linear(3, 2)
-        assert lin.num_parameters() == 3 * 2 + 2
-
 
 class TestLinear:
     def test_forward_shape(self):
@@ -125,7 +121,7 @@ class TestOptimizers:
         p = Parameter(np.array([5.0]))
         opt = opt_cls([p], lr=0.1, **kw)
         for _ in range(200):
-            opt.zero_grad()
+            p.zero_grad()
             (Tensor(np.array([1.0])) * p * p).sum().backward()
             opt.step()
         return abs(float(p.data[0]))
@@ -154,3 +150,65 @@ class TestOptimizers:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
+
+    def test_sgd_momentum_accumulates_velocity(self):
+        """Two steps under a constant gradient g move by lr*g, then by
+        lr*(momentum*g + g)."""
+        p = Parameter(np.array([1.0]))
+        opt = SGD([p], lr=0.1, momentum=0.5)
+        for _ in range(2):
+            p.grad = np.array([2.0])
+            opt.step()
+        assert float(p.data[0]) == pytest.approx(1.0 - 0.2 - 0.1 * (0.5 * 2.0 + 2.0))
+
+    def test_adam_first_step_is_lr_sized(self):
+        """Bias correction makes the first Adam step lr * sign(g) for any
+        gradient scale."""
+        for g in (1e-3, 50.0):
+            p = Parameter(np.array([0.0, 0.0]))
+            p.grad = np.array([g, -g])
+            Adam([p], lr=0.01, eps=0.0).step()
+            np.testing.assert_allclose(p.data, [-0.01, 0.01])
+
+    def test_weight_decay_is_an_l2_gradient_term(self):
+        p = Parameter(np.array([2.0]))
+        p.grad = np.array([1.0])
+        SGD([p], lr=0.1, weight_decay=0.25).step()
+        assert float(p.data[0]) == pytest.approx(2.0 - 0.1 * (1.0 + 0.25 * 2.0))
+
+
+class TestDropout:
+    def test_eval_mode_is_identity(self):
+        drop = Dropout(0.5)
+        drop.eval()
+        x = Tensor(np.ones((4, 3)))
+        assert drop(x) is x
+
+    def test_zero_rate_is_identity(self):
+        x = Tensor(np.ones((4, 3)))
+        assert Dropout(0.0)(x) is x
+
+    def test_rate_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            Dropout(1.0)(Tensor(np.ones((2, 2))))
+
+    def test_kept_units_are_rescaled(self):
+        """Inverted dropout: kept units scale by 1/(1-p), so the mean
+        activation is unbiased."""
+        out = Dropout(0.25, seed=1)(Tensor(np.ones((200, 50)))).data
+        assert set(np.unique(out).tolist()) <= {0.0, 1.0 / 0.75}
+        assert float((out == 0).mean()) == pytest.approx(0.25, abs=0.02)
+        assert float(out.mean()) == pytest.approx(1.0, abs=0.03)
+
+    def test_seeded_masks_repeat_and_advance(self):
+        """The module owns its RNG stream: one seed replays the same masks,
+        and consecutive calls draw fresh ones."""
+        x = Tensor(np.ones((8, 8)))
+        a, b = Dropout(0.5, seed=3), Dropout(0.5, seed=3)
+        first, again = a(x).data, b(x).data
+        np.testing.assert_array_equal(first, again)
+        assert not np.array_equal(first, a(x).data)
+
+    def test_keeps_dtype(self):
+        x = Tensor(np.ones((3, 3), dtype=np.float32))
+        assert Dropout(0.5)(x).data.dtype == np.float32

@@ -20,13 +20,6 @@ class TestBasics:
         b = F.add(a, a)
         assert a.is_leaf and not b.is_leaf
 
-    def test_detach_cuts_tape(self):
-        a = Tensor(np.ones(2), requires_grad=True)
-        b = F.add(a, a).detach()
-        c = F.mul(b, b)
-        c.backward(np.ones(2))
-        assert a.grad is None
-
     def test_zero_grad(self):
         a = Tensor(np.ones(2), requires_grad=True)
         F.mul(a, a).backward(np.ones(2))

@@ -20,8 +20,6 @@ from repro.obs.registry import (
     register_comm_world,
     render_prometheus,
     serving_registry,
-    to_json,
-    unregister_comm_world,
 )
 from repro.obs.trace import Tracer
 from repro.serving.metrics import OUTCOMES, ServingMetrics
@@ -45,8 +43,6 @@ def test_registry_rejects_duplicate_collectors_and_families():
     reg.register("b", lambda: [Metric("repro_x", "counter", "x again").add(2)])
     with pytest.raises(ValueError, match="emitted by both"):
         reg.collect()
-    reg.unregister("b")
-    assert [m.name for m in reg.collect()] == ["repro_x"]
 
 
 def test_collect_sorts_families_by_name():
@@ -82,14 +78,6 @@ def test_prometheus_render_parse_round_trip():
     assert "repro_requests_total{endpoint=\"predict\",outcome=\"ok\"} 3\n" in text
 
 
-def test_to_json_mirrors_samples():
-    m = Metric("repro_x_total", "counter", "x").add(7, a="b")
-    j = to_json([m])
-    assert j["repro_x_total"]["samples"] == [
-        {"labels": {"a": "b"}, "value": 7.0}
-    ]
-
-
 # -- comm-world sources -----------------------------------------------------------
 
 
@@ -120,31 +108,25 @@ def _world_samples():
 def test_comm_worlds_are_weakly_referenced():
     world = _StubWorld()
     name = register_comm_world(world, kind="test")
-    try:
-        assert name in _world_samples()
-        del world
-        gc.collect()
-        assert name not in _world_samples()
-    finally:
-        unregister_comm_world(name)
+    assert name in _world_samples()
+    del world
+    gc.collect()
+    assert name not in _world_samples()
 
 
 def test_sim_world_self_registers_and_counts():
     from repro.comm.communicator import World
 
     world = World(2)
-    try:
-        comm = world.communicator(0)
-        comm.isend(1, np.zeros(4, dtype=np.float64))
-        by_name = {m.name: m for m in comm_metrics()}
-        sent = {
-            labels["rank"]: value
-            for labels, value in by_name["repro_comm_bytes_sent_total"].samples
-            if labels["world"] == world.obs_name
-        }
-        assert sent["0"] == 32.0 and sent["1"] == 0.0
-    finally:
-        unregister_comm_world(world.obs_name)
+    comm = world.communicator(0)
+    comm.isend(1, np.zeros(4, dtype=np.float64))
+    by_name = {m.name: m for m in comm_metrics()}
+    sent = {
+        labels["rank"]: value
+        for labels, value in by_name["repro_comm_bytes_sent_total"].samples
+        if labels["world"] == world.obs_name
+    }
+    assert sent["0"] == 32.0 and sent["1"] == 0.0
 
 
 # -- the serving composition ------------------------------------------------------

@@ -88,15 +88,6 @@ class TestIds:
             np.cumsum(sizes)
         )
 
-    def test_unified_id_round_trip(self, parted):
-        for p in range(parted.num_partitions):
-            n = parted.parts[p].num_vertices
-            if n == 0:
-                continue
-            local = n - 1
-            uid = parted.unified_id(p, local)
-            assert parted.locate(uid) == (p, local)
-
 
 class TestSplitVertices:
     def test_clones_consistent(self, parted):

@@ -54,18 +54,6 @@ def test_replication_factor_bounds(g, p):
     assert 1.0 - 1e-9 <= rf <= p + 1e-9
 
 
-@given(graphs(), st.integers(min_value=1, max_value=5))
-@settings(max_examples=40, deadline=None)
-def test_vertex_map_is_partition_of_unified_space(g, p):
-    asn = hash_edge_partition(g, p)
-    parted = build_partitions(g, asn, p)
-    total = parted.vertex_map[-1]
-    # locate() must be the inverse of unified_id() over the whole space
-    for uid in range(0, int(total), max(1, int(total) // 10)):
-        part, local = parted.locate(uid)
-        assert parted.unified_id(part, local) == uid
-
-
 @given(graphs(), st.integers(min_value=2, max_value=5), st.integers(0, 50))
 @settings(max_examples=40, deadline=None)
 def test_trees_cover_every_clone_exactly_once(g, p, seed):

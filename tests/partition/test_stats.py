@@ -27,10 +27,6 @@ def test_stats_fields(parted):
     assert st.min_edges <= st.max_edges
 
 
-def test_row_format(parted):
-    assert "rf=" in partition_stats(parted).row()
-
-
 def test_libra_balance_near_perfect(parted):
     assert partition_stats(parted).edge_balance < 1.1
 

@@ -95,11 +95,3 @@ class TestBinning:
         _, plan = setup
         bins = bin_routes(plan, plan.num_trees + 5)
         assert sum(b.num_routes for b in bins) == plan.num_routes
-
-    def test_routes_between(self, setup):
-        _, plan = setup
-        total = 0
-        for p in range(4):
-            for q in range(4):
-                total += plan.routes_between(p, q).size
-        assert total == plan.num_routes

@@ -66,8 +66,8 @@ class TestBreakdown:
         assert lats[0] > lats[1] > lats[2]
 
     def test_speedup_grows_sublinearly(self, products_model):
-        pts = products_model.scaling_curve([4, 16, 64], ["0c"])
-        speedups = {p.num_partitions: p.speedup_vs_single for p in pts}
+        base = products_model.single_socket_time()
+        speedups = {p: base / products_model.breakdown(p, "0c").total for p in (4, 16, 64)}
         assert speedups[4] < speedups[16] < speedups[64]
         assert speedups[64] < 64  # sublinear (Fig. 5 shows 16.1x)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.graph.builders import from_edge_list
-from repro.graph.csr import validate_graph
+from repro.graph.csr import CSRGraph
 from repro.sampling import NeighborSampler
 from repro.sampling import sampler as sampler_module
 from tests.sampling.loop_sampler import LoopSampler
@@ -37,6 +37,14 @@ class TestSampling:
         seeds = np.array([5, 1, 9])
         batch = sampler.sample(seeds)
         assert np.array_equal(batch.blocks[-1].dst_global, np.unique(seeds))
+
+    def test_block_sizes_match_frontiers(self, sampler):
+        """A block is num_dst rows over num_src frontier columns."""
+        batch = sampler.sample(np.array([0, 1, 2, 3]))
+        for block in batch.blocks:
+            assert block.graph.num_vertices == block.num_dst == block.dst_global.size
+            assert block.graph.num_src == block.num_src == block.src_global.size
+            assert block.num_src >= block.num_dst
 
     def test_frontier_chains(self, sampler):
         batch = sampler.sample(np.array([0, 1, 2, 3]))
@@ -248,7 +256,8 @@ def test_block_properties(graph, fanout_kind, hops, seed, data):
     assert np.all(sampler._local == -1)
     degrees = graph.in_degrees()
     for block in batch.blocks:
-        validate_graph(block.graph)
+        g = block.graph  # the constructor's structural checks, re-run
+        CSRGraph(indptr=g.indptr, indices=g.indices, edge_ids=g.edge_ids, num_src=g.num_src)
         # (2) exact edge count, and no edge position taken twice: each row's
         # sources are a sub-multiset of the vertex's in-neighbours
         kept = np.minimum(degrees[block.dst_global], fanout)

@@ -197,6 +197,13 @@ def test_close_rejects_new_and_fails_queued():
         fe.call("predict", lambda: 1)
 
 
+def test_with_block_closes_the_gate():
+    with ServingFrontend(StubService(), num_workers=1, max_queue=4) as fe:
+        assert fe.call("predict", lambda: 2) == 2
+    with pytest.raises(ServingUnavailable, match="closed"):
+        fe.call("predict", lambda: 2)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError, match="num_workers"):
         ServingFrontend(StubService(), num_workers=0)
