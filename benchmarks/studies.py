@@ -1253,9 +1253,10 @@ if os.environ.get("REACH_OUT"):
 
 #: an unreached function's owner: who keeps it although no entry point
 #: runs it — a paper table or study, a contract oracle a test compares
-#: production output against, a test seam, a configuration no entry
-#: point sets, or a protocol.  Keys: ``module:qualname`` (nested defs
-#: joined by ``.``), ``module:Class.*`` or ``*.method``.
+#: production output against, a test seam, or a protocol (a
+#: configuration value no entry point sets is not an owner: it becomes a
+#: constant).  Keys: ``module:qualname`` (nested defs joined by ``.``),
+#: ``module:Class.*`` or ``*.method``.
 #: An unreached function no key claims is listed as "**none**": it is
 #: deleted, or it gets a named owner here.
 _TABLE1 = ("`aggregate()` with a message-materialising (⊗, ⊕) pair: the paper's "
@@ -1280,8 +1281,6 @@ REACHABILITY_OWNERS = {
         "contract oracle: tests/kernels/test_kernel_equivalence.py, test_kernel_properties.py",
     "graph/csr.py:CSRGraph.iter_rows": "contract oracle: `aggregate_dense_reference` walks it",
     "graph/csr.py:CSRGraph.to_dense": "contract oracle: dense adjacency in graph and kernel tests",
-    "graph/csr.py:CSRGraph.source_block":
-        "contract oracle: tests/kernels/test_parallel.py, test_kernel_equivalence.py",
     "graph/csr.py:CSRGraph.in_degree":
         "contract oracle accessor: tests/sampling/loop_sampler.py (per-vertex sampler)",
     "graph/csr.py:CSRGraph.neighbors":
@@ -1328,13 +1327,7 @@ REACHABILITY_OWNERS = {
     "analysis/sanitizers.py:LockOrderRecorder.clear": _SANITIZER_API,
     "analysis/sanitizers.py:LockOrderRecorder.on_blocking_call":
         "runs only on a finding: a blocking call under a sanitized lock",
-    # configuration no entry point sets
-    "nn/functional.py:dropout": "`TrainConfig.dropout` > 0",
-    "nn/functional.py:dropout.backward": "`TrainConfig.dropout` > 0",
-    "nn/layers.py:Dropout.*": "`TrainConfig.dropout` > 0",
-    "nn/optim.py:SGD.*": "`TrainConfig.optimizer = \"sgd\"`",
     # protocols
-    "nn/optim.py:Optimizer.step": "protocol: the abstract step `Adam` / `SGD` implement",
     "nn/tensor.py:Tensor.__add__": "protocol: operator sugar beside the reached `__mul__`",
     "nn/tensor.py:Tensor.__sub__": "protocol: operator sugar beside the reached `__mul__`",
     "nn/tensor.py:Tensor.__matmul__": "protocol: operator sugar beside the reached `__mul__`",
@@ -1466,7 +1459,7 @@ _REACH_TINY = ("--dataset", "reddit", "--scale", "0.05")
 
 #: ``repro check`` bait: one finding per rule family (guarded-by, a
 #: blocking wait and sleep under a lock, a swallowed broad except), so
-#: the linter's violation, JSON and baseline paths run
+#: the linter's violation and JSON paths run
 _REACH_LINT_BAIT = """
 import threading
 import time
@@ -1518,7 +1511,6 @@ def _reach_runs(tree: str, tmp: str) -> list:
     os.makedirs(bait)
     with open(os.path.join(bait, "bait.py"), "w") as fh:
         fh.write(_REACH_LINT_BAIT)
-    suppress = os.path.join(tmp, "lint-baseline.json")
     mix = ["--mix", "predict=1,topk=1,update_edges=1,update_features=1"]
     load = ["--rate", "40", "--duration", "0.5", "--checkpoint", ckpt, *mix]
     cli = [
@@ -1548,8 +1540,6 @@ def _reach_runs(tree: str, tmp: str) -> list:
         (["check", "--list-rules"], 0),
         (["check", bait], 1),
         (["check", "--json", "--rules", "REP101,REP102", bait], 1),
-        (["check", "--baseline", suppress, "--write-baseline", bait], 0),
-        (["check", "--baseline", suppress, bait], 0),
     ]
     runs += [("repro " + " ".join(a).replace(tmp + os.sep, ""), [py, "-m", "repro", *a],
               {}, code) for a, code in cli]

@@ -40,7 +40,7 @@ def main() -> None:
     print(f"loaded {ds.summary()}")
     config = TrainConfig(
         num_layers=3, hidden_features=32, learning_rate=0.01,
-        eval_every=0, seed=0, delay=args.delay, backend=args.backend,
+        eval_every=0, seed=0, backend=args.backend,
     )
 
     kind = "simulated" if args.backend == "sim" else "real (shm)"

@@ -24,11 +24,8 @@ from .linter import (
     Violation,
     check_paths,
     check_source,
-    load_baseline,
     render_json,
     render_text,
-    split_baselined,
-    write_baseline,
 )
 from .rules import ALL_RULES, RULES_BY_CODE
 from .sanitizers import (
@@ -46,11 +43,8 @@ __all__ = [
     "Violation",
     "check_paths",
     "check_source",
-    "load_baseline",
     "render_json",
     "render_text",
-    "split_baselined",
-    "write_baseline",
     "ALL_RULES",
     "RULES_BY_CODE",
     "LockOrderRecorder",

@@ -3,18 +3,18 @@
 The engine is deliberately small: it parses each Python file once into a
 :class:`FileContext` (AST + comment map + parent links + qualnames) and
 hands it to every registered rule.  Rules yield :class:`Violation`
-records with stable fingerprints so a baseline file can suppress known
-findings without pinning line numbers.
+records; a known, accepted finding is silenced where it stands, by an
+inline marker with its reason (``# racy-ok:``, ``# audit[…]:`` —
+:mod:`.annotations`).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .annotations import comment_map
 
@@ -29,13 +29,6 @@ class Violation:
     scope: str  # dotted qualname of the enclosing class/function ('' at module level)
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselines: excludes the line number so
-        unrelated edits above a finding do not churn the baseline."""
-        raw = "|".join((self.code, self.path, self.scope, self.message))
-        return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         where = f" [{self.scope}]" if self.scope else ""
         return f"{self.path}:{self.line} {self.code}{where} {self.message}"
@@ -47,7 +40,6 @@ class Violation:
             "line": self.line,
             "scope": self.scope,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -184,66 +176,23 @@ def check_paths(
     return violations
 
 
-# -- baseline ----------------------------------------------------------------
-
-
-def load_baseline(path: str) -> Set[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = data.get("suppressions", []) if isinstance(data, dict) else data
-    fingerprints: Set[str] = set()
-    for entry in entries:
-        if isinstance(entry, str):
-            fingerprints.add(entry)
-        elif isinstance(entry, dict) and "fingerprint" in entry:
-            fingerprints.add(str(entry["fingerprint"]))
-    return fingerprints
-
-
-def write_baseline(path: str, violations: Iterable[Violation]) -> None:
-    entries = [
-        {"fingerprint": v.fingerprint, "code": v.code, "path": v.path,
-         "scope": v.scope, "message": v.message}
-        for v in violations
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"suppressions": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def split_baselined(
-    violations: Sequence[Violation], baseline: Set[str]
-) -> "tuple[List[Violation], List[Violation]]":
-    fresh = [v for v in violations if v.fingerprint not in baseline]
-    suppressed = [v for v in violations if v.fingerprint in baseline]
-    return fresh, suppressed
-
-
 # -- reports -----------------------------------------------------------------
 
 
-def render_text(
-    fresh: Sequence[Violation], suppressed: Sequence[Violation]
-) -> str:
-    lines = [v.render() for v in fresh]
-    summary = f"{len(fresh)} violation(s)"
-    if suppressed:
-        summary += f", {len(suppressed)} suppressed by baseline"
-    lines.append(summary)
+def render_text(violations: Sequence[Violation]) -> str:
+    lines = [v.render() for v in violations]
+    lines.append(f"{len(violations)} violation(s)")
     return "\n".join(lines)
 
 
-def render_json(
-    fresh: Sequence[Violation], suppressed: Sequence[Violation]
-) -> str:
+def render_json(violations: Sequence[Violation]) -> str:
     by_code: Dict[str, int] = {}
-    for v in fresh:
+    for v in violations:
         by_code[v.code] = by_code.get(v.code, 0) + 1
     return json.dumps(
         {
-            "violations": [v.to_json() for v in fresh],
-            "suppressed": [v.to_json() for v in suppressed],
-            "count": len(fresh),
+            "violations": [v.to_json() for v in violations],
+            "count": len(violations),
             "by_code": by_code,
         },
         indent=2,

@@ -31,9 +31,10 @@ Commands
 ``check``      project-invariant static analysis: guarded-by discipline,
                blocking-under-lock, read-only hand-outs, classified
                broad excepts (REP101–REP104); text or ``--json`` report,
-               optional ``--baseline`` suppression file, exit 1 on new
-               violations.  Pairs with the ``REPRO_SANITIZE=1`` runtime
-               lock-order sanitizer (see docs/ARCHITECTURE.md §8).
+               exit 1 on any violation (an accepted finding carries an
+               inline ``# racy-ok`` / ``# audit[…]`` marker instead).
+               Pairs with the ``REPRO_SANITIZE=1`` runtime lock-order
+               sanitizer (see docs/ARCHITECTURE.md §8).
 """
 
 from __future__ import annotations
@@ -218,15 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--rules", default=None, metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    p_check.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppression file: violations whose fingerprint appears in "
-        "it are reported but do not fail the run",
-    )
-    p_check.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current violations to --baseline and exit 0",
     )
     p_check.add_argument(
         "--list-rules", action="store_true",
@@ -666,14 +658,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from repro.analysis import (
-        check_paths,
-        load_baseline,
-        render_json,
-        render_text,
-        split_baselined,
-        write_baseline,
-    )
+    from repro.analysis import check_paths, render_json, render_text
     from repro.analysis.rules import ALL_RULES, RULES_BY_CODE
 
     if args.list_rules:
@@ -691,29 +676,9 @@ def cmd_check(args) -> int:
         rules = [RULES_BY_CODE[c]() for c in codes]
 
     violations = check_paths(args.paths, rules=rules)
-
-    if args.write_baseline:
-        if not args.baseline:
-            print("--write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        write_baseline(args.baseline, violations)
-        print(f"baseline written: {args.baseline} "
-              f"({len(violations)} suppression(s))")
-        return 0
-
-    baseline = set()
-    if args.baseline:
-        import os
-
-        if os.path.exists(args.baseline):
-            baseline = load_baseline(args.baseline)
-    fresh, suppressed = split_baselined(violations, baseline)
-
-    if args.json_output:
-        print(render_json(fresh, suppressed))
-    else:
-        print(render_text(fresh, suppressed))
-    return 1 if fresh else 0
+    render = render_json if args.json_output else render_text
+    print(render(violations))
+    return 1 if violations else 0
 
 
 def cmd_ingest(args) -> int:

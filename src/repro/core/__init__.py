@@ -27,7 +27,7 @@
   by ``repro train --resume`` and the serving tier.
 """
 
-from repro.core.algorithms import ALGORITHMS, AlgorithmSpec, get_algorithm
+from repro.core.algorithms import AlgorithmSpec, get_algorithm
 from repro.core.checkpoint import load_checkpoint, peek_checkpoint, save_checkpoint
 from repro.core.config import TrainConfig
 from repro.core.dist_trainer import DistributedTrainer, DistTrainResult
@@ -42,7 +42,6 @@ __all__ = [
     "DistTrainResult",
     "EpochStats",
     "AlgorithmSpec",
-    "ALGORITHMS",
     "get_algorithm",
     "save_checkpoint",
     "load_checkpoint",

@@ -25,7 +25,6 @@ trainer's gradient handling:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -55,19 +54,14 @@ class AlgorithmSpec:
         return f"cd-{self.delay}"
 
 
-def get_algorithm(name: str, delay: int = 5) -> AlgorithmSpec:
-    """Build an algorithm spec from a paper-style name.
-
-    Accepts ``"0c"``, ``"cd-0"``, ``"cd-r"`` (uses ``delay``), or
-    ``"cd-<k>"`` for an explicit delay.
-    """
+def get_algorithm(name: str) -> AlgorithmSpec:
+    """Build an algorithm spec from a paper-style name: ``"0c"`` or
+    ``"cd-<r>"`` with the delay spelled out (``"cd-0"``, ``"cd-5"``)."""
     key = name.lower().replace("_", "-")
     if key == "0c":
         return AlgorithmSpec("0c", communicate=False, delay=0, sync_gradients=False)
     if key == "cd-0":
         return AlgorithmSpec("cd-0", communicate=True, delay=0, sync_gradients=True)
-    if key == "cd-r":
-        key = f"cd-{delay}"
     if key.startswith("cd-"):
         r = int(key[3:])
         if r < 0:
@@ -78,10 +72,3 @@ def get_algorithm(name: str, delay: int = 5) -> AlgorithmSpec:
             f"cd-{r}", communicate=True, delay=r, sync_gradients=False
         )
     raise ValueError(f"unknown algorithm {name!r}; use 0c, cd-0 or cd-<r>")
-
-
-ALGORITHMS: Dict[str, AlgorithmSpec] = {
-    "0c": get_algorithm("0c"),
-    "cd-0": get_algorithm("cd-0"),
-    "cd-5": get_algorithm("cd-5"),
-}

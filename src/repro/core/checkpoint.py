@@ -2,7 +2,7 @@
 
 Full-batch training at paper scale runs 200–300 epochs (Table 5); a
 production run needs restartability.  Checkpoints store model weights,
-optimizer slots (Adam moments / SGD velocity), and the epoch cursor in
+Adam's moments and step count, and the epoch cursor in
 one compressed ``.npz``.
 """
 
@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.optim import Adam
 
 _FORMAT_VERSION = 1
 
@@ -22,7 +22,7 @@ _FORMAT_VERSION = 1
 def save_checkpoint(
     path: str,
     model: Module,
-    optimizer: Optional[Optimizer] = None,
+    optimizer: Optional[Adam] = None,
     epoch: int = 0,
     extra: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
@@ -44,7 +44,7 @@ def save_checkpoint(
 def load_checkpoint(
     path: str,
     model: Module,
-    optimizer: Optional[Optimizer] = None,
+    optimizer: Optional[Adam] = None,
 ) -> Tuple[int, Dict[str, np.ndarray]]:
     """Restore training state; returns ``(epoch, extra_arrays)``."""
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
@@ -123,31 +123,20 @@ def config_from_meta(extra: Dict[str, np.ndarray], base):
     return cfg
 
 
-def _optimizer_state(opt: Optimizer) -> Dict[str, np.ndarray]:
-    """Serialize optimizer slots positionally (parameter order is the
+def _optimizer_state(opt: Adam) -> Dict[str, np.ndarray]:
+    """Serialize Adam's slots positionally (parameter order is the
     module-traversal order, which is deterministic)."""
-    state: Dict[str, np.ndarray] = {}
-    if isinstance(opt, Adam):
-        state["t"] = np.asarray(opt._t)
-        for i, p in enumerate(opt.params):
-            if id(p) in opt._m:
-                state[f"m/{i}"] = opt._m[id(p)]
-                state[f"v/{i}"] = opt._v[id(p)]
-    elif isinstance(opt, SGD):
-        for i, p in enumerate(opt.params):
-            if id(p) in opt._velocity:
-                state[f"vel/{i}"] = opt._velocity[id(p)]
+    state: Dict[str, np.ndarray] = {"t": np.asarray(opt._t)}
+    for i, p in enumerate(opt.params):
+        if id(p) in opt._m:
+            state[f"m/{i}"] = opt._m[id(p)]
+            state[f"v/{i}"] = opt._v[id(p)]
     return state
 
 
-def _restore_optimizer(opt: Optimizer, state: Dict[str, np.ndarray]) -> None:
-    if isinstance(opt, Adam):
-        opt._t = int(state.get("t", 0))
-        for i, p in enumerate(opt.params):
-            if f"m/{i}" in state:
-                opt._m[id(p)] = state[f"m/{i}"].copy()
-                opt._v[id(p)] = state[f"v/{i}"].copy()
-    elif isinstance(opt, SGD):
-        for i, p in enumerate(opt.params):
-            if f"vel/{i}" in state:
-                opt._velocity[id(p)] = state[f"vel/{i}"].copy()
+def _restore_optimizer(opt: Adam, state: Dict[str, np.ndarray]) -> None:
+    opt._t = int(state.get("t", 0))
+    for i, p in enumerate(opt.params):
+        if f"m/{i}" in state:
+            opt._m[id(p)] = state[f"m/{i}"].copy()
+            opt._v[id(p)] = state[f"v/{i}"].copy()

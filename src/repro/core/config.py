@@ -1,13 +1,15 @@
 """Training configuration.
 
 Defaults follow the paper's protocol (Section 6.1 and Table 5): GCN
-aggregator, weight decay 5e-4, lr per dataset/socket-count, delay r=5
-for cd-r, and the per-dataset layer shapes.
+aggregator, lr per dataset/socket-count and the per-dataset layer
+shapes.  The rest of the protocol is fixed, not configured: Adam with
+weight decay 5e-4 (``core.models.make_optimizer``), no dropout, and the
+cd-r delay named by the algorithm (``"cd-5"``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -18,11 +20,7 @@ class TrainConfig:
     num_layers: int = 3
     hidden_features: int = 256
     learning_rate: float = 0.01
-    weight_decay: float = 5e-4
     num_epochs: int = 200
-    optimizer: str = "adam"  # "adam" | "sgd"
-    momentum: float = 0.9  # sgd only
-    dropout: float = 0.0
     seed: int = 0
     #: GNN architecture: "sage" (paper default) or "gcn".
     model: str = "sage"
@@ -38,8 +36,6 @@ class TrainConfig:
     #: (bit-identical outputs — see kernels/engine.py).  ``None``
     #: defers to the REPRO_NUM_THREADS environment variable, else 1.
     num_threads: Optional[int] = None
-    #: cd-r delay (epochs); the paper uses r=5.
-    delay: int = 5
     #: evaluate accuracy every k epochs (0 = only at the end).
     eval_every: int = 10
     #: wire precision of DRPA aggregate payloads: "none" | "fp16" | "bf16"
@@ -52,9 +48,6 @@ class TrainConfig:
     #: losses/parameters/counters — see docs/ARCHITECTURE.md
     #: § "Execution backends".
     backend: str = "sim"
-    #: shm backend only: barrier/mailbox wait timeout.  A deadlocked
-    #: exchange fails fast with an error instead of hanging the run.
-    shm_timeout_s: float = 120.0
 
     def for_dataset(self, dataset_name: str) -> "TrainConfig":
         """Apply the paper's per-dataset model shape (Section 6.1)."""
@@ -66,6 +59,3 @@ class TrainConfig:
             cfg.num_layers = 3
             cfg.hidden_features = 256
         return cfg
-
-
-#: Learning rates of paper Table 5, keyed by (dataset, num_sockets).

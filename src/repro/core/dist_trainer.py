@@ -314,7 +314,7 @@ class DistributedTrainer:
         self.spec = (
             algorithm
             if isinstance(algorithm, AlgorithmSpec)
-            else get_algorithm(algorithm, delay=cfg.delay)
+            else get_algorithm(algorithm)
         )
         self.num_partitions = num_partitions
 
@@ -347,8 +347,8 @@ class DistributedTrainer:
         for r in range(num_partitions):
             part = parted.parts[r]
             gids = part.global_ids
-            # Same seed across ranks -> identical replicas; dropout stays 0
-            # (replica-identical forward is required for cd-0 exactness).
+            # Same seed across ranks -> identical replicas (a
+            # replica-identical forward is required for cd-0 exactness).
             model = build_model(cfg, dataset.feature_dim, dataset.num_classes)
             optimizer = make_optimizer(model, cfg)
             # Clones share the *global* in-degree so normalization matches

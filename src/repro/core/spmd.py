@@ -47,7 +47,7 @@ def run_shm_fit(trainer, num_epochs: int) -> Tuple[List[Tuple], List[Tuple]]:
     Loads the final replica state back into the parent's models so
     checkpointing and inspection see the trained weights.
     """
-    world = ShmWorld(trainer.num_partitions, timeout=trainer.config.shm_timeout_s)
+    world = ShmWorld(trainer.num_partitions)
     per_rank = world.run(_rank_fit, trainer, num_epochs)
 
     # Replicas are identical by construction; propagate rank 0's final

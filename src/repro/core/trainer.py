@@ -2,7 +2,7 @@
 
 This is the paper's optimized single-socket configuration: GraphSAGE-GCN
 over the optimized aggregation kernels, full-batch loss on the training
-vertices, Adam/SGD with the paper's weight decay.  It both serves as the
+vertices, Adam with the paper's weight decay.  It both serves as the
 accuracy reference for the distributed algorithms (Table 5's 1-socket
 rows) and produces the Total/AP time split of Fig. 2.
 

@@ -165,14 +165,13 @@ class DynamicGraph:
         self._dirty()
         return eids
 
-    def remove_edges(self, src, dst, strict: bool = True) -> np.ndarray:
+    def remove_edges(self, src, dst) -> np.ndarray:
         """Tombstone every live edge matching each ``(src[i], dst[i])``.
 
-        Parallel edges matching a pair are all removed.  With ``strict``
-        (the default) a pair with no live match raises ``ValueError``;
-        otherwise it is ignored.  The whole batch is validated before any
-        tombstone is written, so a failing pair leaves the graph
-        untouched.  Returns the removed edge ids.
+        Parallel edges matching a pair are all removed; a pair with no
+        live match raises ``ValueError``.  The whole batch is validated
+        before any tombstone is written, so a failing pair leaves the
+        graph untouched.  Returns the removed edge ids.
         """
         src, dst = _as_endpoint_arrays(src, dst, self.num_vertices, "remove")
         taken = set()
@@ -180,9 +179,7 @@ class DynamicGraph:
         for u, v in zip(src.tolist(), dst.tolist()):
             hits = [h for h in self._live_matches(u, v) if h not in taken]
             if not hits:
-                if strict:
-                    raise ValueError(f"no live edge {u} -> {v} to remove")
-                continue
+                raise ValueError(f"no live edge {u} -> {v} to remove")
             taken.update(hits)
             victims.extend((store, pos, v) for store, pos in hits)
         removed: List[int] = []

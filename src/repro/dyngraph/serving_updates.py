@@ -35,7 +35,7 @@ update_edges` (the one refresh path) and
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -108,12 +108,7 @@ class TopologyDelta:
     compacted: bool
 
 
-def apply_topology(
-    engine,
-    add=None,
-    remove=None,
-    compact_threshold: Optional[float] = 0.25,
-) -> TopologyDelta:
+def apply_topology(engine, add=None, remove=None) -> TopologyDelta:
     """Apply edge mutations to an engine's graph (tables untouched).
 
     Lazily shadows ``engine.graph`` with a :class:`DynamicGraph` (kept on
@@ -135,7 +130,7 @@ def apply_topology(
     _as_endpoint_arrays(rem_src, rem_dst, n, "remove")
     dyn = engine.dynamic
     if dyn is None:
-        dyn = DynamicGraph(engine.graph, compact_threshold=compact_threshold)
+        dyn = DynamicGraph(engine.graph)
         engine.dynamic = dyn
     compactions_before = dyn.num_compactions
     # removals first: an add+remove of the same pair in one batch means

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -213,31 +213,6 @@ class CSRGraph:
 
         return coo_to_csr(
             dst, src, num_dst=self.num_src, num_src=self.num_vertices, edge_ids=eid
-        )
-
-    # -- slicing --------------------------------------------------------------
-
-    def source_block(self, lo: int, hi: int) -> "CSRGraph":
-        """CSR containing only edges whose *source* lies in ``[lo, hi)``.
-
-        This is the per-block CSR construction of paper Alg. 2 line 2: the
-        row set (destinations) is unchanged; only the edges from the given
-        source range are retained.  Column indices stay in the global source
-        id space so feature gathers need no translation.
-        """
-        mask = (self.indices >= lo) & (self.indices < hi)
-        counts = np.zeros(self.num_vertices, dtype=INDEX_DTYPE)
-        dst = np.repeat(
-            np.arange(self.num_vertices, dtype=INDEX_DTYPE), self.in_degrees()
-        )
-        np.add.at(counts, dst[mask], 1)
-        indptr = np.zeros(self.num_vertices + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRGraph(
-            indptr=indptr,
-            indices=self.indices[mask],
-            edge_ids=self.edge_ids[mask],
-            num_src=self.num_src,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

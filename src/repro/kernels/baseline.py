@@ -27,7 +27,6 @@ def aggregate_baseline(
     f_e: Optional[np.ndarray] = None,
     binary_op="copylhs",
     reduce_op="sum",
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Algorithm 1: for each destination ``v``, reduce ``f_V[u] ⊗ f_E[e_uv]``.
 
@@ -40,15 +39,9 @@ def aggregate_baseline(
     f_e:
         ``(num_edges_global, d)`` edge features, indexed by the graph's
         ``edge_ids`` (``None`` for unary ``copylhs``).
-    out:
-        Optional pre-initialized accumulator (used to chain partial
-        passes).  When given, the kernel ⊕-accumulates into it and skips
-        finalization; the caller finalizes after the last pass.
     """
     bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
-    created = out is None
-    if created:
-        out = init_output(graph.num_vertices, dim, rop, dtype)
+    out = init_output(graph.num_vertices, dim, rop, dtype)
     indptr, indices, eids = graph.indptr, graph.indices, graph.edge_ids
     for v in range(graph.num_vertices):
         lo, hi = indptr[v], indptr[v + 1]
@@ -58,9 +51,7 @@ def aggregate_baseline(
         rhs = f_e[eids[lo:hi]] if bop.uses_rhs else None
         msg = bop(lhs, rhs)
         out[v] = rop.ufunc(out[v], rop.ufunc.reduce(msg, axis=0))
-    if created:
-        finalize_with_graph(out, rop, graph)
-    return out
+    return finalize_with_graph(out, rop, graph)
 
 
 def aggregate_dense_reference(
@@ -69,16 +60,11 @@ def aggregate_dense_reference(
     f_e: Optional[np.ndarray] = None,
     binary_op="copylhs",
     reduce_op="sum",
-    out: None = None,
 ) -> np.ndarray:
     """Edge-at-a-time reference (the literal Alg. 1 inner loop).
 
-    O(E) Python iterations — test-only ground truth.  Always allocates
-    and finalizes its own output; ``out`` exists only so every kernel
-    takes the same arguments, and must stay ``None``.
+    O(E) Python iterations — test-only ground truth.
     """
-    if out is not None:
-        raise ValueError("the reference kernel does not accumulate into out")
     bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
     out = init_output(graph.num_vertices, dim, rop, dtype)
     for v, nbrs, eids in graph.iter_rows():

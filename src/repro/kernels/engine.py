@@ -313,22 +313,22 @@ def execute_plan(
     rop: ReduceOp,
     dim: int,
     dtype,
-    out: Optional[np.ndarray] = None,
     num_threads: int = 1,
 ) -> np.ndarray:
     """Run one resolved AP (:func:`~repro.kernels.operators.resolve_pass`'s
     tuple) over ``plan``: each source block in order, its row ranges
-    inline or — with ``num_threads > 1`` — on the thread pool.  Any
-    ``plan.ranges`` that cover the rows disjointly give the same bytes.
+    inline or — with ``num_threads > 1`` — on the thread pool, every
+    block ⊕-accumulating into one output that is finalized once after
+    the last.  Any ``plan.ranges`` that cover the rows disjointly give
+    the same bytes.
     """
     graph, blocks, ranges = plan
     n = graph.num_vertices
     spmm = _is_spmm(bop, rop)
-    created = out is None
-    # An SpMM pass over one source block into an output it creates writes
-    # each row once: the range product is assigned, not added to a
-    # zero-fill (scipy accumulates from +0.0, so the bits are the same).
-    once = created and spmm and len(blocks) == 1
+    # An SpMM pass over one source block writes each row once: the range
+    # product is assigned, not added to a zero-fill (scipy accumulates
+    # from +0.0, so the bits are the same).
+    once = spmm and len(blocks) == 1
 
     if spmm:
         # The upcast scipy would otherwise repeat on all of f_V per range
@@ -350,8 +350,7 @@ def execute_plan(
     if once and len(ranges) == 1:
         out = spmm_rows(blocks[0], f_v, 0, n).astype(dtype, copy=False)
     else:
-        if created:
-            out = np.empty((n, dim), dtype) if once else init_output(n, dim, rop, dtype)
+        out = np.empty((n, dim), dtype) if once else init_output(n, dim, rop, dtype)
         threaded = num_threads > 1 and len(ranges) > 1
         for block in blocks:
             if threaded:
@@ -363,8 +362,7 @@ def execute_plan(
                 for lo, hi in ranges:
                     run(block, lo, hi)
 
-    if created:
-        finalize_with_graph(out, rop, graph)
+    finalize_with_graph(out, rop, graph)
     return out
 
 
@@ -374,15 +372,13 @@ def run_pass(
     f_e: Optional[np.ndarray] = None,
     binary_op="copylhs",
     reduce_op="sum",
-    out: Optional[np.ndarray] = None,
     num_threads: int = 1,
 ) -> np.ndarray:
     """The AP ``f_O[v] = ⊕_u (f_V[u] ⊗ f_E[e_uv])`` under the plan rule.
 
-    ``graph``, ``f_v``, ``f_e``, the operator names and the ``out=``
-    accumulate-without-finalize contract are those of
+    ``graph``, ``f_v``, ``f_e`` and the operator names are those of
     :func:`repro.kernels.spmm.aggregate`, whose ``kernel="auto"`` this is.
     """
     bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
     plan = plan_pass(graph, not _is_spmm(bop, rop), num_threads)
-    return execute_plan(plan, f_v, f_e, bop, rop, dim, dtype, out, num_threads)
+    return execute_plan(plan, f_v, f_e, bop, rop, dim, dtype, num_threads)

@@ -214,7 +214,7 @@ def finalize_output(
 def finalize_with_graph(out: np.ndarray, reduce_op: ReduceOp, graph) -> np.ndarray:
     """:func:`finalize_output` with the counts taken from ``graph``.
 
-    The shared epilogue of every kernel that allocated its own output:
+    The shared epilogue of every kernel:
     ``mean`` needs the destination in-degrees for the division, and
     ``max``/``min`` need them to zero exactly the empty rows (so NaN/±inf
     from real messages survive finalization).  ``graph`` is anything with

@@ -50,7 +50,6 @@ def aggregate(
     reduce_op: str = "sum",
     kernel: str = "auto",
     num_threads: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Compute the aggregation primitive ``f_O[v] = ⊕_u (f_V[u] ⊗ f_E[e_uv])``.
 
@@ -78,18 +77,10 @@ def aggregate(
         destination-row chunks from a work-queue (bit-identical
         outputs); the ground-truth kernels ignore it.  ``None`` falls
         back to the ``REPRO_NUM_THREADS`` environment variable, else 1.
-    out:
-        Optional ``(num_vertices, d)`` accumulator, identical semantics
-        across every kernel except ``"reference"`` (which rejects it):
-        ``out`` must be pre-filled with the reducer identity (see
-        :func:`repro.kernels.operators.init_output`) or hold a partial
-        result being chained; the kernel ⊕-accumulates row reductions
-        into it and **skips finalization** — no ±inf→0 cleanup for
-        ``max``/``min`` and no count division for ``mean``.  Callers
-        chaining passes call
-        :func:`repro.kernels.operators.finalize_output` once after the
-        last pass.  When ``out`` is ``None`` the kernel allocates,
-        accumulates, and finalizes, returning a ready-to-use output.
+
+    Every kernel allocates, accumulates and finalizes its own
+    ``(num_vertices, d)`` output (±inf→0 for an empty ``max``/``min``
+    row, the count division for ``mean``) and returns it ready to use.
     """
     # Resolved up front: a non-positive thread count must fail even on a
     # ground-truth kernel that would never consult it.
@@ -97,5 +88,5 @@ def aggregate(
     ground_truth = None if kernel == "auto" else KERNELS[validate_kernel(kernel)]
     with time_ap():
         if ground_truth is None:
-            return run_pass(graph, f_v, f_e, binary_op, reduce_op, out, threads)
-        return ground_truth(graph, f_v, f_e, binary_op, reduce_op, out=out)
+            return run_pass(graph, f_v, f_e, binary_op, reduce_op, threads)
+        return ground_truth(graph, f_v, f_e, binary_op, reduce_op)

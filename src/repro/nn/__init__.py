@@ -8,23 +8,23 @@ aggregation primitive.
 
 - :mod:`repro.nn.tensor` — the autograd :class:`Tensor` and tape.
 - :mod:`repro.nn.functional` — differentiable ops (matmul, spmm, relu,
-  dropout, log_softmax, ...).
+  log_softmax, ...).
 - :mod:`repro.nn.module` / :mod:`repro.nn.layers` — module system, Linear,
-  Dropout.
+  the two-phase GraphConv.
 - :mod:`repro.nn.sage` — GraphSAGE with the paper's GCN aggregator.
 - :mod:`repro.nn.rgcn` — relational GCN for the heterogeneous AM workload.
 - :mod:`repro.nn.loss` — masked cross-entropy.
-- :mod:`repro.nn.optim` — SGD / Adam with the paper's weight decay.
+- :mod:`repro.nn.optim` — Adam, the paper's optimizer.
 - :mod:`repro.nn.init` — the Xavier initializer.
 """
 
 from repro.nn import functional
 from repro.nn.gcn import GCN, GCNConv
 from repro.nn.init import xavier_uniform
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.loss import accuracy, masked_cross_entropy
 from repro.nn.module import InputAggregate, Module, Parameter
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.rgcn import RGCN, RelGraphConv
 from repro.nn.sage import GraphSAGE, SageConvGCN
 from repro.nn.tensor import Tensor, no_grad
@@ -37,7 +37,6 @@ __all__ = [
     "Parameter",
     "InputAggregate",
     "Linear",
-    "Dropout",
     "GraphSAGE",
     "SageConvGCN",
     "RGCN",
@@ -46,8 +45,6 @@ __all__ = [
     "GCNConv",
     "masked_cross_entropy",
     "accuracy",
-    "Optimizer",
-    "SGD",
     "Adam",
     "xavier_uniform",
 ]

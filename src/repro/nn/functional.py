@@ -149,22 +149,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward, "relu")
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scales kept activations by ``1/(1-p)``."""
-    if not training or p <= 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout p must be in [0, 1)")
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    mask = mask.astype(a.dtype)
-    out = a.data * mask
-
-    def backward(g):
-        return (g * mask,)
-
-    return _make(out, (a,), backward, "dropout")
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log-softmax (numerically stable)."""
     z = a.data - a.data.max(axis=1, keepdims=True)

@@ -95,15 +95,3 @@ class GraphConv(Module):
     def __call__(self, graph: CSRGraph, h: Tensor, norm: Tensor) -> Tensor:
         """Aggregate → combine: the order sampled blocks and serving use."""
         return self.combine(self.aggregate(graph, h, norm), h, norm)
-
-
-class Dropout(Module):
-    """Inverted dropout with a module-owned RNG stream."""
-
-    def __init__(self, p: float = 0.5, seed: int = 0):
-        super().__init__()
-        self.p = p
-        self.rng = np.random.default_rng(seed)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, self.training)

@@ -85,7 +85,7 @@ class Module:
 class InputAggregate:
     """One-slot memo of a first layer's ``aggregate``, for an owner whose
     graph, input features and norm stay fixed across calls (a trainer, a
-    rank program): with no tape and no dropout before it, that AP is a
+    rank program): with no tape before it, that AP is a
     product of constants.  The key is the identity of the three objects,
     which the slot keeps alive; other objects recompute and take the slot.
     It cannot see an in-place write, so paths that rewrite features

@@ -28,13 +28,13 @@ Model shapes follow the paper: 2 layers / 16 hidden for Reddit, 3 layers
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.nn import functional as F
-from repro.nn.layers import Dropout, GraphConv
+from repro.nn.layers import GraphConv
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -62,7 +62,6 @@ class GraphSAGE(Module):
         hidden_features: int,
         num_classes: int,
         num_layers: int = 3,
-        dropout: float = 0.0,
         seed: int = 0,
         kernel: str = "auto",
         num_threads: Optional[int] = None,
@@ -88,7 +87,6 @@ class GraphSAGE(Module):
             )
             self.register_module(f"layer{i}", layer)
             self.layers.append(layer)
-        self.dropout = Dropout(dropout, seed=seed + 1) if dropout > 0 else None
         self.num_layers = num_layers
 
     #: set by an owner of fixed (graph, features, norm): ``nn.InputAggregate``
@@ -102,6 +100,4 @@ class GraphSAGE(Module):
             x = layer.project(h) if i else h
             z = (layer.aggregate if i else first)(graph, x, norm)
             h = layer.combine(z, x, norm)
-            if self.dropout is not None and i < self.num_layers - 1:
-                h = self.dropout(h)
         return h

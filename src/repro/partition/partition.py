@@ -14,8 +14,8 @@ clone, exactly as described in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -103,7 +103,6 @@ def build_partitions(
     graph: CSRGraph,
     assignment: np.ndarray,
     num_partitions: int,
-    include_isolated: bool = True,
 ) -> PartitionedGraph:
     """Materialize partition structures from an edge assignment.
 
@@ -112,10 +111,10 @@ def build_partitions(
     assignment:
         ``(num_edges,)`` partition per **edge id** (from
         :func:`repro.partition.libra.libra_partition` or a baseline).
-    include_isolated:
-        Vertices with no edges are absent from every partition under a pure
-        edge distribution; training still needs their features/labels, so
-        by default they are dealt round-robin to partitions.
+
+    Vertices with no edges are absent from every partition under a pure
+    edge distribution; training still needs their features/labels, so
+    they are dealt round-robin to partitions.
     """
     assignment = np.asarray(assignment, dtype=INDEX_DTYPE)
     if assignment.size != graph.num_edges:
@@ -132,10 +131,8 @@ def build_partitions(
     membership = np.zeros((n, num_partitions), dtype=bool)
     membership[src, parts_of_edges] = True
     membership[dst, parts_of_edges] = True
-    if include_isolated:
-        isolated = np.flatnonzero(~membership.any(axis=1))
-        if isolated.size:
-            membership[isolated, isolated % num_partitions] = True
+    isolated = np.flatnonzero(~membership.any(axis=1))
+    membership[isolated, isolated % num_partitions] = True
 
     parts: List[GraphPartition] = []
     offsets = np.zeros(num_partitions + 1, dtype=INDEX_DTYPE)

@@ -53,7 +53,6 @@ def graphsage_memory_bytes(
     num_classes: int,
     algorithm: str = "cd-0",
     split_fraction: float = 0.0,
-    optimizer: str = "adam",
 ) -> MemoryModel:
     """Memory of one partition running 3-layer GraphSAGE (paper's model).
 
@@ -85,9 +84,8 @@ def graphsage_memory_bytes(
     # peak at roughly the widest pair of layers).
     gradients = n * (max(widths) + max(out_widths)) * FLOAT_BYTES
 
-    # Optimizer: Adam keeps m and v per weight; SGD-momentum one slot.
-    opt_slots = {"adam": 2, "sgd": 1}.get(optimizer, 2)
-    optimizer_state = w_elems * opt_slots * FLOAT_BYTES
+    # Optimizer: Adam keeps m and v per weight.
+    optimizer_state = w_elems * 2 * FLOAT_BYTES
 
     # Communication buffers over the split vertices.
     s = n * split_fraction

@@ -51,12 +51,10 @@ def forward_blocks(
 ) -> Tensor:
     """Push input-frontier features through the layer stack, one sampled
     block per layer."""
-    for i, (layer, block) in enumerate(zip(model.layers, blocks)):
+    for layer, block in zip(model.layers, blocks):
         z = layer.aggregate(block.graph, h)
         # self term: dst rows lead the src frontier, so a row slice
         h = layer.combine(z, _row_slice(h, block.num_dst), Tensor(block.norm()))
-        if model.dropout is not None and i < model.num_layers - 1:
-            h = model.dropout(h)
     return h
 
 

@@ -34,6 +34,10 @@ from repro.analysis.sanitizers import make_condition
 from repro.obs.trace import Span, Tracer, activate, get_tracer
 from repro.serving.metrics import ServingMetrics
 
+#: the hint sent with 429/503 answers (the HTTP ``Retry-After`` header,
+#: rounded up to whole seconds there)
+RETRY_AFTER_S = 0.05
+
 
 class ServingUnavailable(RuntimeError):
     """Base class for load-shedding outcomes (429/503, never a 500)."""
@@ -69,9 +73,7 @@ class ServingFrontend:
     underneath when the kernel engine is configured for it) and
     ``max_queue`` wait; beyond that requests answer 429.  The deadline is
     ``default_timeout_s``, overridable per endpoint
-    (``timeouts={"predict": 0.5}``).  ``retry_after_s`` is the hint sent
-    with 429/503 answers (the HTTP ``Retry-After`` header, rounded up to
-    whole seconds there).
+    (``timeouts={"predict": 0.5}``).
     """
 
     def __init__(
@@ -81,8 +83,6 @@ class ServingFrontend:
         max_queue: int = 256,
         default_timeout_s: float = 30.0,
         timeouts: Optional[Dict[str, float]] = None,
-        retry_after_s: float = 0.05,
-        metrics: Optional[ServingMetrics] = None,
         tracer: Optional[Tracer] = None,
     ):
         if num_workers < 1:
@@ -96,8 +96,7 @@ class ServingFrontend:
         self.max_queue = int(max_queue)
         self.default_timeout_s = float(default_timeout_s)
         self.timeouts = dict(timeouts or {})
-        self.retry_after_s = float(retry_after_s)
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = ServingMetrics()
         # disabled by default (REPRO_TRACE unset): every root() is None
         # and the request path pays one branch
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -133,7 +132,7 @@ class ServingFrontend:
                     raise RequestRejected(
                         f"{endpoint}: admission queue full "
                         f"({self.max_queue} requests waiting)",
-                        retry_after_s=self.retry_after_s,
+                        retry_after_s=RETRY_AFTER_S,
                     )
                 self._depth += 1
                 try:
@@ -145,7 +144,7 @@ class ServingFrontend:
                 finally:
                     self._depth -= 1
             if self._closed:
-                raise ServingUnavailable("ServingFrontend is closed", self.retry_after_s)
+                raise ServingUnavailable("ServingFrontend is closed", RETRY_AFTER_S)
             self._in_flight += 1
             return True
 
@@ -209,7 +208,7 @@ class ServingFrontend:
                     return result
             raise RequestTimeout(
                 f"{endpoint}: timed out after {timeout:g}s",
-                retry_after_s=self.retry_after_s,
+                retry_after_s=RETRY_AFTER_S,
             )
 
         return self._measured(endpoint, gated)

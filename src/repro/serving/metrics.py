@@ -23,6 +23,9 @@ import numpy as np
 
 from repro.analysis.sanitizers import make_lock
 
+#: served latencies kept per endpoint for the quantiles (a bounded window)
+LATENCY_WINDOW = 8192
+
 #: every request lands in exactly one outcome bucket.
 OUTCOMES = (
     "ok",                    # 200: computed and answered
@@ -53,10 +56,10 @@ def percentiles_ms(latencies_s, qs=(50.0, 99.0)) -> Dict[str, float]:
 class _EndpointMetrics:
     __slots__ = ("counts", "latencies", "latency_sum_s", "latency_count")
 
-    def __init__(self, window: int):
+    def __init__(self):
         self.counts = {outcome: 0 for outcome in OUTCOMES}
         #: bounded sample window of *served* (ok) request latencies.
-        self.latencies = deque(maxlen=window)
+        self.latencies = deque(maxlen=LATENCY_WINDOW)
         self.latency_sum_s = 0.0
         self.latency_count = 0
 
@@ -64,17 +67,14 @@ class _EndpointMetrics:
 class ServingMetrics:
     """Thread-safe per-endpoint outcome counters + latency quantiles."""
 
-    def __init__(self, window: int = 8192):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = int(window)
+    def __init__(self):
         self._lock = make_lock("serving.metrics")
         self._endpoints: Dict[str, _EndpointMetrics] = {}  # guarded-by: _lock
 
     def _endpoint(self, name: str) -> _EndpointMetrics:  # requires-lock: _lock
         ep = self._endpoints.get(name)
         if ep is None:
-            ep = self._endpoints[name] = _EndpointMetrics(self.window)
+            ep = self._endpoints[name] = _EndpointMetrics()
         return ep
 
     def record(self, endpoint: str, outcome: str, latency_s: Optional[float] = None):
@@ -123,6 +123,6 @@ class ServingMetrics:
             # stay on the wire at 0 for readers of the older schema
             "totals": {"requests": total_requests, **totals, "rejected_draining": 0},
             "num_drains": 0,
-            "latency_window": self.window,
+            "latency_window": LATENCY_WINDOW,
             **gauges,
         }

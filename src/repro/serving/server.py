@@ -260,6 +260,15 @@ class PredictionService:
         self.close()
 
 
+#: the largest request body read; a larger declared length answers 413
+#: unread, so no header sizes an allocation beyond it
+MAX_BODY_BYTES = 64 << 20
+
+
+class _BodyTooLarge(Exception):
+    """A declared ``Content-Length`` over :data:`MAX_BODY_BYTES`."""
+
+
 class _PredictionHandler(BaseHTTPRequestHandler):
     """Parses requests and routes them through the server's frontend."""
 
@@ -322,9 +331,13 @@ class _PredictionHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """The whole body (an unread byte would parse as the next request),
-        or a 400 that ends the connection: no length, a bad one, cut short."""
+        or a 400 that ends the connection: no length, a bad one, cut short;
+        a 413 that ends it for a length over :data:`MAX_BODY_BYTES`."""
         raw = self.headers.get("Content-Length", "")
         length = int(raw) if raw.isdecimal() else -1
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLarge(f"Content-Length {length} is over {MAX_BODY_BYTES} bytes")
         body = self.rfile.read(length) if length >= 0 else b""
         if len(body) != length:
             self.close_connection = True
@@ -357,6 +370,8 @@ class _PredictionHandler(BaseHTTPRequestHandler):
             # backpressure / deadline / closed: 429 or 503 + Retry-After
             body = {"error": str(exc), "retry_after_s": exc.retry_after_s}
             self._reply(exc.status, body, retry_after_s=exc.retry_after_s)
+        except _BodyTooLarge as exc:
+            self._reply(413, {"error": f"payload too large: {exc}"})
         except (ValueError, OverflowError) as exc:
             # malformed body / ids / k / pairs (OverflowError: an id too
             # large for the index dtype is out-of-range, not a 500)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.algorithms import ALGORITHMS, get_algorithm
+from repro.core.algorithms import get_algorithm
 
 
 def test_0c():
@@ -19,8 +19,8 @@ def test_cd0():
     assert spec.num_bins == 1
 
 
-def test_cdr_default_delay():
-    spec = get_algorithm("cd-r", delay=5)
+def test_cd5_paper_delay():
+    spec = get_algorithm("cd-5")
     assert spec.delay == 5
     assert spec.num_bins == 5
     assert not spec.sync_gradients
@@ -34,7 +34,7 @@ def test_explicit_delay_name():
 
 def test_cd_zero_via_name():
     assert get_algorithm("cd-0").name == "cd-0"
-    assert get_algorithm("cd-r", delay=0).sync_gradients
+    assert get_algorithm("cd-0").sync_gradients
 
 
 def test_unknown():
@@ -42,8 +42,17 @@ def test_unknown():
         get_algorithm("async-sgd")
 
 
-def test_registry():
-    assert set(ALGORITHMS) == {"0c", "cd-0", "cd-5"}
+def test_delay_is_spelled_out():
+    """``cd-<r>`` names its delay; there is no ``cd-r`` alias and no
+    negative delay."""
+    for name in ("cd-r", "cd--1"):
+        with pytest.raises(ValueError):
+            get_algorithm(name)
+
+
+def test_underscore_spelling():
+    spec = get_algorithm("cd_5")
+    assert (spec.name, spec.delay) == ("cd-5", 5)
 
 
 def test_case_insensitive():

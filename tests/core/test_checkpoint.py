@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Trainer, TrainConfig
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.nn import Adam, GraphSAGE, SGD
+from repro.nn import Adam, GraphSAGE
 
 CFG = TrainConfig(
     num_layers=2, hidden_features=16, learning_rate=0.01, eval_every=0, seed=0
@@ -64,22 +64,23 @@ def test_resume_equals_uninterrupted(tmp_path, reddit_mini):
     )
 
 
-def test_sgd_velocity_round_trip(tmp_path):
+def test_adam_moments_round_trip(tmp_path):
     model = GraphSAGE(4, 8, 2, seed=0)
-    opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
-    for p in model.parameters():
-        p.grad = np.ones_like(p.data)
-    opt.step()
-    path = str(tmp_path / "sgd.npz")
+    opt = Adam(model.parameters(), lr=0.1)
+    for step in range(2):
+        for p in model.parameters():
+            p.grad = np.full_like(p.data, step + 1.0)
+        opt.step()
+    path = str(tmp_path / "adam.npz")
     save_checkpoint(path, model, opt)
 
     model2 = GraphSAGE(4, 8, 2, seed=5)
-    opt2 = SGD(model2.parameters(), lr=0.1, momentum=0.9)
+    opt2 = Adam(model2.parameters(), lr=0.1)
     load_checkpoint(path, model2, opt2)
+    assert opt2._t == opt._t == 2
     for p1, p2 in zip(opt.params, opt2.params):
-        np.testing.assert_array_equal(
-            opt._velocity[id(p1)], opt2._velocity[id(p2)]
-        )
+        np.testing.assert_array_equal(opt._m[id(p1)], opt2._m[id(p2)])
+        np.testing.assert_array_equal(opt._v[id(p1)], opt2._v[id(p2)])
 
 
 @pytest.mark.parametrize("model_name", ["sage", "gcn"])

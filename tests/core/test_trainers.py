@@ -6,7 +6,8 @@ import pytest
 from repro.core import DistributedTrainer, Trainer, TrainConfig
 from repro.core.sync import allreduce_gradients, assert_replicas_in_sync
 from repro.comm import World
-from repro.nn import SGD, GraphSAGE
+from repro.core.models import WEIGHT_DECAY
+from repro.nn import Adam, GraphSAGE
 from repro.sampling import DistMiniBatchTrainer, MiniBatchTrainer
 
 
@@ -73,16 +74,6 @@ class TestSingleSocket:
         r1 = Trainer(reddit_mini, CFG).fit(num_epochs=5)
         r2 = Trainer(reddit_mini, CFG).fit(num_epochs=5)
         assert r1.loss_curve() == r2.loss_curve()
-
-    def test_sgd_optimizer(self, reddit_mini):
-        cfg = TrainConfig(**{**vars(CFG), "optimizer": "sgd", "learning_rate": 0.1})
-        res = Trainer(reddit_mini, cfg).fit(num_epochs=10)
-        assert res.final_loss < res.loss_curve()[0]
-
-    def test_unknown_optimizer(self, reddit_mini):
-        cfg = TrainConfig(**{**vars(CFG), "optimizer": "rmsprop"})
-        with pytest.raises(ValueError):
-            Trainer(reddit_mini, cfg)
 
 
 class TestDistributed:
@@ -172,27 +163,20 @@ class TestSharedPlumbing:
     """The factories every trainer builds through."""
 
     @pytest.mark.parametrize("name", sorted(TRAINERS))
-    def test_unknown_optimizer_rejected(self, reddit_mini, name):
-        cfg = TrainConfig(num_layers=2, hidden_features=16, optimizer="lion")
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            TRAINERS[name][0](reddit_mini, cfg)
-
-    @pytest.mark.parametrize("name", sorted(TRAINERS))
-    def test_sgd_is_sgd(self, reddit_mini, name):
-        cfg = TrainConfig(num_layers=2, hidden_features=16, optimizer="sgd")
+    def test_optimizer_is_adam_with_the_paper_decay(self, reddit_mini, name):
+        cfg = TrainConfig(num_layers=2, hidden_features=16, learning_rate=0.05)
         build, first = TRAINERS[name]
-        optimizer, _ = first(build(reddit_mini, cfg))
-        assert isinstance(optimizer, SGD) and optimizer.momentum == cfg.momentum
+        optimizer, model = first(build(reddit_mini, cfg))
+        assert isinstance(optimizer, Adam) and optimizer.lr == 0.05
+        assert optimizer.weight_decay == WEIGHT_DECAY == 5e-4
+        assert list(map(id, optimizer.params)) == list(map(id, model.parameters()))
 
     @pytest.mark.parametrize("name", ["MiniBatchTrainer", "DistMiniBatchTrainer"])
     def test_minibatch_models_come_from_the_config(self, reddit_mini, name):
-        cfg = TrainConfig(
-            num_layers=2, hidden_features=16, num_threads=2, dropout=0.5
-        )
+        cfg = TrainConfig(num_layers=2, hidden_features=16, num_threads=2)
         build, first = TRAINERS[name]
         _, model = first(build(reddit_mini, cfg))
         assert all(layer.num_threads == 2 for layer in model.layers)
-        assert model.dropout is not None and model.dropout.p == 0.5
         gcn = TrainConfig(num_layers=2, hidden_features=16, model="gcn")
         with pytest.raises(ValueError, match="supports model 'sage'"):
             build(reddit_mini, gcn)

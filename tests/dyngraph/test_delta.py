@@ -169,8 +169,8 @@ def test_strict_remove_raises_and_leaves_graph_untouched(tiny_graph):
     assert has_edge(dyn, 0, 1)
     assert dyn.num_removed == 0
     assert_csr_equal(dyn.csr(), before)
-    # non-strict skips the missing pair and applies the rest
-    removed = dyn.remove_edges([0, 4], [1, 4], strict=False)
+    # the existing pair alone applies
+    removed = dyn.remove_edges([0], [1])
     assert removed.size == 1 and not has_edge(dyn, 0, 1)
 
 

@@ -175,28 +175,6 @@ class TestConversions:
         )
 
 
-class TestSourceBlock:
-    def test_partition_of_edges(self, small_rmat):
-        n = small_rmat.num_src
-        half = n // 2
-        b0 = small_rmat.source_block(0, half)
-        b1 = small_rmat.source_block(half, n)
-        assert b0.num_edges + b1.num_edges == small_rmat.num_edges
-
-    def test_block_edges_have_sources_in_range(self, small_rmat):
-        b = small_rmat.source_block(10, 50)
-        if b.num_edges:
-            assert b.indices.min() >= 10
-            assert b.indices.max() < 50
-
-    def test_blocks_sum_to_full_dense(self, tiny_graph):
-        n = tiny_graph.num_src
-        total = np.zeros((tiny_graph.num_vertices, n))
-        for lo in range(0, n, 2):
-            total += tiny_graph.source_block(lo, min(lo + 2, n)).to_dense()
-        assert np.array_equal(total, tiny_graph.to_dense())
-
-
 def test_validate_graph_passes(small_rmat):
     """A built graph's own arrays pass the constructor's checks."""
     again = CSRGraph(small_rmat.indptr, small_rmat.indices,

@@ -104,8 +104,7 @@ class TestDegenerateConfigs:
     def test_delay_exceeding_epochs(self, reddit_mini):
         """cd-r with r larger than the training run: no exchange ever
         completes, which must degrade gracefully to 0c-like behaviour."""
-        cfg = TrainConfig(**{**vars(CFG), "delay": 50})
-        dt = DistributedTrainer(reddit_mini, 3, algorithm="cd-50", config=cfg)
+        dt = DistributedTrainer(reddit_mini, 3, algorithm="cd-50", config=CFG)
         res = dt.fit(num_epochs=5)
         assert np.isfinite(res.final_loss)
 

@@ -51,11 +51,11 @@ def balanced_cover(graph, parts):
 COVERS = {"static": static_cover, "dynamic": plan_row_chunks, "balanced": balanced_cover}
 
 
-def run_cover(graph, ranges, f_v, f_e, binary_op, reduce_op, out=None, num_threads=1):
+def run_cover(graph, ranges, f_v, f_e, binary_op, reduce_op, num_threads=1):
     """One pass over an explicit row cover of ``graph`` (its source blocks
     when it is a :class:`BlockedGraph`), bypassing the plan rule."""
     blocked = isinstance(graph, BlockedGraph)
     base = graph.graph if blocked else graph
     plan = PassPlan(base, graph.blocks if blocked else (base,), ranges)
     ops = resolve_pass(f_v, f_e, binary_op, reduce_op)
-    return execute_plan(plan, f_v, f_e, *ops, out, num_threads)
+    return execute_plan(plan, f_v, f_e, *ops, num_threads)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph.builders import from_edge_list
 from repro.kernels import aggregate
 from repro.kernels.blocked import BlockedGraph, block_bounds, build_blocks
 
@@ -66,22 +67,26 @@ class TestBlockedGraph:
         whole = aggregate(small_rmat, small_features)
         np.testing.assert_allclose(out1, whole, rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("reduce_op", ["max", "min", "mean"])
+    def test_finalize_runs_once_after_the_last_block(self, reduce_op):
+        """Row 1's only in-edges come from the second source block: after
+        the first block it still holds the reducer identity, which a
+        per-block finalize would zero (max/min) or divide by a per-block
+        count (mean).  One finalize against the whole graph keeps the
+        real reduction; row 2 has no in-edges at all and reads 0."""
+        g = from_edge_list([(0, 0), (2, 1), (3, 1)], num_vertices=4)
+        f_v = -np.arange(1.0, 5.0).reshape(4, 1)  # all negative: max < 0
+        bg = BlockedGraph.build(g, 2)
+        assert [b.num_edges for b in bg.blocks] == [1, 2]
+        got = aggregate(bg, f_v, None, "copylhs", reduce_op)
+        want = {"max": [-1.0, -3.0, 0.0, 0.0], "min": [-1.0, -4.0, 0.0, 0.0],
+                "mean": [-1.0, -3.5, 0.0, 0.0]}[reduce_op]
+        assert got[:, 0].tolist() == want
+        assert np.array_equal(got, aggregate(g, f_v, None, "copylhs", reduce_op))
+
     def test_block_size(self, small_rmat):
         bg = BlockedGraph.build(small_rmat, 4)
         width = -(-small_rmat.num_src // 4)
         assert np.diff(bg.bounds).tolist() == [width] * 3 + [small_rmat.num_src - 3 * width]
         for block, lo, hi in zip(bg.blocks, bg.bounds[:-1], bg.bounds[1:]):
             assert np.all((block.indices >= lo) & (block.indices < hi))
-
-    def test_accumulation_into_out(self, small_rmat, small_features):
-        """Chaining two graphs into one output accumulates under sum."""
-        from repro.kernels.operators import get_reduce_op, init_output
-
-        out = init_output(
-            small_rmat.num_vertices, 8, get_reduce_op("sum"), np.float32
-        )
-        bg = BlockedGraph.build(small_rmat, 2)
-        aggregate(bg, small_features, out=out)
-        once = out.copy()
-        aggregate(bg, small_features, out=out)
-        np.testing.assert_allclose(out, 2 * once, rtol=1e-5)

@@ -15,7 +15,6 @@ from repro.kernels import aggregate, engine
 from repro.kernels.baseline import aggregate_baseline, aggregate_dense_reference
 from repro.kernels.blocked import BlockedGraph
 from repro.kernels.engine import plan_row_chunks
-from repro.kernels.operators import finalize_output, get_reduce_op, init_output
 
 vectorized = partial(aggregate, kernel="auto")  # small graphs: one whole-graph pass
 
@@ -131,20 +130,13 @@ def test_nan_inf_messages_survive_finalization(line_graph, fn, reduce_op):
 
 
 @pytest.mark.parametrize("reduce_op", REDUCE)
-def test_vectorized_out_accumulation_contract(small_rmat, reduce_op):
-    """Chaining passes into `out` + one finalize == the one-shot result."""
+def test_vectorized_block_accumulation_contract(small_rmat, reduce_op):
+    """Partial passes over two source blocks, chained and finalized once,
+    == the one-shot result."""
     f_v, f_e = _features(small_rmat)
-    rop = get_reduce_op(reduce_op)
     expected = vectorized(small_rmat, f_v, f_e, "mul", reduce_op)
-    out = init_output(small_rmat.num_vertices, f_v.shape[1], rop, f_v.dtype)
-    # split the source range in two and chain the partial passes
-    mid = small_rmat.num_src // 2
-    for lo, hi in ((0, mid), (mid, small_rmat.num_src)):
-        block = small_rmat.source_block(lo, hi)
-        vectorized(block, f_v, f_e, "mul", reduce_op, out=out)
-    counts = small_rmat.in_degrees() if rop.needs_counts else None
-    finalize_output(out, rop, counts=counts)
-    np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-9)
+    got = vectorized(BlockedGraph.build(small_rmat, 2), f_v, f_e, "mul", reduce_op)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
 def test_spmm_equals_scipy(small_rmat):

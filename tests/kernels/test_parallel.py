@@ -15,8 +15,8 @@ from repro.graph.builders import coo_to_csr
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
+from repro.kernels.blocked import BlockedGraph
 from repro.kernels.engine import plan_row_chunks, requested_num_threads
-from repro.kernels.operators import finalize_output, get_reduce_op, init_output
 
 whole = partial(aggregate, num_threads=1)
 
@@ -134,25 +134,18 @@ class TestBitIdentity:
             assert np.array_equal(out, ref)
 
 
-class TestOutContract:
+class TestBlockChaining:
     @pytest.mark.parametrize("reduce_op", REDUCE)
     def test_accumulate_without_finalize(self, small_rmat, reduce_op):
-        """Chained partial passes into `out` + one finalize == one-shot."""
+        """Threaded source blocks chain into one output and finalize once
+        (against the whole graph's degrees) == the one-shot pass."""
         f_v, f_e = _features(small_rmat)
-        rop = get_reduce_op(reduce_op)
         expected = aggregate(
             small_rmat, f_v, f_e, "mul", reduce_op, num_threads=4
         )
-        out = init_output(small_rmat.num_vertices, f_v.shape[1], rop, f_v.dtype)
-        mid = small_rmat.num_src // 2
-        for lo, hi in ((0, mid), (mid, small_rmat.num_src)):
-            block = small_rmat.source_block(lo, hi)
-            aggregate(
-                block, f_v, f_e, "mul", reduce_op, out=out, num_threads=4
-            )
-        counts = small_rmat.in_degrees()
-        finalize_output(out, rop, counts=counts)
-        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-9)
+        blocked = BlockedGraph.build(small_rmat, 2)
+        got = aggregate(blocked, f_v, f_e, "mul", reduce_op, num_threads=4)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
 class TestPlanning:

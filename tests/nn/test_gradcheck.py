@@ -107,19 +107,3 @@ def test_spmm_chain_through_matmul():
         (3, 4),
         atol=1e-5,
     )
-
-
-def test_dropout_backward_matches_mask():
-    rng = np.random.default_rng(0)
-    x = Tensor(np.ones((100, 4)), requires_grad=True)
-    out = F.dropout(x, 0.5, rng, training=True)
-    out.sum().backward()
-    # grad equals the applied mask (0 or 1/(1-p))
-    assert set(np.unique(x.grad)) <= {0.0, 2.0}
-
-
-def test_dropout_eval_is_identity():
-    rng = np.random.default_rng(0)
-    x = Tensor(np.ones((10, 2)), requires_grad=True)
-    out = F.dropout(x, 0.9, rng, training=False)
-    assert out is x

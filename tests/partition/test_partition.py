@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph.builders import from_edge_list
 from repro.partition import build_partitions, libra_partition
 from repro.partition.baselines import random_edge_partition
 
@@ -41,17 +42,17 @@ class TestBuild:
 
     def test_isolated_vertices_placed(self, small_rmat):
         asn = libra_partition(small_rmat, 3, seed=0)
-        parted = build_partitions(small_rmat, asn, 3, include_isolated=True)
+        parted = build_partitions(small_rmat, asn, 3)
         assert np.all(parted.membership.any(axis=1))
 
-    def test_isolated_exclusion(self, small_rmat):
-        asn = libra_partition(small_rmat, 3, seed=0)
-        parted = build_partitions(small_rmat, asn, 3, include_isolated=False)
-        src, dst, _ = small_rmat.to_coo()
-        touched = np.zeros(small_rmat.num_vertices, dtype=bool)
-        touched[src] = True
-        touched[dst] = True
-        assert np.array_equal(parted.membership.any(axis=1), touched)
+    def test_isolated_vertices_dealt_round_robin(self):
+        """A vertex no edge touches lives on exactly partition ``v % P``;
+        an edge's endpoints live only where the edge was assigned."""
+        g = from_edge_list([(0, 1), (1, 2)], num_vertices=7)
+        parted = build_partitions(g, np.array([1, 1]), 3)
+        for v in range(7):
+            want = [1] if v <= 2 else [v % 3]
+            assert np.flatnonzero(parted.membership[v]).tolist() == want, v
 
     def test_assignment_validation(self, small_rmat):
         bad = np.full(small_rmat.num_edges, 9)

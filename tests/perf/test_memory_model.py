@@ -60,10 +60,11 @@ class TestModel:
         )
         assert m.comm_buffers == 0.0
 
-    def test_sgd_smaller_state_than_adam(self):
-        a = graphsage_memory_bytes(1e5, 64, [32], 10, optimizer="adam")
-        s = graphsage_memory_bytes(1e5, 64, [32], 10, optimizer="sgd")
-        assert s.optimizer_state < a.optimizer_state
+    def test_optimizer_state_is_two_adam_slots(self):
+        """Adam keeps m and v per weight: twice the weights' bytes."""
+        m = graphsage_memory_bytes(1e5, 64, [32], 10)
+        assert m.weights == 4 * (64 * 32 + 32 * 10)
+        assert m.optimizer_state == 2 * m.weights
 
     def test_partition_vertices_formula(self):
         assert papers_partition_vertices(32, 4.63) == pytest.approx(

@@ -205,6 +205,46 @@ def test_an_unreadable_body_answers_400_and_closes(engine, serve, length):
         assert "Content-Length" in json.loads(payload)["error"]
 
 
+def test_a_huge_content_length_answers_413_and_closes(engine, serve):
+    """A declared length of 1 TiB with a 17-byte body is refused unread
+    (413, JSON, ``Connection: close``) — not read into a buffer of the
+    declared size, whose ``MemoryError`` answered 500 and left the body
+    on the kept-alive connection — and the server answers the next
+    connection."""
+    server = serve()
+    reply = _raw_exchange(
+        server,
+        b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: 1099511627776\r\n\r\n" + b'{"vertices": [0]}',
+        half_close=True,
+    )
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0].split()[1] == b"413", head
+    assert b"Connection: close" in head.split(b"\r\n")
+    assert "Content-Length" in json.loads(payload)["error"]
+    conn = http.client.HTTPConnection(*server.address, timeout=5)
+    resp, body = _post(conn, "/predict", {"vertices": [0, 1]})
+    assert resp.status == 200 and body["labels"] == _labels(engine, [0, 1])
+    conn.close()
+
+
+def test_the_body_cap_admits_its_own_length(engine, serve, monkeypatch):
+    """``MAX_BODY_BYTES`` is the largest body read: a body of exactly
+    that length is served, one byte over answers 413."""
+    from repro.serving import server as server_module
+
+    body = json.dumps({"vertices": [0, 1]}).encode()
+    server = serve()
+    conn = http.client.HTTPConnection(*server.address, timeout=5)
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(body))
+    resp, out = _post(conn, "/predict", body)
+    assert resp.status == 200 and out["labels"] == _labels(engine, [0, 1])
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(body) - 1)
+    resp, out = _post(conn, "/predict", body)
+    assert resp.status == 413 and resp.getheader("Connection") == "close"
+    conn.close()
+
+
 def test_each_response_is_one_write(engine, serve, monkeypatch):
     """Headers and body leave in one ``sendall``: a body written apart
     would wait on Nagle's algorithm plus the client's delayed ACK."""

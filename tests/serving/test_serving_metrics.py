@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.serving import ServingMetrics, percentiles_ms
-from repro.serving.metrics import OUTCOMES
+from repro.serving.metrics import LATENCY_WINDOW, OUTCOMES
 
 from harness import make_frontend, make_service, seeded_run
 
@@ -107,19 +107,21 @@ def test_seeded_runs_fire_identical_schedules(trained, serving):
 
 
 def test_metrics_recorder_validation_and_window():
-    m = ServingMetrics(window=4)
+    m = ServingMetrics()
     with pytest.raises(ValueError, match="unknown outcome"):
         m.record("predict", "teapot")
-    with pytest.raises(ValueError, match="window"):
-        ServingMetrics(window=0)
-    for i in range(10):
+    n = LATENCY_WINDOW + 4
+    for i in range(n):
         m.record("predict", "ok", latency_s=float(i))
-    ep = m.snapshot()["endpoints"]["predict"]
-    assert ep["ok"] == 10  # counters are exact even when the window rolls
-    # quantiles come from the bounded window (last 4 samples: 6..9 s)
-    assert ep["p50_ms"] == pytest.approx(7500.0)
+    snap = m.snapshot()
+    assert snap["latency_window"] == LATENCY_WINDOW
+    ep = snap["endpoints"]["predict"]
+    assert ep["ok"] == n  # counters are exact even when the window rolls
+    # quantiles come from the bounded window (the last LATENCY_WINDOW
+    # samples: 4 .. n - 1 s)
+    assert ep["p50_ms"] == pytest.approx(1e3 * (4 + n - 1) / 2)
     # the running mean is over ALL samples, not the window
-    assert ep["mean_ms"] == pytest.approx(4500.0)
+    assert ep["mean_ms"] == pytest.approx(1e3 * (n - 1) / 2)
 
 
 def test_empty_window_omits_percentile_keys():
