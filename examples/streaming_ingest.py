@@ -4,12 +4,11 @@ Walks the full dynamic-graph loop a live service runs:
 
 1. hold out a suffix of the dataset's edges as the "arriving" stream;
 2. bulk-partition the base with the online Libra state, then assign the
-   stream chunk by chunk while appending it to the delta-CSR
-   :class:`~repro.dyngraph.delta.DynamicGraph` (watching replication
-   drift and auto-compaction);
+   stream chunk by chunk (watching replication drift) and add it to a
+   :class:`~repro.dyngraph.delta.DynamicGraph` in one update;
 3. train briefly on the base graph, precompute a serving engine, then
    push the same stream through ``update_edges`` and verify the served
-   logits match a from-scratch precompute on the compacted graph.
+   logits match a from-scratch precompute on the updated graph.
 
 Run:  python examples/streaming_ingest.py [--scale 0.08] [--partitions 4]
 """
@@ -51,23 +50,22 @@ def main() -> None:
     base_ds = dataclasses.replace(ds, graph=base)
     print(f"base graph {base.num_edges} edges, stream {m - split} edges")
 
-    # -- 2. online Libra + delta-CSR ingestion
+    # -- 2. online Libra, then the stream as one graph update
     state = LibraState(n, args.partitions, seed=0)
     state.assign(src[:split], dst[:split])
     state.set_baseline()
-    dyn = DynamicGraph(base)
     t0 = time.perf_counter()
     for lo in range(split, m, args.chunk_size):
         hi = min(lo + args.chunk_size, m)
         state.assign(src[lo:hi], dst[lo:hi])
-        dyn.add_edges(src[lo:hi], dst[lo:hi])
+    streamed = DynamicGraph(base).update(add=(src[split:], dst[split:]))
     ingest_s = time.perf_counter() - t0
     print(
         f"ingested {m - split} edges in {ingest_s:.2f}s "
         f"({(m - split) / max(ingest_s, 1e-9):,.0f} edges/s), "
         f"loads {state.load.tolist()}, "
         f"rf {state.replication_factor:.3f} (drift {100 * state.drift():+.1f}%), "
-        f"{dyn.num_compactions} compactions"
+        f"graph {streamed.num_edges} edges"
     )
     if state.should_repartition(0.1):
         print("drift trigger: offline repartition recommended")
@@ -94,12 +92,12 @@ def main() -> None:
     )
 
     # the served tables now equal a from-scratch precompute on the
-    # compacted graph — the subsystem's central exactness guarantee
+    # updated graph — the subsystem's central exactness guarantee
     truth = InferenceEngine(
         dataclasses.replace(ds, graph=engine.dynamic.csr()), trainer.model, cfg
     ).precompute()
     exact = np.array_equal(engine.logits, truth.logits)
-    print(f"incremental tables == compacted-graph precompute: {exact}")
+    print(f"incremental tables == updated-graph precompute: {exact}")
 
 
 if __name__ == "__main__":

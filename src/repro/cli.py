@@ -14,8 +14,9 @@ Commands
                feature updates publish a refreshed table
                (``POST /update_edges`` / ``/update_features``).
 ``ingest``     streaming topology ingestion: replay a held-out edge
-               suffix through the delta-CSR dynamic graph and the
-               online Libra partitioner, with drift + compaction report.
+               suffix through the online Libra partitioner in chunks,
+               then add it to the dynamic graph in one update; reports
+               drift and checks the graph against a from-scratch build.
 ``loadgen``    open-loop load generator: seeded Poisson or bursty
                arrivals over mixed predict/topk/update traffic, against
                a running server (``--url``) or an in-process service
@@ -188,11 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ing.add_argument(
         "--chunk-size", type=int, default=4096,
-        help="edges per ingest chunk (one assignment + append batch)",
-    )
-    p_ing.add_argument(
-        "--compact-threshold", type=float, default=0.25,
-        help="delta fraction that triggers auto-compaction",
+        help="edges per Libra assignment chunk",
     )
     p_ing.add_argument(
         "--drift-tolerance", type=float, default=0.1,
@@ -706,7 +703,6 @@ def cmd_ingest(args) -> int:
     src, dst = src[order], dst[order]
     split = max(1, int(m * (1.0 - args.stream_fraction)))
     base = coo_to_csr(src[:split], dst[:split], num_dst=n, num_src=n)
-    dyn = DynamicGraph(base, compact_threshold=args.compact_threshold)
 
     resumed = args.state is not None and (
         os.path.exists(args.state) or os.path.exists(args.state + ".npz")
@@ -751,16 +747,13 @@ def cmd_ingest(args) -> int:
         state.set_baseline()
 
     stream_from = max(start, split)
-    # dyn replays the already-assigned stream prefix first (in stream
-    # order, so the merged view matches a from-scratch rebuild); only
-    # the Libra assignment itself is resumable
-    if stream_from > split:
-        dyn.add_edges(src[split:stream_from], dst[split:stream_from])
     t0 = time.perf_counter()
     for lo in range(stream_from, m, args.chunk_size):
         hi = min(lo + args.chunk_size, m)
         state.assign(src[lo:hi], dst[lo:hi])
-        dyn.add_edges(src[lo:hi], dst[lo:hi])
+    # the graph takes the whole stream in arrival order (an already-assigned
+    # prefix included: only the Libra assignment is resumable) in one update
+    merged = DynamicGraph(base).update(add=(src[split:], dst[split:]))
     stream_s = time.perf_counter() - t0
     streamed = m - stream_from
 
@@ -773,11 +766,6 @@ def cmd_ingest(args) -> int:
     print(f"repartition?  : "
           f"{'recommended' if state.should_repartition(args.drift_tolerance) else 'no'}"
           f" (tolerance {100 * args.drift_tolerance:.0f}%)")
-    print(f"delta state   : {dyn.num_delta_edges} delta edges, "
-          f"{dyn.num_compactions} compactions, "
-          f"delta fraction {dyn.delta_fraction:.3f}")
-
-    merged = dyn.csr()
     rebuilt = coo_to_csr(src, dst, num_dst=n, num_src=n)
     ok = (
         np.array_equal(merged.indptr, rebuilt.indptr)

@@ -20,17 +20,9 @@ class TrainConfig:
     num_layers: int = 3
     hidden_features: int = 256
     learning_rate: float = 0.01
-    num_epochs: int = 200
     seed: int = 0
     #: GNN architecture: "sage" (paper default) or "gcn".
     model: str = "sage"
-    #: aggregation kernel passed to the differentiable SpMM: ``"auto"``,
-    #: the engine (its pass plan follows from the operator, the graph
-    #: size and ``num_threads`` — kernels/engine.py), or one of the two
-    #: ground-truth functions in :data:`repro.kernels.KERNELS`,
-    #: ``baseline`` (Fig. 2's arm) / ``reference``.  Validated at model
-    #: build time.
-    kernel: str = "auto"
     #: kernel worker threads: > 1 routes every AP (forward and backward)
     #: over disjoint destination-row chunks on the engine's thread pool
     #: (bit-identical outputs — see kernels/engine.py).  ``None``

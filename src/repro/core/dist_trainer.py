@@ -34,8 +34,8 @@ identical to single-socket training; 0c and cd-r inherit their forward
 freshness contracts in backward (remote contributions are constants).
 
 Both the per-rank local aggregates of segment A and the segment-A
-backward APs dispatch through ``TrainConfig.kernel`` (default
-``"auto"``, the aggregation engine), so every algorithm
+backward APs run on the aggregation engine
+(``aggregate(kernel="auto")``), so every algorithm
 (0c / cd-0 / cd-r) runs the same array-native hot path as single-socket
 training.  The full dispatch chain and this segmented-autograd contract
 are documented in ``docs/ARCHITECTURE.md``.
@@ -437,11 +437,8 @@ class DistributedTrainer:
 
     # -- driver ----------------------------------------------------------------------
 
-    def fit(
-        self, num_epochs: Optional[int] = None, verbose: bool = False
-    ) -> DistTrainResult:
+    def fit(self, num_epochs: int, verbose: bool = False) -> DistTrainResult:
         cfg = self.config
-        num_epochs = num_epochs if num_epochs is not None else cfg.num_epochs
         self._peak_inflight = 0
         train_epoch, evaluate = self.train_epoch, self.evaluate
         if self.backend == "shm":

@@ -37,7 +37,6 @@ def build_model(cfg: TrainConfig, feature_dim: int, num_classes: int):
             num_classes=num_classes,
             num_layers=cfg.num_layers,
             seed=cfg.seed,
-            kernel=cfg.kernel,
             num_threads=cfg.num_threads,
         )
     if name == "gcn":
@@ -47,7 +46,6 @@ def build_model(cfg: TrainConfig, feature_dim: int, num_classes: int):
             num_classes=num_classes,
             num_layers=cfg.num_layers,
             seed=cfg.seed,
-            kernel=cfg.kernel,
             num_threads=cfg.num_threads,
         )
     raise ValueError(f"unknown model {cfg.model!r}; available: {MODEL_NAMES}")

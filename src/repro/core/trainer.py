@@ -6,9 +6,9 @@ vertices, Adam with the paper's weight decay.  It both serves as the
 accuracy reference for the distributed algorithms (Table 5's 1-socket
 rows) and produces the Total/AP time split of Fig. 2.
 
-Every forward and backward AP of the model rides
-``TrainConfig.kernel`` (default ``"auto"``, the aggregation engine; see
-``docs/ARCHITECTURE.md``), so epoch times measure memory behaviour, not
+Every forward and backward AP of the model rides the aggregation
+engine (``aggregate(kernel="auto")``; see ``docs/ARCHITECTURE.md``),
+so epoch times measure memory behaviour, not
 interpreter overhead.  Setting ``TrainConfig.num_threads > 1`` (or
 ``REPRO_NUM_THREADS``) runs every one of those APs over a work-queue of
 destination-row chunks on the engine's thread pool — the paper's
@@ -142,7 +142,7 @@ class Trainer:
 
     def fit(
         self,
-        num_epochs: Optional[int] = None,
+        num_epochs: int,
         verbose: bool = False,
         start_epoch: int = 0,
     ) -> TrainResult:
@@ -154,13 +154,11 @@ class Trainer:
         remaining ``N - k`` epochs and is bit-identical to an
         uninterrupted ``fit(N)`` (pinned by tests/core/test_checkpoint).
         """
-        cfg = self.config
-        num_epochs = num_epochs if num_epochs is not None else cfg.num_epochs
         return fit_epochs(
             TrainResult(),
             self.train_epoch,
             self.evaluate,
             range(start_epoch, num_epochs),
-            cfg.eval_every,
+            self.config.eval_every,
             log_prefix="" if verbose else None,
         )

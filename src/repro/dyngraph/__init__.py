@@ -5,10 +5,10 @@ Everything below this package assumes an immutable
 facing live traffic) sees topology that never stops changing.  The
 subsystem closes that gap in three layers:
 
-- :mod:`repro.dyngraph.delta` — :class:`DynamicGraph`: a frozen CSR base
-  plus an append-only delta edge buffer and deletion tombstones, with a
-  merged read view and a ``compact()`` pinned bit-identical to a
-  from-scratch rebuild (auto-triggered above a delta-fraction threshold).
+- :mod:`repro.dyngraph.delta` — :class:`DynamicGraph`: the current CSR
+  and an edge-id counter; ``update(add, remove)`` applies one batch with
+  one ``coo_to_csr`` rebuild, bit-identical to a from-scratch build over
+  the surviving edges in arrival order.
 - :mod:`repro.dyngraph.ingest` — :class:`LibraState`: resumable streaming
   Libra partitioner state, so arriving edges get partition assignments
   online, byte-equal to a batch ``libra_partition`` replay; includes the
@@ -17,11 +17,11 @@ subsystem closes that gap in three layers:
   tier: ``update_edges(add, remove)`` on the refresher/service seeds the
   k-hop affected-set machinery from mutated-edge endpoints and refreshes
   those rows (every update takes this one path), exactly equal to a full
-  precompute on the compacted graph.
+  precompute on the updated graph.
 
-CLI: ``repro ingest``.  HTTP: ``POST /update_edges`` on the prediction
-server.  Benchmarks: ``benchmarks/bench_streaming.py`` →
-``BENCH_streaming.json``.
+CLI: ``repro ingest`` (prints its ingest rate in edges/s).  HTTP:
+``POST /update_edges`` on the prediction server; the benchmark suite's
+``serve_mixed`` workload times it (``dyngraph.update_edges_inproc_ms``).
 """
 
 from repro.dyngraph.delta import DynamicGraph

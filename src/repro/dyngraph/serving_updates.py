@@ -3,10 +3,11 @@
 :mod:`repro.serving.refresh` keeps an engine's precomputed embedding
 tables consistent under *feature* updates.  This module extends the same
 machinery to *edge* updates: the engine's frozen ``graph`` is shadowed
-by a :class:`~repro.dyngraph.delta.DynamicGraph`, arriving edge
-mutations are applied to it, and the engine is re-pointed at the merged
-view (plus a fresh degree normalizer — topology changes move degrees,
-and both servable architectures normalize by in-degree).
+by a :class:`~repro.dyngraph.delta.DynamicGraph`, each request's edge
+mutations are applied to it as one batch (one CSR rebuild), and the
+engine is re-pointed at the new graph (plus a fresh degree normalizer —
+topology changes move degrees, and both servable architectures
+normalize by in-degree).
 
 The refresh itself rides the existing k-hop affected-set machinery,
 seeded from the mutated edges' **endpoints**.  That seed set soundly
@@ -22,7 +23,7 @@ over-approximates every layer-0 output the mutation can move:
 
 Rows outside the affected sets keep bit-identical values under the new
 topology, which is what makes the row-subset refresh exactly equal to a
-full ``precompute()`` on the compacted graph (pinned in
+full ``precompute()`` on the updated graph (pinned in
 ``tests/dyngraph/test_serving_updates.py``), including an update whose
 affected set is the whole graph.
 
@@ -40,7 +41,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.models import norm_from_degrees
-from repro.dyngraph.delta import DynamicGraph, _as_endpoint_arrays
+from repro.dyngraph.delta import DynamicGraph
 from repro.graph.builders import sorted_unique
 from repro.graph.csr import INDEX_DTYPE
 
@@ -87,11 +88,8 @@ class EdgeUpdateStats:
     affected_per_layer: Tuple[int, ...]
     affected_fraction: float
     rows_recomputed: int
-    #: live edges in the merged graph after the update.
+    #: live edges in the graph after the update.
     num_edges: int
-    #: whether this update tripped an auto-compaction.
-    compacted: bool
-    delta_fraction: float
 
     def to_json(self) -> dict:
         """JSON-safe dict (the HTTP endpoint's response body)."""
@@ -105,41 +103,28 @@ class TopologyDelta:
     seeds: np.ndarray
     num_added: int
     num_removed: int
-    compacted: bool
 
 
 def apply_topology(engine, add=None, remove=None) -> TopologyDelta:
     """Apply edge mutations to an engine's graph (tables untouched).
 
     Lazily shadows ``engine.graph`` with a :class:`DynamicGraph` (kept on
-    ``engine.dynamic``), applies removals then additions, and re-points
-    ``engine.graph`` / ``engine.norm`` at the merged view.  The caller is
-    responsible for refreshing the embedding tables afterwards, from the
-    returned seeds.
+    ``engine.dynamic``), applies the removals and additions as one
+    :meth:`DynamicGraph.update` (validated whole before anything
+    changes, so a failed batch leaves nothing half-applied for the next
+    update to publish unseeded), and re-points ``engine.graph`` /
+    ``engine.norm`` at the new graph.  The caller is responsible for
+    refreshing the embedding tables afterwards, from the returned seeds.
     """
     add_src, add_dst = as_edge_pairs(add, "add")
     rem_src, rem_dst = as_edge_pairs(remove, "remove")
     if add_src.size == 0 and rem_src.size == 0:
         raise ValueError("update_edges needs at least one edge to add or remove")
-    # validate BOTH batches before touching the shadow graph: a bad add
-    # must not leave removals half-applied (and unpublished — the next
-    # update would then publish them without seeding their endpoints,
-    # breaking the incremental == compacted-precompute contract)
-    n = engine.num_vertices
-    _as_endpoint_arrays(add_src, add_dst, n, "add")
-    _as_endpoint_arrays(rem_src, rem_dst, n, "remove")
-    dyn = engine.dynamic
-    if dyn is None:
-        dyn = DynamicGraph(engine.graph)
-        engine.dynamic = dyn
-    compactions_before = dyn.num_compactions
-    # removals first: an add+remove of the same pair in one batch means
-    # "replace" (the removal targets a pre-existing edge, not the new one)
-    if rem_src.size:
-        dyn.remove_edges(rem_src, rem_dst)
-    if add_src.size:
-        dyn.add_edges(add_src, add_dst)
-    engine.graph = dyn.csr()
+    if engine.dynamic is None:
+        engine.dynamic = DynamicGraph(engine.graph)
+    engine.graph = engine.dynamic.update(
+        add=(add_src, add_dst), remove=(rem_src, rem_dst)
+    )
     engine.norm = norm_from_degrees(
         engine.model_kind, engine.graph.in_degrees()
     )
@@ -148,5 +133,4 @@ def apply_topology(engine, add=None, remove=None) -> TopologyDelta:
         seeds=seeds,
         num_added=int(add_src.size),
         num_removed=int(rem_src.size),
-        compacted=dyn.num_compactions > compactions_before,
     )

@@ -15,8 +15,8 @@ other layer of the reproduction builds on:
 - :mod:`repro.graph.utils` — average degree, density, bidirection, splits.
 
 :class:`~repro.dyngraph.delta.DynamicGraph` (re-exported here) is the
-mutable counterpart: a frozen CSR base plus a streaming edge delta and
-tombstones, compacting back to a bit-identical :class:`CSRGraph`.
+mutable counterpart: it holds the current :class:`CSRGraph` and rebuilds
+it once per batch of edge additions and removals.
 """
 
 from repro.graph.builders import coo_to_csr, from_edge_list

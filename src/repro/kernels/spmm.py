@@ -30,11 +30,8 @@ KERNELS: Dict[str, Callable] = {
 
 
 def validate_kernel(name: str) -> str:
-    """Fail fast on an unknown kernel name (``"auto"`` is always valid).
-
-    Trainers call this at construction time so a typo in
-    ``TrainConfig.kernel`` surfaces before the first epoch, not mid-run.
-    """
+    """Fail fast on an unknown kernel name (``"auto"`` is always valid):
+    :func:`aggregate` checks ``kernel`` before any work."""
     if name != "auto" and name not in KERNELS:
         raise KeyError(
             f"unknown kernel {name!r}; available: ['auto'] + {sorted(KERNELS)}"

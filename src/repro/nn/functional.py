@@ -6,8 +6,8 @@ back to the parent shape with :func:`_unbroadcast` (summing the expanded
 axes), matching NumPy broadcast semantics.
 
 ``spmm`` is the differentiable aggregation primitive: forward runs the
-optimized kernel of :mod:`repro.kernels` (by default ``kernel="auto"``,
-which rides the vectorized segment-reduce engine — see
+optimized kernel of :mod:`repro.kernels` (``kernel="auto"``, which
+rides the vectorized segment-reduce engine — see
 ``docs/ARCHITECTURE.md``); backward multiplies by the transposed
 adjacency (cached per graph), which is exactly the adjoint of
 ``f_O = A f_V``.  Both directions of every graph op here therefore run
@@ -201,25 +201,23 @@ def graph_combine(z, x, norm, weight: Optional[Tensor], bias, activation: bool) 
 def spmm(
     graph: CSRGraph,
     features: Tensor,
-    kernel: str = "auto",
     num_threads: Optional[int] = None,
 ) -> Tensor:
     """Differentiable aggregation ``out = A @ features`` (copylhs/sum AP).
 
-    ``kernel`` is ``"auto"`` (the engine's SpMM pass — threaded over
-    destination chunks when ``num_threads > 1``) or a
-    :data:`repro.kernels.KERNELS` ground-truth name.  Backward applies
-    the transposed adjacency: ``d features = A^T @ g`` on the same
-    kernel and thread count.  The
+    Forward is the engine's SpMM pass (``aggregate(kernel="auto")``,
+    threaded over destination chunks when ``num_threads > 1``).
+    Backward applies the transposed adjacency: ``d features = A^T @ g``
+    on the same engine and thread count.  The
     reversed CSR is built when a backward first needs it and cached on
     the graph object, so training reuses it every epoch and a forward
     nobody differentiates builds none.
     """
-    out = aggregate(graph, features.data, kernel=kernel, num_threads=num_threads)
+    out = aggregate(graph, features.data, num_threads=num_threads)
 
     def backward(g):
         reverse = _cached_reverse(graph)
-        return (aggregate(reverse, g, kernel=kernel, num_threads=num_threads),)
+        return (aggregate(reverse, g, num_threads=num_threads),)
 
     return _make(out, (features,), backward, "spmm")
 

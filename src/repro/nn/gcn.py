@@ -38,9 +38,7 @@ class GCNConv(GraphConv):
         across partitions exactly like GraphSAGE's.
         """
         scaled = F.mul(h, sym_norm)
-        return F.spmm(
-            graph, scaled, kernel=self.kernel, num_threads=self.num_threads
-        )
+        return F.spmm(graph, scaled, num_threads=self.num_threads)
 
     def combine(self, z: Tensor, h: Tensor, sym_norm: Tensor) -> Tensor:
         """Post-processing: ``act(((z + h * D^-1/2) * D^-1/2) @ W + b)``
@@ -58,7 +56,6 @@ class GCN(Module):
         num_classes: int,
         num_layers: int = 2,
         seed: int = 0,
-        kernel: str = "auto",
         num_threads: Optional[int] = None,
     ):
         super().__init__()
@@ -73,7 +70,6 @@ class GCN(Module):
                 dims[i + 1],
                 activation=(i < num_layers - 1),
                 rng=rng,
-                kernel=kernel,
                 num_threads=num_threads,
             )
             self.register_module(f"layer{i}", layer)

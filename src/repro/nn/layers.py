@@ -56,17 +56,11 @@ class GraphConv(Module):
         out_features: int,
         activation: bool = True,
         rng: Optional[np.random.Generator] = None,
-        kernel: str = "auto",
         num_threads: Optional[int] = None,
     ):
         super().__init__()
-        from repro.kernels import validate_kernel
-
         self.linear = Linear(in_features, out_features, rng=rng)
         self.activation = activation
-        #: aggregation kernel name forwarded to ``F.spmm`` (validated here
-        #: so a bad ``TrainConfig.kernel`` fails at model build time).
-        self.kernel = validate_kernel(kernel)
         #: thread count forwarded to ``F.spmm``; > 1 routes the AP through
         #: the parallel execution engine (bit-identical outputs).
         self.num_threads = num_threads

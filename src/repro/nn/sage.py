@@ -50,7 +50,7 @@ class SageConvGCN(GraphConv):
         :class:`~repro.nn.gcn.GCNConv` (whose scaling precedes the AP)
         and ignored here — GraphSAGE normalizes in :meth:`combine`.
         """
-        return F.spmm(graph, h, kernel=self.kernel, num_threads=self.num_threads)
+        return F.spmm(graph, h, num_threads=self.num_threads)
 
 
 class GraphSAGE(Module):
@@ -63,7 +63,6 @@ class GraphSAGE(Module):
         num_classes: int,
         num_layers: int = 3,
         seed: int = 0,
-        kernel: str = "auto",
         num_threads: Optional[int] = None,
     ):
         super().__init__()
@@ -82,7 +81,6 @@ class GraphSAGE(Module):
                 dims[i + 1],
                 activation=(i < num_layers - 1),
                 rng=rng,
-                kernel=kernel,
                 num_threads=num_threads,
             )
             self.register_module(f"layer{i}", layer)

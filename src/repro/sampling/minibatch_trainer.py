@@ -7,9 +7,8 @@ full-batch training uses (one block per layer; the self term is the
 leading row-slice of the source frontier).  Evaluation runs the trained
 weights full-graph, as Dist-DGL does for test accuracy.
 
-Per-block aggregation dispatches through ``TrainConfig.kernel`` exactly
-like the full-batch path, so sampled message-flow blocks ride the
-aggregation engine too (sampled blocks are rectangular CSRs, which the
+Per-block aggregation runs on the aggregation engine exactly like the
+full-batch path, so sampled message-flow blocks ride it too (sampled blocks are rectangular CSRs, which the
 engine handles natively, one whole-block pass each with no plan cached).
 Both sampled trainers draw batches from one producer, :func:`epoch_seeds`,
 and run one step: ``compute_gradients``, then the optimizer step.

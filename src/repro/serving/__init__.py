@@ -34,8 +34,8 @@ or one published while it ran, and never waits.
 
 Topology is not frozen either: ``update_edges(add, remove)`` on the
 refresher/service (backed by :mod:`repro.dyngraph.serving_updates`)
-applies streaming edge mutations through a delta-CSR shadow graph and
-refreshes exactly as if the compacted graph had been fully precomputed;
+applies a batch of edge mutations as one rebuild of a shadow graph and
+refreshes exactly as if the updated graph had been fully precomputed;
 the server exposes it as ``POST /update_edges``.
 """
 

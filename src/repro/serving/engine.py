@@ -164,10 +164,10 @@ class InferenceEngine:
             if feature_store is not None
             else FeatureStore.resident(np.array(dataset.features, copy=True))
         )
-        #: delta-CSR shadow of ``graph``, attached lazily by the first
+        #: mutable shadow of ``graph``, attached lazily by the first
         #: ``update_edges`` (see :mod:`repro.dyngraph.serving_updates`).
-        #: Once set, ``self.graph`` tracks its merged view and diverges
-        #: from ``dataset.graph`` — the dataset stays frozen.
+        #: Once set, ``self.graph`` is its current CSR and diverges from
+        #: ``dataset.graph`` — the dataset stays frozen.
         self.dynamic = None
         self.norm = norm_from_degrees(self.model_kind, self.graph.in_degrees())
         #: ``layer_inputs[l]`` feeds layer ``l``; ``layer_inputs[0]``
@@ -295,7 +295,6 @@ class InferenceEngine:
             "num_layers": self.num_layers,
             "num_vertices": self.num_vertices,
             "num_edges": self.graph.num_edges,
-            "dynamic": self.dynamic.stats() if self.dynamic is not None else None,
             "checkpoint_epoch": self.checkpoint_epoch,
             "num_precomputes": self.num_precomputes,
             "num_threads": self.num_threads,

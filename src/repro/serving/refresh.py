@@ -25,23 +25,10 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.graph.builders import sorted_unique
-from repro.graph.csr import CSRGraph, INDEX_DTYPE
+from repro.graph.csr import CSRGraph, INDEX_DTYPE, multi_row_take
 from repro.nn.functional import _cached_reverse
 from repro.nn.tensor import Tensor, no_grad
 from repro.serving.engine import InferenceEngine
-
-
-def _multi_row_take(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Edge positions of the given CSR rows, row order preserved
-    (vectorized multi-range gather — no per-row Python loop)."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if rows.size else 0
-    if total == 0:
-        return np.zeros(0, dtype=INDEX_DTYPE)
-    offsets = np.repeat(starts - np.concatenate(([0], ends[:-1])), counts)
-    return offsets + np.arange(total, dtype=INDEX_DTYPE)
 
 
 def out_neighbors(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
@@ -52,7 +39,7 @@ def out_neighbors(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
     """
     rev = _cached_reverse(graph)
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
-    return sorted_unique(rev.indices[_multi_row_take(rev.indptr, vertices)])
+    return sorted_unique(rev.indices[multi_row_take(rev.indptr, vertices)])
 
 
 def affected_sets(
@@ -90,7 +77,7 @@ def row_subgraph(graph: CSRGraph, rows: np.ndarray) -> CSRGraph:
     counts = graph.indptr[rows + 1] - graph.indptr[rows]
     indptr = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts, out=indptr[1:])
-    take = _multi_row_take(graph.indptr, rows)
+    take = multi_row_take(graph.indptr, rows)
     return CSRGraph(
         indptr=indptr,
         indices=graph.indices[take],
@@ -216,11 +203,11 @@ class IncrementalRefresher:
         """Apply edge mutations and refresh the affected embeddings.
 
         ``add`` / ``remove`` are sequences of ``(src, dst)`` pairs (see
-        :mod:`repro.dyngraph.serving_updates`).  The mutation lands on
-        the engine's delta-CSR shadow graph; the refresh then reuses the
+        :mod:`repro.dyngraph.serving_updates`).  The mutation rebuilds
+        the engine's shadow graph once; the refresh then reuses the
         k-hop affected-set machinery, seeded from the mutated edges'
         endpoints, and is exactly equal to a full ``precompute()`` on the
-        compacted graph.  Returns
+        updated graph.  Returns
         :class:`~repro.dyngraph.serving_updates.EdgeUpdateStats`.
         """
         from repro.dyngraph.serving_updates import EdgeUpdateStats, apply_topology
@@ -229,15 +216,12 @@ class IncrementalRefresher:
         delta = apply_topology(engine, add=add, remove=remove)
         self.num_topology_updates += 1
         refreshed = self._refresh(delta.seeds)
-        dyn = engine.dynamic
         return EdgeUpdateStats(
             num_added=delta.num_added,
             num_removed=delta.num_removed,
             num_seeds=int(delta.seeds.size),
             **refreshed,
-            num_edges=dyn.num_edges,
-            compacted=delta.compacted,
-            delta_fraction=dyn.delta_fraction,
+            num_edges=engine.graph.num_edges,
         )
 
     def stats(self) -> dict:

@@ -108,8 +108,7 @@ def test_checkpoint_kernel_entry_is_ignored(trained, tmp_path, recorded):
     extra = {**training_meta(cfg), "kernel": np.asarray(recorded)}
     save_checkpoint(path, trainer.model, epoch=3, extra=extra)
     eng = InferenceEngine.from_checkpoint(path, ds)
-    assert eng.config.kernel == "auto"
-    assert all(layer.kernel == "auto" for layer in eng.model.layers)
+    assert not hasattr(eng.config, "kernel")
     fresh = full_graph_forward(trainer.model, ds.graph, ds.features)
     assert np.array_equal(eng.precompute().logits, fresh)
 

@@ -150,8 +150,9 @@ def _machine(ds, model, make_store):
         @precondition(lambda self: self.engine.dynamic is not None)
         @rule()
         def compact(self):
-            self.engine.dynamic.compact()
-            # folding the delta into the base changes no edge and no row
+            # every update leaves one CSR: compact() hands back the served
+            # graph, and no edge and no row changes
+            assert self.engine.dynamic.compact() is self.engine.graph
             assert np.array_equal(_oracle(self.engine), self.oracle)
             assert np.array_equal(self.svc.predict_logits(np.arange(n)), self.oracle)
 

@@ -75,3 +75,22 @@ def test_suite_reads_the_server_and_builds_the_replay(engine):
         ids = np.array([0, 2, 2])
         assert suite_serve.answer(replay, ids, 3) == suite_serve.answer(engine, ids, 3)
         replay.cache.reset()
+
+
+def test_suite_compact_call_returns_the_served_graph(engine):
+    """``_inproc_updates`` times ``engine.dynamic.compact()`` after its
+    edge updates: after an HTTP ``update_edges`` the call must still
+    exist and return the graph the engine serves, the added edge in it."""
+    service = PredictionService(engine, refresher=IncrementalRefresher(engine))
+    server = PredictionServer(service, port=0).start_background()
+    client = HttpClient(server.address[1])
+    edges = engine.graph.num_edges
+    try:
+        status, _ = client.request("POST", "/update_edges", json_bytes({"add": [[3, 0]]}))
+        assert status == 200
+    finally:
+        client.close()
+        server.shutdown()
+    assert engine.dynamic.compact() is engine.graph
+    assert engine.graph.num_edges == edges + 1
+    assert engine.graph.neighbors(0).tolist()[-1] == 3

@@ -23,12 +23,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("src", "benchmarks")
 
 #: field -> why it stays although no caller sets a second value
-OWNERS = {
-    "num_epochs": "the default `fit()` falls back to (the paper's 200 epochs); "
-                  "every entry point passes `fit(num_epochs=...)` instead",
-    "kernel": "the trainers' route to `aggregate(kernel=)`, whose `baseline` arm "
-              "Fig. 2 times stand-alone (`bench_fig2_single_socket.py`)",
-}
+OWNERS = {}
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 

@@ -125,8 +125,8 @@ def test_dyngraph_public_surface():
     from repro.graph import from_edge_list
 
     dyn = DynamicGraph(from_edge_list([(0, 1), (1, 2)], num_vertices=3))
-    dyn.add_edges([2], [0])
-    assert dyn.num_edges == 3
+    dyn.update(add=([2], [0]))
+    assert dyn.csr().num_edges == 3
     state = LibraState(3, 2, seed=0)
     assert state.assign([0, 1], [1, 2]).shape == (2,)
     assert callable(streaming_libra_partition)
@@ -192,9 +192,8 @@ def _csr():
 def _dynamic():
     from repro.dyngraph import DynamicGraph
 
-    dyn = DynamicGraph(_csr(), compact_threshold=None)
-    dyn.add_edges([0], [2])
-    dyn.remove_edges([1], [2])
+    dyn = DynamicGraph(_csr())
+    dyn.update(add=([0], [2]), remove=([1], [2]))
     return dyn
 
 
@@ -228,7 +227,7 @@ def _sanitized_lock():
     "make, expected",
     [
         (_csr, "CSRGraph(num_vertices=3, num_src=3, num_edges=3)"),
-        (_dynamic, "DynamicGraph(num_vertices=3, num_edges=3, delta=1, tombstones=1)"),
+        (_dynamic, "DynamicGraph(num_vertices=3, num_edges=3)"),
         (_libra_state, "LibraState(p=2, assigned=2, rf="),
         (_feature_store, "FeatureStore(tier='resident', shape=(4, 2), dtype=float32)"),
         (_tensor, "Tensor(shape=(2, 3), requires_grad=True name='h')"),
