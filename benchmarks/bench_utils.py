@@ -3,41 +3,14 @@
 Every benchmark regenerates one of the paper's tables or figures, prints
 it, and persists it under ``benchmarks/results/`` so the EXPERIMENTS.md
 record can be refreshed from a single run.
-
-Machine-readable perf baselines additionally go through
-:func:`emit_json`: the payload lands both in ``benchmarks/results/`` and
-(optionally) as a repo-root ``BENCH_<name>.json``, which is the file the
-perf trajectory across PRs is tracked against.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def emit_json(name: str, payload: dict, root_copy: bool = True) -> str:
-    """Persist ``payload`` as ``benchmarks/results/<name>.json``.
-
-    When ``root_copy`` is set, also write the repo-root
-    ``BENCH_<name>.json`` perf-trajectory file.  Returns the root path
-    (or the results path when ``root_copy`` is off).
-    """
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    results_path = os.path.join(RESULTS_DIR, f"{name}.json")
-    with open(results_path, "w") as fh:
-        fh.write(text)
-    if not root_copy:
-        return results_path
-    root_path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    with open(root_path, "w") as fh:
-        fh.write(text)
-    return root_path
 
 
 def emit(name: str, lines: Iterable[str]) -> str:

@@ -621,6 +621,20 @@ def _append_section(path: str, title: str, study: str, section: str) -> None:
         fh.write(section)
 
 
+def _quartiles(values) -> str:
+    """``median [q1–q3]`` of one tree's runs."""
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return f"{q2:.4g} [{q1:.4g}–{q3:.4g}]"
+
+
+def _paired(parent, change, better: str = "lower") -> list:
+    """Two table cells for runs paired rep by rep: the median of the
+    change / parent ratios, and the pairs the change won."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    return [f"{np.median(ratios):.3f}", f"{wins}/{len(ratios)}"]
+
+
 def serving_layers(reps: int, baseline=None) -> None:
     """ROADMAP 1: the ``serve_read`` request set timed at each boundary
     of the serving stack, ``baseline`` (a checkout) beside this tree,
@@ -654,16 +668,19 @@ def serving_layers(reps: int, baseline=None) -> None:
         f"`serve_read` request set: ogbn-papers {SERVE_READ_SCALE:g}, the first "
         f"{runs['change'][0]['requests']} requests of seed 0, one caller, closed loop, "
         "each boundary from a cold result cache (the suite's traced replay). "
-        "p50 µs, median over runs.",
+        "p50 µs, median [quartiles] over runs"
+        + ("; the paired change / parent ratio's median and the runs the change won "
+           "(runs pair rep by rep)." if baseline else "."),
         "",
         "| boundary | " + " | ".join(f"{name} µs" for name in trees)
-        + (" | change / parent |" if baseline else " |"),
-        "| --- " * (len(trees) + 1 + bool(baseline)) + "|",
+        + (" | change / parent | change better |" if baseline else " |"),
+        "| --- " * (len(trees) + 1 + 2 * bool(baseline)) + "|",
     ]
     for label, key in LAYERS:
-        cells = [f"{med(name, key):.0f}" for name in trees]
+        values = {name: [r[key] for r in runs[name]] for name in trees}
+        cells = [_quartiles(values[name]) for name in trees]
         if baseline:
-            cells.append(f"{med('change', key) / med('parent', key):.2f}")
+            cells += _paired(values["parent"], values["change"])
         lines.append(f"| {label} | " + " | ".join(cells) + " |")
     lines += [
         "",
@@ -772,16 +789,10 @@ def sim_threads(reps: int, baseline=None) -> None:
             "| --- | --- | --- | --- | --- |",
         ]
 
-        def quartiles(values):
-            q1, q2, q3 = np.percentile(values, [25, 50, 75])
-            return f"{q2:.4g} [{q1:.4g}–{q3:.4g}]"
-
         for metric, better in SUITE_METRICS:
             parent, change = ([r[metric]["value"] for r in runs[name]] for name in trees)
-            ratios = [c / p for p, c in zip(parent, change)]
-            wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
-            lines.append(f"| `{metric}` | {quartiles(parent)} | {quartiles(change)} "
-                         f"| {np.median(ratios):.3f} | {wins}/{reps} |")
+            cells = [_quartiles(parent), _quartiles(change), *_paired(parent, change, better)]
+            lines.append(f"| `{metric}` | " + " | ".join(cells) + " |")
     _append_section(SIM_THREADS_DOC, "Sim ranks on threads", "sim-threads",
                     "\n".join(lines) + "\n")
 
@@ -914,9 +925,7 @@ def refresh(reps: int, baseline=None) -> None:
             for name, rs in runs.items():
                 cells += [rs[0]["rungs"][i]["path"], f"{np.median(ms[name]):.1f}"]
             if baseline:
-                ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
-                wins = sum(c < p for p, c in zip(ms["parent"], ms["change"]))
-                cells += [f"{np.median(ratios):.2f}", f"{wins}/{reps}"]
+                cells += _paired(ms["parent"], ms["change"])
             cells.append(f"{np.median(ms['change']) / full['change']:.2f}")
             equal = all(r["rungs"][i]["equal"] for rs in runs.values() for r in rs)
             cells.append("yes" if equal else "**no**")
@@ -1037,7 +1046,7 @@ def feature_gather(reps: int, baseline=None) -> None:
         mmap_p50 = float(np.median([ms for r in runs["mmap"] for ms in r["gather_ms"]]))
         for arm in arms:
             rs = runs[arm]
-            q1, q2, q3 = np.percentile([ms for r in rs for ms in r["gather_ms"]], [25, 50, 75])
+            gather = [ms for r in rs for ms in r["gather_ms"]]
             hit = "—"
             if rs[0]["hit_rate"] is not None:
                 hit = f"{np.median([r['hit_rate'] for r in rs]):.3f}"
@@ -1045,8 +1054,9 @@ def feature_gather(reps: int, baseline=None) -> None:
                     hit += f" ({rs[0]['predicted_hit_rate']:.3f})"
             equal = "yes" if all(r["equal"] for r in rs) else "**no**"
             lines.append(
-                f"| {scale:g} | {rs[0]['N']:,} | {arm} | {q2:.2f} [{q1:.2f}–{q3:.2f}] "
-                f"| {q2 / mmap_p50:.2f} | {hit} | {np.median([r['rows'] for r in rs]):,.0f} "
+                f"| {scale:g} | {rs[0]['N']:,} | {arm} | {_quartiles(gather)} "
+                f"| {np.median(gather) / mmap_p50:.2f} | {hit} "
+                f"| {np.median([r['rows'] for r in rs]):,.0f} "
                 f"| {np.median([r['step_ms'] for r in rs]):.1f} | {equal} |"
             )
     _append_section(FEATURE_GATHER_DOC, "The mmap gather with and without a hot-set tier",
@@ -1142,10 +1152,6 @@ def graph_build(reps: int, baseline=None) -> None:
         "hash the same in every run of every tree.",
     ]
 
-    def quartiles(values):
-        q1, q2, q3 = np.percentile(values, [25, 50, 75])
-        return f"{q2:.3g} [{q1:.3g}–{q3:.3g}]"
-
     serving = {}
     for name, scale in GRAPH_BUILD_CASES:
         runs = {tree: [] for tree in trees}
@@ -1173,11 +1179,9 @@ def graph_build(reps: int, baseline=None) -> None:
             if stage not in first["seconds"]:
                 continue
             s = {tree: [r["seconds"][stage] for r in rs] for tree, rs in runs.items()}
-            cells = [quartiles(s[tree]) for tree in trees]
+            cells = [_quartiles(s[tree]) for tree in trees]
             if baseline:
-                pairs = list(zip(s["parent"], s["change"]))
-                cells += [f"{np.median([c / p for p, c in pairs]):.2f}",
-                          f"{sum(c < p for p, c in pairs)}/{reps}"]
+                cells += _paired(s["parent"], s["change"])
             lines.append(f"| `{stage}` | " + " | ".join(cells) + " |")
     reached = {r["reached"] for rs in serving.values() for r in rs}
     lines += [
@@ -1193,7 +1197,7 @@ def graph_build(reps: int, baseline=None) -> None:
         "| --- " * (1 + len(trees)) + "|",
     ]
     for key in ("affected_ms", "update_reverse_ms"):
-        cells = [quartiles([r[key] for r in serving[tree]]) for tree in trees]
+        cells = [_quartiles([r[key] for r in serving[tree]]) for tree in trees]
         lines.append(f"| `{key[:-3]}` | " + " | ".join(cells) + " |")
     _append_section(GRAPH_BUILD_DOC, "Graph construction, stage by stage", "graph-build",
                     "\n".join(lines) + "\n")
@@ -1265,6 +1269,8 @@ _LRU = ("the LRU replay tests/cachesim/test_lru*.py check the analytic traffic m
         "against (ROADMAP 3(a) cachesim row)")
 _REPR = "protocol: `repr()`"
 _WITH = "protocol: context manager"
+_SLEEP_PROBE = ("runs only when a sanitized process sleeps: the `time.sleep` probe "
+                "(tests/analysis/test_sanitizer*.py, the sanitized overload and fault tests)")
 _SANITIZER_API = ("the sanitizer's reading API: tests/analysis/test_sanitizer*.py "
                   "force it on and read its findings")
 REACHABILITY_OWNERS = {
@@ -1297,8 +1303,6 @@ REACHABILITY_OWNERS = {
         "contract oracle: `clones_of` resolves through it",
     "partition/partition.py:GraphPartition.contains":
         "contract oracle: tests/partition/test_partition_properties.py",
-    "obs/registry.py:parse_prometheus":
-        "contract oracle: tests parse the `/metrics?format=prom` text with it",
     "dyngraph/ingest.py:streaming_libra_partition":
         "streaming ≡ batch Libra contract: tests/dyngraph/test_ingest.py",
     "dyngraph/ingest.py:LibraState.assign_graph":
@@ -1308,11 +1312,13 @@ REACHABILITY_OWNERS = {
     "cachesim/lru.py:LRUFeatureCache.*": _LRU,
     "cachesim/lru.py:LRUReuseResult.*": _LRU,
     # test seams: a test substitutes a fake or observes through them
-    "serving/loadgen.py:VirtualClock.*": "test seam: loadgen's injectable clock",
     "serving/server.py:PredictionService.wrap_lookup":
         "test seam: fault and latency injection (tests/serving/test_faults.py, ...)",
     "serving/server.py:PredictionServer.start_background":
         "test seam: in-process HTTP servers on a thread",
+    "serving/frontend.py:ServingUnavailable.__init__":
+        "runs only when the gate sheds (429 / 503): tests/serving/test_overload.py, "
+        "test_frontend.py",
     "serving/frontend.py:ServingFrontend.in_flight":
         "contract: the gate's bounds, read by tests/serving/test_frontend.py",
     "serving/frontend.py:ServingFrontend.queue_depth":
@@ -1327,6 +1333,8 @@ REACHABILITY_OWNERS = {
     "analysis/sanitizers.py:LockOrderRecorder.clear": _SANITIZER_API,
     "analysis/sanitizers.py:LockOrderRecorder.on_blocking_call":
         "runs only on a finding: a blocking call under a sanitized lock",
+    "analysis/sanitizers.py:_probed_sleep": _SLEEP_PROBE,
+    "analysis/sanitizers.py:LockOrderRecorder.held": _SLEEP_PROBE,
     # protocols
     "nn/tensor.py:Tensor.__add__": "protocol: operator sugar beside the reached `__mul__`",
     "nn/tensor.py:Tensor.__sub__": "protocol: operator sugar beside the reached `__mul__`",
@@ -1349,7 +1357,6 @@ REACH_WORKLOADS = ("train_sparse", "train_dense", "train_dist", "train_minibatch
                    "serve_read", "serve_mixed")
 REACH_PAPER_BENCHES = ("bench_fig*.py", "bench_table*.py", "bench_ablations.py",
                        "bench_extension_compression.py")
-REACH_SMOKE_BENCHES = ("bench_obs.py", "bench_serving.py")
 
 
 def _reach_functions(src_root: str) -> dict:
@@ -1394,10 +1401,25 @@ def _reach_functions(src_root: str) -> dict:
     return table
 
 
-def _reach_http_drive(tree: str, env: dict, tmp: str, ckpt: str) -> list:
-    """``repro serve`` in a child; every endpoint once over HTTP (and the
-    error answers), ``loadgen --url`` / ``trace --url`` against it, then
-    SIGINT — the server's own shutdown path.  Returns what it drove."""
+def _reach_http_drives(tmp: str) -> list:
+    """``(label, serve flags, extra env)`` of each ``repro serve`` HTTP
+    drive: plain, traced under the lock-order sanitizer (its exit report
+    lands in ``tmp``), and over the mmap feature tier."""
+    return [
+        ("repro serve", [], {}),
+        ("REPRO_SANITIZE=1 REPRO_TRACE=1 repro serve", [],
+         {"REPRO_SANITIZE": "1", "REPRO_TRACE": "1",
+          "REPRO_SANITIZE_REPORT": os.path.join(tmp, "serve-sanitize.json")}),
+        ("repro serve --feature-store mmap",
+         ["--feature-store", "mmap", "--store-dir", os.path.join(tmp, "fs")], {}),
+    ]
+
+
+def _reach_http_drive(tree: str, env: dict, tmp: str, flags: list) -> list:
+    """``repro serve`` over the checkpoint in ``tmp`` (plus ``flags``) in
+    a child; every endpoint once over HTTP (and the error answers),
+    ``repro trace --url`` against it, then SIGINT — the server's own
+    shutdown path.  Returns what it drove."""
     import re
     import signal
     from urllib.error import HTTPError
@@ -1405,8 +1427,8 @@ def _reach_http_drive(tree: str, env: dict, tmp: str, ckpt: str) -> list:
 
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", *_REACH_TINY, "--checkpoint",
-         ckpt, "--port", "0"], cwd=tree, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True)
+         os.path.join(tmp, "c.npz"), "--port", "0", *flags], cwd=tree, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     done = []
     try:
         port = None
@@ -1440,12 +1462,10 @@ def _reach_http_drive(tree: str, env: dict, tmp: str, ckpt: str) -> list:
             except HTTPError as exc:
                 exc.read()
             done.append(f"{method} {path}")
-        load = ["--rate", "40", "--duration", "0.5", "--url", base,
-                "--mix", "predict=1,topk=1,update_edges=1,update_features=1"]
-        for argv in (["loadgen", *load], ["trace", *load, "--out", os.path.join(tmp, "u.json")]):
-            rc = subprocess.run([sys.executable, "-m", "repro", *argv], cwd=tree, env=env,
-                                stdout=subprocess.DEVNULL, timeout=300).returncode
-            done.append(f"repro {argv[0]} --url" + (f" — **exit {rc}**" if rc else ""))
+        rc = subprocess.run([sys.executable, "-m", "repro", "trace", "--url", base, "--out",
+                             os.path.join(tmp, "u.json")], cwd=tree, env=env,
+                            stdout=subprocess.DEVNULL, timeout=300).returncode
+        done.append("repro trace --url" + (f" — **exit {rc}**" if rc else ""))
     finally:
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=60)
@@ -1489,7 +1509,7 @@ class C:
 
 def _reach_runs(tree: str, tmp: str) -> list:
     """``(label, argv, extra env, exit code)`` for every non-test entry
-    point of ``tree`` in run order (the HTTP drive runs after them);
+    point of ``tree`` in run order (the HTTP drives run after them);
     writes the files they read under ``tmp``."""
     import glob
 
@@ -1511,8 +1531,6 @@ def _reach_runs(tree: str, tmp: str) -> list:
     os.makedirs(bait)
     with open(os.path.join(bait, "bait.py"), "w") as fh:
         fh.write(_REACH_LINT_BAIT)
-    mix = ["--mix", "predict=1,topk=1,update_edges=1,update_features=1"]
-    load = ["--rate", "40", "--duration", "0.5", "--checkpoint", ckpt, *mix]
     cli = [
         (["info", *tiny], 0),
         *((["partition", *tiny, "--partitioner", p], 0) for p in ("libra", "random", "hash")),
@@ -1531,11 +1549,6 @@ def _reach_runs(tree: str, tmp: str) -> list:
         (["predict", *tiny, "--checkpoint", ckpt, "--vertices", "0,1,2"], 0),
         *((["ingest", *tiny, "--partitions", "2", "--stream-fraction", "0.2",
             "--chunk-size", "500", "--state", state], 0) for _ in range(2)),
-        (["loadgen", *tiny, *load], 0),
-        (["loadgen", *tiny, *load, "--feature-store", "mmap",
-          "--store-dir", os.path.join(tmp, "fs")], 0),
-        (["trace", *tiny, *load, "--out", os.path.join(tmp, "t.json"),
-          "--jsonl", os.path.join(tmp, "t.jsonl")], 0),
         (["check", "src"], 0),
         (["check", "--list-rules"], 0),
         (["check", bait], 1),
@@ -1543,19 +1556,14 @@ def _reach_runs(tree: str, tmp: str) -> list:
     ]
     runs += [("repro " + " ".join(a).replace(tmp + os.sep, ""), [py, "-m", "repro", *a],
               {}, code) for a, code in cli]
-    sanitized = {"REPRO_SANITIZE": "1",
-                 "REPRO_SANITIZE_REPORT": os.path.join(tmp, "sanitize.json")}
     runs += [
-        ("REPRO_SANITIZE=1 repro loadgen", [py, "-m", "repro", "loadgen", *tiny, *load],
-         sanitized, 0),
         ("REPRO_SANITIZE=1 repro train --partitions 2",
          [py, "-m", "repro", "train", *tiny, "--epochs", "2", "--partitions", "2"],
-         sanitized, 0),
+         {"REPRO_SANITIZE": "1", "REPRO_SANITIZE_REPORT": os.path.join(tmp, "sanitize.json")},
+         0),
         ("benchmarks/trainer_fingerprint.py",
          [py, "benchmarks/trainer_fingerprint.py", os.path.join(tmp, "fp.json")], {}, 0),
     ]
-    runs += [(f"benchmarks/{b} --smoke", [py, f"benchmarks/{b}", "--smoke"], {}, 0)
-             for b in REACH_SMOKE_BENCHES]
     return runs
 
 
@@ -1604,11 +1612,18 @@ def _reach_tree(root: str) -> dict:
             runs.append((label, time.perf_counter() - t0, hits_in(out)))
             print(f"  {label:<60s} {runs[-1][1]:7.1f} s  {len(runs[-1][2]):5d} functions",
                   flush=True)
-        out, run_env = profiled({})
-        t0 = time.perf_counter()
-        calls = _reach_http_drive(tree, run_env, work, os.path.join(work, "c.npz"))
-        runs.append(("repro serve, HTTP: " + ", ".join(calls), time.perf_counter() - t0,
-                     hits_in(out)))
+        for label, flags, extra in _reach_http_drives(work):
+            out, run_env = profiled(extra)
+            t0 = time.perf_counter()
+            calls = _reach_http_drive(tree, run_env, work, flags)
+            report = extra.get("REPRO_SANITIZE_REPORT")
+            if report:  # the server's exit report: any finding is a defect
+                with open(report) as fh:
+                    found = json.load(fh)
+                if found["cycles"] or found["blocking"]:
+                    calls.append("**sanitizer findings**")
+            runs.append((f"{label}, HTTP: " + ", ".join(calls), time.perf_counter() - t0,
+                         hits_in(out)))
         return {"functions": _reach_functions(src), "runs": runs}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -1630,9 +1645,10 @@ def reachability(reps: int, baseline=None) -> None:
     point runs.  Every suite workload (smoke, plain and traced), the
     paper bench files under pytest, ``examples/``, each ``repro``
     subcommand at reddit 0.05 (one shm world and one ``REPRO_SANITIZE=1``
-    run among them), an HTTP drive of every ``repro serve`` endpoint,
-    ``trainer_fingerprint.py`` and the three ``--smoke`` benches, each in
-    a child interpreter under a function-level profiler.  Per module,
+    run among them), ``trainer_fingerprint.py``, and HTTP drives of every
+    ``repro serve`` endpoint (plain, ``REPRO_SANITIZE=1`` and over the
+    mmap feature tier, each with ``repro trace --url``), each in a child
+    interpreter under a function-level profiler.  Per module,
     function-body lines reached / total; then every unreached function
     with its owner (``REACHABILITY_OWNERS``).  With ``baseline`` (a
     checkout) that tree runs first and a function it has that this tree

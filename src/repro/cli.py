@@ -17,18 +17,13 @@ Commands
                suffix through the online Libra partitioner in chunks,
                then add it to the dynamic graph in one update; reports
                drift and checks the graph against a from-scratch build.
-``loadgen``    open-loop load generator: seeded Poisson or bursty
-               arrivals over mixed predict/topk/update traffic, against
-               a running server (``--url``) or an in-process service
-               built from a checkpoint; reports offered vs achieved
-               throughput, p50/p99 latency, and reject/timeout rates.
-``trace``      end-to-end request tracing: fetch the span buffer of a
-               running server (``--url`` -> ``GET /trace``) or drive a
-               traced in-process load run (``--checkpoint``); writes
-               Chrome trace-event JSON (loadable in Perfetto /
-               ``chrome://tracing``), optional JSONL, and prints the
-               per-endpoint latency decomposition (queue / batch /
-               compute / feature vs end-to-end).
+``trace``      a running server's request trace (``--url``): saves
+               ``GET /trace`` as Chrome trace-event JSON (loadable in
+               Perfetto / ``chrome://tracing``) and prints each
+               endpoint's latency decomposition (e2e vs queue / compute
+               / feature, attributed and slack) from the server's
+               ``GET /metrics?format=prom`` totals.  Start the server
+               with ``REPRO_TRACE=1 repro serve`` to record spans.
 ``check``      project-invariant static analysis: guarded-by discipline,
                blocking-under-lock, read-only hand-outs, classified
                broad excepts (REP101–REP104); text or ``--json`` report,
@@ -139,44 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _feature_store_args(p_serve)
 
-    p_load = sub.add_parser("loadgen", help="open-loop serving load generator")
-    target = _load_args(p_load, duration=10.0)
-    target.add_argument(
-        "--url", default=None, metavar="BASE",
-        help="drive a running server, e.g. http://127.0.0.1:8080",
-    )
-    target.add_argument(
-        "--checkpoint", default=None,
-        help="build an in-process service from this checkpoint instead",
-    )
-
     p_trace = sub.add_parser(
-        "trace", help="capture an end-to-end request trace (Chrome trace JSON)"
-    )
-    trace_target = _load_args(p_trace, duration=5.0)
-    trace_target.add_argument(
-        "--url", default=None, metavar="BASE",
-        help="fetch the span buffer of a running server via GET /trace",
-    )
-    trace_target.add_argument(
-        "--checkpoint", default=None,
-        help="drive a traced in-process load run from this checkpoint",
+        "trace", help="save a running server's request trace (Chrome trace JSON)"
     )
     p_trace.add_argument(
-        "--sample", type=float, default=1.0,
-        help="head-based root-span sampling rate in (0, 1]",
-    )
-    p_trace.add_argument(
-        "--buffer", type=int, default=4096,
-        help="span ring-buffer capacity (oldest spans overwritten)",
+        "--url", required=True, metavar="BASE",
+        help="the server, e.g. http://127.0.0.1:8080 (GET /trace, "
+        "GET /metrics?format=prom)",
     )
     p_trace.add_argument(
         "--out", default="trace.json",
         help="Chrome trace-event JSON output path",
-    )
-    p_trace.add_argument(
-        "--jsonl", default=None, metavar="FILE",
-        help="also write one span record per line here",
     )
 
     p_ing = sub.add_parser("ingest", help="streaming edge ingestion")
@@ -244,43 +212,6 @@ def _feature_store_args(p: argparse.ArgumentParser) -> None:
         "reused when a matching layout already exists, default a "
         "per-run temporary directory",
     )
-
-
-def _load_args(p: argparse.ArgumentParser, duration: float):
-    """The load-run flags ``loadgen`` and ``trace`` share; returns the
-    required ``--url`` / ``--checkpoint`` group for the caller to fill."""
-    _dataset_args(p)
-    _feature_store_args(p)
-    target = p.add_mutually_exclusive_group(required=True)
-    p.add_argument("--rate", type=float, default=50.0, help="offered req/s")
-    p.add_argument("--duration", type=float, default=duration, help="seconds")
-    p.add_argument("--arrival", choices=("poisson", "bursty"), default="poisson")
-    p.add_argument(
-        "--mix", default=None, metavar="SPEC",
-        help="endpoint mix over predict, topk, update_edges and "
-        "update_features, e.g. predict=0.7,topk=0.25,update_edges=0.05",
-    )
-    p.add_argument("--clients", type=int, default=32, help="client threads")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="vertices per predict/topk request")
-    p.add_argument("--k", type=int, default=3, help="top-k for topk requests")
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="in-process admission gate: requests run at once (--checkpoint mode)",
-    )
-    p.add_argument(
-        "--max-queue", type=int, default=256,
-        help="in-process admission queue bound (--checkpoint mode)",
-    )
-    p.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="per-request deadline in seconds",
-    )
-    p.add_argument(
-        "--num-threads", type=int, default=None,
-        help="kernel worker threads for the in-process precompute",
-    )
-    return target
 
 
 def _make_feature_store(ds, args):
@@ -441,7 +372,7 @@ def cmd_predict(args) -> int:
 
 
 def _build_service(args):
-    """Checkpoint -> (dataset, composed PredictionService) for serve/loadgen."""
+    """Checkpoint -> (dataset, composed PredictionService) for ``serve``."""
     from repro.serving import InferenceEngine, PredictionService
 
     ds = _load(args)
@@ -493,164 +424,56 @@ def cmd_serve(args) -> int:  # pragma: no cover - interactive loop
     return 0
 
 
-def _parse_mix(spec):
-    """``predict=0.7,topk=0.3`` -> weight dict (loadgen normalizes)."""
-    if spec is None:
-        return None
-    mix = {}
-    for part in spec.split(","):
-        name, _, weight = part.partition("=")
-        if not _ or not name.strip():
-            raise ValueError(f"bad --mix entry {part!r} (want endpoint=weight)")
-        mix[name.strip()] = float(weight)
-    return mix
-
-
-def _run_load(args, tracer=None):
-    """Drive one open-loop run for ``loadgen`` / ``trace --checkpoint``.
-
-    ``--url`` drives a running server; ``--checkpoint`` builds an
-    in-process service behind a ``ServingFrontend`` (traced by
-    ``tracer`` when given).  Returns the ``LoadReport``; a bad mix or
-    gate setting raises ``ValueError``, an unreachable ``--url`` or a
-    missing checkpoint ``OSError``.
-    """
-    from repro.serving.loadgen import (
-        ARRIVALS,
-        FrontendTarget,
-        HttpTarget,
-        build_schedule,
-        run_open_loop,
-    )
-
-    mix = _parse_mix(args.mix)
-    rng = np.random.default_rng(args.seed)
-    arrivals = ARRIVALS[args.arrival](args.rate, args.duration, rng)
-    frontend = None
-    try:
-        if args.url:
-            import json
-            from urllib.request import urlopen
-
-            base = args.url.rstrip("/")
-            with urlopen(f"{base}/stats", timeout=10.0) as resp:
-                engine = json.load(resp)["engine"]
-            num_vertices = engine["num_vertices"]
-            feature_dim = engine["feature_store"]["dim"]
-            target = HttpTarget(base, timeout_s=args.request_timeout)
-        else:
-            from repro.serving import ServingFrontend
-
-            ds, service = _build_service(args)
-            frontend = ServingFrontend(
-                service,
-                num_workers=args.workers,
-                max_queue=args.max_queue,
-                default_timeout_s=args.request_timeout,
-                tracer=tracer,
-            )
-            num_vertices, feature_dim = service.engine.num_vertices, ds.feature_dim
-            target = FrontendTarget(frontend)
-
-        schedule = build_schedule(
-            arrivals, num_vertices, rng, mix=mix,
-            batch_size=args.batch_size, k=args.k, feature_dim=feature_dim,
+def _decomposition_rows(families) -> List[str]:
+    """One line per endpoint: mean e2e, per-component means, attributed
+    sum and slack (ms) — the server's own ``Tracer.decomposition()``,
+    rebuilt from the ``repro_request_component_{seconds,samples}_total``
+    totals it exports (rendered with ``repr``, so they round-trip
+    exactly).  A server with tracing off exports none."""
+    samples = families.get("repro_request_component_samples_total", {})
+    endpoints = {}
+    for labels, total_s in families.get("repro_request_component_seconds_total", {}).items():
+        label = dict(labels)
+        endpoints.setdefault(label["endpoint"], {})[label["component"]] = (
+            total_s, samples[labels])
+    rows = []
+    for name, comps in sorted(endpoints.items()):
+        e2e_s, roots = comps.pop("e2e")
+        e2e_ms = 1e3 * e2e_s / roots
+        attributed_ms = 1e3 * sum(total_s for total_s, _ in comps.values()) / roots
+        parts = "  ".join(
+            f"{c} {1e3 * total_s / count:.12g}"
+            for c, (total_s, count) in sorted(comps.items())
         )
-        print(f"{args.arrival} arrivals: {len(schedule)} requests over "
-              f"{args.duration:g}s at {args.rate:g} req/s offered")
-        return run_open_loop(target, schedule, num_clients=args.clients)
-    finally:
-        if frontend is not None:
-            frontend.close()
-            frontend.service.close()
-
-
-def cmd_loadgen(args) -> int:
-    try:
-        report = _run_load(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    s = report.summary()
-    print(f"offered       : {s['offered']} requests ({s['offered_rps']:.1f} req/s)")
-    print(f"achieved      : {s['ok']} ok ({s['achieved_rps']:.1f} req/s)")
-    # quantile keys are omitted (not 0.0) when nothing was served
-    print(f"latency (ok)  : p50 {_fmt_ms(s, 'p50_ms')}  "
-          f"p99 {_fmt_ms(s, 'p99_ms')}  mean {s['mean_ms']:.2f} ms")
-    print(f"rejected      : {s['rejected']} ({100 * s['reject_rate']:.1f}%) "
-          "[queue full]")
-    print(f"timeouts      : {s['timeouts']}  errors: {s['errors']}  "
-          f"bad requests: {s['bad_request']}")
-    for name, ep in sorted(s["per_endpoint"].items()):
-        print(f"  {name:<16s} {ep['ok']:>6d} ok / {ep['requests']:>6d}  "
-              f"p50 {_fmt_ms(ep, 'p50_ms')}  p99 {_fmt_ms(ep, 'p99_ms')}")
-    return 0
-
-
-def _fmt_ms(d: dict, key: str) -> str:
-    return f"{d[key]:.2f} ms" if key in d else "n/a"
+        rows.append(f"  {name:<16s} e2e {e2e_ms:.12g} ms | {parts}  "
+                    f"[attributed {attributed_ms:.12g}, "
+                    f"slack {max(0.0, e2e_ms - attributed_ms):.12g}]")
+    return rows
 
 
 def cmd_trace(args) -> int:
     import json
+    from urllib.request import urlopen
 
-    from repro.obs.trace import (
-        Tracer,
-        chrome_trace,
-        to_jsonl,
-        validate_chrome_trace,
-    )
+    from repro.obs.registry import parse_prometheus
+    from repro.obs.trace import validate_chrome_trace
 
-    if args.url:
-        from urllib.request import urlopen
-
-        base = args.url.rstrip("/")
-        try:
-            with urlopen(f"{base}/trace", timeout=10.0) as resp:
-                payload = json.load(resp)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    base = args.url.rstrip("/")
+    try:
+        with urlopen(f"{base}/trace", timeout=10.0) as resp:
+            payload = json.load(resp)
         n = validate_chrome_trace(payload)
+        with urlopen(f"{base}/metrics?format=prom", timeout=10.0) as resp:
+            rows = _decomposition_rows(parse_prometheus(resp.read().decode("utf-8")))
         with open(args.out, "w") as fh:
             json.dump(payload, fh)
-        print(f"{n} trace event(s) from {base}/trace -> {args.out}")
-        return 0
-
-    if not 0.0 < args.sample <= 1.0:
-        print("error: --sample must be in (0, 1]", file=sys.stderr)
-        return 2
-    try:
-        tracer = Tracer(enabled=True, sample_rate=args.sample, capacity=args.buffer)
-        report = _run_load(args, tracer=tracer)
-    except (OSError, ValueError) as exc:
+    # unreachable, not a trace, or metrics without the component totals
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    spans = tracer.export()
-    payload = chrome_trace(spans)
-    n = validate_chrome_trace(payload)
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh)
-    st = tracer.stats()
-    s = report.summary()
-    print(f"requests      : {s['ok']} ok / {s['offered']} offered")
-    print(f"trace         : {n} event(s) -> {args.out}  "
-          f"(sampled {st['sampled']}/{st['seen']} roots, "
-          f"dropped {st['dropped']})")
-    if args.jsonl:
-        with open(args.jsonl, "w") as fh:
-            fh.write(to_jsonl(spans))
-        print(f"jsonl         : {args.jsonl}")
-    for name, dec in sorted(tracer.decomposition().items()):
-        parts = "  ".join(
-            f"{c} {v['mean_ms']:.2f}"
-            for c, v in sorted(dec["components"].items())
-        )
-        print(f"  {name:<16s} e2e {dec['e2e']['mean_ms']:.2f} ms | "
-              f"{parts}  [attributed {dec['component_sum_mean_ms']:.2f}, "
-              f"slack {dec['unattributed_mean_ms']:.2f}]")
+    print(f"{n} trace event(s) from {base}/trace -> {args.out}")
+    for row in rows:
+        print(row)
     return 0
 
 
@@ -787,7 +610,6 @@ COMMANDS = {
     "predict": cmd_predict,
     "serve": cmd_serve,
     "ingest": cmd_ingest,
-    "loadgen": cmd_loadgen,
     "trace": cmd_trace,
     "check": cmd_check,
 }

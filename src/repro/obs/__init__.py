@@ -3,7 +3,7 @@
 - :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer` with explicit
   context propagation across pool boundaries, head-based sampling
   (``REPRO_TRACE=1``, ``REPRO_TRACE_SAMPLE``), a bounded span ring, and
-  Chrome trace-event / JSONL export (``repro trace``, ``GET /trace``).
+  Chrome trace-event export (``GET /trace``, ``repro trace --url``).
 - :mod:`repro.obs.registry` — one :class:`Registry` absorbing the
   serving, tracer, feature-store, kernel-timer, and comm-world
   counters under consistent ``repro_*`` names, rendered as Prometheus
@@ -32,7 +32,6 @@ from repro.obs.trace import (
     current_span,
     get_tracer,
     set_tracer,
-    to_jsonl,
     validate_chrome_trace,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "current_span",
     "get_tracer",
     "set_tracer",
-    "to_jsonl",
     "validate_chrome_trace",
     "Metric",
     "Registry",

@@ -24,9 +24,8 @@ constraints, in order:
   short-circuits, so the steady-state overhead of a disabled or
   down-sampled tracer is one ``None`` check.
 - **Standard export.**  :func:`chrome_trace` renders the ring as Chrome
-  trace-event JSON (loadable in Perfetto / ``chrome://tracing``),
-  :func:`to_jsonl` as one span per line; ``repro trace`` and
-  ``GET /trace`` serve both.
+  trace-event JSON (loadable in Perfetto / ``chrome://tracing``);
+  ``GET /trace`` serves it and ``repro trace --url`` saves it.
 
 Latency decomposition: component seconds accumulated on a root span
 (:data:`COMPONENTS`: queue / compute / feature) are
@@ -38,7 +37,6 @@ and ``tests/serving/test_tracing.py`` pins the inequality.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
@@ -347,11 +345,6 @@ class Tracer:
                 return list(self._ring)
             return self._ring[self._slot:] + self._ring[: self._slot]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring = []
-            self._slot = 0
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -517,8 +510,3 @@ def validate_chrome_trace(payload: dict) -> int:
             if key not in args:
                 raise ValueError(f"traceEvents[{i}].args missing {key!r}")
     return len(events)
-
-
-def to_jsonl(spans: List[dict]) -> str:
-    """One span per line (the raw ring records, machine-mergeable)."""
-    return "".join(json.dumps(s, sort_keys=True) + "\n" for s in spans)

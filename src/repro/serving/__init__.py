@@ -22,9 +22,10 @@ request is a table lookup.
   load shedding).
 - :mod:`repro.serving.metrics` — :class:`ServingMetrics`: per-endpoint
   outcome counters and latency quantiles behind ``GET /metrics``.
-- :mod:`repro.serving.loadgen` — open-loop load generator (Poisson and
-  bursty MMPP arrivals, seeded schedules, coordinated-omission-free
-  latency accounting); drives ``repro loadgen`` and the serving bench.
+
+Load comes from outside the package: the benchmark suite's own client
+(``benchmarks/suite/run.py --workload serve_read|serve_mixed``), and the
+open-loop generator the stress tests use (``tests/serving/harness.py``).
 
 One read path: a read is one gather from the published logits table,
 with no lock.  Updates serialise on one lock and **publish** — they fill
@@ -46,17 +47,6 @@ from repro.serving.frontend import (
     RequestTimeout,
     ServingFrontend,
     ServingUnavailable,
-)
-from repro.serving.loadgen import (
-    FrontendTarget,
-    HttpTarget,
-    LoadReport,
-    ScheduledRequest,
-    VirtualClock,
-    build_schedule,
-    bursty_arrivals,
-    poisson_arrivals,
-    run_open_loop,
 )
 from repro.serving.metrics import ServingMetrics, percentiles_ms
 from repro.serving.refresh import (
@@ -82,13 +72,4 @@ __all__ = [
     "RequestTimeout",
     "ServingMetrics",
     "percentiles_ms",
-    "FrontendTarget",
-    "HttpTarget",
-    "LoadReport",
-    "ScheduledRequest",
-    "VirtualClock",
-    "build_schedule",
-    "bursty_arrivals",
-    "poisson_arrivals",
-    "run_open_loop",
 ]

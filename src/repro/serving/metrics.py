@@ -1,9 +1,9 @@
 """Measured request-path metrics for the serving front end.
 
 :class:`ServingMetrics` is the server-side half of the open-loop load
-story: the load generator (:mod:`repro.serving.loadgen`) measures
-latency from the *client* side, and these counters must agree with it —
-``tests/serving/test_serving_metrics.py`` cross-checks a seeded run.
+story: a load generator measures latency from the *client* side, and
+these counters must agree with it — ``tests/serving/test_serving_metrics.py``
+cross-checks a seeded run of the tests' generator (``tests/serving/harness.py``).
 
 Per endpoint (``predict`` / ``topk`` / ``update_edges`` / ...) the
 recorder keeps monotone outcome counters plus a bounded window of

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.cli import _build_service, _parse_mix, build_parser, main
+from repro.cli import _build_service, build_parser, main
 
 
 def test_info(capsys):
@@ -187,9 +187,9 @@ def test_serve_parser_accepts_options():
 def test_feature_store_flags_have_no_hot_set_knob(capsys, tmp_path):
     """The mmap tier reads straight from the mapped file: there is no
     hot-set fraction to size, and a run prints the rows it read."""
-    for command in ("train", "sample", "serve", "loadgen", "trace"):
+    for command in ("train", "sample", "serve"):
         argv = [command, "--feature-store", "mmap"]
-        if command in ("serve", "loadgen", "trace"):
+        if command == "serve":
             argv += ["--checkpoint", "c.npz"]
         assert build_parser().parse_args(argv).feature_store == "mmap"
         with pytest.raises(SystemExit):
@@ -202,30 +202,6 @@ def test_feature_store_flags_have_no_hot_set_knob(capsys, tmp_path):
     assert "hot set" not in out and "hit rate" not in out
 
 
-def test_loadgen_cli(capsys, tmp_path):
-    ckpt = str(tmp_path / "lg.npz")
-    base = ["--dataset", "reddit", "--scale", "0.05"]
-    assert main(["train", *base, "--epochs", "2", "--checkpoint", ckpt]) == 0
-    capsys.readouterr()
-    rc = main(
-        ["loadgen", *base, "--checkpoint", ckpt, "--rate", "50",
-         "--duration", "0.5", "--arrival", "bursty", "--clients", "4",
-         "--mix", "predict=0.8,topk=0.2"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "offered" in out and "achieved" in out and "p99" in out
-    assert "predict" in out and "topk" in out
-
-
-def test_loadgen_cli_rejects_bad_mix(capsys, tmp_path):
-    ckpt = str(tmp_path / "lgbad.npz")
-    base = ["--dataset", "reddit", "--scale", "0.05"]
-    rc = main(["loadgen", *base, "--checkpoint", ckpt, "--mix", "nonsense"])
-    assert rc == 2
-    assert "bad --mix" in capsys.readouterr().err
-
-
 @pytest.fixture(scope="module")
 def load_ckpt(tmp_path_factory):
     ckpt = str(tmp_path_factory.mktemp("load") / "lg.npz")
@@ -234,90 +210,26 @@ def load_ckpt(tmp_path_factory):
     return ckpt
 
 
-def _load_run(command, ckpt, tmp_path, *extra):
-    argv = [command, "--dataset", "reddit", "--scale", "0.05",
-            "--checkpoint", ckpt, "--rate", "40", "--duration", "0.3", *extra]
-    if command == "trace":
-        argv += ["--out", str(tmp_path / "t.json")]
-    return main(argv)
-
-
-@pytest.mark.parametrize("command", ["loadgen", "trace"])
-def test_load_cli_drives_feature_updates(command, load_ckpt, tmp_path, capsys):
-    """``update_features`` traffic gets the dataset's feature width."""
-    rc = _load_run(command, load_ckpt, tmp_path, "--mix", "predict=1,update_features=1")
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "requests over" in out
-    if command == "loadgen":
-        assert "update_features" in out
-
-
-@pytest.mark.parametrize(
-    "command, extra, message",
-    [
-        ("loadgen", ["--mix", "foo=1"], "unknown endpoints"),
-        ("trace", ["--mix", "foo=1"], "unknown endpoints"),
-        ("loadgen", ["--workers", "0"], "num_workers"),
-        ("trace", ["--workers", "0"], "num_workers"),
-        ("trace", ["--buffer", "0"], "capacity"),
-    ],
-)
-def test_load_cli_rejects_bad_settings(command, extra, message, load_ckpt,
-                                       tmp_path, capsys):
-    assert _load_run(command, load_ckpt, tmp_path, *extra) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-
-
-def test_load_cli_mix_help_names_every_endpoint():
-    for command in ("loadgen", "trace"):
-        sub = build_parser()._subparsers._group_actions[0].choices[command]
-        help_text = next(a.help for a in sub._actions if a.dest == "mix")
-        for endpoint in ("predict", "topk", "update_edges", "update_features"):
-            assert endpoint in help_text
-
-
-@pytest.mark.parametrize("spec", ["nonsense", "=1", "predict=", "predict=x"])
-def test_parse_mix_rejects_malformed_entries(spec):
-    with pytest.raises(ValueError):
-        _parse_mix(spec)
-
-
-def test_parse_mix_reads_weights():
-    assert _parse_mix(None) is None
-    assert _parse_mix("predict=0.7, topk=0.3") == {"predict": 0.7, "topk": 0.3}
-
-
-@pytest.fixture
-def cli_server(load_ckpt):
-    """The service ``repro serve`` builds from ``load_ckpt``, on a thread."""
-    from repro.serving import PredictionServer
+def _serve(load_ckpt, tracer=None):
+    """The service ``repro serve`` builds from ``load_ckpt``, behind a
+    frontend with ``tracer`` (the process default when ``None``), on a
+    thread."""
+    from repro.serving import PredictionServer, ServingFrontend
 
     args = build_parser().parse_args(
         ["serve", "--dataset", "reddit", "--scale", "0.05", "--checkpoint", load_ckpt]
     )
     _, service = _build_service(args)
-    server = PredictionServer(service, port=0).start_background()
+    frontend = ServingFrontend(service, tracer=tracer)
+    return PredictionServer(service, port=0, frontend=frontend).start_background()
+
+
+@pytest.fixture
+def cli_server(load_ckpt):
+    server = _serve(load_ckpt)
     host, port = server.address
     yield f"http://{host}:{port}"
     server.shutdown()
-
-
-@pytest.mark.parametrize(
-    "endpoint", ["predict", "topk", "update_edges", "update_features"]
-)
-def test_loadgen_url_drives_each_endpoint(endpoint, cli_server, capsys):
-    """``--url`` traffic gets the server's vertex count and feature width
-    from ``GET /stats``; every request is served."""
-    rc = main(["loadgen", "--url", cli_server, "--rate", "40", "--duration", "0.3",
-               "--mix", f"{endpoint}=1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    row = next(line for line in out.splitlines() if line.split()[:1] == [endpoint])
-    ok, requests = map(int, re.search(r"(\d+) ok /\s+(\d+)", row).groups())
-    assert ok == requests > 0
-    assert "errors: 0" in out and "bad requests: 0" in out
 
 
 def test_trace_url_saves_the_servers_trace(cli_server, tmp_path, capsys):
@@ -332,6 +244,163 @@ def test_trace_url_saves_the_servers_trace(cli_server, tmp_path, capsys):
     assert f"{n} trace event(s) from {cli_server}/trace" in capsys.readouterr().out
 
 
+def _drive(base, dim, endpoints):
+    """One request per endpoint in ``endpoints``, three times over."""
+    import json
+    import urllib.request
+
+    bodies = {
+        "predict": ("/predict", {"vertices": [0, 5, 9]}),
+        "topk": ("/predict", {"vertices": [3, 1], "k": 2}),
+        "update_edges": ("/update_edges", {"add": [[0, 7]]}),
+        "update_features": ("/update_features", {"vertices": [2], "features": [[0.5] * dim]}),
+    }
+    for _ in range(3):
+        for endpoint in endpoints:
+            path, body = bodies[endpoint]
+            req = urllib.request.Request(
+                base + path, data=json.dumps(body).encode(), method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                assert resp.status == 200
+
+
+_ROW = re.compile(
+    r"^  (\S+)\s+e2e (\S+) ms \| (.*)  \[attributed (\S+), slack (\S+)\]$"
+)
+
+
+def _printed_decomposition(out):
+    """``{endpoint: (e2e, {component: mean}, attributed, slack)}`` (ms)
+    from the rows ``repro trace`` prints."""
+    rows = {}
+    for line in out.splitlines():
+        match = _ROW.match(line)
+        if match:
+            name, e2e, parts, attributed, slack = match.groups()
+            words = parts.split()
+            comps = {c: float(v) for c, v in zip(words[::2], words[1::2])}
+            rows[name] = (float(e2e), comps, float(attributed), float(slack))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "endpoints",
+    [("predict",), ("topk",), ("update_edges",), ("update_features",),
+     ("predict", "topk", "update_edges", "update_features")],
+    ids=["predict", "topk", "update_edges", "update_features", "mixed"],
+)
+def test_trace_url_prints_the_servers_decomposition(endpoints, load_ckpt, tmp_path,
+                                                    capsys):
+    """Every endpoint's row is the server's own ``Tracer.decomposition()``:
+    e2e mean, per-component means, attributed sum and slack."""
+    from repro.obs.trace import Tracer
+
+    server = _serve(load_ckpt, Tracer(enabled=True))
+    host, port = server.address
+    base = f"http://{host}:{port}"
+    try:
+        _drive(base, server.service.engine.features.shape[1], endpoints)
+        capsys.readouterr()
+        assert main(["trace", "--url", base, "--out", str(tmp_path / "t.json")]) == 0
+        want = server.frontend.tracer.decomposition()
+    finally:
+        server.shutdown()
+    got = _printed_decomposition(capsys.readouterr().out)
+    assert set(got) == set(want) == set(endpoints)
+    for name, dec in want.items():
+        e2e, comps, attributed, slack = got[name]
+        assert e2e == pytest.approx(dec["e2e"]["mean_ms"], rel=1e-9)
+        assert set(comps) == set(dec["components"])
+        for component, summary in dec["components"].items():
+            assert comps[component] == pytest.approx(summary["mean_ms"], rel=1e-9)
+        assert attributed == pytest.approx(dec["component_sum_mean_ms"], rel=1e-9)
+        assert slack == pytest.approx(dec["unattributed_mean_ms"], rel=1e-9, abs=1e-12)
+
+
+def test_trace_url_without_tracing_prints_no_rows(load_ckpt, tmp_path, capsys):
+    from repro.obs.trace import Tracer
+
+    server = _serve(load_ckpt, Tracer(enabled=False))
+    host, port = server.address
+    base = f"http://{host}:{port}"
+    try:
+        _drive(base, server.service.engine.features.shape[1], ("predict", "topk"))
+        capsys.readouterr()
+        assert main(["trace", "--url", base, "--out", str(tmp_path / "t.json")]) == 0
+    finally:
+        server.shutdown()
+    out = capsys.readouterr().out
+    assert out.startswith("0 trace event(s)")
+    assert _printed_decomposition(out) == {} and len(out.splitlines()) == 1
+
+
+@pytest.fixture
+def stub_server():
+    """A plain HTTP server answering 200 with ``replies[path]`` (404
+    elsewhere); yields ``(base_url, replies)``."""
+    import http.server
+    import threading
+
+    replies = {}
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = replies.get(self.path)
+            self.send_response(404 if body is None else 200)
+            self.send_header("Content-Length", str(len(body or b"")))
+            self.end_headers()
+            self.wfile.write(body or b"")
+
+        def log_message(self, *args):
+            pass
+
+    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{httpd.server_address[1]}", replies
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=10)
+
+
+@pytest.mark.parametrize(
+    "trace, prom",
+    [
+        (b"not json", None),
+        (b'{"hello": 1}', None),
+        (b'{"traceEvents": []}', b"repro_requests_total not-a-number\n"),
+        (b'{"traceEvents": []}', None),
+    ],
+    ids=["not-json", "not-a-trace", "bad-metrics", "no-metrics"],
+)
+def test_trace_url_rejects_a_reply_that_is_not_a_trace(trace, prom, stub_server,
+                                                        tmp_path, capsys):
+    """A 200 whose body is no Chrome trace, or metrics that are no
+    exposition text or answer 404, are an ``error:`` exit 2 and no
+    ``--out`` file."""
+    base, replies = stub_server
+    replies["/trace"] = trace
+    if prom is not None:
+        replies["/metrics?format=prom"] = prom
+    out_path = tmp_path / "t.json"
+    assert main(["trace", "--url", base, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_trace_takes_only_url_and_out():
+    sub = build_parser()._subparsers._group_actions[0].choices
+    assert "loadgen" not in sub
+    flags = {f for a in sub["trace"]._actions for f in a.option_strings}
+    assert flags == {"-h", "--help", "--url", "--out"}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["trace"])  # --url is required
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["loadgen", "--url", "http://x"])
+
+
 def _closed_port():
     import socket
 
@@ -340,21 +409,12 @@ def _closed_port():
         return sock.getsockname()[1]
 
 
-@pytest.mark.parametrize("command", ["loadgen", "trace"])
-def test_load_cli_reports_an_unreachable_url(command, tmp_path, capsys):
-    argv = [command, "--url", f"http://127.0.0.1:{_closed_port()}"]
-    if command == "trace":
-        argv += ["--out", str(tmp_path / "t.json")]
+def test_trace_reports_an_unreachable_url(tmp_path, capsys):
+    out_path = tmp_path / "t.json"
+    argv = ["trace", "--url", f"http://127.0.0.1:{_closed_port()}", "--out", str(out_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("command", ["loadgen", "trace"])
-def test_load_cli_reports_a_missing_checkpoint(command, tmp_path, capsys):
-    missing = str(tmp_path / "absent.npz")
-    assert _load_run(command, missing, tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "absent.npz" in err
+    assert not out_path.exists()
 
 
 def test_serve_lists_its_endpoints_and_stops_on_interrupt(load_ckpt, capsys,
@@ -379,15 +439,6 @@ def test_serve_lists_its_endpoints_and_stops_on_interrupt(load_ckpt, capsys,
                  "/metrics", "/healthz"):
         assert f"http://{host}:{port}{path}" in out
     assert out.startswith("serving reddit") and out.rstrip().endswith("shutting down")
-
-
-def test_loadgen_parser_requires_a_target():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["loadgen", "--rate", "10"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["loadgen", "--url", "http://x", "--checkpoint", "c.npz"]
-        )
 
 
 def test_ingest(capsys, tmp_path):

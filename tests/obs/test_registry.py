@@ -78,6 +78,45 @@ def test_prometheus_render_parse_round_trip():
     assert "repro_requests_total{endpoint=\"predict\",outcome=\"ok\"} 3\n" in text
 
 
+@pytest.mark.parametrize(
+    "value",
+    [0.1 + 0.2, 1 / 3, 5e-324, 1e15, 2.0 ** 60 + 2.0 ** 8, -12345.678901234567],
+    ids=["inexact-sum", "third", "subnormal", "1e15", "beyond-2**53", "negative"],
+)
+def test_prometheus_values_round_trip_exactly(value):
+    """A parsed value is the rendered float bit for bit (integers print as
+    ints, everything else as ``repr``): ``repro trace`` rebuilds the
+    server's decomposition means from these totals."""
+    metric = Metric("repro_x_seconds_total", "counter", "x").add(value, endpoint="e")
+    parsed = parse_prometheus(render_prometheus([metric]))
+    assert parsed["repro_x_seconds_total"][(("endpoint", "e"),)] == value
+
+
+def test_component_families_carry_the_decomposition_totals():
+    """Per endpoint and component, the exported seconds and samples are
+    the tracer's own totals, exactly."""
+    tracer = Tracer(enabled=True, sample_rate=1.0, capacity=64)
+    rng = np.random.default_rng(5)
+    for endpoint in ("predict", "topk", "predict", "update_edges", "predict"):
+        span = tracer.root(endpoint)
+        span.add_component("queue", float(rng.exponential(1e-4)))
+        if endpoint != "update_edges":
+            span.add_component("compute", float(rng.exponential(1e-3)))
+        span.end("ok", e2e_s=float(rng.exponential(3e-3)) + 2e-3)
+    reg = serving_registry(tracer=tracer, include_ap=False, include_comm=False)
+    parsed = parse_prometheus(render_prometheus(reg.collect()))
+    seconds = parsed["repro_request_component_seconds_total"]
+    samples = parsed["repro_request_component_samples_total"]
+    decomposition = tracer.decomposition()
+    assert {dict(k)["endpoint"] for k in seconds} == set(decomposition)
+    for endpoint, dec in decomposition.items():
+        summaries = {"e2e": dec["e2e"], **dec["components"]}
+        for component, summary in summaries.items():
+            key = (("component", component), ("endpoint", endpoint))
+            assert seconds[key] == summary["total_s"]
+            assert samples[key] == summary["count"]
+
+
 # -- comm-world sources -----------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from repro.obs.trace import (
     current_span,
     get_tracer,
     set_tracer,
-    to_jsonl,
     validate_chrome_trace,
 )
 
@@ -90,13 +89,6 @@ def test_ring_bounds_memory_and_counts_drops():
     assert st["dropped"] == 12
     # oldest-first export of the surviving suffix
     assert [s["name"] for s in t.export()] == [f"r{i}" for i in range(12, 20)]
-
-
-def test_clear_empties_the_ring():
-    t = make_tracer(capacity=4)
-    t.root("a").end("ok")
-    t.clear()
-    assert t.export() == [] and t.stats()["buffered"] == 0
 
 
 # -- span lifecycle ---------------------------------------------------------------
@@ -222,16 +214,6 @@ def test_schema_validation_rejects_deviations(mutate):
     mutate(payload)
     with pytest.raises(ValueError):
         validate_chrome_trace(payload)
-
-
-def test_jsonl_is_one_record_per_line():
-    t = make_tracer()
-    for _ in range(2):
-        _traced_request(t)
-    lines = to_jsonl(t.export()).strip().splitlines()
-    assert len(lines) == 4
-    names = {json.loads(line)["name"] for line in lines}
-    assert names == {"predict", "engine.predict"}
 
 
 # -- latency decomposition --------------------------------------------------------

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.serving.frontend import RequestRejected, RequestTimeout
-from repro.serving.loadgen import (
+
+from harness import (
     DEFAULT_MIX,
+    FrontendTarget,
     LoadReport,
     RequestRecord,
     ScheduledRequest,
@@ -19,10 +21,9 @@ from repro.serving.loadgen import (
     classify_exception,
     poisson_arrivals,
     run_open_loop,
+    virtual_schedule,
     zipf_vertices,
 )
-
-from harness import virtual_schedule
 
 
 # -- arrival processes ------------------------------------------------------------
@@ -182,6 +183,64 @@ def test_clock_basics():
     c.sleep(1.5)
     c.advance(-1.0)  # negative advances are ignored, time is monotone
     assert c.time() == 6.5
+
+
+# -- in-process target -------------------------------------------------------------
+
+
+class _RecordingFrontend:
+    """Frontend-shaped stub: records which frontend method each request
+    took and what the service was asked for."""
+
+    def __init__(self):
+        self.calls = []
+        self.service = self
+
+    def call(self, endpoint, fn):
+        self.calls.append(("call", endpoint))
+        return fn()
+
+    def update_edges(self, add=None):
+        self.calls.append(("update_edges", add.tolist()))
+
+    def update_features(self, vertices, rows):
+        self.calls.append(("update_features", vertices.tolist(), rows.tolist()))
+
+    def predict(self, vertices):
+        self.calls.append(("predict", vertices.tolist()))
+
+    def topk(self, vertices, k):
+        self.calls.append(("topk", vertices.tolist(), k))
+
+
+_IDS = np.array([3, 1])
+
+
+@pytest.mark.parametrize(
+    "request_, expected",
+    [
+        (ScheduledRequest(0.0, "predict", _IDS), [("call", "predict"), ("predict", [3, 1])]),
+        (ScheduledRequest(0.0, "topk", _IDS, k=2), [("call", "topk"), ("topk", [3, 1], 2)]),
+        (ScheduledRequest(0.0, "update_edges", _IDS, edges=np.array([[0, 1]])),
+         [("update_edges", [[0, 1]])]),
+        (ScheduledRequest(0.0, "update_features", _IDS, rows=np.ones((2, 1))),
+         [("update_features", [3, 1], [[1.0], [1.0]])]),
+    ],
+    ids=["predict", "topk", "update_edges", "update_features"],
+)
+def test_frontend_target_routes_each_endpoint(request_, expected):
+    """Reads go through the admission gate (``call``) under their own
+    endpoint name; updates take the frontend's update methods."""
+    frontend = _RecordingFrontend()
+    FrontendTarget(frontend)(request_)
+    assert frontend.calls == expected
+
+
+def test_frontend_target_rejects_an_unknown_endpoint():
+    frontend = _RecordingFrontend()
+    with pytest.raises(ValueError, match="unknown endpoint 'nope'"):
+        FrontendTarget(frontend)(ScheduledRequest(0.0, "nope", _IDS))
+    assert frontend.calls == []
 
 
 # -- outcome classification -------------------------------------------------------

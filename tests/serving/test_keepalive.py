@@ -293,7 +293,7 @@ def test_many_reads_reuse_one_socket(engine, serve):
 
 
 def test_connection_close_client_gets_a_closed_socket(engine, serve):
-    """urllib (``repro loadgen --url``, ``repro trace --url``) sends
+    """urllib (``repro trace --url``, the benchmark studies) sends
     ``Connection: close``: the reply says so and the server closes."""
     server = serve()
     before = _handler_threads()

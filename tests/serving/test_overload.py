@@ -28,10 +28,15 @@ from repro.serving import (
     RequestTimeout,
     ServingFrontend,
 )
-from repro.serving.loadgen import bursty_arrivals, build_schedule, run_open_loop
 from repro.serving.metrics import OUTCOMES
 
-from harness import JOIN_TIMEOUT_S, slow_lookup
+from harness import (
+    JOIN_TIMEOUT_S,
+    bursty_arrivals,
+    build_schedule,
+    run_open_loop,
+    slow_lookup,
+)
 
 #: injected lookup time: the gated section dominates each request, so
 #: saturation is set by the one run slot, not by HTTP parsing.
@@ -81,7 +86,7 @@ class KeepAliveTarget:
 
     def __call__(self, req):
         status = self.post(req.vertices.tolist())
-        if status != 200:  # the loadgen buckets a failure by its class
+        if status != 200:  # run_open_loop buckets a failure by its class
             raise {429: RequestRejected, 503: RequestTimeout}.get(
                 status, RuntimeError)(f"HTTP {status}")
 

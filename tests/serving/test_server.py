@@ -1,5 +1,6 @@
 """PredictionService composition and the HTTP endpoint."""
 
+import http.client
 import json
 import socket
 import urllib.error
@@ -361,3 +362,154 @@ def test_predict_response_is_one_read_of_one_version(trained, engine):
         [{"class": int(c), "score": float(x)} for c, x in zip(crow, srow)]
         for crow, srow in zip(classes, scores)
     ]
+
+
+# -- each endpoint over one kept-alive http.client connection ---------------------
+
+
+@pytest.fixture
+def conn(live_server):
+    """``(engine, connection)``: one kept-alive ``http.client`` socket to
+    the live server."""
+    engine, base = live_server
+    host, port = base[len("http://"):].rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    yield engine, connection
+    connection.close()
+
+
+def _call(connection, method, path, payload=None):
+    """``(status, decoded JSON body)`` of one request."""
+    body = None if payload is None else json.dumps(payload)
+    connection.request(method, path, body=body,
+                       headers={"Content-Type": "application/json"})
+    resp = connection.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+def test_http_predict_without_k_returns_only_labels(conn):
+    engine, connection = conn
+    ids = [3, 0, 3]
+    status, resp = _call(connection, "POST", "/predict", {"vertices": ids})
+    assert status == 200
+    assert resp["vertices"] == ids
+    assert resp["labels"] == np.argmax(engine.logits[ids], axis=1).tolist()
+    assert "topk" not in resp
+
+
+def test_http_topk_returns_k_classes_and_scores(conn):
+    engine, connection = conn
+    ids = [5, 1]
+    status, resp = _call(connection, "POST", "/predict", {"vertices": ids, "k": 2})
+    assert status == 200
+    classes, scores = engine.topk(ids, k=2)
+    assert resp["topk"] == [
+        [{"class": int(c), "score": float(x)} for c, x in zip(crow, srow)]
+        for crow, srow in zip(classes, scores)
+    ]
+
+
+def test_http_update_edges_adds_the_edges(conn):
+    engine, connection = conn
+    src, dst = 0, engine.num_vertices - 1
+    version, edges = engine.version, engine.graph.num_edges
+    status, resp = _call(connection, "POST", "/update_edges", {"add": [[src, dst]]})
+    assert status == 200 and resp["status"] == "ok"
+    assert resp["num_added"] == 1 and resp["num_edges"] == edges + 1
+    assert engine.version == version + 1
+    assert src in engine.graph.neighbors(dst).tolist()
+    # the next read serves the refreshed table
+    _, read = _call(connection, "POST", "/predict", {"vertices": [dst]})
+    assert read["labels"] == np.argmax(engine.logits[[dst]], axis=1).tolist()
+
+
+def test_http_update_edges_removes_the_edges(conn):
+    engine, connection = conn
+    src = 1
+    dst = next(v for v in range(engine.num_vertices - 1, 0, -1)
+               if src not in engine.graph.neighbors(v).tolist())
+    assert _call(connection, "POST", "/update_edges", {"add": [[src, dst]]})[0] == 200
+    edges = engine.graph.num_edges
+    status, resp = _call(connection, "POST", "/update_edges", {"remove": [[src, dst]]})
+    assert status == 200 and resp["num_removed"] == 1
+    assert resp["num_edges"] == edges - 1
+    assert src not in engine.graph.neighbors(dst).tolist()
+
+
+def test_http_update_features_writes_the_rows(conn):
+    engine, connection = conn
+    rows = np.random.default_rng(3).standard_normal(
+        (2, engine.features.shape[1])
+    ).astype(np.float32)
+    status, resp = _call(connection, "POST", "/update_features",
+                         {"vertices": [2, 6], "features": rows.tolist()})
+    assert status == 200
+    assert resp["status"] == "ok" and resp["num_updated"] == 2
+    np.testing.assert_array_equal(engine.features[[2, 6]], rows)
+
+
+def test_http_unknown_post_path_answers_404(conn):
+    engine, connection = conn
+    version = engine.version
+    status, resp = _call(connection, "POST", "/nope", {"vertices": [0]})
+    assert status == 404 and "error" in resp
+    # the connection stays usable, and nothing was applied
+    assert _call(connection, "POST", "/predict", {"vertices": [0]})[0] == 200
+    assert engine.version == version
+
+
+def test_http_every_endpoint_on_one_connection_is_counted(conn):
+    """Mixed traffic over one socket: every request answers 200 and lands
+    in its endpoint's ``ok`` bucket."""
+    engine, connection = conn
+    dim = engine.features.shape[1]
+    requests = {
+        "predict": ("/predict", {"vertices": [0, 1]}),
+        "topk": ("/predict", {"vertices": [2], "k": 3}),
+        "update_edges": ("/update_edges", {"add": [[4, 5]]}),
+        "update_features": ("/update_features", {"vertices": [7], "features": [[0.25] * dim]}),
+    }
+    for _ in range(3):
+        for path, payload in requests.values():
+            assert _call(connection, "POST", path, payload)[0] == 200
+    status, snap = _call(connection, "GET", "/metrics")
+    assert status == 200
+    for endpoint in requests:
+        counts = snap["endpoints"][endpoint]
+        assert counts["ok"] == counts["requests"] == 3, endpoint
+
+
+def test_http_mmap_store_serves_what_resident_serves(trained, engine, tmp_path):
+    """``repro serve --feature-store mmap``'s engine answers every
+    endpoint as the resident engine does, and a feature update lands in
+    the store's patched copy."""
+    from repro.featurestore import FeatureStore
+
+    ds, trainer, cfg = trained
+    store = FeatureStore.create(str(tmp_path / "features"), ds.features)
+    mapped = InferenceEngine(ds, trainer.model, cfg, feature_store=store).precompute()
+    assert mapped.feature_store.tier == "mmap"
+    server = PredictionServer(PredictionService(mapped), port=0).start_background()
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    ids = [0, 4, 9]
+    try:
+        _, resp = _call(connection, "POST", "/predict", {"vertices": ids, "k": 2})
+        classes, scores = engine.topk(ids, k=2)
+        assert resp["labels"] == np.argmax(engine.logits[ids], axis=1).tolist()
+        assert resp["topk"] == [
+            [{"class": int(c), "score": float(x)} for c, x in zip(crow, srow)]
+            for crow, srow in zip(classes, scores)
+        ]
+        row = np.full((1, ds.feature_dim), 0.5, dtype=np.float32)
+        status, _ = _call(connection, "POST", "/update_features",
+                          {"vertices": [4], "features": row.tolist()})
+        assert status == 200
+        PredictionService(engine).update_features([4], row)
+        _, after = _call(connection, "POST", "/predict", {"vertices": ids})
+    finally:
+        connection.close()
+        server.shutdown()
+    np.testing.assert_array_equal(mapped.features[4], row[0])
+    np.testing.assert_array_equal(mapped.logits, engine.logits)  # tiers agree
+    assert after["labels"] == np.argmax(engine.logits[ids], axis=1).tolist()

@@ -143,3 +143,25 @@ def test_functions_the_audit_deleted_stay_deleted(functions):
     assert deleted
     back = [f"{m}::{q}" for m, q in deleted if (m, q) in functions]
     assert not back, f"deleted by the reachability audit but defined again: {back}"
+
+
+def test_every_cli_command_has_an_entry_point_run(studies, tmp_path):
+    """Each ``repro`` subcommand runs in the study: ``serve`` and ``trace``
+    in the HTTP drives, the rest as CLI runs; no run names a command the
+    CLI no longer has."""
+    from repro.cli import COMMANDS
+
+    ran = {argv[3] for _, argv, _, _ in studies._reach_runs(str(REPO), str(tmp_path))
+           if argv[1:3] == ["-m", "repro"]}
+    assert ran <= set(COMMANDS)
+    assert ran | {"serve", "trace"} == set(COMMANDS)
+
+
+def test_http_drives_cover_the_sanitizer_and_the_mmap_tier(studies, tmp_path):
+    drives = studies._reach_http_drives(str(tmp_path))
+    flags = [f for _, f, _ in drives]
+    envs = [e for _, _, e in drives]
+    assert [] in flags and any(f[:2] == ["--feature-store", "mmap"] for f in flags)
+    sanitized = [e for e in envs if e.get("REPRO_SANITIZE") == "1"]
+    assert len(sanitized) == 1
+    assert sanitized[0]["REPRO_SANITIZE_REPORT"].startswith(str(tmp_path))
