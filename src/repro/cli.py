@@ -426,10 +426,13 @@ def cmd_serve(args) -> int:  # pragma: no cover - interactive loop
 
 def _decomposition_rows(families) -> List[str]:
     """One line per endpoint: mean e2e, per-component means, attributed
-    sum and slack (ms) — the server's own ``Tracer.decomposition()``,
-    rebuilt from the ``repro_request_component_{seconds,samples}_total``
-    totals it exports (rendered with ``repr``, so they round-trip
-    exactly).  A server with tracing off exports none."""
+    sum and slack (ms) — ``obs.trace.decompose`` of the
+    ``repro_request_component_{seconds,samples}_total`` totals the
+    server exports (rendered with ``repr``, so they round-trip exactly),
+    i.e. its own ``Tracer.decomposition()``.  A server with tracing off
+    exports none."""
+    from repro.obs.trace import decompose
+
     samples = families.get("repro_request_component_samples_total", {})
     endpoints = {}
     for labels, total_s in families.get("repro_request_component_seconds_total", {}).items():
@@ -438,16 +441,13 @@ def _decomposition_rows(families) -> List[str]:
             total_s, samples[labels])
     rows = []
     for name, comps in sorted(endpoints.items()):
-        e2e_s, roots = comps.pop("e2e")
-        e2e_ms = 1e3 * e2e_s / roots
-        attributed_ms = 1e3 * sum(total_s for total_s, _ in comps.values()) / roots
+        means = decompose(comps.pop("e2e"), comps)
         parts = "  ".join(
-            f"{c} {1e3 * total_s / count:.12g}"
-            for c, (total_s, count) in sorted(comps.items())
+            f"{c} {mean_ms:.12g}" for c, mean_ms in means["component_mean_ms"].items()
         )
-        rows.append(f"  {name:<16s} e2e {e2e_ms:.12g} ms | {parts}  "
-                    f"[attributed {attributed_ms:.12g}, "
-                    f"slack {max(0.0, e2e_ms - attributed_ms):.12g}]")
+        rows.append(f"  {name:<16s} e2e {means['e2e_mean_ms']:.12g} ms | {parts}  "
+                    f"[attributed {means['component_sum_mean_ms']:.12g}, "
+                    f"slack {means['unattributed_mean_ms']:.12g}]")
     return rows
 
 
@@ -467,8 +467,8 @@ def cmd_trace(args) -> int:
             rows = _decomposition_rows(parse_prometheus(resp.read().decode("utf-8")))
         with open(args.out, "w") as fh:
             json.dump(payload, fh)
-    # unreachable, not a trace, or metrics without the component totals
-    except (OSError, KeyError, ValueError) as exc:
+    # unreachable, not a trace, or metrics without (or with zero) counts
+    except (OSError, KeyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{n} trace event(s) from {base}/trace -> {args.out}")

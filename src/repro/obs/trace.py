@@ -232,17 +232,49 @@ class _Agg:
         self.count += 1
         self.window.append(float(seconds))
 
-    def summary(self) -> dict:
-        if not self.count:
-            return {"count": 0, "total_s": 0.0}
+    def summary(self, mean_ms: float) -> dict:
         lat = np.asarray(self.window, dtype=np.float64) * 1e3
         return {
             "count": self.count,
             "total_s": self.total_s,
-            "mean_ms": 1e3 * self.total_s / self.count,
+            "mean_ms": mean_ms,
             "p50_ms": float(np.percentile(lat, 50.0)),
             "p99_ms": float(np.percentile(lat, 99.0)),
         }
+
+
+def decompose(e2e, components) -> dict:
+    """Mean latencies (ms) of one endpoint from its accumulated
+    ``(total_s, count)`` pairs: ``e2e`` over the ok roots, ``components``
+    by name.
+
+    Each component mean is normalized by that component's own
+    observation count (a ``feature`` mean is "per request that gathered
+    features").  ``component_sum_mean_ms`` is instead the total
+    attributed time divided by the number of ok roots: components are
+    conditional (a table read never gathers features), so only this
+    per-request normalization is additive — it keeps the conservation
+    invariant ``component_sum ≤ e2e mean``, whose slack is
+    ``unattributed_mean_ms`` (clamped at the bound the tests pin: it
+    cannot go negative without an accounting bug).  A zero count raises
+    ``ZeroDivisionError``.
+
+    :meth:`Tracer.decomposition` and ``repro trace`` (from the exported
+    ``repro_request_component_{seconds,samples}_total`` totals) both
+    compute their means here.
+    """
+    e2e_s, roots = e2e
+    e2e_ms = 1e3 * e2e_s / roots
+    attributed_ms = 1e3 * sum(total_s for total_s, _ in components.values()) / roots
+    return {
+        "e2e_mean_ms": e2e_ms,
+        "component_mean_ms": {
+            name: 1e3 * total_s / count
+            for name, (total_s, count) in sorted(components.items())
+        },
+        "component_sum_mean_ms": attributed_ms,
+        "unattributed_mean_ms": max(0.0, e2e_ms - attributed_ms),
+    }
 
 
 # -- tracer -------------------------------------------------------------------
@@ -375,38 +407,25 @@ class Tracer:
                 agg.add(seconds)
 
     def decomposition(self) -> Dict[str, dict]:
-        """Per-endpoint component histograms vs end-to-end latency.
-
-        Per-component summaries are normalized by that component's own
-        observation count (a ``feature`` mean is "per request that
-        gathered features").
-        ``component_sum_mean_ms`` is instead the total attributed time
-        divided by the number of ok roots: components are conditional
-        (a table read never gathers features), so only this
-        per-request normalization is additive — it keeps the
-        conservation invariant ``component_sum ≤ e2e mean``, whose slack
-        is ``unattributed_mean_ms`` (clamped at the bound the tests
-        pin: it cannot go negative without an accounting bug).
-        """
+        """Per-endpoint component histograms vs end-to-end latency, with
+        the means of :func:`decompose`."""
         with self._decomp_lock:
             out: Dict[str, dict] = {}
             for endpoint, ep in sorted(self._decomp.items()):
-                e2e = ep["e2e"].summary()
-                comps = {
-                    name: agg.summary()
-                    for name, agg in sorted(ep["components"].items())
-                }
-                comp_mean = 1e3 * sum(
-                    agg.total_s for agg in ep["components"].values()
-                ) / max(ep["e2e"].count, 1)
+                e2e, comps = ep["e2e"], ep["components"]
+                means = decompose(
+                    (e2e.total_s, e2e.count),
+                    {name: (agg.total_s, agg.count) for name, agg in comps.items()},
+                )
                 out[endpoint] = {
-                    "count": e2e["count"],
-                    "e2e": e2e,
-                    "components": comps,
-                    "component_sum_mean_ms": comp_mean,
-                    "unattributed_mean_ms": max(
-                        0.0, e2e.get("mean_ms", 0.0) - comp_mean
-                    ),
+                    "count": e2e.count,
+                    "e2e": e2e.summary(means["e2e_mean_ms"]),
+                    "components": {
+                        name: comps[name].summary(mean_ms)
+                        for name, mean_ms in means["component_mean_ms"].items()
+                    },
+                    "component_sum_mean_ms": means["component_sum_mean_ms"],
+                    "unattributed_mean_ms": means["unattributed_mean_ms"],
                 }
             return out
 

@@ -372,14 +372,17 @@ def stub_server():
         (b'{"hello": 1}', None),
         (b'{"traceEvents": []}', b"repro_requests_total not-a-number\n"),
         (b'{"traceEvents": []}', None),
+        (b'{"traceEvents": []}',
+         b'repro_request_component_seconds_total{endpoint="predict",component="e2e"} 0.0\n'
+         b'repro_request_component_samples_total{endpoint="predict",component="e2e"} 0\n'),
     ],
-    ids=["not-json", "not-a-trace", "bad-metrics", "no-metrics"],
+    ids=["not-json", "not-a-trace", "bad-metrics", "no-metrics", "zero-count"],
 )
 def test_trace_url_rejects_a_reply_that_is_not_a_trace(trace, prom, stub_server,
                                                         tmp_path, capsys):
     """A 200 whose body is no Chrome trace, or metrics that are no
-    exposition text or answer 404, are an ``error:`` exit 2 and no
-    ``--out`` file."""
+    exposition text, count zero samples or answer 404, are an ``error:``
+    exit 2 and no ``--out`` file."""
     base, replies = stub_server
     replies["/trace"] = trace
     if prom is not None:

@@ -139,19 +139,17 @@ def build_schedule(
     num_vertices: int,
     rng,
     mix: Optional[Dict[str, float]] = None,
-    batch_size: int = 8,
-    k: int = 3,
-    update_batch: int = 4,
     feature_dim: Optional[int] = None,
-    zipf_skew: float = 1.1,
 ) -> List[ScheduledRequest]:
     """Pre-draw every request of a run from one seeded RNG.
 
     ``mix`` maps endpoint name to weight over ``predict`` / ``topk`` /
     ``update_edges`` / ``update_features`` (``update_features`` requires
-    ``feature_dim``).  Payloads are Zipf-skewed vertex batches; edge
-    updates add ``update_batch`` uniform-random edges.
+    ``feature_dim``).  Payloads are batches of 8 Zipf-skewed vertices
+    (skew 1.1); ``topk`` asks for k=3, edge updates add 4 uniform-random
+    edges and feature updates write 2 rows.
     """
+    batch_size, k, update_batch = 8, 3, 4
     mix = dict(DEFAULT_MIX if mix is None else mix)
     if not mix:
         raise ValueError("mix must name at least one endpoint")
@@ -168,7 +166,7 @@ def build_schedule(
     weights = weights / weights.sum()
     times = np.sort(np.asarray(arrival_times, dtype=np.float64))
     picks = rng.choice(len(names), size=times.size, p=weights)
-    hot = zipf_vertices(rng, num_vertices, times.size * batch_size, skew=zipf_skew)
+    hot = zipf_vertices(rng, num_vertices, times.size * batch_size)
     schedule: List[ScheduledRequest] = []
     for i, (t, pick) in enumerate(zip(times, picks)):
         endpoint = names[pick]
@@ -290,10 +288,9 @@ class RequestRecord:
 
 @dataclass
 class LoadReport:
-    """Everything a run measured, with JSON-safe summaries."""
+    """Everything a run measured."""
 
     records: List[RequestRecord]
-    horizon_s: float
     elapsed_s: float
 
     @property
@@ -324,32 +321,6 @@ class LoadReport:
             ep.update(percentiles_ms(np.array(lat.get(name, []), dtype=np.float64)))
         return out
 
-    def summary(self) -> dict:
-        ok = self.count("ok")
-        rejected = self.count("rejected_queue_full")
-        elapsed = max(self.elapsed_s, 1e-9)
-        horizon = max(self.horizon_s, 1e-9)
-        return {
-            "offered": self.offered,
-            "offered_rps": self.offered / horizon,
-            "horizon_s": self.horizon_s,
-            "elapsed_s": self.elapsed_s,
-            "ok": ok,
-            "achieved_rps": ok / elapsed,
-            "rejected": rejected,
-            "rejected_queue_full": self.count("rejected_queue_full"),
-            "timeouts": self.count("timeout"),
-            "errors": self.count("error"),
-            "bad_request": self.count("bad_request"),
-            "reject_rate": rejected / max(self.offered, 1),
-            "timeout_rate": self.count("timeout") / max(self.offered, 1),
-            **percentiles_ms(self.latencies("ok")),
-            "mean_ms": float(1e3 * self.latencies("ok").mean())
-            if ok
-            else 0.0,
-            "per_endpoint": self.per_endpoint(),
-        }
-
 
 def run_open_loop(
     target: Callable[[ScheduledRequest], object],
@@ -369,7 +340,6 @@ def run_open_loop(
     """
     clock = clock if clock is not None else WallClock()
     schedule = sorted(schedule, key=lambda r: r.t)
-    horizon = schedule[-1].t if schedule else 0.0
     records: List[RequestRecord] = []
     records_lock = make_lock("harness.records")
     start = clock.time()
@@ -426,7 +396,7 @@ def run_open_loop(
         for c in clients:
             c.join()
     elapsed = clock.time() - start
-    return LoadReport(records=records, horizon_s=horizon, elapsed_s=elapsed)
+    return LoadReport(records=records, elapsed_s=elapsed)
 
 
 # -- service / frontend construction ----------------------------------------------

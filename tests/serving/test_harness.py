@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.serving.frontend import RequestRejected, RequestTimeout
+from repro.serving.metrics import OUTCOMES
 
 from harness import (
     DEFAULT_MIX,
@@ -262,24 +263,23 @@ def test_run_open_loop_never_raises():
     clock = VirtualClock()
     report = run_open_loop(target, sched, clock=clock, synchronous=True)
     assert report.count("error") == report.offered == len(sched)
-    s = report.summary()
     # no served request -> no latency quantiles at all (omitted, not 0.0:
-    # a fabricated zero would read as "infinitely fast" to dashboards)
-    assert s["ok"] == 0
-    assert "p50_ms" not in s and "p99_ms" not in s
+    # a fabricated zero would read as "infinitely fast")
+    assert report.count("ok") == 0 and report.latencies("ok").size == 0
+    for ep in report.per_endpoint().values():
+        assert ep["ok"] == 0
+        assert "p50_ms" not in ep and "p99_ms" not in ep
 
 
-def test_report_summary_conservation():
+def test_report_outcome_conservation():
     records = [
         RequestRecord("predict", 0.0, 0.01, 0.01, "ok"),
         RequestRecord("predict", 0.1, 0.0, 0.0, "rejected_queue_full"),
         RequestRecord("topk", 0.2, 0.0, 0.0, "timeout"),
     ]
-    s = LoadReport(records=records, horizon_s=0.2, elapsed_s=0.3).summary()
-    assert s["offered"] == 3
-    assert (
-        s["ok"] + s["rejected"] + s["timeouts"] + s["errors"] + s["bad_request"]
-        == s["offered"]
-    )
-    per = s["per_endpoint"]
+    report = LoadReport(records=records, elapsed_s=0.3)
+    assert report.offered == 3
+    assert sum(report.count(outcome) for outcome in OUTCOMES) == report.offered
+    assert report.latencies("ok").tolist() == [0.01]
+    per = report.per_endpoint()
     assert per["predict"]["requests"] == 2 and per["topk"]["timeout"] == 1
