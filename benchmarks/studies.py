@@ -571,6 +571,32 @@ def _phase_split(engine, requests) -> dict:
     return {f"phase.{label}_p50_us": 1e6 * median(t) for label, t in times.items()}
 
 
+#: seconds of the 2-connection closed loop whose server CPU is read
+SERVER_CPU_SECONDS = 4.0
+
+
+def _process_cpu_s(pid: int) -> float:
+    """utime + stime of process ``pid``, every thread, in seconds."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _server_cpu(inputs, rec, requests) -> dict:
+    """CPU µs the ``repro serve`` child (CLI defaults) spends per read
+    over a closed loop on 2 connections, and that loop's reads/s: the
+    process, where the phase split's in-process server shares its
+    interpreter (and the GIL) with its client."""
+    import suite_serve
+    from suite_harness import run_closed_loop
+
+    with suite_serve._start_server(inputs, rec) as server:
+        cpu0 = _process_cpu_s(server.proc.pid)
+        done, _, elapsed = run_closed_loop(server.port, requests, SERVER_CPU_SECONDS)
+        cpu_s = _process_cpu_s(server.proc.pid) - cpu0
+    return {"server.cpu_us_per_read": 1e6 * cpu_s / done, "server.reads_per_s": done / elapsed}
+
+
 def _serving_layers_child() -> None:
     """One run of one tree: its own benchmark suite's traced replay of
     the ``serve_read`` request set (engine / service / frontend / HTTP
@@ -594,6 +620,7 @@ def _serving_layers_child() -> None:
         row = suite_serve._replay_layers(inputs, engine, requests, rec)
         row.update(_inline_probe(engine, requests))
         row.update(_phase_split(engine, requests))
+        row.update(_server_cpu(inputs, rec, requests))
         row["requests"] = len(requests)
     finally:
         inputs.cleanup()
@@ -635,14 +662,65 @@ def _paired(parent, change, better: str = "lower") -> list:
     return [f"{np.median(ratios):.3f}", f"{wins}/{len(ratios)}"]
 
 
+SUITE_METRICS = (  # name, the better direction
+    ("op_p50_ms", "lower"), ("ops_per_s", "higher"), ("setup_s", "lower"), ("peak_rss_mb", "lower"),
+)
+
+
+def _suite_pairs(workload: str, reps: int, baseline: str) -> list:
+    """``reps`` parent / change pairs of each tree's own frozen
+    ``suite/run.py --workload W --trace 0``, the side that runs first
+    alternating pair by pair, as markdown lines: per metric each tree's
+    median [quartiles], the paired ratio's median and the pairs the
+    change won; then every pair."""
+    trees = {"parent": baseline, "change": os.path.join(BENCH_DIR, "..")}
+    runs = {name: [] for name in trees}
+    for rep in range(reps):
+        for name, root in list(trees.items())[:: -1 if rep % 2 else 1]:
+            runs[name].append(_child_json(
+                [sys.executable, "benchmarks/suite/run.py", "--workload", workload,
+                 "--seed", "0", "--seconds", "10", "--trace", "0"],
+                os.path.join(root, "src"), cwd=root,
+            )["metrics"])
+    values = {metric: [[r[metric]["value"] for r in runs[name]] for name in trees]
+              for metric, _ in SUITE_METRICS}
+    lines = [
+        f"`suite/run.py --workload {workload} --trace 0`, {reps} parent / change "
+        "pairs, the side that runs first alternating pair by pair, each tree's own "
+        "frozen suite (`train_*` numbers are machine-speed scaled): median "
+        "[quartiles] per tree.",
+        "",
+        "| metric | parent | change | paired change / parent | change better |",
+        "| --- | --- | --- | --- | --- |",
+    ]
+    for metric, better in SUITE_METRICS:
+        parent, change = values[metric]
+        cells = [_quartiles(parent), _quartiles(change), *_paired(parent, change, better)]
+        lines.append(f"| `{metric}` | " + " | ".join(cells) + " |")
+    lines += [
+        "",
+        "Every pair, parent → change:",
+        "",
+        "| pair | first | " + " | ".join(f"`{m}`" for m, _ in SUITE_METRICS) + " |",
+        "| --- " * (len(SUITE_METRICS) + 2) + "|",
+    ]
+    for rep in range(reps):
+        cells = [f"{values[m][0][rep]:.4g} → {values[m][1][rep]:.4g}" for m, _ in SUITE_METRICS]
+        first = "change" if rep % 2 else "parent"
+        lines.append(f"| {rep + 1} | {first} | " + " | ".join(cells) + " |")
+    return lines
+
+
 def serving_layers(reps: int, baseline=None) -> None:
     """ROADMAP 1: the ``serve_read`` request set timed at each boundary
     of the serving stack, ``baseline`` (a checkout) beside this tree,
     alternating child processes (BLAS pinned to one thread, as the suite
     pins it) — so each layer's cost is a subtraction.  Plus the probe: a
     table read through the tree's frontend (gate, or pool hop) against
-    the same read inline on the HTTP thread, and the server-side phase
-    split.  Appends a dated section to docs/serving-read.md and prints it."""
+    the same read inline on the HTTP thread, the server-side phase split
+    and the ``repro serve`` process's CPU per read.  With ``baseline``,
+    also ``reps`` pairs of each tree's own ``serve_read`` suite run.
+    Appends a dated section to docs/serving-read.md and prints it."""
     sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
     from suite_harness import environment
 
@@ -707,14 +785,30 @@ def serving_layers(reps: int, baseline=None) -> None:
     for name in trees:
         cells = [f"{med(name, f'phase.{label}_p50_us'):.0f}" for label in PHASES]
         lines.append(f"| {name} | " + " | ".join(cells) + " |")
+    lines += [
+        "",
+        f"The process: a `repro serve` child (CLI defaults) under a {SERVER_CPU_SECONDS:g} s "
+        "closed loop on 2 kept-alive connections, its utime + stime (every thread, "
+        "`/proc/<pid>/stat`) per read; median [quartiles] over runs.",
+        "",
+        "| measure | " + " | ".join(trees)
+        + (" | change / parent | change better |" if baseline else " |"),
+        "| --- " * (len(trees) + 1 + 2 * bool(baseline)) + "|",
+    ]
+    for label, key, better in (("server CPU µs per read", "server.cpu_us_per_read", "lower"),
+                               ("reads/s", "server.reads_per_s", "higher")):
+        values = {name: [r[key] for r in runs[name]] for name in trees}
+        cells = [_quartiles(values[name]) for name in trees]
+        if baseline:
+            cells += _paired(values["parent"], values["change"], better)
+        lines.append(f"| {label} | " + " | ".join(cells) + " |")
+    if baseline:
+        lines += ["", *_suite_pairs("serve_read", reps, baseline)]
     _append_section(SERVING_READ_DOC, "The serving read path, layer by layer",
                     "serving-layers", "\n".join(lines) + "\n")
 
 
 SIM_THREADS_DOC = os.path.join(BENCH_DIR, "..", "docs", "sim-threads.md")
-SUITE_METRICS = (  # name, the better direction
-    ("op_p50_ms", "lower"), ("ops_per_s", "higher"), ("setup_s", "lower"), ("peak_rss_mb", "lower"),
-)
 
 
 def _sim_threads_child(reps: int) -> None:
@@ -769,30 +863,7 @@ def sim_threads(reps: int, baseline=None) -> None:
     one = arms["1"]
     lines += [f"| {name} | {ms:.1f} | {ms / one:.2f} |" for name, ms in arms.items()]
     if baseline:
-        trees = {"parent": baseline, "change": os.path.join(BENCH_DIR, "..")}
-        runs = {name: [] for name in trees}
-        for rep in range(reps):
-            for name, root in list(trees.items())[:: -1 if rep % 2 else 1]:
-                runs[name].append(_child_json(
-                    [sys.executable, "benchmarks/suite/run.py", "--workload", "train_dist",
-                     "--seed", "0", "--seconds", "10", "--trace", "0"],
-                    os.path.join(root, "src"), cwd=root,
-                )["metrics"])
-        lines += [
-            "",
-            f"`suite/run.py --workload train_dist --trace 0`, {reps} parent / change "
-            "pairs, the side that runs first alternating pair by pair, each tree's own "
-            "frozen suite (`train_*` numbers are machine-speed scaled): median "
-            "[quartiles] per tree.",
-            "",
-            "| metric | parent | change | paired change / parent | change better |",
-            "| --- | --- | --- | --- | --- |",
-        ]
-
-        for metric, better in SUITE_METRICS:
-            parent, change = ([r[metric]["value"] for r in runs[name]] for name in trees)
-            cells = [_quartiles(parent), _quartiles(change), *_paired(parent, change, better)]
-            lines.append(f"| `{metric}` | " + " | ".join(cells) + " |")
+        lines += ["", *_suite_pairs("train_dist", reps, baseline)]
     _append_section(SIM_THREADS_DOC, "Sim ranks on threads", "sim-threads",
                     "\n".join(lines) + "\n")
 

@@ -28,6 +28,7 @@ per-rank ``repro_comm_*`` series for all live worlds.
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -124,26 +125,33 @@ def render_prometheus(metrics: List[Metric]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: one ``name="value"`` pair of a label body (a value may hold any
+#: escaped character, ``,`` and ``}`` included), and one escape in a value
+_LABEL = re.compile(r'\s*,?\s*([A-Za-z_][A-Za-z0-9_]*)="((?:[^"\\]|\\.)*)"')
+_ESCAPE = re.compile(r"\\(.)")
+
+
 def parse_prometheus(text: str) -> Dict[str, Dict[Tuple[Tuple[str, str], ...], float]]:
-    """Parse exposition text back to ``{family: {labels: value}}`` —
-    used by the agreement tests and the CI conservation gate, so the
-    renderer cannot drift from what a scraper would read."""
+    """Parse exposition text back to ``{family: {labels: value}}``, label
+    values unescaped — used by the agreement tests and the CI
+    conservation gate, so the renderer cannot drift from what a scraper
+    would read."""
     out: Dict[str, Dict[Tuple[Tuple[str, str], ...], float]] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name_part, _, value_part = line.rpartition(" ")
-        if "{" in name_part:
-            name, _, label_body = name_part.partition("{")
-            label_body = label_body.rstrip("}")
-            labels = []
-            for item in filter(None, label_body.split(",")):
-                key, _, raw = item.partition("=")
-                labels.append((key, raw.strip('"')))
-            key = tuple(sorted(labels))
+        name, brace, rest = line.partition("{")
+        if brace:
+            labels, pos = [], 0
+            while (match := _LABEL.match(rest, pos)) is not None:
+                value = _ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], match[2])
+                labels.append((match[1], value))
+                pos = match.end()
+            key, value_part = tuple(sorted(labels)), rest[rest.index("}", pos) + 1:]
         else:
-            name, key = name_part, ()
+            name, _, value_part = line.rpartition(" ")
+            key = ()
         out.setdefault(name, {})[key] = float(value_part)
     return out
 

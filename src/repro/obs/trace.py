@@ -144,6 +144,18 @@ class Span:
         with self._lock:
             return self._components.get(name, 0.0)
 
+    def time_compute(self, fn):
+        """``(fn(), elapsed_s)``: the call's wall time is added as the
+        ``compute`` component, less the ``feature`` time recorded inside
+        it, so components never overlap."""
+        feature_before = self.component_seconds("feature")
+        t0 = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - t0
+        feature_during = self.component_seconds("feature") - feature_before
+        self.add_component("compute", max(0.0, elapsed - feature_during))
+        return result, elapsed
+
     # -- children -------------------------------------------------------------
 
     def child_complete(self, name: str, dur_s: float, cat: str = "serving", **args):

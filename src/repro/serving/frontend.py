@@ -215,17 +215,23 @@ class ServingFrontend:
 
     # -- updates ----------------------------------------------------------------
 
+    def _update(self, endpoint: str, fn: Callable[[], object]):
+        """Run the update ``fn`` measured, its time the ``compute``
+        component of a traced request."""
+        return self._measured(
+            endpoint, lambda span: fn() if span is None else span.time_compute(fn)[0]
+        )
+
     def update_edges(self, add=None, remove=None):
         """Apply the topology update; reads keep being served."""
-        return self._measured(
-            "update_edges", lambda _: self.service.update_edges(add=add, remove=remove)
+        return self._update(
+            "update_edges", lambda: self.service.update_edges(add=add, remove=remove)
         )
 
     def update_features(self, vertex_ids, new_rows):
         """Apply the feature update; reads keep being served."""
-        return self._measured(
-            "update_features",
-            lambda _: self.service.update_features(vertex_ids, new_rows),
+        return self._update(
+            "update_features", lambda: self.service.update_features(vertex_ids, new_rows)
         )
 
     # -- introspection / lifecycle ------------------------------------------------

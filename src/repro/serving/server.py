@@ -21,9 +21,11 @@ update path behind one ``predict``/``topk``/``update`` surface, and
   trace-event JSON (Perfetto-loadable; ``REPRO_TRACE=1`` to record)
 - ``GET /healthz``           liveness; always ``200 {"status": "ok"}``
 
-Request flow: each connection's handler thread parses a request and runs
-it, a read behind the frontend's admission gate (no hand-off to another
-thread).  A read is a row gather from the published logits table.
+Request flow: one handler thread per connection loops over its requests:
+``parse_request`` reads the request line and headers, the route reads
+``Content-Length`` body bytes and runs a read behind the frontend's
+admission gate, and one write replies.  A read is a row gather from the
+published logits table.
 Updates run on the handler thread, beside the gate, through the
 one refresh path (:class:`~repro.serving.refresh.IncrementalRefresher`,
 built here when the caller brings none) and **publish**: the refresh
@@ -33,19 +35,25 @@ update and never see a torn mix of pre- and post-update rows.
 Failure modes are all structured JSON, never a traceback: malformed
 bodies answer ``400``; a full admission queue answers ``429`` with
 ``Retry-After``; missed deadlines and a closed frontend answer ``503``
-with ``Retry-After``; engine failures answer ``500``.
+with ``Retry-After``; engine failures answer ``500``; a request line or
+header the reader refuses (400/414/431/501/505) ends the connection.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import email.utils
+import functools
 import json
 import math
 import socket
+import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -73,10 +81,10 @@ def _vertex_ids(value) -> np.ndarray:
         raise ValueError(
             f"vertices must be a list of integer vertex ids, got {value!r}"
         )
-    return np.asarray(
-        [_int_field(v, f"vertices[{i}]") for i, v in enumerate(value)],
-        dtype=INDEX_DTYPE,
-    )
+    if not set(map(type, value)) <= {int}:  # not all plain ints: name the first bad id
+        for i, v in enumerate(value):
+            _int_field(v, f"vertices[{i}]")
+    return np.asarray(value, dtype=INDEX_DTYPE)
 
 
 def _edge_pairs(value, what: str):
@@ -162,7 +170,7 @@ class PredictionService:
         self.refresher = (
             refresher if refresher is not None else IncrementalRefresher(engine)
         )
-        self._lookup = engine.predict
+        self._lookup = lambda ids: engine.logits[ids]  # one attribute read: one version
         self._update_lock = make_lock("serving.service.update")
 
     # -- fault-injection seam ----------------------------------------------------------
@@ -184,14 +192,7 @@ class PredictionService:
         span = current_span()
         if span is None:
             return self._lookup(ids)
-        feature_before = span.component_seconds("feature")
-        t0 = time.perf_counter()
-        rows = self._lookup(ids)
-        elapsed = time.perf_counter() - t0
-        # feature-gather time recorded inside this interval is its own
-        # component; subtract it so components stay non-overlapping
-        feature_during = span.component_seconds("feature") - feature_before
-        span.add_component("compute", max(0.0, elapsed - feature_during))
+        rows, elapsed = span.time_compute(lambda: self._lookup(ids))
         span.child_complete(
             "engine.predict", elapsed, cat="serving", rows=int(ids.size)
         )
@@ -263,46 +264,89 @@ class PredictionService:
 #: the largest request body read; a larger declared length answers 413
 #: unread, so no header sizes an allocation beyond it
 MAX_BODY_BYTES = 64 << 20
+#: the longest request / header line (longer: 414 / 431), the most headers
+MAX_LINE_BYTES, MAX_HEADERS = 65536, 100
+_REASONS = {s.value: s.phrase for s in HTTPStatus}
+#: control characters of a request line, escaped in the access log
+_LOG_CHARS = str.maketrans({c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))})
+
+
+@functools.lru_cache(maxsize=1)
+def _stamps(second: int) -> Tuple[str, str]:
+    """The ``Date`` header and the access-log time: formatted once a second."""
+    return (email.utils.formatdate(second, usegmt=True),
+            time.strftime("%d/%b/%Y %H:%M:%S", time.localtime(second)))
 
 
 class _BodyTooLarge(Exception):
     """A declared ``Content-Length`` over :data:`MAX_BODY_BYTES`."""
 
 
-class _PredictionHandler(BaseHTTPRequestHandler):
-    """Parses requests and routes them through the server's frontend."""
+class _PredictionHandler(socketserver.StreamRequestHandler):
+    """Reads requests off one connection, answers each through the
+    server's frontend, and keeps the connection until either side ends it."""
 
-    server_version = "repro-serve/2.0"
-    protocol_version = "HTTP/1.1"  # keep-alive: no connect + thread per request
     timeout = 30.0  # idle seconds: a silent client cannot pin its thread
 
-    @property
-    def service(self) -> PredictionService:
-        return self.server.service  # type: ignore[attr-defined]
+    def handle(self) -> None:
+        self.service, self.frontend = self.server.service, self.server.frontend  # type: ignore
+        self.close_connection = False
+        try:  # until a close, EOF (the client, or shutdown's SHUT_RD) or an error
+            while not self.close_connection and (line := self.rfile.readline(MAX_LINE_BYTES + 1)):
+                if self.parse_request(line):
+                    (self.do_GET if self.command == "GET" else self.do_POST)()
+        except OSError:  # idle timeout, reset, a reply to a client gone
+            pass
 
-    @property
-    def frontend(self) -> ServingFrontend:
-        return self.server.frontend  # type: ignore[attr-defined]
+    def parse_request(self, line: bytes) -> bool:
+        """The request line ``line``, then the headers into :attr:`headers`
+        (lower-cased names); ``False`` once a refusal ends the connection."""
+        self.requestline = line.decode("latin-1").rstrip("\r\n")
+        if len(line) > MAX_LINE_BYTES:
+            return self._refuse(414, f"request line is over {MAX_LINE_BYTES} bytes")
+        words = self.requestline.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            return self._refuse(400, f"bad request line {self.requestline!r}")
+        self.command, self.path, version = words
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            return self._refuse(505, f"HTTP version {version!r} is not served")
+        if self.command not in ("GET", "POST"):
+            return self._refuse(501, f"method {self.command!r} is not served")
+        self.headers = {}
+        for _ in range(MAX_HEADERS + 1):
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if len(raw) > MAX_LINE_BYTES:
+                return self._refuse(431, f"a header line is over {MAX_LINE_BYTES} bytes")
+            name, _, value = raw.decode("latin-1").partition(":")
+            self.headers[name.strip().lower()] = value.strip()
+        else:
+            return self._refuse(431, f"more than {MAX_HEADERS} header lines")
+        conn, self.http11 = self.headers.get("connection", "").lower(), version == "HTTP/1.1"
+        self.close_connection = conn == "close" if self.http11 else conn != "keep-alive"
+        return True
 
-    def log_message(self, fmt, *args):  # quiet by default
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(fmt, *args)
+    def _refuse(self, status: int, error: str) -> bool:
+        self.close_connection = True
+        self._reply(status, {"error": error})
+        return False
 
     def _reply(self, status: int, payload, retry_after_s=None,
                content_type: str = "application/json") -> None:
-        # one sendall: a body sent apart waits on Nagle + the delayed ACK
+        # one write: a body sent apart waits on Nagle + the delayed ACK
         body = (payload if isinstance(payload, str) else json.dumps(payload)).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after_s is not None:
-            # Retry-After is whole seconds on the wire; round up so the
-            # client never retries before the hint
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after_s))))
+        date, log_time = _stamps(int(time.time()))
+        head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {date}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n")
+        if retry_after_s is not None:  # whole seconds, rounded up: never retried early
+            head += f"Retry-After: {max(1, math.ceil(retry_after_s))}\r\n"
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
+        if self.server.verbose:  # type: ignore[attr-defined]
+            line = self.requestline.translate(_LOG_CHARS)
+            sys.stderr.write(f'{self.client_address[0]} - - [{log_time}] "{line}" {status} -\n')
 
     def do_GET(self) -> None:
         path, _, query = self.path.partition("?")
@@ -333,11 +377,13 @@ class _PredictionHandler(BaseHTTPRequestHandler):
         """The whole body (an unread byte would parse as the next request),
         or a 400 that ends the connection: no length, a bad one, cut short;
         a 413 that ends it for a length over :data:`MAX_BODY_BYTES`."""
-        raw = self.headers.get("Content-Length", "")
+        raw = self.headers.get("content-length", "")
         length = int(raw) if raw.isdecimal() else -1
         if length > MAX_BODY_BYTES:
             self.close_connection = True
             raise _BodyTooLarge(f"Content-Length {length} is over {MAX_BODY_BYTES} bytes")
+        if length >= 0 and self.http11 and self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")  # the client holds the body
         body = self.rfile.read(length) if length >= 0 else b""
         if len(body) != length:
             self.close_connection = True

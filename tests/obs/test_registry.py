@@ -78,6 +78,23 @@ def test_prometheus_render_parse_round_trip():
     assert "repro_requests_total{endpoint=\"predict\",outcome=\"ok\"} 3\n" in text
 
 
+def test_prometheus_parse_unescapes_every_label_value():
+    """``parse_prometheus`` inverts ``render_prometheus`` for any label
+    value: a ``,``, ``"``, ``\\``, newline or ``}`` inside the quotes is
+    part of the value, and the escapes come off."""
+    values = ["a,b", 'we"ird', "back\\slash", "new\nline", "br}ace",
+              'x="1",y="2"}', "\\n", ""]
+    metric = Metric("repro_labels", "gauge", "odd label values")
+    for i, value in enumerate(values):
+        metric.add(i, path=value, endpoint="predict")
+    assert parse_prometheus(render_prometheus([metric])) == {
+        "repro_labels": {
+            (("endpoint", "predict"), ("path", value)): float(i)
+            for i, value in enumerate(values)
+        }
+    }
+
+
 @pytest.mark.parametrize(
     "value",
     [0.1 + 0.2, 1 / 3, 5e-324, 1e15, 2.0 ** 60 + 2.0 ** 8, -12345.678901234567],

@@ -8,6 +8,7 @@ after the handler's ``timeout``, and shutdown ends every kept-alive
 connection and its handler thread.
 """
 
+import email.utils
 import http.client
 import json
 import socket
@@ -391,3 +392,164 @@ def test_request_racing_shutdown_is_never_a_500(engine, serve):
     join_all(clients)
     assert statuses.count(200) >= 30
     assert set(statuses) <= {200, 503}, sorted(set(statuses))
+
+
+# -- the request reader -----------------------------------------------------------
+
+
+def _responses(stream: bytes) -> list:
+    """``(status, headers, body)`` of each response in ``stream``, in
+    order (header names lower-cased)."""
+    out = []
+    while stream:
+        head, _, stream = stream.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        out.append((int(status_line.split()[1]), headers, stream[:length]))
+        stream = stream[length:]
+    return out
+
+
+def _predict_request(ids, *headers: str) -> bytes:
+    body = json.dumps({"vertices": ids}).encode()
+    lines = ["POST /predict HTTP/1.1", "Host: test", f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _refused(server, request: bytes, status: int) -> dict:
+    """Send ``request``; the one answer is ``status`` with a JSON body
+    and ``Connection: close``, and the server closes the socket."""
+    (got, headers, body), = _responses(_raw_exchange(server, request))
+    assert got == status, (got, body)
+    assert headers["connection"] == "close"
+    assert headers["content-type"] == "application/json"
+    return json.loads(body)
+
+
+@pytest.mark.parametrize("line", [
+    b"GARBAGE",
+    b"GET /healthz",
+    b"GET /healthz HTTP/1.1 extra",
+    b"GET /healthz HTTX/1.1",
+    b"",
+])
+def test_a_malformed_request_line_answers_400_and_closes(engine, serve, line):
+    server = serve()
+    error = _refused(server, line + b"\r\nHost: test\r\n\r\n", 400)["error"]
+    assert "bad request line" in error
+
+
+def test_a_request_line_over_64k_answers_414(engine, serve):
+    server = serve()
+    path = b"/healthz?" + b"a" * (64 << 10)
+    error = _refused(server, b"GET " + path + b" HTTP/1.1\r\n\r\n", 414)["error"]
+    assert "request line" in error
+    assert _refused(server, b"BAD\r\n\r\n", 400)  # the server still answers
+
+
+@pytest.mark.parametrize("headers", [
+    b"X-Long: " + b"a" * (64 << 10) + b"\r\n",
+    b"".join(b"X-H%d: v\r\n" % i for i in range(101)),
+], ids=["line-over-64k", "101-headers"])
+def test_oversized_headers_answer_431(engine, serve, headers):
+    server = serve()
+    _refused(server, b"GET /healthz HTTP/1.1\r\nHost: test\r\n" + headers + b"\r\n", 431)
+
+
+def test_a_hundred_headers_are_read(engine, serve):
+    server = serve()
+    headers = b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+    reply = _raw_exchange(
+        server, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + headers + b"\r\n"
+    )
+    assert [status for status, _, _ in _responses(reply)] == [200]
+
+
+@pytest.mark.parametrize("version", [b"HTTP/2.0", b"HTTP/0.9", b"HTTP/1.2"])
+def test_an_unserved_http_version_answers_505(engine, serve, version):
+    server = serve()
+    error = _refused(server, b"GET /healthz " + version + b"\r\n\r\n", 505)["error"]
+    assert version.decode() in error
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+def test_an_unknown_method_answers_501_json(engine, serve, method):
+    server = serve()
+    error = _refused(server, f"{method} /predict HTTP/1.1\r\nHost: test\r\n\r\n".encode(),
+                     501)["error"]
+    assert method in error
+
+
+def test_expect_100_continue_gets_an_interim_answer(engine, serve):
+    """The server sends ``100 Continue`` before it reads the body the
+    client holds back, then the answer, on the same socket."""
+    server = serve()
+    body = json.dumps({"vertices": [3, 4]}).encode()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /predict HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            chunk = sock.recv(1)
+            assert chunk, f"closed before 100 Continue: {interim!r}"
+            interim += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    (status, _, payload), = _responses(reply)
+    assert status == 200 and json.loads(payload)["labels"] == _labels(engine, [3, 4])
+
+
+def test_http_1_0_closes_unless_asked_to_keep_alive(engine, serve):
+    server = serve()
+    reply = _raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")  # returns on close
+    (status, headers, _), = _responses(reply)
+    assert status == 200 and headers["connection"] == "close"
+    with socket.create_connection(server.address, timeout=5) as sock:
+        for ids in ([1], [2, 3]):
+            sock.sendall(_predict_request(ids, "Connection: keep-alive").replace(
+                b"HTTP/1.1", b"HTTP/1.0", 1))
+            head = b""
+            while b"\r\n\r\n" not in head:
+                chunk = sock.recv(65536)
+                assert chunk, "the server closed a kept-alive HTTP/1.0 connection"
+                head += chunk
+            (status, headers, payload), = _responses(head)
+            while len(payload) < int(headers["content-length"]):
+                payload += sock.recv(65536)
+            assert status == 200 and "connection" not in headers
+            assert json.loads(payload)["labels"] == _labels(engine, ids)
+
+
+def test_pipelined_requests_are_answered_in_order(engine, serve):
+    """Two requests in one write get two answers, in order, on one
+    socket; the second asks to close, and the server then closes."""
+    server = serve()
+    reply = _raw_exchange(
+        server, _predict_request([5, 6]) + _predict_request([7], "Connection: close")
+    )
+    answers = _responses(reply)
+    assert [status for status, _, _ in answers] == [200, 200]
+    assert json.loads(answers[0][2])["labels"] == _labels(engine, [5, 6])
+    assert json.loads(answers[1][2])["labels"] == _labels(engine, [7])
+    assert "connection" not in answers[0][1] and answers[1][1]["connection"] == "close"
+    for _, headers, _ in answers:  # a Date header in the RFC 7231 format
+        assert email.utils.parsedate_to_datetime(headers["date"]).tzinfo is not None
+
+
+def test_a_lower_case_content_length_is_honoured(engine, serve):
+    server = serve()
+    body = json.dumps({"vertices": [8, 9]}).encode()
+    reply = _raw_exchange(
+        server,
+        b"POST /predict HTTP/1.1\r\nhost: test\r\ncontent-length: %d\r\n"
+        b"connection: close\r\n\r\n" % len(body) + body,
+    )
+    (status, _, payload), = _responses(reply)
+    assert status == 200 and json.loads(payload)["labels"] == _labels(engine, [8, 9])

@@ -171,6 +171,30 @@ def test_update_spans_close_ok_without_waiting_components(trained, traced):
         assert set(r["components_ms"]) <= set(COMPONENTS)
 
 
+def test_traced_updates_attribute_their_time_to_compute(trained, traced):
+    """An update's own time is its ``compute`` component (less any
+    feature gather inside it): its components account for at least 0.9
+    of its end-to-end time, per span and in the decomposition, instead
+    of leaving it all as slack."""
+    ds, _, _ = trained
+    svc, fe, tracer = traced
+    rng = np.random.default_rng(8)
+    for i in range(3):
+        fe.update_edges(add=[(i, i + 5)])
+        fe.update_features(
+            np.array([i]), rng.standard_normal((1, ds.feature_dim)).astype(np.float32)
+        )
+    rs = roots(tracer)
+    assert len(rs) == 6
+    for r in rs:
+        assert r["outcome"] == "ok" and "compute" in r["components_ms"], r
+        e2e_ms = r["dur_us"] / 1e3
+        assert 0.9 * e2e_ms <= sum(r["components_ms"].values()) <= e2e_ms + 0.5, r
+    for endpoint in ("update_edges", "update_features"):
+        dec = tracer.decomposition()[endpoint]
+        assert dec["component_sum_mean_ms"] >= 0.9 * dec["e2e"]["mean_ms"], dec
+
+
 # -- shed requests still close their spans ----------------------------------------
 
 
