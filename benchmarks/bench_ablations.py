@@ -4,15 +4,12 @@
    factor, balance, and the resulting cd-0 per-epoch communication.
 2. Delay sweep: cd-r accuracy/comm for r in {0, 1, 2, 5, 10} — the paper
    reports r < 5 gives no speed benefit and r = 10 hurts accuracy.
-3. Block-count autotuner: auto-chosen nB vs the best of a fixed sweep.
 """
 
 import numpy as np
 import pytest
 from bench_utils import emit, table
 
-from repro.cachesim import cache_vectors_for
-from repro.cachesim.traffic import DEFAULT_CANDIDATES, ap_traffic, choose_num_blocks
 from repro.core import DistributedTrainer, TrainConfig
 from repro.graph.datasets import load_dataset
 from repro.partition import (
@@ -89,39 +86,3 @@ def test_ablation_delay_sweep(benchmark):
     dt = DistributedTrainer(ds, 4, algorithm="cd-5", config=CFG)
     benchmark(dt.train_epoch, 0)
 
-
-def test_ablation_blocksize_autotune(reddit_bench, products_bench, benchmark):
-    rows = []
-    for name, ds, paper_fv in [
-        ("reddit", reddit_bench, 232_965 * 602 * 4),
-        ("ogbn-products", products_bench, 2_449_029 * 100 * 4),
-    ]:
-        cache = cache_vectors_for(
-            ds.graph.num_src, ds.feature_dim, paper_fv_bytes=paper_fv
-        )
-        auto_nb = choose_num_blocks(ds.graph, ds.feature_dim, cache_vectors=cache)
-        ios = {
-            nb: ap_traffic(
-                ds.graph, ds.feature_dim, num_blocks=nb, cache_vectors=cache
-            ).total
-            for nb in DEFAULT_CANDIDATES
-        }
-        best_nb = min(ios, key=ios.get)
-        rows.append(
-            [
-                name,
-                auto_nb,
-                best_nb,
-                round(ios[auto_nb] / 1e6, 1),
-                round(ios[best_nb] / 1e6, 1),
-            ]
-        )
-        assert ios[auto_nb] <= ios[best_nb] * 1.001, "autotuner must find the optimum"
-    lines = table(
-        ["dataset", "auto_nB", "sweep_best_nB", "auto_IO_MB", "best_IO_MB"], rows
-    )
-    emit("ablation_blocksize", lines)
-
-    benchmark(
-        choose_num_blocks, reddit_bench.graph, reddit_bench.feature_dim, 512
-    )

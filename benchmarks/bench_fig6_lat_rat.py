@@ -1,64 +1,15 @@
 """Fig. 6 — forward-pass local (LAT) vs remote (RAT) aggregation scaling.
 
 Paper contracts: LAT scales near-linearly with sockets; RAT scales poorly
-(driven by replication); cd-0's RAT exceeds cd-5's (exposed wire time);
-0c has no RAT at all; for OGBN-Papers RAT dominates LAT.
+(driven by replication).  Measured here from the executing trainer's
+per-epoch LAT / RAT timers on the products stand-in; the paper-scale
+split was an epoch model nothing measured (docs/models.md).
 """
 
 import pytest
 from bench_utils import emit, table
 
 from repro.core import DistributedTrainer, TrainConfig
-from repro.perf.epochmodel import DatasetScale, EpochModel, profiles_from_standin
-
-from bench_fig5_scaling import COUNTS, PAPER_SCALES
-
-
-def test_fig6_modeled_lat_rat(
-    reddit_bench, products_bench, proteins_bench, papers_bench, benchmark
-):
-    datasets = {
-        "reddit": reddit_bench,
-        "ogbn-products": products_bench,
-        "proteins": proteins_bench,
-        "ogbn-papers": papers_bench,
-    }
-    lines = []
-    checks = {}
-    for name, ds in datasets.items():
-        profiles = profiles_from_standin(ds.graph, COUNTS[name], seed=0)
-        model = EpochModel(PAPER_SCALES[name], profiles)
-        rows = []
-        for p in COUNTS[name]:
-            cd0 = model.breakdown(p, "cd-0")
-            cd5 = model.breakdown(p, "cd-5")
-            rows.append(
-                [
-                    p,
-                    round(cd0.lat_forward, 3),
-                    round(cd0.rat_total, 3),
-                    round(cd5.rat_total, 3),
-                ]
-            )
-        lines.append(f"--- {name} ---")
-        lines += table(["P", "LAT_s", "RAT_cd0_s", "RAT_cd5_s"], rows)
-        lines.append("")
-        checks[name] = rows
-    lines.append("contracts: LAT shrinks with P; RAT_cd0 > RAT_cd5;")
-    lines.append("OGBN-Papers RAT >= LAT (paper: RAT always higher there)")
-    emit("fig6_lat_rat", lines)
-
-    for name, rows in checks.items():
-        lats = [r[1] for r in rows]
-        assert lats == sorted(lats, reverse=True), f"{name}: LAT must shrink"
-        for r in rows:
-            assert r[2] >= r[3], f"{name}: cd-0 RAT must exceed cd-5 RAT"
-    papers_rows = checks["ogbn-papers"]
-    assert all(r[2] > r[1] for r in papers_rows), "Papers: RAT dominates LAT"
-
-    benchmark(
-        profiles_from_standin, reddit_bench.graph, (2, 4), 0
-    )
 
 
 def test_fig6_measured_lat_rat(products_bench, benchmark):

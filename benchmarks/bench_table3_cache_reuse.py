@@ -10,7 +10,6 @@ import pytest
 from bench_utils import emit, table
 
 from repro.cachesim import cache_vectors_for, simulate_lru_reuse
-from repro.cachesim.analytic import analytic_reuse
 from repro.graph.utils import average_degree
 
 NBS = (1, 2, 4, 8, 16, 32, 64)
@@ -30,18 +29,17 @@ def _reuse_rows(ds, name):
         ds.feature_dim,
         paper_fv_bytes=PAPER_FV_BYTES[name],
     )
-    lru = [simulate_lru_reuse(ds.graph, nb, cache).reuse for nb in NBS]
-    model = [analytic_reuse(ds.graph, nb, cache) for nb in NBS]
-    return cache, lru, model
+    return [simulate_lru_reuse(ds.graph, nb, cache).reuse for nb in NBS]
 
 
 def test_table3_cache_reuse(reddit_bench, products_bench, benchmark):
     rows = []
+    reuse = {}
     for name, ds in [("reddit", reddit_bench), ("ogbn-products", products_bench)]:
-        cache, lru, model = _reuse_rows(ds, name)
+        lru = _reuse_rows(ds, name)
+        reuse[name] = lru
         rows.append([f"{name} (paper)"] + PAPER_ROWS[name])
         rows.append([f"{name} (LRU sim)"] + [round(x, 1) for x in lru])
-        rows.append([f"{name} (analytic)"] + [round(x, 1) for x in model])
         rows.append(
             [
                 f"{name} ideal=avg_deg",
@@ -55,8 +53,7 @@ def test_table3_cache_reuse(reddit_bench, products_bench, benchmark):
     emit("table3_cache_reuse", lines)
 
     # shape assertions (the reproduction contract)
-    _, lru_reddit, _ = _reuse_rows(reddit_bench, "reddit")
-    _, lru_products, _ = _reuse_rows(products_bench, "ogbn-products")
+    lru_reddit, lru_products = reuse["reddit"], reuse["ogbn-products"]
     best = NBS[lru_reddit.index(max(lru_reddit))]
     assert best not in (1,), "dense graph must benefit from blocking"
     assert max(lru_products) / max(min(lru_products), 1e-9) < 3.0, "sparse stays flat"

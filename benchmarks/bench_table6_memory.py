@@ -2,82 +2,43 @@
 
 Paper values (GB): at 32/64/128 partitions cd-0 199/124/78,
 cd-5 311/196/120, 0c 180/112/70; split vertices 90/92/93%.
-Contracts: cd-5 > cd-0 > 0c at every count; memory shrinks with count;
-split share stays high and grows slightly.
+
+Measured here: the split-vertex share of Libra's partitions of the
+papers stand-in.  The per-partition GB came from a memory model that
+missed the measured per-rank peak RSS by up to 1.6× and did not order
+the algorithms as the RSS did, so it was deleted (docs/models.md,
+Table 6 row); the paper's GB are printed as data.
 """
 
 import pytest
 from bench_utils import emit, table
 
 from repro.partition import build_partitions, libra_partition, partition_stats
-from repro.perf.memory import graphsage_memory_bytes, papers_partition_vertices
 
 PAPER = {
     32: {"cd-0": 199, "cd-5": 311, "0c": 180, "split%": 90},
     64: {"cd-0": 124, "cd-5": 196, "0c": 112, "split%": 92},
     128: {"cd-0": 78, "cd-5": 120, "0c": 70, "split%": 93},
 }
-PAPERS_RF = {32: 4.63, 64: 5.63, 128: 6.62}
-ALGOS = ("cd-0", "cd-5", "0c")
+
+
+def _split_share(graph, p):
+    parted = build_partitions(graph, libra_partition(graph, p, seed=0), p)
+    return partition_stats(parted).avg_split_fraction_per_partition
 
 
 def test_table6_memory(papers_bench, benchmark):
-    # measure split share from the stand-in partitioning
-    split_shares = {}
-    for p in (32, 64, 128):
-        parted = build_partitions(
-            papers_bench.graph, libra_partition(papers_bench.graph, p, seed=0), p
-        )
-        split_shares[p] = partition_stats(parted).avg_split_fraction_per_partition
-
-    rows = []
-    totals = {}
-    for p in (32, 64, 128):
-        n = papers_partition_vertices(p, PAPERS_RF[p])
-        entry = [p]
-        for algo in ALGOS:
-            m = graphsage_memory_bytes(
-                n,
-                feature_dim=128,
-                hidden_dims=[256, 256],
-                num_classes=172,
-                algorithm=algo,
-                split_fraction=split_shares[p],
-            )
-            totals[(p, algo)] = m.total_GB
-            entry.append(round(m.total_GB, 1))
-            entry.append(PAPER[p][algo])
-        entry.append(round(100 * split_shares[p], 1))
-        entry.append(PAPER[p]["split%"])
-        rows.append(entry)
+    split_shares = {p: _split_share(papers_bench.graph, p) for p in PAPER}
+    rows = [
+        [p, PAPER[p]["cd-0"], PAPER[p]["cd-5"], PAPER[p]["0c"],
+         round(100 * split_shares[p], 1), PAPER[p]["split%"]]
+        for p in PAPER
+    ]
     lines = table(
-        [
-            "P",
-            "cd-0_GB",
-            "paper",
-            "cd-5_GB",
-            "paper",
-            "0c_GB",
-            "paper",
-            "split%",
-            "paper",
-        ],
-        rows,
+        ["P", "paper_cd-0_GB", "paper_cd-5_GB", "paper_0c_GB", "split%", "paper"], rows
     )
     emit("table6_memory", lines)
 
-    for p in (32, 64, 128):
-        assert totals[(p, "0c")] < totals[(p, "cd-0")] < totals[(p, "cd-5")]
-    for algo in ALGOS:
-        assert totals[(32, algo)] > totals[(64, algo)] > totals[(128, algo)]
     assert all(s > 0.5 for s in split_shares.values())
 
-    benchmark(
-        graphsage_memory_bytes,
-        papers_partition_vertices(32, 4.63),
-        128,
-        [256, 256],
-        172,
-        algorithm="cd-5",
-        split_fraction=0.9,
-    )
+    benchmark(_split_share, papers_bench.graph, 32)

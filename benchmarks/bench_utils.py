@@ -1,8 +1,9 @@
 """Shared benchmark harness utilities.
 
 Every benchmark regenerates one of the paper's tables or figures, prints
-it, and persists it under ``benchmarks/results/`` so the EXPERIMENTS.md
-record can be refreshed from a single run.
+it, and persists it under ``benchmarks/results/``.  docs/models.md records
+which figures are measured and which performance models were checked
+against a measurement; docs/ARCHITECTURE.md maps the figures to code.
 """
 
 from __future__ import annotations

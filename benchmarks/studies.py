@@ -14,6 +14,7 @@ into ``docs/`` with the date and box it was measured on.
     PYTHONPATH=src python benchmarks/studies.py refresh [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py feature-gather [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py graph-build [--baseline CHECKOUT]
+    PYTHONPATH=src python benchmarks/studies.py models [--baseline CHECKOUT]
     PYTHONPATH=src python benchmarks/studies.py reachability [--baseline CHECKOUT]
 """
 
@@ -39,8 +40,6 @@ from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
 from repro.kernels.instrumentation import AP_TIMER
 from repro.nn import Tensor, masked_cross_entropy
-from repro.perf.hardware import SocketSpec
-from repro.perf.roofline import ap_kernel_time
 from repro.sampling import MiniBatchTrainer, NeighborSampler
 from repro.sampling.minibatch_trainer import forward_blocks
 
@@ -81,6 +80,14 @@ def _pass_bytes(graph, dim: int, value_size: int) -> int:
     )
 
 
+def _roofline_ms(graph, dim: int, value_size: int, bandwidth: float) -> float:
+    """The pass on its bandwidth roof: ``_pass_bytes`` over the copy
+    bandwidth.  One core adds at most 8 fp32 lanes a cycle, far above the
+    one add per 4–8 bytes moved, so no case here is compute-bound
+    (docs/models.md, roofline row)."""
+    return 1e3 * _pass_bytes(graph, dim, value_size) / bandwidth
+
+
 def spmm_operand(reps: int) -> None:
     """ROADMAP 3(b)/(d): the two operands ``CSRGraph.to_scipy`` hands out,
     float32 ``X`` throughout.  ``A @ X`` alone on the float64 operand (what
@@ -89,10 +96,6 @@ def spmm_operand(reps: int) -> None:
     it, the roofline for each element size, and how far the float32 sum
     lands from the float64 one in units of ``eps32 · Σ|x|``."""
     bandwidth = _copy_bandwidth()
-    # one core on its bandwidth roof; 8 fp32 adds per cycle is generous
-    # enough that no case below is compute-bound
-    box = SocketSpec("this-box", cores=1, frequency_Hz=2.5e9, mem_bw_Bps=bandwidth,
-                     simd_fp32_per_core=8, flops_efficiency=1.0, bw_efficiency=1.0)
     eps32 = float(np.finfo(np.float32).eps)
     print(f"one-thread copy bandwidth {bandwidth / 1e9:.1f} GB/s\n")
     print("| graph | V | E | max deg | d | f64 operand ms | f32 operand ms | f32/f64 "
@@ -112,11 +115,7 @@ def spmm_operand(reps: int) -> None:
                 return aggregate(graph, x, None, "copylhs", "sum", num_threads=1)
 
             t_pass = _median_ms(engine_pass, reps)
-            roof = [
-                1e3 * ap_kernel_time(graph.num_edges, dim,
-                                     _pass_bytes(graph, dim, size), box)
-                for size in (8, 4)
-            ]
+            roof = [_roofline_ms(graph, dim, size, bandwidth) for size in (8, 4)]
             x64 = x.astype(np.float64)
             err = np.abs(engine_pass() - a64 @ x64)
             unit = eps32 * (a64 @ np.abs(x64))
@@ -1274,6 +1273,327 @@ def graph_build(reps: int, baseline=None) -> None:
                     "\n".join(lines) + "\n")
 
 
+# -- models ledger ------------------------------------------------------------------
+
+MODELS_DOC = os.path.join(BENCH_DIR, "..", "docs", "models.md")
+#: Table 3's nB sweep, and each stand-in's paper f_V bytes (|V| x d x 4 B),
+#: which pressure-scale the simulated LLC (``cache_vectors_for``)
+MODELS_NBS = (1, 2, 4, 8, 16, 32, 64)
+MODELS_CACHED = (("reddit", 0.35, 232_965 * 602 * 4), ("ogbn-products", 0.3, 2_449_029 * 100 * 4))
+#: Table 7 arms: dataset, scale, fan-outs and aggregation widths from the
+#: seeds outward (the paper's hop-0 first), batch size
+MODELS_SAMPLED = (("ogbn-papers", 1.0, (10, 10, 10), (256, 256, 128), 256),
+                  ("ogbn-products", 2.0, (15, 10, 5), (256, 256, 100), 2000))
+MODELS_BATCHES = 8
+#: Table 8 arms: dataset, scale, partition counts
+MODELS_PARTITIONED = (("ogbn-products", 0.5, (1, 4, 16)), ("reddit", 0.35, (1, 4, 16)))
+#: Table 6 arm: ``train_dist``'s graph, ranks and epochs per algorithm
+MODELS_RSS = ("ogbn-products", 0.5, 4, 2)
+#: the stated tolerances: measured / predicted inside [1/x, x]
+MODELS_TOLERANCE = {"roofline": 1.5, "memory": 1.5, "cachesim": 1.25}
+
+
+def _table7_batches(name: str, scale: float, fanouts, dims, batch: int) -> list:
+    """``MODELS_BATCHES`` real sampled batches: per batch the counted
+    ``work_ops`` and the same count from degrees (Σ over each hop's
+    destination rows of ``min(in-degree, fan-out)`` × width)."""
+    ds = load_dataset(name, scale=scale, seed=0)
+    sampler = NeighborSampler(ds.graph, fanouts[::-1], seed=0)
+    rng = np.random.default_rng(0)
+    train = np.flatnonzero(ds.train_mask)
+    deg = ds.graph.in_degrees()
+    dims_in = list(dims[::-1])  # blocks run input side first
+    out = []
+    for _ in range(MODELS_BATCHES):
+        b = sampler.sample(rng.choice(train, size=min(batch, train.size), replace=False))
+        by_degree = sum(float(np.minimum(deg[blk.dst_global], f).sum()) * d
+                        for blk, f, d in zip(b.blocks, fanouts[::-1], dims_in))
+        out.append((b.work_ops(dims_in), by_degree))
+    return out
+
+
+def _models_parent_child(parent_benchmarks: str) -> None:
+    """On a tree that still has the models (``models --baseline``): each
+    deleted model's prediction for the arms ``models`` measures, one JSON
+    line.  The Fig. 5 / Table 9 constants come from that tree's bench
+    scripts."""
+    from repro.cachesim import analytic, traffic
+    from repro.partition import build_partitions, libra_partition, partition_stats
+    from repro.perf import epochmodel, memory, minibatch, scheduling, workmodel
+
+    sys.path.insert(0, parent_benchmarks)
+    import bench_fig5_scaling as fig5
+    import bench_table9_distdgl as table9
+
+    out = {"reuse": {}, "best_nb": {}, "imbalance": {}, "table7": {}, "table8": {},
+           "memory": {}, "fig5": {}, "table9": {}}
+    for name, scale, paper_fv in MODELS_CACHED:
+        g = load_dataset(name, scale=scale, seed=0)
+        cache = analytic.cache_vectors_for(g.graph.num_src, g.feature_dim,
+                                           paper_fv_bytes=paper_fv)
+        out["reuse"][name] = [analytic.analytic_reuse(g.graph, nb, cache) for nb in MODELS_NBS]
+        out["best_nb"][name] = traffic.choose_num_blocks(g.graph, g.feature_dim,
+                                                         cache_vectors=cache)
+        work = scheduling.per_destination_work(g.graph, g.feature_dim)
+        out["imbalance"][name] = [
+            scheduling.simulate_schedule(work, 28, policy="static").imbalance,
+            scheduling.simulate_schedule(work, 28, policy="dynamic",
+                                         chunk=max(1, work.size // (28 * 32))).imbalance]
+    for name, scale, fanouts, dims, batch in MODELS_SAMPLED:
+        n = load_dataset(name, scale=scale, seed=0).num_vertices
+        hops = minibatch.minibatch_hops(batch, fanouts, dims, population=n)
+        out["table7"][name] = sum(h.ops for h in hops)
+    for name, scale, counts in MODELS_PARTITIONED:
+        g = load_dataset(name, scale=scale, seed=0).graph
+        deg = g.num_edges / g.num_vertices
+        out["table8"][name] = {
+            p: [workmodel.full_batch_work(part.num_vertices, deg, (1,))[0].ops
+                for part in build_partitions(g, libra_partition(g, p, seed=0), p).parts]
+            for p in counts}
+    name, scale, ranks, _ = MODELS_RSS
+    ds = load_dataset(name, scale=scale, seed=0)
+    cfg = _suite_config(ds, 0)
+    parted = build_partitions(ds.graph, libra_partition(ds.graph, ranks, seed=0), ranks)
+    split = partition_stats(parted).avg_split_fraction_per_partition
+    n_max = max(part.num_vertices for part in parted.parts)
+    for algo in ("cd-0", "cd-5", "0c"):
+        out["memory"][algo] = memory.graphsage_memory_bytes(
+            n_max, ds.feature_dim, [cfg.hidden_features] * (cfg.num_layers - 1),
+            ds.num_classes, algorithm=algo, split_fraction=split).total
+    bench = {"reddit": 0.35, "ogbn-products": 0.3, "proteins": 0.25, "ogbn-papers": 0.2}
+    for name, scale in bench.items():
+        model = fig5._model_for(name, load_dataset(name, scale=scale, seed=0))
+        base, last = model.single_socket_time(), fig5.COUNTS[name][-1]
+        out["fig5"][name] = {algo: [base / model.breakdown(last, algo).total,
+                                    fig5.PAPER_SPEEDUPS[name][algo]] for algo in fig5.ALGOS}
+    # Table 9's DistGNN side is the Fig. 5 epoch model at 1 and 16 sockets
+    model = epochmodel.EpochModel(fig5.PAPER_SCALES["ogbn-products"],
+                                  epochmodel.profiles_from_standin(
+                                      load_dataset("ogbn-products", scale=0.3, seed=0).graph,
+                                      (16,), seed=0))
+    out["table9"] = {s: [table9._distdgl_epoch_time(s), table9.PAPER[s][0],
+                         model.single_socket_time() if s == 1 else model.breakdown(s, "cd-5").total,
+                         table9.PAPER[s][1]] for s in (1, 16)}
+    print(json.dumps(out))
+
+
+def _models_rss_child(algo: str) -> None:
+    """One shm fit of ``MODELS_RSS`` (``train_dist``'s graph and ranks,
+    the suite's model): the largest rank's peak RSS and this process's
+    RSS when the ranks fork (a forked rank starts with it), one JSON line."""
+    import resource
+
+    name, scale, ranks, epochs = MODELS_RSS
+    ds = load_dataset(name, scale=scale, seed=0)
+    trainer = DistributedTrainer(ds, ranks, algorithm=algo,
+                                 config=_suite_config(ds, 0, backend="shm"))
+    with open("/proc/self/statm") as fh:
+        at_fork = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    trainer.fit(num_epochs=epochs)
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+    print(json.dumps({"at_fork": at_fork, "peak": peak}))
+
+
+def _ratio_range(pairs) -> str:
+    """``lo–hi`` of measured / predicted over ``(measured, predicted)``."""
+    ratios = [m / p for m, p in pairs]
+    return f"{min(ratios):.2f}–{max(ratios):.2f}"
+
+
+def _inside(pairs, tolerance: float) -> bool:
+    return all(1 / tolerance <= m / p <= tolerance for m, p in pairs)
+
+
+def models(reps: int, baseline=None) -> None:
+    """ROADMAP item 5: one ledger row per performance model the paper
+    figures were reproduced with — what it predicts, what it is checked
+    against, measured / predicted, and the outcome: *keep* (inside the
+    stated tolerance, pinned by a test), *exact* (an equality in tests/
+    replaces it) or *delete*.  This tree measures; ``baseline`` (a
+    checkout that still has ``repro.perf``) predicts for the deleted
+    models, whose cells read "—" without it.  Appends a dated section to
+    docs/models.md and prints it."""
+    sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
+    from suite_harness import environment
+
+    from repro.cachesim import cache_vectors_for, simulate_lru_reuse
+    from repro.partition import build_partitions, libra_partition
+
+    pred = {}
+    if baseline:
+        pred = _child_json(
+            [sys.executable, "-c", "import studies; studies._models_parent_child("
+             f"{os.path.abspath(os.path.join(baseline, 'benchmarks'))!r})"],
+            os.path.join(baseline, "src"), cwd=BENCH_DIR)
+    here = os.path.join(BENCH_DIR, "..", "src")
+    rows, detail = [], []
+
+    # roofline: kept as one division
+    bandwidth = _copy_bandwidth()
+    roof = []
+    for name, scale, dims in SPMM_CASES:
+        graph = load_dataset(name, scale=scale, seed=0).graph
+        for dim in dims:
+            x = np.random.default_rng(dim).standard_normal((graph.num_src, dim)).astype(np.float32)
+            ms = _median_ms(lambda: aggregate(graph, x, None, "copylhs", "sum", num_threads=1),
+                            reps)
+            roof.append((ms, _roofline_ms(graph, dim, 4, bandwidth)))
+            detail.append(f"| roofline | {name} {scale}, d {dim} | {roof[-1][1]:.2f} ms "
+                          f"| {ms:.2f} ms | {ms / roof[-1][1]:.2f} |")
+    tol = MODELS_TOLERANCE["roofline"]
+    rows.append(["roofline (`perf/roofline.py`, `perf/hardware.py`)",
+                 "one engine pass at one thread: `_pass_bytes` / copy bandwidth "
+                 f"({bandwidth / 1e9:.1f} GB/s)",
+                 f"the pass, median of {reps}, on `spmm-operand`'s four cases",
+                 _ratio_range(roof), f"×{tol}",
+                 "**keep**, as `studies._roofline_ms`; `tests/test_study_tables.py` pins "
+                 "`_pass_bytes` to the operand's bytes" if _inside(roof, tol) else "**delete**"])
+
+    # Table 7: sampled work, counted
+    sampled, equal = [], True
+    for name, scale, fanouts, dims, batch in MODELS_SAMPLED:
+        counted = _table7_batches(name, scale, fanouts, dims, batch)
+        equal &= all(w == d for w, d in counted)
+        mean = float(np.mean([w for w, _ in counted]))
+        p = pred.get("table7", {}).get(name)
+        if p:
+            sampled.append((mean, p))
+        detail.append(f"| Table 7 | {name} {scale}, fan-outs {'-'.join(map(str, fanouts))}, "
+                      f"batch {batch} | {p / 1e9 if p else float('nan'):.4f} B ops "
+                      f"| {mean / 1e9:.4f} B ops | {mean / p if p else float('nan'):.2f} |")
+    rows.append(["Table 7 (`perf/minibatch.py`, `perf/workmodel.py`)",
+                 "B ops per sampled batch: frontier × fan-out × width, frontiers by "
+                 "birthday de-duplication",
+                 f"`SampledBatch.work_ops`, mean of {MODELS_BATCHES} real batches",
+                 _ratio_range(sampled) if sampled else "—", "equality",
+                 f"**exact**: `work_ops` = Σ min(in-degree, fan-out) × width on "
+                 f"{'every' if equal else '**not every**'} batch "
+                 "(`tests/sampling/test_sampled_work.py`)"])
+
+    # Table 8: full-batch work, counted
+    parted_pairs, equal = [], True
+    for name, scale, counts in MODELS_PARTITIONED:
+        graph = load_dataset(name, scale=scale, seed=0).graph
+        for p in counts:
+            asn = libra_partition(graph, p, seed=0)
+            edges = [part.num_edges for part in build_partitions(graph, asn, p).parts]
+            equal &= edges == np.bincount(asn, minlength=p).tolist() and sum(edges) == graph.num_edges
+            predicted = pred.get("table8", {}).get(name, {}).get(str(p))
+            pairs = list(zip(edges, predicted)) if predicted else []
+            parted_pairs += pairs
+            detail.append(f"| Table 8 | {name} {scale}, P {p}, per partition "
+                          f"| {np.mean(predicted) if predicted else float('nan'):,.0f} "
+                          f"ops / width | {np.mean(edges):,.0f} ops / width "
+                          f"| {_ratio_range(pairs) if pairs else '—'} |")
+    rows.append(["Table 8 (`perf/workmodel.py`)",
+                 "AP work per partition: clone-inclusive vertices × average degree × width",
+                 "each Libra partition's counted local edges × width",
+                 _ratio_range(parted_pairs) if parted_pairs else "—", "equality",
+                 f"**exact**: local edges = the partition's share of the assignment, "
+                 f"summing to E, {'on every' if equal else '**not on every**'} partitioning "
+                 "(`tests/partition/test_partition_work.py`)"])
+
+    # Table 6: per-rank memory against the largest rank's peak RSS
+    rss = []
+    for algo in ("cd-0", "cd-5", "0c"):
+        run = _child_json([sys.executable, "-c",
+                           f"import studies; studies._models_rss_child({algo!r})"],
+                          here, cwd=BENCH_DIR)
+        grown = run["peak"] - run["at_fork"]
+        p = pred.get("memory", {}).get(algo)
+        if p:
+            rss.append((grown, p))
+        detail.append(f"| Table 6 | {MODELS_RSS[0]} {MODELS_RSS[1]}, P {MODELS_RSS[2]}, {algo} "
+                      f"| {p / 2**20 if p else float('nan'):.1f} MB | {grown / 2**20:.1f} MB "
+                      f"above the fork ({run['peak'] / 2**20:.0f} MB peak) "
+                      f"| {grown / p if p else float('nan'):.2f} |")
+    tol = MODELS_TOLERANCE["memory"]
+    rows.append(["Table 6 (`perf/memory.py`)",
+                 "the largest rank's bytes, aggregation outputs sized aggregate-first",
+                 "that rank's peak RSS above the RSS it forks with (shm, "
+                 f"{MODELS_RSS[0]} {MODELS_RSS[1]}, P {MODELS_RSS[2]})",
+                 _ratio_range(rss) if rss else "—", f"×{tol}",
+                 "**keep**" if rss and _inside(rss, tol) else
+                 "**delete**: `bench_table6_memory.py` reports the measured split share "
+                 "beside the paper's GB"])
+
+    # Figs. 5/6 and Table 9: nothing here measures them
+    fig5 = [(paper, m) for algos in pred.get("fig5", {}).values() for m, paper in algos.values()]
+    for name, algos in pred.get("fig5", {}).items():
+        detail.append(f"| Fig. 5 | {name}, largest P, speed-up {' / '.join(algos)} "
+                      f"| {' / '.join(f'{m:.1f}' for m, _ in algos.values())} "
+                      f"| {' / '.join(f'{p:g}' for _, p in algos.values())} (paper) "
+                      f"| {_ratio_range([(p, m) for m, p in algos.values()])} |")
+    for s, (dgl, dgl_paper, gnn, gnn_paper) in pred.get("table9", {}).items():
+        detail.append(f"| Table 9 | ogbn-products, {s} socket(s), Dist-DGL / DistGNN cd-5 s "
+                      f"| {dgl:.2f} / {gnn:.2f} | {dgl_paper:g} / {gnn_paper:g} (paper) "
+                      f"| {dgl_paper / dgl:.2f} / {gnn_paper / gnn:.2f} |")
+    rows.append(["Figs. 5/6, Table 9 (`perf/epochmodel.py`, `comm/netmodel.py`)",
+                 "64–128-socket epoch seconds on an HDR fabric",
+                 "nothing this 2-core box runs; shown: the paper speed-ups it was "
+                 "fitted to",
+                 _ratio_range(fig5) if fig5 else "—", "—",
+                 "**delete**: the figures keep their executed arms"])
+
+    # Fig. 4's DS bar: the engine has no static schedule to measure
+    imb = pred.get("imbalance", {})
+    for name, (static, dynamic) in imb.items():
+        detail.append(f"| Fig. 4 DS | {name}, 28 threads, static / dynamic imbalance "
+                      f"| {static:.2f} / {dynamic:.2f} | — | — |")
+    rows.append(["Fig. 4 \"DS\" (`perf/scheduling.py`)",
+                 "static ÷ dynamic OpenMP imbalance at 28 threads",
+                 "nothing: the engine runs only the dynamic queue",
+                 "—", "—", "**delete**: `bench_fig2_single_socket.py` is the measured ladder"])
+
+    # cachesim's analytic model against the exact LRU replay
+    reuse, best = [], []
+    for name, scale, paper_fv in MODELS_CACHED:
+        ds = load_dataset(name, scale=scale, seed=0)
+        cache = cache_vectors_for(ds.graph.num_src, ds.feature_dim, paper_fv_bytes=paper_fv)
+        lru = [simulate_lru_reuse(ds.graph, nb, cache).reuse for nb in MODELS_NBS]
+        model = pred.get("reuse", {}).get(name)
+        if model:
+            reuse += list(zip(lru, model))
+            best.append(f"{name} {pred['best_nb'][name]} vs "
+                        f"{MODELS_NBS[int(np.argmax(lru))]}")
+        detail.append(f"| Table 3 | {name} {scale}, reuse at nB "
+                      f"{'/'.join(map(str, MODELS_NBS))} "
+                      f"| {' / '.join(f'{r:.1f}' for r in model) if model else '—'} "
+                      f"| {' / '.join(f'{r:.1f}' for r in lru)} "
+                      f"| {_ratio_range(list(zip(lru, model))) if model else '—'} |")
+    tol = MODELS_TOLERANCE["cachesim"]
+    rows.append(["cachesim analytic + traffic (`cachesim/analytic.py`, `cachesim/traffic.py`)",
+                 "Table 3 reuse per nB; `choose_num_blocks`' nB; the hot set's hit rate",
+                 "the exact LRU replay (`cachesim/lru.py`); docs/feature-gather.md's "
+                 "measured hit rate",
+                 (_ratio_range(reuse) + "; best nB model vs replay: " + ", ".join(best)
+                  + "; hit rate 0.264 measured, 0.622 predicted") if reuse else "—",
+                 f"×{tol}",
+                 "**keep**" if reuse and _inside(reuse, tol) else
+                 "**delete**: Table 3 and Fig. 3 read the LRU replay"])
+
+    box = environment(0)
+    lines = [
+        f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs",
+        "",
+        "One row per model. *Error* is measured / predicted (its range over the arms "
+        "below); *keep* needs every arm inside the tolerance and a test that pins the "
+        "model, *exact* needs an equality that replaces it, anything else is deleted. "
+        + ("Predictions of the deleted models ran on the baseline checkout."
+           if baseline else "No baseline: the deleted models' cells read —."),
+        "",
+        "| model | predicts | checked against | error | tolerance | outcome |",
+        "| --- " * 6 + "|",
+        *("| " + " | ".join(r) + " |" for r in rows),
+        "",
+        "| row | arm | predicted | measured | measured / predicted |",
+        "| --- " * 5 + "|",
+        *detail,
+    ]
+    _append_section(MODELS_DOC, "Models ledger: each prediction against a measurement",
+                    "models", "\n".join(lines) + "\n")
+
+
 # -- reachability -------------------------------------------------------------------
 
 REACHABILITY_DOC = os.path.join(BENCH_DIR, "..", "docs", "reachability.md")
@@ -1336,8 +1656,8 @@ if os.environ.get("REACH_OUT"):
 #: deleted, or it gets a named owner here.
 _TABLE1 = ("`aggregate()` with a message-materialising (⊗, ⊕) pair: the paper's "
            "Table 1 operator algebra; `studies.py kernel-plan` times it")
-_LRU = ("the LRU replay tests/cachesim/test_lru*.py check the analytic traffic model "
-        "against (ROADMAP 3(a) cachesim row)")
+_LRU = ("the exact LRU replay Table 3 and Fig. 3 read (bench_table3 / bench_fig3, "
+        "docs/models.md cachesim row); tests/cachesim/test_lru*.py pin its counters")
 _REPR = "protocol: `repr()`"
 _WITH = "protocol: context manager"
 _SLEEP_PROBE = ("runs only when a sanitized process sleeps: the `time.sleep` probe "
@@ -1387,6 +1707,9 @@ REACHABILITY_OWNERS = {
         "test seam: fault and latency injection (tests/serving/test_faults.py, ...)",
     "serving/server.py:PredictionServer.start_background":
         "test seam: in-process HTTP servers on a thread",
+    "serving/server.py:_PredictionHandler._refuse":
+        "runs only on a refused request line or header (400 / 414 / 431 / 501 / 505): "
+        "tests/serving/test_keepalive.py, CI's keep-alive smoke",
     "serving/frontend.py:ServingUnavailable.__init__":
         "runs only when the gate sheds (429 / 503): tests/serving/test_overload.py, "
         "test_frontend.py",
@@ -1820,10 +2143,11 @@ STUDIES = {
     "refresh": refresh,
     "feature-gather": feature_gather,
     "graph-build": graph_build,
+    "models": models,
     "reachability": reachability,
 }
 BASELINE_STUDIES = ("serving-layers", "sim-threads", "refresh", "feature-gather", "graph-build",
-                    "reachability")
+                    "models", "reachability")
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -1833,7 +2157,7 @@ if __name__ == "__main__":
                         help="project-first: only this table (default: all three)")
     parser.add_argument("--baseline", metavar="CHECKOUT",
                         help="serving-layers / sim-threads / refresh / feature-gather / "
-                        "graph-build / reachability: "
+                        "graph-build / models / reachability: "
                         "a checkout to measure beside this tree")
     args = parser.parse_args()
     if args.part and args.study != "project-first":

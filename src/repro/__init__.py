@@ -12,8 +12,9 @@ Public entry points::
     from repro.core import Trainer, DistributedTrainer, TrainConfig
     from repro.nn import GraphSAGE
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/ARCHITECTURE.md for the system inventory and docs/models.md
+for which paper figures are measured and which performance models were
+checked against a measurement.
 """
 
 __version__ = "1.0.0"

@@ -12,14 +12,11 @@ that executes the same communication *semantics* deterministically:
 - :mod:`repro.comm.async_queue` — epoch-delayed message delivery: a
   message posted at epoch ``e`` becomes visible at epoch ``e + delay``,
   which is exactly the staleness contract of cd-r (Alg. 4).
-- :mod:`repro.comm.counters` — per-rank byte/message accounting feeding
-  the cost models.
-- :mod:`repro.comm.netmodel` — latency/bandwidth network model (HDR-class
-  defaults) converting counted bytes into simulated communication time.
+- :mod:`repro.comm.counters` — per-rank byte/message accounting.
 
 Every collective counts the bytes it would move on a real network, so the
-benchmark harness can report modelled communication time next to the
-algorithmic results.
+benchmarks report exact communication volume next to the algorithmic
+results.
 
 Execution backends
 ------------------
@@ -44,7 +41,6 @@ from repro.comm.async_queue import DelayedQueue, Message
 from repro.comm.collectives import all_reduce
 from repro.comm.communicator import Communicator, World
 from repro.comm.counters import CommCounters
-from repro.comm.netmodel import NetworkModel, HDR_200G
 from repro.comm.shm import ShmCommunicator, ShmWorld
 
 #: execution backend registry: name -> world factory ``(num_ranks, **kw)``.
@@ -74,6 +70,4 @@ __all__ = [
     "DelayedQueue",
     "Message",
     "CommCounters",
-    "NetworkModel",
-    "HDR_200G",
 ]

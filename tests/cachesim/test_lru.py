@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cachesim.lru import LRUFeatureCache, simulate_lru_reuse
+from repro.cachesim.lru import LRUFeatureCache, cache_vectors_for, simulate_lru_reuse
+from repro.kernels.blocked import BlockedGraph
 from repro.graph.generators import sbm_graph
 
 
@@ -101,3 +102,41 @@ class TestSimulateReuse:
     def test_miss_rate(self, small_rmat):
         res = simulate_lru_reuse(small_rmat, 2, 32)
         assert 0.0 < res.miss_rate <= 1.0
+
+    @pytest.mark.parametrize("nb", [1, 2, 4, 8, 16])
+    def test_fo_accesses_are_touched_rows_per_pass(self, small_rmat, nb):
+        """Fig. 3's written rows: each block pass touches every output row
+        with an edge in that block once, and a miss is a subset of them."""
+        res = simulate_lru_reuse(small_rmat, nb, 32)
+        touched = sum(int(np.count_nonzero(np.diff(b.indptr)))
+                      for b in BlockedGraph.build(small_rmat, nb).blocks)
+        assert res.fo_accesses == touched
+        assert res.fo_reads <= res.fo_accesses
+
+    def test_no_outputs_no_fo_accesses(self, small_rmat):
+        res = simulate_lru_reuse(small_rmat, 4, 32, include_outputs=False)
+        assert res.fo_accesses == res.fo_reads == 0
+
+
+class TestCacheSizing:
+    def test_literal_capacity(self):
+        cv = cache_vectors_for(1000, feature_dim=100, llc_bytes=40_000)
+        assert cv == 40_000 // 400
+
+    def test_pressure_scaling(self):
+        # paper-pressure scaling: ratio of f_V to cache preserved
+        cv = cache_vectors_for(
+            1000, feature_dim=100, llc_bytes=1_000_000, paper_fv_bytes=10_000_000
+        )
+        # fv=400KB at 10x pressure -> effective cache 40KB -> 100 vectors
+        assert cv == 100
+
+    def test_minimum_one(self):
+        assert cache_vectors_for(10, 10_000, llc_bytes=1) == 1
+
+    def test_paper_pressure_independent_of_llc_literal(self):
+        """With a paper f_V size the capacity keeps |f_V| / LLC: the same
+        fraction of the stand-in's rows as the paper's LLC held of its."""
+        paper_fv = 232_965 * 602 * 4  # Reddit
+        cv = cache_vectors_for(2_867, 602, paper_fv_bytes=paper_fv)
+        assert cv == int(2_867 * 38.5 * 2**20 / paper_fv)

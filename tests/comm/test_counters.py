@@ -1,10 +1,8 @@
-"""Byte counters and the network cost model."""
+"""Byte counters."""
 
 import numpy as np
-import pytest
 
-from repro.comm import CommCounters, HDR_200G, NetworkModel, World
-from repro.comm.netmodel import ETH_10G
+from repro.comm import CommCounters, World
 
 
 class TestCounters:
@@ -34,19 +32,3 @@ class TestCounters:
         c.reset()
         assert c.total_bytes == 0
 
-
-class TestNetworkModel:
-    def test_collective_time_monotone_in_bytes(self):
-        assert HDR_200G.collective_time(1e9) > HDR_200G.collective_time(1e6)
-
-    def test_latency_floor(self):
-        assert HDR_200G.collective_time(0) == HDR_200G.latency_s
-
-    def test_hdr_faster_than_eth(self):
-        nbytes = 1e8
-        assert HDR_200G.collective_time(nbytes) < ETH_10G.collective_time(nbytes)
-
-    def test_collective_efficiency_derates(self):
-        full = NetworkModel("x", 0.0, 1e9, collective_efficiency=1.0)
-        half = NetworkModel("x", 0.0, 1e9, collective_efficiency=0.5)
-        assert half.collective_time(1e6) == 2 * full.collective_time(1e6)

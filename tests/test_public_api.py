@@ -40,7 +40,6 @@ def test_all_subpackages_import():
     import repro.kernels
     import repro.nn
     import repro.partition
-    import repro.perf
     import repro.sampling
     import repro.serving
 
@@ -55,7 +54,6 @@ def test_all_subpackages_import():
         repro.comm,
         repro.nn,
         repro.core,
-        repro.perf,
         repro.sampling,
         repro.serving,
     ):
@@ -241,7 +239,7 @@ def test_repr_states_type_and_size(make, expected):
 def test_unreached_names_stay_deleted():
     """Names a reachability audit found no entry point or oracle using
     (``docs/reachability.md``) are not re-exported."""
-    from repro import analysis, core, graph, nn, partition, perf
+    from repro import analysis, core, graph, nn, partition
 
     for module, gone in (
         (nn, ("GAT", "GATConv", "kaiming_uniform", "SGD", "Dropout", "Optimizer")),
@@ -251,7 +249,28 @@ def test_unreached_names_stay_deleted():
         (graph, ("save_graph", "load_graph", "save_feature_layout",
                  "load_feature_layout", "preferential_attachment_graph")),
         (partition, ("save_partitioning", "load_partitioning")),
-        (perf, ("scheduling_gain",)),
+    ):
+        for name in gone:
+            assert not hasattr(module, name), name
+
+
+def test_deleted_models_stay_deleted():
+    """The performance models docs/models.md deletes: the ``repro.perf``
+    package, the network model and cachesim's analytic model and traffic
+    accounting.  Figures read measurements, or the exact LRU replay."""
+    import importlib.util
+
+    from repro import cachesim, comm
+
+    assert importlib.util.find_spec("repro.perf") is None
+    assert importlib.util.find_spec("repro.comm.netmodel") is None
+    assert importlib.util.find_spec("repro.cachesim.analytic") is None
+    assert importlib.util.find_spec("repro.cachesim.traffic") is None
+    for module, gone in (
+        (comm, ("NetworkModel", "HDR_200G", "ETH_10G")),
+        (cachesim, ("BlockAccessProfile", "block_access_profiles", "analytic_misses",
+                    "analytic_reuse", "KernelTraffic", "traffic_for_kernel", "ap_traffic",
+                    "choose_num_blocks")),
     ):
         for name in gone:
             assert not hasattr(module, name), name

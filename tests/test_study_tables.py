@@ -43,3 +43,29 @@ def test_process_cpu_is_utime_plus_stime_of_every_thread(studies):
     times = os.times()
     assert after > before
     assert after == pytest.approx(times.user + times.system, abs=0.05)
+
+
+@pytest.mark.parametrize("value_size", (4, 8))
+@pytest.mark.parametrize("name, dim", [("reddit", 16), ("reddit", 64),
+                                       ("ogbn-products", 50), ("ogbn-products", 256)])
+def test_pass_bytes_is_what_the_operand_moves(studies, name, dim, value_size):
+    """The kept roofline's numerator (docs/models.md): the CSR operand's
+    own arrays, one gathered source row per edge and one output row per
+    destination, at the operand's element size."""
+    import numpy as np
+
+    from repro.graph.datasets import load_dataset
+
+    graph = load_dataset(name, scale=0.05, seed=0).graph
+    a = graph.to_scipy(np.float32 if value_size == 4 else np.float64)
+    rows = (graph.num_edges + graph.num_vertices) * dim * value_size
+    expected = a.indices.nbytes + a.data.nbytes + a.indptr.nbytes + rows
+    assert studies._pass_bytes(graph, dim, value_size) == expected
+    assert studies._roofline_ms(graph, dim, value_size, 1e9) == pytest.approx(expected / 1e6)
+
+
+def test_ledger_error_is_measured_over_predicted(studies):
+    pairs = [(3.0, 2.0), (1.0, 2.0)]  # (measured, predicted)
+    assert studies._ratio_range(pairs) == "0.50–1.50"
+    assert studies._inside(pairs, 2.0)
+    assert not studies._inside(pairs, 1.4)
