@@ -3,11 +3,12 @@
 Sweeps the number of source blocks ``nB`` for the aggregation primitive
 on a dense and a sparse stand-in, reporting the exact LRU replay's cache
 reuse and f_V / f_O rows fetched from memory beside the measured kernel
-walltime.
+walltime (the median of 5 passes after a warm one).
 
 Run:  python examples/cache_blocking_study.py
 """
 
+import statistics
 import time
 
 from repro import load_dataset
@@ -31,12 +32,15 @@ def main() -> None:
             replay = simulate_lru_reuse(ds.graph, nb, cache)
             best = max(best, (replay.reuse, nb))
             # blocks (an O(E) sort) and their SpMM operands (made by the first
-            # pass) are built once per graph, as in the paper: time a later pass
+            # pass) are built once per graph, as in the paper: time later passes
             blocked = BlockedGraph.build(ds.graph, nb)
             aggregate(blocked, ds.features)
-            t0 = time.perf_counter()
-            aggregate(blocked, ds.features)
-            wall = (time.perf_counter() - t0) * 1e3
+            walls = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                aggregate(blocked, ds.features)
+                walls.append(time.perf_counter() - t0)
+            wall = statistics.median(walls) * 1e3
             fetched = replay.misses + replay.fo_reads
             print(f"{nb:>4} {replay.reuse:>7.1f} {fetched:>13} {wall:>10.1f}")
         print(f"highest replayed reuse: nB={best[1]}")

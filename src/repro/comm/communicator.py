@@ -27,7 +27,6 @@ from repro.comm.async_queue import DelayedQueue, Message
 from repro.comm.collectives import all_reduce
 from repro.comm.counters import CommCounters
 from repro.kernels.fpenv import in_callers_mode
-from repro.obs.registry import register_comm_world
 from repro.obs.trace import activate, current_span
 
 # One rank-thread pool per size, apart from the kernel engine's ``repro-ap``
@@ -69,10 +68,6 @@ class World:
         self.counters = CommCounters(num_ranks)
         self.queue = DelayedQueue(num_ranks)
         self._epoch = 0
-        # weakref registration: per-rank byte counters show up in every
-        # telemetry registry / GET /metrics?format=prom for as long as
-        # this world is alive
-        self.obs_name = register_comm_world(self, kind="sim")
 
     # -- epoch clock ---------------------------------------------------------
 

@@ -55,7 +55,6 @@ import numpy as np
 from repro.comm.async_queue import Message
 from repro.comm.collectives import reduce_in_rank_order
 from repro.comm.counters import CommCounters
-from repro.obs.registry import register_comm_world
 
 #: payloads at or above this many bytes travel via ``shared_memory``
 #: segments; smaller ones ride inline through the metadata queue.
@@ -172,9 +171,6 @@ class ShmWorld:
         self.timeout = timeout
         self._ctx = _require_fork_context()
         self._state = _SharedState(self._ctx, num_ranks)
-        # weakref registration: the parent-side counter view is exported
-        # by every telemetry registry while this world is alive
-        self.obs_name = register_comm_world(self, kind="shm")
 
     # -- parent-side views ------------------------------------------------------
 

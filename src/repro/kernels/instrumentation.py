@@ -6,7 +6,7 @@ backward, which is also an AP invocation) adds its wall time here; the
 trainers snapshot the counter around each epoch.
 
 The counter is mutated from kernel call sites on worker threads while
-trainers (and the telemetry registry) snapshot it concurrently, so the
+trainers (and a ``GET /metrics`` scrape) snapshot it concurrently, so the
 accumulate/read pair is serialized under one lock.  When a request
 trace is active on the calling thread, each AP invocation additionally
 lands as a ``kernel.ap`` child span on the current request.

@@ -1,27 +1,23 @@
-"""Observability: request tracing + the unified telemetry registry.
+"""Observability: request tracing + telemetry exposition.
 
 - :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer` with explicit
-  context propagation across pool boundaries, head-based sampling
-  (``REPRO_TRACE=1``, ``REPRO_TRACE_SAMPLE``), a bounded span ring, and
+  context propagation across pool boundaries, one switch
+  (``REPRO_TRACE=1`` traces every request), a bounded span ring, and
   Chrome trace-event export (``GET /trace``, ``repro trace --url``).
-- :mod:`repro.obs.registry` — one :class:`Registry` absorbing the
-  serving, tracer, feature-store, kernel-timer, and comm-world
-  counters under consistent ``repro_*`` names, rendered as Prometheus
-  text exposition (``GET /metrics?format=prom``) or JSON from a single
-  ``collect()`` pass.
+- :mod:`repro.obs.registry` — :func:`collect` reads the serving, tracer,
+  feature-store and kernel-timer counters at scrape time as
+  ``repro_*`` families, rendered as Prometheus text exposition
+  (``GET /metrics?format=prom``).
 
-See docs/ARCHITECTURE.md §9 for the span model, component accounting,
-and sampling/overhead guidance.
+See docs/ARCHITECTURE.md §9 for the span model and component
+accounting.
 """
 
 from repro.obs.registry import (
     Metric,
-    Registry,
-    comm_metrics,
+    collect,
     parse_prometheus,
-    register_comm_world,
     render_prometheus,
-    serving_registry,
 )
 from repro.obs.trace import (
     COMPONENTS,
@@ -46,10 +42,7 @@ __all__ = [
     "set_tracer",
     "validate_chrome_trace",
     "Metric",
-    "Registry",
-    "comm_metrics",
+    "collect",
     "parse_prometheus",
-    "register_comm_world",
     "render_prometheus",
-    "serving_registry",
 ]

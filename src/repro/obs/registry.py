@@ -1,41 +1,29 @@
-"""Unified telemetry registry: one snapshot, two exposition formats.
+"""Telemetry exposition: one scrape, two formats.
 
-Telemetry used to be island snapshots — ``ServingMetrics`` outcome
-counters, ``FeatureStore.stats()``, ``AP_TIMER``, per-world
-``CommCounters``.
-:class:`Registry` absorbs them behind one ``collect()``:
+The counters live where they are counted — ``ServingMetrics`` outcome
+counters, ``FeatureStore.stats()``, ``AP_TIMER``, the tracer's ring and
+latency decomposition.  :func:`collect` reads them at scrape time
+(nothing is maintained on the hot path for it) and returns one sorted
+list of :class:`Metric` families:
 
-- **collectors** are named callables returning :class:`Metric`
-  families; they run *outside* the registry lock (they take their own
-  subsystem locks — serializing them under ours would add lock-order
-  edges for nothing);
 - **naming** is consistent ``repro_*`` with Prometheus conventions
   (``_total`` suffix on monotone counters, base units in the name);
-- **exposition** renders the collected families as Prometheus text
-  (:func:`render_prometheus`, served at ``GET /metrics?format=prom``).
+- **exposition** renders the families as Prometheus text
+  (:func:`render_prometheus`, served at ``GET /metrics?format=prom``),
+  and :func:`parse_prometheus` reads that text back.
 
-The existing ``GET /metrics`` JSON body is *not* rerouted through the
-registry: it stays ``ServingFrontend.metrics_snapshot()`` bit-for-bit;
-the registry's serving collector reads that same snapshot.
-
-Communication counters (the satellite that was only reachable from
-benchmark code): worlds self-register via :func:`register_comm_world`
-— a weakref, pruned automatically, so short-lived test worlds cannot
-leak — and every registry built with ``include_comm=True`` exposes
-per-rank ``repro_comm_*`` series for all live worlds.
+The ``GET /metrics`` JSON body is *not* rerouted through here: it stays
+``ServingFrontend.metrics_snapshot()`` bit-for-bit, and :func:`collect`
+reads that same snapshot.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.sanitizers import make_lock
-
-#: Prometheus metric kinds this registry emits.
+#: Prometheus metric kinds this module emits.
 KINDS = ("counter", "gauge")
 
 
@@ -61,38 +49,12 @@ class Metric:
         return self
 
 
-class Registry:
-    """Named collectors -> one consistent, sorted family list."""
-
-    def __init__(self):
-        self._lock = make_lock("obs.registry")
-        self._collectors: Dict[str, Callable[[], List[Metric]]] = {}  # guarded-by: _lock
-
-    def register(self, name: str, collector: Callable[[], List[Metric]]) -> None:
-        with self._lock:
-            if name in self._collectors:
-                raise ValueError(f"collector {name!r} already registered")
-            self._collectors[name] = collector
-
-    def collect(self) -> List[Metric]:
-        """Run every collector (outside the registry lock) and return
-        the families sorted by name; duplicate family names are a
-        programming error and fail loudly."""
-        with self._lock:
-            collectors = sorted(self._collectors.items())
-        seen: Dict[str, str] = {}
-        out: List[Metric] = []
-        for cname, collector in collectors:
-            for metric in collector():
-                if metric.name in seen:
-                    raise ValueError(
-                        f"metric family {metric.name!r} emitted by both "
-                        f"{seen[metric.name]!r} and {cname!r}"
-                    )
-                seen[metric.name] = cname
-                out.append(metric)
-        out.sort(key=lambda m: m.name)
-        return out
+def collect(frontend) -> List[Metric]:
+    """Every family a serving process exports, sorted by name: the
+    frontend's request counters and gauges, the kernel AP timer, and
+    the frontend's tracer."""
+    families = _serving_metrics(frontend) + _ap_metrics() + _trace_metrics(frontend.tracer)
+    return sorted(families, key=lambda m: m.name)
 
 
 # -- exposition ---------------------------------------------------------------
@@ -154,73 +116,6 @@ def parse_prometheus(text: str) -> Dict[str, Dict[Tuple[Tuple[str, str], ...], f
             key = ()
         out.setdefault(name, {})[key] = float(value_part)
     return out
-
-
-# -- comm-world sources (weakref, self-pruning) -------------------------------
-
-_comm_lock = make_lock("obs.registry.comm")
-_comm_worlds: Dict[str, "weakref.ReferenceType"] = {}  # guarded-by: _comm_lock
-_comm_seq = itertools.count(1)  # itertools.count is atomic in CPython
-
-
-def register_comm_world(world, kind: str = "world") -> str:
-    """Expose a world's ``CommCounters`` through every registry.
-
-    Held by weakref: a world that goes away simply disappears from the
-    next ``collect()``; returns the registered name (``sim-3`` /
-    ``shm-1`` / ...).
-    """
-    name = f"{kind}-{next(_comm_seq)}"
-    ref = weakref.ref(world)
-    with _comm_lock:
-        _comm_worlds[name] = ref
-    return name
-
-
-def _live_comm_worlds() -> List[Tuple[str, object]]:
-    with _comm_lock:
-        items = list(_comm_worlds.items())
-    live, dead = [], []
-    for name, ref in items:
-        world = ref()
-        if world is None:
-            dead.append(name)
-        else:
-            live.append((name, world))
-    if dead:
-        with _comm_lock:
-            for name in dead:
-                _comm_worlds.pop(name, None)
-    return live
-
-
-def comm_metrics() -> List[Metric]:
-    """Per-rank p2p/collective byte counters for every live world."""
-    sent = Metric(
-        "repro_comm_bytes_sent_total", "counter",
-        "Bytes sent per rank (p2p + collectives)",
-    )
-    recv = Metric(
-        "repro_comm_bytes_received_total", "counter",
-        "Bytes received per rank (p2p + collectives)",
-    )
-    msgs = Metric(
-        "repro_comm_messages_sent_total", "counter",
-        "Point-to-point messages sent per rank",
-    )
-    colls = Metric(
-        "repro_comm_collective_calls_total", "counter",
-        "Collective invocations by name",
-    )
-    for name, world in sorted(_live_comm_worlds()):
-        counters = world.counters.snapshot()  # one instant: ranks may be recording
-        for rank in range(counters.num_ranks):
-            sent.add(counters.bytes_sent[rank], world=name, rank=rank)
-            recv.add(counters.bytes_received[rank], world=name, rank=rank)
-            msgs.add(counters.messages_sent[rank], world=name, rank=rank)
-        for cname, calls in sorted(counters.collective_calls.items()):
-            colls.add(calls, world=name, collective=cname)
-    return [sent, recv, msgs, colls]
 
 
 # -- subsystem collectors -----------------------------------------------------
@@ -306,16 +201,21 @@ def _ap_metrics() -> List[Metric]:
 
 
 def _trace_metrics(tracer) -> List[Metric]:
-    """Tracer health + per-endpoint latency-component totals."""
-    st = tracer.stats()
-    spans = Metric(
-        "repro_trace_spans_total", "counter",
-        "Root-span sampling decisions by result",
+    """Tracer ring health + per-endpoint latency-component totals."""
+    comp_total = Metric(
+        "repro_request_component_seconds_total", "counter",
+        "Accumulated latency-component seconds (traced ok requests)",
     )
-    spans.add(st["sampled"], result="sampled")
-    spans.add(st["seen"] - st["sampled"], result="skipped")
-    out = [
-        spans,
+    comp_count = Metric(
+        "repro_request_component_samples_total", "counter",
+        "Latency-component observations (traced ok requests)",
+    )
+    for endpoint, ep in tracer.decomposition().items():
+        for name, agg in {"e2e": ep["e2e"], **ep["components"]}.items():
+            comp_total.add(agg["total_s"], endpoint=endpoint, component=name)
+            comp_count.add(agg["count"], endpoint=endpoint, component=name)
+    st = tracer.stats()
+    return [
         Metric(
             "repro_trace_finished_spans_total", "counter",
             "Spans pushed into the trace ring",
@@ -328,39 +228,6 @@ def _trace_metrics(tracer) -> List[Metric]:
             "repro_trace_buffered_spans", "gauge",
             "Spans currently buffered in the ring",
         ).add(st["buffered"]),
+        comp_total,
+        comp_count,
     ]
-    comp_total = Metric(
-        "repro_request_component_seconds_total", "counter",
-        "Accumulated latency-component seconds (sampled ok requests)",
-    )
-    comp_count = Metric(
-        "repro_request_component_samples_total", "counter",
-        "Latency-component observations (sampled ok requests)",
-    )
-    for endpoint, ep in tracer.decomposition().items():
-        comp_total.add(ep["e2e"]["total_s"], endpoint=endpoint, component="e2e")
-        comp_count.add(ep["e2e"]["count"], endpoint=endpoint, component="e2e")
-        for name, agg in ep["components"].items():
-            comp_total.add(agg["total_s"], endpoint=endpoint, component=name)
-            comp_count.add(agg["count"], endpoint=endpoint, component=name)
-    out.extend([comp_total, comp_count])
-    return out
-
-
-def serving_registry(
-    frontend=None,
-    tracer=None,
-    include_ap: bool = True,
-    include_comm: bool = True,
-) -> Registry:
-    """The standard registry composition for a serving process."""
-    registry = Registry()
-    if frontend is not None:
-        registry.register("serving", lambda: _serving_metrics(frontend))
-    if tracer is not None:
-        registry.register("trace", lambda: _trace_metrics(tracer))
-    if include_ap:
-        registry.register("kernels", _ap_metrics)
-    if include_comm:
-        registry.register("comm", comm_metrics)
-    return registry

@@ -1,4 +1,4 @@
-"""End-to-end request tracing: spans, head sampling, bounded ring export.
+"""End-to-end request tracing: spans, a bounded ring, Chrome export.
 
 One admitted request = one **root span**; the stages it crosses (queue
 wait, engine compute, feature gather, kernel AP passes) attach child spans and **latency components** to it.  Design
@@ -14,15 +14,13 @@ constraints, in order:
   ``FeatureStore.gather``) can pick the current span up without their
   signatures knowing about tracing.
 - **Bounded, lock-disciplined buffering.**  Finished spans land in a
-  fixed-capacity ring under one :func:`make_lock` — a full ring
-  overwrites the oldest span and counts a drop; tracing can never grow
-  memory without bound or block the request path.
-- **Head-based sampling.**  The keep/skip decision is made once, at
-  root-span creation (``REPRO_TRACE=1`` to enable,
-  ``REPRO_TRACE_SAMPLE=0.01`` for 1-in-100): an unsampled request
-  carries a ``None`` context and every instrumentation site
-  short-circuits, so the steady-state overhead of a disabled or
-  down-sampled tracer is one ``None`` check.
+  ring of :data:`RING_CAPACITY` spans under one :func:`make_lock` — a
+  full ring overwrites the oldest span and counts a drop; tracing can
+  never grow memory without bound or block the request path.
+- **One switch.**  ``REPRO_TRACE=1`` traces every request; off, a
+  request carries a ``None`` context and every instrumentation site
+  short-circuits, so the overhead of a disabled tracer is one ``None``
+  check.
 - **Standard export.**  :func:`chrome_trace` renders the ring as Chrome
   trace-event JSON (loadable in Perfetto / ``chrome://tracing``);
   ``GET /trace`` serves it and ``repro trace --url`` saves it.
@@ -40,10 +38,7 @@ import itertools
 import os
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.analysis.sanitizers import make_lock
 
@@ -51,6 +46,9 @@ from repro.analysis.sanitizers import make_lock
 #: order: the ones the decomposition cross-check sums against end-to-end
 #: latency.
 COMPONENTS = ("queue", "compute", "feature")
+
+#: spans the ring holds before it overwrites the oldest
+RING_CAPACITY = 4096
 
 #: outcome ascribed to a span closed by ``with`` on an exception.
 _ERROR_OUTCOME = "error"
@@ -74,9 +72,9 @@ def current_span() -> Optional["Span"]:
 class activate:
     """Context manager scoping ``span`` as this thread's current span.
 
-    ``activate(None)`` is valid and clears the slot — a worker thread
-    that just ran a sampled request must not leak its span into the
-    next, unsampled one.
+    ``activate(None)`` is valid and clears the slot: a thread that just
+    ran a traced request must not leak its span into the next, untraced
+    one.
     """
 
     __slots__ = ("_span", "_prev")
@@ -145,16 +143,16 @@ class Span:
             return self._components.get(name, 0.0)
 
     def time_compute(self, fn):
-        """``(fn(), elapsed_s)``: the call's wall time is added as the
-        ``compute`` component, less the ``feature`` time recorded inside
-        it, so components never overlap."""
+        """``fn()``, its wall time added as the ``compute`` component,
+        less the ``feature`` time recorded inside it, so components
+        never overlap."""
         feature_before = self.component_seconds("feature")
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0
         feature_during = self.component_seconds("feature") - feature_before
         self.add_component("compute", max(0.0, elapsed - feature_during))
-        return result, elapsed
+        return result
 
     # -- children -------------------------------------------------------------
 
@@ -228,33 +226,6 @@ class Span:
 # -- decomposition aggregation ------------------------------------------------
 
 
-class _Agg:
-    """Sum/count plus a bounded window for quantiles (not thread-safe on
-    its own — the tracer's decomposition lock serializes access)."""
-
-    __slots__ = ("total_s", "count", "window")
-
-    def __init__(self, window: int = 2048):
-        self.total_s = 0.0
-        self.count = 0
-        self.window = deque(maxlen=window)
-
-    def add(self, seconds: float) -> None:
-        self.total_s += float(seconds)
-        self.count += 1
-        self.window.append(float(seconds))
-
-    def summary(self, mean_ms: float) -> dict:
-        lat = np.asarray(self.window, dtype=np.float64) * 1e3
-        return {
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_ms": mean_ms,
-            "p50_ms": float(np.percentile(lat, 50.0)),
-            "p99_ms": float(np.percentile(lat, 99.0)),
-        }
-
-
 def decompose(e2e, components) -> dict:
     """Mean latencies (ms) of one endpoint from its accumulated
     ``(total_s, count)`` pairs: ``e2e`` over the ok roots, ``components``
@@ -293,41 +264,16 @@ def decompose(e2e, components) -> dict:
 
 
 class Tracer:
-    """Sampling decision + bounded span ring + latency decomposition.
+    """Bounded span ring + latency decomposition.
 
-    Parameters default from the environment so one knob flips the whole
-    serving stack: ``REPRO_TRACE`` (off unless set truthy),
-    ``REPRO_TRACE_SAMPLE`` (head sampling rate in (0, 1], default keep
-    everything), ``REPRO_TRACE_BUFFER`` (ring capacity in spans).
+    ``enabled`` defaults from the environment, so one knob flips the
+    whole serving stack: ``REPRO_TRACE`` (off unless set truthy).
     """
 
-    def __init__(
-        self,
-        enabled: Optional[bool] = None,
-        sample_rate: Optional[float] = None,
-        capacity: Optional[int] = None,
-    ):
-        env = os.environ
+    def __init__(self, enabled: Optional[bool] = None):
         if enabled is None:
-            enabled = env.get("REPRO_TRACE", "") not in ("", "0", "false", "no")
-        if sample_rate is None:
-            sample_rate = float(env.get("REPRO_TRACE_SAMPLE", "1.0"))
-        if capacity is None:
-            capacity = int(env.get("REPRO_TRACE_BUFFER", "4096"))
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
+            enabled = os.environ.get("REPRO_TRACE", "") not in ("", "0", "false", "no")
         self.enabled = bool(enabled)
-        self.sample_rate = float(sample_rate)
-        self.capacity = int(capacity)
-        # deterministic head sampling: keep every Nth root (0 = keep none)
-        if sample_rate >= 1.0:
-            self._period = 1
-        elif sample_rate <= 0.0:
-            self._period = 0
-        else:
-            self._period = max(1, int(round(1.0 / sample_rate)))
         # id allocation: itertools.count.__next__ is atomic in CPython
         self._ids = itertools.count(1)
         # wall-clock anchor so exported timestamps are absolute epoch µs
@@ -336,12 +282,11 @@ class Tracer:
         self._lock = make_lock("obs.trace.ring")
         self._ring: List[dict] = []  # guarded-by: _lock
         self._slot = 0  # guarded-by: _lock — next overwrite index once full
-        self._seen = 0  # guarded-by: _lock — root sampling decisions made
-        self._sampled = 0  # guarded-by: _lock — root spans actually opened
         self._finished = 0  # guarded-by: _lock — spans pushed to the ring
         self._dropped = 0  # guarded-by: _lock — spans overwritten unread
         self._decomp_lock = make_lock("obs.trace.decomp")
-        self._decomp: Dict[str, dict] = {}  # guarded-by: _decomp_lock
+        # endpoint -> (e2e [total_s, count], component -> [total_s, count])
+        self._decomp: Dict[str, tuple] = {}  # guarded-by: _decomp_lock
 
     # -- span creation --------------------------------------------------------
 
@@ -353,21 +298,12 @@ class Tracer:
         return (self._wall0 + (t_perf - self._perf0)) * 1e6
 
     def root(self, name: str, cat: str = "request") -> Optional[Span]:
-        """One head-sampled root span per admitted request, or ``None``.
+        """One root span per admitted request, or ``None`` when off.
 
         ``None`` is the contract for "not traced": every downstream site
         checks the context once and does no other work.
         """
-        if not self.enabled or self._period == 0:
-            return None
-        with self._lock:
-            self._seen += 1
-            take = (self._seen - 1) % self._period == 0
-            if take:
-                self._sampled += 1
-        if not take:
-            return None
-        return Span(self, name, cat=cat)
+        return Span(self, name, cat=cat) if self.enabled else None
 
     # -- ring -----------------------------------------------------------------
 
@@ -375,28 +311,23 @@ class Tracer:
         """Land one finished span; a full ring overwrites the oldest."""
         with self._lock:
             self._finished += 1
-            if len(self._ring) < self.capacity:
+            if len(self._ring) < RING_CAPACITY:
                 self._ring.append(record)
             else:
                 self._ring[self._slot] = record
-                self._slot = (self._slot + 1) % self.capacity
+                self._slot = (self._slot + 1) % RING_CAPACITY
                 self._dropped += 1
 
     def export(self) -> List[dict]:
         """Buffered spans, oldest first (a consistent copy)."""
         with self._lock:
-            if len(self._ring) < self.capacity:
+            if len(self._ring) < RING_CAPACITY:
                 return list(self._ring)
             return self._ring[self._slot:] + self._ring[: self._slot]
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "enabled": self.enabled,
-                "sample_rate": self.sample_rate,
-                "capacity": self.capacity,
-                "seen": self._seen,
-                "sampled": self._sampled,
                 "finished": self._finished,
                 "dropped": self._dropped,
                 "buffered": len(self._ring),
@@ -406,40 +337,43 @@ class Tracer:
 
     def record_components(self, endpoint: str, components: Dict[str, float], e2e_s: float):
         """Fold one ok root's component seconds into the per-endpoint
-        histograms (sampled requests only, by construction)."""
+        ``[total_s, count]`` sums."""
         with self._decomp_lock:
-            ep = self._decomp.get(endpoint)
-            if ep is None:
-                ep = self._decomp[endpoint] = {"e2e": _Agg(), "components": {}}
-            ep["e2e"].add(e2e_s)
+            e2e, comps = self._decomp.setdefault(endpoint, ([0.0, 0], {}))
+            e2e[0] += float(e2e_s)
+            e2e[1] += 1
             for name, seconds in components.items():
-                agg = ep["components"].get(name)
-                if agg is None:
-                    agg = ep["components"][name] = _Agg()
-                agg.add(seconds)
+                agg = comps.setdefault(name, [0.0, 0])
+                agg[0] += float(seconds)
+                agg[1] += 1
 
     def decomposition(self) -> Dict[str, dict]:
-        """Per-endpoint component histograms vs end-to-end latency, with
+        """Per-endpoint component totals vs end-to-end latency, with
         the means of :func:`decompose`."""
         with self._decomp_lock:
-            out: Dict[str, dict] = {}
-            for endpoint, ep in sorted(self._decomp.items()):
-                e2e, comps = ep["e2e"], ep["components"]
-                means = decompose(
-                    (e2e.total_s, e2e.count),
-                    {name: (agg.total_s, agg.count) for name, agg in comps.items()},
-                )
-                out[endpoint] = {
-                    "count": e2e.count,
-                    "e2e": e2e.summary(means["e2e_mean_ms"]),
-                    "components": {
-                        name: comps[name].summary(mean_ms)
-                        for name, mean_ms in means["component_mean_ms"].items()
-                    },
-                    "component_sum_mean_ms": means["component_sum_mean_ms"],
-                    "unattributed_mean_ms": means["unattributed_mean_ms"],
-                }
-            return out
+            sums = {
+                endpoint: (tuple(e2e), {name: tuple(agg) for name, agg in comps.items()})
+                for endpoint, (e2e, comps) in self._decomp.items()
+            }
+        out: Dict[str, dict] = {}
+        for endpoint, (e2e, comps) in sorted(sums.items()):
+            means = decompose(e2e, comps)
+            out[endpoint] = {
+                "count": e2e[1],
+                "e2e": _summary(e2e, means["e2e_mean_ms"]),
+                "components": {
+                    name: _summary(comps[name], mean_ms)
+                    for name, mean_ms in means["component_mean_ms"].items()
+                },
+                "component_sum_mean_ms": means["component_sum_mean_ms"],
+                "unattributed_mean_ms": means["unattributed_mean_ms"],
+            }
+        return out
+
+
+def _summary(agg, mean_ms: float) -> dict:
+    total_s, count = agg
+    return {"count": count, "total_s": total_s, "mean_ms": mean_ms}
 
 
 # -- module default tracer ----------------------------------------------------
@@ -450,8 +384,7 @@ _default: Optional[Tracer] = None
 
 def get_tracer() -> Tracer:
     """The process-wide default tracer, built lazily from the
-    environment (``REPRO_TRACE`` / ``REPRO_TRACE_SAMPLE`` /
-    ``REPRO_TRACE_BUFFER``)."""
+    environment (``REPRO_TRACE``)."""
     global _default
     with _default_lock:
         if _default is None:

@@ -66,6 +66,12 @@ class RequestTimeout(ServingUnavailable):
     outcome = "timeout"
 
 
+def _as_compute(span: Optional[Span], fn: Callable[[], object]):
+    """``fn()``; on a traced request its wall time is the ``compute``
+    component (less any feature gather inside it)."""
+    return fn() if span is None else span.time_compute(fn)
+
+
 class ServingFrontend:
     """Admission gate over a ``PredictionService`` (engine + refresher).
 
@@ -201,7 +207,7 @@ class ServingFrontend:
                     # queue component: time spent waiting at the gate
                     span.add_component("queue", time.perf_counter() - t_admit)
                 try:
-                    result = fn()
+                    result = _as_compute(span, fn)
                 finally:
                     self._leave()
                 if time.perf_counter() <= deadline:
@@ -218,9 +224,7 @@ class ServingFrontend:
     def _update(self, endpoint: str, fn: Callable[[], object]):
         """Run the update ``fn`` measured, its time the ``compute``
         component of a traced request."""
-        return self._measured(
-            endpoint, lambda span: fn() if span is None else span.time_compute(fn)[0]
-        )
+        return self._measured(endpoint, lambda span: _as_compute(span, fn))
 
     def update_edges(self, add=None, remove=None):
         """Apply the topology update; reads keep being served."""

@@ -15,8 +15,8 @@ update path behind one ``predict``/``topk``/``update`` surface, and
 - ``GET /stats``             engine / refresher counters
 - ``GET /metrics``           request-path metrics: per-endpoint outcome
   counters and p50/p99, queue depth, in-flight count (JSON);
-  ``?format=prom`` renders the unified telemetry registry as Prometheus
-  text exposition instead
+  ``?format=prom`` renders every ``repro_*`` family (``obs.collect``)
+  as Prometheus text exposition instead
 - ``GET /trace``             buffered request spans as Chrome
   trace-event JSON (Perfetto-loadable; ``REPRO_TRACE=1`` to record)
 - ``GET /healthz``           liveness; always ``200 {"status": "ok"}``
@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.analysis.sanitizers import make_lock
 from repro.graph.csr import INDEX_DTYPE
-from repro.obs.registry import render_prometheus, serving_registry
+from repro.obs.registry import collect, render_prometheus
 from repro.obs.trace import chrome_trace, current_span
 from repro.serving.engine import InferenceEngine, topk_rows
 from repro.serving.frontend import ServingFrontend, ServingUnavailable
@@ -186,15 +186,16 @@ class PredictionService:
 
     def predict_logits(self, vertex_ids) -> np.ndarray:
         """One logit row per requested vertex (request order preserved),
-        recorded as the ``compute`` component and an ``engine.predict``
-        child span when the request is traced."""
+        recorded as an ``engine.predict`` child span when the request is
+        traced (the frontend times the whole read as ``compute``)."""
         ids = self.engine._check_ids(vertex_ids)
         span = current_span()
         if span is None:
             return self._lookup(ids)
-        rows, elapsed = span.time_compute(lambda: self._lookup(ids))
+        t0 = time.perf_counter()
+        rows = self._lookup(ids)
         span.child_complete(
-            "engine.predict", elapsed, cat="serving", rows=int(ids.size)
+            "engine.predict", time.perf_counter() - t0, cat="serving", rows=int(ids.size)
         )
         return rows
 
@@ -357,11 +358,11 @@ class _PredictionHandler(socketserver.StreamRequestHandler):
         elif path == "/metrics":
             fmt = parse_qs(query).get("format", ["json"])[0]
             if fmt == "prom":
-                # the registry view; the JSON body below stays the
-                # frontend snapshot bit-for-bit
+                # every family of one scrape; the JSON body below stays
+                # the frontend snapshot bit-for-bit
                 self._reply(
                     200,
-                    render_prometheus(self.server.registry.collect()),  # type: ignore[attr-defined]
+                    render_prometheus(collect(self.frontend)),
                     content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
             elif fmt == "json":
@@ -489,7 +490,7 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, address, owner: "PredictionServer", verbose: bool):
         super().__init__(address, _PredictionHandler)
         self.service, self.frontend = owner.service, owner.frontend
-        self.registry, self.verbose = owner.registry, verbose
+        self.verbose = verbose
         self.closing = False
         self._lock = make_lock("serving.server.connections")
         self._open = set()  # guarded-by: _lock
@@ -537,11 +538,6 @@ class PredictionServer:
         )
         if self.frontend.service is not service:
             raise ValueError("frontend must wrap the same service")
-        # one unified registry behind GET /metrics?format=prom: serving
-        # counters, feature store, tracer, AP timer, comm worlds
-        self.registry = serving_registry(
-            frontend=self.frontend, tracer=self.frontend.tracer
-        )
         self.httpd = _HTTPServer((host, port), self, verbose)
         self._thread: Optional[threading.Thread] = None
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.comm import ShmWorld, World
 from repro.core import DistributedTrainer, TrainConfig
 from repro.graph.datasets import load_dataset
-from repro.obs.registry import serving_registry
 from sim_oracle import force_pool_size
 
 #: (src, dst, words, delay) drawn over a 3-rank world, 3 epochs
@@ -105,9 +104,9 @@ def test_trainer_counters_conserved_with_delayed_drpa(backend):
 
 
 def test_counters_conserved_under_a_scrape_of_a_threaded_fit(monkeypatch):
-    """A scraper thread reads ``counters.snapshot()`` and the telemetry
-    registry throughout a cd-0 fit whose three ranks record from their
-    own threads: every reading is one instant, so it is conserved."""
+    """A scraper thread reads ``counters.snapshot()`` throughout a cd-0
+    fit whose three ranks record from their own threads: every reading
+    is one instant, so it is conserved."""
     force_pool_size(monkeypatch, 3)
     ds = load_dataset("reddit", scale=0.05, seed=1)
     cfg = TrainConfig(
@@ -118,18 +117,10 @@ def test_counters_conserved_under_a_scrape_of_a_threaded_fit(monkeypatch):
     world, readings = trainer.world, []
     done = threading.Event()
 
-    def registry_totals():
-        families = {m.name: m for m in serving_registry(include_ap=False).collect()}
-        return [
-            sum(v for labels, v in families[name].samples if labels["world"] == world.obs_name)
-            for name in ("repro_comm_bytes_sent_total", "repro_comm_bytes_received_total")
-        ]
-
     def scrape():
         while not done.is_set():
             snap = world.counters.snapshot()
             readings.append((sum(snap.bytes_sent), sum(snap.bytes_received)))
-            readings.append(tuple(registry_totals()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

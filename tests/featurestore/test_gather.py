@@ -178,7 +178,7 @@ def test_resident_counters_are_exact_under_concurrent_gathers(X):
 
 def test_traced_gather_records_a_feature_span(tmp_path, X):
     store = _store("mmap", tmp_path, X)
-    tracer = Tracer(enabled=True, sample_rate=1.0)
+    tracer = Tracer(enabled=True)
     root = tracer.root("predict")
     with activate(root):
         store.gather([1, 2, 3, 3])
@@ -191,7 +191,7 @@ def test_traced_gather_records_a_feature_span(tmp_path, X):
 
 def test_untraced_gather_records_nothing(tmp_path, X):
     store = _store("mmap", tmp_path, X)
-    tracer = Tracer(enabled=True, sample_rate=1.0)
+    tracer = Tracer(enabled=True)
     root = tracer.root("predict")
     store.gather([1, 2])  # no span activated on this thread
     root.end("ok")

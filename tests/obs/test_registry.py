@@ -1,31 +1,43 @@
 """Unit contracts of :mod:`repro.obs.registry`.
 
-Naming discipline, duplicate detection, the Prometheus render /
-re-parse round trip, weakref'd comm-world sources, and the agreement
-between the Prometheus view and the JSON snapshot it is derived from.
+Naming discipline, the families one :func:`collect` returns, the
+Prometheus render / re-parse round trip, and the agreement between the
+Prometheus view and the JSON snapshot and tracer it is derived from.
 The live-server agreement check (a real ``GET /metrics?format=prom``
 against ``GET /metrics``) is in ``tests/serving/test_tracing.py``.
 """
-
-import gc
 
 import numpy as np
 import pytest
 
 from repro.obs.registry import (
     Metric,
-    Registry,
-    comm_metrics,
+    collect,
     parse_prometheus,
-    register_comm_world,
     render_prometheus,
-    serving_registry,
 )
 from repro.obs.trace import Tracer
 from repro.serving.metrics import OUTCOMES, ServingMetrics
 
 
-# -- Metric / Registry basics -----------------------------------------------------
+class _StubFrontend:
+    """metrics_snapshot()-shaped object mirroring ServingFrontend."""
+
+    def __init__(self, tracer=None):
+        self.metrics = ServingMetrics()
+        self.tracer = Tracer(enabled=False) if tracer is None else tracer
+
+    def metrics_snapshot(self):
+        return self.metrics.snapshot(
+            queue_depth=1,
+            in_flight=2,
+            max_queue=8,
+            num_workers=4,
+            feature_store=None,
+        )
+
+
+# -- Metric basics ---------------------------------------------------------------
 
 
 def test_metric_enforces_namespace_and_kind():
@@ -33,23 +45,6 @@ def test_metric_enforces_namespace_and_kind():
         Metric("requests_total", "counter", "off-namespace")
     with pytest.raises(ValueError, match="kind"):
         Metric("repro_requests_total", "histogram", "unsupported kind")
-
-
-def test_registry_rejects_duplicate_collectors_and_families():
-    reg = Registry()
-    reg.register("a", lambda: [Metric("repro_x", "counter", "x").add(1)])
-    with pytest.raises(ValueError, match="already registered"):
-        reg.register("a", lambda: [])
-    reg.register("b", lambda: [Metric("repro_x", "counter", "x again").add(2)])
-    with pytest.raises(ValueError, match="emitted by both"):
-        reg.collect()
-
-
-def test_collect_sorts_families_by_name():
-    reg = Registry()
-    reg.register("z", lambda: [Metric("repro_zz", "gauge", "z").add(0)])
-    reg.register("a", lambda: [Metric("repro_aa", "gauge", "a").add(0)])
-    assert [m.name for m in reg.collect()] == ["repro_aa", "repro_zz"]
 
 
 # -- exposition -------------------------------------------------------------------
@@ -112,7 +107,7 @@ def test_prometheus_values_round_trip_exactly(value):
 def test_component_families_carry_the_decomposition_totals():
     """Per endpoint and component, the exported seconds and samples are
     the tracer's own totals, exactly."""
-    tracer = Tracer(enabled=True, sample_rate=1.0, capacity=64)
+    tracer = Tracer(enabled=True)
     rng = np.random.default_rng(5)
     for endpoint in ("predict", "topk", "predict", "update_edges", "predict"):
         span = tracer.root(endpoint)
@@ -120,8 +115,7 @@ def test_component_families_carry_the_decomposition_totals():
         if endpoint != "update_edges":
             span.add_component("compute", float(rng.exponential(1e-3)))
         span.end("ok", e2e_s=float(rng.exponential(3e-3)) + 2e-3)
-    reg = serving_registry(tracer=tracer, include_ap=False, include_comm=False)
-    parsed = parse_prometheus(render_prometheus(reg.collect()))
+    parsed = parse_prometheus(render_prometheus(collect(_StubFrontend(tracer))))
     seconds = parsed["repro_request_component_seconds_total"]
     samples = parsed["repro_request_component_samples_total"]
     decomposition = tracer.decomposition()
@@ -134,74 +128,7 @@ def test_component_families_carry_the_decomposition_totals():
             assert samples[key] == summary["count"]
 
 
-# -- comm-world sources -----------------------------------------------------------
-
-
-class _StubWorld:
-    """counters-shaped object (the duck type ``comm_metrics`` reads: a
-    ``snapshot()`` holding the per-rank lists)."""
-
-    class counters:  # noqa: N801 — instance attribute stand-in
-        num_ranks = 2
-        bytes_sent = [10, 20]
-        bytes_received = [20, 10]
-        messages_sent = [1, 2]
-        collective_calls = {"allreduce": 3}
-
-        @classmethod
-        def snapshot(cls):
-            return cls
-
-
-def _world_samples():
-    by_name = {m.name: m for m in comm_metrics()}
-    return {
-        labels["world"]
-        for labels, _ in by_name["repro_comm_bytes_sent_total"].samples
-    }
-
-
-def test_comm_worlds_are_weakly_referenced():
-    world = _StubWorld()
-    name = register_comm_world(world, kind="test")
-    assert name in _world_samples()
-    del world
-    gc.collect()
-    assert name not in _world_samples()
-
-
-def test_sim_world_self_registers_and_counts():
-    from repro.comm.communicator import World
-
-    world = World(2)
-    comm = world.communicator(0)
-    comm.isend(1, np.zeros(4, dtype=np.float64))
-    by_name = {m.name: m for m in comm_metrics()}
-    sent = {
-        labels["rank"]: value
-        for labels, value in by_name["repro_comm_bytes_sent_total"].samples
-        if labels["world"] == world.obs_name
-    }
-    assert sent["0"] == 32.0 and sent["1"] == 0.0
-
-
 # -- the serving composition ------------------------------------------------------
-
-
-class _StubFrontend:
-    """metrics_snapshot()-shaped object mirroring ServingFrontend."""
-
-    def __init__(self):
-        self.metrics = ServingMetrics()
-
-    def metrics_snapshot(self):
-        return self.metrics.snapshot(
-            queue_depth=1,
-            in_flight=2,
-            max_queue=8,
-            num_workers=4,
-            feature_store=None,
-        )
 
 
 def test_prometheus_agrees_with_json_snapshot_counter_for_counter():
@@ -211,8 +138,7 @@ def test_prometheus_agrees_with_json_snapshot_counter_for_counter():
     fe.metrics.record("predict", "timeout")
     fe.metrics.record("topk", "rejected_queue_full")
 
-    reg = serving_registry(frontend=fe, include_ap=False, include_comm=False)
-    parsed = parse_prometheus(render_prometheus(reg.collect()))
+    parsed = parse_prometheus(render_prometheus(collect(fe)))
     snap = fe.metrics_snapshot()
 
     for endpoint, ep in snap["endpoints"].items():
@@ -229,32 +155,60 @@ def test_prometheus_agrees_with_json_snapshot_counter_for_counter():
     assert (("endpoint", "topk"), ("quantile", "p50")) not in lat
 
 
-def test_trace_collector_conserves_sampling_decisions():
-    tracer = Tracer(enabled=True, sample_rate=0.5, capacity=16)
-    for _ in range(10):
+def test_collect_returns_each_family_once_sorted_by_name():
+    fe = _StubFrontend(Tracer(enabled=True))
+    fe.metrics.record("predict", "ok", latency_s=0.002)
+    names = [m.name for m in collect(fe)]
+    assert names == sorted(set(names))
+    assert {
+        "repro_requests_total", "repro_request_latency_ms", "repro_queue_depth",
+        "repro_in_flight", "repro_queue_capacity", "repro_workers",
+        "repro_ap_seconds_total", "repro_ap_calls_total",
+        "repro_trace_finished_spans_total", "repro_trace_dropped_spans_total",
+        "repro_trace_buffered_spans", "repro_request_component_seconds_total",
+        "repro_request_component_samples_total",
+    } == set(names)
+
+
+def test_trace_families_conserve_the_ring_and_the_roots():
+    """Every finished span is buffered or dropped, and each traced ok
+    root is one ``e2e`` sample."""
+    tracer = Tracer(enabled=True)
+    fe = _StubFrontend(tracer)
+    for i in range(10):
         span = tracer.root("predict")
-        if span is not None:
-            span.add_component("compute", 0.001)
-            span.end("ok", e2e_s=0.002)
-    reg = serving_registry(tracer=tracer, include_ap=False, include_comm=False)
-    parsed = parse_prometheus(render_prometheus(reg.collect()))
-    spans = parsed["repro_trace_spans_total"]
+        span.add_component("compute", 0.001)
+        span.child_complete("engine.predict", 0.001)
+        span.end("ok" if i % 5 else "timeout", e2e_s=0.002)
+    parsed = parse_prometheus(render_prometheus(collect(fe)))
     st = tracer.stats()
-    assert spans[(("result", "sampled"),)] == st["sampled"]
-    assert spans[(("result", "sampled"),)] + spans[(("result", "skipped"),)] == st["seen"]
-    assert parsed["repro_trace_finished_spans_total"][()] == st["finished"]
+    assert parsed["repro_trace_finished_spans_total"][()] == st["finished"] == 20
+    assert (
+        parsed["repro_trace_buffered_spans"][()]
+        + parsed["repro_trace_dropped_spans_total"][()]
+        == st["finished"]
+    )
     comp = parsed["repro_request_component_samples_total"]
-    assert comp[(("component", "e2e"), ("endpoint", "predict"))] == st["sampled"]
+    assert comp[(("component", "e2e"), ("endpoint", "predict"))] == 8
+
+
+def test_untraced_frontend_exports_no_component_samples():
+    fe = _StubFrontend()
+    fe.metrics.record("predict", "ok", latency_s=0.002)
+    families = {m.name: m for m in collect(fe)}
+    assert families["repro_request_component_seconds_total"].samples == []
+    assert families["repro_request_component_samples_total"].samples == []
+    assert families["repro_trace_finished_spans_total"].samples == [({}, 0.0)]
 
 
 def test_ap_collector_reads_kernel_timer():
     from repro.kernels.instrumentation import AP_TIMER
 
-    reg = serving_registry(include_ap=True, include_comm=False)
-    before = {m.name: m for m in reg.collect()}
+    fe = _StubFrontend()
+    before = {m.name: m for m in collect(fe)}
     AP_TIMER.add(0.25)
     try:
-        after = {m.name: m for m in reg.collect()}
+        after = {m.name: m for m in collect(fe)}
         gained = (
             after["repro_ap_seconds_total"].samples[0][1]
             - before["repro_ap_seconds_total"].samples[0][1]

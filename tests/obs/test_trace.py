@@ -3,19 +3,21 @@
 The serving-level behaviour (one root per admitted request, component
 conservation against end-to-end latency) lives in
 ``tests/serving/test_tracing.py``; this suite pins the tracer machinery
-itself: deterministic head sampling, the bounded ring, first-close-wins
-span completion, explicit context activation, and the pinned Chrome
-trace-event schema.
+itself: the one switch, the bounded ring, first-close-wins span
+completion, explicit context activation, the component sums, and the
+pinned Chrome trace-event schema.
 """
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.obs.trace import (
     COMPONENTS,
-    Span,
+    RING_CAPACITY,
     Tracer,
     activate,
     chrome_trace,
@@ -26,69 +28,52 @@ from repro.obs.trace import (
 )
 
 
-def make_tracer(**kwargs) -> Tracer:
-    kwargs.setdefault("enabled", True)
-    kwargs.setdefault("sample_rate", 1.0)
-    return Tracer(**kwargs)
+def make_tracer() -> Tracer:
+    return Tracer(enabled=True)
 
 
-# -- sampling ---------------------------------------------------------------------
+# -- the switch -------------------------------------------------------------------
 
 
-def test_head_sampling_is_deterministic():
-    """rate 0.25 keeps exactly every 4th root — twice, identically."""
-    decisions = []
-    for _ in range(2):
-        t = make_tracer(sample_rate=0.25)
-        kept = [t.root("predict") is not None for _ in range(100)]
-        decisions.append(kept)
-        assert sum(kept) == 25
-        st = t.stats()
-        assert st["seen"] == 100 and st["sampled"] == 25
-    assert decisions[0] == decisions[1]
+def test_enabled_tracer_opens_a_root_for_every_request():
+    t = make_tracer()
+    spans = [t.root("predict") for _ in range(100)]
+    assert all(span is not None and span.parent_id is None for span in spans)
+    assert len({span.trace_id for span in spans}) == 100
 
 
-def test_disabled_tracer_returns_none_and_counts_nothing():
+def test_disabled_tracer_returns_none_and_records_nothing():
     t = Tracer(enabled=False)
-    assert t.root("predict") is None
-    assert t.stats()["seen"] == 0
+    assert all(t.root(name) is None for name in ("predict", "topk", "update_edges"))
+    assert t.stats() == {"finished": 0, "dropped": 0, "buffered": 0}
+    assert t.export() == [] and t.decomposition() == {}
 
 
-def test_zero_sample_rate_keeps_nothing():
-    t = make_tracer(sample_rate=0.0)
-    assert all(t.root("predict") is None for _ in range(10))
-
-
-def test_tracer_validates_parameters():
-    with pytest.raises(ValueError, match="sample_rate"):
-        make_tracer(sample_rate=1.5)
-    with pytest.raises(ValueError, match="capacity"):
-        make_tracer(capacity=0)
-
-
-def test_env_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    assert not Tracer().enabled
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.5")
-    monkeypatch.setenv("REPRO_TRACE_BUFFER", "17")
-    t = Tracer()
-    assert t.enabled and t.sample_rate == 0.5 and t.capacity == 17
+@pytest.mark.parametrize(
+    "value, enabled",
+    [(None, False), ("", False), ("0", False), ("false", False), ("no", False),
+     ("1", True), ("yes", True)],
+)
+def test_env_switch(monkeypatch, value, enabled):
+    if value is None:
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_TRACE", value)
+    assert Tracer().enabled is enabled
 
 
 # -- bounded ring -----------------------------------------------------------------
 
 
 def test_ring_bounds_memory_and_counts_drops():
-    t = make_tracer(capacity=8)
-    for i in range(20):
+    t = make_tracer()
+    total = RING_CAPACITY + 12
+    for i in range(total):
         t.root(f"r{i}").end("ok")
     st = t.stats()
-    assert st["buffered"] == 8
-    assert st["finished"] == 20
-    assert st["dropped"] == 12
+    assert st == {"finished": total, "dropped": 12, "buffered": RING_CAPACITY}
     # oldest-first export of the surviving suffix
-    assert [s["name"] for s in t.export()] == [f"r{i}" for i in range(12, 20)]
+    assert [s["name"] for s in t.export()] == [f"r{i}" for i in range(12, total)]
 
 
 # -- span lifecycle ---------------------------------------------------------------
@@ -148,7 +133,7 @@ def test_activate_scopes_and_restores():
         with activate(inner):
             assert current_span() is inner
         assert current_span() is outer
-        with activate(None):  # explicit clear, e.g. unsampled request
+        with activate(None):  # explicit clear, e.g. an untraced request
             assert current_span() is None
         assert current_span() is outer
     assert current_span() is None
@@ -232,6 +217,65 @@ def test_decomposition_tracks_components_vs_e2e():
     assert dec["unattributed_mean_ms"] == pytest.approx(1.0)
     # component names stay within the canonical vocabulary here
     assert set(dec["components"]) <= set(COMPONENTS)
+
+
+def test_decomposition_keeps_totals_and_counts_only():
+    """Per endpoint and component the decomposition keeps ``(total_s,
+    count)`` and the mean :func:`decompose` derives from them."""
+    t = make_tracer()
+    for e2e_s in (0.002, 0.004, 0.009):
+        span = t.root("topk")
+        span.add_component("compute", e2e_s / 2)
+        span.end("ok", e2e_s=e2e_s)
+    dec = t.decomposition()["topk"]
+    assert dec["e2e"] == {"count": 3, "total_s": pytest.approx(0.015),
+                          "mean_ms": pytest.approx(5.0)}
+    assert dec["components"] == {
+        "compute": {"count": 3, "total_s": pytest.approx(0.0075),
+                    "mean_ms": pytest.approx(2.5)},
+    }
+
+
+def test_decomposition_counts_every_root_of_concurrent_threads():
+    t = make_tracer()
+
+    def worker():
+        for _ in range(200):
+            span = t.root("predict")
+            span.add_component("queue", 0.25)
+            span.end("ok", e2e_s=1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    dec = t.decomposition()["predict"]
+    assert dec["e2e"]["count"] == dec["components"]["queue"]["count"] == 1600
+    assert dec["e2e"]["total_s"] == 1600.0 and dec["components"]["queue"]["total_s"] == 400.0
+
+
+def test_time_compute_is_the_call_less_the_feature_time_inside_it():
+    t = make_tracer()
+    span = t.root("predict")
+
+    def gather_then_compute():
+        span.add_component("feature", 0.010)
+        time.sleep(0.030)
+        return "rows"
+
+    assert span.time_compute(gather_then_compute) == "rows"
+    compute = span.component_seconds("compute")
+    assert 0.015 <= compute < 0.5
+    # a call shorter than the feature time it recorded computes nothing
+    assert span.time_compute(lambda: span.add_component("feature", 10.0)) is None
+    assert span.component_seconds("compute") == compute
 
 
 def test_decomposition_counts_only_ok_roots():

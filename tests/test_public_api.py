@@ -274,3 +274,19 @@ def test_deleted_models_stay_deleted():
     ):
         for name in gone:
             assert not hasattr(module, name), name
+
+
+def test_telemetry_settings_stay_deleted():
+    """Tracing has one switch and a scrape is one function: no sampling
+    rate, ring-size setting, collector registry or comm-world table."""
+    import inspect
+
+    from repro import obs
+    from repro.comm import World
+    from repro.obs import registry
+
+    assert list(inspect.signature(obs.Tracer).parameters) == ["enabled"]
+    for module in (obs, registry):
+        for name in ("Registry", "serving_registry", "comm_metrics", "register_comm_world"):
+            assert not hasattr(module, name), name
+    assert not hasattr(World(1), "obs_name")

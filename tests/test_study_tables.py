@@ -69,3 +69,20 @@ def test_ledger_error_is_measured_over_predicted(studies):
     assert studies._ratio_range(pairs) == "0.50–1.50"
     assert studies._inside(pairs, 2.0)
     assert not studies._inside(pairs, 1.4)
+
+
+def test_roofline_is_kept_only_inside_the_tolerance_under_both_copy_samples(studies):
+    """The models ledger samples the copy bandwidth before and after the
+    arms; an arm that leaves the tolerance under either sample deletes
+    the row, however well it sits under the other."""
+    measured, bytes_moved = [1.3, 0.9], [1e6, 1e6]  # ms, bytes per arm
+
+    def roofs(*bandwidths):
+        return [[(ms, 1e3 * b / bw) for ms, b in zip(measured, bytes_moved)]
+                for bw in bandwidths]
+
+    assert studies._roofline_keeps(roofs(1e9, 1e9), 1.5)  # ratios 1.3, 0.9
+    assert studies._roofline_keeps(roofs(1e9, 1.1e9), 1.5)  # 1.43, 0.99 after
+    assert not studies._roofline_keeps(roofs(1e9, 1.2e9), 1.5)  # 1.56 after
+    assert not studies._roofline_keeps(roofs(0.6e9, 1e9), 1.5)  # 0.54 before
+    assert not studies._roofline_keeps(roofs(1e9, 1.2e9)[::-1], 1.5)
