@@ -30,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -1142,13 +1143,62 @@ GRAPH_BUILD_STAGES = ("sbm_graph", "rmat_graph", "_union", "to_bidirected")
 GRAPH_BUILD_SERVE_SCALE, GRAPH_BUILD_CHANGES = 0.25, 30
 
 
+class _StageProbe:
+    """Seconds and, while ``tracemalloc`` traces, the traced peak (MB) of
+    named stages: the recipe functions through ``sys.setprofile`` (no
+    wrapper holds a stage's arguments, so a graph passed in as a
+    temporary is freed where the stage frees it) and whole steps through
+    :meth:`stage`.  An enclosing stage's peak includes its inner ones'."""
+
+    def __init__(self, funcs):
+        self.codes = {fn.__code__: name for name, fn in funcs.items()}
+        self.seconds, self.peaks, self._open = {}, {}, []
+
+    def __call__(self, frame, event, arg):
+        name = self.codes.get(frame.f_code) if event in ("call", "return") else None
+        if name is not None:
+            (self._enter if event == "call" else self._exit)(name)
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        self._enter(name)
+        try:
+            yield
+        finally:
+            self._exit(name)
+
+    def _enter(self, name):
+        if tracemalloc.is_tracing():
+            peak = tracemalloc.get_traced_memory()[1]
+            for entry in self._open:  # the enclosing stages' peak so far
+                entry[1] = max(entry[1], peak)
+            tracemalloc.reset_peak()
+        self._open.append([time.perf_counter(), 0])
+
+    def _exit(self, name):
+        t0, peak = self._open.pop()
+        self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
+        if tracemalloc.is_tracing():
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+            self.peaks[name] = max(self.peaks.get(name, 0.0), peak / 1e6)
+
+
+def _vm_hwm_mb() -> float:
+    """This process's peak resident set (``VmHWM``), MB."""
+    with open("/proc/self/status") as fh:
+        kb = next(line for line in fh if line.startswith("VmHWM:")).split()[1]
+    return int(kb) / 1024
+
+
 def _graph_build_child(name: str, scale: float) -> None:
     """One process on one tree: serving's per-update graph work on papers
     0.25 (``affected_sets`` of random 4-vertex changes, and the reverse an
     edge update rebuilds), then ``load_dataset(name, scale)`` with each
     recipe stage timed where the recipe calls it, ``CSRGraph.reverse``,
     the suite trainer's epoch 0 (which builds the reverse again for its
-    backward) and a digest of the graph and its reverse.  One JSON line."""
+    backward), ``VmHWM`` after ``load`` and after ``epoch0``, and a digest
+    of the graph and its reverse.  Then the same steps again under
+    ``tracemalloc`` for each stage's traced peak.  One JSON line."""
     import hashlib
 
     from repro.graph import datasets
@@ -1167,32 +1217,46 @@ def _graph_build_child(name: str, scale: float) -> None:
         serve.graph.reverse()
         affected_ms.append(1e3 * (t1 - t0))
         reverse_ms.append(1e3 * (time.perf_counter() - t1))
+    del serve
 
-    seconds = {}
-
-    def timed(stage, fn):
-        def run(*args, **kw):
-            t0 = time.perf_counter()
-            out = fn(*args, **kw)
-            seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - t0
-            return out
-        return run
-
-    for stage in GRAPH_BUILD_STAGES:
-        setattr(datasets, stage, timed(stage, getattr(datasets, stage)))
-    ds = timed("load", load_dataset)(name, scale=scale, seed=0)
-    rev = timed("reverse", ds.graph.reverse)()
-    trainer = Trainer(ds, _suite_config(ds, 0))
-    timed("epoch0", trainer.train_epoch)(0)
-    h = hashlib.sha256()
-    for g in (ds.graph, rev):
-        for a in (g.indptr, g.indices, g.edge_ids):
-            h.update(str(a.dtype).encode() + a.tobytes())
+    probe = _StageProbe({stage: getattr(datasets, stage) for stage in GRAPH_BUILD_STAGES})
+    hwm = {}
+    for traced in (False, True):
+        if traced:
+            tracemalloc.start()
+        with probe.stage("load"):
+            sys.setprofile(probe)
+            ds = load_dataset(name, scale=scale, seed=0)
+            sys.setprofile(None)
+        if not traced:
+            hwm["load"] = _vm_hwm_mb()
+        with probe.stage("reverse"):
+            rev = ds.graph.reverse()
+        trainer = Trainer(ds, _suite_config(ds, 0))
+        with probe.stage("epoch0"):
+            trainer.train_epoch(0)
+        if not traced:
+            hwm["epoch0"] = _vm_hwm_mb()
+            seconds = dict(probe.seconds)
+            h = hashlib.sha256()
+            for g in (ds.graph, rev):
+                for a in (g.indptr, g.indices, g.edge_ids):
+                    h.update(str(a.dtype).encode() + a.tobytes())
+            del ds, rev, trainer
+    tracemalloc.stop()
     print(json.dumps({
         "N": ds.num_vertices, "E": int(ds.graph.num_edges), "seconds": seconds,
+        "peak_mb": probe.peaks, "vm_hwm_mb": hwm,
         "digest": h.hexdigest(), "affected_ms": float(np.median(affected_ms)),
         "update_reverse_ms": float(np.median(reverse_ms)), "reached": reached,
     }))
+
+
+def _peak_cell(peaks) -> str:
+    """One tree's traced peak of a stage: one number when every run reads
+    the same to 0.1 MB, else its quartiles."""
+    cells = {f"{peak:.1f}" for peak in peaks}
+    return cells.pop() if len(cells) == 1 else _quartiles(peaks)
 
 
 def graph_build(reps: int, baseline=None) -> None:
@@ -1218,8 +1282,12 @@ def graph_build(reps: int, baseline=None) -> None:
         "the recipe calls it (`load` is the whole call), then a bare "
         "`CSRGraph.reverse()` and the suite trainer's epoch 0, which builds the "
         "reverse again for its backward. Seconds, median [quartiles] over runs. "
-        "*equal*: the graph and its reverse (`indptr`, `indices`, `edge_ids`) "
-        "hash the same in every run of every tree.",
+        "*peak MB*: the most `tracemalloc` traced during the stage, counting "
+        "from the start of `load`, in a second pass of the same steps (NumPy "
+        "reports its buffers, so it is one number per tree). *equal*: the graph "
+        "and its reverse (`indptr`, `indices`, `edge_ids`) hash the same in "
+        "every run of every tree. `VmHWM`: the child's peak resident set, read "
+        "right after `load` and after `epoch0`.",
     ]
 
     serving = {}
@@ -1242,8 +1310,9 @@ def graph_build(reps: int, baseline=None) -> None:
             f"equal: {'yes' if equal else '**no**'}",
             "",
             "| stage | " + " | ".join(f"{tree} s" for tree in trees)
-            + (" | change / parent | change better |" if baseline else " |"),
-            "| --- " * (1 + len(trees) + 2 * bool(baseline)) + "|",
+            + (" | change / parent | change better" if baseline else "")
+            + " | " + " | ".join(f"{tree} peak MB" for tree in trees) + " |",
+            "| --- " * (1 + 2 * len(trees) + 2 * bool(baseline)) + "|",
         ]
         for stage in GRAPH_BUILD_STAGES + ("load", "reverse", "epoch0"):
             if stage not in first["seconds"]:
@@ -1252,7 +1321,14 @@ def graph_build(reps: int, baseline=None) -> None:
             cells = [_quartiles(s[tree]) for tree in trees]
             if baseline:
                 cells += _paired(s["parent"], s["change"])
+            cells += [_peak_cell([r["peak_mb"][stage] for r in rs])
+                      for rs in runs.values()]
             lines.append(f"| `{stage}` | " + " | ".join(cells) + " |")
+        lines += ["", "| `VmHWM` after | " + " | ".join(f"{tree} MB" for tree in trees) + " |",
+                  "| --- " * (1 + len(trees)) + "|"]
+        for step in ("load", "epoch0"):
+            lines.append(f"| `{step}` | " + " | ".join(
+                _quartiles([r["vm_hwm_mb"][step] for r in rs]) for rs in runs.values()) + " |")
     reached = {r["reached"] for rs in serving.values() for r in rs}
     lines += [
         "",

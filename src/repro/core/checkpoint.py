@@ -9,6 +9,7 @@ one compressed ``.npz``.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,11 @@ def save_checkpoint(
     epoch: int = 0,
     extra: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
-    """Persist training state to ``path`` (``.npz``)."""
+    """Persist training state to ``path`` (``.npz``; as NumPy names it,
+    ``path + ".npz"`` when ``path`` lacks the suffix).  The archive is
+    written to a temporary file in the same directory and moved onto
+    that name, so a crash or a full disk mid-save leaves the previous
+    checkpoint whole."""
     payload: Dict[str, np.ndarray] = {
         "format_version": np.asarray(_FORMAT_VERSION),
         "epoch": np.asarray(epoch),
@@ -38,7 +43,19 @@ def save_checkpoint(
             payload[f"optim/{key}"] = arr
     for key, arr in (extra or {}).items():
         payload[f"extra/{key}"] = np.asarray(arr)
-    np.savez_compressed(path, **payload)
+    path = os.fspath(path)
+    final = path if path.endswith(".npz") else path + ".npz"
+    tmp = f"{final}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:  # a file object: NumPy appends no suffix
+            np.savez_compressed(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, final)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(

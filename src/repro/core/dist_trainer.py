@@ -177,7 +177,23 @@ class RankProgram:
     def train_epoch(self, epoch: int) -> Generator:
         """One training epoch; returns this rank's row of the epoch
         record: its owned-vertex loss and its phase times."""
-        state, spec, sw = self.state, self.spec, Stopwatch()
+        sw = Stopwatch()
+        local_loss = yield from self.compute_gradients(epoch, sw)
+        # Parameter sync (AllReduce) + identical optimizer steps.
+        yield from allreduce_gradients(self.comm, self.state.model)
+        self.state.optimizer.step()
+        return {
+            "loss": local_loss,
+            "local_agg_time_s": sw.get("local_agg"),
+            "remote_agg_time_s": sw.get("remote_agg"),
+        }
+
+    def compute_gradients(self, epoch: int, sw: Stopwatch) -> Generator:
+        """Forward and backward of one epoch, DRPA rounds included;
+        returns this rank's owned-vertex loss.  The epoch's activations
+        and tapes live in this frame, which ends before the AllReduce
+        yields: a sim rank parked there holds only its gradients."""
+        state, spec = self.state, self.spec
         layers = state.model.layers
         sync_grads = spec.communicate and spec.sync_gradients
         state.model.train()
@@ -236,15 +252,7 @@ class RankProgram:
                 with sw.time("local_agg"):
                     rec["z"].backward(gz)
                 records[l - 1]["h_out"].backward(grad_or_zeros(rec["h_in"]))
-
-        # Parameter sync (AllReduce) + identical optimizer steps.
-        yield from allreduce_gradients(self.comm, state.model)
-        state.optimizer.step()
-        return {
-            "loss": local_loss,
-            "local_agg_time_s": sw.get("local_agg"),
-            "remote_agg_time_s": sw.get("remote_agg"),
-        }
+        return local_loss
 
     def evaluate(self) -> Generator:
         """Complete-neighbourhood inference (synchronous aggregate

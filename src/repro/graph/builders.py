@@ -59,16 +59,20 @@ def coo_to_csr(
         if edge_ids.size != m:
             raise ValueError("edge_ids must align with src/dst")
 
-    order = _stable_order(dst, num_dst)
-    counts = np.bincount(dst, minlength=num_dst).astype(INDEX_DTYPE)
-    indptr = np.zeros(num_dst + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
+    order, indptr = _sort_rows(dst, num_dst)
     return CSRGraph(
         indptr=indptr,
         indices=src[order],
         edge_ids=order if edge_ids is None else edge_ids[order],
         num_src=num_src,
     )
+
+
+def _sort_rows(rows: np.ndarray, num_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable order sorting edges by ``rows``, and its CSR row pointers."""
+    indptr = np.zeros(num_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return _stable_order(rows, num_rows), indptr
 
 
 def _stable_order(keys: np.ndarray, num_keys: int, order=None) -> np.ndarray:
@@ -88,9 +92,14 @@ def sorted_unique(x) -> np.ndarray:
     """``np.unique(x)`` for integer values: sort, then keep each entry that
     differs from its predecessor."""
     x = np.sort(np.asarray(x).ravel())
-    keep = np.ones(x.size, dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
+    return x[_run_starts(x)]
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """True at each entry of ``x`` that differs from its predecessor."""
+    starts = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return starts
 
 
 def from_edge_list(
@@ -118,18 +127,17 @@ def dedupe_edges(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     """Remove duplicate (src, dst) pairs, preserving first occurrence order.
 
     Radix-orders the edges by ``(src, dst)`` with ties in input order, then
-    keeps the first edge of each run of equal pairs at its input position."""
+    keeps the first edge of each run of equal pairs at its input position;
+    the order and the pair keys are freed before the kept edges are."""
     src = np.asarray(src, dtype=INDEX_DTYPE)
     dst = np.asarray(dst, dtype=INDEX_DTYPE)
     if src.size == 0:
         return src, dst
     n = max(int(src.max()), int(dst.max())) + 1
     order = _stable_order(src, n, _stable_order(dst, n))
-    pair = (src * n + dst)[order]
-    first = np.ones(src.size, dtype=bool)
-    np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    keep = np.zeros(src.size, dtype=bool)
-    keep[order[first]] = True
+    keep = np.empty(src.size, dtype=bool)
+    keep[order] = _run_starts((src * n + dst)[order])  # the pair keys die with the call
+    del order
     return src[keep], dst[keep]
 
 

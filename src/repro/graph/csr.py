@@ -172,11 +172,13 @@ class CSRGraph:
     # -- conversions ----------------------------------------------------------
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(src, dst, edge_ids)`` arrays of all edges."""
+        """Return ``(src, dst, edge_ids)`` arrays of all edges: ``src`` and
+        ``edge_ids`` are the stored read-only ``indices`` / ``edge_ids``
+        (no copy), ``dst`` is a new array."""
         dst = np.repeat(
             np.arange(self.num_vertices, dtype=INDEX_DTYPE), self.in_degrees()
         )
-        return self.indices.copy(), dst, self.edge_ids.copy()
+        return self.indices, dst, self.edge_ids
 
     def to_dense(self) -> np.ndarray:
         """Dense adjacency (dst x src) with multiplicity counts.
@@ -219,13 +221,17 @@ class CSRGraph:
         """Graph with every edge direction flipped (source-major view).
 
         Used by the autograd backward of SpMM: gradients flow along the
-        transposed adjacency.
+        transposed adjacency.  One stable transpose of the stored arrays:
+        row ``u`` lists the destinations of ``u``'s edges in stored order.
         """
-        src, dst, eid = self.to_coo()
-        from repro.graph.builders import coo_to_csr
+        from repro.graph.builders import _sort_rows
 
-        return coo_to_csr(
-            dst, src, num_dst=self.num_src, num_src=self.num_vertices, edge_ids=eid
+        order, indptr = _sort_rows(self.indices, self.num_src)
+        return CSRGraph(
+            indptr=indptr,
+            indices=self.to_coo()[1][order],  # each edge's destination
+            edge_ids=self.edge_ids[order],
+            num_src=self.num_vertices,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -31,13 +31,14 @@ accuracy experiments (Table 5) measure real learning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.graph.builders import coo_to_csr, dedupe_edges
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 from repro.graph.generators import (
+    _union,
     community_features,
     powerlaw_cluster_graph,
     random_features,
@@ -154,12 +155,11 @@ def make_reddit_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     num_classes = 16
     sizes = _block_sizes(n, num_classes)
     # dense community graph + heavy global hub structure
-    g_comm = sbm_graph(sizes, p_in=min(0.15, 600.0 / n), p_out=4.0 / n, seed=seed)
-    g_hub = rmat_graph(
-        max(int(np.ceil(np.log2(n))), 2), edge_factor=48.0, a=0.65, seed=seed + 1
-    )
-    g = _union(g_comm, g_hub, n)
-    g = to_bidirected(g)
+    g = to_bidirected(_union(
+        sbm_graph(sizes, p_in=min(0.15, 600.0 / n), p_out=4.0 / n, seed=seed),
+        rmat_graph(max(int(np.ceil(np.log2(n))), 2), edge_factor=48.0, a=0.65, seed=seed + 1),
+        n,
+    ))
     labels = sbm_labels(sizes)
     return _finalize("reddit", g, labels, num_classes, feature_dim=64, seed=seed)
 
@@ -169,12 +169,11 @@ def make_products_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     n = max(int(16384 * scale), 512)
     num_classes = 24
     sizes = _block_sizes(n, num_classes)
-    g_comm = sbm_graph(sizes, p_in=min(0.05, 180.0 / n), p_out=1.0 / n, seed=seed)
-    g_hub = rmat_graph(
-        max(int(np.ceil(np.log2(n))), 2), edge_factor=10.0, a=0.6, seed=seed + 1
-    )
-    g = _union(g_comm, g_hub, n)
-    g = to_bidirected(g)
+    g = to_bidirected(_union(
+        sbm_graph(sizes, p_in=min(0.05, 180.0 / n), p_out=1.0 / n, seed=seed),
+        rmat_graph(max(int(np.ceil(np.log2(n))), 2), edge_factor=10.0, a=0.6, seed=seed + 1),
+        n,
+    ))
     labels = sbm_labels(sizes)
     return _finalize("ogbn-products", g, labels, num_classes, feature_dim=50, seed=seed)
 
@@ -189,10 +188,9 @@ def make_proteins_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     """
     n = max(int(20000 * scale), 512)
     num_blocks = 64
-    g = powerlaw_cluster_graph(
+    g = to_bidirected(powerlaw_cluster_graph(
         n, num_blocks=num_blocks, avg_degree=30.0, intra_fraction=0.95, seed=seed
-    )
-    g = to_bidirected(g)
+    ))
     sizes = _block_sizes(n, num_blocks)
     labels = sbm_labels(sizes)
     ds = _finalize(
@@ -206,11 +204,11 @@ def make_papers_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     n = max(int(32768 * scale), 512)
     num_classes = 32
     sizes = _block_sizes(n, num_classes)
-    g_comm = sbm_graph(sizes, p_in=min(0.02, 60.0 / n), p_out=0.5 / n, seed=seed)
-    g_hub = rmat_graph(
-        max(int(np.ceil(np.log2(n))), 2), edge_factor=6.0, a=0.62, seed=seed + 1
+    g = _union(
+        sbm_graph(sizes, p_in=min(0.02, 60.0 / n), p_out=0.5 / n, seed=seed),
+        rmat_graph(max(int(np.ceil(np.log2(n))), 2), edge_factor=6.0, a=0.62, seed=seed + 1),
+        n,
     )
-    g = _union(g_comm, g_hub, n)
     labels = sbm_labels(sizes)
     return _finalize("ogbn-papers", g, labels, num_classes, feature_dim=64, seed=seed)
 
@@ -255,16 +253,6 @@ def _block_sizes(n: int, k: int) -> list:
     sizes = [base] * (k - 1)
     sizes.append(n - base * (k - 1))
     return sizes
-
-
-def _union(a: CSRGraph, b: CSRGraph, n: int) -> CSRGraph:
-    asrc, adst, _ = a.to_coo()
-    bsrc, bdst, _ = b.to_coo()
-    keep = (bsrc < n) & (bdst < n)
-    src = np.concatenate([asrc, bsrc[keep]])
-    dst = np.concatenate([adst, bdst[keep]])
-    src, dst = dedupe_edges(src, dst)
-    return coo_to_csr(src, dst, num_dst=n, num_src=n)
 
 
 DATASET_REGISTRY: Dict[str, Callable[..., Dataset]] = {

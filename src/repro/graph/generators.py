@@ -71,14 +71,16 @@ def rmat_graph(
 
     src = np.zeros(m, dtype=INDEX_DTYPE)
     dst = np.zeros(m, dtype=INDEX_DTYPE)
-    # Per-bit quadrant draws, vectorized across all edges at once.
+    r, bits = np.empty(m), np.empty(m, dtype=INDEX_DTYPE)
+    # Per-bit quadrant draws, vectorized across all edges at once into
+    # two reused buffers: a bit allocates only its masks.
     for bit in range(scale):
-        r = rng.random(m)
-        # Quadrants: [a | b ; c | d] -> (src_bit, dst_bit)
-        src_bit = (r >= a + b).astype(INDEX_DTYPE)  # rows c,d set the src bit
-        dst_bit = ((r >= a) & (r < a + b) | (r >= a + b + c)).astype(INDEX_DTYPE)
-        src |= src_bit << bit
-        dst |= dst_bit << bit
+        rng.random(out=r)
+        # Quadrants: [a | b ; c | d] -> (src_bit, dst_bit); rows c, d set the src bit
+        src |= np.left_shift(r >= a + b, bit, out=bits, dtype=INDEX_DTYPE)
+        dst |= np.left_shift((r >= a) & (r < a + b) | (r >= a + b + c), bit, out=bits,
+                             dtype=INDEX_DTYPE)
+    del r, bits
 
     if not self_loops:
         src, dst = remove_self_loops(src, dst)
@@ -133,12 +135,9 @@ def sbm_graph(
             t = offsets[j] + flat % nj
             srcs.append(s)
             dsts.append(t)
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-    else:
-        src = np.zeros(0, dtype=INDEX_DTYPE)
-        dst = np.zeros(0, dtype=INDEX_DTYPE)
+    empty = [np.zeros(0, dtype=INDEX_DTYPE)]
+    src, dst = np.concatenate(srcs or empty), np.concatenate(dsts or empty)
+    del srcs, dsts  # the pieces
     src, dst = remove_self_loops(src, dst)
     if not directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
@@ -189,13 +188,24 @@ def powerlaw_cluster_graph(
         a=rmat_skew,
         seed=seed + 1,
     )
-    gsrc, gdst, _ = g_global.to_coo()
-    keep = (gsrc < n) & (gdst < n)
-    lsrc, ldst, _ = g_local.to_coo()
-    src = np.concatenate([lsrc, gsrc[keep]])
-    dst = np.concatenate([ldst, gdst[keep]])
+    return _union(g_local, g_global, n)
+
+
+def _union(a: CSRGraph, b: CSRGraph, n: int) -> CSRGraph:
+    """The distinct edges of ``a`` and of ``b``'s within ``[0, n)``, each at
+    its first occurrence; ``a`` and ``b`` are dropped once their edges are
+    joined, so graphs passed as temporaries are not held through the dedupe."""
+    src, dst = _join_edges(a, b, n)
+    del a, b
     src, dst = dedupe_edges(src, dst)
     return coo_to_csr(src, dst, num_dst=n, num_src=n)
+
+
+def _join_edges(a: CSRGraph, b: CSRGraph, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    asrc, adst, _ = a.to_coo()
+    bsrc, bdst, _ = b.to_coo()
+    keep = (bsrc < n) & (bdst < n)
+    return np.concatenate([asrc, bsrc[keep]]), np.concatenate([adst, bdst[keep]])
 
 
 def random_features(

@@ -27,14 +27,17 @@ def to_bidirected(g: CSRGraph) -> CSRGraph:
     """Emit each edge in both directions and dedupe.
 
     Mirrors the paper's Table 2 convention: each undirected edge of Reddit,
-    OGBN-Products and Proteins is stored as two directed edges.
+    OGBN-Products and Proteins is stored as two directed edges.  Each
+    edge list is dropped once the next is built, and ``g`` once its edges
+    are read, so a graph passed in as a temporary is not held through
+    the dedupe.
     """
-    src, dst, _ = g.to_coo()
-    bsrc = np.concatenate([src, dst])
-    bdst = np.concatenate([dst, src])
-    bsrc, bdst = dedupe_edges(bsrc, bdst)
     n = max(g.num_vertices, g.num_src)
-    return coo_to_csr(bsrc, bdst, num_dst=n, num_src=n)
+    src, dst = g.to_coo()[:2]
+    del g
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    src, dst = dedupe_edges(src, dst)
+    return coo_to_csr(src, dst, num_dst=n, num_src=n)
 
 
 def split_train_val_test(

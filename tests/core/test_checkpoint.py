@@ -150,3 +150,45 @@ def test_version_check(tmp_path):
     np.savez_compressed(path, **data)
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path, model)
+
+
+@pytest.mark.parametrize("name, final", [("ckpt", "ckpt.npz"), ("ckpt.npz", "ckpt.npz")])
+def test_save_names_the_file_as_numpy_does(tmp_path, name, final):
+    save_checkpoint(str(tmp_path / name), GraphSAGE(4, 8, 2, seed=0), epoch=1)
+    assert [p.name for p in tmp_path.iterdir()] == [final]
+
+
+@pytest.mark.parametrize("name", ["ckpt", "ckpt.npz"])
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch, name):
+    """A save that raises midway (here: a full disk after the first array
+    is written) leaves the previous checkpoint byte-equal, loadable and
+    alone in its directory."""
+    from numpy.lib import format as npy_format
+
+    path = str(tmp_path / name)
+    model = GraphSAGE(4, 8, 2, seed=0)
+    save_checkpoint(path, model, epoch=3)
+    (final,) = tmp_path.iterdir()
+    before = final.read_bytes()
+
+    write_array, written = npy_format.write_array, []
+
+    def write_then_fail(*args, **kwargs):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(write_array(*args, **kwargs))
+
+    monkeypatch.setattr(npy_format, "write_array", write_then_fail)
+    for p in model.parameters():
+        p.data = p.data + 1.0
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, model, epoch=4)
+    monkeypatch.undo()
+
+    assert written and list(tmp_path.iterdir()) == [final]
+    assert final.read_bytes() == before
+    restored = GraphSAGE(4, 8, 2, seed=5)
+    assert load_checkpoint(path, restored)[0] == 3
+    for (n, want), (_, got) in zip(GraphSAGE(4, 8, 2, seed=0).named_parameters(),
+                                   restored.named_parameters()):
+        assert np.array_equal(want.data, got.data), n

@@ -3,8 +3,12 @@
 These are ``coo_to_csr``, ``dedupe_edges`` and ``build_blocks`` as they
 were before ``repro.graph.builders._stable_order`` replaced their
 ``np.argsort(kind="stable")`` / ``np.unique`` with O(E) radix passes, and
-``np.unique`` itself, which ``sorted_unique`` replaced.  The radix builds
-must equal these byte for byte, dtypes included.
+``np.unique`` itself, which ``sorted_unique`` replaced.  ``to_coo``,
+``reverse``, ``to_bidirected`` and ``union`` are the graph-level forms
+that copied what they read and held every intermediate: ``CSRGraph.to_coo``
+now returns the stored arrays, ``CSRGraph.reverse`` is one stable
+transpose, and ``to_bidirected`` / ``generators._union`` drop their inputs
+once read.  The builds must equal these byte for byte, dtypes included.
 """
 
 import numpy as np
@@ -41,11 +45,37 @@ def coo_to_csr(src, dst, num_dst=None, num_src=None, edge_ids=None):
     )
 
 
+def to_coo(graph):
+    dst = np.repeat(
+        np.arange(graph.num_vertices, dtype=INDEX_DTYPE), graph.in_degrees()
+    )
+    return graph.indices.copy(), dst, graph.edge_ids.copy()
+
+
 def reverse(graph):
-    src, dst, eid = graph.to_coo()
+    src, dst, eid = to_coo(graph)
     return coo_to_csr(
         dst, src, num_dst=graph.num_src, num_src=graph.num_vertices, edge_ids=eid
     )
+
+
+def to_bidirected(g):
+    src, dst, _ = to_coo(g)
+    bsrc = np.concatenate([src, dst])
+    bdst = np.concatenate([dst, src])
+    bsrc, bdst = dedupe_edges(bsrc, bdst)
+    n = max(g.num_vertices, g.num_src)
+    return coo_to_csr(bsrc, bdst, num_dst=n, num_src=n)
+
+
+def union(a, b, n):
+    asrc, adst, _ = to_coo(a)
+    bsrc, bdst, _ = to_coo(b)
+    keep = (bsrc < n) & (bdst < n)
+    src = np.concatenate([asrc, bsrc[keep]])
+    dst = np.concatenate([adst, bdst[keep]])
+    src, dst = dedupe_edges(src, dst)
+    return coo_to_csr(src, dst, num_dst=n, num_src=n)
 
 
 def dedupe_edges(src, dst):
@@ -64,7 +94,7 @@ def build_blocks(graph, num_blocks):
     bounds = block_bounds(graph.num_src, num_blocks)
     if num_blocks == 1:
         return [graph]
-    src, dst, eid = graph.to_coo()
+    src, dst, eid = to_coo(graph)
     block_size = int(bounds[1] - bounds[0])
     block_of = np.minimum(src // max(block_size, 1), num_blocks - 1)
     order = np.argsort(block_of, kind="stable")

@@ -1,10 +1,12 @@
 """The radix graph builders equal the comparison-sort oracle byte for byte.
 
-``coo_to_csr`` (and through it ``CSRGraph.reverse``), ``dedupe_edges``
-and ``build_blocks`` order their keys with ``_stable_order``, an LSD radix
-sort over 16-bit digits; value sets go through ``sorted_unique``.  The
-oracle is the ``np.argsort(kind="stable")`` / ``np.unique`` code they
-replaced (``build_oracle.py``).  Key counts of 65,535 / 65,536 / 65,537
+``coo_to_csr``, ``CSRGraph.reverse`` (one stable transpose),
+``dedupe_edges`` and ``build_blocks`` order their keys with
+``_stable_order``, an LSD radix sort over 16-bit digits; value sets go
+through ``sorted_unique``.  The oracle is the ``np.argsort(kind="stable")``
+/ ``np.unique`` code they replaced, with the copying ``to_coo`` and the
+``to_bidirected`` / ``_union`` that held every intermediate
+(``build_oracle.py``).  Key counts of 65,535 / 65,536 / 65,537
 and one above 2**32 take the one-, two- and three-digit paths.
 """
 
@@ -171,3 +173,78 @@ def test_datasets_match_oracle_build(name, scale, monkeypatch):
     assert got.num_vertices > 65536 or scale < 1
     assert oracle.graph_bytes(got) == oracle.graph_bytes(want)
     assert oracle.graph_bytes(got.reverse()) == oracle.graph_bytes(oracle.reverse(want))
+
+
+def _graph_of(src, dst, num_dst, num_src, permute_ids=False):
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    eids = np.arange(src.size, dtype=np.int64)[::-1] * 3 if permute_ids else None
+    return coo_to_csr(src, dst, num_dst=num_dst, num_src=num_src, edge_ids=eids)
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_REGISTRY))
+def test_reverse_matches_oracle_on_every_dataset(name):
+    """``reverse()`` is one stable transpose; the oracle expands to COO
+    (copies) and sorts it again."""
+    g = load_dataset(name, scale=0.05, seed=0).graph
+    assert oracle.graph_bytes(g.reverse()) == oracle.graph_bytes(oracle.reverse(g))
+
+
+@pytest.mark.parametrize("permute_ids", [False, True])
+@pytest.mark.parametrize(
+    "src, dst, num_dst, num_src",
+    [
+        ([0, 4, 4, 1, 2, 4], [0, 0, 1, 2, 2, 2], 3, 5),  # rectangular, 3 x 5
+        ([1, 0], [0, 0], 1, 6),  # rectangular, sources past every row
+        ([], [], 0, 0),  # empty graph
+        ([], [], 4, 4),  # vertices, no edges
+        ([0, 2, 2, 0, 3], [2, 0, 0, 3, 3], 5, 5),  # 1 and 4 isolated, a duplicate, a self loop
+    ],
+)
+def test_reverse_matches_oracle_on_edge_cases(src, dst, num_dst, num_src, permute_ids):
+    g = _graph_of(src, dst, num_dst, num_src, permute_ids)
+    got = g.reverse()
+    assert oracle.graph_bytes(got) == oracle.graph_bytes(oracle.reverse(g))
+    assert (got.num_vertices, got.num_src) == (num_src, num_dst)
+
+
+@given(coo(max_edges=80), st.sampled_from(("drawn", "folded", "rectangular")))
+@settings(max_examples=80, deadline=None)
+def test_to_bidirected_matches_oracle(data, shape):
+    """Random multigraphs with self loops and duplicate edges (folded:
+    most pairs repeat), square and rectangular."""
+    n, src, dst = data
+    if shape == "folded":
+        src, dst = src % 4, dst % 3
+    if shape == "rectangular":
+        g = _graph_of(dst, src // 3, n // 3 + 1, n)
+    else:
+        g = _graph_of(src, dst, n, n)
+    got, want = repro.graph.utils.to_bidirected(g), oracle.to_bidirected(g)
+    assert oracle.graph_bytes(got) == oracle.graph_bytes(want)
+
+
+@given(coo(max_edges=60), coo(max_edges=60), st.integers(1, 45))
+@settings(max_examples=60, deadline=None)
+def test_union_matches_oracle(a, b, n):
+    """Both graphs' edges, ``b``'s clipped to ``[0, n)``, deduped."""
+    _, asrc, adst = a
+    nb, bsrc, bdst = b
+    ga = _graph_of(asrc % n, adst % n, n, n)
+    gb = _graph_of(bsrc, bdst, nb, nb)
+    got = repro.graph.generators._union(ga, gb, n)
+    assert oracle.graph_bytes(got) == oracle.graph_bytes(oracle.union(ga, gb, n))
+
+
+@pytest.mark.parametrize("permute_ids", [False, True])
+@given(data=coo())
+@settings(max_examples=40, deadline=None)
+def test_to_coo_returns_the_stored_arrays_read_only(data, permute_ids):
+    n, src, dst = data
+    g = _graph_of(src, dst, n, n, permute_ids)
+    got = g.to_coo()
+    _pairs_equal(got, oracle.to_coo(g))
+    assert got[0] is g.indices and got[2] is g.edge_ids
+    for arr in (got[0], got[2]):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0

@@ -86,3 +86,45 @@ def test_roofline_is_kept_only_inside_the_tolerance_under_both_copy_samples(stud
     assert not studies._roofline_keeps(roofs(1e9, 1.2e9), 1.5)  # 1.56 after
     assert not studies._roofline_keeps(roofs(0.6e9, 1e9), 1.5)  # 0.54 before
     assert not studies._roofline_keeps(roofs(1e9, 1.2e9)[::-1], 1.5)
+
+
+def test_graph_build_peak_cell_is_one_number_when_runs_agree(studies):
+    assert studies._peak_cell([211.74, 211.7401, 211.7399]) == "211.7"
+    assert studies._peak_cell([3.0, 1.0, 2.0]) == "2 [1.5–2.5]"
+
+
+def test_stage_probe_peaks_nest_and_hold_no_arguments(studies):
+    """graph-build's per-stage columns: the probe times and traces each
+    call of a named function without wrapping it, so a stage that drops
+    its argument really frees it; an enclosing stage's peak includes its
+    inner stage's."""
+    import sys
+    import tracemalloc
+
+    import numpy as np
+
+    mb = 8_000_000
+
+    def inner(buf):
+        del buf  # the caller passed a temporary: it goes here
+        return np.ones(mb, dtype=np.uint8)
+
+    def outer():
+        return inner(np.ones(mb, dtype=np.uint8)).sum()
+
+    probe = studies._StageProbe({"inner": inner, "outer": outer})
+    tracemalloc.start()
+    try:
+        with probe.stage("whole"):
+            sys.setprofile(probe)
+            assert outer() == mb
+            sys.setprofile(None)
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    assert set(probe.seconds) == {"inner", "outer", "whole"}
+    assert probe.seconds["whole"] >= probe.seconds["outer"] >= probe.seconds["inner"] > 0
+    # one buffer at a time: a wrapper holding ``buf`` would read 16 MB
+    assert 8.0 <= probe.peaks["inner"] < 9.0
+    assert probe.peaks["inner"] <= probe.peaks["outer"] <= probe.peaks["whole"] < 9.0
+    assert studies._vm_hwm_mb() > 8.0
