@@ -1137,18 +1137,20 @@ def feature_gather(reps: int, baseline=None) -> None:
 GRAPH_BUILD_DOC = os.path.join(BENCH_DIR, "..", "docs", "graph-build.md")
 #: ``train_dense``'s graph, and a build past 65,536 vertices (two radix digits)
 GRAPH_BUILD_CASES = (("reddit", 4.0), ("ogbn-papers", 2.5))
-#: the recipe stages, as ``repro.graph.datasets`` names them
-GRAPH_BUILD_STAGES = ("sbm_graph", "rmat_graph", "_union", "to_bidirected")
+#: the build functions timed over every call in ``load``, as
+#: ``repro.graph.datasets`` names them (in a parent tree too)
+GRAPH_BUILD_STAGES = ("sbm_graph", "rmat_graph", "dedupe_edges", "coo_to_csr")
 #: serving's per-update graph work: ``serve_mixed``'s graph, 4-vertex changes
 GRAPH_BUILD_SERVE_SCALE, GRAPH_BUILD_CHANGES = 0.25, 30
 
 
 class _StageProbe:
     """Seconds and, while ``tracemalloc`` traces, the traced peak (MB) of
-    named stages: the recipe functions through ``sys.setprofile`` (no
-    wrapper holds a stage's arguments, so a graph passed in as a
-    temporary is freed where the stage frees it) and whole steps through
-    :meth:`stage`.  An enclosing stage's peak includes its inner ones'."""
+    named stages: functions through ``sys.setprofile``, by code object, so
+    every call counts whichever module makes it and no wrapper frame holds
+    the arguments; whole steps through :meth:`stage`.  An enclosing
+    stage's peak includes its inner ones'; a function's seconds add up
+    over its calls, its peak is the largest of them."""
 
     def __init__(self, funcs):
         self.codes = {fn.__code__: name for name, fn in funcs.items()}
@@ -1194,7 +1196,7 @@ def _graph_build_child(name: str, scale: float) -> None:
     """One process on one tree: serving's per-update graph work on papers
     0.25 (``affected_sets`` of random 4-vertex changes, and the reverse an
     edge update rebuilds), then ``load_dataset(name, scale)`` with each
-    recipe stage timed where the recipe calls it, ``CSRGraph.reverse``,
+    build function timed over its calls, ``CSRGraph.reverse``,
     the suite trainer's epoch 0 (which builds the reverse again for its
     backward), ``VmHWM`` after ``load`` and after ``epoch0``, and a digest
     of the graph and its reverse.  Then the same steps again under
@@ -1278,11 +1280,14 @@ def graph_build(reps: int, baseline=None) -> None:
         f"## {datetime.date.today()} — {box['cpu_model']}, {box['nproc']} CPUs, "
         f"{reps} alternating runs per tree",
         "",
-        "`load_dataset(name, scale, seed=0)` with each recipe stage timed where "
-        "the recipe calls it (`load` is the whole call), then a bare "
+        "`load_dataset(name, scale, seed=0)` with each build function's seconds "
+        "summed over its calls in it, nested ones included (`coo_to_csr` also "
+        "runs inside `sbm_graph` and `rmat_graph`; `load` is the whole call), "
+        "then a bare "
         "`CSRGraph.reverse()` and the suite trainer's epoch 0, which builds the "
         "reverse again for its backward. Seconds, median [quartiles] over runs. "
-        "*peak MB*: the most `tracemalloc` traced during the stage, counting "
+        "*peak MB*: the most `tracemalloc` traced during the stage (its largest "
+        "call), counting "
         "from the start of `load`, in a second pass of the same steps (NumPy "
         "reports its buffers, so it is one number per tree). *equal*: the graph "
         "and its reverse (`indptr`, `indices`, `edge_ids`) hash the same in "
@@ -1791,6 +1796,10 @@ REACHABILITY_OWNERS = {
         "streaming ≡ batch Libra contract: tests/dyngraph/test_ingest.py",
     "dyngraph/ingest.py:LibraState.assign_graph":
         "streaming ≡ batch Libra contract: tests/dyngraph/test_ingest.py",
+    "graph/utils.py:to_bidirected":
+        "contract: Table 2's undirected-as-two-directed convention on one graph, exported by "
+        "`repro.graph`; the recipes run it inside `generators._distinct_graph`, which must "
+        "equal it (tests/graph/test_build_oracle.py)",
     "graph/builders.py:from_edge_list":
         "test fixtures: tests/conftest.py and the graph tests build small graphs with it",
     "cachesim/lru.py:LRUFeatureCache.*": _LRU,

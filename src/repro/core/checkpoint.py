@@ -27,11 +27,7 @@ def save_checkpoint(
     epoch: int = 0,
     extra: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
-    """Persist training state to ``path`` (``.npz``; as NumPy names it,
-    ``path + ".npz"`` when ``path`` lacks the suffix).  The archive is
-    written to a temporary file in the same directory and moved onto
-    that name, so a crash or a full disk mid-save leaves the previous
-    checkpoint whole."""
+    """Persist training state to ``path`` (``.npz``) via :func:`savez_atomic`."""
     payload: Dict[str, np.ndarray] = {
         "format_version": np.asarray(_FORMAT_VERSION),
         "epoch": np.asarray(epoch),
@@ -43,19 +39,26 @@ def save_checkpoint(
             payload[f"optim/{key}"] = arr
     for key, arr in (extra or {}).items():
         payload[f"extra/{key}"] = np.asarray(arr)
+    savez_atomic(path, **payload)
+
+
+def savez_atomic(path: str, **arrays: np.ndarray) -> str:
+    """``np.savez_compressed`` onto NumPy's name for ``path`` (``+ ".npz"``
+    unless it has it), returned, via a fsynced temporary file beside it: a
+    crash or a full disk mid-save leaves the old file and no temporary."""
     path = os.fspath(path)
     final = path if path.endswith(".npz") else path + ".npz"
     tmp = f"{final}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "xb") as fh:  # a file object: NumPy appends no suffix
-            np.savez_compressed(fh, **payload)
+        with open(tmp, "wb") as fh:  # a file object: NumPy appends no suffix
+            np.savez_compressed(fh, **arrays)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
+    return final
 
 
 def load_checkpoint(

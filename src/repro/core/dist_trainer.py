@@ -189,10 +189,9 @@ class RankProgram:
         }
 
     def compute_gradients(self, epoch: int, sw: Stopwatch) -> Generator:
-        """Forward and backward of one epoch, DRPA rounds included;
-        returns this rank's owned-vertex loss.  The epoch's activations
-        and tapes live in this frame, which ends before the AllReduce
-        yields: a sim rank parked there holds only its gradients."""
+        """Forward and backward of one epoch (DRPA rounds included); returns
+        the owned-vertex loss.  The activations and tapes live in this frame,
+        which ends before the AllReduce: a parked sim rank holds gradients only."""
         state, spec = self.state, self.spec
         layers = state.model.layers
         sync_grads = spec.communicate and spec.sync_gradients

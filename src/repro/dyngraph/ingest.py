@@ -215,20 +215,12 @@ class LibraState:
         }
 
     def save(self, path: str) -> None:
-        """Persist to ``.npz`` so ingestion survives a process restart (temp
-        file + ``os.replace``: a crash mid-save keeps the previous file)."""
-        path = os.fspath(path)
-        path = path if path.endswith(".npz") else path + ".npz"
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **self.state_dict())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        """Persist to ``.npz`` so ingestion survives a process restart
+        (:func:`~repro.core.checkpoint.savez_atomic`: a crash mid-save
+        keeps the previous file)."""
+        from repro.core.checkpoint import savez_atomic  # repro.core imports this module
+
+        savez_atomic(path, **self.state_dict())
 
     @classmethod
     def load(cls, path: str) -> "LibraState":

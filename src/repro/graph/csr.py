@@ -173,8 +173,7 @@ class CSRGraph:
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(src, dst, edge_ids)`` arrays of all edges: ``src`` and
-        ``edge_ids`` are the stored read-only ``indices`` / ``edge_ids``
-        (no copy), ``dst`` is a new array."""
+        ``edge_ids`` are the stored read-only arrays, not copies."""
         dst = np.repeat(
             np.arange(self.num_vertices, dtype=INDEX_DTYPE), self.in_degrees()
         )

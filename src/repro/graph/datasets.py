@@ -38,7 +38,8 @@ import numpy as np
 from repro.graph.builders import coo_to_csr, dedupe_edges
 from repro.graph.csr import CSRGraph, INDEX_DTYPE
 from repro.graph.generators import (
-    _union,
+    _distinct_graph,
+    _join_edges,
     community_features,
     powerlaw_cluster_graph,
     random_features,
@@ -46,7 +47,7 @@ from repro.graph.generators import (
     sbm_graph,
     sbm_labels,
 )
-from repro.graph.utils import split_train_val_test, to_bidirected
+from repro.graph.utils import split_train_val_test
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,11 @@ def make_reddit_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     num_classes = 16
     sizes = _block_sizes(n, num_classes)
     # dense community graph + heavy global hub structure
-    g = to_bidirected(_union(
+    g = _distinct_graph(lambda: _join_edges(
         sbm_graph(sizes, p_in=min(0.15, 600.0 / n), p_out=4.0 / n, seed=seed),
         rmat_graph(max(int(np.ceil(np.log2(n))), 2), edge_factor=48.0, a=0.65, seed=seed + 1),
         n,
-    ))
+    ), n, bidirected=True)
     labels = sbm_labels(sizes)
     return _finalize("reddit", g, labels, num_classes, feature_dim=64, seed=seed)
 
@@ -169,11 +170,11 @@ def make_products_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     n = max(int(16384 * scale), 512)
     num_classes = 24
     sizes = _block_sizes(n, num_classes)
-    g = to_bidirected(_union(
+    g = _distinct_graph(lambda: _join_edges(
         sbm_graph(sizes, p_in=min(0.05, 180.0 / n), p_out=1.0 / n, seed=seed),
         rmat_graph(max(int(np.ceil(np.log2(n))), 2), edge_factor=10.0, a=0.6, seed=seed + 1),
         n,
-    ))
+    ), n, bidirected=True)
     labels = sbm_labels(sizes)
     return _finalize("ogbn-products", g, labels, num_classes, feature_dim=50, seed=seed)
 
@@ -188,9 +189,10 @@ def make_proteins_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     """
     n = max(int(20000 * scale), 512)
     num_blocks = 64
-    g = to_bidirected(powerlaw_cluster_graph(
-        n, num_blocks=num_blocks, avg_degree=30.0, intra_fraction=0.95, seed=seed
-    ))
+    g = powerlaw_cluster_graph(
+        n, num_blocks=num_blocks, avg_degree=30.0, intra_fraction=0.95, seed=seed,
+        directed=False,
+    )
     sizes = _block_sizes(n, num_blocks)
     labels = sbm_labels(sizes)
     ds = _finalize(
@@ -204,11 +206,11 @@ def make_papers_sim(scale: float = 1.0, seed: int = 0) -> Dataset:
     n = max(int(32768 * scale), 512)
     num_classes = 32
     sizes = _block_sizes(n, num_classes)
-    g = _union(
+    g = _distinct_graph(lambda: _join_edges(
         sbm_graph(sizes, p_in=min(0.02, 60.0 / n), p_out=0.5 / n, seed=seed),
         rmat_graph(max(int(np.ceil(np.log2(n))), 2), edge_factor=6.0, a=0.62, seed=seed + 1),
         n,
-    )
+    ), n)
     labels = sbm_labels(sizes)
     return _finalize("ogbn-papers", g, labels, num_classes, feature_dim=64, seed=seed)
 

@@ -72,8 +72,7 @@ def rmat_graph(
     src = np.zeros(m, dtype=INDEX_DTYPE)
     dst = np.zeros(m, dtype=INDEX_DTYPE)
     r, bits = np.empty(m), np.empty(m, dtype=INDEX_DTYPE)
-    # Per-bit quadrant draws, vectorized across all edges at once into
-    # two reused buffers: a bit allocates only its masks.
+    # Per-bit quadrant draws, vectorized across all edges, in reused buffers.
     for bit in range(scale):
         rng.random(out=r)
         # Quadrants: [a | b ; c | d] -> (src_bit, dst_bit); rows c, d set the src bit
@@ -159,6 +158,7 @@ def powerlaw_cluster_graph(
     intra_fraction: float = 0.8,
     rmat_skew: float = 0.57,
     seed: int = 0,
+    directed: bool = True,
 ) -> CSRGraph:
     """Hybrid generator: power-law degrees *and* planted block structure.
 
@@ -166,10 +166,9 @@ def powerlaw_cluster_graph(
     clusters).  ``intra_fraction`` of the target edges are intra-block; the
     rest follow the skewed global distribution.  This matches graphs like
     Proteins that are simultaneously heavy-tailed and highly clusterable.
-    """
+    ``directed=False`` returns its ``to_bidirected``, as ``sbm_graph``'s."""
     if not 0.0 <= intra_fraction <= 1.0:
         raise ValueError("intra_fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
     n = num_vertices
     block = max(1, n // num_blocks)
     sizes = [block] * (num_blocks - 1) + [n - block * (num_blocks - 1)]
@@ -178,34 +177,44 @@ def powerlaw_cluster_graph(
     # intra-block probability chosen to hit the intra edge budget
     cells = sum(s * s for s in sizes)
     p_in = min(1.0, intra_edges / max(cells, 1))
-    g_local = sbm_graph(sizes, p_in=p_in, p_out=0.0, seed=seed, directed=True)
 
-    global_edges = target_edges - g_local.num_edges
-    scale = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    g_global = rmat_graph(
-        scale,
-        edge_factor=max(global_edges, 1) / (1 << scale),
-        a=rmat_skew,
-        seed=seed + 1,
-    )
-    return _union(g_local, g_global, n)
+    def join():
+        g_local = sbm_graph(sizes, p_in=p_in, p_out=0.0, seed=seed, directed=True)
+        global_edges = target_edges - g_local.num_edges
+        scale = max(1, int(np.ceil(np.log2(max(n, 2)))))
+        g_global = rmat_graph(
+            scale,
+            edge_factor=max(global_edges, 1) / (1 << scale),
+            a=rmat_skew,
+            seed=seed + 1,
+        )
+        return _join_edges(g_local, g_global, n)
 
-
-def _union(a: CSRGraph, b: CSRGraph, n: int) -> CSRGraph:
-    """The distinct edges of ``a`` and of ``b``'s within ``[0, n)``, each at
-    its first occurrence; ``a`` and ``b`` are dropped once their edges are
-    joined, so graphs passed as temporaries are not held through the dedupe."""
-    src, dst = _join_edges(a, b, n)
-    del a, b
-    src, dst = dedupe_edges(src, dst)
-    return coo_to_csr(src, dst, num_dst=n, num_src=n)
+    return _distinct_graph(join, n, bidirected=not directed)
 
 
 def _join_edges(a: CSRGraph, b: CSRGraph, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``a``'s edges, then ``b``'s within ``[0, n)``."""
     asrc, adst, _ = a.to_coo()
     bsrc, bdst, _ = b.to_coo()
     keep = (bsrc < n) & (bdst < n)
     return np.concatenate([asrc, bsrc[keep]]), np.concatenate([adst, bdst[keep]])
+
+
+def _distinct_graph(join, n: int, bidirected: bool = False) -> CSRGraph:
+    """The graph over ``n`` vertices of the distinct edges ``join()`` returns
+    (``bidirected``: its ``to_bidirected``).  Each stage's arrays are locals
+    here, dropped before the next stage: no callee has to free an argument,
+    which Python 3.10 keeps alive in the caller until the call returns."""
+    src, dst = dedupe_edges(*join())
+    g = coo_to_csr(src, dst, num_dst=n, num_src=n)
+    if bidirected:
+        src, dst = g.to_coo()[:2]
+        del g
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        src, dst = dedupe_edges(src, dst)
+        g = coo_to_csr(src, dst, num_dst=n, num_src=n)
+    return g
 
 
 def random_features(

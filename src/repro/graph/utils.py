@@ -27,14 +27,10 @@ def to_bidirected(g: CSRGraph) -> CSRGraph:
     """Emit each edge in both directions and dedupe.
 
     Mirrors the paper's Table 2 convention: each undirected edge of Reddit,
-    OGBN-Products and Proteins is stored as two directed edges.  Each
-    edge list is dropped once the next is built, and ``g`` once its edges
-    are read, so a graph passed in as a temporary is not held through
-    the dedupe.
+    OGBN-Products and Proteins is stored as two directed edges.
     """
     n = max(g.num_vertices, g.num_src)
     src, dst = g.to_coo()[:2]
-    del g
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     src, dst = dedupe_edges(src, dst)
     return coo_to_csr(src, dst, num_dst=n, num_src=n)

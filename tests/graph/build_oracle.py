@@ -7,8 +7,9 @@ were before ``repro.graph.builders._stable_order`` replaced their
 ``reverse``, ``to_bidirected`` and ``union`` are the graph-level forms
 that copied what they read and held every intermediate: ``CSRGraph.to_coo``
 now returns the stored arrays, ``CSRGraph.reverse`` is one stable
-transpose, and ``to_bidirected`` / ``generators._union`` drop their inputs
-once read.  The builds must equal these byte for byte, dtypes included.
+transpose, and ``generators._distinct_graph`` drops each recipe stage's
+arrays before the next.  The builds must equal these byte for byte,
+dtypes included.
 """
 
 import numpy as np

@@ -5,7 +5,8 @@
 ``_stable_order``, an LSD radix sort over 16-bit digits; value sets go
 through ``sorted_unique``.  The oracle is the ``np.argsort(kind="stable")``
 / ``np.unique`` code they replaced, with the copying ``to_coo`` and the
-``to_bidirected`` / ``_union`` that held every intermediate
+``to_bidirected`` / ``union`` that held every intermediate, which the
+recipes' ``generators._distinct_graph`` pipeline must equal
 (``build_oracle.py``).  Key counts of 65,535 / 65,536 / 65,537
 and one above 2**32 take the one-, two- and three-digit paths.
 """
@@ -22,6 +23,7 @@ import repro.graph.generators
 import repro.graph.utils
 from repro.graph.builders import _stable_order, coo_to_csr, dedupe_edges, sorted_unique
 from repro.graph.datasets import DATASET_REGISTRY, load_dataset
+from repro.graph.generators import _distinct_graph, _join_edges, powerlaw_cluster_graph
 from repro.kernels.blocked import build_blocks
 
 #: one digit either side of the first digit boundary
@@ -223,16 +225,27 @@ def test_to_bidirected_matches_oracle(data, shape):
     assert oracle.graph_bytes(got) == oracle.graph_bytes(want)
 
 
-@given(coo(max_edges=60), coo(max_edges=60), st.integers(1, 45))
-@settings(max_examples=60, deadline=None)
-def test_union_matches_oracle(a, b, n):
-    """Both graphs' edges, ``b``'s clipped to ``[0, n)``, deduped."""
+@pytest.mark.parametrize("n, blocks", [(300, 4), (700, 8)])
+def test_undirected_powerlaw_cluster_graph_is_its_to_bidirected(n, blocks):
+    """Proteins' recipe builds both stages in one pipeline."""
+    g = powerlaw_cluster_graph(n, num_blocks=blocks, avg_degree=10.0, seed=2)
+    got = powerlaw_cluster_graph(n, num_blocks=blocks, avg_degree=10.0, seed=2, directed=False)
+    assert oracle.graph_bytes(got) == oracle.graph_bytes(oracle.to_bidirected(g))
+
+
+@given(coo(max_edges=60), coo(max_edges=60), st.integers(1, 45), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_union_matches_oracle(a, b, n, bidirected):
+    """Both graphs' edges, ``b``'s clipped to ``[0, n)``, deduped: the
+    recipes' pipeline, with and without the bidirected stage."""
     _, asrc, adst = a
     nb, bsrc, bdst = b
     ga = _graph_of(asrc % n, adst % n, n, n)
     gb = _graph_of(bsrc, bdst, nb, nb)
-    got = repro.graph.generators._union(ga, gb, n)
-    assert oracle.graph_bytes(got) == oracle.graph_bytes(oracle.union(ga, gb, n))
+    got = _distinct_graph(lambda: _join_edges(ga, gb, n), n, bidirected)
+    want = oracle.union(ga, gb, n)
+    want = oracle.to_bidirected(want) if bidirected else want
+    assert oracle.graph_bytes(got) == oracle.graph_bytes(want)
 
 
 @pytest.mark.parametrize("permute_ids", [False, True])

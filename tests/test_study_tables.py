@@ -93,11 +93,11 @@ def test_graph_build_peak_cell_is_one_number_when_runs_agree(studies):
     assert studies._peak_cell([3.0, 1.0, 2.0]) == "2 [1.5–2.5]"
 
 
-def test_stage_probe_peaks_nest_and_hold_no_arguments(studies):
+def test_stage_probe_peaks_nest_and_see_frees(studies):
     """graph-build's per-stage columns: the probe times and traces each
-    call of a named function without wrapping it, so a stage that drops
-    its argument really frees it; an enclosing stage's peak includes its
-    inner stage's."""
+    call of a named function, starting from what is live at its entry, so
+    a stage that frees its input before it allocates reads one buffer; an
+    enclosing stage's peak includes its inner stage's."""
     import sys
     import tracemalloc
 
@@ -105,12 +105,12 @@ def test_stage_probe_peaks_nest_and_hold_no_arguments(studies):
 
     mb = 8_000_000
 
-    def inner(buf):
-        del buf  # the caller passed a temporary: it goes here
+    def inner(box):
+        box.pop()  # the caller's only buffer goes here, on any Python
         return np.ones(mb, dtype=np.uint8)
 
     def outer():
-        return inner(np.ones(mb, dtype=np.uint8)).sum()
+        return inner([np.ones(mb, dtype=np.uint8)]).sum()
 
     probe = studies._StageProbe({"inner": inner, "outer": outer})
     tracemalloc.start()
@@ -124,7 +124,7 @@ def test_stage_probe_peaks_nest_and_hold_no_arguments(studies):
         tracemalloc.stop()
     assert set(probe.seconds) == {"inner", "outer", "whole"}
     assert probe.seconds["whole"] >= probe.seconds["outer"] >= probe.seconds["inner"] > 0
-    # one buffer at a time: a wrapper holding ``buf`` would read 16 MB
+    # one buffer at a time: the input is gone before the output is made
     assert 8.0 <= probe.peaks["inner"] < 9.0
     assert probe.peaks["inner"] <= probe.peaks["outer"] <= probe.peaks["whole"] < 9.0
     assert studies._vm_hwm_mb() > 8.0
