@@ -397,9 +397,7 @@ def cmd_serve(args) -> int:  # pragma: no cover - interactive loop
         max_queue=args.max_queue,
         default_timeout_s=args.request_timeout,
     )
-    server = PredictionServer(
-        service, host=args.host, port=args.port, verbose=True, frontend=frontend
-    )
+    server = PredictionServer(service, host=args.host, port=args.port, frontend=frontend)
     host, port = server.address
     print(f"serving {ds.name} ({engine.model_kind}, {engine.num_vertices} vertices)")
     print(f"  {args.workers} workers, queue bound {args.max_queue}, "
@@ -426,12 +424,12 @@ def cmd_serve(args) -> int:  # pragma: no cover - interactive loop
 
 def _decomposition_rows(families) -> List[str]:
     """One line per endpoint: mean e2e, per-component means, attributed
-    sum and slack (ms) — ``obs.trace.decompose`` of the
+    sum and slack (ms) — ``serving.metrics.decompose`` of the
     ``repro_request_component_{seconds,samples}_total`` totals the
     server exports (rendered with ``repr``, so they round-trip exactly),
-    i.e. its own ``Tracer.decomposition()``.  A server with tracing off
-    exports none."""
-    from repro.obs.trace import decompose
+    i.e. its own ``ServingMetrics.decomposition()``.  A server with
+    tracing off exports none."""
+    from repro.serving.metrics import decompose
 
     samples = families.get("repro_request_component_samples_total", {})
     endpoints = {}

@@ -331,9 +331,7 @@ class DistributedTrainer:
             )
             parted = build_partitions(dataset.graph, assignment, num_partitions)
         self.parted = parted
-        self.plan = build_split_trees(
-            parted, seed=cfg.seed, build_tree_objects=False
-        )
+        self.plan = build_split_trees(parted, seed=cfg.seed)
         self.world = World(num_partitions)
         #: DRPA routing tables shared by every rank's exchangers: the
         #: algorithm's bins for forward aggregates, one bin for the

@@ -225,6 +225,10 @@ def random_features(
     return rng.standard_normal((num_vertices, dim)).astype(dtype)
 
 
+#: rows of :func:`community_features` built per step
+FEATURE_CHUNK_ROWS = 4096
+
+
 def community_features(
     labels: np.ndarray,
     dim: int,
@@ -236,13 +240,19 @@ def community_features(
     """Features = class centroid * signal + i.i.d. noise.
 
     Gives GraphSAGE a learnable signal so the accuracy experiments
-    (paper Table 5) are meaningful on synthetic data.
+    (paper Table 5) are meaningful on synthetic data.  Rows are built
+    :data:`FEATURE_CHUNK_ROWS` at a time into the output, so the float64
+    arithmetic never spans the whole matrix; chunked ``standard_normal``
+    draws continue the one-shot stream, so the bytes are the same.
     """
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     num_classes = int(labels.max()) + 1
     centroids = rng.standard_normal((num_classes, dim))
-    feats = signal * centroids[labels] + noise * rng.standard_normal(
-        (labels.size, dim)
-    )
-    return feats.astype(dtype)
+    feats = np.empty((labels.size, dim), dtype=dtype)
+    for lo in range(0, labels.size, FEATURE_CHUNK_ROWS):
+        hi = min(lo + FEATURE_CHUNK_ROWS, labels.size)
+        feats[lo:hi] = signal * centroids[labels[lo:hi]] + noise * rng.standard_normal(
+            (hi - lo, dim)
+        )
+    return feats

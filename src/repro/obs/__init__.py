@@ -4,8 +4,11 @@
   context propagation across pool boundaries, one switch
   (``REPRO_TRACE=1`` traces every request), a bounded span ring, and
   Chrome trace-event export (``GET /trace``, ``repro trace --url``).
-- :mod:`repro.obs.registry` — :func:`collect` reads the serving, tracer,
-  feature-store and kernel-timer counters at scrape time as
+  The tracer keeps only spans: a closed root span hands its component
+  seconds to ``ServingMetrics``, the one per-endpoint request ledger,
+  which holds the latency decomposition.
+- :mod:`repro.obs.registry` — :func:`collect` reads the serving ledger,
+  trace-ring, feature-store and kernel-timer counters at scrape time as
   ``repro_*`` families, rendered as Prometheus text exposition
   (``GET /metrics?format=prom``).
 

@@ -1,8 +1,9 @@
 """Telemetry exposition: one scrape, two formats.
 
-The counters live where they are counted — ``ServingMetrics`` outcome
-counters, ``FeatureStore.stats()``, ``AP_TIMER``, the tracer's ring and
-latency decomposition.  :func:`collect` reads them at scrape time
+The counters live where they are counted — ``ServingMetrics`` (the
+request ledger: outcome counters, latencies and the latency
+decomposition), ``FeatureStore.stats()``, ``AP_TIMER``, the tracer's
+ring.  :func:`collect` reads them at scrape time
 (nothing is maintained on the hot path for it) and returns one sorted
 list of :class:`Metric` families:
 
@@ -52,8 +53,8 @@ class Metric:
 def collect(frontend) -> List[Metric]:
     """Every family a serving process exports, sorted by name: the
     frontend's request counters and gauges, the kernel AP timer, and
-    the frontend's tracer."""
-    families = _serving_metrics(frontend) + _ap_metrics() + _trace_metrics(frontend.tracer)
+    the frontend's latency decomposition and trace ring."""
+    families = _serving_metrics(frontend) + _ap_metrics() + _trace_metrics(frontend)
     return sorted(families, key=lambda m: m.name)
 
 
@@ -200,8 +201,9 @@ def _ap_metrics() -> List[Metric]:
     ]
 
 
-def _trace_metrics(tracer) -> List[Metric]:
-    """Tracer ring health + per-endpoint latency-component totals."""
+def _trace_metrics(frontend) -> List[Metric]:
+    """Per-endpoint latency-component totals from the frontend's ledger
+    + its tracer's ring health."""
     comp_total = Metric(
         "repro_request_component_seconds_total", "counter",
         "Accumulated latency-component seconds (traced ok requests)",
@@ -210,11 +212,11 @@ def _trace_metrics(tracer) -> List[Metric]:
         "repro_request_component_samples_total", "counter",
         "Latency-component observations (traced ok requests)",
     )
-    for endpoint, ep in tracer.decomposition().items():
+    for endpoint, ep in frontend.metrics.decomposition().items():
         for name, agg in {"e2e": ep["e2e"], **ep["components"]}.items():
             comp_total.add(agg["total_s"], endpoint=endpoint, component=name)
             comp_count.add(agg["count"], endpoint=endpoint, component=name)
-    st = tracer.stats()
+    st = frontend.tracer.stats()
     return [
         Metric(
             "repro_trace_finished_spans_total", "counter",

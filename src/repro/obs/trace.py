@@ -29,7 +29,10 @@ Latency decomposition: component seconds accumulated on a root span
 (:data:`COMPONENTS`: queue / compute / feature) are
 defined to be **non-overlapping**, so their sum is ≤ the measured
 end-to-end latency — the remainder is reported as unattributed slack,
-and ``tests/serving/test_tracing.py`` pins the inequality.
+and ``tests/serving/test_tracing.py`` pins the inequality.  The tracer
+keeps no per-endpoint sums: :meth:`Span.end` hands the frozen
+components to its caller, and the serving frontend folds them into
+:class:`~repro.serving.metrics.ServingMetrics`, the one request ledger.
 """
 
 from __future__ import annotations
@@ -96,36 +99,22 @@ class activate:
 
 
 class Span:
-    """One timed interval of one request.
+    """One timed interval of one request: the root of its trace.
 
-    Component/annotation state takes the span's own lock: one thread may
-    close a span while another still attaches components to it — both
-    must be safe.  After :meth:`end` the span is immutable; late
-    mutations are ignored (they must not corrupt the exported record).
+    Component state takes the span's own lock: one thread may close a
+    span while another still attaches components to it — both must be
+    safe.  After :meth:`end` the span is immutable; late mutations are
+    ignored (they must not corrupt the exported record).
     """
 
-    __slots__ = (
-        "tracer", "name", "cat", "trace_id", "span_id", "parent_id",
-        "t_start", "_lock", "_components", "_args", "_ended",
-    )
+    __slots__ = ("tracer", "name", "span_id", "t_start", "_lock", "_components", "_ended")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        cat: str = "request",
-        trace_id: Optional[int] = None,
-        parent_id: Optional[int] = None,
-    ):
+    def __init__(self, tracer: "Tracer", name: str):
         self.tracer = tracer
         self.name = name
-        self.cat = cat
         self.span_id = tracer.next_id()
-        self.trace_id = self.span_id if trace_id is None else trace_id
-        self.parent_id = parent_id
         self._lock = make_lock("obs.trace.span")
         self._components: Dict[str, float] = {}  # guarded-by: _lock
-        self._args: Dict[str, object] = {}  # guarded-by: _lock
         self._ended = False  # guarded-by: _lock
         self.t_start = time.perf_counter()
 
@@ -166,7 +155,7 @@ class Span:
         t_end = time.perf_counter()
         self.tracer.push(
             {
-                "trace_id": self.trace_id,
+                "trace_id": self.span_id,
                 "span_id": self.tracer.next_id(),
                 "parent_id": self.span_id,
                 "name": name,
@@ -182,38 +171,34 @@ class Span:
 
     # -- completion -----------------------------------------------------------
 
-    def end(self, outcome: str = "ok", e2e_s: Optional[float] = None) -> None:
+    def end(self, outcome: str = "ok") -> Dict[str, float]:
         """Close the span into the ring; first close wins (idempotent).
 
-        Root spans closed ``ok`` also feed the tracer's per-endpoint
-        latency decomposition, cross-checked against ``e2e_s`` (defaults
-        to the span's own wall time).
+        Returns the component seconds the close froze — the caller's to
+        fold into its per-endpoint ledger — or ``{}`` on a second close.
         """
         t_end = time.perf_counter()
         with self._lock:
             if self._ended:
-                return
+                return {}
             self._ended = True
             components = dict(self._components)
-            args = dict(self._args)
         self.tracer.push(
             {
-                "trace_id": self.trace_id,
+                "trace_id": self.span_id,
                 "span_id": self.span_id,
-                "parent_id": self.parent_id,
+                "parent_id": None,
                 "name": self.name,
-                "cat": self.cat,
+                "cat": "request",
                 "ts_us": self.tracer.to_wall_us(self.t_start),
                 "dur_us": (t_end - self.t_start) * 1e6,
                 "outcome": outcome,
                 "thread": threading.get_ident(),
                 "components_ms": {k: v * 1e3 for k, v in components.items()},
-                "args": args,
+                "args": {},
             }
         )
-        if self.parent_id is None and outcome == "ok":
-            e2e = (t_end - self.t_start) if e2e_s is None else float(e2e_s)
-            self.tracer.record_components(self.name, components, e2e)
+        return components
 
     def __enter__(self) -> "Span":
         return self
@@ -223,48 +208,11 @@ class Span:
         return False
 
 
-# -- decomposition aggregation ------------------------------------------------
-
-
-def decompose(e2e, components) -> dict:
-    """Mean latencies (ms) of one endpoint from its accumulated
-    ``(total_s, count)`` pairs: ``e2e`` over the ok roots, ``components``
-    by name.
-
-    Each component mean is normalized by that component's own
-    observation count (a ``feature`` mean is "per request that gathered
-    features").  ``component_sum_mean_ms`` is instead the total
-    attributed time divided by the number of ok roots: components are
-    conditional (a table read never gathers features), so only this
-    per-request normalization is additive — it keeps the conservation
-    invariant ``component_sum ≤ e2e mean``, whose slack is
-    ``unattributed_mean_ms`` (clamped at the bound the tests pin: it
-    cannot go negative without an accounting bug).  A zero count raises
-    ``ZeroDivisionError``.
-
-    :meth:`Tracer.decomposition` and ``repro trace`` (from the exported
-    ``repro_request_component_{seconds,samples}_total`` totals) both
-    compute their means here.
-    """
-    e2e_s, roots = e2e
-    e2e_ms = 1e3 * e2e_s / roots
-    attributed_ms = 1e3 * sum(total_s for total_s, _ in components.values()) / roots
-    return {
-        "e2e_mean_ms": e2e_ms,
-        "component_mean_ms": {
-            name: 1e3 * total_s / count
-            for name, (total_s, count) in sorted(components.items())
-        },
-        "component_sum_mean_ms": attributed_ms,
-        "unattributed_mean_ms": max(0.0, e2e_ms - attributed_ms),
-    }
-
-
 # -- tracer -------------------------------------------------------------------
 
 
 class Tracer:
-    """Bounded span ring + latency decomposition.
+    """Bounded span ring.
 
     ``enabled`` defaults from the environment, so one knob flips the
     whole serving stack: ``REPRO_TRACE`` (off unless set truthy).
@@ -284,9 +232,6 @@ class Tracer:
         self._slot = 0  # guarded-by: _lock — next overwrite index once full
         self._finished = 0  # guarded-by: _lock — spans pushed to the ring
         self._dropped = 0  # guarded-by: _lock — spans overwritten unread
-        self._decomp_lock = make_lock("obs.trace.decomp")
-        # endpoint -> (e2e [total_s, count], component -> [total_s, count])
-        self._decomp: Dict[str, tuple] = {}  # guarded-by: _decomp_lock
 
     # -- span creation --------------------------------------------------------
 
@@ -297,13 +242,13 @@ class Tracer:
         """Map a ``perf_counter`` instant to absolute epoch microseconds."""
         return (self._wall0 + (t_perf - self._perf0)) * 1e6
 
-    def root(self, name: str, cat: str = "request") -> Optional[Span]:
+    def root(self, name: str) -> Optional[Span]:
         """One root span per admitted request, or ``None`` when off.
 
         ``None`` is the contract for "not traced": every downstream site
         checks the context once and does no other work.
         """
-        return Span(self, name, cat=cat) if self.enabled else None
+        return Span(self, name) if self.enabled else None
 
     # -- ring -----------------------------------------------------------------
 
@@ -332,48 +277,6 @@ class Tracer:
                 "dropped": self._dropped,
                 "buffered": len(self._ring),
             }
-
-    # -- latency decomposition ------------------------------------------------
-
-    def record_components(self, endpoint: str, components: Dict[str, float], e2e_s: float):
-        """Fold one ok root's component seconds into the per-endpoint
-        ``[total_s, count]`` sums."""
-        with self._decomp_lock:
-            e2e, comps = self._decomp.setdefault(endpoint, ([0.0, 0], {}))
-            e2e[0] += float(e2e_s)
-            e2e[1] += 1
-            for name, seconds in components.items():
-                agg = comps.setdefault(name, [0.0, 0])
-                agg[0] += float(seconds)
-                agg[1] += 1
-
-    def decomposition(self) -> Dict[str, dict]:
-        """Per-endpoint component totals vs end-to-end latency, with
-        the means of :func:`decompose`."""
-        with self._decomp_lock:
-            sums = {
-                endpoint: (tuple(e2e), {name: tuple(agg) for name, agg in comps.items()})
-                for endpoint, (e2e, comps) in self._decomp.items()
-            }
-        out: Dict[str, dict] = {}
-        for endpoint, (e2e, comps) in sorted(sums.items()):
-            means = decompose(e2e, comps)
-            out[endpoint] = {
-                "count": e2e[1],
-                "e2e": _summary(e2e, means["e2e_mean_ms"]),
-                "components": {
-                    name: _summary(comps[name], mean_ms)
-                    for name, mean_ms in means["component_mean_ms"].items()
-                },
-                "component_sum_mean_ms": means["component_sum_mean_ms"],
-                "unattributed_mean_ms": means["unattributed_mean_ms"],
-            }
-        return out
-
-
-def _summary(agg, mean_ms: float) -> dict:
-    total_s, count = agg
-    return {"count": count, "total_s": total_s, "mean_ms": mean_ms}
 
 
 # -- module default tracer ----------------------------------------------------

@@ -31,7 +31,7 @@ from repro.partition.partition import (
     build_partitions,
 )
 from repro.partition.stats import PartitionStats, partition_stats
-from repro.partition.tree import SplitVertexTree, build_split_trees
+from repro.partition.tree import build_split_trees
 
 __all__ = [
     "libra_partition",
@@ -42,7 +42,6 @@ __all__ = [
     "GraphPartition",
     "PartitionedGraph",
     "build_partitions",
-    "SplitVertexTree",
     "build_split_trees",
     "PartitionStats",
     "partition_stats",

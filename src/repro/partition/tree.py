@@ -15,24 +15,12 @@ into send buffers and which to scatter-reduce receives into — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph.csr import INDEX_DTYPE
 from repro.partition.partition import PartitionedGraph
-
-
-@dataclass(frozen=True)
-class SplitVertexTree:
-    """Clone tree of one split vertex."""
-
-    global_id: int
-    root_part: int
-    root_local: int
-    #: parallel arrays: partition and local id of each leaf clone.
-    leaf_parts: np.ndarray
-    leaf_locals: np.ndarray
 
 
 @dataclass
@@ -46,7 +34,6 @@ class TreeExchangePlan:
     dst_part) index arrays so each phase is pure fancy-indexing.
     """
 
-    trees: List[SplitVertexTree]
     #: leaf->root routes: arrays of (leaf_part, leaf_local, root_part, root_local)
     leaf_part: np.ndarray
     leaf_local: np.ndarray
@@ -54,8 +41,7 @@ class TreeExchangePlan:
     root_local: np.ndarray
     #: tree index of each route (for binning in cd-r).
     tree_index: np.ndarray
-    #: total number of split-vertex trees (valid even when the per-tree
-    #: objects in ``trees`` are not materialized).
+    #: total number of split-vertex trees
     num_trees: int = 0
 
     @property
@@ -65,7 +51,6 @@ class TreeExchangePlan:
     def select(self, route_indices: np.ndarray) -> "TreeExchangePlan":
         """Sub-plan containing only the given routes (used for binning)."""
         return TreeExchangePlan(
-            trees=self.trees,
             leaf_part=self.leaf_part[route_indices],
             leaf_local=self.leaf_local[route_indices],
             root_part=self.root_part[route_indices],
@@ -76,22 +61,24 @@ class TreeExchangePlan:
 
 
 def build_split_trees(
-    parted: PartitionedGraph, seed: Optional[int] = 0, build_tree_objects: bool = True
+    parted: PartitionedGraph, seed: Optional[int] = 0, build_tree_objects: bool = False
 ) -> TreeExchangePlan:
-    """Build the 1-level trees and their flattened exchange plan.
+    """Build the 1-level trees as their flattened exchange plan.
 
     Roots are drawn uniformly among each vertex's clones ("we randomly
     assign one of its split-vertices as the root", Section 5.3).  The whole
     construction is vectorized over the (split-vertex, clone) pair list so
     large partitionings (hundreds of thousands of split vertices) build in
-    milliseconds.
+    milliseconds.  A tree is its routes (``tree_index``); there are no
+    per-tree objects.  ``build_tree_objects`` is accepted and unused:
+    the frozen ``benchmarks/suite/suite_train.py`` passes it.
     """
     rng = np.random.default_rng(seed)
     split = parted.split_vertices
     if split.size == 0:
         empty = np.zeros(0, dtype=INDEX_DTYPE)
         return TreeExchangePlan(
-            trees=[], leaf_part=empty, leaf_local=empty,
+            leaf_part=empty, leaf_local=empty,
             root_part=empty, root_local=empty, tree_index=empty, num_trees=0,
         )
     sub = parted.membership[split]  # (num_split, P)
@@ -121,25 +108,7 @@ def build_split_trees(
     rl = root_locals[leaf_rows]
     ti = leaf_rows.astype(INDEX_DTYPE)
 
-    trees: List[SplitVertexTree] = []
-    if build_tree_objects:
-        leaf_offsets = np.concatenate([[0], np.cumsum(counts - 1)]).astype(
-            INDEX_DTYPE
-        )
-        for t in range(split.size):
-            lo, hi = leaf_offsets[t], leaf_offsets[t + 1]
-            trees.append(
-                SplitVertexTree(
-                    global_id=int(split[t]),
-                    root_part=int(root_parts[t]),
-                    root_local=int(root_locals[t]),
-                    leaf_parts=lp[lo:hi],
-                    leaf_locals=ll[lo:hi],
-                )
-            )
-
     return TreeExchangePlan(
-        trees=trees,
         leaf_part=lp,
         leaf_local=ll,
         root_part=rp,

@@ -22,7 +22,9 @@ runs on its caller's (connection) thread, with no hop to another one:
   hold, and an applied update is never answered 503;
 - **measured**: every request lands in exactly one
   :class:`~repro.serving.metrics.ServingMetrics` outcome bucket, and
-  the gate's waiting / running counts are exposed as gauges.
+  the gate's waiting / running counts are exposed as gauges.  A traced
+  request's component seconds land in the same ledger entry as its
+  latency; the tracer keeps only the spans.
 """
 
 from __future__ import annotations
@@ -178,15 +180,15 @@ class ServingFrontend:
         except Exception:
             self._record(endpoint, span, "error")
             raise
-        # same wall time for metrics and span: the decomposition
-        # cross-check compares components against exactly this e2e
-        self._record(endpoint, span, "ok", e2e_s=time.perf_counter() - t0)
+        self._record(endpoint, span, "ok", time.perf_counter() - t0)
         return result
 
-    def _record(self, endpoint: str, span, outcome: str, e2e_s=None) -> None:
-        self.metrics.record(endpoint, outcome, latency_s=e2e_s)
-        if span is not None:
-            span.end(outcome, e2e_s=e2e_s)
+    def _record(self, endpoint: str, span, outcome: str, latency_s=None) -> None:
+        """Close the span, then land the outcome, the latency and the
+        span's component seconds in the one ledger: the decomposition's
+        e2e is exactly the latency the quantiles see."""
+        components = None if span is None else span.end(outcome)
+        self.metrics.record(endpoint, outcome, latency_s=latency_s, components=components)
 
     def call(self, endpoint: str, fn: Callable[[], object], timeout_s=None):
         """Run ``fn`` on this thread behind the admission gate.

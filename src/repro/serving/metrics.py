@@ -5,19 +5,22 @@ story: a load generator measures latency from the *client* side, and
 these counters must agree with it — ``tests/serving/test_serving_metrics.py``
 cross-checks a seeded run of the tests' generator (``tests/serving/harness.py``).
 
-Per endpoint (``predict`` / ``topk`` / ``update_edges`` / ...) the
-recorder keeps monotone outcome counters plus a bounded window of
-completed-request latencies for the quantiles; gauges (queue depth,
-in-flight count) come from the front end at snapshot time.  All
-counters share one lock, so a snapshot is internally consistent:
+It is the one per-endpoint request ledger.  Per endpoint (``predict`` /
+``topk`` / ``update_edges`` / ...) it keeps monotone outcome counters, a
+bounded window of completed-request latencies for the quantiles, the sum
+and count of ok latencies and, for traced requests, each latency
+component's ``(total_s, count)``; gauges (queue depth, in-flight count)
+come from the front end at snapshot time.  Everything shares one lock,
+so a snapshot is internally consistent:
 ``requests == ok + errors + bad_request + timeouts + rejected_queue_full``
-holds at every instant.
+holds at every instant, and :meth:`ServingMetrics.decomposition`'s e2e
+is exactly the ok latency the snapshot's mean is taken over.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -53,8 +56,42 @@ def percentiles_ms(latencies_s, qs=(50.0, 99.0)) -> Dict[str, float]:
     return {f"p{q:g}_ms": float(np.percentile(lat, q)) for q in qs}
 
 
+def decompose(e2e, components) -> dict:
+    """Mean latencies (ms) of one endpoint from its accumulated
+    ``(total_s, count)`` pairs: ``e2e`` over the ok requests,
+    ``components`` by name.
+
+    Each component mean is normalized by that component's own
+    observation count (a ``feature`` mean is "per request that gathered
+    features").  ``component_sum_mean_ms`` is instead the total
+    attributed time divided by the number of ok requests: components are
+    conditional (a table read never gathers features), so only this
+    per-request normalization is additive — it keeps the conservation
+    invariant ``component_sum ≤ e2e mean``, whose slack is
+    ``unattributed_mean_ms`` (clamped at the bound the tests pin: it
+    cannot go negative without an accounting bug).  A zero count raises
+    ``ZeroDivisionError``.
+
+    :meth:`ServingMetrics.decomposition` and ``repro trace`` (from the
+    exported ``repro_request_component_{seconds,samples}_total`` totals)
+    both compute their means here.
+    """
+    e2e_s, roots = e2e
+    e2e_ms = 1e3 * e2e_s / roots
+    attributed_ms = 1e3 * sum(total_s for total_s, _ in components.values()) / roots
+    return {
+        "e2e_mean_ms": e2e_ms,
+        "component_mean_ms": {
+            name: 1e3 * total_s / count
+            for name, (total_s, count) in sorted(components.items())
+        },
+        "component_sum_mean_ms": attributed_ms,
+        "unattributed_mean_ms": max(0.0, e2e_ms - attributed_ms),
+    }
+
+
 class _EndpointMetrics:
-    __slots__ = ("counts", "latencies", "latency_sum_s", "latency_count")
+    __slots__ = ("counts", "latencies", "latency_sum_s", "latency_count", "components")
 
     def __init__(self):
         self.counts = {outcome: 0 for outcome in OUTCOMES}
@@ -62,10 +99,14 @@ class _EndpointMetrics:
         self.latencies = deque(maxlen=LATENCY_WINDOW)
         self.latency_sum_s = 0.0
         self.latency_count = 0
+        #: component -> [total_s, count] of traced ok requests; ``None``
+        #: until the endpoint serves one.
+        self.components: Optional[Dict[str, list]] = None
 
 
 class ServingMetrics:
-    """Thread-safe per-endpoint outcome counters + latency quantiles."""
+    """Thread-safe per-endpoint outcome counters, latency quantiles and
+    latency decomposition."""
 
     def __init__(self):
         self._lock = make_lock("serving.metrics")
@@ -77,11 +118,19 @@ class ServingMetrics:
             ep = self._endpoints[name] = _EndpointMetrics()
         return ep
 
-    def record(self, endpoint: str, outcome: str, latency_s: Optional[float] = None):
+    def record(
+        self,
+        endpoint: str,
+        outcome: str,
+        latency_s: Optional[float] = None,
+        components: Optional[Mapping[str, float]] = None,
+    ):
         """Count one finished request; ``latency_s`` feeds the quantile
         window only for served (``ok``) requests — rejections answer in
         microseconds and would drag the percentiles of *served* latency
-        down exactly when the system is saturated."""
+        down exactly when the system is saturated.  ``components`` (a
+        traced request's component seconds, ``None`` when untraced) join
+        the endpoint's decomposition on the same condition."""
         if outcome not in OUTCOMES:
             raise ValueError(f"unknown outcome {outcome!r} (one of {OUTCOMES})")
         with self._lock:
@@ -91,6 +140,13 @@ class ServingMetrics:
                 ep.latencies.append(float(latency_s))
                 ep.latency_sum_s += float(latency_s)
                 ep.latency_count += 1
+                if components is not None:
+                    if ep.components is None:
+                        ep.components = {}
+                    for name, seconds in components.items():
+                        agg = ep.components.setdefault(name, [0.0, 0])
+                        agg[0] += float(seconds)
+                        agg[1] += 1
 
     # -- snapshot -----------------------------------------------------------------
 
@@ -126,3 +182,28 @@ class ServingMetrics:
             "latency_window": LATENCY_WINDOW,
             **gauges,
         }
+
+    def decomposition(self) -> Dict[str, dict]:
+        """Per traced endpoint: its component totals against its ok
+        latency (the e2e), with the means of :func:`decompose`."""
+        with self._lock:
+            sums = {
+                name: ((ep.latency_sum_s, ep.latency_count),
+                       {c: tuple(agg) for c, agg in ep.components.items()})
+                for name, ep in self._endpoints.items()
+                if ep.components is not None
+            }
+        out: Dict[str, dict] = {}
+        for name, (e2e, comps) in sorted(sums.items()):
+            means = decompose(e2e, comps)
+            out[name] = {
+                "count": e2e[1],
+                "e2e": {"count": e2e[1], "total_s": e2e[0], "mean_ms": means["e2e_mean_ms"]},
+                "components": {
+                    c: {"count": comps[c][1], "total_s": comps[c][0], "mean_ms": mean_ms}
+                    for c, mean_ms in means["component_mean_ms"].items()
+                },
+                "component_sum_mean_ms": means["component_sum_mean_ms"],
+                "unattributed_mean_ms": means["unattributed_mean_ms"],
+            }
+        return out

@@ -49,7 +49,6 @@ import json
 import math
 import socket
 import socketserver
-import sys
 import threading
 import time
 from http import HTTPStatus
@@ -268,15 +267,12 @@ MAX_BODY_BYTES = 64 << 20
 #: the longest request / header line (longer: 414 / 431), the most headers
 MAX_LINE_BYTES, MAX_HEADERS = 65536, 100
 _REASONS = {s.value: s.phrase for s in HTTPStatus}
-#: control characters of a request line, escaped in the access log
-_LOG_CHARS = str.maketrans({c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))})
 
 
 @functools.lru_cache(maxsize=1)
-def _stamps(second: int) -> Tuple[str, str]:
-    """The ``Date`` header and the access-log time: formatted once a second."""
-    return (email.utils.formatdate(second, usegmt=True),
-            time.strftime("%d/%b/%Y %H:%M:%S", time.localtime(second)))
+def _date(second: int) -> str:
+    """The ``Date`` header: formatted once a second."""
+    return email.utils.formatdate(second, usegmt=True)
 
 
 class _BodyTooLarge(Exception):
@@ -302,12 +298,12 @@ class _PredictionHandler(socketserver.StreamRequestHandler):
     def parse_request(self, line: bytes) -> bool:
         """The request line ``line``, then the headers into :attr:`headers`
         (lower-cased names); ``False`` once a refusal ends the connection."""
-        self.requestline = line.decode("latin-1").rstrip("\r\n")
+        requestline = line.decode("latin-1").rstrip("\r\n")
         if len(line) > MAX_LINE_BYTES:
             return self._refuse(414, f"request line is over {MAX_LINE_BYTES} bytes")
-        words = self.requestline.split()
+        words = requestline.split()
         if len(words) != 3 or not words[2].startswith("HTTP/"):
-            return self._refuse(400, f"bad request line {self.requestline!r}")
+            return self._refuse(400, f"bad request line {requestline!r}")
         self.command, self.path, version = words
         if version not in ("HTTP/1.1", "HTTP/1.0"):
             return self._refuse(505, f"HTTP version {version!r} is not served")
@@ -337,17 +333,13 @@ class _PredictionHandler(socketserver.StreamRequestHandler):
                content_type: str = "application/json") -> None:
         # one write: a body sent apart waits on Nagle + the delayed ACK
         body = (payload if isinstance(payload, str) else json.dumps(payload)).encode()
-        date, log_time = _stamps(int(time.time()))
-        head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {date}\r\n"
+        head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {_date(int(time.time()))}\r\n"
                 f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n")
         if retry_after_s is not None:  # whole seconds, rounded up: never retried early
             head += f"Retry-After: {max(1, math.ceil(retry_after_s))}\r\n"
         if self.close_connection:
             head += "Connection: close\r\n"
         self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
-        if self.server.verbose:  # type: ignore[attr-defined]
-            line = self.requestline.translate(_LOG_CHARS)
-            sys.stderr.write(f'{self.client_address[0]} - - [{log_time}] "{line}" {status} -\n')
 
     def do_GET(self) -> None:
         path, _, query = self.path.partition("?")
@@ -487,10 +479,9 @@ class _PredictionHandler(socketserver.StreamRequestHandler):
 class _HTTPServer(ThreadingHTTPServer):
     """Tracks open connections, so shutdown ends the kept-alive ones."""
 
-    def __init__(self, address, owner: "PredictionServer", verbose: bool):
+    def __init__(self, address, owner: "PredictionServer"):
         super().__init__(address, _PredictionHandler)
         self.service, self.frontend = owner.service, owner.frontend
-        self.verbose = verbose
         self.closing = False
         self._lock = make_lock("serving.server.connections")
         self._open = set()  # guarded-by: _lock
@@ -529,7 +520,6 @@ class PredictionServer:
         service: PredictionService,
         host: str = "127.0.0.1",
         port: int = 8080,
-        verbose: bool = False,
         frontend: Optional[ServingFrontend] = None,
     ):
         self.service = service
@@ -538,7 +528,7 @@ class PredictionServer:
         )
         if self.frontend.service is not service:
             raise ValueError("frontend must wrap the same service")
-        self.httpd = _HTTPServer((host, port), self, verbose)
+        self.httpd = _HTTPServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
 
     @property

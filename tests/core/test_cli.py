@@ -293,7 +293,7 @@ def _printed_decomposition(out):
 )
 def test_trace_url_prints_the_servers_decomposition(endpoints, load_ckpt, tmp_path,
                                                     capsys):
-    """Every endpoint's row is the server's own ``Tracer.decomposition()``:
+    """Every endpoint's row is the server's own ``ServingMetrics.decomposition()``:
     e2e mean, per-component means, attributed sum and slack."""
     from repro.obs.trace import Tracer
 
@@ -304,7 +304,7 @@ def test_trace_url_prints_the_servers_decomposition(endpoints, load_ckpt, tmp_pa
         _drive(base, server.service.engine.features.shape[1], endpoints)
         capsys.readouterr()
         assert main(["trace", "--url", base, "--out", str(tmp_path / "t.json")]) == 0
-        want = server.frontend.tracer.decomposition()
+        want = server.frontend.metrics.decomposition()
     finally:
         server.shutdown()
     got = _printed_decomposition(capsys.readouterr().out)
@@ -442,6 +442,47 @@ def test_serve_lists_its_endpoints_and_stops_on_interrupt(load_ckpt, capsys,
                  "/metrics", "/healthz"):
         assert f"http://{host}:{port}{path}" in out
     assert out.startswith("serving reddit") and out.rstrip().endswith("shutting down")
+
+
+def test_serve_child_writes_no_access_log(load_ckpt):
+    """A ``repro serve`` child answers requests without writing a line
+    per request to stderr: nothing reads an access log."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+    import urllib.request
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--dataset", "reddit", "--scale", "0.05",
+         "--checkpoint", load_ckpt, "--port", "0"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        base = None
+        for line in proc.stdout:  # the banner ends with the /healthz URL
+            match = re.search(r"GET  (http://\S+)/healthz", line)
+            if match:
+                base = match[1]
+                break
+        assert base is not None, proc.stderr.read()
+        for _ in range(3):
+            req = urllib.request.Request(
+                base + "/predict", data=json.dumps({"vertices": [0, 1]}).encode(),
+                method="POST", headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                assert resp.status == 200
+            with urllib.request.urlopen(base + "/healthz", timeout=10) as resp:
+                assert resp.status == 200
+    finally:
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    assert "shutting down" in out
+    assert "/predict" not in err and "/healthz" not in err and "HTTP/1" not in err, err
 
 
 def test_ingest(capsys, tmp_path):

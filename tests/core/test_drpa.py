@@ -236,7 +236,7 @@ class TestBinRouting:
 
         empty = np.zeros(0, dtype=np.int64)
         plan = TreeExchangePlan(
-            trees=[], leaf_part=empty, leaf_local=empty,
+            leaf_part=empty, leaf_local=empty,
             root_part=empty, root_local=empty, tree_index=empty, num_trees=0,
         )
         assert BinRouting.from_plan(plan).buckets == {}

@@ -9,7 +9,9 @@ that copied what they read and held every intermediate: ``CSRGraph.to_coo``
 now returns the stored arrays, ``CSRGraph.reverse`` is one stable
 transpose, and ``generators._distinct_graph`` drops each recipe stage's
 arrays before the next.  The builds must equal these byte for byte,
-dtypes included.
+dtypes included.  ``community_features`` is the one-shot feature build
+that held the whole matrix in float64 (twice) before casting; the
+chunked build must equal it byte for byte.
 """
 
 import numpy as np
@@ -113,6 +115,15 @@ def build_blocks(graph, num_blocks):
                      num_src=graph.num_src)
         )
     return blocks
+
+
+def community_features(labels, dim, signal=1.0, noise=1.0, seed=0, dtype=np.float32):
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    num_classes = int(labels.max()) + 1
+    centroids = rng.standard_normal((num_classes, dim))
+    feats = signal * centroids[labels] + noise * rng.standard_normal((labels.size, dim))
+    return feats.astype(dtype)
 
 
 def graph_bytes(graph):

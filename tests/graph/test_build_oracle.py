@@ -23,7 +23,13 @@ import repro.graph.generators
 import repro.graph.utils
 from repro.graph.builders import _stable_order, coo_to_csr, dedupe_edges, sorted_unique
 from repro.graph.datasets import DATASET_REGISTRY, load_dataset
-from repro.graph.generators import _distinct_graph, _join_edges, powerlaw_cluster_graph
+from repro.graph.generators import (
+    FEATURE_CHUNK_ROWS,
+    _distinct_graph,
+    _join_edges,
+    community_features,
+    powerlaw_cluster_graph,
+)
 from repro.kernels.blocked import build_blocks
 
 #: one digit either side of the first digit boundary
@@ -261,3 +267,18 @@ def test_to_coo_returns_the_stored_arrays_read_only(data, permute_ids):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[:1] = 0
+
+
+@pytest.mark.parametrize(
+    "n, dim, dtype",
+    [(1, 3, np.float32), (FEATURE_CHUNK_ROWS, 64, np.float32),
+     (FEATURE_CHUNK_ROWS + 1, 5, np.float64), (3 * FEATURE_CHUNK_ROWS - 7, 16, np.float32),
+     (81_920, 64, np.float32)],
+)
+def test_community_features_match_the_one_shot_build(n, dim, dtype):
+    """Chunked ``standard_normal`` draws continue the one-shot stream, so
+    the chunked build is byte-identical, across chunk boundaries too."""
+    labels = np.random.default_rng(n).integers(0, 32, size=n)
+    got = community_features(labels, dim, signal=1.5, seed=7, dtype=dtype)
+    want = oracle.community_features(labels, dim, signal=1.5, seed=7, dtype=dtype)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -2,7 +2,8 @@
 
 Naming discipline, the families one :func:`collect` returns, the
 Prometheus render / re-parse round trip, and the agreement between the
-Prometheus view and the JSON snapshot and tracer it is derived from.
+Prometheus view and the JSON snapshot, ledger and tracer it is derived
+from.
 The live-server agreement check (a real ``GET /metrics?format=prom``
 against ``GET /metrics``) is in ``tests/serving/test_tracing.py``.
 """
@@ -106,19 +107,21 @@ def test_prometheus_values_round_trip_exactly(value):
 
 def test_component_families_carry_the_decomposition_totals():
     """Per endpoint and component, the exported seconds and samples are
-    the tracer's own totals, exactly."""
+    the ledger's own totals, exactly."""
     tracer = Tracer(enabled=True)
+    fe = _StubFrontend(tracer)
     rng = np.random.default_rng(5)
     for endpoint in ("predict", "topk", "predict", "update_edges", "predict"):
         span = tracer.root(endpoint)
         span.add_component("queue", float(rng.exponential(1e-4)))
         if endpoint != "update_edges":
             span.add_component("compute", float(rng.exponential(1e-3)))
-        span.end("ok", e2e_s=float(rng.exponential(3e-3)) + 2e-3)
-    parsed = parse_prometheus(render_prometheus(collect(_StubFrontend(tracer))))
+        fe.metrics.record(endpoint, "ok", latency_s=float(rng.exponential(3e-3)) + 2e-3,
+                          components=span.end("ok"))
+    parsed = parse_prometheus(render_prometheus(collect(fe)))
     seconds = parsed["repro_request_component_seconds_total"]
     samples = parsed["repro_request_component_samples_total"]
-    decomposition = tracer.decomposition()
+    decomposition = fe.metrics.decomposition()
     assert {dict(k)["endpoint"] for k in seconds} == set(decomposition)
     for endpoint, dec in decomposition.items():
         summaries = {"e2e": dec["e2e"], **dec["components"]}
@@ -179,7 +182,8 @@ def test_trace_families_conserve_the_ring_and_the_roots():
         span = tracer.root("predict")
         span.add_component("compute", 0.001)
         span.child_complete("engine.predict", 0.001)
-        span.end("ok" if i % 5 else "timeout", e2e_s=0.002)
+        outcome = "ok" if i % 5 else "timeout"
+        fe.metrics.record("predict", outcome, latency_s=0.002, components=span.end(outcome))
     parsed = parse_prometheus(render_prometheus(collect(fe)))
     st = tracer.stats()
     assert parsed["repro_trace_finished_spans_total"][()] == st["finished"] == 20

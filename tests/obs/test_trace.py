@@ -5,18 +5,17 @@ conservation against end-to-end latency) lives in
 ``tests/serving/test_tracing.py``; this suite pins the tracer machinery
 itself: the one switch, the bounded ring, first-close-wins span
 completion, explicit context activation, the component sums, and the
-pinned Chrome trace-event schema.
+pinned Chrome trace-event schema.  The per-endpoint decomposition is the
+serving ledger's (``tests/serving/test_serving_metrics.py``).
 """
 
 import json
-import sys
 import threading
 import time
 
 import pytest
 
 from repro.obs.trace import (
-    COMPONENTS,
     RING_CAPACITY,
     Tracer,
     activate,
@@ -38,15 +37,19 @@ def make_tracer() -> Tracer:
 def test_enabled_tracer_opens_a_root_for_every_request():
     t = make_tracer()
     spans = [t.root("predict") for _ in range(100)]
-    assert all(span is not None and span.parent_id is None for span in spans)
-    assert len({span.trace_id for span in spans}) == 100
+    assert all(span is not None for span in spans)
+    for span in spans:
+        span.end("ok")
+    records = t.export()
+    assert all(r["parent_id"] is None for r in records)
+    assert len({r["trace_id"] for r in records}) == 100
 
 
 def test_disabled_tracer_returns_none_and_records_nothing():
     t = Tracer(enabled=False)
     assert all(t.root(name) is None for name in ("predict", "topk", "update_edges"))
     assert t.stats() == {"finished": 0, "dropped": 0, "buffered": 0}
-    assert t.export() == [] and t.decomposition() == {}
+    assert t.export() == []
 
 
 @pytest.mark.parametrize(
@@ -83,15 +86,27 @@ def test_end_is_idempotent_first_close_wins():
     t = make_tracer()
     span = t.root("predict")
     span.add_component("queue", 0.001)
-    span.end("timeout")
+    # the first close hands its frozen components to the caller (the
+    # serving ledger); a second close hands back nothing
+    assert span.end("timeout") == {"queue": 0.001}
     # a background worker finishing late must not mutate the record
     span.add_component("compute", 0.5)
-    span.end("ok")
+    assert span.end("ok") == {}
     records = t.export()
     assert len(records) == 1
     rec = records[0]
     assert rec["outcome"] == "timeout"
     assert set(rec["components_ms"]) == {"queue"}
+
+
+def test_root_record_is_its_own_trace():
+    t = make_tracer()
+    span = t.root("topk")
+    span.end("ok")
+    (record,) = t.export()
+    assert record["trace_id"] == record["span_id"] == span.span_id
+    assert record["parent_id"] is None
+    assert record["cat"] == "request" and record["args"] == {}
 
 
 def test_child_complete_lands_even_after_parent_end():
@@ -109,7 +124,7 @@ def test_child_spans_share_trace_id():
     root.child_complete("engine.predict", 0.001)
     root.end("ok")
     child = next(r for r in t.export() if r["name"] == "engine.predict")
-    assert child["trace_id"] == root.trace_id
+    assert child["trace_id"] == root.span_id
     assert child["parent_id"] == root.span_id
 
 
@@ -167,7 +182,7 @@ def _traced_request(t: Tracer) -> None:
     span.add_component("queue", 0.001)
     span.add_component("compute", 0.003)
     span.child_complete("engine.predict", 0.003, cat="serving", rows=8)
-    span.end("ok", e2e_s=0.005)
+    span.end("ok")
 
 
 def test_chrome_trace_passes_pinned_schema():
@@ -201,64 +216,7 @@ def test_schema_validation_rejects_deviations(mutate):
         validate_chrome_trace(payload)
 
 
-# -- latency decomposition --------------------------------------------------------
-
-
-def test_decomposition_tracks_components_vs_e2e():
-    t = make_tracer()
-    for _ in range(4):
-        _traced_request(t)
-    dec = t.decomposition()["predict"]
-    assert dec["count"] == 4
-    assert dec["e2e"]["mean_ms"] == pytest.approx(5.0)
-    assert dec["components"]["queue"]["mean_ms"] == pytest.approx(1.0)
-    assert dec["components"]["compute"]["mean_ms"] == pytest.approx(3.0)
-    assert dec["component_sum_mean_ms"] == pytest.approx(4.0)
-    assert dec["unattributed_mean_ms"] == pytest.approx(1.0)
-    # component names stay within the canonical vocabulary here
-    assert set(dec["components"]) <= set(COMPONENTS)
-
-
-def test_decomposition_keeps_totals_and_counts_only():
-    """Per endpoint and component the decomposition keeps ``(total_s,
-    count)`` and the mean :func:`decompose` derives from them."""
-    t = make_tracer()
-    for e2e_s in (0.002, 0.004, 0.009):
-        span = t.root("topk")
-        span.add_component("compute", e2e_s / 2)
-        span.end("ok", e2e_s=e2e_s)
-    dec = t.decomposition()["topk"]
-    assert dec["e2e"] == {"count": 3, "total_s": pytest.approx(0.015),
-                          "mean_ms": pytest.approx(5.0)}
-    assert dec["components"] == {
-        "compute": {"count": 3, "total_s": pytest.approx(0.0075),
-                    "mean_ms": pytest.approx(2.5)},
-    }
-
-
-def test_decomposition_counts_every_root_of_concurrent_threads():
-    t = make_tracer()
-
-    def worker():
-        for _ in range(200):
-            span = t.root("predict")
-            span.add_component("queue", 0.25)
-            span.end("ok", e2e_s=1.0)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    dec = t.decomposition()["predict"]
-    assert dec["e2e"]["count"] == dec["components"]["queue"]["count"] == 1600
-    assert dec["e2e"]["total_s"] == 1600.0 and dec["components"]["queue"]["total_s"] == 400.0
+# -- latency components -------------------------------------------------------
 
 
 def test_time_compute_is_the_call_less_the_feature_time_inside_it():
@@ -276,22 +234,3 @@ def test_time_compute_is_the_call_less_the_feature_time_inside_it():
     # a call shorter than the feature time it recorded computes nothing
     assert span.time_compute(lambda: span.add_component("feature", 10.0)) is None
     assert span.component_seconds("compute") == compute
-
-
-def test_decomposition_counts_only_ok_roots():
-    t = make_tracer()
-    span = t.root("predict")
-    span.add_component("queue", 0.001)
-    span.end("timeout")
-    assert t.decomposition() == {}
-
-
-def test_span_outside_tracer_root_is_not_decomposed():
-    """Child spans never feed the per-endpoint decomposition."""
-    t = make_tracer()
-    root = t.root("predict")
-    root.child_complete("engine.predict", 0.001)
-    root.end("ok", e2e_s=0.002)
-    dec = t.decomposition()
-    assert set(dec) == {"predict"}
-    assert dec["predict"]["count"] == 1

@@ -18,28 +18,36 @@ def setup(small_rmat):
 class TestTrees:
     def test_one_tree_per_split_vertex(self, setup):
         parted, plan = setup
-        assert len(plan.trees) == parted.split_vertices.size
         assert plan.num_trees == parted.split_vertices.size
+        # every tree has at least one route: a split vertex has >= 2 clones
+        assert np.array_equal(np.unique(plan.tree_index), np.arange(plan.num_trees))
 
     def test_tree_covers_all_clones(self, setup):
+        """Per tree, its root's partition and its leaves' partitions are
+        exactly the vertex's clones."""
         parted, plan = setup
-        for tree in plan.trees[:20]:
-            clone_parts = set(np.flatnonzero(parted.membership[tree.global_id]))
-            tree_parts = {tree.root_part} | set(tree.leaf_parts.tolist())
-            assert tree_parts == clone_parts
+        split = parted.split_vertices
+        for t in range(plan.num_trees):
+            routes = plan.tree_index == t
+            root_parts = set(plan.root_part[routes].tolist())
+            assert len(root_parts) == 1
+            tree_parts = root_parts | set(plan.leaf_part[routes].tolist())
+            assert tree_parts == set(np.flatnonzero(parted.membership[split[t]]))
 
     def test_root_not_among_leaves(self, setup):
         _, plan = setup
-        for tree in plan.trees[:20]:
-            assert tree.root_part not in tree.leaf_parts
+        assert not np.any(plan.root_part == plan.leaf_part)
+        # no leaf clone is routed twice within its tree
+        pairs = set(zip(plan.tree_index.tolist(), plan.leaf_part.tolist()))
+        assert len(pairs) == plan.num_routes
 
     def test_locals_resolve_to_global(self, setup):
         parted, plan = setup
-        for tree in plan.trees[:20]:
-            root_part = parted.parts[tree.root_part]
-            assert root_part.global_ids[tree.root_local] == tree.global_id
-            for p, l in zip(tree.leaf_parts, tree.leaf_locals):
-                assert parted.parts[int(p)].global_ids[int(l)] == tree.global_id
+        want = parted.split_vertices[plan.tree_index]
+        for p, part in enumerate(parted.parts):
+            leaves, roots = plan.leaf_part == p, plan.root_part == p
+            assert np.array_equal(part.global_ids[plan.leaf_local[leaves]], want[leaves])
+            assert np.array_equal(part.global_ids[plan.root_local[roots]], want[roots])
 
     def test_routes_count(self, setup):
         parted, plan = setup
@@ -56,11 +64,14 @@ class TestTrees:
         assert np.array_equal(a.leaf_local, b.leaf_local)
 
     def test_no_tree_objects_mode(self, small_rmat):
+        """``build_tree_objects`` is accepted and changes nothing."""
         asn = libra_partition(small_rmat, 4, seed=0)
         parted = build_partitions(small_rmat, asn, 4)
         plan = build_split_trees(parted, seed=0, build_tree_objects=False)
-        assert plan.trees == []
-        assert plan.num_trees == parted.split_vertices.size
+        same = build_split_trees(parted, seed=0, build_tree_objects=True)
+        for name in ("leaf_part", "leaf_local", "root_part", "root_local", "tree_index"):
+            assert np.array_equal(getattr(plan, name), getattr(same, name))
+        assert plan.num_trees == same.num_trees == parted.split_vertices.size
         assert plan.num_routes > 0
 
     def test_empty_when_no_splits(self, line_graph):

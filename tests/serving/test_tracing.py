@@ -146,7 +146,7 @@ def test_component_sum_within_e2e_for_ok_requests(traced):
         # float accumulation across clock reads
         assert comp_ms <= r["dur_us"] / 1e3 + 0.5, r["components_ms"]
         assert set(r["components_ms"]) <= set(COMPONENTS)
-    dec = tracer.decomposition()["predict"]
+    dec = fe.metrics.decomposition()["predict"]
     assert dec["count"] == 40
     assert dec["component_sum_mean_ms"] <= dec["e2e"]["mean_ms"] + 0.5
     assert dec["unattributed_mean_ms"] >= 0.0
@@ -163,7 +163,7 @@ def test_traced_reads_attribute_most_of_their_time(traced, endpoint):
     for _ in range(200):
         ids = rng.integers(0, svc.engine.num_vertices, size=8)
         fe.call(endpoint, lambda: read(ids))
-    dec = tracer.decomposition()[endpoint]
+    dec = fe.metrics.decomposition()[endpoint]
     assert dec["count"] == 200
     assert dec["component_sum_mean_ms"] >= 0.5 * dec["e2e"]["mean_ms"], dec
 
@@ -204,7 +204,7 @@ def test_traced_updates_attribute_their_time_to_compute(trained, traced):
         e2e_ms = r["dur_us"] / 1e3
         assert 0.9 * e2e_ms <= sum(r["components_ms"].values()) <= e2e_ms + 0.5, r
     for endpoint in ("update_edges", "update_features"):
-        dec = tracer.decomposition()[endpoint]
+        dec = fe.metrics.decomposition()[endpoint]
         assert dec["component_sum_mean_ms"] >= 0.9 * dec["e2e"]["mean_ms"], dec
 
 
@@ -273,7 +273,7 @@ def test_timed_out_requests_close_spans_once(engine):
     # the call finished past its deadline and closed its root once,
     # as a timeout
     assert rs[0]["outcome"] == "timeout"
-    assert tracer.decomposition() == {}  # only ok roots decompose
+    assert fe.metrics.decomposition() == {}  # only ok roots decompose
 
 
 # -- HTTP surface -----------------------------------------------------------------
@@ -329,8 +329,8 @@ def test_server_trace_and_prometheus_endpoints(engine):
                     ep[outcome]
                 ), (endpoint, outcome)
         assert parsed["repro_queue_capacity"][()] == snap["max_queue"]
-        # the tracer's e2e totals are the metrics' own: one sample per
-        # ok request, the same seconds as the JSON mean
+        # the e2e totals are the metrics' own: one sample per ok
+        # request, the same seconds as the JSON mean
         samples = parsed["repro_request_component_samples_total"]
         seconds = parsed["repro_request_component_seconds_total"]
         for endpoint, ep in snap["endpoints"].items():
