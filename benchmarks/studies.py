@@ -571,8 +571,10 @@ def _phase_split(engine, requests) -> dict:
     return {f"phase.{label}_p50_us": 1e6 * median(t) for label, t in times.items()}
 
 
-#: seconds of the 2-connection closed loop whose server CPU is read
+#: seconds of each closed loop whose server and client CPU are read
 SERVER_CPU_SECONDS = 4.0
+#: connections of those loops: one caller, and the suite's two
+SERVER_CPU_CONNECTIONS = (1, 2)
 
 
 def _process_cpu_s(pid: int) -> float:
@@ -583,18 +585,24 @@ def _process_cpu_s(pid: int) -> float:
 
 
 def _server_cpu(inputs, rec, requests) -> dict:
-    """CPU µs the ``repro serve`` child (CLI defaults) spends per read
-    over a closed loop on 2 connections, and that loop's reads/s: the
-    process, where the phase split's in-process server shares its
-    interpreter (and the GIL) with its client."""
+    """CPU µs the ``repro serve`` child (CLI defaults) and this process,
+    the client, spend per read over a closed loop on 1 and then on 2
+    connections, and each loop's reads/s: the process, where the phase
+    split's in-process server shares its interpreter (and the GIL) with
+    its client."""
     import suite_serve
     from suite_harness import run_closed_loop
 
+    row = {}
     with suite_serve._start_server(inputs, rec) as server:
-        cpu0 = _process_cpu_s(server.proc.pid)
-        done, _, elapsed = run_closed_loop(server.port, requests, SERVER_CPU_SECONDS)
-        cpu_s = _process_cpu_s(server.proc.pid) - cpu0
-    return {"server.cpu_us_per_read": 1e6 * cpu_s / done, "server.reads_per_s": done / elapsed}
+        for conns in SERVER_CPU_CONNECTIONS:
+            cpu0, client0 = _process_cpu_s(server.proc.pid), time.process_time()
+            done, _, elapsed = run_closed_loop(server.port, requests, SERVER_CPU_SECONDS, conns)
+            row[f"server.cpu_us_per_read.c{conns}"] = (
+                1e6 * (_process_cpu_s(server.proc.pid) - cpu0) / done)
+            row[f"client.cpu_us_per_read.c{conns}"] = 1e6 * (time.process_time() - client0) / done
+            row[f"server.reads_per_s.c{conns}"] = done / elapsed
+    return row
 
 
 def _serving_layers_child() -> None:
@@ -718,7 +726,8 @@ def serving_layers(reps: int, baseline=None) -> None:
     pins it) — so each layer's cost is a subtraction.  Plus the probe: a
     table read through the tree's frontend (gate, or pool hop) against
     the same read inline on the HTTP thread, the server-side phase split
-    and the ``repro serve`` process's CPU per read.  With ``baseline``,
+    and the ``repro serve`` process's and its client's CPU per read on 1
+    and on 2 connections.  With ``baseline``,
     also ``reps`` pairs of each tree's own ``serve_read`` suite run.
     Appends a dated section to docs/serving-read.md and prints it."""
     sys.path.insert(0, os.path.join(BENCH_DIR, "suite"))
@@ -788,20 +797,23 @@ def serving_layers(reps: int, baseline=None) -> None:
     lines += [
         "",
         f"The process: a `repro serve` child (CLI defaults) under a {SERVER_CPU_SECONDS:g} s "
-        "closed loop on 2 kept-alive connections, its utime + stime (every thread, "
-        "`/proc/<pid>/stat`) per read; median [quartiles] over runs.",
+        "closed loop on 1, then on 2 kept-alive connections, its utime + stime (every "
+        "thread, `/proc/<pid>/stat`) per read, and the study process's own (the "
+        "client's) CPU per read; median [quartiles] over runs.",
         "",
-        "| measure | " + " | ".join(trees)
+        "| measure | connections | " + " | ".join(trees)
         + (" | change / parent | change better |" if baseline else " |"),
-        "| --- " * (len(trees) + 1 + 2 * bool(baseline)) + "|",
+        "| --- " * (len(trees) + 2 + 2 * bool(baseline)) + "|",
     ]
     for label, key, better in (("server CPU µs per read", "server.cpu_us_per_read", "lower"),
+                               ("client CPU µs per read", "client.cpu_us_per_read", "lower"),
                                ("reads/s", "server.reads_per_s", "higher")):
-        values = {name: [r[key] for r in runs[name]] for name in trees}
-        cells = [_quartiles(values[name]) for name in trees]
-        if baseline:
-            cells += _paired(values["parent"], values["change"], better)
-        lines.append(f"| {label} | " + " | ".join(cells) + " |")
+        for conns in SERVER_CPU_CONNECTIONS:
+            values = {name: [r[f"{key}.c{conns}"] for r in runs[name]] for name in trees}
+            cells = [_quartiles(values[name]) for name in trees]
+            if baseline:
+                cells += _paired(values["parent"], values["change"], better)
+            lines.append(f"| {label} | {conns} | " + " | ".join(cells) + " |")
     if baseline:
         lines += ["", *_suite_pairs("serve_read", reps, baseline)]
     _append_section(SERVING_READ_DOC, "The serving read path, layer by layer",
@@ -1185,10 +1197,10 @@ class _StageProbe:
             self.peaks[name] = max(self.peaks.get(name, 0.0), peak / 1e6)
 
 
-def _vm_hwm_mb() -> float:
-    """This process's peak resident set (``VmHWM``), MB."""
+def _vm_mb(field: str = "VmHWM") -> float:
+    """This process's peak (``VmHWM``) or current (``VmRSS``) resident set, MB."""
     with open("/proc/self/status") as fh:
-        kb = next(line for line in fh if line.startswith("VmHWM:")).split()[1]
+        kb = next(line for line in fh if line.startswith(field + ":")).split()[1]
     return int(kb) / 1024
 
 
@@ -1196,10 +1208,10 @@ def _graph_build_child(name: str, scale: float) -> None:
     """One process on one tree: serving's per-update graph work on papers
     0.25 (``affected_sets`` of random 4-vertex changes, and the reverse an
     edge update rebuilds), then ``load_dataset(name, scale)`` with each
-    build function timed over its calls, ``CSRGraph.reverse``,
-    the suite trainer's epoch 0 (which builds the reverse again for its
-    backward), ``VmHWM`` after ``load`` and after ``epoch0``, and a digest
-    of the graph and its reverse.  Then the same steps again under
+    build function timed over its calls, ``CSRGraph.reverse`` (digested
+    with the graph, then dropped), the suite trainer's one-thread epoch 0,
+    ``VmHWM`` after ``load``, ``reverse`` and ``epoch0`` and ``VmRSS``
+    after ``epoch0``.  Then the same steps again under
     ``tracemalloc`` for each stage's traced peak.  One JSON line."""
     import hashlib
 
@@ -1231,20 +1243,24 @@ def _graph_build_child(name: str, scale: float) -> None:
             ds = load_dataset(name, scale=scale, seed=0)
             sys.setprofile(None)
         if not traced:
-            hwm["load"] = _vm_hwm_mb()
+            hwm["VmHWM load"] = _vm_mb()
         with probe.stage("reverse"):
             rev = ds.graph.reverse()
-        trainer = Trainer(ds, _suite_config(ds, 0))
-        with probe.stage("epoch0"):
-            trainer.train_epoch(0)
         if not traced:
-            hwm["epoch0"] = _vm_hwm_mb()
-            seconds = dict(probe.seconds)
+            hwm["VmHWM reverse"] = _vm_mb()
             h = hashlib.sha256()
             for g in (ds.graph, rev):
                 for a in (g.indptr, g.indices, g.edge_ids):
                     h.update(str(a.dtype).encode() + a.tobytes())
-            del ds, rev, trainer
+            del g
+        del rev  # epoch 0's resident set is then the training run's own
+        trainer = Trainer(ds, _suite_config(ds, 0))
+        with probe.stage("epoch0"):
+            trainer.train_epoch(0)
+        if not traced:
+            hwm["VmHWM epoch0"], hwm["VmRSS epoch0"] = _vm_mb(), _vm_mb("VmRSS")
+            seconds = dict(probe.seconds)
+            del ds, trainer
     tracemalloc.stop()
     print(json.dumps({
         "N": ds.num_vertices, "E": int(ds.graph.num_edges), "seconds": seconds,
@@ -1284,15 +1300,17 @@ def graph_build(reps: int, baseline=None) -> None:
         "summed over its calls in it, nested ones included (`coo_to_csr` also "
         "runs inside `sbm_graph` and `rmat_graph`; `load` is the whole call), "
         "then a bare "
-        "`CSRGraph.reverse()` and the suite trainer's epoch 0, which builds the "
-        "reverse again for its backward. Seconds, median [quartiles] over runs. "
+        "`CSRGraph.reverse()` (hashed, then dropped) and the suite trainer's "
+        "one-thread epoch 0, whose backward builds a second reverse only on a "
+        "tree without the transposed-operand adjoint pass. Seconds, median [quartiles] over runs. "
         "*peak MB*: the most `tracemalloc` traced during the stage (its largest "
         "call), counting "
         "from the start of `load`, in a second pass of the same steps (NumPy "
         "reports its buffers, so it is one number per tree). *equal*: the graph "
         "and its reverse (`indptr`, `indices`, `edge_ids`) hash the same in "
         "every run of every tree. `VmHWM`: the child's peak resident set, read "
-        "right after `load` and after `epoch0`.",
+        "right after `load`, `reverse` and `epoch0`; `VmRSS`: its resident set "
+        "after `epoch0`.",
     ]
 
     serving = {}
@@ -1329,10 +1347,11 @@ def graph_build(reps: int, baseline=None) -> None:
             cells += [_peak_cell([r["peak_mb"][stage] for r in rs])
                       for rs in runs.values()]
             lines.append(f"| `{stage}` | " + " | ".join(cells) + " |")
-        lines += ["", "| `VmHWM` after | " + " | ".join(f"{tree} MB" for tree in trees) + " |",
+        lines += ["", "| resident set | " + " | ".join(f"{tree} MB" for tree in trees) + " |",
                   "| --- " * (1 + len(trees)) + "|"]
-        for step in ("load", "epoch0"):
-            lines.append(f"| `{step}` | " + " | ".join(
+        for step in ("VmHWM load", "VmHWM reverse", "VmHWM epoch0", "VmRSS epoch0"):
+            field, after = step.split()
+            lines.append(f"| `{field}` after `{after}` | " + " | ".join(
                 _quartiles([r["vm_hwm_mb"][step] for r in rs]) for rs in runs.values()) + " |")
     reached = {r["reached"] for rs in serving.values() for r in rs}
     lines += [

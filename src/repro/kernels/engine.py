@@ -10,7 +10,8 @@ this module states it that way:
   LIBXSMM's JITed SIMD kernels play in the paper); :func:`spmm_rows` is
   the scipy CSR product that replaces it for ``copylhs`` with an
   add-accumulating ``⊕`` (the GNN workhorse), which needs no per-edge
-  message intermediate.
+  message intermediate; :func:`adjoint_pass` is its transpose ``Aᵀg``,
+  the SpMM backward.
 - **Plan rule.**  :func:`plan_pass` picks the plan from what it can
   observe — does the pass materialise per-edge messages, how many rows,
   how many threads, is the input a pre-built :class:`BlockedGraph` —
@@ -54,9 +55,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.sanitizers import make_lock
-from repro.graph.csr import CSRGraph, operand_dtype
+from repro.graph.csr import CSRGraph, cached_reverse, operand_dtype
 from repro.kernels.blocked import BlockedGraph
 from repro.kernels.fpenv import in_callers_mode
+from repro.kernels.instrumentation import time_ap
 from repro.kernels.operators import (
     BinaryOp,
     ReduceOp,
@@ -244,10 +246,10 @@ class PassPlan(NamedTuple):
 
 
 def _plan_cache(graph) -> dict:
-    # Cached on the graph instance itself, like ``_spmm_reverse`` in
-    # :mod:`repro.nn.functional` (an id()-keyed global dict would go
-    # stale when Python reuses object ids after GC); a racing duplicate
-    # computation is harmless (identical value).
+    # Cached on the graph instance itself, like its ``to_scipy`` operands
+    # (an id()-keyed global dict would go stale when Python reuses object
+    # ids after GC); a racing duplicate computation is harmless
+    # (identical value).
     cache = getattr(graph, "_pass_plans", None)
     if cache is None:
         cache = {}
@@ -382,3 +384,26 @@ def run_pass(
     bop, rop, dim, dtype = resolve_pass(f_v, f_e, binary_op, reduce_op)
     plan = plan_pass(graph, not _is_spmm(bop, rop), num_threads)
     return execute_plan(plan, f_v, f_e, bop, rop, dim, dtype, num_threads)
+
+
+def adjoint_pass(graph: CSRGraph, g: np.ndarray, num_threads: Optional[int] = None) -> np.ndarray:
+    """``Aᵀ g``, the copylhs/sum AP over the reversed ``graph`` (the SpMM
+    backward), timed and counted like ``aggregate``.  The plan rule picks
+    the operand: one thread is one range, a CSC view of the forward's own
+    ``to_scipy`` operand (scipy walks it in the reversed CSR's order, so
+    the bytes are ``aggregate(graph.reverse(), g)``'s); more threads cut
+    the :func:`~repro.graph.csr.cached_reverse` CSR into row chunks."""
+    threads = requested_num_threads(num_threads)
+    with time_ap():
+        if threads > 1:
+            return run_pass(cached_reverse(graph), g, num_threads=threads)
+        adj = graph.to_scipy(g.dtype)
+        cache, key = _plan_cache(graph), ("adjoint", adj.dtype)
+        if key not in cache:
+            import scipy.sparse as sp
+
+            view = sp.csc_matrix((graph.num_src, graph.num_vertices), dtype=adj.dtype)
+            # assigned, not passed in: the operand's arrays, never a copy
+            view.data, view.indices, view.indptr = adj.data, adj.indices, adj.indptr
+            cache[key] = view
+        return (cache[key] @ g.astype(adj.dtype, copy=False)).astype(g.dtype, copy=False)

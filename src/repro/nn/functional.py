@@ -8,11 +8,11 @@ axes), matching NumPy broadcast semantics.
 ``spmm`` is the differentiable aggregation primitive: forward runs the
 optimized kernel of :mod:`repro.kernels` (``kernel="auto"``, which
 rides the vectorized segment-reduce engine — see
-``docs/ARCHITECTURE.md``); backward multiplies by the transposed
-adjacency (cached per graph), which is exactly the adjoint of
-``f_O = A f_V``.  Both directions of every graph op here therefore run
-array-native end to end; no Python-level per-destination loop remains on
-the training path.
+``docs/ARCHITECTURE.md``); backward is the engine's adjoint pass ``Aᵀ g``,
+exactly the adjoint of ``f_O = A f_V``, which at one thread reads the
+forward's own operand and builds no reversed graph.  Both directions of
+every graph op here therefore run array-native end to end; no
+Python-level per-destination loop remains on the training path.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.kernels.engine import adjoint_pass
 from repro.kernels.spmm import aggregate
 from repro.nn.tensor import Tensor, grad_enabled
 
@@ -207,29 +208,18 @@ def spmm(
 
     Forward is the engine's SpMM pass (``aggregate(kernel="auto")``,
     threaded over destination chunks when ``num_threads > 1``).
-    Backward applies the transposed adjacency: ``d features = A^T @ g``
-    on the same engine and thread count.  The
-    reversed CSR is built when a backward first needs it and cached on
-    the graph object, so training reuses it every epoch and a forward
-    nobody differentiates builds none.
+    Backward is :func:`~repro.kernels.engine.adjoint_pass`,
+    ``d features = A^T @ g`` on the same thread count: one thread
+    multiplies by a transposed view of the forward's scipy operand, more
+    threads by the reversed CSR, built by the first such backward and
+    cached on the graph.  A forward nobody differentiates builds neither.
     """
     out = aggregate(graph, features.data, num_threads=num_threads)
 
     def backward(g):
-        reverse = _cached_reverse(graph)
-        return (aggregate(reverse, g, num_threads=num_threads),)
+        return (adjoint_pass(graph, g, num_threads),)
 
     return _make(out, (features,), backward, "spmm")
-
-
-def _cached_reverse(graph: CSRGraph) -> CSRGraph:
-    # The reverse is cached on the graph instance itself (an id()-keyed
-    # global dict would go stale when Python reuses object ids after GC).
-    rev = getattr(graph, "_spmm_reverse", None)
-    if rev is None:
-        rev = graph.reverse()
-        object.__setattr__(graph, "_spmm_reverse", rev)
-    return rev
 
 
 def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:

@@ -25,8 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.graph.builders import sorted_unique
-from repro.graph.csr import CSRGraph, INDEX_DTYPE, multi_row_take
-from repro.nn.functional import _cached_reverse
+from repro.graph.csr import CSRGraph, INDEX_DTYPE, cached_reverse, multi_row_take
 from repro.nn.tensor import Tensor, no_grad
 from repro.serving.engine import InferenceEngine
 
@@ -34,10 +33,10 @@ from repro.serving.engine import InferenceEngine
 def out_neighbors(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
     """Destinations of all edges leaving ``vertices`` (sorted, unique).
 
-    Walks the reverse CSR that ``F.spmm`` caches on the graph for its
-    backward pass (built here if inference never trained).
+    Walks the reverse CSR cached on the graph (built by the first walk,
+    or shared with a multi-thread training backward).
     """
-    rev = _cached_reverse(graph)
+    rev = cached_reverse(graph)
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
     return sorted_unique(rev.indices[multi_row_take(rev.indptr, vertices)])
 
