@@ -219,8 +219,8 @@ class CSRGraph:
     def reverse(self) -> "CSRGraph":
         """Graph with every edge direction flipped (source-major view).
 
-        One stable transpose of the stored arrays (the multi-thread SpMM
-        backward reads it through :func:`cached_reverse`):
+        One stable transpose of the stored arrays (serving's out-edge
+        walks read it):
         row ``u`` lists the destinations of ``u``'s edges in stored order.
         """
         from repro.graph.builders import _sort_rows
@@ -238,13 +238,3 @@ class CSRGraph:
             f"CSRGraph(num_vertices={self.num_vertices}, num_src={self.num_src}, "
             f"num_edges={self.num_edges})"
         )
-
-
-def cached_reverse(graph: CSRGraph) -> CSRGraph:
-    """``graph.reverse()``, built on first use and kept on the graph: the
-    row-chunked (multi-thread) SpMM backward and serving's out-edge walks
-    read it; a one-thread backward never builds it."""
-    rev = graph.__dict__.get("_reverse")
-    if rev is None:
-        rev = graph.__dict__.setdefault("_reverse", graph.reverse())
-    return rev

@@ -55,7 +55,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.sanitizers import make_lock
-from repro.graph.csr import CSRGraph, cached_reverse, operand_dtype
+from repro.graph.csr import CSRGraph, operand_dtype
 from repro.kernels.blocked import BlockedGraph
 from repro.kernels.fpenv import in_callers_mode
 from repro.kernels.instrumentation import time_ap
@@ -386,24 +386,32 @@ def run_pass(
     return execute_plan(plan, f_v, f_e, bop, rop, dim, dtype, num_threads)
 
 
+def adjoint_operand(graph: CSRGraph, dtype):
+    """``Aᵀ`` for features of ``dtype``: the CSC view of the forward's own
+    ``to_scipy`` operand, whose arrays it shares (scipy's ``.T``)."""
+    return graph.to_scipy(dtype).T
+
+
 def adjoint_pass(graph: CSRGraph, g: np.ndarray, num_threads: Optional[int] = None) -> np.ndarray:
-    """``Aᵀ g``, the copylhs/sum AP over the reversed ``graph`` (the SpMM
-    backward), timed and counted like ``aggregate``.  The plan rule picks
-    the operand: one thread is one range, a CSC view of the forward's own
-    ``to_scipy`` operand (scipy walks it in the reversed CSR's order, so
-    the bytes are ``aggregate(graph.reverse(), g)``'s); more threads cut
-    the :func:`~repro.graph.csr.cached_reverse` CSR into row chunks."""
+    """``Aᵀ g`` (the SpMM backward), timed and counted like ``aggregate``:
+    scipy walks :func:`adjoint_operand` in the reversed CSR's order, so
+    the bytes are ``aggregate(graph.reverse(), g)``'s with no reversed
+    graph built.  An output column reads only its column of ``g``, so
+    more threads cut the feature columns (``docs/kernel-plan.md``)."""
     threads = requested_num_threads(num_threads)
     with time_ap():
-        if threads > 1:
-            return run_pass(cached_reverse(graph), g, num_threads=threads)
-        adj = graph.to_scipy(g.dtype)
-        cache, key = _plan_cache(graph), ("adjoint", adj.dtype)
-        if key not in cache:
-            import scipy.sparse as sp
+        adj_t = adjoint_operand(graph, g.dtype)
+        rhs = g.astype(adj_t.dtype, copy=False)
+        parts = min(threads, g.shape[1]) if g.ndim == 2 else 1
+        if parts < 2:
+            return (adj_t @ rhs).astype(g.dtype, copy=False)
+        cuts = np.linspace(0, g.shape[1], parts + 1).astype(int)
+        out = np.empty((graph.num_src, g.shape[1]), adj_t.dtype)
 
-            view = sp.csc_matrix((graph.num_src, graph.num_vertices), dtype=adj.dtype)
-            # assigned, not passed in: the operand's arrays, never a copy
-            view.data, view.indices, view.indptr = adj.data, adj.indices, adj.indptr
-            cache[key] = view
-        return (cache[key] @ g.astype(adj.dtype, copy=False)).astype(g.dtype, copy=False)
+        def run(lo: int, hi: int) -> None:
+            out[:, lo:hi] = adj_t @ rhs[:, lo:hi]
+
+        pool, task = _get_pool(threads), in_callers_mode(run)  # same bits
+        for future in [pool.submit(task, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]:
+            future.result()
+        return out.astype(g.dtype, copy=False)

@@ -9,8 +9,8 @@ axes), matching NumPy broadcast semantics.
 optimized kernel of :mod:`repro.kernels` (``kernel="auto"``, which
 rides the vectorized segment-reduce engine — see
 ``docs/ARCHITECTURE.md``); backward is the engine's adjoint pass ``Aᵀ g``,
-exactly the adjoint of ``f_O = A f_V``, which at one thread reads the
-forward's own operand and builds no reversed graph.  Both directions of
+exactly the adjoint of ``f_O = A f_V``, which reads the forward's own
+operand and builds no reversed graph.  Both directions of
 every graph op here therefore run array-native end to end; no
 Python-level per-destination loop remains on the training path.
 """
@@ -209,10 +209,9 @@ def spmm(
     Forward is the engine's SpMM pass (``aggregate(kernel="auto")``,
     threaded over destination chunks when ``num_threads > 1``).
     Backward is :func:`~repro.kernels.engine.adjoint_pass`,
-    ``d features = A^T @ g`` on the same thread count: one thread
-    multiplies by a transposed view of the forward's scipy operand, more
-    threads by the reversed CSR, built by the first such backward and
-    cached on the graph.  A forward nobody differentiates builds neither.
+    ``d features = A^T @ g`` on the same thread count: a transposed view
+    of the forward's scipy operand, threaded over feature columns.  No
+    reversed graph is built.
     """
     out = aggregate(graph, features.data, num_threads=num_threads)
 

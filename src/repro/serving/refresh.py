@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.graph.builders import sorted_unique
-from repro.graph.csr import CSRGraph, INDEX_DTYPE, cached_reverse, multi_row_take
+from repro.graph.csr import CSRGraph, INDEX_DTYPE, multi_row_take
 from repro.nn.tensor import Tensor, no_grad
 from repro.serving.engine import InferenceEngine
 
@@ -33,10 +33,12 @@ from repro.serving.engine import InferenceEngine
 def out_neighbors(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
     """Destinations of all edges leaving ``vertices`` (sorted, unique).
 
-    Walks the reverse CSR cached on the graph (built by the first walk,
-    or shared with a multi-thread training backward).
+    Walks the reverse CSR, built by the first walk and kept on the graph
+    (training builds none).
     """
-    rev = cached_reverse(graph)
+    rev = graph.__dict__.get("_reverse")
+    if rev is None:
+        rev = graph.__dict__.setdefault("_reverse", graph.reverse())
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
     return sorted_unique(rev.indices[multi_row_take(rev.indptr, vertices)])
 

@@ -1,10 +1,8 @@
 """The adjoint pass ``Aᵀ g`` (the SpMM backward) is the copylhs/sum AP over
 the reversed graph, byte for byte, at any thread count.
 
-One thread multiplies by a CSC view of the forward's own scipy operand
-and builds no reversed graph; more threads run the row-chunked pass over
-the reversed CSR, built once per graph.  CI runs this file at
-``REPRO_NUM_THREADS`` 1 and 4, so the ``None`` cases take both branches.
+It multiplies by a CSC view of the forward's own scipy operand, so no
+reversed graph is built; more threads cut the feature columns.
 """
 
 import numpy as np
@@ -13,7 +11,7 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.kernels import aggregate
-from repro.kernels.engine import adjoint_pass, requested_num_threads
+from repro.kernels.engine import adjoint_operand, adjoint_pass
 from repro.kernels.instrumentation import AP_TIMER
 from repro.sampling.sampler import NeighborSampler
 
@@ -36,7 +34,7 @@ GRAPHS = {
     ),
     "zero_edges": lambda: CSRGraph(indptr=np.zeros(6, np.int64), indices=[], num_src=3),
 }
-THREADS = [1, 4, None]  # None: REPRO_NUM_THREADS, else 1
+THREADS = [1, 4]  # 4 cuts the 5 feature columns 1 + 1 + 1 + 2
 
 
 def _upstream(graph, dtype, seed=0):
@@ -52,7 +50,7 @@ def test_adjoint_is_the_pass_over_the_reverse(name, dtype, threads):
     graph = GRAPHS[name]()
     g = _upstream(graph, dtype)
     want = aggregate(graph.reverse(), g, num_threads=1)
-    for _ in range(2):  # the second call reads what the first cached
+    for _ in range(2):  # the second call reads the operand the first built
         got = adjoint_pass(graph, g, threads)
         assert got.shape == (graph.num_src, g.shape[1]) and got.dtype == dtype
         assert got.tobytes() == want.tobytes()
@@ -68,22 +66,8 @@ def test_each_call_is_one_ap_call(small_rmat, threads):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_one_thread_views_the_forward_operand(small_rmat, dtype):
-    adjoint_pass(small_rmat, _upstream(small_rmat, dtype), 1)
-    operand = small_rmat.to_scipy(dtype)
-    view = small_rmat._pass_plans[("adjoint", operand.dtype)]
+def test_the_operand_is_a_view_of_the_forward_operand(small_rmat, dtype):
+    view, operand = adjoint_operand(small_rmat, dtype), small_rmat.to_scipy(dtype)
     assert view.shape == (small_rmat.num_src, small_rmat.num_vertices)
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(view, name), getattr(operand, name))
-    assert "_reverse" not in small_rmat.__dict__
-
-
-@pytest.mark.parametrize("threads", THREADS)
-def test_only_a_row_chunked_plan_reverses(small_rmat, threads, monkeypatch):
-    built = []
-    real = CSRGraph.reverse
-    monkeypatch.setattr(CSRGraph, "reverse", lambda self: built.append(self) or real(self))
-    g = _upstream(small_rmat, np.float32)
-    for _ in range(3):
-        adjoint_pass(small_rmat, g, threads)
-    assert built == ([small_rmat] if requested_num_threads(threads) > 1 else [])

@@ -2,11 +2,10 @@
 
 Two-parent closures skip the gradient of a parent that is not on the tape
 (``Tensor.backward`` would drop it anyway), and ``F.spmm``'s backward
-builds a reversed adjacency only for a row-chunked (multi-thread) pass,
-once per graph, never in forward: one thread multiplies by the
-forward's own operand, transposed.  Neither moves a bit of a surviving
-gradient.  CI runs this file at ``REPRO_NUM_THREADS`` 1 and 4, so the
-trainers' default thread count takes both branches.
+multiplies by the forward's own operand, transposed: no reversed
+adjacency is built, in forward or backward, at any thread count.  Neither
+moves a bit of a surviving gradient.  CI runs this file at
+``REPRO_NUM_THREADS`` 1 and 4, which set the trainers' default thread count.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from repro.core import DistributedTrainer, TrainConfig, Trainer
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
-from repro.kernels.engine import requested_num_threads
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.sampling import MiniBatchTrainer
@@ -64,9 +62,7 @@ def test_an_interior_parent_still_gets_its_gradient():
     assert np.array_equal(w.grad, A.T @ (g * 2.0))
 
 
-# -- a reversed adjacency is built only for a row-chunked backward ------------------
-
-THREADS = [1, 4, None]  # None: the trainer default, REPRO_NUM_THREADS else 1
+# -- no reversed adjacency is built ------------------------------------------------
 
 
 @pytest.fixture
@@ -87,27 +83,23 @@ def test_forward_alone_builds_no_reverse(small_rmat, small_features, reversals):
         F.spmm(small_rmat, Tensor(small_features, requires_grad=True), num_threads=4)
     # input off the tape: nothing to differentiate
     assert F.spmm(small_rmat, Tensor(small_features))._backward_fn is None
-    assert reversals == [] and "_reverse" not in small_rmat.__dict__
+    assert reversals == []
 
 
-@pytest.mark.parametrize("threads", THREADS)
-def test_spmm_backward_reverses_once_and_only_for_row_chunks(
-    small_rmat, small_features, reversals, threads
-):
+@pytest.mark.parametrize("threads", [1, 4])
+def test_spmm_backward_builds_no_reverse(small_rmat, small_features, reversals, threads):
     x = Tensor(small_features, requires_grad=True)
-    chunked = requested_num_threads(threads) > 1
-    for epoch in range(3):
+    for _ in range(3):
         out = F.spmm(small_rmat, x, num_threads=threads)
-        assert len(reversals) == min(epoch, int(chunked))  # forward builds none
         out.backward(np.ones(out.shape, np.float32))
-    assert reversals == ([small_rmat] if chunked else [])
+    assert reversals == []
     want = small_rmat.to_dense().T.astype(np.float32) @ np.ones(out.shape, np.float32)
     assert np.allclose(x.grad, 3 * want)
 
 
-def _trainer(kind, threads):
+def _trainer(kind):
     ds = load_dataset("reddit", scale=0.03, seed=11)  # a graph no other test holds
-    cfg = TrainConfig(num_layers=2, hidden_features=8, seed=0, num_threads=threads)
+    cfg = TrainConfig(num_layers=2, hidden_features=8, seed=0)  # REPRO_NUM_THREADS
     if kind == "full":
         return Trainer(ds, cfg)
     if kind == "minibatch":
@@ -115,18 +107,9 @@ def _trainer(kind, threads):
     return DistributedTrainer(ds, 2, algorithm="cd-0", config=cfg, backend="sim")
 
 
-@pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("kind", ["full", "minibatch", "dist"])
-def test_training_reverses_each_graph_once_and_only_for_row_chunks(
-    kind, threads, reversals
-):
-    trainer = _trainer(kind, threads)
-    trainer.train_epoch(0)
-    first = list(reversals)
-    trainer.train_epoch(1)
-    if requested_num_threads(threads) == 1:
-        assert reversals == []
-        return
-    assert first and len({id(g) for g in reversals}) == len(reversals)
-    if kind != "minibatch":  # full graphs: epoch 1 reuses epoch 0's reverses
-        assert reversals == first
+def test_training_builds_no_reverse(kind, reversals):
+    trainer = _trainer(kind)
+    for epoch in range(2):
+        trainer.train_epoch(epoch)
+    assert reversals == []
